@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyBlocks,
+    NonFinite,
     NonPositiveDensity,
     NonPositiveDim,
     ShapeMismatch,
@@ -69,6 +70,12 @@ class Algebra:
 def make_algebra(blocks: Sequence[int]) -> Algebra:
     """Build the direct sum of full matrix blocks with the given dimensions."""
     return Algebra(tuple(blocks))
+
+
+def _require_finite(arrays: Iterable[np.ndarray], what: str) -> None:
+    """Raise NonFinite unless every entry of every array is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFinite(f"{what} has a NaN or infinite entry")
 
 
 def _as_block_data(algebra: Algebra, data: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -272,6 +279,7 @@ class State:
 
     def __init__(self, algebra: Algebra, data, *, normalize: bool = False):
         mats = _as_block_data(algebra, data)
+        _require_finite(mats, "density")
         herm_defect = max(float(np.linalg.norm(m - m.conj().T)) for m in mats)
         if herm_defect > 100 * algebra.atol:
             raise NonPositiveDensity(f"density not Hermitian, defect {herm_defect:.3e}")
@@ -420,6 +428,7 @@ class AlgebraMap:
                 f"map matrix shape {matrix.shape} != "
                 f"({target.total_dim}, {source.total_dim})"
             )
+        _require_finite([matrix], "map matrix")
         matrix.setflags(write=False)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

@@ -17,6 +17,10 @@ class ShapeMismatch(NclpError):
     """Block shapes or matrix dimensions do not match the declared algebras."""
 
 
+class NonFinite(NclpError):
+    """Input data contains a NaN or an infinite entry."""
+
+
 class NonPositiveDensity(NclpError):
     """A density matrix has an eigenvalue below the negativity tolerance."""
 

@@ -426,6 +426,47 @@ def _gns_weight(state: State) -> np.ndarray:
     return W
 
 
+def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: float = 0.0) -> None:
+    """Certify that the matrix M is a state-preserving conditional
+    expectation onto the subalgebra, raising NotInvariant otherwise.
+
+    The checks are matrix identities on M: idempotence, M B = B on the basis
+    columns B, the state row identity omega M = omega with
+    phi(x) = omega . vec(x), and the one-sided bimodule identities
+    M L_a = L_a M and M R_a = R_a M for each basis element a.  A
+    conditional expectation is a bimodule map (Tomiyama), and the one-sided
+    identities give E(a u b) = a E(u b) = a E(u) b.  Positivity is checked on
+    seeded samples.  Every comparison is written so that a NaN rejects.
+    """
+    parent = A.parent
+    check_tol = 1e-7 * max(1, parent.total_dim)
+    if not np.max(np.abs(M @ M - M)) <= check_tol:
+        raise NotInvariant(defect, "expectation is not idempotent")
+    B = np.column_stack([a.vec() for a in A.basis])
+    col_tol = check_tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
+    if not np.all(np.linalg.norm(M @ B - B, axis=0) <= col_tol):
+        raise NotInvariant(defect, "expectation does not fix the subalgebra")
+    omega = np.concatenate([r.T.reshape(-1) for r in state._data])
+    if not np.max(np.abs(omega @ M - omega)) <= check_tol:
+        raise NotInvariant(defect, "expectation does not preserve the state")
+    # one basis element at a time, so only two D x D multiplication
+    # matrices are alive at once
+    for a, tol in zip(A.basis, col_tol):
+        for mult in (left_mult_matrix(a), right_mult_matrix(a)):
+            if not np.all(np.linalg.norm(M @ mult - mult @ M, axis=0) <= tol):
+                raise NotInvariant(defect, "expectation is not a module map")
+    rng = np.random.default_rng(_DECOMP_SEED)
+    for _ in range(5):
+        g_blocks = []
+        for n in parent.blocks:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            g_blocks.append(g @ g.conj().T)
+        pos = AlgebraElement.from_vec(parent, M @ AlgebraElement(parent, g_blocks).vec())
+        low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in pos.data)
+        if not low >= -check_tol * max(1.0, max(np.linalg.norm(b) for b in g_blocks)):
+            raise NotInvariant(defect, "expectation is not positive on samples")
+
+
 def construct_expectation(A: Subalgebra, state: State) -> ConditionalExpectation:
     """Build the state-preserving expectation onto an invariant subalgebra.
 
@@ -445,39 +486,10 @@ def construct_expectation(A: Subalgebra, state: State) -> ConditionalExpectation
     rhs = Q.conj().T @ W
     coeff = np.linalg.solve(gram, rhs)
     M = Q @ coeff
-    E = AlgebraMap(parent, parent, M)
-
     # structural post-checks; failures mean the instance is numerically
     # outside the invariant regime
-    check_tol = 1e-7 * max(1, parent.total_dim)
-    if np.max(np.abs(M @ M - M)) > check_tol:
-        raise NotInvariant(inv.defect, "expectation is not idempotent")
-    for a in A.basis:
-        if (E(a) - a).frobenius() > check_tol * max(1.0, a.frobenius()):
-            raise NotInvariant(inv.defect, "expectation does not fix the subalgebra")
-    units = matrix_units(parent)
-    for u in units:
-        if abs(state(E(u)) - state(u)) > check_tol:
-            raise NotInvariant(inv.defect, "expectation does not preserve the state")
-    for a in A.basis:
-        for b in A.basis:
-            for u in units:
-                lhs = E(a @ u @ b)
-                rhs = a @ E(u) @ b
-                if (lhs - rhs).frobenius() > check_tol * max(
-                    1.0, a.frobenius() * b.frobenius()
-                ):
-                    raise NotInvariant(inv.defect, "expectation is not a module map")
-    rng = np.random.default_rng(_DECOMP_SEED)
-    for _ in range(5):
-        g_blocks = []
-        for n in parent.blocks:
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            g_blocks.append(g @ g.conj().T)
-        pos = E(AlgebraElement(parent, g_blocks))
-        low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in pos.data)
-        if low < -check_tol * max(1.0, max(np.linalg.norm(b) for b in g_blocks)):
-            raise NotInvariant(inv.defect, "expectation is not positive on samples")
+    _certify_expectation(M, A, state, inv.defect)
+    E = AlgebraMap(parent, parent, M)
     return ConditionalExpectation(map=E, state=state, subalgebra=A)
 
 

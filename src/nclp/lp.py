@@ -19,6 +19,7 @@ from .algebra import (
     Projection,
     State,
     matrix_units,
+    _require_finite,
 )
 from .errors import (
     ExponentMismatch,
@@ -252,6 +253,7 @@ class LpMap:
             raise ShapeMismatch(
                 f"matrix shape {matrix.shape} != ({target.total_dim}, {source.total_dim})"
             )
+        _require_finite([matrix], "map matrix")
         matrix.setflags(write=False)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

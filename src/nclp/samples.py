@@ -311,9 +311,16 @@ def random_invariant_inclusion(seed: int):
     return A, state
 
 
+_NONINVARIANT_ATTEMPTS = 32
+
+
 def random_noninvariant_inclusion(seed: int, min_defect: float = 0.3):
-    """A unital inclusion with a generic faithful state that moves it."""
-    for attempt in range(8):
+    """A unital inclusion with a generic faithful state that moves it.
+
+    Attempt k draws menu entry seed + k; attempts run up to a fixed cap, so
+    a seed keeps its inclusion as long as an earlier attempt succeeds.
+    """
+    for attempt in range(_NONINVARIANT_ATTEMPTS):
         idx = (seed + attempt) % len(_INCLUSION_MENU)
         m, pattern = _INCLUSION_MENU[idx]
         if pattern in ("scalars", "full"):

@@ -396,6 +396,10 @@ def _suite_state_restriction(config: SuiteConfig):
         rng = rng_for(seed + 5)
         g = random_element(data.source, rng, hermitian=True)
         drift = data.pi(g)
+        # trace-free, so that renormalizing the perturbed density cannot
+        # cancel a drift nearly parallel to the state
+        pi_one = data.pi(AlgebraElement.identity(data.source))
+        drift = drift - (drift.trace().real / pi_one.trace().real) * pi_one
         drift = drift * (0.1 / max(drift.frobenius(), 1e-12))
         raw = phibar.density + drift
         blocks = []

@@ -87,6 +87,22 @@ def test_state_rejects_bad_density():
         State(alg, [np.diag([0.7, 0.7])])  # trace 1.4
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_and_map_reject_non_finite(bad):
+    from nclp.algebra import AlgebraMap
+    from nclp.errors import NonFinite
+
+    alg = make_algebra([2])
+    with pytest.raises(NonFinite):
+        State(alg, [np.array([[0.5, 0], [0, bad]])])
+    with pytest.raises(NonFinite):
+        State(alg, [np.array([[0.5, bad], [bad, 0.5]])], normalize=True)
+    matrix = np.eye(4, dtype=complex)
+    matrix[1, 2] = bad
+    with pytest.raises(NonFinite):
+        AlgebraMap(alg, alg, matrix)
+
+
 @pytest.mark.parametrize("blocks", [[2], [1, 1], [2, 3]])
 def test_identity_is_star_homomorphism(blocks):
     alg = make_algebra(blocks)

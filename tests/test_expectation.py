@@ -5,6 +5,7 @@ from nclp.algebra import AlgebraElement, State, make_algebra, matrix_units, rand
 from nclp.errors import DataInvalid, NotInvariant
 from nclp.expectation import (
     Subalgebra,
+    _certify_expectation,
     complement_projection,
     construct_expectation,
     interpolation_gap,
@@ -119,6 +120,88 @@ def test_expectation_invariants_tight():
             for b in A.basis:
                 x = random_element(A.parent, rng)
                 assert (E(a @ x @ b) - a @ E(x) @ b).frobenius() < 1e-8
+
+
+def _oracle_certificate(M, A, state):
+    """The certificate as per-element loops: the first failing check's
+    message, or None.  Kept as an independent oracle for the matrix
+    identities of _certify_expectation."""
+    parent = A.parent
+    check_tol = 1e-7 * max(1, parent.total_dim)
+
+    def E(x):
+        return AlgebraElement.from_vec(parent, M @ x.vec())
+
+    if not np.max(np.abs(M @ M - M)) <= check_tol:
+        return "expectation is not idempotent"
+    for a in A.basis:
+        if not (E(a) - a).frobenius() <= check_tol * max(1.0, a.frobenius()):
+            return "expectation does not fix the subalgebra"
+    units = matrix_units(parent)
+    for u in units:
+        if not abs(state(E(u)) - state(u)) <= check_tol:
+            return "expectation does not preserve the state"
+    for a in A.basis:
+        for b in A.basis:
+            for u in units:
+                defect = (E(a @ u @ b) - a @ E(u) @ b).frobenius()
+                if not defect <= check_tol * max(1.0, a.frobenius() * b.frobenius()):
+                    return "expectation is not a module map"
+    return None
+
+
+def _certificate_message(M, A, state):
+    try:
+        _certify_expectation(M, A, state)
+    except NotInvariant as err:
+        return str(err)
+    return None
+
+
+def _bad_idempotents(M, A, state, rng):
+    """Perturbations of the expectation matrix M, each breaking exactly one
+    identity of the certificate; keyed by the message it must raise."""
+    D = M.shape[0]
+    eye = np.eye(D)
+    Q = A._onb  # orthonormal columns spanning the subalgebra
+    omega = np.concatenate([r.T.reshape(-1) for r in state._data])
+    # the part of the span that the state annihilates
+    _, _, vh = np.linalg.svd((omega @ Q)[None, :])
+    K = Q @ vh[1:].conj().T
+    N = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    S = eye + 0.1 * N / np.linalg.norm(N, 2)
+    return {
+        "expectation is not idempotent": M + 1e-3 * N,
+        "expectation does not fix the subalgebra": S @ M @ np.linalg.inv(S),
+        # M + X N (I - M) with range(X) in the span stays an idempotent onto
+        # the span; the state survives only when omega X = 0
+        "expectation does not preserve the state": M + Q @ Q.conj().T @ N @ (eye - M),
+        "expectation is not a module map": M + K @ K.conj().T @ N @ (eye - M),
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certificate_agrees_with_loop_oracle(seed):
+    # one seed per random_invariant_inclusion menu layout
+    A, phibar = random_invariant_inclusion(seed)
+    E = construct_expectation(A, phibar)
+    assert _oracle_certificate(E.map.matrix, A, phibar) is None
+    if A.dim < 2:
+        return  # scalars: the span has no state-free part to perturb along
+    bad = _bad_idempotents(E.map.matrix, A, phibar, rng_for(seed + 300))
+    for message, M in bad.items():
+        assert _oracle_certificate(M, A, phibar) == message
+        assert _certificate_message(M, A, phibar) == message
+
+
+def test_certificate_rejects_nan():
+    A, phibar = random_invariant_inclusion(4)
+    M = np.array(construct_expectation(A, phibar).map.matrix)
+    assert _certificate_message(M, A, phibar) is None
+    for bad in (np.nan, np.inf):
+        M[3, 5] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(NotInvariant):
+            _certify_expectation(M, A, phibar)
 
 
 def test_expectation_unique_under_basis_order():

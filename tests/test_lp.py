@@ -40,6 +40,17 @@ def test_exponent_range_enforced():
         state_power(random_faithful_state(M2, 1), 1.5)
 
 
+def test_lp_map_rejects_non_finite():
+    from nclp.errors import NonFinite
+    from nclp.lp import LpMap
+
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        matrix = np.eye(4, dtype=complex)
+        matrix[3, 0] = bad
+        with pytest.raises(NonFinite):
+            LpMap(M2, M2, 3.0, matrix)
+
+
 def test_polar_positive_matrix():
     h = _vec(M2, 3.0, [[0.6, 0], [0, 0.4]])
     pol = polar_decompose(h)
