@@ -185,10 +185,6 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement._raw(self.algebra, [b.conj().T for b in self.data])
 
-    @property
-    def H(self) -> "AlgebraElement":
-        return self.adjoint()
-
     # -- functionals --------------------------------------------------------
 
     def trace(self) -> complex:
@@ -223,14 +219,6 @@ class Projection(AlgebraElement):
         if (self - self.adjoint()).frobenius() > tol:
             raise ShapeMismatch("not self-adjoint within tolerance")
 
-    def rank(self) -> int:
-        return int(round(self.trace().real))
-
-    def leq(self, other: AlgebraElement, tol: float | None = None) -> bool:
-        """Projection order: self <= other iff other @ self == self."""
-        tol = self.algebra.atol if tol is None else tol
-        return (other @ self - self).frobenius() <= 10 * tol
-
 
 def matrix_units(algebra: Algebra) -> list[AlgebraElement]:
     """All matrix units e_ij per block, in vectorization order."""
@@ -263,6 +251,43 @@ def hermitian_basis(algebra: Algebra) -> list[AlgebraElement]:
                 asym[b][j, i] = -1.0j
                 basis.append(AlgebraElement(algebra, asym))
     return basis
+
+
+def spectral_clusters(
+    mats: Sequence[np.ndarray],
+    gap: Callable[[float], float],
+    bases: Sequence[np.ndarray] | None = None,
+) -> list[list[tuple[float, int, np.ndarray]]]:
+    """Eigenpairs (value, block index, vector) of Hermitian blocks, sorted by
+    value across blocks and grouped into chained runs: a pair joins the run
+    of its predecessor when the values differ by at most gap(max |value|).
+
+    With `bases`, block b is a compression Q_b* x_b Q_b and its eigenvectors
+    are mapped back through Q_b; an empty block gives no pairs.
+    """
+    pairs = []
+    for bidx, blk in enumerate(mats):
+        w, v = np.linalg.eigh((blk + blk.conj().T) / 2)
+        for i in range(w.size):
+            vec = v[:, i] if bases is None else bases[bidx] @ v[:, i]
+            pairs.append((float(w[i]), bidx, vec))
+    pairs.sort(key=lambda t: t[0])
+    tol = gap(max((abs(t[0]) for t in pairs), default=0.0))
+    clusters: list[list[tuple[float, int, np.ndarray]]] = []
+    for pair in pairs:
+        if clusters and pair[0] - clusters[-1][-1][0] <= tol:
+            clusters[-1].append(pair)
+        else:
+            clusters.append([pair])
+    return clusters
+
+
+def cluster_projection(algebra: Algebra, cluster) -> AlgebraElement:
+    """Sum of the rank-one projections onto the vectors of one cluster."""
+    blocks = algebra.zero_blocks()
+    for _, bidx, vec in cluster:
+        blocks[bidx] += np.outer(vec, vec.conj())
+    return AlgebraElement(algebra, blocks)
 
 
 # -- states ------------------------------------------------------------------
@@ -466,6 +491,18 @@ class AlgebraMap:
 
     def __repr__(self):
         return f"AlgebraMap({self.source.blocks} -> {self.target.blocks})"
+
+
+def pullback_density(state: State, F: AlgebraMap) -> list[np.ndarray]:
+    """Density blocks of x -> state(F(x)) on the source of F, unnormalized:
+    entry (j, i) of block b is state(F(e_ij))."""
+    blocks = F.source.zero_blocks()
+    units = iter(matrix_units(F.source))
+    for b, n in enumerate(F.source.blocks):
+        for i in range(n):
+            for j in range(n):
+                blocks[b][j, i] = state(F(next(units)))
+    return blocks
 
 
 def left_mult_matrix(a: AlgebraElement) -> np.ndarray:

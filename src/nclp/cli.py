@@ -75,10 +75,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_norm(args) -> int:
     obj = ser.load(args.vector)
-    h = ser.lp_vector_from_json(obj, p=args.p)
     if args.p is not None:
-        h = ser.lp_vector_from_json({"blocks": obj["blocks"], "p": args.p})
-    print(repr(lp_norm(h)))
+        obj = {**obj, "p": args.p}
+    print(repr(lp_norm(ser.lp_vector_from_json(obj))))
     return 0
 
 

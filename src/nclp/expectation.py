@@ -26,10 +26,13 @@ from .algebra import (
     AlgebraMap,
     Projection,
     State,
+    cluster_projection,
     homomorphism_kind,
     left_mult_matrix,
     matrix_units,
+    pullback_density,
     right_mult_matrix,
+    spectral_clusters,
 )
 from .errors import (
     DataInvalid,
@@ -110,10 +113,6 @@ class Subalgebra:
         v = x.vec()
         return float(np.linalg.norm(v - self._onb @ (self._onb.conj().T @ v)))
 
-    def project_to_span(self, x: AlgebraElement) -> AlgebraElement:
-        v = self._onb @ (self._onb.conj().T @ x.vec())
-        return AlgebraElement.from_vec(self.parent, v)
-
     @cached_property
     def unit(self) -> Projection:
         """The unit of the subalgebra: the support projection of the span."""
@@ -157,35 +156,6 @@ class Subalgebra:
 
 
 # -- factor decomposition -------------------------------------------------------
-
-
-def _global_eig_clusters(x: AlgebraElement, tol: float):
-    """Eigenvalues of a Hermitian block element, clustered across blocks.
-
-    Returns a list of (value, [(block, eigenvector columns)]) pairs sorted by
-    eigenvalue.
-    """
-    pairs = []  # (eigenvalue, block index, vector)
-    for bidx, blk in enumerate(x.data):
-        w, v = np.linalg.eigh((blk + blk.conj().T) / 2)
-        for i in range(w.size):
-            pairs.append((float(w[i]), bidx, v[:, i]))
-    pairs.sort(key=lambda t: t[0])
-    clusters = []
-    for val, bidx, vec in pairs:
-        if clusters and val - clusters[-1]["vals"][-1] <= tol:
-            clusters[-1]["vals"].append(val)
-            clusters[-1]["vecs"].append((bidx, vec))
-        else:
-            clusters.append({"vals": [val], "vecs": [(bidx, vec)]})
-    return clusters
-
-
-def _projection_from_vecs(algebra: Algebra, vecs) -> AlgebraElement:
-    blocks = algebra.zero_blocks()
-    for bidx, v in vecs:
-        blocks[bidx] += np.outer(v, v.conj())
-    return AlgebraElement(algebra, blocks)
 
 
 def _center_coefficients(onb: np.ndarray, A: Subalgebra) -> list[AlgebraElement]:
@@ -241,8 +211,8 @@ def _attempt_decomposition(A: Subalgebra, center, rng) -> BlockDecomposition:
     z = (z + z.adjoint()) * 0.5
     if z.frobenius() < 1e-12:
         z = A.unit
-    clusters = _global_eig_clusters(z, tol=1e-8 * (1.0 + z.sup_norm()))
-    clusters = [c for c in clusters if abs(c["vals"][0]) > 1e-8 * (1.0 + z.sup_norm())]
+    ztol = 1e-8 * (1.0 + z.sup_norm())
+    clusters = [c for c in spectral_clusters(z.data, lambda _: ztol) if abs(c[0][0]) > ztol]
     if len(clusters) != len(center):
         raise _RetryDecomposition(f"{len(clusters)} central values for a {len(center)}-dim center")
 
@@ -251,10 +221,10 @@ def _attempt_decomposition(A: Subalgebra, center, rng) -> BlockDecomposition:
     mults: list[int] = []
     order = []
     for cl in clusters:
-        P = _projection_from_vecs(parent, cl["vecs"])
+        P = cluster_projection(parent, cl)
         if A.span_residual(P) > span_tol:
             raise _RetryDecomposition("central spectral projection left the span")
-        rank = len(cl["vecs"])
+        rank = len(cl)
         # corner basis and its dimension
         corner_vecs = []
         for i in range(A.dim):
@@ -277,33 +247,14 @@ def _attempt_decomposition(A: Subalgebra, center, rng) -> BlockDecomposition:
             h = h + c * elt
         h = (h + h.adjoint()) * 0.5
         Q_blocks = []
-        for bidx, blk in enumerate(P.data):
+        for blk in P.data:
             w, v = np.linalg.eigh((blk + blk.conj().T) / 2)
             Q_blocks.append(v[:, w > 0.5])
-        compressed = []
-        for bidx in range(len(parent.blocks)):
-            Q = Q_blocks[bidx]
-            compressed.append((bidx, Q, Q.conj().T @ h.data[bidx] @ Q))
-        pairs = []
-        for bidx, Q, mat in compressed:
-            if mat.shape[0] == 0:
-                continue
-            w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-            for i in range(w.size):
-                pairs.append((float(w[i]), bidx, Q @ v[:, i]))
-        pairs.sort(key=lambda t: t[0])
-        ctol = 1e-8 * (1.0 + max(abs(p[0]) for p in pairs))
-        groups = []
-        for val, bidx, vec in pairs:
-            if groups and val - groups[-1][-1][0] <= ctol:
-                groups[-1].append((val, bidx, vec))
-            else:
-                groups.append([(val, bidx, vec)])
+        compressed = [Q.conj().T @ hb @ Q for Q, hb in zip(Q_blocks, h.data)]
+        groups = spectral_clusters(compressed, lambda top: 1e-8 * (1.0 + top), Q_blocks)
         if len(groups) != mj or any(len(g) != mu for g in groups):
             raise _RetryDecomposition("corner spectrum did not split into minimal projections")
-        minimal = [
-            _projection_from_vecs(parent, [(b, v) for _, b, v in g]) for g in groups
-        ]
+        minimal = [cluster_projection(parent, g) for g in groups]
         for e in minimal:
             if A.span_residual(e) > span_tol:
                 raise _RetryDecomposition("minimal projection left the span")
@@ -336,7 +287,7 @@ def _attempt_decomposition(A: Subalgebra, center, rng) -> BlockDecomposition:
         factor_units.append(units)
         factor_dims.append(mj)
         mults.append(mu)
-        order.append(cl["vals"][0])
+        order.append(cl[0][0])
 
     # deterministic factor order: ascending central eigenvalue
     perm = np.argsort(order, kind="stable")
@@ -413,19 +364,6 @@ class ConditionalExpectation:
         return self.map(x)
 
 
-def _gns_weight(state: State) -> np.ndarray:
-    """Matrix W with Tr(rho y* x) = vec(y)^H W vec(x)."""
-    mats = [np.kron(np.eye(n), r.T) for n, r in zip(state.algebra.blocks, state._data)]
-    total = state.algebra.total_dim
-    W = np.zeros((total, total), dtype=complex)
-    acc = 0
-    for m in mats:
-        k = m.shape[0]
-        W[acc : acc + k, acc : acc + k] = m
-        acc += k
-    return W
-
-
 def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: float = 0.0) -> None:
     """Certify that the matrix M is a state-preserving conditional
     expectation onto the subalgebra, raising NotInvariant otherwise.
@@ -480,7 +418,7 @@ def construct_expectation(A: Subalgebra, state: State) -> ConditionalExpectation
         raise NotInvariant(inv.defect)
     parent = A.parent
     Q = A._onb
-    W = _gns_weight(state)
+    W = right_mult_matrix(state.density)  # Tr(rho y* x) = vec(y)^H W vec(x)
     gram = Q.conj().T @ W @ Q
     gram = (gram + gram.conj().T) / 2
     rhs = Q.conj().T @ W
@@ -499,23 +437,14 @@ def construct_expectation(A: Subalgebra, state: State) -> ConditionalExpectation
 def restrict_state(A: Subalgebra, state: State) -> State:
     """The state restricted to the subalgebra, as a density on its factors."""
     dec = A.decomposition
-    small = dec.algebra
-    blocks = small.zero_blocks()
-    idx = 0
-    units = matrix_units(small)
-    for b, m in enumerate(small.blocks):
-        for k in range(m):
-            for l in range(m):
-                val = state(dec.embed(units[idx]))
-                blocks[b][l, k] = val
-                idx += 1
+    blocks = pullback_density(state, dec.embed)
     total = float(sum(np.trace(b).real for b in blocks))
     if abs(total - 1.0) > 1e-6:
         raise DataInvalid(
             f"state has mass {1 - total:.3e} outside the subalgebra unit; "
             "restriction is not a state"
         )
-    return State(small, blocks, normalize=True)
+    return State(dec.algebra, blocks, normalize=True)
 
 
 def lp_inclusion(

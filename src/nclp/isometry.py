@@ -23,10 +23,12 @@ from .algebra import (
     AlgebraElement,
     AlgebraMap,
     State,
+    cluster_projection,
     hermitian_basis,
     homomorphism_kind,
     left_mult_matrix,
     matrix_units,
+    spectral_clusters,
 )
 from .errors import (
     DataInvalid,
@@ -126,33 +128,6 @@ def transfer_exponent(
 # -- extraction ----------------------------------------------------------------
 
 
-def _spectral_projections(x: AlgebraElement, cluster_tol: float = 1e-8):
-    """Spectral pairs (eigenvalue, projection) of a Hermitian element, with
-    eigenvalue clusters merged within the tolerance."""
-    alg = x.algebra
-    pairs = []
-    for bidx, blk in enumerate(x.data):
-        w, v = np.linalg.eigh((blk + blk.conj().T) / 2)
-        for i in range(w.size):
-            pairs.append((float(w[i]), bidx, v[:, i]))
-    pairs.sort(key=lambda t: t[0])
-    scale = max(1.0, max(abs(t[0]) for t in pairs))
-    groups = []
-    for val, bidx, vec in pairs:
-        if groups and val - groups[-1][-1][0] <= cluster_tol * scale:
-            groups[-1].append((val, bidx, vec))
-        else:
-            groups.append([(val, bidx, vec)])
-    out = []
-    for g in groups:
-        mean = float(np.mean([t[0] for t in g]))
-        blocks = alg.zero_blocks()
-        for _, bidx, vec in g:
-            blocks[bidx] += np.outer(vec, vec.conj())
-        out.append((mean, AlgebraElement(alg, blocks)))
-    return out
-
-
 def extract_pi(T: LpMap, phi: State, p: float) -> AlgebraMap:
     """Recover the underlying homomorphism from right supports.
 
@@ -175,43 +150,27 @@ def extract_pi(T: LpMap, phi: State, p: float) -> AlgebraMap:
         h = T(LpVector.from_element(rho_pow @ e, p))
         return polar_decompose(h).s_right
 
-    herm_images: dict[int, AlgebraElement] = {}
-    herm = hermitian_basis(src)
-    for idx, x in enumerate(herm):
+    herm_images = []
+    for x in hermitian_basis(src):
         img = AlgebraElement.zero(tgt)
-        for val, proj in _spectral_projections(x):
+        for cluster in spectral_clusters(x.data, lambda top: 1e-8 * max(1.0, top)):
+            val = float(np.mean([t[0] for t in cluster]))
             if abs(val) < 1e-12:
                 continue
-            img = img + val * image_of_projection(proj)
-        herm_images[idx] = img
+            img = img + val * image_of_projection(cluster_projection(src, cluster))
+        herm_images.append(img)
 
     # hermitian basis order per block: diagonals first, then (sym, asym) pairs
-    cols: dict[int, np.ndarray] = {}
-    pos = 0
-    unit_pos = {}
-    upos = 0
-    for b, n in enumerate(src.blocks):
+    images = iter(herm_images)
+    matrix = np.zeros((tgt.total_dim, src.total_dim), dtype=complex)
+    for off, n in zip(src.offsets(), src.blocks):
         for i in range(n):
-            for j in range(n):
-                unit_pos[(b, i, j)] = upos
-                upos += 1
-    for b, n in enumerate(src.blocks):
-        diag_idx = {i: pos + i for i in range(n)}
-        pos += n
-        pair_idx = {}
+            matrix[:, off + i * n + i] = next(images).vec()
         for i in range(n):
             for j in range(i + 1, n):
-                pair_idx[(i, j)] = pos
-                pos += 2
-        for i in range(n):
-            cols[unit_pos[(b, i, i)]] = herm_images[diag_idx[i]].vec()
-        for i in range(n):
-            for j in range(i + 1, n):
-                sym = herm_images[pair_idx[(i, j)]]
-                asym = herm_images[pair_idx[(i, j)] + 1]
-                cols[unit_pos[(b, i, j)]] = ((sym - 1j * asym) * 0.5).vec()
-                cols[unit_pos[(b, j, i)]] = ((sym + 1j * asym) * 0.5).vec()
-    matrix = np.column_stack([cols[i] for i in range(src.total_dim)])
+                sym, asym = next(images), next(images)
+                matrix[:, off + i * n + j] = ((sym - 1j * asym) * 0.5).vec()
+                matrix[:, off + j * n + i] = ((sym + 1j * asym) * 0.5).vec()
     pi = AlgebraMap(src, tgt, matrix)
 
     # verify the module relation on the unit basis
@@ -284,26 +243,32 @@ def isometry_defect(
     return float(defect)
 
 
+def grid_witness(algebra: Algebra, b: int, k: int, l: int, p: float, n: int = 2) -> LpVector:
+    """The grid witness Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (k, l), of block
+    b in the n-fold amplification; a transpose on the block changes its L_p
+    norm for p != 2, so it detects maps that are Jordan but not
+    multiplicative."""
+    big = None
+    for a, qa in enumerate((k, l)):
+        for c, qc in enumerate((k, l)):
+            e = np.zeros((n, n), dtype=complex)
+            e[a, c] = 1.0
+            blocks = algebra.zero_blocks()
+            blocks[b][qa, qc] = 1.0
+            term = tensor_embed(e, AlgebraElement(algebra, blocks), n, p)
+            big = term if big is None else big + term
+    return big
+
+
 def structured_witnesses(algebra: Algebra, p: float, n: int = 2) -> list[LpVector]:
     """Matrix-unit grid witnesses Sigma e_ij (x) u_ij in the n-fold
     amplification; these detect maps that preserve norms but not the
     multiplicative structure."""
     out = []
     for b, nb in enumerate(algebra.blocks):
-        if nb < 2:
-            continue
         for k in range(nb):
             for l in range(k + 1, nb):
-                big = None
-                for a, qa in enumerate((k, l)):
-                    for c, qc in enumerate((k, l)):
-                        e = np.zeros((n, n), dtype=complex)
-                        e[a, c] = 1.0
-                        blocks = algebra.zero_blocks()
-                        blocks[b][qa, qc] = 1.0
-                        term = tensor_embed(e, AlgebraElement(algebra, blocks), n, p)
-                        big = term if big is None else big + term
-                out.append(big)
+                out.append(grid_witness(algebra, b, k, l, p, n))
     # row and column witnesses across blocks, for abelian parts
     units = matrix_units(algebra)
     cap = 12
@@ -344,14 +309,6 @@ def two_isometry_defect(
         d = abs(lp_norm(big(X)) - nx)
         defect = max(defect, d / nx if relative else d)
     return float(defect)
-
-
-def amplified_norm_defect(
-    T: LpMap, X: LpVector, *, n: int = 2, source_weights: Sequence[float] | None = None
-) -> float:
-    """Norm defect |  ||(id (x) T) X|| - ||X||  | at one amplified vector."""
-    big = amplify_map(T, n)
-    return float(abs(lp_norm(big(X)) - lp_norm(X, weights=source_weights)))
 
 
 # -- star adjoint duals -----------------------------------------------------------

@@ -18,7 +18,6 @@ from .algebra import (
     AlgebraElement,
     Projection,
     State,
-    matrix_units,
     _require_finite,
 )
 from .errors import (
@@ -92,12 +91,6 @@ class LpVector(AlgebraElement):
 
     def __repr__(self):
         return f"LpVector(blocks={self.algebra.blocks}, p={self.p})"
-
-
-def singular_values(h: AlgebraElement) -> np.ndarray:
-    """All singular values across blocks, descending."""
-    vals = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in h.data])
-    return np.sort(vals)[::-1]
 
 
 def lp_norm(h: LpVector, weights: Sequence[float] | None = None) -> float:
@@ -312,37 +305,31 @@ def tensor_embed(a: np.ndarray, h: AlgebraElement, n: int, p: float | None = Non
     return LpVector(big, p, blocks)
 
 
+def _amplified_positions(algebra: Algebra, n: int, i: int, j: int) -> np.ndarray:
+    """Vectorized positions of e_ij (x) u in the n-fold amplification, for
+    every matrix unit u of the algebra in vectorization order."""
+    pos = []
+    for off, m in zip(amplified_algebra(algebra, n).offsets(), algebra.blocks):
+        r, s = np.divmod(np.arange(m * m), m)
+        pos.append(off + (i * m + r) * (n * m) + j * m + s)
+    return np.concatenate(pos)
+
+
 def amplify_map(T: LpMap, n: int) -> LpMap:
     """Matrix of id_{M_n} (x) T under the fixed vectorization.
 
-    On a tensor a (x) h the amplified map acts as a (x) T(h); a general
-    element decomposes uniquely along its n x n grid of source components,
-    so the matrix is assembled column by column over the amplified basis.
+    On a tensor a (x) h the amplified map acts as a (x) T(h), so it sends
+    e_ij (x) u to e_ij (x) T(u): the matrix holds n^2 copies of T.matrix,
+    scattered to the positions of the amplified matrix units.
     """
     if n < 1:
         raise ShapeMismatch("amplification order must be >= 1")
     src_big = amplified_algebra(T.source, n)
     tgt_big = amplified_algebra(T.target, n)
-    unit_images = [T(LpVector.from_element(u, T.p)) for u in matrix_units(T.source)]
-    unit_index = {}
-    pos = 0
-    for b, nb in enumerate(T.source.blocks):
-        for k in range(nb):
-            for l in range(nb):
-                unit_index[(b, k, l)] = pos
-                pos += 1
     matrix = np.zeros((tgt_big.total_dim, src_big.total_dim), dtype=complex)
-    col = 0
-    for b, nb in enumerate(T.source.blocks):
-        nbig = n * nb
-        for row in range(nbig):
-            i, k = divmod(row, nb)
-            for colidx in range(nbig):
-                j, l = divmod(colidx, nb)
-                # amplified basis vector e_ij (x) u_{kl} in block b
-                img_small = unit_images[unit_index[(b, k, l)]]
-                e_ij = np.zeros((n, n), dtype=complex)
-                e_ij[i, j] = 1.0
-                matrix[:, col] = tensor_embed(e_ij, img_small, n).vec()
-                col += 1
+    for i in range(n):
+        for j in range(n):
+            rows = _amplified_positions(T.target, n, i, j)
+            cols = _amplified_positions(T.source, n, i, j)
+            matrix[np.ix_(rows, cols)] = T.matrix
     return LpMap(src_big, tgt_big, T.p, matrix)

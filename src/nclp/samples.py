@@ -15,7 +15,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraMap,
     State,
-    matrix_units,
+    pullback_density,
 )
 from .errors import DataInvalid
 from .expectation import Subalgebra, construct_expectation, takesaki_invariant
@@ -42,16 +42,6 @@ def random_element(algebra: Algebra, rng, hermitian: bool = False) -> AlgebraEle
         if hermitian:
             g = (g + g.conj().T) / 2
         blocks.append(g)
-    return AlgebraElement(algebra, blocks)
-
-
-def random_positive(algebra: Algebra, rng, floor: float = 0.05) -> AlgebraElement:
-    """Positive definite element with eigenvalues bounded away from zero."""
-    blocks = []
-    for n in algebra.blocks:
-        v = haar_unitary(n, rng)
-        eigs = rng.uniform(floor, 1.0 + floor, size=n)
-        blocks.append((v * eigs) @ v.conj().T)
     return AlgebraElement(algebra, blocks)
 
 
@@ -93,7 +83,8 @@ _EMBED_MENU: list[tuple[tuple[int, ...], list]] = [
 
 
 def _plan_layout(source: Algebra, plan):
-    """Per target block: the slot layout [(source index or None, copies)] and size."""
+    """The target block sizes of a plan: per target block, the sum of its
+    assigned source block sizes times their multiplicities, plus its pad."""
     sizes = []
     for assignments, pad in plan:
         m = sum(source.blocks[b] * mult for b, mult in assignments) + pad
@@ -171,15 +162,7 @@ def random_isometry_data(
     image = Subalgebra.from_map_image(pi)
     expectation = construct_expectation(image, phibar)
 
-    units = matrix_units(source)
-    rho_blocks = source.zero_blocks()
-    idx = 0
-    for b, n in enumerate(source.blocks):
-        for i in range(n):
-            for j in range(n):
-                rho_blocks[b][j, i] = phibar(pi(units[idx]))
-                idx += 1
-    phi = State(source, rho_blocks, normalize=True)
+    phi = State(source, pullback_density(phibar, pi), normalize=True)
 
     pi_one = pi(AlgebraElement.identity(source))
     if w_positive:

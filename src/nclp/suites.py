@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, matrix_units
+from .algebra import Algebra, AlgebraElement, State, matrix_units
 from .errors import ConfigInvalid, UnknownSuite
 from .expectation import (
     construct_expectation,
@@ -33,6 +33,7 @@ from .isometry import (
 )
 from .lp import LpVector, clarkson_defect, lp_norm, state_power
 from .samples import (
+    haar_unitary,
     random_element,
     random_isometry_data,
     random_invariant_inclusion,
@@ -161,8 +162,6 @@ def _orthogonal_pair(algebra_blocks, p, rng):
     to one side; the mode draw is retried until both sides are nonempty
     whenever the block structure allows it.
     """
-    from .algebra import Algebra
-
     alg = Algebra(tuple(algebra_blocks))
     splittable = any(n >= 2 for n in alg.blocks)
     two_sided_possible = splittable or len(alg.blocks) >= 2
@@ -209,8 +208,6 @@ def _suite_clarkson(config: SuiteConfig):
         rec["orthogonal"] += 1
         rec["max_orthogonal_defect"] = max(rec["max_orthogonal_defect"], res.defect)
         # overlapping pair: normalized, resampled until clearly overlapping
-        from .algebra import Algebra
-
         alg = Algebra(tuple(blocks))
         for _ in range(64):
             h2 = LpVector.from_element(random_element(alg, rng), p)
@@ -263,8 +260,6 @@ def _suite_yeadon_roundtrip(config: SuiteConfig):
         n = src.blocks[bidx]
         orth = 0.0
         if n >= 2:
-            from .samples import haar_unitary
-
             v = haar_unitary(n, rng)
             e_blocks = src.zero_blocks()
             f_blocks = src.zero_blocks()
@@ -406,8 +401,6 @@ def _suite_state_restriction(config: SuiteConfig):
         for blk in raw.data:
             ww, vv = np.linalg.eigh((blk + blk.conj().T) / 2)
             blocks.append((vv * np.clip(ww, 1e-8, None)) @ vv.conj().T)
-        from .algebra import State
-
         perturbed = State(data.target, blocks, normalize=True)
         bad = verify_state_restriction(perturbed, data.pi, data.reference_state)
         ok = defect < tol["defect"] and bad > tol["perturbed_min"]

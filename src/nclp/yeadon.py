@@ -34,8 +34,8 @@ from .errors import (
     ShapeMismatch,
     TraceConditionViolated,
 )
-from .isometry import two_isometry_defect
-from .lp import LpMap, LpVector, lp_norm, mazur_map, polar_decompose
+from .isometry import grid_witness, two_isometry_defect
+from .lp import LpMap, LpVector, amplify_map, lp_norm, mazur_map, polar_decompose
 
 
 def _weights(algebra, trace_weights: Sequence[float] | None) -> tuple[float, ...]:
@@ -47,11 +47,6 @@ def _weights(algebra, trace_weights: Sequence[float] | None) -> tuple[float, ...
     if any(t <= 0 for t in w):
         raise DataInvalid("trace weights must be positive")
     return w
-
-
-def weighted_trace(x: AlgebraElement, trace_weights: Sequence[float] | None) -> complex:
-    w = _weights(x.algebra, trace_weights)
-    return complex(sum(t * np.trace(b) for t, b in zip(w, x.data)))
 
 
 def weighted_lp_norm(h: LpVector, trace_weights: Sequence[float] | None) -> float:
@@ -226,9 +221,15 @@ def jordan_dichotomy_report(
         h = LpVector(triple.J.source, p, blocks)
         nh = weighted_lp_norm(h, weights)
         iso = max(iso, abs(lp_norm(T(h)) - nh) / nh)
-    amp_weights = weights  # block weights are unchanged by amplification
-    two = two_isometry_defect(T, p, n=2, source_weights=amp_weights)
-    witness = _transpose_witness_defect(T, p, amp_weights)
+    # block weights are unchanged by amplification
+    two = two_isometry_defect(T, p, n=2, source_weights=weights)
+    # norm defect at the grid witness of the first two units of each block
+    big = amplify_map(T, 2)
+    witness = 0.0
+    for b, nb in enumerate(T.source.blocks):
+        if nb >= 2:
+            X = grid_witness(T.source, b, 0, 1, p, 2)
+            witness = max(witness, float(abs(lp_norm(big(X)) - lp_norm(X, weights=weights))))
     multiplicative = report.kind == "star_homomorphism"
     biconditional = multiplicative == (two < tol)
     return DichotomyReport(
@@ -240,25 +241,3 @@ def jordan_dichotomy_report(
         biconditional_holds=biconditional,
     )
 
-
-def _transpose_witness_defect(T: LpMap, p: float, weights) -> float:
-    """Norm defect at the grid witness Sigma e_ij (x) e_ij, maximized over
-    source blocks of dimension at least two."""
-    from .isometry import amplified_norm_defect
-    from .lp import tensor_embed
-
-    best = 0.0
-    for b, nb in enumerate(T.source.blocks):
-        if nb < 2:
-            continue
-        big = None
-        for i in range(2):
-            for j in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[i, j] = 1.0
-                blocks = T.source.zero_blocks()
-                blocks[b][i, j] = 1.0
-                term = tensor_embed(e, AlgebraElement(T.source, blocks), 2, p)
-                big = term if big is None else big + term
-        best = max(best, amplified_norm_defect(T, big, n=2, source_weights=weights))
-    return best

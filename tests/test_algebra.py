@@ -6,11 +6,13 @@ from nclp.algebra import (
     AlgebraElement,
     AlgebraMap,
     State,
+    cluster_projection,
     conjugation_map,
     homomorphism_kind,
     make_algebra,
     matrix_units,
     random_faithful_state,
+    spectral_clusters,
     transpose_permutation,
 )
 from nclp.errors import EmptyBlocks, NonPositiveDim, ShapeMismatch
@@ -188,3 +190,48 @@ def test_basis_pair_check_controls_random_pairs():
         y = random_element(alg, rng)
         defect = (F(x @ y) - F(x) @ F(y)).frobenius()
         assert defect < 1e-10 * max(1.0, x.frobenius() * y.frobenius())
+
+
+def test_spectral_clusters_chain_across_blocks():
+    # runs chain through neighbours: steps of 0.9 g stay in one cluster even
+    # when the run spans more than g, a step of 1.1 g starts a new one
+    g = 1e-3
+    rng = rng_for(8)
+    values = [[0.0, 0.9 * g, 2.9 * g], [1.8 * g, 4.0 * g, 4.9 * g]]
+    mats = []
+    for vals in values:
+        u = haar_unitary(len(vals), rng)
+        mats.append((u * np.array(vals)) @ u.conj().T)
+    clusters = spectral_clusters(mats, lambda _: g)
+    assert [len(c) for c in clusters] == [3, 1, 2]
+    assert [sorted(b for _, b, _ in c) for c in clusters] == [[0, 0, 1], [0], [1, 1]]
+    for c in clusters:
+        vals = [v for v, _, _ in c]
+        assert vals == sorted(vals)
+
+
+def test_cluster_projections_sum_to_identity():
+    alg = make_algebra([2, 3])
+    rng = rng_for(9)
+    mats = []
+    for n in alg.blocks:
+        u = haar_unitary(n, rng)
+        mats.append((u * rng.integers(0, 2, size=n)) @ u.conj().T)  # eigenvalues 0 and 1
+    clusters = spectral_clusters(mats, lambda top: 1e-8 * max(1.0, top))
+    total = AlgebraElement.zero(alg)
+    for c in clusters:
+        P = cluster_projection(alg, c)
+        assert (P @ P - P).frobenius() < 1e-12
+        total = total + P
+    assert total.allclose(AlgebraElement.identity(alg), tol=1e-12)
+
+
+def test_spectral_clusters_skip_empty_compressed_block():
+    h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    Q = np.eye(3, dtype=complex)[:, :2]
+    empty = np.zeros((1, 0), dtype=complex)
+    compressed = [empty.conj().T @ np.eye(1) @ empty, Q.conj().T @ h @ Q]
+    clusters = spectral_clusters(compressed, lambda _: 1e-8, [empty, Q])
+    assert [[(v, b) for v, b, _ in c] for c in clusters] == [[(1.0, 1)], [(2.0, 1)]]
+    assert all(vec.shape == (3,) for c in clusters for _, _, vec in c)
+    assert spectral_clusters([np.zeros((0, 0))], lambda _: 1e-8) == []

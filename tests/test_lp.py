@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nclp.algebra import AlgebraElement, make_algebra, random_faithful_state
+from nclp.algebra import AlgebraElement, make_algebra, matrix_units, random_faithful_state
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive
+from nclp.isometry import grid_witness
 from nclp.lp import (
     LpMap,
     LpVector,
@@ -268,6 +269,35 @@ def test_amplify_tensor_consistency():
     assert (lhs - rhs).frobenius() < 1e-10
 
 
+def _amplify_by_columns(T, n):
+    """Reference amplification: column e_ij (x) u_kl is e_ij (x) T(u_kl)."""
+    unit_images = [T(LpVector.from_element(u, T.p)) for u in matrix_units(T.source)]
+    offsets = T.source.offsets()
+    cols = []
+    for b, nb in enumerate(T.source.blocks):
+        for row in range(n * nb):
+            i, k = divmod(row, nb)
+            for col in range(n * nb):
+                j, l = divmod(col, nb)
+                e_ij = np.zeros((n, n), dtype=complex)
+                e_ij[i, j] = 1.0
+                cols.append(tensor_embed(e_ij, unit_images[offsets[b] + k * nb + l], n).vec())
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("src, tgt", [((2, 1), (1, 1, 2)), ((1, 2), (3,))])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_amplify_matches_column_oracle(src, tgt, n):
+    source, target = make_algebra(src), make_algebra(tgt)
+    rng = rng_for(17)
+    shape = (target.total_dim, source.total_dim)
+    T = LpMap(source, target, 3.0, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    big = amplify_map(T, n)
+    assert big.source.blocks == tuple(n * b for b in src)
+    assert big.target.blocks == tuple(n * b for b in tgt)
+    assert np.array_equal(big.matrix, _amplify_by_columns(T, n))
+
+
 def test_amplified_transpose_trace_norms():
     # the grid vector Sigma e_ij (x) e_ij has trace norm 2, its partial
     # transpose is the swap with trace norm 4
@@ -275,14 +305,6 @@ def test_amplified_transpose_trace_norms():
 
     T = LpMap(M2, M2, 1.0, transpose_permutation(M2))
     big = amplify_map(T, 2)
-    X = None
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            blocks = [np.zeros((2, 2), dtype=complex)]
-            blocks[0][i, j] = 1.0
-            term = tensor_embed(e, AlgebraElement(M2, blocks), 2, 1.0)
-            X = term if X is None else X + term
+    X = grid_witness(M2, 0, 0, 1, 1.0, 2)
     assert np.isclose(lp_norm(X), 2.0)
     assert np.isclose(lp_norm(big(X)), 4.0)

@@ -71,6 +71,25 @@ def test_cli_gen_and_norm(tmp_path, capsys):
     assert abs(float(printed) - 1.0) < 1e-12
 
 
+
+def test_cli_norm_p_overrides_file_exponent(tmp_path, capsys):
+    # diag(1, 2): the 1.5-norm is (1 + 2^1.5)^(1/1.5), the 3-norm differs
+    vec_file = tmp_path / "vec.json"
+    blocks = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]]
+    vec_file.write_text(json.dumps({"blocks": blocks, "p": 3}))
+    capsys.readouterr()
+    assert main(["norm", str(vec_file), "--p", "1.5"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx((1 + 2**1.5) ** (1 / 1.5), rel=1e-12)
+    assert main(["norm", str(vec_file)]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx((1 + 2**3) ** (1 / 3), rel=1e-12)
+
+
+def test_cli_norm_without_exponent_exits_two(tmp_path, capsys):
+    vec_file = tmp_path / "vec.json"
+    vec_file.write_text(json.dumps({"blocks": [[[[1.0, 0.0]]]]}))
+    assert main(["norm", str(vec_file)]) == 2
+    assert "no exponent" in capsys.readouterr().err
+
 def test_cli_classify_roundtrip(tmp_path):
     data_file = tmp_path / "data.json"
     map_file = tmp_path / "map.json"
