@@ -145,20 +145,20 @@ class AlgebraElement:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        return type(self)._raw(self.algebra, [a + b for a, b in zip(self.data, rhs.data)])
+        return self._like([a + b for a, b in zip(self.data, rhs.data)])
 
     def __sub__(self, other):
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        return type(self)._raw(self.algebra, [a - b for a, b in zip(self.data, rhs.data)])
+        return self._like([a - b for a, b in zip(self.data, rhs.data)])
 
     def __neg__(self):
-        return type(self)._raw(self.algebra, [-a for a in self.data])
+        return self._like([-a for a in self.data])
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float, complex, np.number)):
-            return type(self)._raw(self.algebra, [scalar * a for a in self.data])
+            return self._like([scalar * a for a in self.data])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -167,12 +167,12 @@ class AlgebraElement:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        return AlgebraElement._raw(self.algebra, [a @ b for a, b in zip(self.data, rhs.data)])
+        return self._like([a @ b for a, b in zip(self.data, rhs.data)])
 
     @classmethod
     def _raw(cls, algebra, blocks):
         # internal fast path; blocks already well-shaped ndarrays
-        inst = object.__new__(AlgebraElement)
+        inst = object.__new__(cls)
         object.__setattr__(inst, "algebra", algebra)
         mats = []
         for arr in blocks:
@@ -182,8 +182,12 @@ class AlgebraElement:
         object.__setattr__(inst, "data", tuple(mats))
         return inst
 
+    def _like(self, blocks) -> "AlgebraElement":
+        """A plain element: a product of projections is not a projection."""
+        return AlgebraElement._raw(self.algebra, blocks)
+
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement._raw(self.algebra, [b.conj().T for b in self.data])
+        return self._like([b.conj().T for b in self.data])
 
     # -- functionals --------------------------------------------------------
 
@@ -495,13 +499,13 @@ class AlgebraMap:
 
 def pullback_density(state: State, F: AlgebraMap) -> list[np.ndarray]:
     """Density blocks of x -> state(F(x)) on the source of F, unnormalized:
-    entry (j, i) of block b is state(F(e_ij))."""
+    entry (j, i) of block b is state(F(e_ij)), F(e_ij) being a matrix column."""
     blocks = F.source.zero_blocks()
-    units = iter(matrix_units(F.source))
+    columns = iter(F.matrix.T)
     for b, n in enumerate(F.source.blocks):
         for i in range(n):
             for j in range(n):
-                blocks[b][j, i] = state(F(next(units)))
+                blocks[b][j, i] = state(AlgebraElement.from_vec(F.target, next(columns)))
     return blocks
 
 
@@ -570,27 +574,29 @@ def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismRe
     Multiplicativity and the Jordan identity are bilinear in their arguments,
     so checking all pairs of matrix units decides them on the whole algebra.
     The Jordan identity on squares is recovered from the symmetrized product
-    by polarization.
+    by polarization.  Unit images are matrix columns, F(e_ij*) = F(e_ji), and
+    F(e_ij e_kl) = delta_jk F(e_il) within a block, zero across blocks.
     """
     if F.matrix.shape != (F.target.total_dim, F.source.total_dim):
         raise ShapeMismatch("map matrix does not match its algebras")
     tol = max(F.source.atol, F.target.atol) if tol is None else tol
-    units = matrix_units(F.source)
-    images = [F(u) for u in units]
+    units = [(b, i, j) for b, n in enumerate(F.source.blocks) for i in range(n) for j in range(n)]
+    images = dict(zip(units, (AlgebraElement.from_vec(F.target, col) for col in F.matrix.T)))
+    zero = AlgebraElement.zero(F.target)
 
     star_defect = 0.0
-    for u, fu in zip(units, images):
-        star_defect = max(star_defect, (F(u.adjoint()) - fu.adjoint()).frobenius())
+    for (b, i, j), fu in images.items():
+        star_defect = max(star_defect, (images[b, j, i] - fu.adjoint()).frobenius())
 
     jordan_defect = 0.0
     mult_defect = 0.0
-    for u, fu in zip(units, images):
-        for v, fv in zip(units, images):
-            prod = u @ v
-            fprod = F(prod)
-            mult_defect = max(mult_defect, (fprod - fu @ fv).frobenius())
-            sym = F(prod + v @ u)
-            jordan_defect = max(jordan_defect, (sym - (fu @ fv + fv @ fu)).frobenius())
+    for (b, i, j), fu in images.items():
+        for (c, k, l), fv in images.items():
+            fprod = images[b, i, l] if (b, j) == (c, k) else zero
+            fuv = fu @ fv
+            mult_defect = max(mult_defect, (fprod - fuv).frobenius())
+            sym = fprod + (images[c, k, j] if (c, l) == (b, i) else zero)
+            jordan_defect = max(jordan_defect, (sym - (fuv + fv @ fu)).frobenius())
 
     injectivity = F.min_singular_value()
     if star_defect <= tol and mult_defect <= tol:

@@ -29,7 +29,6 @@ from .algebra import (
     cluster_projection,
     homomorphism_kind,
     left_mult_matrix,
-    matrix_units,
     pullback_density,
     right_mult_matrix,
     spectral_clusters,
@@ -91,8 +90,9 @@ class Subalgebra:
 
     @classmethod
     def from_map_image(cls, pi: AlgebraMap, validate: bool = False) -> "Subalgebra":
-        """Span of the image of an injective homomorphism."""
-        return cls(pi.target, [pi(u) for u in matrix_units(pi.source)], validate=validate)
+        """Span of the image of an injective homomorphism: its matrix columns."""
+        basis = [AlgebraElement.from_vec(pi.target, col) for col in pi.matrix.T]
+        return cls(pi.target, basis, validate=validate)
 
     @cached_property
     def dim(self) -> int:

@@ -47,13 +47,14 @@ from .expectation import (
 from .lp import (
     LpMap,
     LpVector,
+    _amplified_positions,
+    amplified_algebra,
     amplify_map,
     conjugate_exponent,
     lp_norm,
     mazur_map,
     polar_decompose,
     state_power,
-    tensor_embed,
 )
 
 METRIC_TOL = 1e-7  # accept threshold for sampled metric defects
@@ -173,14 +174,11 @@ def extract_pi(T: LpMap, phi: State, p: float) -> AlgebraMap:
                 matrix[:, off + j * n + i] = ((sym + 1j * asym) * 0.5).vec()
     pi = AlgebraMap(src, tgt, matrix)
 
-    # verify the module relation on the unit basis
-    base_image = T(LpVector.from_element(rho_pow, p))
-    defect = 0.0
-    for u in matrix_units(src):
-        lhs = T(LpVector.from_element(rho_pow @ u, p))
-        rhs = base_image @ pi(u)
-        defect = max(defect, (lhs - rhs).frobenius())
-    if defect > WARN_TOL:
+    # the module relation T L_{rho^{1/p}} = L_{T(rho^{1/p})} pi, one column per unit
+    base_image = AlgebraElement.from_vec(tgt, T.matrix @ rho_pow.vec())
+    residual = T.matrix @ left_mult_matrix(rho_pow) - left_mult_matrix(base_image) @ pi.matrix
+    defect = float(np.max(np.linalg.norm(residual, axis=0)))
+    if not defect <= WARN_TOL:
         raise NotAnIsometry(f"module relation fails on the basis (defect {defect:.3e})")
     return pi
 
@@ -243,21 +241,26 @@ def isometry_defect(
     return float(defect)
 
 
+def _amplified_indicator(algebra: Algebra, n: int, p: float, positions) -> LpVector:
+    """The vector of the n-fold amplification with ones at the given positions."""
+    big = amplified_algebra(algebra, n)
+    vec = np.zeros(big.total_dim, dtype=complex)
+    vec[positions] = 1.0
+    return LpVector.from_element(AlgebraElement.from_vec(big, vec), p)
+
+
 def grid_witness(algebra: Algebra, b: int, k: int, l: int, p: float, n: int = 2) -> LpVector:
     """The grid witness Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (k, l), of block
     b in the n-fold amplification; a transpose on the block changes its L_p
     norm for p != 2, so it detects maps that are Jordan but not
     multiplicative."""
-    big = None
-    for a, qa in enumerate((k, l)):
-        for c, qc in enumerate((k, l)):
-            e = np.zeros((n, n), dtype=complex)
-            e[a, c] = 1.0
-            blocks = algebra.zero_blocks()
-            blocks[b][qa, qc] = 1.0
-            term = tensor_embed(e, AlgebraElement(algebra, blocks), n, p)
-            big = term if big is None else big + term
-    return big
+    off, nb = algebra.offsets()[b], algebra.blocks[b]
+    positions = [
+        _amplified_positions(algebra, n, a, c)[off + qa * nb + qc]
+        for a, qa in enumerate((k, l))
+        for c, qc in enumerate((k, l))
+    ]
+    return _amplified_indicator(algebra, n, p, positions)
 
 
 def structured_witnesses(algebra: Algebra, p: float, n: int = 2) -> list[LpVector]:
@@ -269,19 +272,14 @@ def structured_witnesses(algebra: Algebra, p: float, n: int = 2) -> list[LpVecto
         for k in range(nb):
             for l in range(k + 1, nb):
                 out.append(grid_witness(algebra, b, k, l, p, n))
-    # row and column witnesses across blocks, for abelian parts
-    units = matrix_units(algebra)
-    cap = 12
-    for i in range(min(len(units), cap)):
-        for j in range(i + 1, min(len(units), cap)):
-            e11 = np.zeros((n, n), dtype=complex)
-            e11[0, 0] = 1.0
-            e12 = np.zeros((n, n), dtype=complex)
-            e12[0, 1] = 1.0
-            out.append(tensor_embed(e11, units[i], n, p) + tensor_embed(e12, units[j], n, p))
-            e21 = np.zeros((n, n), dtype=complex)
-            e21[1, 0] = 1.0
-            out.append(tensor_embed(e11, units[i], n, p) + tensor_embed(e21, units[j], n, p))
+    # row and column witnesses e_11 (x) u_i + e_12 (x) u_j and
+    # e_11 (x) u_i + e_21 (x) u_j across blocks, for abelian parts
+    first, row, col = (_amplified_positions(algebra, n, *ac) for ac in ((0, 0), (0, 1), (1, 0)))
+    cap = min(algebra.total_dim, 12)
+    for i in range(cap):
+        for j in range(i + 1, cap):
+            out.append(_amplified_indicator(algebra, n, p, [first[i], row[j]]))
+            out.append(_amplified_indicator(algebra, n, p, [first[i], col[j]]))
     return out
 
 
@@ -357,12 +355,14 @@ def classify(
     extraction and certification; polar data; state restriction; modular
     invariance and the expectation on the image; rebuild and compare.
     The verdict is accept exactly when every defect clears its threshold.
+    The matrix of T is read at the exponent p, whatever T.p is.
     """
     p = float(p)
     if p == 2.0:
         raise ExponentUnsupported("classification is undefined at p = 2")
     if not phi.faithful:
         raise NonFaithful("classification needs a faithful reference state")
+    T = T.at_exponent(p)
     defects: dict = {}
     warnings: list = []
 

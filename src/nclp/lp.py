@@ -50,44 +50,26 @@ class LpVector(AlgebraElement):
     def zero_at(cls, algebra: Algebra, p: float) -> "LpVector":
         return cls(algebra, p, algebra.zero_blocks())
 
-    def _wrap(self, x: AlgebraElement) -> "LpVector":
-        return LpVector(self.algebra, self.p, list(x.data))
+    def _like(self, blocks) -> "LpVector":
+        # arithmetic and the bimodule action keep the exponent
+        out = LpVector._raw(self.algebra, blocks)
+        object.__setattr__(out, "p", self.p)
+        return out
 
     def __add__(self, other):
         if isinstance(other, LpVector) and other.p != self.p:
             raise ExponentMismatch("cannot add vectors with different exponents")
-        return self._wrap(AlgebraElement.__add__(self, other))
+        return AlgebraElement.__add__(self, other)
 
     def __sub__(self, other):
         if isinstance(other, LpVector) and other.p != self.p:
             raise ExponentMismatch("cannot subtract vectors with different exponents")
-        return self._wrap(AlgebraElement.__sub__(self, other))
-
-    def __neg__(self):
-        return self._wrap(AlgebraElement.__neg__(self))
-
-    def __mul__(self, scalar):
-        out = AlgebraElement.__mul__(self, scalar)
-        if out is NotImplemented:
-            return out
-        return self._wrap(out)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        # bimodule action: LpVector @ AlgebraElement stays in L_p
-        out = AlgebraElement.__matmul__(self, other)
-        if out is NotImplemented:
-            return out
-        return self._wrap(out)
+        return AlgebraElement.__sub__(self, other)
 
     def __rmatmul__(self, other):
         if isinstance(other, AlgebraElement):
-            return self._wrap(AlgebraElement.__matmul__(other, self))
+            return self._like(AlgebraElement.__matmul__(other, self).data)
         return NotImplemented
-
-    def adjoint(self) -> "LpVector":
-        return self._wrap(AlgebraElement.adjoint(self))
 
     def __repr__(self):
         return f"LpVector(blocks={self.algebra.blocks}, p={self.p})"
@@ -263,6 +245,8 @@ class LpMap:
     def __call__(self, h: LpVector) -> LpVector:
         if h.algebra != self.source:
             raise ShapeMismatch("vector does not live on the source algebra")
+        if isinstance(h, LpVector) and h.p != self.p:
+            raise ExponentMismatch(f"a vector at p = {h.p} given to a map at p = {self.p}")
         return LpVector.from_element(
             AlgebraElement.from_vec(self.target, self.matrix @ h.vec()), self.p
         )
@@ -308,6 +292,8 @@ def tensor_embed(a: np.ndarray, h: AlgebraElement, n: int, p: float | None = Non
 def _amplified_positions(algebra: Algebra, n: int, i: int, j: int) -> np.ndarray:
     """Vectorized positions of e_ij (x) u in the n-fold amplification, for
     every matrix unit u of the algebra in vectorization order."""
+    if max(i, j) >= n:
+        raise ShapeMismatch(f"e_{i}{j} is not a unit of M_{n}")
     pos = []
     for off, m in zip(amplified_algebra(algebra, n).offsets(), algebra.blocks):
         r, s = np.divmod(np.arange(m * m), m)

@@ -26,6 +26,7 @@ from .algebra import (
     homomorphism_kind,
     left_mult_matrix,
     matrix_units,
+    right_mult_matrix,
 )
 from .errors import (
     DataInvalid,
@@ -114,12 +115,11 @@ def yeadon_decompose(
     sB = polar_decompose(B).s_right
     if (w.adjoint() @ w - j_one).frobenius() > tol or (j_one - sB).frobenius() > tol:
         raise NotAnIsometry("w* w = J(1) = s(B) fails")
-    # spectral projections of B commute with the image exactly when B does
-    comm = 0.0
-    for u in matrix_units(T.source):
-        ju = J(u)
-        comm = max(comm, (B @ ju - ju @ B).frobenius())
-    if comm > tol:
+    # spectral projections of B commute with the image exactly when B does;
+    # column u of (L_B - R_B) J is the commutator [B, J(u)]
+    commutators = (left_mult_matrix(B) - right_mult_matrix(B)) @ J.matrix
+    comm = float(np.max(np.linalg.norm(commutators, axis=0)))
+    if not comm <= tol:
         raise NotAnIsometry(f"B does not commute with the image (defect {comm:.3e})")
     # diagonal-unit supports must agree with J on projections
     for b, n in enumerate(T.source.blocks):
@@ -138,19 +138,19 @@ def yeadon_decompose(
 
 
 def _verify_trace_condition(J, B, p, weights, tol):
+    """tau(u) = Tr(B^p J(u)) on every matrix unit u, as one row identity
+    omega J = tau with Tr(B^p x) = omega . vec(x)."""
     Bp = mazur_map(LpVector.from_element(B, p), 1.0)
-    for b, n in enumerate(J.source.blocks):
-        for i in range(n):
-            for j in range(n):
-                blocks = J.source.zero_blocks()
-                blocks[b][i, j] = 1.0
-                u = AlgebraElement(J.source, blocks)
-                expected = weights[b] if i == j else 0.0
-                got = (Bp @ J(u)).trace()
-                if abs(got - expected) > tol:
-                    raise TraceConditionViolated(
-                        u, f"tau and Tr(B^p J(.)) disagree on a unit: {got} vs {expected}"
-                    )
+    omega = np.concatenate([b.T.reshape(-1) for b in Bp.data])
+    tau = np.concatenate([w * np.eye(n).reshape(-1) for w, n in zip(weights, J.source.blocks)])
+    got = omega @ J.matrix
+    failing = np.flatnonzero(~(np.abs(got - tau) <= tol))
+    if failing.size:
+        c = failing[0]
+        raise TraceConditionViolated(
+            matrix_units(J.source)[c],
+            f"tau and Tr(B^p J(.)) disagree on a unit: {complex(got[c])} vs {tau[c]}",
+        )
 
 
 def build_yeadon_map(

@@ -5,12 +5,14 @@ from nclp.algebra import (
     EPS_FAITHFUL,
     AlgebraElement,
     AlgebraMap,
+    HomomorphismReport,
     State,
     cluster_projection,
     conjugation_map,
     homomorphism_kind,
     make_algebra,
     matrix_units,
+    pullback_density,
     random_faithful_state,
     spectral_clusters,
     transpose_permutation,
@@ -235,3 +237,74 @@ def test_spectral_clusters_skip_empty_compressed_block():
     assert [[(v, b) for v, b, _ in c] for c in clusters] == [[(1.0, 1)], [(2.0, 1)]]
     assert all(vec.shape == (3,) for c in clusters for _, _, vec in c)
     assert spectral_clusters([np.zeros((0, 0))], lambda _: 1e-8) == []
+
+
+def _homomorphism_kind_per_unit(F):
+    """Reference: the unit-by-unit map calls that homomorphism_kind replaces
+    with matrix columns and structure constants."""
+    tol = max(F.source.atol, F.target.atol)
+    units = matrix_units(F.source)
+    images = [F(u) for u in units]
+    star_defect = 0.0
+    for u, fu in zip(units, images):
+        star_defect = max(star_defect, (F(u.adjoint()) - fu.adjoint()).frobenius())
+    jordan_defect = 0.0
+    mult_defect = 0.0
+    for u, fu in zip(units, images):
+        for v, fv in zip(units, images):
+            prod = u @ v
+            mult_defect = max(mult_defect, (F(prod) - fu @ fv).frobenius())
+            sym = F(prod + v @ u)
+            jordan_defect = max(jordan_defect, (sym - (fu @ fv + fv @ fu)).frobenius())
+    if star_defect <= tol and mult_defect <= tol:
+        kind = "star_homomorphism"
+    elif star_defect <= tol and jordan_defect <= tol:
+        kind = "jordan_only"
+    else:
+        kind = "neither"
+    return HomomorphismReport(
+        kind, star_defect, jordan_defect, mult_defect, F.min_singular_value()
+    )
+
+
+def _oracle_maps():
+    from nclp.samples import random_isometry_data, random_yeadon_triple, transpose_triple
+
+    for seed in range(12):
+        yield pytest.param(random_isometry_data(seed).pi, "star_homomorphism", id=f"pi-{seed}")
+    for seed in range(8):
+        kind = "jordan_only" if seed in (1, 3, 4, 6, 7) else "star_homomorphism"
+        yield pytest.param(random_yeadon_triple(seed, 3.0)[0].J, kind, id=f"J-{seed}")
+    yield pytest.param(transpose_triple(3)[0].J, "jordan_only", id="transpose-3")
+    rng = rng_for(21)
+    src, tgt = make_algebra([2, 1]), make_algebra([1, 3])
+    dense = rng.standard_normal((10, 5)) + 1j * rng.standard_normal((10, 5))
+    yield pytest.param(AlgebraMap(src, tgt, dense), "neither", id="dense")
+
+
+@pytest.mark.parametrize("F, kind", list(_oracle_maps()))
+def test_homomorphism_kind_matches_per_unit_oracle(F, kind):
+    report = homomorphism_kind(F)
+    assert report == _homomorphism_kind_per_unit(F)
+    assert report.kind == kind
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+@pytest.mark.parametrize("source", ["isometry", "inclusion"])
+def test_pullback_density_matches_unit_calls(source, seed):
+    from nclp.samples import random_invariant_inclusion, random_isometry_data
+
+    if source == "isometry":
+        data = random_isometry_data(seed)
+        F, state = data.pi, data.phibar
+    else:
+        A, state = random_invariant_inclusion(seed)
+        F = A.decomposition.embed
+    want = F.source.zero_blocks()
+    units = iter(matrix_units(F.source))
+    for b, n in enumerate(F.source.blocks):
+        for i in range(n):
+            for j in range(n):
+                want[b][j, i] = state(F(next(units)))
+    got = pullback_density(state, F)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -1,0 +1,38 @@
+"""Smoke test of the benchmark workloads: one set-up at seed 0, then one
+operation of each kind through its own output check, so a change that turns
+benchmark operations into failures shows up in the test suite."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+# the label field that tells an operation's kind apart, per workload
+KIND_FIELD = {"accept_ladder": "plan", "reject_mix": "expect", "layer_mix": "kind"}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_FIELD))
+def test_one_operation_of_each_kind_passes_its_check(name):
+    workloads = _workloads()
+    assert set(workloads.WORKLOADS) == set(KIND_FIELD)
+    workload = workloads.WORKLOADS[name](0)
+    workload.setup(0)
+    firsts = {}
+    for op in workload.pool:
+        firsts.setdefault(op.label[KIND_FIELD[name]], op)
+    assert len(firsts) > 1
+    for kind, op in firsts.items():
+        result = op.check(op.run())
+        assert result["ok"], (kind, op.label, result)

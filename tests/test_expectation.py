@@ -392,3 +392,12 @@ def test_subalgebra_lp_norm_diagonal_oracle():
     expected = (vals[0] * 2**3 + vals[1] * 1**3) ** (1 / 3)
     expected_alt = (vals[1] * 2**3 + vals[0] * 1**3) ** (1 / 3)
     assert np.isclose(got, expected) or np.isclose(got, expected_alt)
+
+
+@pytest.mark.parametrize("seed", [0, 6, 9, 11])
+def test_from_map_image_matches_unit_calls(seed):
+    pi = random_isometry_data(seed).pi
+    got = Subalgebra.from_map_image(pi).basis
+    want = [pi(u) for u in matrix_units(pi.source)]
+    assert len(got) == len(want)
+    assert all(np.array_equal(g.vec(), w.vec()) for g, w in zip(got, want))

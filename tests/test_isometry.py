@@ -12,7 +12,7 @@ from nclp.algebra import (
     random_faithful_state,
     transpose_permutation,
 )
-from nclp.errors import DataInvalid, ExponentUnsupported
+from nclp.errors import DataInvalid, ExponentUnsupported, NotAnIsometry, ShapeMismatch
 from nclp.expectation import Subalgebra, construct_expectation
 from nclp.isometry import (
     build_isometry,
@@ -21,11 +21,12 @@ from nclp.isometry import (
     extract_polar_data,
     isometry_defect,
     star_adjoint_dual,
+    structured_witnesses,
     transfer_exponent,
     two_isometry_defect,
     verify_state_restriction,
 )
-from nclp.lp import LpMap, LpVector, lp_norm, state_power
+from nclp.lp import LpMap, LpVector, lp_norm, state_power, tensor_embed
 from nclp.samples import (
     haar_unitary,
     random_element,
@@ -341,3 +342,73 @@ def test_factory_three_fold_amplification():
     data = random_isometry_data(11)
     T = build_isometry(data, 4.0)
     assert two_isometry_defect(T, 4.0, n=3, sample_count=20, relative=True) < 1e-9
+
+
+def _unit(algebra, b, i, j):
+    blocks = algebra.zero_blocks()
+    blocks[b][i, j] = 1.0
+    return AlgebraElement(algebra, blocks)
+
+
+def _e(n, i, j):
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def _witnesses_by_tensor_sums(algebra, p, n):
+    """Reference: the witnesses as sums of tensor_embed terms."""
+    out = []
+    for b, nb in enumerate(algebra.blocks):
+        for k in range(nb):
+            for l in range(k + 1, nb):
+                terms = [
+                    tensor_embed(_e(n, a, c), _unit(algebra, b, qa, qc), n, p)
+                    for a, qa in enumerate((k, l))
+                    for c, qc in enumerate((k, l))
+                ]
+                out.append(terms[0] + terms[1] + terms[2] + terms[3])
+    units = matrix_units(algebra)[:12]
+    for i in range(len(units)):
+        for j in range(i + 1, len(units)):
+            first = tensor_embed(_e(n, 0, 0), units[i], n, p)
+            out.append(first + tensor_embed(_e(n, 0, 1), units[j], n, p))
+            out.append(first + tensor_embed(_e(n, 1, 0), units[j], n, p))
+    return out
+
+
+@pytest.mark.parametrize("blocks", [(2,), (3,), (1, 2), (2, 1, 3)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_witnesses_match_tensor_sums(blocks, n):
+    alg = make_algebra(blocks)
+    got = structured_witnesses(alg, 3.0, n)
+    want = _witnesses_by_tensor_sums(alg, 3.0, n)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.p == w.p == 3.0
+        assert g.algebra == w.algebra
+        assert np.array_equal(g.vec(), w.vec())
+
+
+def test_witnesses_need_a_two_fold_amplification():
+    with pytest.raises(ShapeMismatch):
+        structured_witnesses(make_algebra([2]), 3.0, n=1)
+
+
+def test_extract_pi_rejects_map_off_the_module_relation():
+    data = random_isometry_data(3)
+    T = build_isometry(data, 3.0)
+    rng = rng_for(8)
+    noise = rng.standard_normal(T.matrix.shape) + 1j * rng.standard_normal(T.matrix.shape)
+    perturbed = LpMap(T.source, T.target, 3.0, T.matrix + 1e-2 * noise / np.linalg.norm(noise))
+    with pytest.raises(NotAnIsometry, match="module relation"):
+        extract_pi(perturbed, data.reference_state, 3.0)
+
+
+def test_classify_reads_the_matrix_at_the_requested_exponent():
+    data = random_isometry_data(1)
+    T4 = build_isometry(data, 4.0)
+    assert classify(T4, data.reference_state, 4.0).accepted
+    relabelled = classify(T4.at_exponent(3.0), data.reference_state, 4.0)
+    assert relabelled.accepted
+    assert relabelled.defects == classify(T4, data.reference_state, 4.0).defects

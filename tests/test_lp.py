@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from nclp.algebra import AlgebraElement, make_algebra, matrix_units, random_faithful_state
+from nclp.algebra import (
+    AlgebraElement,
+    Projection,
+    make_algebra,
+    matrix_units,
+    random_faithful_state,
+)
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive
 from nclp.isometry import grid_witness
 from nclp.lp import (
@@ -39,6 +45,26 @@ def test_exponent_range_enforced():
         _vec(M2, 0.5, np.eye(2))
     with pytest.raises(ExponentUnsupported):
         state_power(random_faithful_state(M2, 1), 1.5)
+
+
+def test_arithmetic_keeps_the_exponent():
+    rng = rng_for(2)
+    h = random_lp_vector(M2, 3.0, rng)
+    a = random_element(M2, rng)
+    for out in (h + h, h - h, -h, 2 * h, h * 1j, h @ a, a @ h, h @ h, h.adjoint()):
+        assert type(out) is LpVector and out.p == 3.0
+    assert type(a @ a) is AlgebraElement
+    e = Projection(M2, [np.diag([1.0, 0.0])])
+    assert type(e @ e) is AlgebraElement and type(e.adjoint()) is AlgebraElement
+    with pytest.raises(ExponentMismatch):
+        h + random_lp_vector(M2, 1.5, rng)
+
+
+def test_lp_map_rejects_a_vector_at_another_exponent():
+    T = LpMap.identity(M2, 3.0)
+    assert T(_vec(M2, 3.0, np.eye(2))).p == 3.0
+    with pytest.raises(ExponentMismatch):
+        T(_vec(M2, 4.0, np.eye(2)))
 
 
 def test_lp_map_rejects_non_finite():

@@ -131,6 +131,20 @@ def test_cli_classify_roundtrip(tmp_path):
     }
 
 
+def test_cli_classify_p_overrides_file_exponent(tmp_path):
+    # the file says "p": 3, but the matrix is the canonical map at p = 4
+    from nclp import serialize as ser
+
+    data_file, map_file = tmp_path / "data.json", tmp_path / "map.json"
+    args = ["gen", "isometry", "--seed", "1", "--p", "4", "-o", str(data_file)]
+    assert main(args + ["--map-out", str(map_file)]) == 0
+    ser.dump({**ser.load(str(map_file)), "p": 3.0}, str(map_file))
+    data = ser.isometry_data_from_json(ser.load(str(data_file)))
+    state_file = tmp_path / "refstate.json"
+    ser.dump(ser.state_to_json(data.reference_state), str(state_file))
+    assert main(["classify", str(map_file), "--state", str(state_file), "--p", "4"]) == 0
+
+
 def test_cli_classify_rejection_exits_one(tmp_path):
     # a halved identity is not an isometry
     import numpy as np

@@ -96,8 +96,15 @@ def test_build_rejects_mismatched_weights():
     J = AlgebraMap.from_callable(src, tgt, embed)
     B = LpVector(tgt, p, [np.diag([1.3, 0.6])])
     triple = YeadonTriple(J=J, w=J(AlgebraElement.identity(src)), B=B)
-    with pytest.raises(TraceConditionViolated):
+    with pytest.raises(TraceConditionViolated) as err:
         build_yeadon_map(triple, p, (1.0, 1.0))
+    assert np.array_equal(err.value.witness.vec(), [1, 0])
+    # the first unit satisfies tau(u) = Tr(B^p J(u)); the witness is the second
+    B = LpVector(tgt, p, [np.diag([1.0, 0.6])])
+    triple = YeadonTriple(J=J, w=J(AlgebraElement.identity(src)), B=B)
+    with pytest.raises(TraceConditionViolated, match="disagree on a unit") as err:
+        build_yeadon_map(triple, p, (1.0, 1.0))
+    assert np.array_equal(err.value.witness.vec(), [0, 1])
 
 
 @pytest.mark.parametrize("seed,p", [(0, 1.0), (1, 1.5), (2, 3.0), (5, 4.0)])
