@@ -359,6 +359,9 @@ class ConditionalExpectation:
     map: AlgebraMap
     state: State
     subalgebra: Subalgebra
+    # the modular invariance defect measured by construct_expectation;
+    # None for an expectation that was loaded rather than constructed
+    invariance_defect: float | None = None
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.map(x)
@@ -428,7 +431,7 @@ def construct_expectation(A: Subalgebra, state: State) -> ConditionalExpectation
     # outside the invariant regime
     _certify_expectation(M, A, state, inv.defect)
     E = AlgebraMap(parent, parent, M)
-    return ConditionalExpectation(map=E, state=state, subalgebra=A)
+    return ConditionalExpectation(map=E, state=state, subalgebra=A, invariance_defect=inv.defect)
 
 
 # -- L_p inclusions and expectations ---------------------------------------------

@@ -32,6 +32,7 @@ from .algebra import (
 )
 from .errors import (
     DataInvalid,
+    ExponentMismatch,
     ExponentUnsupported,
     NonFaithful,
     NotAnIsometry,
@@ -42,7 +43,6 @@ from .expectation import (
     ConditionalExpectation,
     Subalgebra,
     construct_expectation,
-    takesaki_invariant,
 )
 from .lp import (
     LpMap,
@@ -51,7 +51,7 @@ from .lp import (
     amplified_algebra,
     amplify_map,
     conjugate_exponent,
-    lp_norm,
+    lp_norms,
     mazur_map,
     polar_decompose,
     state_power,
@@ -206,15 +206,30 @@ def verify_state_restriction(phibar: State, pi: AlgebraMap, phi: State) -> float
 # -- metric defects --------------------------------------------------------------
 
 
-def _sample_vectors(algebra: Algebra, p: float, count: int, rng) -> list[LpVector]:
-    out = []
-    for _ in range(count):
-        blocks = [
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for n in algebra.blocks
-        ]
-        out.append(LpVector(algebra, p, blocks))
-    return out
+def _sample_rows(algebra: Algebra, count: int, rng) -> np.ndarray:
+    """count seeded Gaussian vectors as rows.  One draw in C order is the
+    same stream as drawing per sample and block, real part then imaginary
+    part."""
+    draws = rng.standard_normal((count, 2 * algebra.total_dim))
+    parts = []
+    for off, n in zip(algebra.offsets(), algebra.blocks):
+        pair = draws[:, 2 * off : 2 * (off + n * n)].reshape(count, 2, n * n)
+        parts.append(pair[:, 0] + 1j * pair[:, 1])
+    return np.hstack(parts)
+
+
+def _norm_defect(T: LpMap, rows: np.ndarray, weights, relative: bool) -> float:
+    """Largest |  ||T h||_p - ||h||_p  | over the rows h, divided by ||h||_p
+    when relative; rows of norm below 1e-14 are skipped and a NaN gives NaN.
+    The map is applied as one matvec per row, which is bitwise T(h); the
+    GEMM form rows @ T.matrix.T is not."""
+    norms = lp_norms(T.source, T.p, rows, weights)
+    images = lp_norms(T.target, T.p, np.matmul(T.matrix, rows[:, :, None])[:, :, 0])
+    keep = ~(norms < 1e-14)
+    d = np.abs(images[keep] - norms[keep])
+    if relative:
+        d = d / norms[keep]
+    return float(np.max(d, initial=0.0))
 
 
 def isometry_defect(
@@ -228,17 +243,11 @@ def isometry_defect(
 ) -> float:
     """Largest deviation |  ||T h||_p - ||h||_p  | over the unit basis and a
     seeded sample of vectors."""
+    if float(p) != T.p:
+        raise ExponentMismatch(f"a defect at p = {p} asked of a map at p = {T.p}")
     rng = np.random.default_rng(seed)
-    samples = [LpVector.from_element(u, p) for u in matrix_units(T.source)]
-    samples += _sample_vectors(T.source, p, sample_count, rng)
-    defect = 0.0
-    for h in samples:
-        nh = lp_norm(h, weights=source_weights)
-        if nh < 1e-14:
-            continue
-        d = abs(lp_norm(T(h)) - nh)
-        defect = max(defect, d / nh if relative else d)
-    return float(defect)
+    rows = np.vstack([np.eye(T.source.total_dim), _sample_rows(T.source, sample_count, rng)])
+    return _norm_defect(T, rows, source_weights, relative)
 
 
 def _amplified_indicator(algebra: Algebra, n: int, p: float, positions) -> LpVector:
@@ -249,38 +258,48 @@ def _amplified_indicator(algebra: Algebra, n: int, p: float, positions) -> LpVec
     return LpVector.from_element(AlgebraElement.from_vec(big, vec), p)
 
 
-def grid_witness(algebra: Algebra, b: int, k: int, l: int, p: float, n: int = 2) -> LpVector:
-    """The grid witness Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (k, l), of block
-    b in the n-fold amplification; a transpose on the block changes its L_p
-    norm for p != 2, so it detects maps that are Jordan but not
-    multiplicative."""
+def _grid_positions(algebra: Algebra, b: int, k: int, l: int, n: int) -> list:
     off, nb = algebra.offsets()[b], algebra.blocks[b]
-    positions = [
+    return [
         _amplified_positions(algebra, n, a, c)[off + qa * nb + qc]
         for a, qa in enumerate((k, l))
         for c, qc in enumerate((k, l))
     ]
-    return _amplified_indicator(algebra, n, p, positions)
 
 
-def structured_witnesses(algebra: Algebra, p: float, n: int = 2) -> list[LpVector]:
-    """Matrix-unit grid witnesses Sigma e_ij (x) u_ij in the n-fold
-    amplification; these detect maps that preserve norms but not the
-    multiplicative structure."""
-    out = []
-    for b, nb in enumerate(algebra.blocks):
-        for k in range(nb):
-            for l in range(k + 1, nb):
-                out.append(grid_witness(algebra, b, k, l, p, n))
+def _witness_positions(algebra: Algebra, n: int) -> list:
+    """Positions of the ones of each structured witness in the n-fold
+    amplification: the grid witnesses of every block, then row and column
+    witnesses."""
+    out = [
+        _grid_positions(algebra, b, k, l, n)
+        for b, nb in enumerate(algebra.blocks)
+        for k in range(nb)
+        for l in range(k + 1, nb)
+    ]
     # row and column witnesses e_11 (x) u_i + e_12 (x) u_j and
     # e_11 (x) u_i + e_21 (x) u_j across blocks, for abelian parts
     first, row, col = (_amplified_positions(algebra, n, *ac) for ac in ((0, 0), (0, 1), (1, 0)))
     cap = min(algebra.total_dim, 12)
     for i in range(cap):
         for j in range(i + 1, cap):
-            out.append(_amplified_indicator(algebra, n, p, [first[i], row[j]]))
-            out.append(_amplified_indicator(algebra, n, p, [first[i], col[j]]))
+            out += [[first[i], row[j]], [first[i], col[j]]]
     return out
+
+
+def grid_witness(algebra: Algebra, b: int, k: int, l: int, p: float, n: int = 2) -> LpVector:
+    """The grid witness Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (k, l), of block
+    b in the n-fold amplification; a transpose on the block changes its L_p
+    norm for p != 2, so it detects maps that are Jordan but not
+    multiplicative."""
+    return _amplified_indicator(algebra, n, p, _grid_positions(algebra, b, k, l, n))
+
+
+def structured_witnesses(algebra: Algebra, p: float, n: int = 2) -> list[LpVector]:
+    """Matrix-unit grid witnesses Sigma e_ij (x) u_ij in the n-fold
+    amplification; these detect maps that preserve norms but not the
+    multiplicative structure."""
+    return [_amplified_indicator(algebra, n, p, pos) for pos in _witness_positions(algebra, n)]
 
 
 def two_isometry_defect(
@@ -295,18 +314,16 @@ def two_isometry_defect(
 ) -> float:
     """Largest norm defect of the n-fold amplification over the structured
     matrix-unit witnesses and a seeded sample."""
+    if float(p) != T.p:
+        raise ExponentMismatch(f"a defect at p = {p} asked of a map at p = {T.p}")
     big = amplify_map(T, n)
     rng = np.random.default_rng(seed)
-    samples = structured_witnesses(T.source, p, n)
-    samples += _sample_vectors(big.source, p, sample_count, rng)
-    defect = 0.0
-    for X in samples:
-        nx = lp_norm(X, weights=source_weights)
-        if nx < 1e-14:
-            continue
-        d = abs(lp_norm(big(X)) - nx)
-        defect = max(defect, d / nx if relative else d)
-    return float(defect)
+    positions = _witness_positions(T.source, n)
+    witnesses = np.zeros((len(positions), big.source.total_dim), dtype=complex)
+    for r, pos in enumerate(positions):
+        witnesses[r, pos] = 1.0
+    rows = np.vstack([witnesses, _sample_rows(big.source, sample_count, rng)])
+    return _norm_defect(big, rows, source_weights, relative)
 
 
 # -- star adjoint duals -----------------------------------------------------------
@@ -376,7 +393,7 @@ def classify(
     defects["isometry"] = isometry_defect(T, p, seed=seed)
     defects["two_isometry"] = two_isometry_defect(T, p, n=2, seed=seed, relative=True)
     algebraic_tol = max(T.source.atol, T.target.atol) * 10
-    if defects["isometry"] > metric_tol:
+    if not defects["isometry"] <= metric_tol:
         if defects["isometry"] < warn_tol:
             warnings.append(f"isometry defect {defects['isometry']:.3e} in the warn band")
         return reject("isometry")
@@ -400,17 +417,19 @@ def classify(
 
     # stage 4: state restriction
     defects["state_restriction"] = verify_state_restriction(phibar, pi, phi)
-    if defects["state_restriction"] > algebraic_tol:
+    if not defects["state_restriction"] <= algebraic_tol:
         return reject("state_restriction")
 
     # stage 5: invariance of the image and the expectation
     image = Subalgebra.from_map_image(pi)
-    inv = takesaki_invariant(image, phibar)
-    defects["invariance"] = inv.defect
     try:
         E = construct_expectation(image, phibar)
-    except (NotInvariant, NonFaithful):
+    except NotInvariant as exc:
+        defects["invariance"] = exc.defect
         return reject("expectation")
+    except NonFaithful:
+        return reject("expectation")
+    defects["invariance"] = E.invariance_defect
 
     # stage 6: rebuild and compare on the reference basis
     data = IsometryData(
@@ -425,19 +444,18 @@ def classify(
         rebuilt = build_isometry(data, p)
     except DataInvalid:
         return reject("reconstruction")
-    rho_pow = phi.power_element(1.0 / p)
-    recon = 0.0
-    for u in matrix_units(T.source):
-        h = LpVector.from_element(rho_pow @ u, p)
-        scale = max(lp_norm(h), 1e-14)
-        recon = max(recon, lp_norm(T(h) - rebuilt(h)) / scale)
+    # row u is rho^{1/p} u; each map is applied as one matvec per row
+    rows = left_mult_matrix(phi.power_element(1.0 / p)).T
+    gaps = np.matmul(T.matrix, rows[:, :, None]) - np.matmul(rebuilt.matrix, rows[:, :, None])
+    scales = np.maximum(lp_norms(T.source, p, rows), 1e-14)
+    recon = float(np.max(lp_norms(T.target, p, gaps[:, :, 0]) / scales))
     defects["reconstruction"] = recon
-    if recon > metric_tol:
+    if not recon <= metric_tol:
         if recon < warn_tol:
             warnings.append(f"reconstruction defect {recon:.3e} in the warn band")
         return reject("reconstruction")
 
-    if defects["two_isometry"] > metric_tol:
+    if not defects["two_isometry"] <= metric_tol:
         if defects["two_isometry"] < warn_tol:
             warnings.append(
                 f"two_isometry defect {defects['two_isometry']:.3e} in the warn band"

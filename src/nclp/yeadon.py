@@ -35,7 +35,7 @@ from .errors import (
     ShapeMismatch,
     TraceConditionViolated,
 )
-from .isometry import grid_witness, two_isometry_defect
+from .isometry import _norm_defect, _sample_rows, grid_witness, two_isometry_defect
 from .lp import LpMap, LpVector, amplify_map, lp_norm, mazur_map, polar_decompose
 
 
@@ -172,15 +172,9 @@ def build_yeadon_map(
     matrix = left_mult_matrix(w @ B) @ J.matrix
     T = LpMap(J.source, J.target, p, matrix)
     # spot check the isometry granted by the trace condition
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        blocks = [
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for n in J.source.blocks
-        ]
-        h = LpVector(J.source, p, blocks)
-        if abs(lp_norm(T(h)) - weighted_lp_norm(h, weights)) > 1e-6 * weighted_lp_norm(h, weights):
-            raise DataInvalid("assembled map failed an isometry spot check")
+    samples = _sample_rows(J.source, 5, np.random.default_rng(7))
+    if not _norm_defect(T, samples, weights, relative=True) <= 1e-6:
+        raise DataInvalid("assembled map failed an isometry spot check")
     return T
 
 
@@ -211,25 +205,16 @@ def jordan_dichotomy_report(
     weights = _weights(triple.J.source, trace_weights)
     T = build_yeadon_map(triple, p, weights)
     report = homomorphism_kind(triple.J)
-    rng = np.random.default_rng(11)
-    iso = 0.0
-    for _ in range(20):
-        blocks = [
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for n in triple.J.source.blocks
-        ]
-        h = LpVector(triple.J.source, p, blocks)
-        nh = weighted_lp_norm(h, weights)
-        iso = max(iso, abs(lp_norm(T(h)) - nh) / nh)
+    samples = _sample_rows(triple.J.source, 20, np.random.default_rng(11))
+    iso = _norm_defect(T, samples, weights, relative=True)
     # block weights are unchanged by amplification
     two = two_isometry_defect(T, p, n=2, source_weights=weights)
     # norm defect at the grid witness of the first two units of each block
     big = amplify_map(T, 2)
-    witness = 0.0
-    for b, nb in enumerate(T.source.blocks):
-        if nb >= 2:
-            X = grid_witness(T.source, b, 0, 1, p, 2)
-            witness = max(witness, float(abs(lp_norm(big(X)) - lp_norm(X, weights=weights))))
+    wide = [b for b, nb in enumerate(T.source.blocks) if nb >= 2]
+    grids = [grid_witness(T.source, b, 0, 1, p, 2).vec() for b in wide]
+    grids = np.array(grids, dtype=complex).reshape(len(wide), big.source.total_dim)
+    witness = _norm_defect(big, grids, weights, relative=False)
     multiplicative = report.kind == "star_homomorphism"
     biconditional = multiplicative == (two < tol)
     return DichotomyReport(

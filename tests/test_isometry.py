@@ -12,9 +12,18 @@ from nclp.algebra import (
     random_faithful_state,
     transpose_permutation,
 )
-from nclp.errors import DataInvalid, ExponentUnsupported, NotAnIsometry, ShapeMismatch
+import nclp.expectation as expectation_module
+import nclp.isometry as isometry_module
+from nclp.errors import (
+    DataInvalid,
+    ExponentMismatch,
+    ExponentUnsupported,
+    NotAnIsometry,
+    ShapeMismatch,
+)
 from nclp.expectation import Subalgebra, construct_expectation
 from nclp.isometry import (
+    METRIC_TOL,
     build_isometry,
     classify,
     extract_pi,
@@ -26,7 +35,7 @@ from nclp.isometry import (
     two_isometry_defect,
     verify_state_restriction,
 )
-from nclp.lp import LpMap, LpVector, lp_norm, state_power, tensor_embed
+from nclp.lp import LpMap, LpVector, amplify_map, lp_norm, state_power, tensor_embed
 from nclp.samples import (
     haar_unitary,
     random_element,
@@ -412,3 +421,162 @@ def test_classify_reads_the_matrix_at_the_requested_exponent():
     relabelled = classify(T4.at_exponent(3.0), data.reference_state, 4.0)
     assert relabelled.accepted
     assert relabelled.defects == classify(T4, data.reference_state, 4.0).defects
+
+
+# -- the batched metric defects against the per-sample loops they replaced ----
+
+
+def _sample_vectors(algebra, p, count, rng):
+    out = []
+    for _ in range(count):
+        blocks = [
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for n in algebra.blocks
+        ]
+        out.append(LpVector(algebra, p, blocks))
+    return out
+
+
+def _max_norm_defect(T, samples, weights, relative):
+    defect = 0.0
+    for h in samples:
+        nh = lp_norm(h, weights=weights)
+        if nh < 1e-14:
+            continue
+        d = abs(lp_norm(T(h)) - nh)
+        defect = max(defect, d / nh if relative else d)
+    return float(defect)
+
+
+def _isometry_defect_by_samples(T, p, weights=None, relative=True):
+    rng = np.random.default_rng(0)
+    samples = [LpVector.from_element(u, p) for u in matrix_units(T.source)]
+    return _max_norm_defect(T, samples + _sample_vectors(T.source, p, 60, rng), weights, relative)
+
+
+def _two_isometry_defect_by_samples(T, p, weights=None, relative=False):
+    big = amplify_map(T, 2)
+    rng = np.random.default_rng(0)
+    samples = structured_witnesses(T.source, p, 2) + _sample_vectors(big.source, p, 60, rng)
+    return _max_norm_defect(big, samples, weights, relative)
+
+
+def _reconstruction_by_units(T, rebuilt, phi, p):
+    rho_pow = phi.power_element(1.0 / p)
+    recon = 0.0
+    for u in matrix_units(T.source):
+        h = LpVector.from_element(rho_pow @ u, p)
+        scale = max(lp_norm(h), 1e-14)
+        recon = max(recon, lp_norm(T(h) - rebuilt(h)) / scale)
+    return recon
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_metric_defects_equal_the_sample_loops(seed, p):
+    data = random_isometry_data(seed)
+    T = build_isometry(data, p)
+    S = LpMap(T.source, T.source, p, transpose_permutation(T.source))
+    weights = tuple(np.linspace(0.5, 1.5, len(T.source.blocks)))
+    for F in (T, T.compose(S)):
+        for relative in (True, False):
+            assert isometry_defect(F, p, relative=relative) == _isometry_defect_by_samples(
+                F, p, relative=relative
+            )
+            assert two_isometry_defect(F, p, relative=relative) == (
+                _two_isometry_defect_by_samples(F, p, relative=relative)
+            )
+        assert isometry_defect(F, p, source_weights=weights) == (
+            _isometry_defect_by_samples(F, p, weights)
+        )
+        assert two_isometry_defect(F, p, source_weights=weights) == (
+            _two_isometry_defect_by_samples(F, p, weights)
+        )
+    report = classify(T, data.reference_state, p)
+    rebuilt = build_isometry(report.data, p)
+    assert report.defects["reconstruction"] == _reconstruction_by_units(
+        T, rebuilt, data.reference_state, p
+    )
+
+
+def test_stacked_matvec_is_bitwise_the_map():
+    # one matvec per row reproduces T(h) bit for bit; the GEMM form
+    # rows @ T.matrix.T does not, so the defects must not switch to it
+    for seed in range(5):
+        data = random_isometry_data(seed)
+        T = build_isometry(data, 3.0)
+        hs = _sample_vectors(T.source, 3.0, 30, rng_for(seed))
+        rows = np.stack([h.vec() for h in hs])
+        stacked = np.matmul(T.matrix, rows[:, :, None])[:, :, 0]
+        assert np.array_equal(stacked, np.stack([T(h).vec() for h in hs]))
+
+
+def test_isometry_defects_check_the_exponent():
+    T = build_isometry(random_isometry_data(1), 3.0)
+    for defect in (isometry_defect, two_isometry_defect):
+        with pytest.raises(ExponentMismatch):
+            defect(T, 4.0)
+
+
+def test_metric_defects_survive_large_exponents():
+    # at p = 1000 the sums of p-th powers overflow and underflow
+    data = random_isometry_data(0)
+    T = build_isometry(data, 1000.0)
+    scaled = LpMap(T.source, T.target, 1000.0, 1.3 * T.matrix)
+    assert isometry_defect(scaled, 1000.0) == pytest.approx(0.3, abs=1e-12)
+    report = classify(T, data.reference_state, 1000.0)
+    assert report.accepted
+    assert all(np.isfinite(v) for v in report.defects.values())
+    assert report.defects["reconstruction"] < METRIC_TOL
+
+
+def _nan_rows(monkeypatch, pick):
+    """Make lp_norms in the isometry module return NaN on one row of the
+    calls that `pick(algebra, rows)` selects."""
+    real = isometry_module.lp_norms
+
+    def patched(algebra, p, rows, weights=None):
+        out = real(algebra, p, rows, weights)
+        if pick(algebra, rows):
+            out[len(out) // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(isometry_module, "lp_norms", patched)
+
+
+def test_classify_rejects_a_nan_isometry_defect(monkeypatch):
+    data = random_isometry_data(0)
+    T = build_isometry(data, 3.0)
+    _nan_rows(monkeypatch, lambda algebra, rows: True)
+    report = classify(T, data.reference_state, 3.0)
+    assert report.verdict == "reject" and report.failing_stage == "isometry"
+    assert np.isnan(report.defects["isometry"])
+
+
+def test_classify_rejects_a_nan_reconstruction_defect(monkeypatch):
+    data = random_isometry_data(0)
+    T = build_isometry(data, 3.0)
+    # the reconstruction is the only stage that measures one row per unit
+    _nan_rows(monkeypatch, lambda algebra, rows: len(rows) == T.source.total_dim)
+    report = classify(T, data.reference_state, 3.0)
+    assert report.verdict == "reject" and report.failing_stage == "reconstruction"
+    assert np.isnan(report.defects["reconstruction"])
+
+
+def test_classify_measures_invariance_once(monkeypatch):
+    calls = []
+    real = expectation_module.takesaki_invariant
+
+    def counted(A, state):
+        calls.append(A)
+        return real(A, state)
+
+    data = random_isometry_data(2)
+    T = build_isometry(data, 3.0)
+    # count calls through every module that could bind the function
+    monkeypatch.setattr(expectation_module, "takesaki_invariant", counted)
+    monkeypatch.setattr(isometry_module, "takesaki_invariant", counted, raising=False)
+    report = classify(T, data.reference_state, 3.0)
+    assert report.accepted and len(calls) == 1
+    assert report.defects["invariance"] == real(calls[0], report.data.phibar).defect
+    assert report.data.expectation.invariance_defect == report.defects["invariance"]

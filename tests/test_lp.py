@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from nclp.algebra import (
     matrix_units,
     random_faithful_state,
 )
-from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive
+from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, ShapeMismatch
 from nclp.isometry import grid_witness
 from nclp.lp import (
     LpMap,
@@ -16,6 +18,7 @@ from nclp.lp import (
     amplify_map,
     clarkson_defect,
     lp_norm,
+    lp_norms,
     mazur_map,
     polar_decompose,
     state_power,
@@ -238,6 +241,72 @@ def test_clarkson_converse_sampled():
             res = clarkson_defect(h, k)
             if res.witness > 0.1:
                 assert res.defect > 1e-6
+
+
+def _lp_norm_by_blocks(h, weights=None):
+    """Reference: the per-block loop lp_norm ran before the stacked SVD."""
+    total = 0.0
+    for idx, b in enumerate(h.data):
+        s = np.linalg.svd(b, compute_uv=False)
+        w = 1.0 if weights is None else float(weights[idx])
+        total += w * float(np.sum(s**h.p))
+    return float(total ** (1.0 / h.p))
+
+
+@pytest.mark.parametrize("blocks", [(2,), (3,), (1, 2), (2, 1, 3)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 7.0])
+def test_lp_norms_equal_the_block_loop(blocks, p):
+    alg = make_algebra(blocks)
+    rng = rng_for(5)
+    vecs = [random_lp_vector(alg, p, rng) for _ in range(12)]
+    rows = np.stack([h.vec() for h in vecs])
+    for weights in (None, tuple(rng.uniform(0.5, 2.0, len(blocks)))):
+        got = lp_norms(alg, p, rows, weights)
+        assert np.array_equal(got, [_lp_norm_by_blocks(h, weights) for h in vecs])
+        assert np.array_equal(got, [lp_norm(h, weights) for h in vecs])
+    with pytest.raises(ShapeMismatch):
+        lp_norms(alg, p, rows, (1.0,) * (len(blocks) + 1))
+
+
+def test_lp_norms_rescale_overflow_and_underflow():
+    M3 = make_algebra([3])
+    alg = make_algebra([1, 2])
+    rng = rng_for(6)
+    plain = [random_lp_vector(alg, 100.0, rng) for _ in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # sum s^p is inf for 4 I_3 and 0 for 0.5 I_3 at p = 2000
+        assert lp_norm(_vec(M3, 2000.0, 4 * np.eye(3))) == pytest.approx(4.0022, abs=1e-4)
+        assert lp_norm(_vec(M3, 2000.0, 0.5 * np.eye(3))) == pytest.approx(0.5003, abs=1e-4)
+        for c in (1e6, 1e-6):
+            rows = np.stack([h.vec() for h in plain] + [c * h.vec() for h in plain])
+            got = lp_norms(alg, 100.0, rows, (2.0, 0.5))
+            expected = [_lp_norm_by_blocks(h, (2.0, 0.5)) for h in plain]
+            # rows that neither overflow nor underflow keep the plain arithmetic
+            assert np.array_equal(got[:3], expected)
+            assert np.allclose(got[3:], c * np.array(expected), rtol=1e-13, atol=0)
+        # finite norms whose p-th powers overflow neither raise nor warn
+        h = _vec(M3, 2000.0, np.diag([4.0, 0, 0]))
+        assert clarkson_defect(h, _vec(M3, 2000.0, np.diag([0, 4.0, 0]))).orthogonal
+        assert not clarkson_defect(h, _vec(M3, 2000.0, np.diag([1.0, 0, 0]))).orthogonal
+
+
+def _clarkson_by_norms(h, k):
+    """Reference: the parallelogram defect from four separate norms."""
+    p = h.p
+    lhs = _lp_norm_by_blocks(h + k) ** p + _lp_norm_by_blocks(h - k) ** p
+    rhs = 2.0 * (_lp_norm_by_blocks(h) ** p + _lp_norm_by_blocks(k) ** p)
+    return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("blocks", [(2,), (3,), (1, 2)])
+def test_clarkson_defect_equals_the_norm_loop(blocks):
+    alg = make_algebra(blocks)
+    rng = rng_for(12)
+    for p in (1.0, 1.5, 3.0, 4.0, 7.0):
+        for _ in range(10):
+            h, k = random_lp_vector(alg, p, rng), random_lp_vector(alg, p, rng)
+            assert clarkson_defect(h, k).defect == _clarkson_by_norms(h, k)
 
 
 def test_lp_norm_homogeneity():

@@ -9,7 +9,8 @@ from nclp.algebra import (
     transpose_permutation,
 )
 from nclp.errors import ExponentUnsupported, TraceConditionViolated
-from nclp.lp import LpMap, LpVector, lp_norm
+from nclp.isometry import grid_witness
+from nclp.lp import LpMap, LpVector, amplify_map, lp_norm
 from nclp.samples import haar_unitary, random_yeadon_triple, rng_for, transpose_triple
 from nclp.yeadon import (
     YeadonTriple,
@@ -167,3 +168,35 @@ def test_dichotomy_family_biconditional():
             assert rep.two_isometry_defect > 1e-6
         else:
             assert rep.two_isometry_defect < 1e-6
+
+
+def _dichotomy_by_samples(triple, p, weights):
+    """Reference: the per-sample loops jordan_dichotomy_report ran before
+    the metric defects were batched."""
+    T = build_yeadon_map(triple, p, weights)
+    rng = np.random.default_rng(11)
+    iso = 0.0
+    for _ in range(20):
+        blocks = [
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for n in triple.J.source.blocks
+        ]
+        h = LpVector(triple.J.source, p, blocks)
+        nh = weighted_lp_norm(h, weights)
+        iso = max(iso, abs(lp_norm(T(h)) - nh) / nh)
+    big = amplify_map(T, 2)
+    witness = 0.0
+    for b, nb in enumerate(T.source.blocks):
+        if nb >= 2:
+            X = grid_witness(T.source, b, 0, 1, p, 2)
+            witness = max(witness, float(abs(lp_norm(big(X)) - lp_norm(X, weights=weights))))
+    return iso, witness
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dichotomy_equals_the_sample_loops(seed):
+    for p in (1.0, 1.5, 3.0):
+        triple, weights = random_yeadon_triple(seed, p)
+        rep = jordan_dichotomy_report(triple, p, weights)
+        expected = _dichotomy_by_samples(triple, p, weights)
+        assert (rep.isometry_defect, rep.witness_defect) == expected
