@@ -568,6 +568,21 @@ class HomomorphismReport:
         return self.injectivity > 1e-6
 
 
+def _stacked_frobenius(stacks: list[np.ndarray]) -> np.ndarray:
+    """Frobenius norms of the elements whose target blocks are the rows of
+    the (N, m, m) stacks, bitwise AlgebraElement.frobenius of each: per block
+    sqrt(re . re + im . im) with the dots of np.linalg.norm (strided real and
+    imaginary views) as stacked matmuls, squared as Python floats (libm pow,
+    which the array square x * x is not), summed over blocks from 0."""
+    total = 0
+    for stack in stacks:
+        flat = stack.reshape(len(stack), 1, -1)
+        re, im = flat.real, flat.imag
+        sq = np.matmul(re, re.transpose(0, 2, 1)) + np.matmul(im, im.transpose(0, 2, 1))
+        total = total + np.array([n**2 for n in np.sqrt(sq[:, 0, 0]).tolist()])
+    return np.sqrt(total)
+
+
 def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismReport:
     """Classify a linear map as *-homomorphism, Jordan-only, or neither.
 
@@ -576,27 +591,43 @@ def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismRe
     The Jordan identity on squares is recovered from the symmetrized product
     by polarization.  Unit images are matrix columns, F(e_ij*) = F(e_ji), and
     F(e_ij e_kl) = delta_jk F(e_il) within a block, zero across blocks.
+
+    The pair table is computed one row at a time: per target block the unit
+    images form a (d, m, m) stack S, and row u is fu S and S fu.  A NaN
+    defect is kept, so it classifies as neither.
     """
     if F.matrix.shape != (F.target.total_dim, F.source.total_dim):
         raise ShapeMismatch("map matrix does not match its algebras")
     tol = max(F.source.atol, F.target.atol) if tol is None else tol
-    units = [(b, i, j) for b, n in enumerate(F.source.blocks) for i in range(n) for j in range(n)]
-    images = dict(zip(units, (AlgebraElement.from_vec(F.target, col) for col in F.matrix.T)))
-    zero = AlgebraElement.zero(F.target)
+    d = F.source.total_dim
+    stacks = [
+        np.ascontiguousarray(F.matrix[off : off + m * m].T).reshape(d, m, m)
+        for off, m in zip(F.target.offsets(), F.target.blocks)
+    ]
+    # unit u = (b, i, j) sits at off + i n + j; transpose[u] is (b, j, i)
+    transpose = transpose_permutation(F.source).argmax(axis=1)
 
-    star_defect = 0.0
-    for (b, i, j), fu in images.items():
-        star_defect = max(star_defect, (images[b, j, i] - fu.adjoint()).frobenius())
-
-    jordan_defect = 0.0
-    mult_defect = 0.0
-    for (b, i, j), fu in images.items():
-        for (c, k, l), fv in images.items():
-            fprod = images[b, i, l] if (b, j) == (c, k) else zero
-            fuv = fu @ fv
-            mult_defect = max(mult_defect, (fprod - fuv).frobenius())
-            sym = fprod + (images[c, k, j] if (c, l) == (b, i) else zero)
-            jordan_defect = max(jordan_defect, (sym - (fuv + fv @ fu)).frobenius())
+    rows = []
+    with np.errstate(all="ignore"):
+        star = _stacked_frobenius([S[transpose] - S.conj().transpose(0, 2, 1) for S in stacks])
+        for off, n in zip(F.source.offsets(), F.source.blocks):
+            for i in range(n):
+                for j in range(n):
+                    tables = []
+                    for S in stacks:
+                        fu = S[off + i * n + j]
+                        fuv = np.matmul(fu, S)
+                        # the expected products F(u v) and F(u v + v u):
+                        # F(e_ij e_jl) = F(e_il) and F(e_ki e_ij) = F(e_kj)
+                        table = np.zeros((2,) + S.shape, dtype=complex)
+                        table[:, off + j * n : off + j * n + n] = S[off + i * n : off + i * n + n]
+                        table[1, off + i : off + n * n : n] += S[off + j : off + n * n : n]
+                        table[0] -= fuv
+                        table[1] -= fuv + np.matmul(S, fu)
+                        tables.append(table.reshape((2 * d,) + S.shape[1:]))
+                    rows.append(np.max(_stacked_frobenius(tables).reshape(2, d), axis=1))
+    star_defect = float(np.max(star))
+    mult_defect, jordan_defect = (float(x) for x in np.max(rows, axis=0))
 
     injectivity = F.min_singular_value()
     if star_defect <= tol and mult_defect <= tol:

@@ -84,6 +84,14 @@ def lp_norm(h: LpVector, weights: Sequence[float] | None = None) -> float:
     return float(lp_norms(h.algebra, h.p, h.vec()[None, :], weights)[0])
 
 
+def _singular_values(algebra: Algebra, rows: np.ndarray) -> list[np.ndarray]:
+    """Per block, the singular values of each row's block, one stacked SVD."""
+    return [
+        np.linalg.svd(rows[:, off : off + n * n].reshape(-1, n, n), compute_uv=False)
+        for off, n in zip(algebra.offsets(), algebra.blocks)
+    ]
+
+
 def lp_norms(
     algebra: Algebra, p: float, rows: np.ndarray, weights: Sequence[float] | None = None
 ) -> np.ndarray:
@@ -97,10 +105,7 @@ def lp_norms(
     ws = [1.0] * len(algebra.blocks) if weights is None else [float(w) for w in weights]
     if len(ws) != len(algebra.blocks):
         raise ShapeMismatch("one weight per block is required")
-    svals = [
-        np.linalg.svd(rows[:, off : off + n * n].reshape(-1, n, n), compute_uv=False)
-        for off, n in zip(algebra.offsets(), algebra.blocks)
-    ]
+    svals = _singular_values(algebra, rows)
     total = 0.0
     with np.errstate(over="ignore"):
         for w, s in zip(ws, svals):
@@ -211,11 +216,20 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
     hv, kv = h.vec(), k.vec()
     rows = np.stack([hv + kv, hv - kv, hv, kv])
     n_sum, n_diff, n_h, n_k = lp_norms(h.algebra, p, rows)
-    # at large p the powers overflow to inf, and inf - inf is NaN
+    # at large p the powers overflow to inf, and inf - inf is NaN; then each
+    # p-th power is taken as a sum of s^p over singular values with the
+    # largest one factored out, as lp_norms does, so that an exact
+    # cancellation gives 0 and only a nonzero excess overflows
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = n_sum**p + n_diff**p
         rhs = 2.0 * (n_h**p + n_k**p)
         defect = float(abs(lhs - rhs))
+        if not np.isfinite(defect):
+            svals = _singular_values(h.algebra, rows)
+            top = max(s.max() for s in svals)
+            powers = sum(np.sum((s / top) ** p, axis=-1) for s in svals)
+            excess = abs(powers[0] + powers[1] - 2.0 * (powers[2] + powers[3]))
+            defect = 0.0 if excess == 0.0 else float(excess * top**p)
     witness = max((h @ k.adjoint()).frobenius(), (h.adjoint() @ k).frobenius())
     return ClarksonResult(defect=defect, orthogonal=bool(witness < h.algebra.atol), witness=witness)
 

@@ -121,14 +121,14 @@ def yeadon_decompose(
     comm = float(np.max(np.linalg.norm(commutators, axis=0)))
     if not comm <= tol:
         raise NotAnIsometry(f"B does not commute with the image (defect {comm:.3e})")
-    # diagonal-unit supports must agree with J on projections
-    for b, n in enumerate(T.source.blocks):
-        for k in range(n):
-            blocks = T.source.zero_blocks()
-            blocks[b][k, k] = 1.0
-            e = AlgebraElement(T.source, blocks)
-            w_e, B_e = projection_polar_parts(T, e)
-            if (w_e.adjoint() @ w_e - J(e)).frobenius() > tol:
+    # diagonal-unit supports must agree with J on projections; T(e) and J(e)
+    # of the unit e at (b, k, k) are column off + k n + k of each matrix
+    for off, n in zip(T.source.offsets(), T.source.blocks):
+        for c in range(off, off + n * n, n + 1):
+            image = AlgebraElement.from_vec(T.target, T.matrix[:, c])
+            w_e = polar_decompose(LpVector.from_element(image, T.p)).w
+            j_e = AlgebraElement.from_vec(T.target, J.matrix[:, c])
+            if (w_e.adjoint() @ w_e - j_e).frobenius() > tol:
                 raise NotAnIsometry("support of a diagonal image disagrees with J")
     _verify_trace_condition(J, B, p, weights, tol)
     recon = left_mult_matrix(w @ B) @ J.matrix

@@ -308,3 +308,97 @@ def test_pullback_density_matches_unit_calls(source, seed):
                 want[b][j, i] = state(F(next(units)))
     got = pullback_density(state, F)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _homomorphism_kind_pairs(F, tol=None):
+    """Reference: the all-pairs loop over unit images that the row-batched
+    pair table replaces, one element product per pair."""
+    tol = max(F.source.atol, F.target.atol) if tol is None else tol
+    units = [(b, i, j) for b, n in enumerate(F.source.blocks) for i in range(n) for j in range(n)]
+    images = dict(zip(units, (AlgebraElement.from_vec(F.target, col) for col in F.matrix.T)))
+    zero = AlgebraElement.zero(F.target)
+    star_defect = 0.0
+    for (b, i, j), fu in images.items():
+        star_defect = max(star_defect, (images[b, j, i] - fu.adjoint()).frobenius())
+    jordan_defect = 0.0
+    mult_defect = 0.0
+    for (b, i, j), fu in images.items():
+        for (c, k, l), fv in images.items():
+            fprod = images[b, i, l] if (b, j) == (c, k) else zero
+            fuv = fu @ fv
+            mult_defect = max(mult_defect, (fprod - fuv).frobenius())
+            sym = fprod + (images[c, k, j] if (c, l) == (b, i) else zero)
+            jordan_defect = max(jordan_defect, (sym - (fuv + fv @ fu)).frobenius())
+    if star_defect <= tol and mult_defect <= tol:
+        kind = "star_homomorphism"
+    elif star_defect <= tol and jordan_defect <= tol:
+        kind = "jordan_only"
+    else:
+        kind = "neither"
+    return HomomorphismReport(kind, star_defect, jordan_defect, mult_defect, F.min_singular_value())
+
+
+# the instance plans of the benchmark: (source blocks, target plan)
+BENCH_PLANS = {
+    "P2": ((2,), [([(0, 1)], 2)]),
+    "P3": ((3,), [([(0, 1)], 2)]),
+    "P4": ((4,), [([(0, 1)], 2)]),
+    "M1": ((2, 1), [([(0, 2), (1, 1)], 1), ([(0, 1)], 1)]),
+    "M2": ((3,), [([(0, 2)], 0)]),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(BENCH_PLANS))
+def test_homomorphism_kind_matches_pair_loop_on_bench_plans(plan):
+    from nclp.samples import random_isometry_data
+
+    source, layout = BENCH_PLANS[plan]
+    kinds = set()
+    for seed in range(12):
+        pi = random_isometry_data(seed, source, plan=layout).pi
+        rng = rng_for(seed)
+        noise = rng.standard_normal(pi.matrix.shape) + 1j * rng.standard_normal(pi.matrix.shape)
+        for F in (
+            pi,
+            AlgebraMap(pi.source, pi.target, pi.matrix @ transpose_permutation(pi.source)),
+            AlgebraMap(pi.source, pi.target, pi.matrix + 1e-5 * noise),
+        ):
+            report = homomorphism_kind(F)
+            assert report == _homomorphism_kind_pairs(F)
+            kinds.add(report.kind)
+    assert kinds == {"star_homomorphism", "jordan_only", "neither"}
+
+
+def _pair_loop_extra_maps():
+    from nclp.samples import random_yeadon_triple
+
+    yield pytest.param(random_yeadon_triple(1, 3.0)[0].J, "jordan_only", id="yeadon-J")
+    rng = rng_for(22)
+    src, tgt = make_algebra([2, 1]), make_algebra([2, 1, 3])
+    dense = rng.standard_normal((14, 5)) + 1j * rng.standard_normal((14, 5))
+    yield pytest.param(AlgebraMap(src, tgt, dense), "neither", id="multi-block")
+    # star defects 2 x and 2 y in two blocks, where sqrt(0 + n0**2 + n1**2)
+    # with libm squares differs in the last bit from the array square n * n
+    x, y = 1.879658028534565, 2.894590643007236
+    column = np.array([[1.0 + 1j * x], [1.0 + 1j * y]])
+    yield pytest.param(
+        AlgebraMap(make_algebra([1]), make_algebra([1, 1]), column), "neither", id="squares"
+    )
+
+
+@pytest.mark.parametrize("F, kind", list(_pair_loop_extra_maps()))
+def test_homomorphism_kind_matches_pair_loop(F, kind):
+    report = homomorphism_kind(F)
+    assert report == _homomorphism_kind_pairs(F)
+    assert report.kind == kind
+
+
+def test_homomorphism_kind_keeps_nan_defects():
+    # products of entries near 1e200 overflow, and inf - inf is NaN
+    from nclp.samples import random_isometry_data
+
+    F = random_isometry_data(0).pi
+    report = homomorphism_kind(AlgebraMap(F.source, F.target, 1e200 * F.matrix))
+    assert np.isnan(report.mult_defect)
+    assert np.isnan(report.jordan_defect)
+    assert report.kind == "neither"

@@ -580,3 +580,96 @@ def test_classify_measures_invariance_once(monkeypatch):
     assert report.accepted and len(calls) == 1
     assert report.defects["invariance"] == real(calls[0], report.data.phibar).defect
     assert report.data.expectation.invariance_defect == report.defects["invariance"]
+
+
+def test_classify_certifies_pi_and_the_restriction_once(monkeypatch):
+    counts = {"homomorphism_kind": 0, "verify_state_restriction": 0}
+
+    def counted(name):
+        real = getattr(isometry_module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    data = random_isometry_data(2)
+    T = build_isometry(data, 3.0)
+    for name in counts:
+        monkeypatch.setattr(isometry_module, name, counted(name))
+    report = classify(T, data.reference_state, 3.0)
+    assert report.accepted
+    assert counts == {"homomorphism_kind": 1, "verify_state_restriction": 1}
+    # the accepted data still passes the full validation
+    report.data.validate()
+
+
+def test_reconstruction_holds_the_restriction_to_the_validation_tolerance(monkeypatch):
+    # at D = 121 stage 4 admits restriction defects up to 1.21e-6, but the
+    # rebuild, like IsometryData.validate, requires 1e-6
+    data = random_isometry_data(0, (2,), plan=[([(0, 1)], 9)])
+    assert data.target.total_dim == 121
+    T = build_isometry(data, 3.0)
+    monkeypatch.setattr(isometry_module, "verify_state_restriction", lambda *args: 1.1e-6)
+    report = classify(T, data.reference_state, 3.0)
+    assert report.verdict == "reject" and report.failing_stage == "reconstruction"
+    assert report.defects["state_restriction"] == 1.1e-6
+    assert "reconstruction" not in report.defects
+
+
+def _nan_state_values(monkeypatch, algebra):
+    """Make every state on the given algebra evaluate to NaN."""
+    real = State.__call__
+
+    def patched(self, x):
+        return complex(np.nan) if self.algebra == algebra else real(self, x)
+
+    monkeypatch.setattr(State, "__call__", patched)
+
+
+def test_verify_state_restriction_keeps_a_nan(monkeypatch):
+    data = random_isometry_data(0)
+    assert verify_state_restriction(data.phibar, data.pi, data.reference_state) < 1e-12
+    _nan_state_values(monkeypatch, data.target)
+    assert np.isnan(verify_state_restriction(data.phibar, data.pi, data.reference_state))
+
+
+def test_classify_rejects_a_nan_state_restriction(monkeypatch):
+    data = random_isometry_data(0)
+    T = build_isometry(data, 3.0)
+    _nan_state_values(monkeypatch, data.target)
+    report = classify(T, data.reference_state, 3.0)
+    assert report.verdict == "reject" and report.failing_stage == "state_restriction"
+    assert np.isnan(report.defects["state_restriction"])
+
+
+def test_build_rejects_a_jordan_pi_and_a_bad_restriction():
+    from dataclasses import replace
+
+    data = random_isometry_data(2)
+    build_isometry(data, 3.0)
+    flipped = AlgebraMap(
+        data.source, data.target, data.pi.matrix @ transpose_permutation(data.source)
+    )
+    with pytest.raises(DataInvalid, match="jordan_only"):
+        build_isometry(replace(data, pi=flipped), 3.0)
+    other = random_faithful_state(data.source, 11)
+    with pytest.raises(DataInvalid, match="state restriction defect"):
+        build_isometry(replace(data, reference_state=other), 3.0)
+
+
+def test_reconstruction_checks_the_initial_projection_first(monkeypatch):
+    data = random_isometry_data(2)
+    T = build_isometry(data, 3.0)
+    real = isometry_module.extract_polar_data
+
+    def halved(*args):
+        w, phibar = real(*args)
+        return w * 0.5, phibar
+
+    monkeypatch.setattr(isometry_module, "extract_polar_data", halved)
+    report = classify(T, data.reference_state, 3.0)
+    assert report.verdict == "reject" and report.failing_stage == "reconstruction"
+    # rejected before a rebuild is compared, as IsometryData.validate does
+    assert "reconstruction" not in report.defects

@@ -309,6 +309,19 @@ def test_clarkson_defect_equals_the_norm_loop(blocks):
             assert clarkson_defect(h, k).defect == _clarkson_by_norms(h, k)
 
 
+def test_clarkson_defect_at_large_p_factors_out_the_top_singular_value():
+    M3 = make_algebra([3])
+    h = _vec(M3, 2000.0, np.diag([4.0, 0, 0]))
+    # the p-th powers 4^2000 overflow; the orthogonal pair has defect 0
+    assert clarkson_defect(h, _vec(M3, 2000.0, np.diag([0, 4.0, 0]))).defect == 0.0
+    # a nonzero excess of order 4^2000 is inf, never NaN
+    assert clarkson_defect(h, h).defect == np.inf
+    assert clarkson_defect(h, _vec(M3, 2000.0, np.diag([1.0, 0, 0]))).defect == np.inf
+    # powers that do not overflow keep the plain arithmetic and its rounding
+    small, k = _vec(M3, 2000.0, np.diag([1.0, 0, 0])), _vec(M3, 2000.0, np.diag([0, 1.0, 0]))
+    assert clarkson_defect(small, k).defect == _clarkson_by_norms(small, k) > 0.0
+
+
 def test_lp_norm_homogeneity():
     rng = rng_for(4)
     for _ in range(20):

@@ -61,6 +61,23 @@ def test_decompose_rejects_p2_and_non_isometries():
         yeadon_decompose(garbage, 3.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_decompose_rejects_a_diagonal_support_that_disagrees_with_J(p):
+    # T = J + N with J the corner embedding M_2 -> M_3 and N(e_11) = e_33 =
+    # -N(e_22): T(1), w, B and the solved J are those of the embedding, but
+    # the image of e_11 has the larger support e_11 + e_33
+    from nclp.errors import NotAnIsometry
+
+    M3 = make_algebra([3])
+    matrix = np.zeros((9, 4))
+    for i in range(2):
+        for j in range(2):
+            matrix[3 * i + j, 2 * i + j] = 1.0
+    matrix[8, 0], matrix[8, 3] = 1.0, -1.0
+    with pytest.raises(NotAnIsometry, match="support of a diagonal image"):
+        yeadon_decompose(LpMap(M2, M3, p, matrix), p)
+
+
 def test_build_diagonal_weights_oracle():
     # source C + C with weights (a^p, b^p); B = diag(a, b) against the plain
     # target trace gives an isometry, by direct singular values
