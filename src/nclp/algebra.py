@@ -11,7 +11,7 @@ everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -217,11 +217,21 @@ class Projection(AlgebraElement):
 
     def __init__(self, algebra: Algebra, data, tol: float | None = None):
         super().__init__(algebra, data)
-        tol = algebra.atol if tol is None else tol
-        if (self @ self - self).frobenius() > tol:
+        require_projections([b[None] for b in self.data], algebra.atol if tol is None else tol)
+
+
+def require_projections(stacks: Sequence[np.ndarray], tol: float) -> None:
+    """Raise ShapeMismatch unless each element, whose blocks are the rows of
+    the (N, n, n) stacks, is idempotent and self-adjoint within tol; the
+    elements are checked in row order and a NaN defect fails."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        idem = _stacked_frobenius([np.matmul(S, S) - S for S in stacks])
+        adj = _stacked_frobenius([S - S.conj().transpose(0, 2, 1) for S in stacks])
+    failing = np.flatnonzero(~((idem <= tol) & (adj <= tol)))
+    if failing.size:
+        if not idem[failing[0]] <= tol:
             raise ShapeMismatch("not idempotent within tolerance")
-        if (self - self.adjoint()).frobenius() > tol:
-            raise ShapeMismatch("not self-adjoint within tolerance")
+        raise ShapeMismatch("not self-adjoint within tolerance")
 
 
 def matrix_units(algebra: Algebra) -> list[AlgebraElement]:
@@ -567,6 +577,14 @@ class HomomorphismReport:
     def injective(self) -> bool:
         return self.injectivity > 1e-6
 
+    def kind_at(self, tol: float) -> str:
+        """The kind these defects give at the tolerance tol."""
+        if self.star_defect <= tol and self.mult_defect <= tol:
+            return "star_homomorphism"
+        if self.star_defect <= tol and self.jordan_defect <= tol:
+            return "jordan_only"
+        return "neither"
+
 
 def _stacked_frobenius(stacks: list[np.ndarray]) -> np.ndarray:
     """Frobenius norms of the elements whose target blocks are the rows of
@@ -629,11 +647,5 @@ def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismRe
     star_defect = float(np.max(star))
     mult_defect, jordan_defect = (float(x) for x in np.max(rows, axis=0))
 
-    injectivity = F.min_singular_value()
-    if star_defect <= tol and mult_defect <= tol:
-        kind = "star_homomorphism"
-    elif star_defect <= tol and jordan_defect <= tol:
-        kind = "jordan_only"
-    else:
-        kind = "neither"
-    return HomomorphismReport(kind, star_defect, jordan_defect, mult_defect, injectivity)
+    report = HomomorphismReport("", star_defect, jordan_defect, mult_defect, F.min_singular_value())
+    return replace(report, kind=report.kind_at(tol))

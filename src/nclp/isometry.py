@@ -54,6 +54,7 @@ from .lp import (
     lp_norms,
     mazur_map,
     polar_decompose,
+    right_supports,
     state_power,
 )
 
@@ -136,6 +137,10 @@ def extract_pi(T: LpMap, phi: State, p: float) -> AlgebraMap:
     right support of T(phi^{1/p} e); the map extends first real-linearly over
     spectral decompositions, then complex-linearly.  The module relation
     T(phi^{1/p} x) = T(phi^{1/p}) pi(x) is verified on the basis afterwards.
+
+    All projections go through T at once: row r is vec(phi^{1/p} e_r), T is
+    applied as one matvec per row (bitwise T(h)), and `right_supports`
+    takes one stacked SVD per target block.
     """
     p = float(p)
     if p == 2.0:
@@ -146,32 +151,39 @@ def extract_pi(T: LpMap, phi: State, p: float) -> AlgebraMap:
     if phi.algebra != src:
         raise DataInvalid("state lives on a different algebra than the map source")
     rho_pow = phi.power_element(1.0 / p)
+    if not (1.0 <= p < np.inf):
+        raise ExponentUnsupported(f"p must lie in [1, inf), got {p}")
+    if p != T.p:
+        raise ExponentMismatch(f"a vector at p = {p} given to a map at p = {T.p}")
 
-    def image_of_projection(e: AlgebraElement) -> AlgebraElement:
-        h = T(LpVector.from_element(rho_pow @ e, p))
-        return polar_decompose(h).s_right
-
-    herm_images = []
-    for x in hermitian_basis(src):
-        img = AlgebraElement.zero(tgt)
+    # one row per nonzero spectral cluster, with its value and basis element
+    basis = hermitian_basis(src)
+    rows, values, owners = [], [], []
+    for k, x in enumerate(basis):
         for cluster in spectral_clusters(x.data, lambda top: 1e-8 * max(1.0, top)):
             val = float(np.mean([t[0] for t in cluster]))
             if abs(val) < 1e-12:
                 continue
-            img = img + val * image_of_projection(cluster_projection(src, cluster))
-        herm_images.append(img)
+            rows.append((rho_pow @ cluster_projection(src, cluster)).vec())
+            values.append(val)
+            owners.append(k)
+    rows = np.array(rows)
+    supports = right_supports(tgt, np.matmul(T.matrix, rows[:, :, None])[:, :, 0])
+    herm_images = [np.zeros(tgt.total_dim, dtype=complex) for _ in basis]
+    for k, val, support in zip(owners, values, supports):
+        herm_images[k] = herm_images[k] + val * support
 
     # hermitian basis order per block: diagonals first, then (sym, asym) pairs
     images = iter(herm_images)
     matrix = np.zeros((tgt.total_dim, src.total_dim), dtype=complex)
     for off, n in zip(src.offsets(), src.blocks):
         for i in range(n):
-            matrix[:, off + i * n + i] = next(images).vec()
+            matrix[:, off + i * n + i] = next(images)
         for i in range(n):
             for j in range(i + 1, n):
                 sym, asym = next(images), next(images)
-                matrix[:, off + i * n + j] = ((sym - 1j * asym) * 0.5).vec()
-                matrix[:, off + j * n + i] = ((sym + 1j * asym) * 0.5).vec()
+                matrix[:, off + i * n + j] = 0.5 * (sym - 1j * asym)
+                matrix[:, off + j * n + i] = 0.5 * (sym + 1j * asym)
     pi = AlgebraMap(src, tgt, matrix)
 
     # the module relation T L_{rho^{1/p}} = L_{T(rho^{1/p})} pi, one column per unit
@@ -256,10 +268,15 @@ def _amplified_indicator(algebra: Algebra, n: int, p: float, positions) -> LpVec
     return LpVector.from_element(AlgebraElement.from_vec(big, vec), p)
 
 
-def _grid_positions(algebra: Algebra, b: int, k: int, l: int, n: int) -> list:
+def _unit_positions(algebra: Algebra, n: int) -> list:
+    """The positions of e_ac (x) u for a, c in {0, 1}, as [a][c]."""
+    return [[_amplified_positions(algebra, n, a, c) for c in (0, 1)] for a in (0, 1)]
+
+
+def _grid_positions(algebra: Algebra, units: list, b: int, k: int, l: int) -> list:
     off, nb = algebra.offsets()[b], algebra.blocks[b]
     return [
-        _amplified_positions(algebra, n, a, c)[off + qa * nb + qc]
+        units[a][c][off + qa * nb + qc]
         for a, qa in enumerate((k, l))
         for c, qc in enumerate((k, l))
     ]
@@ -269,15 +286,16 @@ def _witness_positions(algebra: Algebra, n: int) -> list:
     """Positions of the ones of each structured witness in the n-fold
     amplification: the grid witnesses of every block, then row and column
     witnesses."""
+    units = _unit_positions(algebra, n)
     out = [
-        _grid_positions(algebra, b, k, l, n)
+        _grid_positions(algebra, units, b, k, l)
         for b, nb in enumerate(algebra.blocks)
         for k in range(nb)
         for l in range(k + 1, nb)
     ]
     # row and column witnesses e_11 (x) u_i + e_12 (x) u_j and
     # e_11 (x) u_i + e_21 (x) u_j across blocks, for abelian parts
-    first, row, col = (_amplified_positions(algebra, n, *ac) for ac in ((0, 0), (0, 1), (1, 0)))
+    first, row, col = units[0][0], units[0][1], units[1][0]
     cap = min(algebra.total_dim, 12)
     for i in range(cap):
         for j in range(i + 1, cap):
@@ -290,7 +308,8 @@ def grid_witness(algebra: Algebra, b: int, k: int, l: int, p: float, n: int = 2)
     b in the n-fold amplification; a transpose on the block changes its L_p
     norm for p != 2, so it detects maps that are Jordan but not
     multiplicative."""
-    return _amplified_indicator(algebra, n, p, _grid_positions(algebra, b, k, l, n))
+    positions = _grid_positions(algebra, _unit_positions(algebra, n), b, k, l)
+    return _amplified_indicator(algebra, n, p, positions)
 
 
 def structured_witnesses(algebra: Algebra, p: float, n: int = 2) -> list[LpVector]:
@@ -318,8 +337,8 @@ def two_isometry_defect(
     rng = np.random.default_rng(seed)
     positions = _witness_positions(T.source, n)
     witnesses = np.zeros((len(positions), big.source.total_dim), dtype=complex)
-    for r, pos in enumerate(positions):
-        witnesses[r, pos] = 1.0
+    owners = np.repeat(np.arange(len(positions)), [len(pos) for pos in positions])
+    witnesses[owners, np.concatenate(positions)] = 1.0
     rows = np.vstack([witnesses, _sample_rows(big.source, sample_count, rng)])
     return _norm_defect(big, rows, source_weights, relative)
 

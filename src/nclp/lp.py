@@ -19,6 +19,7 @@ from .algebra import (
     Projection,
     State,
     _require_finite,
+    require_projections,
 )
 from .errors import (
     ExponentMismatch,
@@ -129,6 +130,15 @@ class PolarData:
     s_right: Projection
 
 
+def _rank_masks(svals: list[np.ndarray]) -> list[np.ndarray]:
+    """Per block, which singular values count as nonzero: those above
+    RANK_REL_TOL times the top one across all blocks, none when every one
+    vanishes.  Each array holds descending singular values on its last
+    axis; leading axes index stacked vectors, each with its own top."""
+    top = np.max([s[..., 0] for s in svals], axis=0)[..., None]
+    return [(s > RANK_REL_TOL * top) & (top > 0) for s in svals]
+
+
 def polar_decompose(h: LpVector) -> PolarData:
     """Polar-decompose blockwise via SVD.
 
@@ -138,11 +148,9 @@ def polar_decompose(h: LpVector) -> PolarData:
     """
     alg = h.algebra
     svds = [np.linalg.svd(b) for b in h.data]
-    top = max(float(s[0]) if s.size else 0.0 for _, s, _ in svds)
-    thr = RANK_REL_TOL * top
+    keeps = _rank_masks([s for _, s, _ in svds])
     w_blocks, m_blocks, sl_blocks, sr_blocks = [], [], [], []
-    for u, s, vh in svds:
-        keep = (s > thr) if top > 0 else np.zeros(s.shape, dtype=bool)
+    for (u, s, vh), keep in zip(svds, keeps):
         ur = u[:, keep]
         vr = vh[keep, :].conj().T
         w_blocks.append(ur @ vr.conj().T)
@@ -155,6 +163,30 @@ def polar_decompose(h: LpVector) -> PolarData:
         s_left=Projection(alg, sl_blocks),
         s_right=Projection(alg, sr_blocks),
     )
+
+
+def right_supports(algebra: Algebra, rows: np.ndarray) -> np.ndarray:
+    """Right support projections of the rows of an N x total_dim array, as
+    rows, each bitwise `polar_decompose(h).s_right` of its row h.
+
+    One stacked SVD per block and the rank rule of `polar_decompose`; each
+    support is vr vr* on the kept right singular vectors of its own row.
+    The supports are checked as projections, in row order, within the
+    algebra's tolerance.
+    """
+    svds = [
+        np.linalg.svd(rows[:, off : off + n * n].reshape(-1, n, n))
+        for off, n in zip(algebra.offsets(), algebra.blocks)
+    ]
+    stacks = []
+    for (_, _, vh), keep in zip(svds, _rank_masks([s for _, s, _ in svds])):
+        stack = np.empty_like(vh)
+        for r in range(len(vh)):
+            vr = vh[r][keep[r], :].conj().T
+            stack[r] = vr @ vr.conj().T
+        stacks.append(stack)
+    require_projections(stacks, algebra.atol)
+    return np.hstack([stack.reshape(len(stack), -1) for stack in stacks])
 
 
 def state_power(phi: State, alpha: float) -> LpVector:

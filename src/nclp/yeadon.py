@@ -158,12 +158,18 @@ def build_yeadon_map(
 ) -> LpMap:
     """Assemble x -> w B J(x) after verifying the triple's conditions."""
     p = float(p)
+    weights = _weights(triple.J.source, trace_weights)
+    return _assemble_yeadon_map(triple, p, weights, homomorphism_kind(triple.J))
+
+
+def _assemble_yeadon_map(triple: YeadonTriple, p: float, weights, report) -> LpMap:
+    """build_yeadon_map given the homomorphism report of J at any tolerance;
+    its kind is taken at the tolerance of the triple's conditions."""
     J, w, B = triple.J, triple.w, triple.B
-    weights = _weights(J.source, trace_weights)
     tol = 1e-7 * max(1, J.target.total_dim)
-    report = homomorphism_kind(J, tol=tol)
-    if report.kind == "neither" or not report.injective:
-        raise DataInvalid(f"J is not a Jordan *-monomorphism ({report.kind})")
+    kind = report.kind_at(tol)
+    if kind == "neither" or not report.injective:
+        raise DataInvalid(f"J is not a Jordan *-monomorphism ({kind})")
     j_one = triple.j_one()
     sB = polar_decompose(LpVector.from_element(B, p)).s_right
     if (w.adjoint() @ w - j_one).frobenius() > tol or (j_one - sB).frobenius() > tol:
@@ -203,8 +209,10 @@ def jordan_dichotomy_report(
     the report also states whether that biconditional held numerically.
     """
     weights = _weights(triple.J.source, trace_weights)
-    T = build_yeadon_map(triple, p, weights)
+    # one certificate of J: the defects do not depend on the tolerance, so
+    # the assembly and this report each take the kind at their own
     report = homomorphism_kind(triple.J)
+    T = _assemble_yeadon_map(triple, float(p), weights, report)
     samples = _sample_rows(triple.J.source, 20, np.random.default_rng(11))
     iso = _norm_defect(T, samples, weights, relative=True)
     # block weights are unchanged by amplification

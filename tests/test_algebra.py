@@ -3,9 +3,11 @@ import pytest
 
 from nclp.algebra import (
     EPS_FAITHFUL,
+    Algebra,
     AlgebraElement,
     AlgebraMap,
     HomomorphismReport,
+    Projection,
     State,
     cluster_projection,
     conjugation_map,
@@ -402,3 +404,20 @@ def test_homomorphism_kind_keeps_nan_defects():
     assert np.isnan(report.mult_defect)
     assert np.isnan(report.jordan_defect)
     assert report.kind == "neither"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projection_rejects_non_finite_blocks(bad):
+    with pytest.raises(ShapeMismatch, match="not idempotent"):
+        Projection(Algebra((2,)), [np.full((2, 2), bad)])
+
+
+def test_kind_at_reclassifies_the_same_defects():
+    from nclp.samples import random_yeadon_triple
+
+    J = random_yeadon_triple(1, 3.0)[0].J
+    report = homomorphism_kind(J)
+    assert report.kind_at(max(J.source.atol, J.target.atol)) == report.kind == "jordan_only"
+    assert report.kind_at(2 * report.mult_defect) == "star_homomorphism"
+    assert report.kind_at(report.star_defect / 2) == "neither"
+    assert homomorphism_kind(J, tol=1.0).kind == report.kind_at(1.0)

@@ -673,3 +673,152 @@ def test_reconstruction_checks_the_initial_projection_first(monkeypatch):
     assert report.verdict == "reject" and report.failing_stage == "reconstruction"
     # rejected before a rebuild is compared, as IsometryData.validate does
     assert "reconstruction" not in report.defects
+
+
+# -- the batched extraction against the per-projection loop it replaced -------
+
+
+def _extract_pi_by_projection(T, phi, p):
+    """Reference: extract_pi as one map call and one polar decomposition
+    per spectral projection, accumulating each Hermitian image in order."""
+    from nclp.algebra import cluster_projection, hermitian_basis, spectral_clusters
+    from nclp.lp import polar_decompose
+
+    p = float(p)
+    if p == 2.0:
+        raise ExponentUnsupported("extraction is undefined at p = 2")
+    src, tgt = T.source, T.target
+    rho_pow = phi.power_element(1.0 / p)
+    herm_images = []
+    for x in hermitian_basis(src):
+        img = AlgebraElement.zero(tgt)
+        for cluster in spectral_clusters(x.data, lambda top: 1e-8 * max(1.0, top)):
+            val = float(np.mean([t[0] for t in cluster]))
+            if abs(val) < 1e-12:
+                continue
+            h = T(LpVector.from_element(rho_pow @ cluster_projection(src, cluster), p))
+            img = img + val * polar_decompose(h).s_right
+        herm_images.append(img)
+    images = iter(herm_images)
+    matrix = np.zeros((tgt.total_dim, src.total_dim), dtype=complex)
+    for off, n in zip(src.offsets(), src.blocks):
+        for i in range(n):
+            matrix[:, off + i * n + i] = next(images).vec()
+        for i in range(n):
+            for j in range(i + 1, n):
+                sym, asym = next(images), next(images)
+                matrix[:, off + i * n + j] = ((sym - 1j * asym) * 0.5).vec()
+                matrix[:, off + j * n + i] = ((sym + 1j * asym) * 0.5).vec()
+    pi = AlgebraMap(src, tgt, matrix)
+    base_image = AlgebraElement.from_vec(tgt, T.matrix @ rho_pow.vec())
+    residual = T.matrix @ left_mult_matrix(rho_pow) - left_mult_matrix(base_image) @ pi.matrix
+    defect = float(np.max(np.linalg.norm(residual, axis=0)))
+    if not defect <= isometry_module.WARN_TOL:
+        raise NotAnIsometry(f"module relation fails on the basis (defect {defect:.3e})")
+    return pi
+
+
+def _extraction_outcome(extract, T, phi, p):
+    """The bytes of the recovered matrix, or the exception's type and message."""
+    try:
+        return extract(T, phi, p).matrix.tobytes()
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+
+
+# the instance plans of the benchmark: (source blocks, target plan)
+BENCH_PLANS = {
+    "P2": ((2,), [([(0, 1)], 2)]),
+    "P3": ((3,), [([(0, 1)], 2)]),
+    "P4": ((4,), [([(0, 1)], 2)]),
+    "M1": ((2, 1), [([(0, 2), (1, 1)], 1), ([(0, 1)], 1)]),
+    "M2": ((3,), [([(0, 2)], 0)]),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(BENCH_PLANS))
+def test_extract_pi_is_bitwise_the_per_projection_loop(plan):
+    source, layout = BENCH_PLANS[plan]
+    raised = set()
+    for seed in range(12):
+        data = random_isometry_data(seed, source, plan=layout)
+        flip = transpose_permutation(data.source)
+        phi = data.reference_state
+        for p in (1.0, 1.5, 3.0, 7.0):
+            T = build_isometry(data, p)
+            got = extract_pi(T, phi, p).matrix.tobytes()
+            assert got == _extract_pi_by_projection(T, phi, p).matrix.tobytes()
+            rng = rng_for(seed)
+            noise = rng.standard_normal(T.matrix.shape) + 1j * rng.standard_normal(T.matrix.shape)
+            for matrix in (T.matrix @ flip, T.matrix + 1e-3 * noise):
+                F = LpMap(T.source, T.target, p, matrix)
+                outcome = _extraction_outcome(extract_pi, F, phi, p)
+                assert outcome == _extraction_outcome(_extract_pi_by_projection, F, phi, p)
+                if isinstance(outcome, tuple):
+                    raised.add(outcome[0])
+    # the noisy maps reach the module relation and fail it
+    assert raised == {NotAnIsometry}
+
+
+def test_extract_pi_keeps_the_exponent_errors_of_a_map_call():
+    data = random_isometry_data(1)
+    T = build_isometry(data, 4.0)
+    phi = data.reference_state
+    for p in (3.0, 0.5, np.inf):
+        outcome = _extraction_outcome(extract_pi, T, phi, p)
+        assert outcome == _extraction_outcome(_extract_pi_by_projection, T, phi, p)
+        assert outcome[0] in (ExponentMismatch, ExponentUnsupported)
+
+
+def test_extract_pi_makes_no_map_call_and_no_polar_decomposition(monkeypatch):
+    import nclp.lp as lp_module
+
+    data = random_isometry_data(2)
+    T = build_isometry(data, 3.0)
+    want = _extract_pi_by_projection(T, data.reference_state, 3.0).matrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_pi called a per-vector routine")
+
+    monkeypatch.setattr(LpMap, "__call__", refuse)
+    monkeypatch.setattr(lp_module, "polar_decompose", refuse)
+    monkeypatch.setattr(isometry_module, "polar_decompose", refuse)
+    assert np.array_equal(extract_pi(T, data.reference_state, 3.0).matrix, want)
+
+
+def test_two_isometry_defect_places_the_unit_positions_once(monkeypatch):
+    import nclp.lp as lp_module
+
+    calls = []
+    real = lp_module._amplified_positions
+
+    def counted(algebra, n, i, j):
+        calls.append((algebra, i, j))
+        return real(algebra, n, i, j)
+
+    T = build_isometry(random_isometry_data(3), 3.0)
+    want = two_isometry_defect(T, 3.0)
+    monkeypatch.setattr(lp_module, "_amplified_positions", counted)
+    monkeypatch.setattr(isometry_module, "_amplified_positions", counted)
+    assert two_isometry_defect(T, 3.0) == want
+    # four for the witnesses on the source, 2 n^2 in amplify_map
+    assert sum(a == T.source for a, _, _ in calls) == 4 + 4
+    assert len(calls) == 4 + 8
+
+
+def test_extract_pi_takes_the_rank_threshold_across_blocks():
+    # a target block faded to 1e-11 of the others holds singular values
+    # below the threshold taken across blocks, though not below one taken
+    # within that block; its supports are dropped, as polar_decompose does
+    source, layout = BENCH_PLANS["M1"]
+    for seed in range(4):
+        data = random_isometry_data(seed, source, plan=layout)
+        T = build_isometry(data, 3.0)
+        off = data.target.offsets()[1]
+        matrix = T.matrix.copy()
+        matrix[off:] *= 1e-11
+        F = LpMap(T.source, T.target, 3.0, matrix)
+        pi = extract_pi(F, data.reference_state, 3.0)
+        assert not pi.matrix[off:].any()
+        want = _extract_pi_by_projection(F, data.reference_state, 3.0)
+        assert pi.matrix.tobytes() == want.matrix.tobytes()

@@ -9,6 +9,7 @@ from nclp.algebra import (
     make_algebra,
     matrix_units,
     random_faithful_state,
+    require_projections,
 )
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, ShapeMismatch
 from nclp.isometry import grid_witness
@@ -21,6 +22,7 @@ from nclp.lp import (
     lp_norms,
     mazur_map,
     polar_decompose,
+    right_supports,
     state_power,
     tensor_embed,
     trace_pairing,
@@ -416,3 +418,51 @@ def test_amplified_transpose_trace_norms():
     X = grid_witness(M2, 0, 0, 1, 1.0, 2)
     assert np.isclose(lp_norm(X), 2.0)
     assert np.isclose(lp_norm(big(X)), 4.0)
+
+
+def _support_rows(algebra, rng):
+    """Rows of full rank, rank one in a block, a block faded to 1e-12 of
+    the rest, a zero block, and all zero."""
+    rows = []
+    for kind in ("full", "rank_one", "faded", "zero_block", "zero"):
+        blocks = []
+        for b, n in enumerate(algebra.blocks):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if kind == "rank_one":
+                g = np.outer(g[:, 0], g[0].conj())
+            elif kind == "faded" and b == 0:
+                g = 1e-12 * g
+            elif (kind == "zero_block" and b == 1) or kind == "zero":
+                g = 0 * g
+            blocks.append(g)
+        rows.append(AlgebraElement(algebra, blocks).vec())
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("blocks", [[3], [2, 3], [1, 2, 2]])
+def test_right_supports_are_bitwise_the_polar_supports(blocks):
+    alg = make_algebra(blocks)
+    rows = _support_rows(alg, rng_for(len(blocks)))
+    got = right_supports(alg, rows)
+    for row, support in zip(rows, got):
+        h = LpVector.from_element(AlgebraElement.from_vec(alg, row), 3.0)
+        assert support.tobytes() == polar_decompose(h).s_right.vec().tobytes()
+    if len(blocks) > 1:
+        # the faded block lies below the threshold taken across blocks
+        assert not got[2, : blocks[0] ** 2].any()
+
+
+def test_require_projections_checks_rows_in_order():
+    e = np.diag([1.0, 0.0]).astype(complex)
+    oblique = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    require_projections([np.stack([e, np.eye(2)])], 1e-9)
+    with pytest.raises(ShapeMismatch, match="not idempotent"):
+        require_projections([np.stack([e, 2 * e])], 1e-9)
+    with pytest.raises(ShapeMismatch, match="not self-adjoint"):
+        require_projections([np.stack([e, oblique])], 1e-9)
+    # the first failing row decides the message
+    with pytest.raises(ShapeMismatch, match="not self-adjoint"):
+        require_projections([np.stack([oblique, 2 * e])], 1e-9)
+    # a failure in any block fails the element
+    with pytest.raises(ShapeMismatch, match="not idempotent"):
+        require_projections([np.stack([e, e]), np.stack([np.eye(1), 2 * np.eye(1)])], 1e-9)

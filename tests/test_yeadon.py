@@ -217,3 +217,36 @@ def test_dichotomy_equals_the_sample_loops(seed):
         rep = jordan_dichotomy_report(triple, p, weights)
         expected = _dichotomy_by_samples(triple, p, weights)
         assert (rep.isometry_defect, rep.witness_defect) == expected
+
+
+def test_dichotomy_certifies_J_once(monkeypatch):
+    import nclp.yeadon as yeadon_module
+    from nclp.algebra import homomorphism_kind
+    from nclp.errors import DataInvalid
+
+    calls = []
+
+    def counted(F, tol=None):
+        calls.append(tol)
+        return homomorphism_kind(F, tol)
+
+    triple, weights = transpose_triple(2)
+    J = triple.J
+    want = jordan_dichotomy_report(triple, 3.0, weights)
+    monkeypatch.setattr(yeadon_module, "homomorphism_kind", counted)
+    assert jordan_dichotomy_report(triple, 3.0, weights) == want
+    assert calls == [None]
+    assert want.kind == homomorphism_kind(triple.J).kind == "jordan_only"
+    # 1e-8 of noise is "neither" at the report's tolerance 1e-9 D but
+    # "jordan_only" at the assembly's 1e-7 D; 1e-3 is "neither" at both
+    rng_noise = rng_for(4).standard_normal(J.matrix.shape)
+    for scale, kind in ((1e-8, "neither"), (1e-3, None)):
+        noisy_J = AlgebraMap(J.source, J.target, J.matrix + scale * rng_noise)
+        noisy = YeadonTriple(J=noisy_J, w=triple.w, B=triple.B)
+        if kind is None:
+            for build in (build_yeadon_map, jordan_dichotomy_report):
+                with pytest.raises(DataInvalid, match=r"Jordan \*-monomorphism \(neither\)"):
+                    build(noisy, 3.0, weights)
+        else:
+            build_yeadon_map(noisy, 3.0, weights)
+            assert jordan_dichotomy_report(noisy, 3.0, weights).kind == kind

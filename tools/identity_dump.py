@@ -6,6 +6,9 @@ The file holds every suite report at seeds 0, 1 and 7 (timing stripped),
 and the ``classify`` verdict, failing stage, defects and warnings of
 ``random_isometry_data`` seeds 0-11 at p in {1, 1.5, 3, 7}: for the canonical
 map as built, composed with the transpose, and with 1e-5 of seeded noise.
+An accepted record also holds the sha256 of the bytes of the recovered
+``pi.matrix``, ``w``, ``expectation.map.matrix`` and ``phibar`` density, so
+a last-bit change in the recovered data shows even where the defects hide it.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp`` or ``diff``.
 BLAS runs on one thread, so that reductions happen in one fixed order.
@@ -14,6 +17,7 @@ BLAS runs on one thread, so that reductions happen in one fixed order.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -27,6 +31,21 @@ SUITE_SEEDS = (0, 1, 7)
 CLASSIFY_SEEDS = range(12)
 EXPONENTS = (1.0, 1.5, 3.0, 7.0)
 NOISE = 1e-5
+
+
+def _digest(array) -> str:
+    import numpy as np
+
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _recovered_digests(data) -> dict:
+    return {
+        "pi": _digest(data.pi.matrix),
+        "w": _digest(data.w.vec()),
+        "expectation": _digest(data.expectation.map.matrix),
+        "phibar": _digest(data.phibar.density.vec()),
+    }
 
 
 def _classify_records():
@@ -51,7 +70,7 @@ def _classify_records():
             }
             for name, matrix in variants.items():
                 report = classify(LpMap(T.source, T.target, p, matrix), data.reference_state, p)
-                yield {
+                record = {
                     "seed": seed,
                     "p": p,
                     "map": name,
@@ -60,6 +79,9 @@ def _classify_records():
                     "defects": report.defects,
                     "warnings": report.warnings,
                 }
+                if report.accepted:
+                    record["recovered"] = _recovered_digests(report.data)
+                yield record
 
 
 def _suite_records():
