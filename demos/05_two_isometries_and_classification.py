@@ -26,9 +26,9 @@ print("source blocks:", data.source.blocks, "-> target blocks:", data.target.blo
 
 p = 3.0
 T = build_isometry(data, p)
-print("isometry defect:       ", isometry_defect(T, p))
-print("2-amplified defect:    ", two_isometry_defect(T, p, n=2, relative=True))
-print("3-amplified defect:    ", two_isometry_defect(T, p, n=3, relative=True))
+print("isometry defect:       ", isometry_defect(T))
+print("2-amplified defect:    ", two_isometry_defect(T, n=2, relative=True))
+print("3-amplified defect:    ", two_isometry_defect(T, n=3, relative=True))
 
 # Classification recovers the data under the support normalization.
 report = classify(T, data.reference_state, p)

@@ -200,10 +200,6 @@ class AlgebraElement:
     def sup_norm(self) -> float:
         return max(float(np.linalg.norm(b, 2)) if b.size else 0.0 for b in self.data)
 
-    def is_hermitian(self, tol: float | None = None) -> bool:
-        tol = self.algebra.atol if tol is None else tol
-        return (self - self.adjoint()).frobenius() <= tol
-
     def allclose(self, other: "AlgebraElement", tol: float | None = None) -> bool:
         tol = self.algebra.atol if tol is None else tol
         return (self - other).frobenius() <= tol
@@ -307,6 +303,21 @@ def cluster_projection(algebra: Algebra, cluster) -> AlgebraElement:
 # -- states ------------------------------------------------------------------
 
 
+def support_calculus(
+    eigenpairs, fn: Callable[[np.ndarray], np.ndarray], threshold: float
+) -> list[np.ndarray]:
+    """The blocks v f(w) v* of the eigenpairs (w, v) of each block, with f
+    applied to the eigenvalues above threshold and 0 to the rest."""
+    out = []
+    for w, v in eigenpairs:
+        mask = w > threshold
+        values = fn(w[mask])
+        spectrum = np.zeros(w.shape, dtype=values.dtype)
+        spectrum[mask] = values
+        out.append((v * spectrum) @ v.conj().T)
+    return out
+
+
 class State:
     """A positive blockwise density matrix with unit trace.
 
@@ -362,54 +373,27 @@ class State:
             raise ShapeMismatch("element lives on a different algebra")
         return complex(sum(np.trace(r @ b) for r, b in zip(self._data, x.data)))
 
-    def _apply_eig(self, fn: Callable[[np.ndarray], np.ndarray]) -> list[np.ndarray]:
-        out = []
-        for w, v in zip(self._eigvals, self._eigvecs):
-            out.append((v * fn(w)) @ v.conj().T)
-        return out
+    def _calculus(self, fn: Callable[[np.ndarray], np.ndarray], threshold: float) -> AlgebraElement:
+        pairs = zip(self._eigvals, self._eigvecs)
+        return AlgebraElement._raw(self.algebra, support_calculus(pairs, fn, threshold))
 
     def _support_threshold(self) -> float:
         top = max(float(w.max()) for w in self._eigvals)
         return EPS_FAITHFUL * top
 
     def power_element(self, alpha: float) -> AlgebraElement:
-        """rho^alpha by spectral calculus (0^alpha = 0 for alpha > 0)."""
-        thr = self._support_threshold()
-
-        def f(w):
-            out = np.zeros_like(w)
-            mask = w > thr
-            out[mask] = w[mask] ** alpha
-            if alpha <= 0:
-                return out  # pseudo-inverse flavor on the support
-            out[~mask] = np.clip(w[~mask], 0, None) ** alpha
-            return out
-
-        return AlgebraElement._raw(self.algebra, self._apply_eig(f))
+        """rho^alpha by spectral calculus (0^alpha = 0 for alpha > 0); for
+        alpha <= 0 on the support of rho and zero on its kernel."""
+        thr = self._support_threshold() if alpha <= 0 else -np.inf
+        return self._calculus(lambda w: w**alpha, thr)
 
     def complex_power(self, z: complex) -> AlgebraElement:
         """rho^z on the support of rho, zero on its kernel."""
-        thr = self._support_threshold()
-
-        def f(w):
-            out = np.zeros(w.shape, dtype=complex)
-            mask = w > thr
-            out[mask] = np.exp(z * np.log(w[mask]))
-            return out
-
-        return AlgebraElement._raw(self.algebra, self._apply_eig(f))
+        return self._calculus(lambda w: np.exp(z * np.log(w)), self._support_threshold())
 
     def log_pseudo(self) -> AlgebraElement:
         """log(rho) on the support, zero on the kernel."""
-        thr = self._support_threshold()
-
-        def f(w):
-            out = np.zeros_like(w)
-            mask = w > thr
-            out[mask] = np.log(w[mask])
-            return out
-
-        return AlgebraElement._raw(self.algebra, self._apply_eig(f))
+        return self._calculus(np.log, self._support_threshold())
 
     def support(self) -> Projection:
         thr = self._support_threshold()

@@ -35,7 +35,7 @@ from .algebra import (
 )
 from .errors import (
     DataInvalid,
-    ExponentMismatch,
+    ExponentUnsupported,
     NonFaithful,
     NotInvariant,
     ShapeMismatch,
@@ -461,7 +461,7 @@ def lp_inclusion(
     the expectation."""
     p = float(p)
     if not (1.0 <= p < np.inf):
-        raise ExponentMismatch(f"p must lie in [1, inf), got {p}")
+        raise ExponentUnsupported(f"p must lie in [1, inf), got {p}")
     dec = A.decomposition
     phibar = E.state
     rho_A = restrict_state(A, phibar)

@@ -32,7 +32,6 @@ from .algebra import (
 )
 from .errors import (
     DataInvalid,
-    ExponentMismatch,
     ExponentUnsupported,
     NonFaithful,
     NotAnIsometry,
@@ -130,19 +129,20 @@ def transfer_exponent(
 # -- extraction ----------------------------------------------------------------
 
 
-def extract_pi(T: LpMap, phi: State, p: float) -> AlgebraMap:
+def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
     """Recover the underlying homomorphism from right supports.
 
     Each spectral projection e of each Hermitian basis element is sent to the
-    right support of T(phi^{1/p} e); the map extends first real-linearly over
-    spectral decompositions, then complex-linearly.  The module relation
-    T(phi^{1/p} x) = T(phi^{1/p}) pi(x) is verified on the basis afterwards.
+    right support of T(phi^{1/p} e), p = T.p; the map extends first
+    real-linearly over spectral decompositions, then complex-linearly.  The
+    module relation T(phi^{1/p} x) = T(phi^{1/p}) pi(x) is verified on the
+    basis afterwards.
 
     All projections go through T at once: row r is vec(phi^{1/p} e_r), T is
     applied as one matvec per row (bitwise T(h)), and `right_supports`
     takes one stacked SVD per target block.
     """
-    p = float(p)
+    p = T.p
     if p == 2.0:
         raise ExponentUnsupported("extraction is undefined at p = 2")
     if not phi.faithful:
@@ -151,10 +151,6 @@ def extract_pi(T: LpMap, phi: State, p: float) -> AlgebraMap:
     if phi.algebra != src:
         raise DataInvalid("state lives on a different algebra than the map source")
     rho_pow = phi.power_element(1.0 / p)
-    if not (1.0 <= p < np.inf):
-        raise ExponentUnsupported(f"p must lie in [1, inf), got {p}")
-    if p != T.p:
-        raise ExponentMismatch(f"a vector at p = {p} given to a map at p = {T.p}")
 
     # one row per nonzero spectral cluster, with its value and basis element
     basis = hermitian_basis(src)
@@ -195,10 +191,10 @@ def extract_pi(T: LpMap, phi: State, p: float) -> AlgebraMap:
     return pi
 
 
-def extract_polar_data(T: LpMap, phi: State, p: float):
-    """Polar data of the image of the reference vector: the partial isometry
-    and the state carried by the modulus' p-th power."""
-    h = T(state_power(phi, 1.0 / p))
+def extract_polar_data(T: LpMap, phi: State):
+    """Polar data of the image of the reference vector phi^{1/p}, p = T.p:
+    the partial isometry and the state carried by the modulus' p-th power."""
+    h = T(state_power(phi, 1.0 / T.p))
     if h.frobenius() < 1e-12:
         raise ZeroImage("the image of the reference vector vanished")
     pol = polar_decompose(h)
@@ -244,17 +240,14 @@ def _norm_defect(T: LpMap, rows: np.ndarray, weights, relative: bool) -> float:
 
 def isometry_defect(
     T: LpMap,
-    p: float,
     *,
     sample_count: int = 60,
     seed: int = 0,
     source_weights: Sequence[float] | None = None,
     relative: bool = True,
 ) -> float:
-    """Largest deviation |  ||T h||_p - ||h||_p  | over the unit basis and a
-    seeded sample of vectors."""
-    if float(p) != T.p:
-        raise ExponentMismatch(f"a defect at p = {p} asked of a map at p = {T.p}")
+    """Largest deviation |  ||T h||_p - ||h||_p  |, p = T.p, over the unit
+    basis and a seeded sample of vectors."""
     rng = np.random.default_rng(seed)
     rows = np.vstack([np.eye(T.source.total_dim), _sample_rows(T.source, sample_count, rng)])
     return _norm_defect(T, rows, source_weights, relative)
@@ -321,7 +314,6 @@ def structured_witnesses(algebra: Algebra, p: float, n: int = 2) -> list[LpVecto
 
 def two_isometry_defect(
     T: LpMap,
-    p: float,
     *,
     n: int = 2,
     sample_count: int = 60,
@@ -330,9 +322,7 @@ def two_isometry_defect(
     relative: bool = False,
 ) -> float:
     """Largest norm defect of the n-fold amplification over the structured
-    matrix-unit witnesses and a seeded sample."""
-    if float(p) != T.p:
-        raise ExponentMismatch(f"a defect at p = {p} asked of a map at p = {T.p}")
+    matrix-unit witnesses and a seeded sample, at p = T.p."""
     big = amplify_map(T, n)
     rng = np.random.default_rng(seed)
     positions = _witness_positions(T.source, n)
@@ -346,14 +336,13 @@ def two_isometry_defect(
 # -- star adjoint duals -----------------------------------------------------------
 
 
-def star_adjoint_dual(T: LpMap, p: float) -> LpMap:
+def star_adjoint_dual(T: LpMap) -> LpMap:
     """The star adjoint of the trace dual, k -> T'(k*)*, as a map at the
-    conjugate exponent.  In the fixed vectorization this is the Hermitian
-    adjoint of the matrix."""
-    p = float(p)
-    if p <= 1.0:
+    exponent conjugate to T.p.  In the fixed vectorization this is the
+    Hermitian adjoint of the matrix."""
+    if T.p <= 1.0:
         raise ExponentUnsupported("the dual at p = 1 lands in the algebra, not in an L_p space")
-    return LpMap(T.target, T.source, conjugate_exponent(p), T.matrix.conj().T)
+    return LpMap(T.target, T.source, conjugate_exponent(T.p), T.matrix.conj().T)
 
 
 # -- classification ---------------------------------------------------------------
@@ -407,8 +396,8 @@ def classify(
 
     # stage 1: metric defects; only a failed base isometry rejects here, a
     # bad amplified defect is diagnosed by the multiplicativity certificate
-    defects["isometry"] = isometry_defect(T, p, seed=seed)
-    defects["two_isometry"] = two_isometry_defect(T, p, n=2, seed=seed, relative=True)
+    defects["isometry"] = isometry_defect(T, seed=seed)
+    defects["two_isometry"] = two_isometry_defect(T, n=2, seed=seed, relative=True)
     algebraic_tol = max(T.source.atol, T.target.atol) * 10
     if not defects["isometry"] <= metric_tol:
         if defects["isometry"] < warn_tol:
@@ -417,7 +406,7 @@ def classify(
 
     # stage 2: homomorphism extraction and certification
     try:
-        pi = extract_pi(T, phi, p)
+        pi = extract_pi(T, phi)
     except NotAnIsometry:
         defects["multiplicativity"] = float("inf")
         return reject("multiplicativity")
@@ -428,7 +417,7 @@ def classify(
 
     # stage 3: polar data
     try:
-        w, phibar = extract_polar_data(T, phi, p)
+        w, phibar = extract_polar_data(T, phi)
     except ZeroImage:
         return reject("polar")
 

@@ -136,6 +136,25 @@ def _case_seed(seed: int, index: int) -> int:
     return int(seed) ^ int(index)
 
 
+def _per_case(config: SuiteConfig, tag: str, body, cycle: bool = True):
+    """Run body(i, seed, p, key) per case: seed = config.seed XOR i, p the
+    exponents in turn when cycle (else None), key the digested dict, which
+    body may extend.  body returns (fields, ok); each record is
+    {case, p, digest, **fields, pass}, and the suite passes when all do."""
+    exps = [float(p) for p in config.exponents] if cycle else None
+    cases = []
+    for i in range(config.sample_count):
+        seed = _case_seed(config.seed, i)
+        key = {"suite": tag, "seed": seed}
+        record = {"case": i}
+        p = None
+        if cycle:
+            p = key["p"] = record["p"] = exps[i % len(exps)]
+        fields, ok = body(i, seed, p, key)
+        cases.append({**record, "digest": _digest(key), **fields, "pass": ok})
+    return cases, all(case["pass"] for case in cases)
+
+
 def run_suite(config: SuiteConfig) -> SuiteReport:
     config = config.resolved()
     start = time.perf_counter()
@@ -239,12 +258,8 @@ def _suite_clarkson(config: SuiteConfig):
 
 def _suite_yeadon_roundtrip(config: SuiteConfig):
     tol = config.tolerances
-    exps = [float(p) for p in config.exponents]
-    cases = []
-    passed = True
-    for i in range(config.sample_count):
-        p = exps[i % len(exps)]
-        seed = _case_seed(config.seed, i)
+
+    def case(i, seed, p, key):
         triple, weights = random_yeadon_triple(seed, p)
         T = build_yeadon_map(triple, p, weights)
         back = yeadon_decompose(T, p, weights)
@@ -277,30 +292,17 @@ def _suite_yeadon_roundtrip(config: SuiteConfig):
                 (Bef - (Be + Bf)).frobenius(),
                 (wef - (we + wf)).frobenius(),
             )
-        ok = dist < tol["roundtrip"] and orth < tol["orthogonality"]
-        passed = passed and ok
-        cases.append(
-            {
-                "case": i,
-                "p": p,
-                "digest": _digest({"suite": "yeadon", "seed": seed, "p": p}),
-                "roundtrip_distance": dist,
-                "orthogonality_defect": orth,
-                "pass": ok,
-            }
-        )
-    return cases, passed
+        fields = {"roundtrip_distance": dist, "orthogonality_defect": orth}
+        return fields, dist < tol["roundtrip"] and orth < tol["orthogonality"]
+
+    return _per_case(config, "yeadon", case)
 
 
 def _suite_dichotomy(config: SuiteConfig):
     tol = config.tolerances
-    exps = [float(p) for p in config.exponents]
-    cases = []
-    passed = True
-    for i in range(config.sample_count):
-        p = exps[i % len(exps)]
-        seed = _case_seed(config.seed, i)
-        n = 2 + (i % 2)
+
+    def case(i, seed, p, key):
+        n = key["n"] = 2 + (i % 2)
         triple, weights = transpose_triple(n=n, seed=seed if i % 3 else None)
         rep = jordan_dichotomy_report(triple, p, weights, tol=tol["two_isometry"])
         bound = 2.0 - 4.0 ** (1.0 / p) - tol["witness_slack"]
@@ -317,21 +319,16 @@ def _suite_dichotomy(config: SuiteConfig):
         crep = jordan_dichotomy_report(ctrl, p, cweights, tol=tol["two_isometry"])
         ok = ok and crep.multiplicative and crep.two_isometry_defect < tol["two_isometry"]
         ok = ok and crep.biconditional_holds
-        passed = passed and ok
-        cases.append(
-            {
-                "case": i,
-                "p": p,
-                "digest": _digest({"suite": "dichotomy", "seed": seed, "p": p, "n": n}),
-                "transpose_kind": rep.kind,
-                "witness_defect": rep.witness_defect,
-                "witness_bound": bound,
-                "control_kind": crep.kind,
-                "control_two_isometry_defect": crep.two_isometry_defect,
-                "pass": ok,
-            }
-        )
-    return cases, passed
+        fields = {
+            "transpose_kind": rep.kind,
+            "witness_defect": rep.witness_defect,
+            "witness_bound": bound,
+            "control_kind": crep.kind,
+            "control_two_isometry_defect": crep.two_isometry_defect,
+        }
+        return fields, ok
+
+    return _per_case(config, "dichotomy", case)
 
 
 # -- classification ------------------------------------------------------------------
@@ -349,43 +346,29 @@ def _roundtrip_distance(data, report) -> float:
 
 def _suite_classify_roundtrip(config: SuiteConfig):
     tol = config.tolerances
-    exps = [float(p) for p in config.exponents]
-    cases = []
-    passed = True
-    for i in range(config.sample_count):
-        p = exps[i % len(exps)]
-        seed = _case_seed(config.seed, i)
+
+    def case(i, seed, p, key):
         data = random_isometry_data(seed)
         T = build_isometry(data, p)
         report = classify(T, data.reference_state, p)
         dist = _roundtrip_distance(data, report) if report.accepted else float("inf")
-        ok = report.accepted and dist < tol["distance"]
-        passed = passed and ok
-        cases.append(
-            {
-                "case": i,
-                "p": p,
-                "digest": _digest({"suite": "classify", "seed": seed, "p": p}),
-                "verdict": report.verdict,
-                "defects": {k: float(v) for k, v in report.defects.items()},
-                "recovered_distance": dist,
-                "pass": ok,
-            }
-        )
-    return cases, passed
+        fields = {
+            "verdict": report.verdict,
+            "defects": {k: float(v) for k, v in report.defects.items()},
+            "recovered_distance": dist,
+        }
+        return fields, report.accepted and dist < tol["distance"]
+
+    return _per_case(config, "classify", case)
 
 
 def _suite_state_restriction(config: SuiteConfig):
     tol = config.tolerances
-    exps = [float(p) for p in config.exponents]
-    cases = []
-    passed = True
-    for i in range(config.sample_count):
-        p = exps[i % len(exps)]
-        seed = _case_seed(config.seed, i)
+
+    def case(i, seed, p, key):
         data = random_isometry_data(seed)
         T = build_isometry(data, p)
-        w, phibar = extract_polar_data(T, data.reference_state, p)
+        w, phibar = extract_polar_data(T, data.reference_state)
         defect = verify_state_restriction(phibar, data.pi, data.reference_state)
         # perturbed state must be detected
         rng = rng_for(seed + 5)
@@ -403,19 +386,10 @@ def _suite_state_restriction(config: SuiteConfig):
             blocks.append((vv * np.clip(ww, 1e-8, None)) @ vv.conj().T)
         perturbed = State(data.target, blocks, normalize=True)
         bad = verify_state_restriction(perturbed, data.pi, data.reference_state)
-        ok = defect < tol["defect"] and bad > tol["perturbed_min"]
-        passed = passed and ok
-        cases.append(
-            {
-                "case": i,
-                "p": p,
-                "digest": _digest({"suite": "restriction", "seed": seed, "p": p}),
-                "restriction_defect": defect,
-                "perturbed_defect": bad,
-                "pass": ok,
-            }
-        )
-    return cases, passed
+        fields = {"restriction_defect": defect, "perturbed_defect": bad}
+        return fields, defect < tol["defect"] and bad > tol["perturbed_min"]
+
+    return _per_case(config, "restriction", case)
 
 
 def _suite_interpolation(config: SuiteConfig):
@@ -470,62 +444,36 @@ def _suite_interpolation(config: SuiteConfig):
 
 def _suite_duality(config: SuiteConfig):
     tol = config.tolerances
-    exps = [float(p) for p in config.exponents]
-    cases = []
-    passed = True
-    for i in range(config.sample_count):
-        p = exps[i % len(exps)]
-        pp = p / (p - 1.0)
-        seed = _case_seed(config.seed, i)
+
+    def case(i, seed, p, key):
         data = random_isometry_data(seed)
         Tp = build_isometry(data, p)
-        Tpp = build_isometry(data, pp)
-        dual = star_adjoint_dual(Tpp, pp)
+        dual = star_adjoint_dual(build_isometry(data, p / (p - 1.0)))
         resid = float(
             np.max(np.abs(dual.matrix @ Tp.matrix - np.eye(Tp.source.total_dim)))
         )
-        ok = resid < tol["identity"]
-        passed = passed and ok
-        cases.append(
-            {
-                "case": i,
-                "p": p,
-                "digest": _digest({"suite": "duality", "seed": seed, "p": p}),
-                "composition_residual": resid,
-                "pass": ok,
-            }
-        )
-    return cases, passed
+        return {"composition_residual": resid}, resid < tol["identity"]
+
+    return _per_case(config, "duality", case)
 
 
 def _suite_extrapolation(config: SuiteConfig):
     tol = config.tolerances
     qs = [float(q) for q in config.exponents]
-    cases = []
-    passed = True
-    for i in range(config.sample_count):
-        seed = _case_seed(config.seed, i)
+
+    def case(i, seed, p, key):
         data = random_isometry_data(seed)
-        T3 = build_isometry(data, 3.0)
-        premise = isometry_defect(T3, 3.0, seed=seed)
+        premise = isometry_defect(build_isometry(data, 3.0), seed=seed)
         defects = {}
         for q in qs:
             Tq = transfer_exponent(
                 data.pi, data.reference_state, data.phibar, data.w, q
             )
-            defects[str(q)] = isometry_defect(Tq, q, seed=seed)
+            defects[str(q)] = isometry_defect(Tq, seed=seed)
         ok = premise < tol["defect"] and all(v < tol["defect"] for v in defects.values())
-        passed = passed and ok
-        cases.append(
-            {
-                "case": i,
-                "digest": _digest({"suite": "extrapolation", "seed": seed}),
-                "premise_defect_p3": premise,
-                "transfer_defects": defects,
-                "pass": ok,
-            }
-        )
-    return cases, passed
+        return {"premise_defect_p3": premise, "transfer_defects": defects}, ok
+
+    return _per_case(config, "extrapolation", case, cycle=False)
 
 
 def _suite_lemma41(config: SuiteConfig):
@@ -564,11 +512,9 @@ def _suite_lemma41(config: SuiteConfig):
 
 def _suite_expectation_detect(config: SuiteConfig):
     tol = config.tolerances
-    cases = []
-    passed = True
     search = int(tol.get("search", 500))
-    for i in range(config.sample_count):
-        seed = _case_seed(config.seed, i)
+
+    def case(i, seed, p, key):
         # noninvariant inclusion: a positive invariance defect and a strict
         # norm-drop witness must both be found
         A, phibar = random_noninvariant_inclusion(seed)
@@ -603,21 +549,14 @@ def _suite_expectation_detect(config: SuiteConfig):
         unit_a = Ainv.unit
         one = AlgebraElement.identity(Ainv.parent)
         inv_defect = max(inv_defect, (E(one) - unit_a).frobenius())
-        inv_ok = inv_defect < tol["invariants"]
+        fields = {
+            "noninvariant_defect": check.defect,
+            "witness_gap": best_gap,
+            "invariant_expectation_defect": inv_defect,
+        }
+        return fields, non_ok and inv_defect < tol["invariants"]
 
-        ok = non_ok and inv_ok
-        passed = passed and ok
-        cases.append(
-            {
-                "case": i,
-                "digest": _digest({"suite": "detect", "seed": seed}),
-                "noninvariant_defect": check.defect,
-                "witness_gap": best_gap,
-                "invariant_expectation_defect": inv_defect,
-                "pass": ok,
-            }
-        )
-    return cases, passed
+    return _per_case(config, "detect", case, cycle=False)
 
 
 _P_NE_2_SUITES = {"clarkson", "yeadon_roundtrip", "dichotomy", "classify_roundtrip"}

@@ -27,9 +27,11 @@ from .algebra import (
     left_mult_matrix,
     matrix_units,
     right_mult_matrix,
+    support_calculus,
 )
 from .errors import (
     DataInvalid,
+    ExponentMismatch,
     ExponentUnsupported,
     NotAnIsometry,
     ShapeMismatch,
@@ -73,17 +75,10 @@ def projection_polar_parts(T: LpMap, e: AlgebraElement) -> tuple[AlgebraElement,
 
 
 def _pseudo_inverse_positive(B: LpVector) -> AlgebraElement:
-    blocks = []
-    top = max(
-        float(np.linalg.eigvalsh((b + b.conj().T) / 2).max()) if b.size else 0.0
-        for b in B.data
-    )
-    thr = 1e-10 * max(top, 1e-300)
-    for b in B.data:
-        w, v = np.linalg.eigh((b + b.conj().T) / 2)
-        inv = np.where(w > thr, 1.0 / np.where(w > thr, w, 1.0), 0.0)
-        blocks.append((v * inv) @ v.conj().T)
-    return AlgebraElement(B.algebra, blocks)
+    eigs = [np.linalg.eigh((b + b.conj().T) / 2) for b in B.data]
+    top = max(float(w.max()) if w.size else 0.0 for w, _ in eigs)
+    inverse = support_calculus(eigs, lambda w: 1.0 / w, 1e-10 * max(top, 1e-300))
+    return AlgebraElement(B.algebra, inverse)
 
 
 def yeadon_decompose(
@@ -97,6 +92,8 @@ def yeadon_decompose(
     conditions (1) to (3) are verified before returning.
     """
     p = float(p)
+    if p != T.p:
+        raise ExponentMismatch(f"a decomposition at p = {p} asked of a map at p = {T.p}")
     if p == 2.0:
         raise ExponentUnsupported("the decomposition is undefined at p = 2")
     weights = _weights(T.source, trace_weights)
@@ -216,7 +213,7 @@ def jordan_dichotomy_report(
     samples = _sample_rows(triple.J.source, 20, np.random.default_rng(11))
     iso = _norm_defect(T, samples, weights, relative=True)
     # block weights are unchanged by amplification
-    two = two_isometry_defect(T, p, n=2, source_weights=weights)
+    two = two_isometry_defect(T, n=2, source_weights=weights)
     # norm defect at the grid witness of the first two units of each block
     big = amplify_map(T, 2)
     wide = [b for b, nb in enumerate(T.source.blocks) if nb >= 2]

@@ -76,9 +76,9 @@ def test_factory_isometry(instances):
     saw_positive_w = saw_generic_w = saw_corner = False
     for seed, p, data in instances:
         T = build_isometry(data, p)
-        d_iso = isometry_defect(T, p, sample_count=40, seed=seed)
-        d_two = two_isometry_defect(T, p, n=2, sample_count=25, seed=seed, relative=True)
-        d_three = two_isometry_defect(T, p, n=3, sample_count=15, seed=seed, relative=True)
+        d_iso = isometry_defect(T, sample_count=40, seed=seed)
+        d_two = two_isometry_defect(T, n=2, sample_count=25, seed=seed, relative=True)
+        d_three = two_isometry_defect(T, n=3, sample_count=15, seed=seed, relative=True)
         assert d_iso < 1e-8, (seed, p, d_iso)
         assert d_two < 1e-8, (seed, p, d_two)
         assert d_three < 1e-8, (seed, p, d_three)
@@ -231,10 +231,10 @@ def test_extrapolation_and_duality(instances):
     worst_transfer = 0.0
     for seed, _, data in instances[:10]:
         T3 = build_isometry(data, 3.0)
-        assert isometry_defect(T3, 3.0, seed=seed) < 1e-8
+        assert isometry_defect(T3, seed=seed) < 1e-8
         for q in (2.5, 4.0, 7.0):
             Tq = transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, q)
-            worst_transfer = max(worst_transfer, isometry_defect(Tq, q, seed=seed))
+            worst_transfer = max(worst_transfer, isometry_defect(Tq, seed=seed))
     assert worst_transfer < 1e-8
 
     worst_dual = 0.0
@@ -243,7 +243,7 @@ def test_extrapolation_and_duality(instances):
             pp = p / (p - 1.0)
             Tp = build_isometry(data, p)
             Tpp = build_isometry(data, pp)
-            comp = star_adjoint_dual(Tpp, pp).matrix @ Tp.matrix
+            comp = star_adjoint_dual(Tpp).matrix @ Tp.matrix
             worst_dual = max(
                 worst_dual, float(np.max(np.abs(comp - np.eye(Tp.source.total_dim))))
             )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nclp.algebra import AlgebraElement, State, make_algebra, matrix_units, random_faithful_state
-from nclp.errors import DataInvalid, NotInvariant
+from nclp.errors import DataInvalid, ExponentUnsupported, NotInvariant
 from nclp.expectation import (
     Subalgebra,
     _certify_expectation,
@@ -255,6 +255,14 @@ def test_lp_inclusion_identity_case():
     # labels; norms and the reference vector are preserved exactly
     rho_A = restrict_state(A, phibar)
     assert (iota(state_power(rho_A, 1 / 3)) - state_power(phibar, 1 / 3)).frobenius() < 1e-9
+
+
+def test_lp_inclusion_refuses_an_exponent_below_one():
+    A = _full_subalgebra(M2)
+    E = construct_expectation(A, random_faithful_state(M2, 5))
+    for p in (0.5, np.inf):
+        with pytest.raises(ExponentUnsupported):
+            lp_inclusion(A, E, p)
 
 
 def test_lp_inclusion_reference_vector_and_isometry():

@@ -16,7 +16,6 @@ import nclp.expectation as expectation_module
 import nclp.isometry as isometry_module
 from nclp.errors import (
     DataInvalid,
-    ExponentMismatch,
     ExponentUnsupported,
     NotAnIsometry,
     ShapeMismatch,
@@ -35,7 +34,16 @@ from nclp.isometry import (
     two_isometry_defect,
     verify_state_restriction,
 )
-from nclp.lp import LpMap, LpVector, amplify_map, lp_norm, state_power, tensor_embed
+from nclp.lp import (
+    LpMap,
+    LpVector,
+    amplify_map,
+    conjugate_exponent,
+    lp_norm,
+    polar_decompose,
+    state_power,
+    tensor_embed,
+)
 from nclp.samples import (
     haar_unitary,
     random_element,
@@ -85,7 +93,7 @@ def test_build_unitary_left_multiplication():
     )
     T = build_isometry(data, 3.0)
     assert np.max(np.abs(T.matrix - left_mult_matrix(u))) < 1e-10
-    assert isometry_defect(T, 3.0) < 1e-12
+    assert isometry_defect(T) < 1e-12
 
 
 def test_build_rejects_bad_w():
@@ -110,8 +118,8 @@ def test_factory_maps_isometric_all_exponents():
         data = random_isometry_data(seed)
         for p in (1.0, 1.5, 3.0, 4.0, 7.0):
             T = build_isometry(data, p)
-            assert isometry_defect(T, p, sample_count=40) < 1e-9
-            assert two_isometry_defect(T, p, n=2, sample_count=30, relative=True) < 1e-9
+            assert isometry_defect(T, sample_count=40) < 1e-9
+            assert two_isometry_defect(T, n=2, sample_count=30, relative=True) < 1e-9
 
 
 def test_module_property():
@@ -132,26 +140,26 @@ def test_module_property():
 def test_extract_pi_identity_and_roundtrip():
     phi = random_faithful_state(M2, 12)
     T = LpMap.identity(M2, 3.0)
-    pi = extract_pi(T, phi, 3.0)
+    pi = extract_pi(T, phi)
     assert np.max(np.abs(pi.matrix - np.eye(4))) < 1e-10
 
     data = random_isometry_data(7)
     Tf = build_isometry(data, 3.0)
-    pi_rec = extract_pi(Tf, data.reference_state, 3.0)
+    pi_rec = extract_pi(Tf, data.reference_state)
     assert np.max(np.abs(pi_rec.matrix - data.pi.matrix)) < 1e-9
 
 
 def test_extract_pi_transpose_is_jordan_only():
     phi = State(M2, [np.eye(2) / 2])
     T = LpMap(M2, M2, 3.0, transpose_permutation(M2))
-    pi = extract_pi(T, phi, 3.0)
+    pi = extract_pi(T, phi)
     assert homomorphism_kind(pi).kind == "jordan_only"
 
 
 def test_extract_pi_rejects_p2():
     phi = random_faithful_state(M2, 1)
     with pytest.raises(ExponentUnsupported):
-        extract_pi(LpMap.identity(M2, 2.0), phi, 2.0)
+        extract_pi(LpMap.identity(M2, 2.0), phi)
 
 
 def test_extract_pi_rejects_structureless_map():
@@ -161,7 +169,7 @@ def test_extract_pi_rejects_structureless_map():
     rng = rng_for(3)
     garbage = LpMap(M2, M2, 3.0, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     with pytest.raises(NotAnIsometry):
-        extract_pi(garbage, phi, 3.0)
+        extract_pi(garbage, phi)
 
 
 def test_extract_polar_data_zero_image():
@@ -169,7 +177,7 @@ def test_extract_polar_data_zero_image():
 
     phi = random_faithful_state(M2, 1)
     with pytest.raises(ZeroImage):
-        extract_polar_data(LpMap(M2, M2, 3.0, np.zeros((4, 4))), phi, 3.0)
+        extract_polar_data(LpMap(M2, M2, 3.0, np.zeros((4, 4))), phi)
 
 
 def test_build_isometry_needs_faithful_reference():
@@ -193,21 +201,21 @@ def test_build_isometry_needs_faithful_reference():
 def test_extract_pi_state_independent():
     data = random_isometry_data(4)
     T = build_isometry(data, 3.0)
-    pi1 = extract_pi(T, data.reference_state, 3.0)
-    pi2 = extract_pi(T, random_faithful_state(data.source, 77), 3.0)
+    pi1 = extract_pi(T, data.reference_state)
+    pi2 = extract_pi(T, random_faithful_state(data.source, 77))
     assert np.max(np.abs(pi1.matrix - pi2.matrix)) < 1e-8
 
 
 def test_extract_polar_data():
     phi = random_faithful_state(M2, 3)
     T = LpMap.identity(M2, 3.0)
-    w, phibar = extract_polar_data(T, phi, 3.0)
+    w, phibar = extract_polar_data(T, phi)
     assert (w - AlgebraElement.identity(M2)).frobenius() < 1e-10
     assert (phibar.density - phi.density).frobenius() < 1e-10
 
     u = AlgebraElement(M2, [haar_unitary(2, rng_for(8))])
     Tu = LpMap(M2, M2, 3.0, left_mult_matrix(u))
-    wu, phibar_u = extract_polar_data(Tu, phi, 3.0)
+    wu, phibar_u = extract_polar_data(Tu, phi)
     assert (wu - u).frobenius() < 1e-10
     assert (phibar_u.density - phi.density).frobenius() < 1e-10
     assert np.isclose(lp_norm(Tu(state_power(phi, 1 / 3))), 1.0)
@@ -268,24 +276,24 @@ def test_classify_rejects_p2():
 
 def test_star_adjoint_dual_examples():
     T = LpMap.identity(M2, 3.0)
-    dual = star_adjoint_dual(T, 3.0)
+    dual = star_adjoint_dual(T)
     assert np.allclose(dual.matrix, np.eye(4))
     assert np.isclose(dual.p, 1.5)
 
     u = AlgebraElement(M2, [haar_unitary(2, rng_for(3))])
     Tu = LpMap(M2, M2, 3.0, left_mult_matrix(u))
-    dual_u = star_adjoint_dual(Tu, 3.0)
+    dual_u = star_adjoint_dual(Tu)
     assert np.max(np.abs(dual_u.matrix - left_mult_matrix(u.adjoint()))) < 1e-12
 
     with pytest.raises(ExponentUnsupported):
-        star_adjoint_dual(LpMap.identity(M2, 1.0), 1.0)
+        star_adjoint_dual(LpMap.identity(M2, 1.0))
 
 
 def test_star_adjoint_dual_pairing_identity():
     # sesquilinear identity tr(dual(k)* h) = tr(k* T(h)) for a generic map
     rng = rng_for(23)
     T = LpMap(M2, M2, 3.0, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    dual = star_adjoint_dual(T, 3.0)
+    dual = star_adjoint_dual(T)
     for _ in range(10):
         h = random_lp_vector(M2, 3.0, rng)
         k = random_lp_vector(M2, 1.5, rng)
@@ -300,7 +308,7 @@ def test_dual_composition_is_identity(p):
     data = random_isometry_data(6)
     Tp = build_isometry(data, p)
     Tpp = build_isometry(data, pp)
-    comp = star_adjoint_dual(Tpp, pp).matrix @ Tp.matrix
+    comp = star_adjoint_dual(Tpp).matrix @ Tp.matrix
     assert np.max(np.abs(comp - np.eye(Tp.source.total_dim))) < 1e-9
 
 
@@ -309,10 +317,10 @@ def test_transfer_exponent_rebuild_and_extrapolation():
     T3 = build_isometry(data, 3.0)
     again = transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, 3.0)
     assert np.max(np.abs(T3.matrix - again.matrix)) < 1e-10
-    assert isometry_defect(T3, 3.0) < 1e-9
+    assert isometry_defect(T3) < 1e-9
     for q in (2.5, 4.0, 7.0):
         Tq = transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, q)
-        assert isometry_defect(Tq, q, sample_count=40) < 1e-9
+        assert isometry_defect(Tq, sample_count=40) < 1e-9
 
 
 def test_l2_identity_at_exponent_four():
@@ -331,8 +339,8 @@ def test_l2_identity_at_exponent_four():
 def test_two_isometry_defect_witness_values():
     T = LpMap(M2, M2, 1.0, transpose_permutation(M2))
     # absolute defect at the grid witness: trace norms 4 against 2
-    assert two_isometry_defect(T, 1.0, n=2, sample_count=0) >= 2.0 - 1e-12
-    assert two_isometry_defect(LpMap.identity(M2, 3.0), 3.0, n=2) < 1e-12
+    assert two_isometry_defect(T, n=2, sample_count=0) >= 2.0 - 1e-12
+    assert two_isometry_defect(LpMap.identity(M2, 3.0), n=2) < 1e-12
 
 
 def test_positive_factory_maps_preserve_positivity():
@@ -350,7 +358,7 @@ def test_positive_factory_maps_preserve_positivity():
 def test_factory_three_fold_amplification():
     data = random_isometry_data(11)
     T = build_isometry(data, 4.0)
-    assert two_isometry_defect(T, 4.0, n=3, sample_count=20, relative=True) < 1e-9
+    assert two_isometry_defect(T, n=3, sample_count=20, relative=True) < 1e-9
 
 
 def _unit(algebra, b, i, j):
@@ -411,7 +419,7 @@ def test_extract_pi_rejects_map_off_the_module_relation():
     noise = rng.standard_normal(T.matrix.shape) + 1j * rng.standard_normal(T.matrix.shape)
     perturbed = LpMap(T.source, T.target, 3.0, T.matrix + 1e-2 * noise / np.linalg.norm(noise))
     with pytest.raises(NotAnIsometry, match="module relation"):
-        extract_pi(perturbed, data.reference_state, 3.0)
+        extract_pi(perturbed, data.reference_state)
 
 
 def test_classify_reads_the_matrix_at_the_requested_exponent():
@@ -480,16 +488,16 @@ def test_metric_defects_equal_the_sample_loops(seed, p):
     weights = tuple(np.linspace(0.5, 1.5, len(T.source.blocks)))
     for F in (T, T.compose(S)):
         for relative in (True, False):
-            assert isometry_defect(F, p, relative=relative) == _isometry_defect_by_samples(
+            assert isometry_defect(F, relative=relative) == _isometry_defect_by_samples(
                 F, p, relative=relative
             )
-            assert two_isometry_defect(F, p, relative=relative) == (
+            assert two_isometry_defect(F, relative=relative) == (
                 _two_isometry_defect_by_samples(F, p, relative=relative)
             )
-        assert isometry_defect(F, p, source_weights=weights) == (
+        assert isometry_defect(F, source_weights=weights) == (
             _isometry_defect_by_samples(F, p, weights)
         )
-        assert two_isometry_defect(F, p, source_weights=weights) == (
+        assert two_isometry_defect(F, source_weights=weights) == (
             _two_isometry_defect_by_samples(F, p, weights)
         )
     report = classify(T, data.reference_state, p)
@@ -511,11 +519,22 @@ def test_stacked_matvec_is_bitwise_the_map():
         assert np.array_equal(stacked, np.stack([T(h).vec() for h in hs]))
 
 
-def test_isometry_defects_check_the_exponent():
-    T = build_isometry(random_isometry_data(1), 3.0)
-    for defect in (isometry_defect, two_isometry_defect):
-        with pytest.raises(ExponentMismatch):
-            defect(T, 4.0)
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_stages_read_the_exponent_of_the_map(p):
+    data = random_isometry_data(1)
+    phi = data.reference_state
+    assert star_adjoint_dual(build_isometry(data, p)).p == conjugate_exponent(p)
+    # a map built at 4 and read at p: every stage works at p
+    F = build_isometry(data, 4.0).at_exponent(p)
+    assert star_adjoint_dual(F).p == conjugate_exponent(p)
+    assert isometry_defect(F) == _isometry_defect_by_samples(F, p)
+    assert two_isometry_defect(F) == _two_isometry_defect_by_samples(F, p)
+    w, _ = extract_polar_data(F, phi)
+    assert w.vec().tobytes() == polar_decompose(F(state_power(phi, 1.0 / p))).w.vec().tobytes()
+    outcome = _extraction_outcome(extract_pi, F, phi)
+    assert outcome == _extraction_outcome(_extract_pi_by_projection, F, phi)
+    with pytest.raises(ExponentUnsupported):
+        star_adjoint_dual(F.at_exponent(1.0))
 
 
 def test_metric_defects_survive_large_exponents():
@@ -523,7 +542,7 @@ def test_metric_defects_survive_large_exponents():
     data = random_isometry_data(0)
     T = build_isometry(data, 1000.0)
     scaled = LpMap(T.source, T.target, 1000.0, 1.3 * T.matrix)
-    assert isometry_defect(scaled, 1000.0) == pytest.approx(0.3, abs=1e-12)
+    assert isometry_defect(scaled) == pytest.approx(0.3, abs=1e-12)
     report = classify(T, data.reference_state, 1000.0)
     assert report.accepted
     assert all(np.isfinite(v) for v in report.defects.values())
@@ -678,13 +697,13 @@ def test_reconstruction_checks_the_initial_projection_first(monkeypatch):
 # -- the batched extraction against the per-projection loop it replaced -------
 
 
-def _extract_pi_by_projection(T, phi, p):
+def _extract_pi_by_projection(T, phi):
     """Reference: extract_pi as one map call and one polar decomposition
     per spectral projection, accumulating each Hermitian image in order."""
     from nclp.algebra import cluster_projection, hermitian_basis, spectral_clusters
     from nclp.lp import polar_decompose
 
-    p = float(p)
+    p = T.p
     if p == 2.0:
         raise ExponentUnsupported("extraction is undefined at p = 2")
     src, tgt = T.source, T.target
@@ -718,10 +737,10 @@ def _extract_pi_by_projection(T, phi, p):
     return pi
 
 
-def _extraction_outcome(extract, T, phi, p):
+def _extraction_outcome(extract, T, phi):
     """The bytes of the recovered matrix, or the exception's type and message."""
     try:
-        return extract(T, phi, p).matrix.tobytes()
+        return extract(T, phi).matrix.tobytes()
     except Exception as exc:  # the outcome compared is the exception itself
         return type(exc), str(exc)
 
@@ -746,14 +765,14 @@ def test_extract_pi_is_bitwise_the_per_projection_loop(plan):
         phi = data.reference_state
         for p in (1.0, 1.5, 3.0, 7.0):
             T = build_isometry(data, p)
-            got = extract_pi(T, phi, p).matrix.tobytes()
-            assert got == _extract_pi_by_projection(T, phi, p).matrix.tobytes()
+            got = extract_pi(T, phi).matrix.tobytes()
+            assert got == _extract_pi_by_projection(T, phi).matrix.tobytes()
             rng = rng_for(seed)
             noise = rng.standard_normal(T.matrix.shape) + 1j * rng.standard_normal(T.matrix.shape)
             for matrix in (T.matrix @ flip, T.matrix + 1e-3 * noise):
                 F = LpMap(T.source, T.target, p, matrix)
-                outcome = _extraction_outcome(extract_pi, F, phi, p)
-                assert outcome == _extraction_outcome(_extract_pi_by_projection, F, phi, p)
+                outcome = _extraction_outcome(extract_pi, F, phi)
+                assert outcome == _extraction_outcome(_extract_pi_by_projection, F, phi)
                 if isinstance(outcome, tuple):
                     raised.add(outcome[0])
     # the noisy maps reach the module relation and fail it
@@ -764,10 +783,13 @@ def test_extract_pi_keeps_the_exponent_errors_of_a_map_call():
     data = random_isometry_data(1)
     T = build_isometry(data, 4.0)
     phi = data.reference_state
-    for p in (3.0, 0.5, np.inf):
-        outcome = _extraction_outcome(extract_pi, T, phi, p)
-        assert outcome == _extraction_outcome(_extract_pi_by_projection, T, phi, p)
-        assert outcome[0] in (ExponentMismatch, ExponentUnsupported)
+    outcome = _extraction_outcome(extract_pi, T.at_exponent(2.0), phi)
+    assert outcome == _extraction_outcome(_extract_pi_by_projection, T.at_exponent(2.0), phi)
+    assert outcome[0] is ExponentUnsupported
+    # an exponent outside [1, inf) never reaches extract_pi: the map refuses it
+    for p in (0.5, np.inf):
+        with pytest.raises(ExponentUnsupported):
+            T.at_exponent(p)
 
 
 def test_extract_pi_makes_no_map_call_and_no_polar_decomposition(monkeypatch):
@@ -775,7 +797,7 @@ def test_extract_pi_makes_no_map_call_and_no_polar_decomposition(monkeypatch):
 
     data = random_isometry_data(2)
     T = build_isometry(data, 3.0)
-    want = _extract_pi_by_projection(T, data.reference_state, 3.0).matrix
+    want = _extract_pi_by_projection(T, data.reference_state).matrix
 
     def refuse(*args, **kwargs):
         raise AssertionError("extract_pi called a per-vector routine")
@@ -783,7 +805,7 @@ def test_extract_pi_makes_no_map_call_and_no_polar_decomposition(monkeypatch):
     monkeypatch.setattr(LpMap, "__call__", refuse)
     monkeypatch.setattr(lp_module, "polar_decompose", refuse)
     monkeypatch.setattr(isometry_module, "polar_decompose", refuse)
-    assert np.array_equal(extract_pi(T, data.reference_state, 3.0).matrix, want)
+    assert np.array_equal(extract_pi(T, data.reference_state).matrix, want)
 
 
 def test_two_isometry_defect_places_the_unit_positions_once(monkeypatch):
@@ -797,10 +819,10 @@ def test_two_isometry_defect_places_the_unit_positions_once(monkeypatch):
         return real(algebra, n, i, j)
 
     T = build_isometry(random_isometry_data(3), 3.0)
-    want = two_isometry_defect(T, 3.0)
+    want = two_isometry_defect(T)
     monkeypatch.setattr(lp_module, "_amplified_positions", counted)
     monkeypatch.setattr(isometry_module, "_amplified_positions", counted)
-    assert two_isometry_defect(T, 3.0) == want
+    assert two_isometry_defect(T) == want
     # four for the witnesses on the source, 2 n^2 in amplify_map
     assert sum(a == T.source for a, _, _ in calls) == 4 + 4
     assert len(calls) == 4 + 8
@@ -818,7 +840,7 @@ def test_extract_pi_takes_the_rank_threshold_across_blocks():
         matrix = T.matrix.copy()
         matrix[off:] *= 1e-11
         F = LpMap(T.source, T.target, 3.0, matrix)
-        pi = extract_pi(F, data.reference_state, 3.0)
+        pi = extract_pi(F, data.reference_state)
         assert not pi.matrix[off:].any()
-        want = _extract_pi_by_projection(F, data.reference_state, 3.0)
+        want = _extract_pi_by_projection(F, data.reference_state)
         assert pi.matrix.tobytes() == want.matrix.tobytes()

@@ -8,7 +8,7 @@ from nclp.algebra import (
     make_algebra,
     transpose_permutation,
 )
-from nclp.errors import ExponentUnsupported, TraceConditionViolated
+from nclp.errors import ExponentMismatch, ExponentUnsupported, TraceConditionViolated
 from nclp.isometry import grid_witness
 from nclp.lp import LpMap, LpVector, amplify_map, lp_norm
 from nclp.samples import haar_unitary, random_yeadon_triple, rng_for, transpose_triple
@@ -250,3 +250,11 @@ def test_dichotomy_certifies_J_once(monkeypatch):
         else:
             build_yeadon_map(noisy, 3.0, weights)
             assert jordan_dichotomy_report(noisy, 3.0, weights).kind == kind
+
+
+def test_decompose_refuses_another_exponent_than_the_map():
+    for seed in range(8):
+        triple, weights = random_yeadon_triple(seed, 3.0)
+        T = build_yeadon_map(triple, 3.0, weights)
+        with pytest.raises(ExponentMismatch):
+            yeadon_decompose(T, 4.0, weights)

@@ -9,6 +9,13 @@ map as built, composed with the transpose, and with 1e-5 of seeded noise.
 An accepted record also holds the sha256 of the bytes of the recovered
 ``pi.matrix``, ``w``, ``expectation.map.matrix`` and ``phibar`` density, so
 a last-bit change in the recovered data shows even where the defects hide it.
+The Yeadon records hold, for ``random_yeadon_triple`` seeds 0-7 at p in
+{1, 1.5, 3, 4}, the sha256 of the J, w and B that ``yeadon_decompose``
+recovers and the ``jordan_dichotomy_report`` fields.  The spectral records
+hold the sha256 of ``power_element(+-1/p)``, ``complex_power``,
+``log_pseudo``, ``modular_automorphism``, ``connes_cocycle`` and
+``density_transport`` on seeded faithful states and on non-faithful ones, or
+the error a call raised.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp`` or ``diff``.
 BLAS runs on one thread, so that reductions happen in one fixed order.
@@ -31,6 +38,11 @@ SUITE_SEEDS = (0, 1, 7)
 CLASSIFY_SEEDS = range(12)
 EXPONENTS = (1.0, 1.5, 3.0, 7.0)
 NOISE = 1e-5
+YEADON_SEEDS = range(8)
+YEADON_EXPONENTS = (1.0, 1.5, 3.0, 4.0)
+SPECTRAL_LAYOUTS = ((2,), (3,), (2, 1), (1, 1, 2))
+SPECTRAL_SEEDS = range(3)
+SPECTRAL_EXPONENTS = (1.0, 1.5, 3.0, 4.0)
 
 
 def _digest(array) -> str:
@@ -84,6 +96,78 @@ def _classify_records():
                 yield record
 
 
+def _outcome(fn):
+    """The sha256 of the value fn returns, or its error's type and message."""
+    try:
+        value = fn()
+    except Exception as exc:  # the outcome recorded is the exception itself
+        return f"{type(exc).__name__}: {exc}"
+    return _digest(value.vec())
+
+
+def _yeadon_records():
+    from nclp.samples import random_yeadon_triple
+    from nclp.yeadon import build_yeadon_map, jordan_dichotomy_report, yeadon_decompose
+
+    for seed in YEADON_SEEDS:
+        for p in YEADON_EXPONENTS:
+            triple, weights = random_yeadon_triple(seed, p)
+            T = build_yeadon_map(triple, p, weights)
+            back = yeadon_decompose(T, p, weights)
+            report = jordan_dichotomy_report(triple, p, weights)
+            yield {
+                "seed": seed,
+                "p": p,
+                "J": _digest(back.J.matrix),
+                "w": _digest(back.w.vec()),
+                "B": _digest(back.B.vec()),
+                "dichotomy": vars(report),
+            }
+
+
+def _nonfaithful_state(algebra, rng):
+    """A state whose first block has rank one, so its kernel is nonzero."""
+    import numpy as np
+
+    from nclp.algebra import State
+    from nclp.samples import random_element
+
+    blocks = [b @ b.conj().T for b in random_element(algebra, rng).data]
+    v = blocks[0][:, 0]
+    blocks[0] = np.outer(v, v.conj())
+    return State(algebra, blocks, normalize=True)
+
+
+def _spectral_records():
+    from nclp.algebra import Algebra, random_faithful_state
+    from nclp.modular import connes_cocycle, density_transport, modular_automorphism
+    from nclp.samples import random_element, rng_for
+
+    for blocks in SPECTRAL_LAYOUTS:
+        algebra = Algebra(blocks)
+        for seed in SPECTRAL_SEEDS:
+            rng = rng_for(seed)
+            faithful = random_faithful_state(algebra, seed)
+            other = random_faithful_state(algebra, seed + 100)
+            singular = _nonfaithful_state(algebra, rng)
+            x = random_element(algebra, rng)
+            z = complex(rng.standard_normal(), rng.standard_normal())
+            pairs = {"faithful": (faithful, other), "nonfaithful": (singular, faithful)}
+            for name, (phi, psi) in pairs.items():
+                record = {"blocks": list(blocks), "seed": seed, "state": name}
+                for p in SPECTRAL_EXPONENTS:
+                    record[f"power(1/{p})"] = _outcome(lambda: phi.power_element(1.0 / p))
+                    record[f"power(-1/{p})"] = _outcome(lambda: phi.power_element(-1.0 / p))
+                    record[f"transport({p})"] = _outcome(lambda: density_transport(psi, phi, p))
+                record["complex_power"] = _outcome(lambda: phi.complex_power(z))
+                record["log_pseudo"] = _outcome(phi.log_pseudo)
+                record["modular"] = _outcome(lambda: modular_automorphism(phi, 0.7, x))
+                record["cocycle(phi, psi)"] = _outcome(lambda: connes_cocycle(phi, psi, z))
+                record["cocycle(psi, phi)"] = _outcome(lambda: connes_cocycle(psi, phi, z))
+                record["cocycle(phi, phi)"] = _outcome(lambda: connes_cocycle(phi, phi, -1j / 3))
+                yield record
+
+
 def _suite_records():
     from nclp.suites import SUITES, SuiteConfig, run_suite
 
@@ -104,9 +188,14 @@ def main(argv=None) -> int:
 
     if Path(nclp.__file__).resolve().parent != src / "nclp":
         parser.error(f"nclp was imported from {nclp.__file__}, not from {src}")
-    dump = {"suites": list(_suite_records()), "classify": list(_classify_records())}
+    dump = {
+        "suites": list(_suite_records()),
+        "classify": list(_classify_records()),
+        "yeadon": list(_yeadon_records()),
+        "spectral": list(_spectral_records()),
+    }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
-    print(f"{len(dump['suites'])} suite reports, {len(dump['classify'])} classify records")
+    print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
     return 0
 
 
