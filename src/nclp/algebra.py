@@ -231,36 +231,9 @@ def require_projections(stacks: Sequence[np.ndarray], tol: float) -> None:
 
 
 def matrix_units(algebra: Algebra) -> list[AlgebraElement]:
-    """All matrix units e_ij per block, in vectorization order."""
-    units = []
-    for b, n in enumerate(algebra.blocks):
-        for i in range(n):
-            for j in range(n):
-                blocks = algebra.zero_blocks()
-                blocks[b][i, j] = 1.0
-                units.append(AlgebraElement(algebra, blocks))
-    return units
-
-
-def hermitian_basis(algebra: Algebra) -> list[AlgebraElement]:
-    """A real-spanning family of Hermitian elements, blockwise."""
-    basis = []
-    for b, n in enumerate(algebra.blocks):
-        for i in range(n):
-            blocks = algebra.zero_blocks()
-            blocks[b][i, i] = 1.0
-            basis.append(AlgebraElement(algebra, blocks))
-        for i in range(n):
-            for j in range(i + 1, n):
-                sym = algebra.zero_blocks()
-                sym[b][i, j] = 1.0
-                sym[b][j, i] = 1.0
-                basis.append(AlgebraElement(algebra, sym))
-                asym = algebra.zero_blocks()
-                asym[b][i, j] = 1.0j
-                asym[b][j, i] = -1.0j
-                basis.append(AlgebraElement(algebra, asym))
-    return basis
+    """All matrix units e_ij per block, in vectorization order: the rows of
+    the identity."""
+    return [AlgebraElement.from_vec(algebra, row) for row in np.eye(algebra.total_dim)]
 
 
 def spectral_clusters(
@@ -491,16 +464,19 @@ class AlgebraMap:
         return f"AlgebraMap({self.source.blocks} -> {self.target.blocks})"
 
 
+def trace_row(x: AlgebraElement) -> np.ndarray:
+    """The row omega with Tr(x y) = omega . vec(y): each block transposed,
+    flattened row-major.  For a density, a state is this row."""
+    return np.concatenate([b.T.reshape(-1) for b in x.data])
+
+
 def pullback_density(state: State, F: AlgebraMap) -> list[np.ndarray]:
     """Density blocks of x -> state(F(x)) on the source of F, unnormalized:
-    entry (j, i) of block b is state(F(e_ij)), F(e_ij) being a matrix column."""
-    blocks = F.source.zero_blocks()
-    columns = iter(F.matrix.T)
-    for b, n in enumerate(F.source.blocks):
-        for i in range(n):
-            for j in range(n):
-                blocks[b][j, i] = state(AlgebraElement.from_vec(F.target, next(columns)))
-    return blocks
+    with omega the trace row of the density, omega F.matrix holds
+    state(F(e_ij)) at (b, i, j), so each block is its slice, transposed."""
+    row = trace_row(state.density) @ F.matrix
+    layout = zip(F.source.offsets(), F.source.blocks)
+    return [row[off : off + n * n].reshape(n, n).T for off, n in layout]
 
 
 def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
@@ -518,13 +494,10 @@ def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
 def transpose_permutation(algebra: Algebra) -> np.ndarray:
     """Permutation matrix S with S vec(x) = vec(x^T); also the matrix of the
     bilinear trace pairing tr(xy) = vec(x)^T S vec(y)."""
-    dim = algebra.total_dim
-    S = np.zeros((dim, dim))
-    for off, n in zip(algebra.offsets(), algebra.blocks):
-        for i in range(n):
-            for j in range(n):
-                S[off + i * n + j, off + j * n + i] = 1.0
-    return S
+    # row off + i n + j has its one at column off + j n + i
+    layout = zip(algebra.offsets(), algebra.blocks)
+    perm = [off + np.arange(n * n).reshape(n, n).T.reshape(-1) for off, n in layout]
+    return np.eye(algebra.total_dim)[np.concatenate(perm)]
 
 
 def _block_diag(mats: list[np.ndarray]) -> np.ndarray:

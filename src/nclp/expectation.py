@@ -32,6 +32,7 @@ from .algebra import (
     pullback_density,
     right_mult_matrix,
     spectral_clusters,
+    trace_row,
 )
 from .errors import (
     DataInvalid,
@@ -326,9 +327,11 @@ def takesaki_invariant(A: Subalgebra, state: State) -> TakesakiResult:
     """Check stability of the subalgebra under the modular flow of the state.
 
     The defect is the largest Frobenius distance of a generator commutator
-    [log rho, a] from the span of the subalgebra.  For a state supported on
-    a proper corner, the subalgebra must sit inside that corner and log is
-    taken on the support.
+    [log rho, a] from the span of the subalgebra: the largest column norm of
+    (I - Q Q*)(L_log - R_log) B, B the basis columns and Q an orthonormal
+    basis of their span.  For a state supported on a proper corner, the
+    subalgebra must sit inside that corner and log is taken on the support.
+    A NaN defect is kept, so it is not invariant.
     """
     if state.algebra != A.parent:
         raise ShapeMismatch("state lives on a different algebra")
@@ -341,10 +344,10 @@ def takesaki_invariant(A: Subalgebra, state: State) -> TakesakiResult:
                     "state is singular and the subalgebra leaves its support corner"
                 )
     L = state.log_pseudo()
-    defect = 0.0
-    for a in A.basis:
-        comm = L @ a - a @ L
-        defect = max(defect, A.span_residual(comm))
+    Q = A._onb
+    B = np.column_stack([a.vec() for a in A.basis])
+    comm = (left_mult_matrix(L) - right_mult_matrix(L)) @ B
+    defect = float(np.max(np.linalg.norm(comm - Q @ (Q.conj().T @ comm), axis=0)))
     return TakesakiResult(invariant=bool(defect < tol), defect=defect)
 
 
@@ -387,7 +390,7 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
     col_tol = check_tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
     if not np.all(np.linalg.norm(M @ B - B, axis=0) <= col_tol):
         raise NotInvariant(defect, "expectation does not fix the subalgebra")
-    omega = np.concatenate([r.T.reshape(-1) for r in state._data])
+    omega = trace_row(state.density)
     if not np.max(np.abs(omega @ M - omega)) <= check_tol:
         raise NotInvariant(defect, "expectation does not preserve the state")
     # one basis element at a time, so only two D x D multiplication

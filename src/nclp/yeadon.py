@@ -28,6 +28,7 @@ from .algebra import (
     matrix_units,
     right_mult_matrix,
     support_calculus,
+    trace_row,
 )
 from .errors import (
     DataInvalid,
@@ -138,7 +139,7 @@ def _verify_trace_condition(J, B, p, weights, tol):
     """tau(u) = Tr(B^p J(u)) on every matrix unit u, as one row identity
     omega J = tau with Tr(B^p x) = omega . vec(x)."""
     Bp = mazur_map(LpVector.from_element(B, p), 1.0)
-    omega = np.concatenate([b.T.reshape(-1) for b in Bp.data])
+    omega = trace_row(Bp)
     tau = np.concatenate([w * np.eye(n).reshape(-1) for w, n in zip(weights, J.source.blocks)])
     got = omega @ J.matrix
     failing = np.flatnonzero(~(np.abs(got - tau) <= tol))

@@ -97,6 +97,32 @@ def test_singular_state_outside_corner_is_rejected():
     assert res.invariant
 
 
+def _takesaki_defect_per_element(A, state):
+    """Reference: the largest span residual of [log rho, a], one basis
+    element a at a time."""
+    L = state.log_pseudo()
+    return max(A.span_residual(L @ a - a @ L) for a in A.basis)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_takesaki_invariant_matches_the_per_element_loop(seed):
+    moved = random_noninvariant_inclusion(seed)
+    kept = random_invariant_inclusion(seed)
+    for A, state in (moved, kept):
+        got = takesaki_invariant(A, state).defect
+        # one matrix identity against a loop: equal up to summation order
+        assert abs(got - _takesaki_defect_per_element(A, state)) <= 1e-12
+    assert not takesaki_invariant(*moved).invariant and takesaki_invariant(*kept).invariant
+
+
+def test_takesaki_invariant_keeps_a_nan(monkeypatch):
+    A, state = random_invariant_inclusion(0)
+    real = State.log_pseudo
+    monkeypatch.setattr(State, "log_pseudo", lambda self: real(self) * np.nan)
+    res = takesaki_invariant(A, state)
+    assert np.isnan(res.defect) and not res.invariant
+
+
 def test_expectation_invariants_tight():
     for seed in range(6):
         A, phibar = random_invariant_inclusion(seed)

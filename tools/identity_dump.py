@@ -17,7 +17,8 @@ hold the sha256 of ``power_element(+-1/p)``, ``complex_power``,
 ``density_transport`` on seeded faithful states and on non-faithful ones, or
 the error a call raised.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
-two checkouts are compared by dumping each and running ``cmp`` or ``diff``.
+two checkouts are compared by dumping each and running ``cmp``, or
+``tools/identity_diff.py`` where last bits of floats may move.
 BLAS runs on one thread, so that reductions happen in one fixed order.
 """
 
