@@ -41,7 +41,7 @@ from .errors import (
     NotInvariant,
     ShapeMismatch,
 )
-from .lp import LpMap, conjugate_exponent, lp_norm, state_power
+from .lp import LpMap, LpVector, conjugate_exponent, lp_norm
 
 _DECOMP_SEED = 20240711  # fixed draw for the generic elements used below
 
@@ -517,7 +517,7 @@ def complement_projection(data, p: float) -> LpMap:
 def subalgebra_lp_norm(A: Subalgebra, phibar: State, x_small: AlgebraElement, p: float) -> float:
     """Norm of phi_A^{1/p} x inside L_p of the subalgebra's factor realization."""
     rho_A = restrict_state(A, phibar)
-    return lp_norm(state_power(rho_A, 1.0 / p) @ x_small)
+    return lp_norm(LpVector.from_element(rho_A.power_element(1.0 / p), p) @ x_small)
 
 
 def interpolation_gap(A: Subalgebra, phibar: State, x_small: AlgebraElement, p: float) -> float:
@@ -526,5 +526,5 @@ def interpolation_gap(A: Subalgebra, phibar: State, x_small: AlgebraElement, p: 
     exactly when a state-preserving expectation exists."""
     dec = A.decomposition
     small_norm = subalgebra_lp_norm(A, phibar, x_small, p)
-    big = state_power(phibar, 1.0 / p) @ dec.embed(x_small)
+    big = LpVector.from_element(phibar.power_element(1.0 / p), p) @ dec.embed(x_small)
     return small_norm - lp_norm(big)

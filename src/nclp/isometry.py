@@ -14,6 +14,7 @@ invariance recovers E, and a rebuild closes the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     NonFaithful,
     NotAnIsometry,
     NotInvariant,
+    ShapeMismatch,
     ZeroImage,
 )
 from .expectation import (
@@ -44,8 +46,9 @@ from .lp import (
     LpMap,
     LpVector,
     _amplified_positions,
+    _norms_from_singular_values,
+    _singular_values,
     amplified_algebra,
-    amplify_map,
     conjugate_exponent,
     lp_norms,
     mazur_map,
@@ -56,6 +59,7 @@ from .lp import (
 METRIC_TOL = 1e-7  # accept threshold for sampled metric defects
 WARN_TOL = 1e-4  # defects between these two are reported as a warn band
 INJECTIVITY_TOL = 1e-6
+_CACHE_SIZE = 32  # entries kept by each cache of source-only arrays
 _FOREIGN_STATE = "state lives on a different algebra than the map source"
 
 
@@ -126,10 +130,17 @@ def transfer_exponent(
 # -- extraction ----------------------------------------------------------------
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _polarization(algebra: Algebra) -> tuple[np.ndarray, np.ndarray]:
     """Projections P_r as rows vec(P_r), and the exact dyadic matrix C with
-    e_u = sum_r C[r, u] P_r.  The projections are each e_ii and, for i < j,
-    the four (e_ii + e_jj + c e_ij + conj(c) e_ji) / 2 with c in
+    e_u = sum_r C[r, u] P_r, read-only.  The projections are each e_ii and,
+    for i < j, the four (e_ii + e_jj + c e_ij + conj(c) e_ji) / 2 with c in
     {1, -1, i, -i}; by polarization e_ij = sum_c conj(c) P_c / 2."""
     eye = np.eye(algebra.total_dim, dtype=complex)
     P, C = [], []
@@ -142,7 +153,7 @@ def _polarization(algebra: Algebra) -> tuple[np.ndarray, np.ndarray]:
                 for c in (1, -1, 1j, -1j):
                     P.append((e[i, i] + e[j, j] + c * e[i, j] + np.conj(c) * e[j, i]) / 2)
                     C.append((np.conj(c) * e[i, j] + c * e[j, i]) / 2)
-    return np.array(P), np.array(C)
+    return _read_only(np.array(P), np.array(C))
 
 
 def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
@@ -215,18 +226,45 @@ def _sample_rows(algebra: Algebra, count: int, rng) -> np.ndarray:
     return np.hstack(parts)
 
 
-def _norm_defect(T: LpMap, rows: np.ndarray, weights, relative: bool) -> float:
-    """Largest |  ||T h||_p - ||h||_p  | over the rows h, divided by ||h||_p
-    when relative; rows of norm below 1e-14 are skipped and a NaN gives NaN.
-    The map is applied as one matvec per row, which is bitwise T(h); the
-    GEMM form rows @ T.matrix.T is not."""
-    norms = lp_norms(T.source, T.p, rows, weights)
-    images = lp_norms(T.target, T.p, np.matmul(T.matrix, rows[:, :, None])[:, :, 0])
+@lru_cache(maxsize=_CACHE_SIZE)
+def _slice_positions(algebra: Algebra, n: int) -> np.ndarray:
+    """Row i n + j: the positions of e_ij (x) u in the n-fold amplification."""
+    pos = [_amplified_positions(algebra, n, i, j) for i in range(n) for j in range(n)]
+    return _read_only(np.array(pos))[0]
+
+
+def _norm_defect(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray, relative: bool) -> float:
+    """Largest |  ||(id_n (x) T) h||_p - ||h||_p  | over the rows h with norms
+    ||h||_p, divided by ||h||_p when relative, skipping norms below 1e-14; a
+    NaN gives NaN.  The n^2 slices h_ij of all rows go through T as one stacked
+    matvec, bitwise T(h_ij) (the GEMM form is not), placed at e_ij (x) T(h_ij)."""
+    src, tgt = _slice_positions(T.source, n), _slice_positions(T.target, n)
+    images = np.empty((len(rows), tgt.size), dtype=complex)
+    images[:, tgt] = np.matmul(T.matrix, rows[:, src][..., None])[..., 0]
     keep = ~(norms < 1e-14)
-    d = np.abs(images[keep] - norms[keep])
+    d = np.abs(lp_norms(amplified_algebra(T.target, n), T.p, images)[keep] - norms[keep])
     if relative:
         d = d / norms[keep]
     return float(np.max(d, initial=0.0))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _source_plan(algebra: Algebra, n: int, sample_count: int, seed: int) -> tuple:
+    """Read-only rows of a sampled defect of id_n (x) T and their per-block singular
+    values: the unit basis for n = 1, else the structured witnesses, then seeded samples."""
+    big = amplified_algebra(algebra, n)
+    positions = _witness_positions(algebra, n) if n > 1 else [[u] for u in range(big.total_dim)]
+    fixed = np.zeros((len(positions), big.total_dim), dtype=complex)
+    owners = np.repeat(np.arange(len(positions)), [len(pos) for pos in positions])
+    # a source without structured witnesses, such as M_1, leaves only the samples
+    fixed[owners, [q for pos in positions for q in pos]] = 1.0
+    rows = np.vstack([fixed, _sample_rows(big, sample_count, np.random.default_rng(seed))])
+    return _read_only(rows, *_singular_values(big, rows))
+
+
+def _plan_defect(T: LpMap, n: int, sample_count: int, seed: int, weights, relative) -> float:
+    rows, *svals = _source_plan(T.source, n, sample_count, seed)
+    return _norm_defect(T, n, rows, _norms_from_singular_values(svals, T.p, weights), relative)
 
 
 def isometry_defect(
@@ -239,9 +277,7 @@ def isometry_defect(
 ) -> float:
     """Largest deviation |  ||T h||_p - ||h||_p  |, p = T.p, over the unit
     basis and a seeded sample of vectors."""
-    rng = np.random.default_rng(seed)
-    rows = np.vstack([np.eye(T.source.total_dim), _sample_rows(T.source, sample_count, rng)])
-    return _norm_defect(T, rows, source_weights, relative)
+    return _plan_defect(T, 1, sample_count, seed, source_weights, relative)
 
 
 def _amplified_indicator(algebra: Algebra, n: int, p: float, positions) -> LpVector:
@@ -254,7 +290,10 @@ def _amplified_indicator(algebra: Algebra, n: int, p: float, positions) -> LpVec
 
 def _unit_positions(algebra: Algebra, n: int) -> list:
     """The positions of e_ac (x) u for a, c in {0, 1}, as [a][c]."""
-    return [[_amplified_positions(algebra, n, a, c) for c in (0, 1)] for a in (0, 1)]
+    if n < 2:
+        raise ShapeMismatch(f"the witnesses need a two-fold amplification, got n = {n}")
+    pos = _slice_positions(algebra, n)
+    return [[pos[a * n + c] for c in (0, 1)] for a in (0, 1)]
 
 
 def _grid_positions(algebra: Algebra, units: list, b: int, k: int, l: int) -> list:
@@ -312,17 +351,10 @@ def two_isometry_defect(
     source_weights: Sequence[float] | None = None,
     relative: bool = False,
 ) -> float:
-    """Largest norm defect of the n-fold amplification over the structured
-    matrix-unit witnesses and a seeded sample, at p = T.p."""
-    big = amplify_map(T, n)
-    rng = np.random.default_rng(seed)
-    positions = _witness_positions(T.source, n)
-    witnesses = np.zeros((len(positions), big.source.total_dim), dtype=complex)
-    owners = np.repeat(np.arange(len(positions)), [len(pos) for pos in positions])
-    # a source without structured witnesses, such as M_1, leaves only the samples
-    witnesses[owners, [q for pos in positions for q in pos]] = 1.0
-    rows = np.vstack([witnesses, _sample_rows(big.source, sample_count, rng)])
-    return _norm_defect(big, rows, source_weights, relative)
+    """Largest norm defect of id_n (x) T over the structured matrix-unit
+    witnesses (for n = 1 the unit basis, as in `isometry_defect`) and a
+    seeded sample, at p = T.p."""
+    return _plan_defect(T, n, sample_count, seed, source_weights, relative)
 
 
 # -- star adjoint duals -----------------------------------------------------------

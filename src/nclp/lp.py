@@ -103,10 +103,14 @@ def lp_norms(
     recomputed with its top singular value factored out,
     s_max (sum w (s / s_max)^p)^(1/p) (Higham, Accuracy and Stability, 27).
     """
-    ws = [1.0] * len(algebra.blocks) if weights is None else [float(w) for w in weights]
-    if len(ws) != len(algebra.blocks):
+    return _norms_from_singular_values(_singular_values(algebra, rows), p, weights)
+
+
+def _norms_from_singular_values(svals: list[np.ndarray], p: float, weights=None) -> np.ndarray:
+    """`lp_norms` of the rows with the given per-block singular values."""
+    ws = [1.0] * len(svals) if weights is None else [float(w) for w in weights]
+    if len(ws) != len(svals):
         raise ShapeMismatch("one weight per block is required")
-    svals = _singular_values(algebra, rows)
     total = 0.0
     with np.errstate(over="ignore"):
         for w, s in zip(ws, svals):

@@ -39,7 +39,7 @@ from .errors import (
     TraceConditionViolated,
 )
 from .isometry import _norm_defect, _sample_rows, grid_witness, two_isometry_defect
-from .lp import LpMap, LpVector, amplify_map, lp_norm, mazur_map, polar_decompose
+from .lp import LpMap, LpVector, amplified_algebra, lp_norm, lp_norms, mazur_map, polar_decompose
 
 
 def _weights(algebra, trace_weights: Sequence[float] | None) -> tuple[float, ...]:
@@ -177,7 +177,7 @@ def _assemble_yeadon_map(triple: YeadonTriple, p: float, weights, report) -> LpM
     T = LpMap(J.source, J.target, p, matrix)
     # spot check the isometry granted by the trace condition
     samples = _sample_rows(J.source, 5, np.random.default_rng(7))
-    if not _norm_defect(T, samples, weights, relative=True) <= 1e-6:
+    if not _norm_defect(T, 1, samples, lp_norms(J.source, p, samples, weights), True) <= 1e-6:
         raise DataInvalid("assembled map failed an isometry spot check")
     return T
 
@@ -212,15 +212,15 @@ def jordan_dichotomy_report(
     report = homomorphism_kind(triple.J)
     T = _assemble_yeadon_map(triple, float(p), weights, report)
     samples = _sample_rows(triple.J.source, 20, np.random.default_rng(11))
-    iso = _norm_defect(T, samples, weights, relative=True)
+    iso = _norm_defect(T, 1, samples, lp_norms(T.source, T.p, samples, weights), relative=True)
     # block weights are unchanged by amplification
     two = two_isometry_defect(T, n=2, source_weights=weights)
-    # norm defect at the grid witness of the first two units of each block
-    big = amplify_map(T, 2)
+    # norm defect of id_2 (x) T at the grid witness of each block's first two units
+    big = amplified_algebra(T.source, 2)
     wide = [b for b, nb in enumerate(T.source.blocks) if nb >= 2]
     grids = [grid_witness(T.source, b, 0, 1, p, 2).vec() for b in wide]
-    grids = np.array(grids, dtype=complex).reshape(len(wide), big.source.total_dim)
-    witness = _norm_defect(big, grids, weights, relative=False)
+    grids = np.array(grids, dtype=complex).reshape(len(wide), big.total_dim)
+    witness = _norm_defect(T, 2, grids, lp_norms(big, T.p, grids, weights), relative=False)
     multiplicative = report.kind == "star_homomorphism"
     biconditional = multiplicative == (two < tol)
     return DichotomyReport(

@@ -416,6 +416,24 @@ def test_interpolation_inequality_and_equality_split():
     assert best > 1e-3
 
 
+def test_interpolation_gap_takes_its_norms_at_p(monkeypatch):
+    # 1 / (1 / 49) is 49.00000000000001; each vector is built at exactly 49
+    import nclp.expectation as expectation_module
+
+    seen = []
+
+    def recorded(h, weights=None):
+        seen.append(h.p)
+        return lp_norm(h, weights)
+
+    monkeypatch.setattr(expectation_module, "lp_norm", recorded)
+    A, phibar = random_invariant_inclusion(1)
+    x = random_element(A.decomposition.algebra, rng_for(5))
+    gap = interpolation_gap(A, phibar, x, 49.0)
+    assert seen == [49.0, 49.0]
+    assert abs(gap) < 1e-9 * max(1, x.frobenius())
+
+
 def test_subalgebra_lp_norm_diagonal_oracle():
     A = diagonal_subalgebra(M2)
     phibar = State(M2, [np.diag([0.6, 0.4])])

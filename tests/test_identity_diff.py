@@ -58,3 +58,28 @@ def test_the_exit_status_tells_a_difference(diff, tmp_path, capsys):
     assert "classify[*].defects.isometry: 1 difference\n" in out
     assert "classify[0].defects.isometry: 0.5 != 0.6" in out
     assert diff.main([str(old)]) == 2
+
+
+def test_bitwise_moves_within_the_bound_are_summarized(diff, tmp_path, capsys):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old_dump = _dump(0.5, {"worst": 3.0, "inf": math.inf})
+    old_dump["classify"].append(old_dump["classify"][0])
+    new_dump = _dump(0.5 + 2e-13, {"worst": 3.0 * (1 + 1e-13), "inf": math.inf})
+    new_dump["classify"].append(_dump(0.5 + 4e-13, {})["classify"][0])
+    old.write_text(json.dumps(old_dump))
+    new.write_text(json.dumps(new_dump))
+    moves = []
+    assert diff.differences(old_dump, new_dump, moves=moves) == []
+    assert [path for path, _ in moves] == [
+        "classify[0].defects.isometry",
+        "classify[1].defects.isometry",
+        "suites[0].report.worst",
+    ]
+    assert diff.main([str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "no differences"
+    assert lines[1] == (
+        "moved bitwise: classify[*].defects.isometry: 2 values, largest 4e-13 of max(1, |old|)"
+    )
+    assert lines[2].startswith("moved bitwise: suites[*].report.worst: 1 value, largest 1e-13")
+    assert len(lines) == 3

@@ -38,6 +38,7 @@ from nclp.isometry import (
 from nclp.lp import (
     LpMap,
     LpVector,
+    amplified_algebra,
     amplify_map,
     conjugate_exponent,
     lp_norm,
@@ -463,11 +464,49 @@ def _isometry_defect_by_samples(T, p, weights=None, relative=True):
     return _max_norm_defect(T, samples + _sample_vectors(T.source, p, 60, rng), weights, relative)
 
 
-def _two_isometry_defect_by_samples(T, p, weights=None, relative=False):
-    big = amplify_map(T, 2)
+def _apply_by_slices(T, h, n):
+    """(id_n (x) T)(h), placing T(h_ij) at slice (i, j) of every block, where
+    h_ij is slice (i, j) of h; each slice goes through the public map call."""
+    out = [np.zeros((n * M, n * M), dtype=complex) for M in T.target.blocks]
+    for i in range(n):
+        for j in range(n):
+            h_ij = [
+                b[i * m : (i + 1) * m, j * m : (j + 1) * m]
+                for b, m in zip(h.data, T.source.blocks)
+            ]
+            image = T(LpVector(T.source, h.p, h_ij))
+            for o, c, M in zip(out, image.data, T.target.blocks):
+                o[i * M : (i + 1) * M, j * M : (j + 1) * M] = c
+    return LpVector(amplified_algebra(T.target, n), h.p, out)
+
+
+def _amplified_defects_by_samples(T, p, n, apply, weights):
+    """The amplified defect over the structured witnesses and 60 seeded
+    samples, each sent through `apply`, as {(weights, relative): defect}
+    for no weights and the given ones."""
     rng = np.random.default_rng(0)
-    samples = structured_witnesses(T.source, p, 2) + _sample_vectors(big.source, p, 60, rng)
-    return _max_norm_defect(big, samples, weights, relative)
+    big = amplified_algebra(T.source, n)
+    samples = structured_witnesses(T.source, p, n) + _sample_vectors(big, p, 60, rng)
+    images = [lp_norm(apply(h)) for h in samples]
+    out = {}
+    for w in (None, weights):
+        norms = [lp_norm(h, weights=w) for h in samples]
+        for relative in (True, False):
+            kept = [(i, nh) for i, nh in zip(images, norms) if nh >= 1e-14]
+            d = [abs(i - nh) / (nh if relative else 1.0) for i, nh in kept]
+            out[w, relative] = float(max(d, default=0.0))
+    return out
+
+
+def _check_two_isometry_defect(F, p, n=2, weights=None):
+    """Bitwise the slice oracle, and the dense oracle through amplify_map
+    within ORACLE_TOL: BLAS sums over its zero blocks in its own order."""
+    slices = _amplified_defects_by_samples(F, p, n, lambda h: _apply_by_slices(F, h, n), weights)
+    dense = _amplified_defects_by_samples(F, p, n, amplify_map(F, n), weights)
+    for (w, relative), want in slices.items():
+        got = two_isometry_defect(F, n=n, source_weights=w, relative=relative)
+        assert got == want
+        assert abs(got - dense[w, relative]) <= ORACLE_TOL
 
 
 def _reconstruction_by_units(T, rebuilt, phi, p):
@@ -492,15 +531,12 @@ def test_metric_defects_equal_the_sample_loops(seed, p):
             assert isometry_defect(F, relative=relative) == _isometry_defect_by_samples(
                 F, p, relative=relative
             )
-            assert two_isometry_defect(F, relative=relative) == (
-                _two_isometry_defect_by_samples(F, p, relative=relative)
-            )
         assert isometry_defect(F, source_weights=weights) == (
             _isometry_defect_by_samples(F, p, weights)
         )
-        assert two_isometry_defect(F, source_weights=weights) == (
-            _two_isometry_defect_by_samples(F, p, weights)
-        )
+        _check_two_isometry_defect(F, p, weights=weights)
+    # the three-fold amplification of the map that is not multiplicative
+    _check_two_isometry_defect(F, p, n=3, weights=weights)
     report = classify(T, data.reference_state, p)
     rebuilt = build_isometry(report.data, p)
     assert report.defects["reconstruction"] == _reconstruction_by_units(
@@ -529,7 +565,8 @@ def test_stages_read_the_exponent_of_the_map(p):
     F = build_isometry(data, 4.0).at_exponent(p)
     assert star_adjoint_dual(F).p == conjugate_exponent(p)
     assert isometry_defect(F) == _isometry_defect_by_samples(F, p)
-    assert two_isometry_defect(F) == _two_isometry_defect_by_samples(F, p)
+    _check_two_isometry_defect(F, p)
+    _check_two_isometry_defect(F, p, n=3)
     w, _ = extract_polar_data(F, phi)
     assert w.vec().tobytes() == polar_decompose(F(state_power(phi, 1.0 / p))).w.vec().tobytes()
     outcome = _extraction_outcome(extract_pi, F, phi)
@@ -851,24 +888,90 @@ def test_extract_pi_makes_no_map_call_and_no_polar_decomposition(monkeypatch):
     assert np.max(np.abs(extract_pi(T, data.reference_state).matrix - want)) <= ORACLE_TOL
 
 
-def test_two_isometry_defect_places_the_unit_positions_once(monkeypatch):
+def _clear_source_caches():
+    for cached in (
+        isometry_module._source_plan,
+        isometry_module._slice_positions,
+        isometry_module._polarization,
+    ):
+        cached.cache_clear()
+
+
+def test_the_source_plan_is_computed_once_per_algebra(monkeypatch):
     import nclp.lp as lp_module
-
-    calls = []
-    real = lp_module._amplified_positions
-
-    def counted(algebra, n, i, j):
-        calls.append((algebra, i, j))
-        return real(algebra, n, i, j)
+    from nclp.serialize import lp_map_from_json, lp_map_to_json
 
     T = build_isometry(random_isometry_data(3), 3.0)
-    want = two_isometry_defect(T)
-    monkeypatch.setattr(lp_module, "_amplified_positions", counted)
-    monkeypatch.setattr(isometry_module, "_amplified_positions", counted)
-    assert two_isometry_defect(T) == want
-    # four for the witnesses on the source, 2 n^2 in amplify_map
-    assert sum(a == T.source for a, _, _ in calls) == 4 + 4
-    assert len(calls) == 4 + 8
+    big = amplified_algebra(T.source, 2)
+    positions, svds = [], []
+    real_positions, real_svd = lp_module._amplified_positions, lp_module._singular_values
+
+    def counted_positions(algebra, n, i, j):
+        positions.append(algebra)
+        return real_positions(algebra, n, i, j)
+
+    def counted_svd(algebra, rows):
+        svds.append(algebra)
+        return real_svd(algebra, rows)
+
+    for module in (lp_module, isometry_module):
+        monkeypatch.setattr(module, "_amplified_positions", counted_positions)
+        monkeypatch.setattr(module, "_singular_values", counted_svd)
+    _clear_source_caches()
+    cold = (isometry_defect(T), two_isometry_defect(T))
+    # n^2 slice positions per algebra and amplification, one source SVD per plan
+    assert positions.count(T.source) == 1 + 4 and positions.count(T.target) == 1 + 4
+    assert svds.count(T.source) == 1 and svds.count(big) == 1
+    # an equal but distinct algebra, as read from JSON, finds the same plan
+    U = lp_map_from_json(lp_map_to_json(T))
+    assert U.source == T.source and U.source is not T.source
+    positions.clear()
+    svds.clear()
+    assert (isometry_defect(U), two_isometry_defect(U)) == cold
+    assert positions == [] and T.source not in svds and big not in svds
+
+    plan = isometry_module._source_plan(T.source, 2, 60, 0)
+    for array in (*plan, *isometry_module._polarization(T.source)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    with pytest.raises(ValueError):
+        isometry_module._slice_positions(T.source, 2)[0, 0] = 0
+    for key in ((3, 60, 0), (2, 30, 0), (2, 60, 1)):
+        other = isometry_module._source_plan(T.source, *key)[0]
+        assert other.shape != plan[0].shape or not np.array_equal(other, plan[0])
+
+
+def test_no_dense_amplified_matrix_is_built(monkeypatch):
+    import nclp.lp as lp_module
+    from nclp.samples import random_yeadon_triple
+    from nclp.yeadon import jordan_dichotomy_report
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense amplified matrix was built")
+
+    data = random_isometry_data(4)
+    T = build_isometry(data, 3.0)
+    triple, weights = random_yeadon_triple(2, 3.0)
+    want = (
+        classify(T, data.reference_state, 3.0).defects,
+        two_isometry_defect(T, n=3),
+        jordan_dichotomy_report(triple, 3.0, weights),
+    )
+    monkeypatch.setattr(lp_module, "amplify_map", refuse)
+    _clear_source_caches()
+    assert classify(T, data.reference_state, 3.0).defects == want[0]
+    assert two_isometry_defect(T, n=3) == want[1]
+    assert jordan_dichotomy_report(triple, 3.0, weights) == want[2]
+
+
+def test_the_one_fold_amplified_defect_is_the_isometry_defect():
+    # id_1 (x) T is T, and its witnesses are the unit basis
+    T = LpMap(M2, M2, 3.0, 1.3 * transpose_permutation(M2))
+    for relative in (True, False):
+        want = isometry_defect(T, relative=relative)
+        assert want > 0.1 and two_isometry_defect(T, n=1, relative=relative) == want
+    with pytest.raises(ShapeMismatch):
+        two_isometry_defect(T, n=0)
 
 
 def test_extract_pi_takes_the_rank_threshold_across_blocks():
