@@ -189,6 +189,9 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return self._like([b.conj().T for b in self.data])
 
+    def transpose(self) -> "AlgebraElement":
+        return self._like([b.T for b in self.data])
+
     # -- functionals --------------------------------------------------------
 
     def trace(self) -> complex:
@@ -479,16 +482,32 @@ def pullback_density(state: State, F: AlgebraMap) -> list[np.ndarray]:
     return [row[off : off + n * n].reshape(n, n).T for off, n in layout]
 
 
-def left_mult_matrix(a: AlgebraElement) -> np.ndarray:
-    """Matrix of x -> a x on vectorized coordinates (row-major blocks)."""
-    mats = [np.kron(b, np.eye(n)) for b, n in zip(a.data, a.algebra.blocks)]
-    return _block_diag(mats)
+def apply_left(a: AlgebraElement, X: np.ndarray) -> np.ndarray:
+    """L_a X: x -> a x on every column of the (D, N) array X, block by block,
+    without building L_a.  The rows of a block of size m, read as (m, m N),
+    hold the column blocks side by side, so one product a_b @ rows does
+    them all.  The row-side form is X L_a = (L_{a^T} X^T)^T."""
+    return _apply_blockwise(a, X, lambda b, rows, m, N: b @ rows.reshape(m, m * N))
 
 
-def right_mult_matrix(a: AlgebraElement) -> np.ndarray:
-    """Matrix of x -> x a on vectorized coordinates."""
-    mats = [np.kron(np.eye(n), b.T) for b, n in zip(a.data, a.algebra.blocks)]
-    return _block_diag(mats)
+def apply_right(a: AlgebraElement, X: np.ndarray) -> np.ndarray:
+    """R_a X: x -> x a on every column of the (D, N) array X, block by block,
+    without building R_a.  The rows of a block of size m, read as (m, m, N),
+    hold row i of every column block at [i]; a_b^T @ rows, batched over i,
+    does them all.  The row-side form is X R_a = (R_{a^T} X^T)^T."""
+    return _apply_blockwise(a, X, lambda b, rows, m, N: np.matmul(b.T, rows.reshape(m, m, N)))
+
+
+def _apply_blockwise(a: AlgebraElement, X: np.ndarray, product) -> np.ndarray:
+    """The (D, N) array whose rows of each block are product(a_b, rows, m, N)."""
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[0] != a.algebra.total_dim:
+        raise ShapeMismatch(f"array of shape {X.shape} does not act on {a.algebra.total_dim} rows")
+    N = X.shape[1]
+    out = np.empty(X.shape, dtype=complex)
+    for off, m, b in zip(a.algebra.offsets(), a.algebra.blocks, a.data):
+        out[off : off + m * m] = product(b, X[off : off + m * m], m, N).reshape(m * m, N)
+    return out
 
 
 def transpose_permutation(algebra: Algebra) -> np.ndarray:
@@ -498,23 +517,6 @@ def transpose_permutation(algebra: Algebra) -> np.ndarray:
     layout = zip(algebra.offsets(), algebra.blocks)
     perm = [off + np.arange(n * n).reshape(n, n).T.reshape(-1) for off, n in layout]
     return np.eye(algebra.total_dim)[np.concatenate(perm)]
-
-
-def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total), dtype=complex)
-    acc = 0
-    for m in mats:
-        k = m.shape[0]
-        out[acc : acc + k, acc : acc + k] = m
-        acc += k
-    return out
-
-
-def conjugation_map(u: AlgebraElement) -> AlgebraMap:
-    """Ad_u : x -> u x u* as an AlgebraMap on u's algebra."""
-    alg = u.algebra
-    return AlgebraMap(alg, alg, left_mult_matrix(u) @ right_mult_matrix(u.adjoint()))
 
 
 # -- homomorphism classification ----------------------------------------------

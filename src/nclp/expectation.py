@@ -26,11 +26,11 @@ from .algebra import (
     AlgebraMap,
     Projection,
     State,
+    apply_left,
+    apply_right,
     cluster_projection,
     homomorphism_kind,
-    left_mult_matrix,
     pullback_density,
-    right_mult_matrix,
     spectral_clusters,
     trace_row,
 )
@@ -72,10 +72,11 @@ class Subalgebra:
     The basis need not be orthonormal; it must be linearly independent and
     span a set closed under products and adjoints.  The unit here is the unit
     of the subalgebra itself, a projection of the parent which may be smaller
-    than the parent unit.
+    than the parent unit.  `pi` is the homomorphism of a `from_map_image`
+    subalgebra, else None.
     """
 
-    __slots__ = ("parent", "basis", "__dict__")
+    __slots__ = ("parent", "basis", "pi", "__dict__")
 
     def __init__(self, parent: Algebra, basis: Sequence[AlgebraElement], validate: bool = True):
         basis = tuple(basis)
@@ -86,14 +87,34 @@ class Subalgebra:
                 raise ShapeMismatch("basis element lives on a different algebra")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pi", None)
         if validate:
             self.validate()
 
     @classmethod
     def from_map_image(cls, pi: AlgebraMap, validate: bool = False) -> "Subalgebra":
-        """Span of the image of an injective homomorphism: its matrix columns."""
+        """Span of the image of an injective homomorphism: its matrix columns.
+        The subalgebra keeps pi, which gives its `generators`."""
         basis = [AlgebraElement.from_vec(pi.target, col) for col in pi.matrix.T]
-        return cls(pi.target, basis, validate=validate)
+        image = cls(pi.target, basis, validate=validate)
+        object.__setattr__(image, "pi", pi)
+        return image
+
+    @cached_property
+    def generators(self) -> tuple[AlgebraElement, ...]:
+        """Elements that generate the subalgebra as an algebra.  For a pi
+        image, per source block of size n: pi(e_{i,i+1}) and pi(e_{i+1,i})
+        for i < n - 1, in that order, then pi(1_b), so 2 sum(n_b - 1) + B
+        elements in all; otherwise the basis, which generates its own span.
+        Nothing here checks that pi is a homomorphism."""
+        if self.pi is None:
+            return self.basis
+        cols, P = [], self.pi.matrix
+        for off, n in zip(self.pi.source.offsets(), self.pi.source.blocks):
+            for i in range(n - 1):
+                cols += [P[:, off + i * n + i + 1], P[:, off + (i + 1) * n + i]]
+            cols.append(P[:, off : off + n * n : n + 1].sum(axis=1))
+        return tuple(AlgebraElement.from_vec(self.parent, c) for c in cols)
 
     @cached_property
     def dim(self) -> int:
@@ -164,15 +185,12 @@ def _center_coefficients(onb: np.ndarray, A: Subalgebra) -> list[AlgebraElement]
     parent = A.parent
     d = onb.shape[1]
     basis_elts = [AlgebraElement.from_vec(parent, onb[:, i]) for i in range(d)]
-    rows = []
-    for b in basis_elts:
-        comm = left_mult_matrix(b) - right_mult_matrix(b)
-        rows.append(comm @ onb)
-    K = np.vstack(rows)  # (d * D) x d, kernel = central coefficient vectors
-    _, s, vh = np.linalg.svd(K)
-    tol = 1e-9 * max(1.0, s[0] if s.size else 0.0)
+    # block b holds the commutators [b, .] of the onb columns
+    K = np.vstack([apply_left(b, onb) - apply_right(b, onb) for b in basis_elts])
+    # K is (d * D) x d, so vh is square and s covers the whole kernel
+    _, s, vh = np.linalg.svd(K, full_matrices=False)
+    tol = 1e-9 * max(1.0, s[0])
     kernel = [vh[i].conj() for i in range(len(s)) if s[i] <= tol]
-    kernel += [vh[i].conj() for i in range(len(s), vh.shape[0])]
     return [AlgebraElement.from_vec(parent, onb @ c) for c in kernel]
 
 
@@ -346,7 +364,7 @@ def takesaki_invariant(A: Subalgebra, state: State) -> TakesakiResult:
     L = state.log_pseudo()
     Q = A._onb
     B = np.column_stack([a.vec() for a in A.basis])
-    comm = (left_mult_matrix(L) - right_mult_matrix(L)) @ B
+    comm = apply_left(L, B) - apply_right(L, B)
     defect = float(np.max(np.linalg.norm(comm - Q @ (Q.conj().T @ comm), axis=0)))
     return TakesakiResult(invariant=bool(defect < tol), defect=defect)
 
@@ -370,34 +388,83 @@ class ConditionalExpectation:
         return self.map(x)
 
 
+def _chain_residuals(A: Subalgebra, B: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Frobenius distances of the basis columns B of a pi image from their
+    chain products of the generator columns G; empty for any other
+    subalgebra.  With f the basis and g the generators of a source block of
+    size n, the chains are
+      f_ij = g_ij                 for |i - j| = 1,
+      f_ij = g_{i,i+1} f_{i+1,j}  for j > i + 1, and for j = i < n - 1,
+      f_ij = g_{i,i-1} f_{i-1,j}  for j < i - 1, and for j = i = n - 1 > 0,
+      f_00 = g(1_b)               for n = 1,
+    so by induction on |i - j| every basis element is a product of
+    generators."""
+    if A.pi is None:
+        return np.zeros(0)
+    expected = np.empty(B.shape, dtype=complex)
+    first = 0  # index of the block's first generator
+    for off, n in zip(A.pi.source.offsets(), A.pi.source.blocks):
+
+        def col(i, j):
+            return off + i * n + j
+
+        def gen(i, j):  # index of g_ij, |i - j| = 1
+            return first + 2 * min(i, j) + (i > j)
+
+        if n == 1:
+            expected[:, off] = G[:, first]
+        for i in range(n):
+            for j in (i - 1, i + 1):
+                if 0 <= j < n:
+                    expected[:, col(i, j)] = G[:, gen(i, j)]
+            up = list(range(i + 2, n)) + ([i] if i < n - 1 else [])
+            down = list(range(i - 1)) + ([i] if i == n - 1 > 0 else [])
+            for k, js in ((i + 1, up), (i - 1, down)):
+                if js:
+                    rows = apply_left(A.generators[gen(i, k)], B[:, [col(k, j) for j in js]])
+                    expected[:, [col(i, j) for j in js]] = rows
+        first += 2 * (n - 1) + 1
+    return np.linalg.norm(expected - B, axis=0)
+
+
 def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: float = 0.0) -> None:
     """Certify that the matrix M is a state-preserving conditional
     expectation onto the subalgebra, raising NotInvariant otherwise.
 
-    The checks are matrix identities on M: idempotence, M B = B on the basis
-    columns B, the state row identity omega M = omega with
-    phi(x) = omega . vec(x), and the one-sided bimodule identities
-    M L_a = L_a M and M R_a = R_a M for each basis element a.  A
-    conditional expectation is a bimodule map (Tomiyama), and the one-sided
-    identities give E(a u b) = a E(u b) = a E(u) b.  Positivity is checked on
-    seeded samples.  Every comparison is written so that a NaN rejects.
+    For a pi image the basis must first be the chain products of the
+    generators (`_chain_residuals`) within check_tol, or the message is
+    "subalgebra basis is not generated by its generators"; pi itself is not
+    trusted.  The checks are then matrix identities on M: idempotence,
+    M B = B on the basis columns B, the state row identity omega M = omega
+    with phi(x) = omega . vec(x), and the one-sided bimodule identities
+    M L_a = L_a M and M R_a = R_a M for each generator a.  A conditional
+    expectation is a bimodule map (Tomiyama), and the one-sided identities
+    give E(a u b) = a E(u b) = a E(u) b.  They are multiplicative in a, as
+    L_{ab} = L_a L_b and R_{ab} = R_b R_a, so holding on generators they
+    hold on the subalgebra.  Positivity is checked on seeded samples.
+    Every comparison is written so that a NaN rejects.
     """
     parent = A.parent
     check_tol = 1e-7 * max(1, parent.total_dim)
+    B = np.column_stack([a.vec() for a in A.basis])
+    G = np.column_stack([a.vec() for a in A.generators])
+    if not np.all(_chain_residuals(A, B, G) <= check_tol):
+        raise NotInvariant(defect, "subalgebra basis is not generated by its generators")
     if not np.max(np.abs(M @ M - M)) <= check_tol:
         raise NotInvariant(defect, "expectation is not idempotent")
-    B = np.column_stack([a.vec() for a in A.basis])
     col_tol = check_tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
     if not np.all(np.linalg.norm(M @ B - B, axis=0) <= col_tol):
         raise NotInvariant(defect, "expectation does not fix the subalgebra")
     omega = trace_row(state.density)
     if not np.max(np.abs(omega @ M - omega)) <= check_tol:
         raise NotInvariant(defect, "expectation does not preserve the state")
-    # one basis element at a time, so only two D x D multiplication
-    # matrices are alive at once
-    for a, tol in zip(A.basis, col_tol):
-        for mult in (left_mult_matrix(a), right_mult_matrix(a)):
-            if not np.all(np.linalg.norm(M @ mult - mult @ M, axis=0) <= tol):
+    # M L_a = (L_{a^T} M^T)^T and M R_a = (R_{a^T} M^T)^T
+    Mt = np.ascontiguousarray(M.T)
+    gen_tol = check_tol * np.maximum(1.0, np.linalg.norm(G, axis=0))
+    for a, tol in zip(A.generators, gen_tol):
+        for apply in (apply_left, apply_right):
+            comm = apply(a.transpose(), Mt).T - apply(a, M)
+            if not np.all(np.linalg.norm(comm, axis=0) <= tol):
                 raise NotInvariant(defect, "expectation is not a module map")
     rng = np.random.default_rng(_DECOMP_SEED)
     for _ in range(5):
@@ -424,10 +491,11 @@ def construct_expectation(A: Subalgebra, state: State) -> ConditionalExpectation
         raise NotInvariant(inv.defect)
     parent = A.parent
     Q = A._onb
-    W = right_mult_matrix(state.density)  # Tr(rho y* x) = vec(y)^H W vec(x)
-    gram = Q.conj().T @ W @ Q
+    # Tr(rho y* x) = vec(y)^H W vec(x) with W = R_rho, Hermitian as rho is
+    WQ = apply_right(state.density, Q)
+    gram = Q.conj().T @ WQ
     gram = (gram + gram.conj().T) / 2
-    rhs = Q.conj().T @ W
+    rhs = WQ.conj().T  # Q^H W
     coeff = np.linalg.solve(gram, rhs)
     M = Q @ coeff
     # structural post-checks; failures mean the instance is numerically
@@ -474,9 +542,10 @@ def lp_inclusion(
         rho_A = phi_A
     if not rho_A.faithful:
         raise NonFaithful("restricted state is not faithful on the subalgebra")
-    left_big = left_mult_matrix(phibar.power_element(1.0 / p))
-    left_small_inv = left_mult_matrix(rho_A.power_element(-1.0 / p))
-    return LpMap(dec.algebra, A.parent, p, left_big @ dec.embed.matrix @ left_small_inv)
+    # L_big embed L_small_inv, the right factor applied as (L_{a^T} X^T)^T
+    left = apply_left(phibar.power_element(1.0 / p), dec.embed.matrix)
+    matrix = apply_left(rho_A.power_element(-1.0 / p).transpose(), left.T).T
+    return LpMap(dec.algebra, A.parent, p, np.ascontiguousarray(matrix))
 
 
 def lp_expectation(E: ConditionalExpectation, phibar: State, p: float) -> LpMap:
@@ -508,10 +577,10 @@ def complement_projection(data, p: float) -> LpMap:
     A = E.subalgebra
     Ep = lp_expectation(E, E.state, p)
     iota = lp_inclusion(A, E, p)
-    Lw = left_mult_matrix(data.w)
-    Lws = left_mult_matrix(data.w.adjoint())
-    M = Lw @ iota.matrix @ Ep.matrix @ Lws
-    return LpMap(A.parent, A.parent, p, M)
+    # L_w iota E_p L_{w*}, the right factor applied as (L_{conj w} X^T)^T
+    left = apply_left(data.w, iota.matrix @ Ep.matrix)
+    M = apply_left(data.w.adjoint().transpose(), left.T).T
+    return LpMap(A.parent, A.parent, p, np.ascontiguousarray(M))
 
 
 def subalgebra_lp_norm(A: Subalgebra, phibar: State, x_small: AlgebraElement, p: float) -> float:

@@ -24,8 +24,8 @@ from .algebra import (
     AlgebraElement,
     AlgebraMap,
     State,
+    apply_left,
     homomorphism_kind,
-    left_mult_matrix,
     trace_row,
 )
 from .errors import (
@@ -122,9 +122,10 @@ def transfer_exponent(
         raise ExponentUnsupported(f"q must lie in [1, inf), got {q}")
     if not phi.faithful:
         raise NonFaithful("reference state must be faithful")
-    out_factor = w @ phibar.power_element(1.0 / q)
-    matrix = left_mult_matrix(out_factor) @ pi.matrix @ left_mult_matrix(phi.power_element(-1.0 / q))
-    return LpMap(pi.source, pi.target, q, matrix)
+    # L_out pi L_{phi^{-1/q}}, the right factor applied as (L_{a^T} X^T)^T
+    left = apply_left(w @ phibar.power_element(1.0 / q), pi.matrix)
+    matrix = apply_left(phi.power_element(-1.0 / q).transpose(), left.T).T
+    return LpMap(pi.source, pi.target, q, np.ascontiguousarray(matrix))
 
 
 # -- extraction ----------------------------------------------------------------
@@ -167,7 +168,8 @@ def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
 
     All projections go through T at once: with L the left multiplication
     by phi^{1/p}, row r is (T L) vec(P_r), and `right_supports` takes one
-    stacked SVD per target block.
+    stacked SVD per target block.  (T L)^T = L_{rho^T} T^T is applied
+    blockwise, and so is L_{T(rho^{1/p})} in the module relation.
     """
     p = T.p
     if p == 2.0:
@@ -178,13 +180,13 @@ def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
     if phi.algebra != src:
         raise DataInvalid(_FOREIGN_STATE)
     rho_pow = phi.power_element(1.0 / p)
-    TL = T.matrix @ left_mult_matrix(rho_pow)
+    TLt = apply_left(rho_pow.transpose(), T.matrix.T)
     P, C = _polarization(src)
-    pi = AlgebraMap(src, tgt, right_supports(tgt, P @ TL.T).T @ C)
+    pi = AlgebraMap(src, tgt, right_supports(tgt, P @ TLt).T @ C)
 
     # the module relation T L_{rho^{1/p}} = L_{T(rho^{1/p})} pi, one column per unit
     base_image = AlgebraElement.from_vec(tgt, T.matrix @ rho_pow.vec())
-    residual = TL - left_mult_matrix(base_image) @ pi.matrix
+    residual = TLt.T - apply_left(base_image, pi.matrix)
     defect = float(np.max(np.linalg.norm(residual, axis=0)))
     if not defect <= WARN_TOL:
         raise NotAnIsometry(f"module relation fails on the basis (defect {defect:.3e})")
@@ -480,8 +482,9 @@ def classify(
         reference_state=phi,
     )
     rebuilt = transfer_exponent(pi, phi, E.state, w, p)
-    # row u is rho^{1/p} u; each map is applied as one matvec per row
-    rows = left_mult_matrix(phi.power_element(1.0 / p)).T
+    # row u is rho^{1/p} u, so the rows are L_rho^T = L_{rho^T}; each map
+    # is applied as one matvec per row
+    rows = apply_left(phi.power_element(1.0 / p).transpose(), np.eye(T.source.total_dim))
     gaps = np.matmul(T.matrix, rows[:, :, None]) - np.matmul(rebuilt.matrix, rows[:, :, None])
     scales = np.maximum(lp_norms(T.source, p, rows), 1e-14)
     recon = float(np.max(lp_norms(T.target, p, gaps[:, :, 0]) / scales))

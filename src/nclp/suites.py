@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, State, matrix_units
-from .errors import ConfigInvalid, UnknownSuite
+from .errors import ConfigInvalid, NclpError, UnknownSuite
 from .expectation import (
     construct_expectation,
     interpolation_gap,
@@ -140,7 +140,9 @@ def _per_case(config: SuiteConfig, tag: str, body, cycle: bool = True):
     """Run body(i, seed, p, key) per case: seed = config.seed XOR i, p the
     exponents in turn when cycle (else None), key the digested dict, which
     body may extend.  body returns (fields, ok); each record is
-    {case, p, digest, **fields, pass}, and the suite passes when all do."""
+    {case, p, digest, **fields, pass}, and the suite passes when all do.  A
+    case whose body raises an NclpError fails, with fields {error, message}:
+    the error's type name and its message."""
     exps = [float(p) for p in config.exponents] if cycle else None
     cases = []
     for i in range(config.sample_count):
@@ -150,7 +152,10 @@ def _per_case(config: SuiteConfig, tag: str, body, cycle: bool = True):
         p = None
         if cycle:
             p = key["p"] = record["p"] = exps[i % len(exps)]
-        fields, ok = body(i, seed, p, key)
+        try:
+            fields, ok = body(i, seed, p, key)
+        except NclpError as err:
+            fields, ok = {"error": type(err).__name__, "message": str(err)}, False
         cases.append({**record, "digest": _digest(key), **fields, "pass": ok})
     return cases, all(case["pass"] for case in cases)
 

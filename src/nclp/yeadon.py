@@ -23,10 +23,10 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraMap,
+    apply_left,
+    apply_right,
     homomorphism_kind,
-    left_mult_matrix,
     matrix_units,
-    right_mult_matrix,
     support_calculus,
     trace_row,
 )
@@ -101,7 +101,7 @@ def yeadon_decompose(
     one = AlgebraElement.identity(T.source)
     w, B = projection_polar_parts(T, one)
     B_pinv = _pseudo_inverse_positive(B)
-    solve = left_mult_matrix(B_pinv) @ left_mult_matrix(w.adjoint()) @ T.matrix
+    solve = apply_left(B_pinv, apply_left(w.adjoint(), T.matrix))
     J = AlgebraMap(T.source, T.target, solve)
 
     tol = 1e-7 * max(1, T.target.total_dim)
@@ -115,7 +115,7 @@ def yeadon_decompose(
         raise NotAnIsometry("w* w = J(1) = s(B) fails")
     # spectral projections of B commute with the image exactly when B does;
     # column u of (L_B - R_B) J is the commutator [B, J(u)]
-    commutators = (left_mult_matrix(B) - right_mult_matrix(B)) @ J.matrix
+    commutators = apply_left(B, J.matrix) - apply_right(B, J.matrix)
     comm = float(np.max(np.linalg.norm(commutators, axis=0)))
     if not comm <= tol:
         raise NotAnIsometry(f"B does not commute with the image (defect {comm:.3e})")
@@ -129,7 +129,7 @@ def yeadon_decompose(
             if (w_e.adjoint() @ w_e - j_e).frobenius() > tol:
                 raise NotAnIsometry("support of a diagonal image disagrees with J")
     _verify_trace_condition(J, B, p, weights, tol)
-    recon = left_mult_matrix(w @ B) @ J.matrix
+    recon = apply_left(w @ B, J.matrix)
     if np.max(np.abs(recon - T.matrix)) > tol:
         raise NotAnIsometry("T does not factor as w B J(x)")
     return YeadonTriple(J=J, w=w, B=B)
@@ -173,7 +173,7 @@ def _assemble_yeadon_map(triple: YeadonTriple, p: float, weights, report) -> LpM
     if (w.adjoint() @ w - j_one).frobenius() > tol or (j_one - sB).frobenius() > tol:
         raise DataInvalid("w* w = J(1) = s(B) fails")
     _verify_trace_condition(J, LpVector.from_element(B, p), p, weights, tol)
-    matrix = left_mult_matrix(w @ B) @ J.matrix
+    matrix = apply_left(w @ B, J.matrix)
     T = LpMap(J.source, J.target, p, matrix)
     # spot check the isometry granted by the trace condition
     samples = _sample_rows(J.source, 5, np.random.default_rng(7))

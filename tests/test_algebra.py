@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nclp.algebra import (
     EPS_FAITHFUL,
@@ -9,8 +10,9 @@ from nclp.algebra import (
     HomomorphismReport,
     Projection,
     State,
+    apply_left,
+    apply_right,
     cluster_projection,
-    conjugation_map,
     homomorphism_kind,
     make_algebra,
     matrix_units,
@@ -20,6 +22,7 @@ from nclp.algebra import (
     trace_row,
     transpose_permutation,
 )
+from dense_oracles import conjugation_map, left_mult_matrix, right_mult_matrix
 from nclp.errors import EmptyBlocks, NonPositiveDim, ShapeMismatch
 from nclp.samples import haar_unitary, random_element, rng_for
 
@@ -436,3 +439,39 @@ def test_kind_at_reclassifies_the_same_defects():
     assert report.kind_at(2 * report.mult_defect) == "star_homomorphism"
     assert report.kind_at(report.star_defect / 2) == "neither"
     assert homomorphism_kind(J, tol=1.0).kind == report.kind_at(1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_blockwise_products_match_the_dense_matrices(blocks, N, seed):
+    # L_a X, R_a X, and the row-side forms X L_a = (L_{a^T} X^T)^T and
+    # X R_a = (R_{a^T} X^T)^T, against the dense multiplication matrices
+    alg = make_algebra(blocks)
+    rng = rng_for(seed)
+    a = random_element(alg, rng)
+    X, Y = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for shape in ((alg.total_dim, N), (N, alg.total_dim))
+    )
+    L, R = left_mult_matrix(a), right_mult_matrix(a)
+    pairs = [
+        (apply_left(a, X), L @ X),
+        (apply_right(a, X), R @ X),
+        (apply_left(a.transpose(), Y.T).T, Y @ L),
+        (apply_right(a.transpose(), Y.T).T, Y @ R),
+    ]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= ORACLE_TOL
+
+
+def test_blockwise_products_check_the_row_count():
+    a = AlgebraElement.identity(make_algebra([2, 1]))
+    for apply in (apply_left, apply_right):
+        with pytest.raises(ShapeMismatch):
+            apply(a, np.zeros((4, 3)))
+        with pytest.raises(ShapeMismatch):
+            apply(a, np.zeros(5))

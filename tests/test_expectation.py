@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from nclp.algebra import AlgebraElement, State, make_algebra, matrix_units, random_faithful_state
+import nclp.expectation as expectation_module
+from nclp.algebra import (
+    AlgebraElement,
+    AlgebraMap,
+    State,
+    make_algebra,
+    matrix_units,
+    random_faithful_state,
+)
 from nclp.errors import DataInvalid, ExponentUnsupported, NotInvariant
 from nclp.expectation import (
     Subalgebra,
@@ -15,6 +23,7 @@ from nclp.expectation import (
     subalgebra_lp_norm,
     takesaki_invariant,
 )
+from nclp.isometry import transfer_exponent
 from nclp.lp import LpVector, amplify_map, lp_norm, state_power, trace_pairing
 from nclp.samples import (
     diagonal_subalgebra,
@@ -27,6 +36,20 @@ from nclp.samples import (
 )
 
 M2 = make_algebra([2])
+
+# the instance plans of the benchmark workloads: (source blocks, target plan)
+BENCH_PLANS = {
+    "P2": ((2,), [([(0, 1)], 2)]),
+    "P3": ((3,), [([(0, 1)], 2)]),
+    "P4": ((4,), [([(0, 1)], 2)]),
+    "M1": ((2, 1), [([(0, 2), (1, 1)], 1), ([(0, 1)], 1)]),
+    "M2": ((3,), [([(0, 2)], 0)]),
+}
+
+
+def _plan_data(name, seed=0):
+    source, plan = BENCH_PLANS[name]
+    return random_isometry_data(seed, source, plan=plan)
 
 
 def _full_subalgebra(alg):
@@ -218,6 +241,94 @@ def test_certificate_agrees_with_loop_oracle(seed):
     for message, M in bad.items():
         assert _oracle_certificate(M, A, phibar) == message
         assert _certificate_message(M, A, phibar) == message
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PLANS))
+def test_generator_certificate_agrees_with_the_full_basis_oracle(name):
+    # the module identities run on generators of the pi image only; each
+    # perturbation, the module breaker on the state-free part included, must
+    # fail there with the message of the full-basis loop oracle
+    E = _plan_data(name).expectation
+    A, M = E.subalgebra, E.map.matrix
+    assert A.pi is not None and len(A.generators) < A.dim
+    assert _oracle_certificate(M, A, E.state) is None
+    assert _certificate_message(M, A, E.state) is None
+    bad = _bad_idempotents(M, A, E.state, rng_for(sorted(BENCH_PLANS).index(name) + 500))
+    for message, M_bad in bad.items():
+        assert _oracle_certificate(M_bad, A, E.state) == message
+        assert _certificate_message(M_bad, A, E.state) == message
+
+
+def test_the_chain_guard_rejects_a_basis_off_the_generators():
+    data = _plan_data("P3")
+    E = data.expectation
+    P = np.array(data.pi.matrix)
+    # column 2 is e_02 of M_3, no generator: it must be the product g_01 g_12
+    rng = rng_for(41)
+    P[:, 2] += 1e-3 * (rng.standard_normal(P.shape[0]) + 1j * rng.standard_normal(P.shape[0]))
+    altered = Subalgebra.from_map_image(AlgebraMap(data.pi.source, data.pi.target, P))
+    kept = Subalgebra.from_map_image(data.pi)
+    for g, h in zip(altered.generators, kept.generators, strict=True):
+        assert np.array_equal(g.vec(), h.vec())
+    assert _certificate_message(E.map.matrix, kept, E.state) is None
+    message = _certificate_message(E.map.matrix, altered, E.state)
+    assert message == "subalgebra basis is not generated by its generators"
+
+
+def test_the_module_identities_run_once_per_generator(monkeypatch):
+    elements = []
+    real = expectation_module.apply_right
+
+    def counting(a, X):
+        elements.append(a)
+        return real(a, X)
+
+    monkeypatch.setattr(expectation_module, "apply_right", counting)
+    # each element a meets apply_right twice: M R_a = (R_{a^T} M^T)^T and R_a M
+    for name in sorted(BENCH_PLANS):
+        E = _plan_data(name).expectation
+        blocks = E.subalgebra.pi.source.blocks
+        elements.clear()
+        _certify_expectation(E.map.matrix, E.subalgebra, E.state)
+        assert len(elements) == 2 * (2 * sum(n - 1 for n in blocks) + len(blocks))
+    for seed in range(8):
+        A, phibar = random_invariant_inclusion(seed)
+        M = construct_expectation(A, phibar).map.matrix
+        elements.clear()
+        _certify_expectation(M, A, phibar)
+        assert A.generators == A.basis and len(elements) == 2 * A.dim
+
+
+@pytest.mark.parametrize("make", ["pi_image", "split_inclusion"])
+def test_the_center_builds_no_full_svd(monkeypatch, make):
+    # the commutator stack is (dim A * D) x dim A; a full U of it is never used
+    if make == "pi_image":
+        A = Subalgebra.from_map_image(_plan_data("P3").pi)
+    else:
+        A, _ = random_invariant_inclusion(4)
+    real = np.linalg.svd
+
+    def refusing(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        if kwargs.get("compute_uv", True) and out[0].shape[-1] > A.dim:
+            raise AssertionError(f"an SVD built a U with {out[0].shape[-1]} columns")
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", refusing)
+    dec = A.decomposition
+    assert sum(m * m for m in dec.algebra.blocks) == A.dim
+
+
+def test_returned_map_matrices_are_c_contiguous():
+    data = random_isometry_data(1)  # a non-positive w
+    E = data.expectation
+    maps = [
+        transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, 3.0),
+        lp_inclusion(E.subalgebra, E, 3.0),
+        complement_projection(data, 3.0),
+    ]
+    for T in maps:
+        assert T.matrix.flags.c_contiguous
 
 
 def test_certificate_rejects_nan():

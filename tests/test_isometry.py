@@ -7,12 +7,12 @@ from nclp.algebra import (
     AlgebraMap,
     State,
     homomorphism_kind,
-    left_mult_matrix,
     make_algebra,
     matrix_units,
     random_faithful_state,
     transpose_permutation,
 )
+from dense_oracles import left_mult_matrix
 import nclp.expectation as expectation_module
 import nclp.isometry as isometry_module
 from nclp.errors import (
@@ -250,6 +250,23 @@ def test_classify_roundtrip(p):
     assert (report.data.w - data.w).frobenius() < 1e-7
     assert np.max(np.abs(report.data.expectation.map.matrix - data.expectation.map.matrix)) < 1e-7
     assert (report.data.phibar.density - data.phibar.density).frobenius() < 1e-7
+
+
+def test_classify_accepts_the_ladder_plan_at_d_144():
+    # D = 144 and dim A = 100, certified on 19 generators of the pi image
+    data = random_isometry_data(0, (10,), plan=[([(0, 1)], 2)])
+    assert data.target.total_dim == 144
+    assert len(data.expectation.subalgebra.generators) == 19
+    report = classify(build_isometry(data, 3.0), data.reference_state, 3.0)
+    assert report.accepted
+    rec = report.data
+    distance = max(
+        np.max(np.abs(rec.pi.matrix - data.pi.matrix)),
+        (rec.w - data.w).frobenius(),
+        np.max(np.abs(rec.expectation.map.matrix - data.expectation.map.matrix)),
+        (rec.phibar.density - data.phibar.density).frobenius(),
+    )
+    assert distance < 1e-7
 
 
 def test_classify_rejects_transpose_at_multiplicativity():

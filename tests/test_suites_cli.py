@@ -244,3 +244,16 @@ def test_state_restriction_perturbed_control_detected(seed):
 def test_expectation_detect_finds_noninvariant_inclusion_past_eight_attempts():
     # case 11 at this seed needs a ninth draw of random_noninvariant_inclusion
     assert run_suite(SuiteConfig("expectation_detect", seed=129200)).passed
+
+
+def test_a_raising_case_is_recorded_as_a_failure():
+    # at p = 49 the absolute tolerance of the trace condition fails a correct
+    # triple; the suite records those cases instead of raising
+    report = run_suite(SuiteConfig("yeadon_roundtrip", seed=0, exponents=[49.0]))
+    failed = [case for case in report.cases if "error" in case]
+    assert failed and not report.passed
+    assert all(not case["pass"] for case in failed)
+    assert {case["error"] for case in failed} == {"TraceConditionViolated"}
+    assert all(case["message"].startswith("tau and Tr(B^p J(.))") for case in failed)
+    assert all(case["pass"] for case in report.cases if "error" not in case)
+    assert json.loads(report.dumps())["cases"][failed[0]["case"]]["error"] == "TraceConditionViolated"

@@ -4,10 +4,10 @@ import pytest
 from nclp.algebra import (
     AlgebraElement,
     AlgebraMap,
-    left_mult_matrix,
     make_algebra,
     transpose_permutation,
 )
+from dense_oracles import left_mult_matrix
 from nclp.errors import ExponentMismatch, ExponentUnsupported, TraceConditionViolated
 from nclp.isometry import grid_witness
 from nclp.lp import LpMap, LpVector, amplify_map, lp_norm
