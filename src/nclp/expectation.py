@@ -7,9 +7,12 @@ When invariance holds, the expectation is the orthogonal projection for the
 state's GNS inner product <x, y> = Tr(rho y* x).
 
 To realize L_p of a subalgebra, the subalgebra is decomposed into a direct
-sum of full matrix factors (diagonalize the center, split minimal central
-projections, build matrix units), giving an explicit embedding of a small
-block algebra onto the subalgebra.
+sum of full matrix factors, giving an explicit embedding of a small block
+algebra onto the subalgebra.  The decomposition is one deterministic pass
+that sees only the span: the spectrum of sum_i q_i a q_i*, over an
+orthonormal basis q_i and a positive element a of the subalgebra, gives the
+minimal central projections; the spectrum of a inside each gives minimal
+projections, and polar parts connect them into matrix units.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
     NotInvariant,
     ShapeMismatch,
 )
-from .lp import LpMap, LpVector, conjugate_exponent, lp_norm
+from .lp import LpMap, LpVector, conjugate_exponent, lp_norm, polar_decompose
 
 _DECOMP_SEED = 20240711  # fixed draw for the generic elements used below
 
@@ -180,155 +183,77 @@ class Subalgebra:
 # -- factor decomposition -------------------------------------------------------
 
 
-def _center_coefficients(onb: np.ndarray, A: Subalgebra) -> list[AlgebraElement]:
-    """Basis of the center of the subalgebra, as parent elements."""
-    parent = A.parent
-    d = onb.shape[1]
-    basis_elts = [AlgebraElement.from_vec(parent, onb[:, i]) for i in range(d)]
-    # block b holds the commutators [b, .] of the onb columns
-    K = np.vstack([apply_left(b, onb) - apply_right(b, onb) for b in basis_elts])
-    # K is (d * D) x d, so vh is square and s covers the whole kernel
-    _, s, vh = np.linalg.svd(K, full_matrices=False)
-    tol = 1e-9 * max(1.0, s[0])
-    kernel = [vh[i].conj() for i in range(len(s)) if s[i] <= tol]
-    return [AlgebraElement.from_vec(parent, onb @ c) for c in kernel]
+def _gaussian(parent: Algebra, rng) -> list[np.ndarray]:
+    """Blocks of a seeded complex Gaussian parent element."""
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in parent.blocks]
+
+
+def _phi(Q: np.ndarray, a: AlgebraElement) -> list[np.ndarray]:
+    """Blocks of sum_i q_i a q_i*, q_i the columns of Q as parent elements."""
+    d, out = Q.shape[1], []
+    for off, n, blk in zip(a.algebra.offsets(), a.algebra.blocks, a.data):
+        qs = Q[off : off + n * n].T.reshape(d, n, n)
+        out.append(np.tensordot(qs @ blk, qs.conj(), axes=([0, 2], [0, 2])))
+    return out
 
 
 def _block_decomposition(A: Subalgebra) -> BlockDecomposition:
     """Split a *-subalgebra into full matrix factors with explicit units.
 
-    Strategy: diagonalize a generic Hermitian element of the center to get
-    the minimal central projections, then inside each factor corner use a
-    generic Hermitian element to produce minimal projections and connect
-    them with partial isometries from polar decompositions.
+    Q Q^H, Q the orthonormal basis of the span, is the trace-preserving
+    expectation onto A, so a = Q Q^H (G G* + 1) is at least the unit e_A,
+    and b = Q Q^H g is a generic element of A.  On a factor M_n (x) 1_mu of
+    A, Phi(a) = sum_i q_i a q_i* is tr(a_k) / mu >= 1 / mu times the factor
+    unit for every orthonormal basis q_i of the span, so the clusters of the
+    nonzero spectrum of Phi(a) are the minimal central projections, in
+    ascending order of value.  Inside one, the eigenvalue clusters of a are
+    its n minimal projections e_1..e_n, and the polar parts v_j of e_j b e_1
+    connect them: the matrix units are v_j v_l*.  Only the span enters, not
+    its basis.  The result is certified, and a failure raises DataInvalid.
     """
+    parent, Q = A.parent, A._onb
     rng = np.random.default_rng(_DECOMP_SEED)
-    center = _center_coefficients(A._onb, A)
-    last_err = None
-    for _ in range(12):
-        try:
-            return _attempt_decomposition(A, center, rng)
-        except _RetryDecomposition as err:
-            last_err = err
-            continue
-    raise DataInvalid(f"factor decomposition did not stabilize: {last_err}")
+    G, g = _gaussian(parent, rng), _gaussian(parent, rng)
 
+    def project(blocks):
+        vec = AlgebraElement(parent, blocks).vec()
+        return AlgebraElement.from_vec(parent, Q @ (Q.conj().T @ vec))
 
-class _RetryDecomposition(Exception):
-    pass
+    a = project([x @ x.conj().T + np.eye(len(x)) for x in G])
+    b = project(g)
 
+    def gap(top):
+        return 1e-8 * (1.0 + top)
 
-def _attempt_decomposition(A: Subalgebra, center, rng) -> BlockDecomposition:
-    parent = A.parent
-    span_tol = 1e-7
-
-    # generic Hermitian central element
-    coeff = rng.standard_normal(len(center)) + 1j * rng.standard_normal(len(center))
-    z = AlgebraElement.zero(parent)
-    for c, elt in zip(coeff, center):
-        z = z + c * elt
-    z = (z + z.adjoint()) * 0.5
-    if z.frobenius() < 1e-12:
-        z = A.unit
-    ztol = 1e-8 * (1.0 + z.sup_norm())
-    clusters = [c for c in spectral_clusters(z.data, lambda _: ztol) if abs(c[0][0]) > ztol]
-    if len(clusters) != len(center):
-        raise _RetryDecomposition(f"{len(clusters)} central values for a {len(center)}-dim center")
-
-    factor_units: list[list[AlgebraElement]] = []
-    factor_dims: list[int] = []
-    mults: list[int] = []
-    order = []
-    for cl in clusters:
-        P = cluster_projection(parent, cl)
-        if A.span_residual(P) > span_tol:
-            raise _RetryDecomposition("central spectral projection left the span")
-        rank = len(cl)
-        # corner basis and its dimension
-        corner_vecs = []
-        for i in range(A.dim):
-            a = AlgebraElement.from_vec(parent, A._onb[:, i])
-            corner_vecs.append((P @ a @ P).vec())
-        C = np.column_stack(corner_vecs)
-        u, s, _ = np.linalg.svd(C, full_matrices=False)
-        dj = int(np.sum(s > 1e-9 * max(1.0, s[0])))
-        mj = int(round(np.sqrt(dj)))
-        if mj * mj != dj or rank % mj != 0:
-            raise _RetryDecomposition("corner is not a full matrix factor")
-        mu = rank // mj
-        corner_onb = [AlgebraElement.from_vec(parent, u[:, i]) for i in range(dj)]
-
-        # minimal projections from a generic Hermitian corner element,
-        # diagonalized on the range of the central projection only
-        h = AlgebraElement.zero(parent)
-        hc = rng.standard_normal(dj) + 1j * rng.standard_normal(dj)
-        for c, elt in zip(hc, corner_onb):
-            h = h + c * elt
-        h = (h + h.adjoint()) * 0.5
-        Q_blocks = []
-        for blk in P.data:
-            w, v = np.linalg.eigh((blk + blk.conj().T) / 2)
-            Q_blocks.append(v[:, w > 0.5])
-        compressed = [Q.conj().T @ hb @ Q for Q, hb in zip(Q_blocks, h.data)]
-        groups = spectral_clusters(compressed, lambda top: 1e-8 * (1.0 + top), Q_blocks)
-        if len(groups) != mj or any(len(g) != mu for g in groups):
-            raise _RetryDecomposition("corner spectrum did not split into minimal projections")
-        minimal = [cluster_projection(parent, g) for g in groups]
-        for e in minimal:
-            if A.span_residual(e) > span_tol:
-                raise _RetryDecomposition("minimal projection left the span")
-
-        # connecting partial isometries e_k <- e_1 through a generic element
-        gc = rng.standard_normal(dj) + 1j * rng.standard_normal(dj)
-        g = AlgebraElement.zero(parent)
-        for c, elt in zip(gc, corner_onb):
-            g = g + c * elt
-        v_list = []
-        for k in range(mj):
-            x = minimal[k] @ g @ minimal[0]
-            if x.frobenius() < 1e-10:
-                raise _RetryDecomposition("connecting element vanished")
-            vk_blocks = []
-            for blk in x.data:
-                uu, ss, vvh = np.linalg.svd(blk)
-                keep = ss > 1e-10 * max(1.0, float(ss[0]) if ss.size else 0.0)
-                vk_blocks.append(uu[:, keep] @ vvh[keep, :])
-            vk = AlgebraElement(parent, vk_blocks)
-            if (vk.adjoint() @ vk - minimal[0]).frobenius() > 1e-7 or (
-                vk @ vk.adjoint() - minimal[k]
-            ).frobenius() > 1e-7:
-                raise _RetryDecomposition("connecting isometry has wrong supports")
-            v_list.append(vk)
-        units = []
-        for k in range(mj):
-            for l in range(mj):
-                units.append(v_list[k] @ v_list[l].adjoint())
-        factor_units.append(units)
-        factor_dims.append(mj)
+    # Phi(a) is at least 1 / mu >= 1 / D on the unit of A, roundoff off it
+    central = [c for c in spectral_clusters(_phi(Q, a), gap) if c[0][0] > 0.5 / parent.total_dim]
+    cols, dims, mults = [], [], []
+    for cl in central:
+        bases = [
+            np.array([v for _, k, v in cl if k == bidx]).reshape(-1, n).T
+            for bidx, n in enumerate(parent.blocks)
+        ]
+        corner = [V.conj().T @ blk @ V for V, blk in zip(bases, a.data)]
+        groups = spectral_clusters(corner, gap, bases)
+        mu = len(groups[0])
+        if any(len(e) != mu for e in groups):
+            raise DataInvalid("factor decomposition: a corner is not a full matrix factor")
+        minimal = [cluster_projection(parent, e) for e in groups]
+        v = [polar_decompose(LpVector.from_element(e @ b @ minimal[0], 2.0)).w for e in minimal]
+        cols += [(vj @ vl.adjoint()).vec() for vj in v for vl in v]
+        dims.append(len(minimal))
         mults.append(mu)
-        order.append(cl[0][0])
 
-    # deterministic factor order: ascending central eigenvalue
-    perm = np.argsort(order, kind="stable")
-    factor_units = [factor_units[i] for i in perm]
-    factor_dims = [factor_dims[i] for i in perm]
-    mults = [mults[i] for i in perm]
-
-    small = Algebra(tuple(factor_dims))
-    cols = []
-    for units in factor_units:
-        for u in units:
-            cols.append(u.vec())
+    if sum(n * n for n in dims) != A.dim:
+        raise DataInvalid("factor decomposition: factor dimensions do not add up to the span")
+    small = Algebra(tuple(dims))
     embed = AlgebraMap(small, parent, np.column_stack(cols))
     report = homomorphism_kind(embed, tol=1e-7)
     if report.kind != "star_homomorphism" or not report.injective:
-        raise _RetryDecomposition(f"embedding failed certification: {report.kind}")
-    for units in factor_units:
-        for u in units:
-            if A.span_residual(u) > span_tol:
-                raise _RetryDecomposition("matrix unit left the span")
-    if sum(m * m for m in factor_dims) != A.dim:
-        raise _RetryDecomposition("factor dimensions do not add up to the span dimension")
+        raise DataInvalid(f"factor decomposition failed certification: {report.kind}")
+    U = embed.matrix
+    if not np.all(np.linalg.norm(U - Q @ (Q.conj().T @ U), axis=0) <= 1e-7):
+        raise DataInvalid("factor decomposition: a matrix unit left the span")
     return BlockDecomposition(small, embed, tuple(mults))
 
 
@@ -468,10 +393,7 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
                 raise NotInvariant(defect, "expectation is not a module map")
     rng = np.random.default_rng(_DECOMP_SEED)
     for _ in range(5):
-        g_blocks = []
-        for n in parent.blocks:
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            g_blocks.append(g @ g.conj().T)
+        g_blocks = [g @ g.conj().T for g in _gaussian(parent, rng)]
         pos = AlgebraElement.from_vec(parent, M @ AlgebraElement(parent, g_blocks).vec())
         low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in pos.data)
         if not low >= -check_tol * max(1.0, max(np.linalg.norm(b) for b in g_blocks)):

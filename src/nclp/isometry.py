@@ -337,13 +337,6 @@ def grid_witness(algebra: Algebra, b: int, k: int, l: int, p: float, n: int = 2)
     return _amplified_indicator(algebra, n, p, positions)
 
 
-def structured_witnesses(algebra: Algebra, p: float, n: int = 2) -> list[LpVector]:
-    """Matrix-unit grid witnesses Sigma e_ij (x) u_ij in the n-fold
-    amplification; these detect maps that preserve norms but not the
-    multiplicative structure."""
-    return [_amplified_indicator(algebra, n, p, pos) for pos in _witness_positions(algebra, n)]
-
-
 def two_isometry_defect(
     T: LpMap,
     *,

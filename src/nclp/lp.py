@@ -356,18 +356,6 @@ def amplified_algebra(algebra: Algebra, n: int) -> Algebra:
     return Algebra(tuple(n * nb for nb in algebra.blocks))
 
 
-def tensor_embed(a: np.ndarray, h: AlgebraElement, n: int, p: float | None = None):
-    """a (x) h as an element of the amplified algebra, a an n x n matrix."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (n, n):
-        raise ShapeMismatch(f"left factor must be {n} x {n}")
-    big = amplified_algebra(h.algebra, n)
-    blocks = [np.kron(a, b) for b in h.data]
-    if p is None:
-        return AlgebraElement(big, blocks)
-    return LpVector(big, p, blocks)
-
-
 def _amplified_positions(algebra: Algebra, n: int, i: int, j: int) -> np.ndarray:
     """Vectorized positions of e_ij (x) u in the n-fold amplification, for
     every matrix unit u of the algebra in vectorization order."""

@@ -1,10 +1,18 @@
-"""Dense multiplication matrices, kept as oracles for the blockwise
-`apply_left` and `apply_right` of `nclp.algebra`, which the package uses
-instead: these build the full D x D matrices on the row-major vectorization."""
+"""Dense reference constructions, kept as oracles for the sliced forms the
+package uses instead.
+
+The multiplication matrices build the full D x D matrices of the blockwise
+`apply_left` and `apply_right` of `nclp.algebra` on the row-major
+vectorization; `tensor_embed` builds a (x) h by Kronecker products, and
+`structured_witnesses` lists the witnesses that `two_isometry_defect` reads
+off as positions in the amplification."""
 
 import numpy as np
 
 from nclp.algebra import AlgebraElement, AlgebraMap
+from nclp.errors import ShapeMismatch
+from nclp.isometry import _amplified_indicator, _witness_positions
+from nclp.lp import LpVector, amplified_algebra
 
 
 def block_diag(mats: list[np.ndarray]) -> np.ndarray:
@@ -32,3 +40,22 @@ def conjugation_map(u: AlgebraElement) -> AlgebraMap:
     """Ad_u : x -> u x u* as an AlgebraMap on u's algebra."""
     alg = u.algebra
     return AlgebraMap(alg, alg, left_mult_matrix(u) @ right_mult_matrix(u.adjoint()))
+
+
+def tensor_embed(a: np.ndarray, h: AlgebraElement, n: int, p: float | None = None):
+    """a (x) h as an element of the amplified algebra, a an n x n matrix."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (n, n):
+        raise ShapeMismatch(f"left factor must be {n} x {n}")
+    big = amplified_algebra(h.algebra, n)
+    blocks = [np.kron(a, b) for b in h.data]
+    if p is None:
+        return AlgebraElement(big, blocks)
+    return LpVector(big, p, blocks)
+
+
+def structured_witnesses(algebra, p: float, n: int = 2) -> list[LpVector]:
+    """Matrix-unit grid witnesses Sigma e_ij (x) u_ij in the n-fold
+    amplification; these detect maps that preserve norms but not the
+    multiplicative structure."""
+    return [_amplified_indicator(algebra, n, p, pos) for pos in _witness_positions(algebra, n)]

@@ -23,7 +23,7 @@ from nclp.expectation import (
     subalgebra_lp_norm,
     takesaki_invariant,
 )
-from nclp.isometry import transfer_exponent
+from nclp.isometry import build_isometry, transfer_exponent
 from nclp.lp import LpVector, amplify_map, lp_norm, state_power, trace_pairing
 from nclp.samples import (
     diagonal_subalgebra,
@@ -301,7 +301,7 @@ def test_the_module_identities_run_once_per_generator(monkeypatch):
 
 @pytest.mark.parametrize("make", ["pi_image", "split_inclusion"])
 def test_the_center_builds_no_full_svd(monkeypatch, make):
-    # the commutator stack is (dim A * D) x dim A; a full U of it is never used
+    # no SVD of the decomposition builds a U wider than the subalgebra
     if make == "pi_image":
         A = Subalgebra.from_map_image(_plan_data("P3").pi)
     else:
@@ -373,6 +373,68 @@ def test_block_decomposition_coordinates_roundtrip():
     x_small = random_element(dec.algebra, rng)
     back = dec.coordinates(dec.embed(x_small))
     assert (back - x_small).frobenius() < 1e-10
+
+
+def _rebased(A, seed):
+    """A with its basis reversed, and with a seeded invertible mix of it."""
+    rng = np.random.default_rng(seed)
+    mix = rng.standard_normal((A.dim, A.dim)) + 1j * rng.standard_normal((A.dim, A.dim))
+    B = np.column_stack([a.vec() for a in A.basis]) @ mix
+    yield Subalgebra(A.parent, list(A.basis)[::-1], validate=False)
+    yield Subalgebra(A.parent, [AlgebraElement.from_vec(A.parent, c) for c in B.T], validate=False)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [random_invariant_inclusion, random_noninvariant_inclusion, "pi_image"],
+    ids=["invariant", "noninvariant", "pi_image"],
+)
+def test_decomposition_depends_only_on_the_span(make):
+    if make == "pi_image":
+        subalgebras = [Subalgebra.from_map_image(random_isometry_data(s).pi) for s in range(12)]
+    else:
+        subalgebras = [make(s)[0] for s in range(16)]
+    for seed, A in enumerate(subalgebras):
+        want = A.decomposition
+        for B in _rebased(A, seed):
+            got = B.decomposition
+            assert got.algebra == want.algebra and got.multiplicities == want.multiplicities
+            assert np.max(np.abs(got.embed.matrix - want.embed.matrix)) < 1e-10
+
+
+def test_decomposition_rejects_a_span_that_is_no_algebra():
+    e12 = AlgebraElement(M2, [np.array([[0, 1], [0, 0]], dtype=complex)])
+    A = Subalgebra(M2, [AlgebraElement.identity(M2), e12], validate=False)
+    with pytest.raises(DataInvalid, match="factor decomposition"):
+        A.decomposition
+
+
+LADDER_144 = ((10,), [([(0, 1)], 2)])  # M_10 into M_12, D = 144
+
+
+def test_ladder_decomposition_takes_no_svd_taller_than_the_parent(monkeypatch):
+    source, plan = LADDER_144
+    data = random_isometry_data(0, source, plan=plan)
+    A = Subalgebra.from_map_image(data.pi)
+    D, real = A.parent.total_dim, np.linalg.svd
+
+    def refusing(a, *args, **kwargs):
+        if np.shape(a)[-2] > D:
+            raise AssertionError(f"an SVD of {np.shape(a)[-2]} rows, above D = {D}")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", refusing)
+    dec = A.decomposition
+    assert dec.algebra.blocks == (10,) and dec.multiplicities == (1,)
+
+
+def test_ladder_complement_projection_is_a_projection_onto_the_range():
+    source, plan = LADDER_144
+    data = random_isometry_data(0, source, plan=plan)
+    P = complement_projection(data, 3).matrix
+    T = build_isometry(data, 3).matrix
+    assert np.max(np.abs(P @ P - P)) < 1e-9
+    assert np.max(np.abs(P @ T - T)) < 1e-9
 
 
 def test_restrict_state_is_state():

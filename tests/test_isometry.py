@@ -12,7 +12,7 @@ from nclp.algebra import (
     random_faithful_state,
     transpose_permutation,
 )
-from dense_oracles import left_mult_matrix
+from dense_oracles import left_mult_matrix, structured_witnesses, tensor_embed
 import nclp.expectation as expectation_module
 import nclp.isometry as isometry_module
 from nclp.errors import (
@@ -30,7 +30,6 @@ from nclp.isometry import (
     extract_polar_data,
     isometry_defect,
     star_adjoint_dual,
-    structured_witnesses,
     transfer_exponent,
     two_isometry_defect,
     verify_state_restriction,
@@ -44,7 +43,6 @@ from nclp.lp import (
     lp_norm,
     polar_decompose,
     state_power,
-    tensor_embed,
 )
 from nclp.samples import (
     haar_unitary,

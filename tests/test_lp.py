@@ -11,6 +11,7 @@ from nclp.algebra import (
     random_faithful_state,
     require_projections,
 )
+from dense_oracles import tensor_embed
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, ShapeMismatch
 from nclp.isometry import grid_witness
 from nclp.lp import (
@@ -24,7 +25,6 @@ from nclp.lp import (
     polar_decompose,
     right_supports,
     state_power,
-    tensor_embed,
     trace_pairing,
 )
 from nclp.samples import random_element, random_lp_vector, rng_for

@@ -15,7 +15,11 @@ recovers and the ``jordan_dichotomy_report`` fields.  The spectral records
 hold the sha256 of ``power_element(+-1/p)``, ``complex_power``,
 ``log_pseudo``, ``modular_automorphism``, ``connes_cocycle`` and
 ``density_transport`` on seeded faithful states and on non-faithful ones, or
-the error a call raised.
+the error a call raised.  The decomposition records hold the factor blocks,
+the multiplicities and the sha256 of ``embed.matrix`` of
+``Subalgebra.decomposition`` for ``random_invariant_inclusion`` and
+``random_noninvariant_inclusion`` seeds 0-7 and for the pi images of
+``random_isometry_data`` seeds 0-11.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -44,6 +48,8 @@ YEADON_EXPONENTS = (1.0, 1.5, 3.0, 4.0)
 SPECTRAL_LAYOUTS = ((2,), (3,), (2, 1), (1, 1, 2))
 SPECTRAL_SEEDS = range(3)
 SPECTRAL_EXPONENTS = (1.0, 1.5, 3.0, 4.0)
+INCLUSION_SEEDS = range(8)
+IMAGE_SEEDS = range(12)
 
 
 def _digest(array) -> str:
@@ -169,6 +175,37 @@ def _spectral_records():
                 yield record
 
 
+def _decomposition_records():
+    from nclp.expectation import Subalgebra
+    from nclp.samples import (
+        random_invariant_inclusion,
+        random_isometry_data,
+        random_noninvariant_inclusion,
+    )
+
+    subalgebras = [
+        (kind, seed, make(seed)[0])
+        for kind, make in (
+            ("invariant", random_invariant_inclusion),
+            ("noninvariant", random_noninvariant_inclusion),
+        )
+        for seed in INCLUSION_SEEDS
+    ]
+    subalgebras += [
+        ("pi_image", seed, Subalgebra.from_map_image(random_isometry_data(seed).pi))
+        for seed in IMAGE_SEEDS
+    ]
+    for kind, seed, A in subalgebras:
+        dec = A.decomposition
+        yield {
+            "subalgebra": kind,
+            "seed": seed,
+            "blocks": list(dec.algebra.blocks),
+            "multiplicities": list(dec.multiplicities),
+            "embed": _digest(dec.embed.matrix),
+        }
+
+
 def _suite_records():
     from nclp.suites import SUITES, SuiteConfig, run_suite
 
@@ -194,6 +231,7 @@ def main(argv=None) -> int:
         "classify": list(_classify_records()),
         "yeadon": list(_yeadon_records()),
         "spectral": list(_spectral_records()),
+        "decomposition": list(_decomposition_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
