@@ -560,6 +560,38 @@ def _stacked_frobenius(stacks: list[np.ndarray]) -> np.ndarray:
     return np.sqrt(total)
 
 
+def unit_system_defect(F: AlgebraMap) -> float:
+    """The largest Frobenius defect of Glimm's identities for the unit
+    images f_ij = F(e_ij), the matrix columns: f_ij* = f_ji, f_i0 f_0j = f_ij
+    and f_0i f_j0 = delta_ij f_00 in each source block, and F(1_b) F(1_c) = 0
+    for blocks b != c.  They give f_ij f_kl = f_i0 (f_0j f_k0) f_0l =
+    delta_jk f_il, and zero across blocks, so they hold exactly when F is a
+    *-homomorphism (Davidson, C*-Algebras by Example, III.1), at O(dim)
+    products against the O(dim^2) pair table of homomorphism_kind.  Per
+    target block the unit images of a source block form an (n, n, m, m)
+    stack S, and both product identities are one batched product.  A NaN
+    defect is kept."""
+    layout = list(zip(F.source.offsets(), F.source.blocks))
+    units = [np.zeros((3, n, n)) for _, n in layout]  # squares summed over target blocks
+    cross = np.zeros((len(layout), len(layout)))
+    with np.errstate(all="ignore"):
+        for toff, m in zip(F.target.offsets(), F.target.blocks):
+            rows, ones = F.matrix[toff : toff + m * m], []
+            for (off, n), sq in zip(layout, units):
+                S = rows[:, off : off + n * n].T.reshape(n, n, m, m)
+                want = np.stack([S, np.zeros_like(S)])
+                want[1, range(n), range(n)] = S[0, 0]
+                prod = np.stack([S[:, 0], S[0]])[:, :, None] @ np.stack([S[0], S[:, 0]])[:, None]
+                star = S.conj().transpose(1, 0, 3, 2) - S
+                sq += np.linalg.norm(np.concatenate([star[None], prod - want]), axis=(-2, -1)) ** 2
+                ones.append(np.trace(S))
+            U = np.stack(ones)
+            cross += np.linalg.norm(U[:, None] @ U[None], axis=(-2, -1)) ** 2
+        np.fill_diagonal(cross, 0.0)
+        found = np.concatenate([sq.ravel() for sq in units] + [cross.ravel()])
+    return float(np.sqrt(np.max(found)))
+
+
 def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismReport:
     """Classify a linear map as *-homomorphism, Jordan-only, or neither.
 

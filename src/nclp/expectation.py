@@ -32,10 +32,10 @@ from .algebra import (
     apply_left,
     apply_right,
     cluster_projection,
-    homomorphism_kind,
     pullback_density,
     spectral_clusters,
     trace_row,
+    unit_system_defect,
 )
 from .errors import (
     DataInvalid,
@@ -75,11 +75,10 @@ class Subalgebra:
     The basis need not be orthonormal; it must be linearly independent and
     span a set closed under products and adjoints.  The unit here is the unit
     of the subalgebra itself, a projection of the parent which may be smaller
-    than the parent unit.  `pi` is the homomorphism of a `from_map_image`
-    subalgebra, else None.
+    than the parent unit.
     """
 
-    __slots__ = ("parent", "basis", "pi", "__dict__")
+    __slots__ = ("parent", "basis", "__dict__")
 
     def __init__(self, parent: Algebra, basis: Sequence[AlgebraElement], validate: bool = True):
         basis = tuple(basis)
@@ -90,33 +89,34 @@ class Subalgebra:
                 raise ShapeMismatch("basis element lives on a different algebra")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pi", None)
         if validate:
             self.validate()
 
     @classmethod
     def from_map_image(cls, pi: AlgebraMap, validate: bool = False) -> "Subalgebra":
-        """Span of the image of an injective homomorphism: its matrix columns.
-        The subalgebra keeps pi, which gives its `generators`."""
+        """Span of the image of an injective *-homomorphism pi: its matrix
+        columns.  Its decomposition is pi, the multiplicity of a source block
+        the trace of the projection pi(e_00), certified here: a pi that is no
+        injective *-homomorphism raises DataInvalid."""
         basis = [AlgebraElement.from_vec(pi.target, col) for col in pi.matrix.T]
         image = cls(pi.target, basis, validate=validate)
-        object.__setattr__(image, "pi", pi)
+        mu = tuple(int(round(image.basis[off].trace().real)) for off in pi.source.offsets())
+        image.__dict__["decomposition"] = _certified(image, BlockDecomposition(pi.source, pi, mu))
         return image
 
     @cached_property
     def generators(self) -> tuple[AlgebraElement, ...]:
-        """Elements that generate the subalgebra as an algebra.  For a pi
-        image, per source block of size n: pi(e_{i,i+1}) and pi(e_{i+1,i})
-        for i < n - 1, in that order, then pi(1_b), so 2 sum(n_b - 1) + B
-        elements in all; otherwise the basis, which generates its own span.
-        Nothing here checks that pi is a homomorphism."""
-        if self.pi is None:
-            return self.basis
-        cols, P = [], self.pi.matrix
-        for off, n in zip(self.pi.source.offsets(), self.pi.source.blocks):
-            for i in range(n - 1):
-                cols += [P[:, off + i * n + i + 1], P[:, off + (i + 1) * n + i]]
-            cols.append(P[:, off : off + n * n : n + 1].sum(axis=1))
+        """Star units that generate the subalgebra as a unital algebra, read
+        from the decomposition: per factor of size n, embed(e_i0) and
+        embed(e_0i) for 1 <= i < n, in that order, then embed(1_k), so
+        2 sum(n_k - 1) + K elements in all.  As the units are certified,
+        f_ij = f_i0 f_0j, and f_00 = f_01 f_10, or 1_k for n = 1."""
+        dec = self.decomposition
+        cols, U = [], dec.embed.matrix
+        for off, n in zip(dec.algebra.offsets(), dec.algebra.blocks):
+            for i in range(1, n):
+                cols += [U[:, off + i * n], U[:, off + i]]
+            cols.append(U[:, off : off + n * n : n + 1].sum(axis=1))
         return tuple(AlgebraElement.from_vec(self.parent, c) for c in cols)
 
     @cached_property
@@ -174,7 +174,7 @@ class Subalgebra:
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:
-        return _block_decomposition(self)
+        return _certified(self, _block_decomposition(self))
 
     def __repr__(self):
         return f"Subalgebra(parent={self.parent.blocks}, dim={self.dim})"
@@ -209,7 +209,7 @@ def _block_decomposition(A: Subalgebra) -> BlockDecomposition:
     ascending order of value.  Inside one, the eigenvalue clusters of a are
     its n minimal projections e_1..e_n, and the polar parts v_j of e_j b e_1
     connect them: the matrix units are v_j v_l*.  Only the span enters, not
-    its basis.  The result is certified, and a failure raises DataInvalid.
+    its basis.  `Subalgebra.decomposition` certifies the result.
     """
     parent, Q = A.parent, A._onb
     rng = np.random.default_rng(_DECOMP_SEED)
@@ -244,17 +244,28 @@ def _block_decomposition(A: Subalgebra) -> BlockDecomposition:
         dims.append(len(minimal))
         mults.append(mu)
 
-    if sum(n * n for n in dims) != A.dim:
+    if not dims:
         raise DataInvalid("factor decomposition: factor dimensions do not add up to the span")
     small = Algebra(tuple(dims))
-    embed = AlgebraMap(small, parent, np.column_stack(cols))
-    report = homomorphism_kind(embed, tol=1e-7)
-    if report.kind != "star_homomorphism" or not report.injective:
-        raise DataInvalid(f"factor decomposition failed certification: {report.kind}")
-    U = embed.matrix
+    return BlockDecomposition(small, AlgebraMap(small, parent, np.column_stack(cols)), tuple(mults))
+
+
+def _certified(A: Subalgebra, dec: BlockDecomposition) -> BlockDecomposition:
+    """The decomposition, once certified as an isomorphism onto A, else
+    DataInvalid: the factor dimensions add up to dim A, the unit images
+    are a system of matrix units (`unit_system_defect` within 1e-7), embed
+    is injective and every unit lies in the span.  Then embed is an
+    injective *-homomorphism into span A of dimension dim A, so onto it."""
+    U, Q = dec.embed.matrix, A._onb
+    if dec.algebra.total_dim != A.dim:
+        raise DataInvalid("factor decomposition: factor dimensions do not add up to the span")
+    if not unit_system_defect(dec.embed) <= 1e-7:
+        raise DataInvalid("factor decomposition: the units are not a system of matrix units")
+    if not dec.embed.min_singular_value() > 1e-6:
+        raise DataInvalid("factor decomposition: the embedding is not injective")
     if not np.all(np.linalg.norm(U - Q @ (Q.conj().T @ U), axis=0) <= 1e-7):
         raise DataInvalid("factor decomposition: a matrix unit left the span")
-    return BlockDecomposition(small, embed, tuple(mults))
+    return dec
 
 
 # -- invariance and the expectation --------------------------------------------
@@ -313,68 +324,25 @@ class ConditionalExpectation:
         return self.map(x)
 
 
-def _chain_residuals(A: Subalgebra, B: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Frobenius distances of the basis columns B of a pi image from their
-    chain products of the generator columns G; empty for any other
-    subalgebra.  With f the basis and g the generators of a source block of
-    size n, the chains are
-      f_ij = g_ij                 for |i - j| = 1,
-      f_ij = g_{i,i+1} f_{i+1,j}  for j > i + 1, and for j = i < n - 1,
-      f_ij = g_{i,i-1} f_{i-1,j}  for j < i - 1, and for j = i = n - 1 > 0,
-      f_00 = g(1_b)               for n = 1,
-    so by induction on |i - j| every basis element is a product of
-    generators."""
-    if A.pi is None:
-        return np.zeros(0)
-    expected = np.empty(B.shape, dtype=complex)
-    first = 0  # index of the block's first generator
-    for off, n in zip(A.pi.source.offsets(), A.pi.source.blocks):
-
-        def col(i, j):
-            return off + i * n + j
-
-        def gen(i, j):  # index of g_ij, |i - j| = 1
-            return first + 2 * min(i, j) + (i > j)
-
-        if n == 1:
-            expected[:, off] = G[:, first]
-        for i in range(n):
-            for j in (i - 1, i + 1):
-                if 0 <= j < n:
-                    expected[:, col(i, j)] = G[:, gen(i, j)]
-            up = list(range(i + 2, n)) + ([i] if i < n - 1 else [])
-            down = list(range(i - 1)) + ([i] if i == n - 1 > 0 else [])
-            for k, js in ((i + 1, up), (i - 1, down)):
-                if js:
-                    rows = apply_left(A.generators[gen(i, k)], B[:, [col(k, j) for j in js]])
-                    expected[:, [col(i, j) for j in js]] = rows
-        first += 2 * (n - 1) + 1
-    return np.linalg.norm(expected - B, axis=0)
-
-
 def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: float = 0.0) -> None:
     """Certify that the matrix M is a state-preserving conditional
     expectation onto the subalgebra, raising NotInvariant otherwise.
 
-    For a pi image the basis must first be the chain products of the
-    generators (`_chain_residuals`) within check_tol, or the message is
-    "subalgebra basis is not generated by its generators"; pi itself is not
-    trusted.  The checks are then matrix identities on M: idempotence,
-    M B = B on the basis columns B, the state row identity omega M = omega
-    with phi(x) = omega . vec(x), and the one-sided bimodule identities
+    The checks are matrix identities on M: idempotence, M B = B on the
+    basis columns B, the state row identity omega M = omega with
+    phi(x) = omega . vec(x), and the one-sided bimodule identities
     M L_a = L_a M and M R_a = R_a M for each generator a.  A conditional
     expectation is a bimodule map (Tomiyama), and the one-sided identities
     give E(a u b) = a E(u b) = a E(u) b.  They are multiplicative in a, as
-    L_{ab} = L_a L_b and R_{ab} = R_b R_a, so holding on generators they
-    hold on the subalgebra.  Positivity is checked on seeded samples.
-    Every comparison is written so that a NaN rejects.
+    L_{ab} = L_a L_b and R_{ab} = R_b R_a, so holding on the generators of
+    the certified decomposition (DataInvalid if it fails) they hold on A.
+    Positivity is checked on seeded samples.  Every comparison is written
+    so that a NaN rejects.
     """
     parent = A.parent
     check_tol = 1e-7 * max(1, parent.total_dim)
     B = np.column_stack([a.vec() for a in A.basis])
     G = np.column_stack([a.vec() for a in A.generators])
-    if not np.all(_chain_residuals(A, B, G) <= check_tol):
-        raise NotInvariant(defect, "subalgebra basis is not generated by its generators")
     if not np.max(np.abs(M @ M - M)) <= check_tol:
         raise NotInvariant(defect, "expectation is not idempotent")
     col_tol = check_tol * np.maximum(1.0, np.linalg.norm(B, axis=0))

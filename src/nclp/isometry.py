@@ -449,14 +449,13 @@ def classify(
     if not defects["state_restriction"] <= algebraic_tol:
         return reject("state_restriction")
 
-    # stage 5: invariance of the image and the expectation
-    image = Subalgebra.from_map_image(pi)
+    # stage 5: the image, pi its certified decomposition, and the expectation
     try:
-        E = construct_expectation(image, phibar)
+        E = construct_expectation(Subalgebra.from_map_image(pi), phibar)
     except NotInvariant as exc:
         defects["invariance"] = exc.defect
         return reject("expectation")
-    except NonFaithful:
+    except (NonFaithful, DataInvalid):
         return reject("expectation")
     defects["invariance"] = E.invariance_defect
 

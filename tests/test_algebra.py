@@ -21,6 +21,7 @@ from nclp.algebra import (
     spectral_clusters,
     trace_row,
     transpose_permutation,
+    unit_system_defect,
 )
 from dense_oracles import conjugation_map, left_mult_matrix, right_mult_matrix
 from nclp.errors import EmptyBlocks, NonPositiveDim, ShapeMismatch
@@ -475,3 +476,113 @@ def test_blockwise_products_check_the_row_count():
             apply(a, np.zeros((4, 3)))
         with pytest.raises(ShapeMismatch):
             apply(a, np.zeros(5))
+
+
+def _restricted(F, b):
+    """F on source block b alone."""
+    off, n = F.source.offsets()[b], F.source.blocks[b]
+    return AlgebraMap(Algebra((n,)), F.target, F.matrix[:, off : off + n * n])
+
+
+def _cross_block_defects(F):
+    """Frobenius norms of F(1_b) F(1_c), b != c, by element products."""
+    layout = list(zip(F.source.offsets(), F.source.blocks))
+    ones = [
+        AlgebraElement.from_vec(F.target, F.matrix[:, off : off + n * n : n + 1].sum(axis=1))
+        for off, n in layout
+    ]
+    return {
+        (b, c): (ones[b] @ ones[c]).frobenius()
+        for b in range(len(layout))
+        for c in range(len(layout))
+        if b != c
+    }
+
+
+def _check_unit_system_defect(F):
+    """The Glimm identities against the all-pairs table: each is one pair
+    of it, or a sum of n_b n_c of its pairs across blocks.  Returns the
+    defect and the report."""
+    report = homomorphism_kind(F)
+    defect = unit_system_defect(F)
+    units = max(unit_system_defect(_restricted(F, b)) for b in range(len(F.source.blocks)))
+    assert units <= max(report.star_defect, report.mult_defect) + 1e-14
+    cross = _cross_block_defects(F)
+    for (b, c), value in cross.items():
+        n_b, n_c = F.source.blocks[b], F.source.blocks[c]
+        assert value <= n_b * n_c * report.mult_defect + 1e-14
+    assert abs(defect - max([units, *cross.values()])) <= ORACLE_TOL * max(1.0, defect)
+    return defect, report
+
+
+def _unit_system_maps():
+    from nclp.samples import random_isometry_data
+
+    for blocks in ([2], [1, 1], [2, 3]):
+        alg = make_algebra(blocks)
+        yield pytest.param(AlgebraMap.identity(alg), id=f"identity-{blocks}")
+        yield pytest.param(_transpose_map(alg), id=f"transpose-{blocks}")
+    for seed in range(12):
+        yield pytest.param(random_isometry_data(seed).pi, id=f"pi-{seed}")
+    for name, (source, layout) in sorted(BENCH_PLANS.items()):
+        for seed in range(3):
+            pi = random_isometry_data(seed, source, plan=layout).pi
+            rng = rng_for(seed)
+            noise = rng.standard_normal(pi.matrix.shape) + 1j * rng.standard_normal(pi.matrix.shape)
+            flip = pi.matrix @ transpose_permutation(pi.source)
+            yield pytest.param(pi, id=f"{name}-{seed}")
+            yield pytest.param(AlgebraMap(pi.source, pi.target, flip), id=f"{name}-{seed}-flip")
+            noisy = AlgebraMap(pi.source, pi.target, pi.matrix + 1e-5 * noise)
+            yield pytest.param(noisy, id=f"{name}-{seed}-noisy")
+    alg = make_algebra([2, 1])
+    rng = rng_for(6)
+    u = AlgebraElement(alg, [haar_unitary(2, rng), haar_unitary(1, rng)])
+    yield pytest.param(conjugation_map(u), id="conjugated")
+    yield pytest.param(conjugation_map(u).compose(_transpose_map(alg)), id="conjugated-flip")
+
+
+@pytest.mark.parametrize("F", list(_unit_system_maps()))
+def test_unit_system_defect_matches_the_pair_table(F):
+    defect, report = _check_unit_system_defect(F)
+    assert (defect <= 1e-7) == (report.kind == "star_homomorphism")
+
+
+def test_unit_system_defect_keeps_nan():
+    # products of entries near 1e200 overflow, and inf - inf is NaN
+    from nclp.samples import random_isometry_data
+
+    F = random_isometry_data(9).pi
+    assert np.isnan(unit_system_defect(AlgebraMap(F.source, F.target, 1e200 * F.matrix)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.sampled_from(["exact", "transposed", "noisy"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_unit_system_defect_bounds_on_random_embeddings(blocks, variant, seed):
+    # x -> u diag(x_1, .., x_K) u* into M_N, N = sum n_b, then transposed on
+    # every source block or moved by seeded noise
+    source = make_algebra(blocks)
+    N = sum(blocks)
+    target = make_algebra([N])
+    rng = rng_for(seed)
+    u = haar_unitary(N, rng)
+    cols, start = [], 0
+    for n in blocks:
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((N, N), dtype=complex)
+                e[start + i, start + j] = 1.0
+                cols.append((u @ e @ u.conj().T).reshape(-1))
+        start += n
+    matrix = np.column_stack(cols)
+    if variant == "transposed":
+        matrix = matrix @ transpose_permutation(source)
+    elif variant == "noisy":
+        noise = rng.standard_normal(matrix.shape) + 1j * rng.standard_normal(matrix.shape)
+        matrix = matrix + 1e-6 * noise
+    defect, report = _check_unit_system_defect(AlgebraMap(source, target, matrix))
+    if variant == "exact":
+        assert defect <= 1e-13 and report.kind == "star_homomorphism"

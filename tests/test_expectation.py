@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nclp.algebra import (
     AlgebraElement,
     AlgebraMap,
     State,
+    apply_left,
     make_algebra,
     matrix_units,
     random_faithful_state,
@@ -23,7 +26,7 @@ from nclp.expectation import (
     subalgebra_lp_norm,
     takesaki_invariant,
 )
-from nclp.isometry import build_isometry, transfer_exponent
+from nclp.isometry import build_isometry, classify, transfer_exponent
 from nclp.lp import LpVector, amplify_map, lp_norm, state_power, trace_pairing
 from nclp.samples import (
     diagonal_subalgebra,
@@ -245,12 +248,13 @@ def test_certificate_agrees_with_loop_oracle(seed):
 
 @pytest.mark.parametrize("name", sorted(BENCH_PLANS))
 def test_generator_certificate_agrees_with_the_full_basis_oracle(name):
-    # the module identities run on generators of the pi image only; each
+    # the module identities run on the star units of the pi image only; each
     # perturbation, the module breaker on the state-free part included, must
     # fail there with the message of the full-basis loop oracle
     E = _plan_data(name).expectation
     A, M = E.subalgebra, E.map.matrix
-    assert A.pi is not None and len(A.generators) < A.dim
+    blocks = A.decomposition.algebra.blocks
+    assert len(A.generators) == 2 * sum(n - 1 for n in blocks) + len(blocks) < A.dim
     assert _oracle_certificate(M, A, E.state) is None
     assert _certificate_message(M, A, E.state) is None
     bad = _bad_idempotents(M, A, E.state, rng_for(sorted(BENCH_PLANS).index(name) + 500))
@@ -259,20 +263,27 @@ def test_generator_certificate_agrees_with_the_full_basis_oracle(name):
         assert _certificate_message(M_bad, A, E.state) == message
 
 
-def test_the_chain_guard_rejects_a_basis_off_the_generators():
+def test_the_image_certificate_rejects_a_perturbed_non_generator():
     data = _plan_data("P3")
-    E = data.expectation
     P = np.array(data.pi.matrix)
-    # column 2 is e_02 of M_3, no generator: it must be the product g_01 g_12
+    # column 5 is e_12 of M_3, no generator: it must be the product f_10 f_02
     rng = rng_for(41)
-    P[:, 2] += 1e-3 * (rng.standard_normal(P.shape[0]) + 1j * rng.standard_normal(P.shape[0]))
-    altered = Subalgebra.from_map_image(AlgebraMap(data.pi.source, data.pi.target, P))
+    P[:, 5] += 1e-3 * (rng.standard_normal(P.shape[0]) + 1j * rng.standard_normal(P.shape[0]))
+    altered = AlgebraMap(data.pi.source, data.pi.target, P)
     kept = Subalgebra.from_map_image(data.pi)
-    for g, h in zip(altered.generators, kept.generators, strict=True):
-        assert np.array_equal(g.vec(), h.vec())
-    assert _certificate_message(E.map.matrix, kept, E.state) is None
-    message = _certificate_message(E.map.matrix, altered, E.state)
-    assert message == "subalgebra basis is not generated by its generators"
+    assert kept.decomposition.embed is data.pi
+    with pytest.raises(DataInvalid, match="not a system of matrix units"):
+        Subalgebra.from_map_image(altered)
+
+
+def test_classify_rejects_an_image_that_fails_its_certificate(monkeypatch):
+    data = _plan_data("P3")
+    T = build_isometry(data, 3.0)
+    assert classify(T, data.reference_state, 3.0).accepted
+    monkeypatch.setattr(expectation_module, "unit_system_defect", lambda F: 1.0)
+    report = classify(T, data.reference_state, 3.0)
+    assert report.verdict == "reject" and report.failing_stage == "expectation"
+    assert "invariance" not in report.defects
 
 
 def test_the_module_identities_run_once_per_generator(monkeypatch):
@@ -285,25 +296,26 @@ def test_the_module_identities_run_once_per_generator(monkeypatch):
 
     monkeypatch.setattr(expectation_module, "apply_right", counting)
     # each element a meets apply_right twice: M R_a = (R_{a^T} M^T)^T and R_a M
+    # pi images and general inclusions alike: the star units of the factors
+    cases = []
     for name in sorted(BENCH_PLANS):
         E = _plan_data(name).expectation
-        blocks = E.subalgebra.pi.source.blocks
-        elements.clear()
-        _certify_expectation(E.map.matrix, E.subalgebra, E.state)
-        assert len(elements) == 2 * (2 * sum(n - 1 for n in blocks) + len(blocks))
+        cases.append((E.subalgebra, E.map.matrix, E.state))
     for seed in range(8):
         A, phibar = random_invariant_inclusion(seed)
-        M = construct_expectation(A, phibar).map.matrix
+        cases.append((A, construct_expectation(A, phibar).map.matrix, phibar))
+    for A, M, state in cases:
+        blocks = A.decomposition.algebra.blocks
         elements.clear()
-        _certify_expectation(M, A, phibar)
-        assert A.generators == A.basis and len(elements) == 2 * A.dim
+        _certify_expectation(M, A, state)
+        assert len(elements) == 2 * (2 * sum(n - 1 for n in blocks) + len(blocks))
 
 
 @pytest.mark.parametrize("make", ["pi_image", "split_inclusion"])
 def test_the_center_builds_no_full_svd(monkeypatch, make):
-    # no SVD of the decomposition builds a U wider than the subalgebra
+    # no SVD of the generic pass builds a U wider than the subalgebra
     if make == "pi_image":
-        A = Subalgebra.from_map_image(_plan_data("P3").pi)
+        A = _plain_copy(Subalgebra.from_map_image(_plan_data("P3").pi))
     else:
         A, _ = random_invariant_inclusion(4)
     real = np.linalg.svd
@@ -384,22 +396,58 @@ def _rebased(A, seed):
     yield Subalgebra(A.parent, [AlgebraElement.from_vec(A.parent, c) for c in B.T], validate=False)
 
 
+def _plain_copy(A):
+    """A with its basis alone, so its decomposition is the generic pass."""
+    return Subalgebra(A.parent, A.basis, validate=False)
+
+
+def _assert_same_decomposition(A, B):
+    want, got = A.decomposition, B.decomposition
+    assert got.algebra == want.algebra and got.multiplicities == want.multiplicities
+    assert np.max(np.abs(got.embed.matrix - want.embed.matrix)) < 1e-10
+
+
 @pytest.mark.parametrize(
     "make",
-    [random_invariant_inclusion, random_noninvariant_inclusion, "pi_image"],
-    ids=["invariant", "noninvariant", "pi_image"],
+    [random_invariant_inclusion, random_noninvariant_inclusion],
+    ids=["invariant", "noninvariant"],
 )
 def test_decomposition_depends_only_on_the_span(make):
-    if make == "pi_image":
-        subalgebras = [Subalgebra.from_map_image(random_isometry_data(s).pi) for s in range(12)]
-    else:
-        subalgebras = [make(s)[0] for s in range(16)]
-    for seed, A in enumerate(subalgebras):
-        want = A.decomposition
+    for seed in range(16):
+        A = make(seed)[0]
         for B in _rebased(A, seed):
-            got = B.decomposition
-            assert got.algebra == want.algebra and got.multiplicities == want.multiplicities
-            assert np.max(np.abs(got.embed.matrix - want.embed.matrix)) < 1e-10
+            _assert_same_decomposition(A, B)
+
+
+def _central_projections(dec):
+    """The columns embed(1_k), one per factor."""
+    layout = zip(dec.algebra.offsets(), dec.algebra.blocks)
+    return [dec.embed.matrix[:, off : off + n * n : n + 1].sum(axis=1) for off, n in layout]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_generic_pass_agrees_with_pi_on_images(seed):
+    # the image carries pi as its decomposition; a plain-basis copy runs the
+    # generic pass, which may order the factors differently but must find
+    # the same factors, multiplicities and central projections
+    data = random_isometry_data(seed)
+    image = data.expectation.subalgebra
+    plain = _plain_copy(image)
+    dec, generic = image.decomposition, plain.decomposition
+    assert dec.embed is data.pi
+    assert sorted(zip(dec.algebra.blocks, dec.multiplicities)) == sorted(
+        zip(generic.algebra.blocks, generic.multiplicities)
+    )
+    centers = _central_projections(generic)
+    for c in _central_projections(dec):
+        assert sum(np.max(np.abs(c - g)) < 1e-10 for g in centers) == 1
+    expectation = dataclasses.replace(data.expectation, subalgebra=plain)
+    plain_data = dataclasses.replace(data, expectation=expectation)
+    for p in (1.0, 3.0):
+        P, Q = complement_projection(data, p).matrix, complement_projection(plain_data, p).matrix
+        assert np.max(np.abs(P - Q)) < 1e-10
+    for B in _rebased(plain, seed):
+        _assert_same_decomposition(plain, B)
 
 
 def test_decomposition_rejects_a_span_that_is_no_algebra():
@@ -415,7 +463,7 @@ LADDER_144 = ((10,), [([(0, 1)], 2)])  # M_10 into M_12, D = 144
 def test_ladder_decomposition_takes_no_svd_taller_than_the_parent(monkeypatch):
     source, plan = LADDER_144
     data = random_isometry_data(0, source, plan=plan)
-    A = Subalgebra.from_map_image(data.pi)
+    A = _plain_copy(Subalgebra.from_map_image(data.pi))
     D, real = A.parent.total_dim, np.linalg.svd
 
     def refusing(a, *args, **kwargs):
@@ -435,6 +483,51 @@ def test_ladder_complement_projection_is_a_projection_onto_the_range():
     T = build_isometry(data, 3).matrix
     assert np.max(np.abs(P @ P - P)) < 1e-9
     assert np.max(np.abs(P @ T - T)) < 1e-9
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_ladder_complement_projection_runs_no_generic_pass(monkeypatch):
+    # the image carries pi as its decomposition, so no spectral pass runs
+    source, plan = LADDER_144
+    data = random_isometry_data(0, source, plan=plan)
+    monkeypatch.setattr(expectation_module, "_block_decomposition", _refuse)
+    P = complement_projection(data, 3).matrix
+    assert np.max(np.abs(P @ P - P)) < 1e-9
+
+
+def test_the_generic_pass_calls_no_homomorphism_kind(monkeypatch):
+    # the decomposition is certified by Glimm's identities, not the pair table
+    import nclp.algebra as algebra_module
+
+    source, plan = LADDER_144
+    A = _plain_copy(random_isometry_data(0, source, plan=plan).expectation.subalgebra)
+    for module in (algebra_module, expectation_module):
+        monkeypatch.setattr(module, "homomorphism_kind", _refuse, raising=False)
+    dec = A.decomposition
+    assert dec.algebra.blocks == (10,) and dec.multiplicities == (1,)
+
+
+def _fidelity_cases():
+    for name in sorted(BENCH_PLANS):
+        yield pytest.param(name, 0, id=name)
+    for seed in range(1, 6):
+        yield pytest.param("M1", seed, id=f"M1-{seed}")
+
+
+@pytest.mark.parametrize("name, seed", list(_fidelity_cases()))
+def test_the_isometry_is_w_times_the_lp_inclusion(name, seed):
+    # the paper's formula T = w iota_p, with iota_p the inclusion of L_p of
+    # pi(M) at the reference state of M: it needs the image's factors in
+    # the source order of pi
+    data = _plan_data(name, seed)
+    E = data.expectation
+    for p in (1.0, 1.5, 3.0):
+        iota = lp_inclusion(E.subalgebra, E, p, phi_A=data.reference_state)
+        T = build_isometry(data, p).matrix
+        assert np.max(np.abs(apply_left(data.w, iota.matrix) - T)) < 1e-10
 
 
 def test_restrict_state_is_state():

@@ -18,8 +18,9 @@ hold the sha256 of ``power_element(+-1/p)``, ``complex_power``,
 the error a call raised.  The decomposition records hold the factor blocks,
 the multiplicities and the sha256 of ``embed.matrix`` of
 ``Subalgebra.decomposition`` for ``random_invariant_inclusion`` and
-``random_noninvariant_inclusion`` seeds 0-7 and for the pi images of
-``random_isometry_data`` seeds 0-11.
+``random_noninvariant_inclusion`` seeds 0-7, for the pi images of
+``random_isometry_data`` seeds 0-11, whose decomposition is pi itself, and
+for plain-basis copies of the same images, which run the generic pass.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -191,9 +192,11 @@ def _decomposition_records():
         )
         for seed in INCLUSION_SEEDS
     ]
+    images = [Subalgebra.from_map_image(random_isometry_data(seed).pi) for seed in IMAGE_SEEDS]
+    subalgebras += [("pi_image", seed, A) for seed, A in zip(IMAGE_SEEDS, images)]
     subalgebras += [
-        ("pi_image", seed, Subalgebra.from_map_image(random_isometry_data(seed).pi))
-        for seed in IMAGE_SEEDS
+        ("pi_image_generic", seed, Subalgebra(A.parent, A.basis, validate=False))
+        for seed, A in zip(IMAGE_SEEDS, images)
     ]
     for kind, seed, A in subalgebras:
         dec = A.decomposition
