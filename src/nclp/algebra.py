@@ -298,10 +298,11 @@ class State:
     """A positive blockwise density matrix with unit trace.
 
     The eigendecomposition is computed once at construction; all functional
-    calculus (powers, logs, complex powers) reuses it.
+    calculus (powers, logs, complex powers) reuses it, and each real power is
+    computed once per exponent and kept.
     """
 
-    __slots__ = ("algebra", "_data", "_eigvals", "_eigvecs", "faithful")
+    __slots__ = ("algebra", "_data", "_eigvals", "_eigvecs", "faithful", "_powers")
 
     def __init__(self, algebra: Algebra, data, *, normalize: bool = False):
         mats = _as_block_data(algebra, data)
@@ -335,6 +336,7 @@ class State:
         object.__setattr__(self, "_eigvals", tuple(w for w in eigvals))
         object.__setattr__(self, "_eigvecs", tuple(v for v in eigvecs))
         object.__setattr__(self, "faithful", bool(min(float(w.min()) for w in eigvals) > EPS_FAITHFUL))
+        object.__setattr__(self, "_powers", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("State is immutable")
@@ -359,9 +361,12 @@ class State:
 
     def power_element(self, alpha: float) -> AlgebraElement:
         """rho^alpha by spectral calculus (0^alpha = 0 for alpha > 0); for
-        alpha <= 0 on the support of rho and zero on its kernel."""
-        thr = self._support_threshold() if alpha <= 0 else -np.inf
-        return self._calculus(lambda w: w**alpha, thr)
+        alpha <= 0 on the support of rho and zero on its kernel.  Kept per
+        alpha: the element is immutable, so every caller shares it."""
+        if alpha not in self._powers:
+            thr = self._support_threshold() if alpha <= 0 else -np.inf
+            self._powers[alpha] = self._calculus(lambda w: w**alpha, thr)
+        return self._powers[alpha]
 
     def complex_power(self, z: complex) -> AlgebraElement:
         """rho^z on the support of rho, zero on its kernel."""

@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, AlgebraMap, State
-from .errors import ShapeMismatch
+from .errors import DataInvalid, ShapeMismatch
 from .expectation import ConditionalExpectation, Subalgebra
 from .isometry import ClassificationReport, IsometryData
 from .lp import LpMap, LpVector
@@ -141,15 +141,24 @@ def isometry_data_to_json(data: IsometryData) -> dict:
 
 
 def isometry_data_from_json(obj: dict) -> IsometryData:
+    """The bundled data; the expectation's subalgebra is rebuilt as the image
+    of pi, certified and in pi's factor order, and DataInvalid is raised if
+    a stored basis element leaves its span."""
     source = algebra_from_json(obj["source"])
     target = algebra_from_json(obj["target"])
     pi = algebra_map_from_json(obj["pi"])
     w = element_from_json(obj["w"], target)
     exp_obj = obj["expectation"]
+    image = Subalgebra.from_map_image(pi)
+    tol = 1000 * target.atol
+    for b in exp_obj["subalgebra"]["basis"]:
+        b = element_from_json(b, target)
+        if image.span_residual(b) > tol * max(1.0, b.frobenius()):
+            raise DataInvalid("a stored subalgebra basis element leaves the image of pi")
     expectation = ConditionalExpectation(
         map=algebra_map_from_json(exp_obj["map"]),
         state=state_from_json(exp_obj["state"], target),
-        subalgebra=subalgebra_from_json(exp_obj["subalgebra"]),
+        subalgebra=image,
     )
     return IsometryData(
         source=source,

@@ -5,12 +5,14 @@ The multiplication matrices build the full D x D matrices of the blockwise
 `apply_left` and `apply_right` of `nclp.algebra` on the row-major
 vectorization; `tensor_embed` builds a (x) h by Kronecker products, and
 `structured_witnesses` lists the witnesses that `two_isometry_defect` reads
-off as positions in the amplification."""
+off as positions in the amplification; `validate_by_pairs` checks a
+subalgebra with one element product per pair of basis elements, where
+`Subalgebra.validate` takes one blockwise product per basis element."""
 
 import numpy as np
 
 from nclp.algebra import AlgebraElement, AlgebraMap
-from nclp.errors import ShapeMismatch
+from nclp.errors import DataInvalid, ShapeMismatch
 from nclp.isometry import _amplified_indicator, _witness_positions
 from nclp.lp import LpVector, amplified_algebra
 
@@ -59,3 +61,22 @@ def structured_witnesses(algebra, p: float, n: int = 2) -> list[LpVector]:
     amplification; these detect maps that preserve norms but not the
     multiplicative structure."""
     return [_amplified_indicator(algebra, n, p, pos) for pos in _witness_positions(algebra, n)]
+
+
+def validate_by_pairs(A) -> None:
+    """Subalgebra.validate element by element: its tolerances, messages and
+    order of checks."""
+    tol = 1000 * A.parent.atol
+    _ = A._onb  # independence
+    scale = max(1.0, max(a.frobenius() for a in A.basis))
+    for a in A.basis:
+        if A.span_residual(a.adjoint()) > tol * scale:
+            raise DataInvalid("basis span is not closed under adjoints")
+    for a in A.basis:
+        for b in A.basis:
+            if A.span_residual(a @ b) > tol * scale * scale:
+                raise DataInvalid("basis span is not closed under products")
+    e = A.unit
+    for a in A.basis:
+        if (e @ a - a).frobenius() > tol * scale or (a @ e - a).frobenius() > tol * scale:
+            raise DataInvalid("unit of the span does not act as an identity on it")

@@ -92,6 +92,31 @@ def test_random_faithful_state_invariants():
         assert phi.faithful
 
 
+def _rank_one_state(alg):
+    """A state whose kernel is nonzero, as a negative power needs."""
+    blocks = [np.zeros((n, n)) for n in alg.blocks]
+    blocks[-1][0, 0] = 1.0
+    return State(alg, blocks)
+
+
+@pytest.mark.parametrize("faithful", [True, False])
+def test_powers_are_kept_per_exponent_and_match_a_fresh_state(faithful):
+    alg = make_algebra([2, 3])
+
+    def make():
+        return random_faithful_state(alg, 3) if faithful else _rank_one_state(alg)
+
+    phi = make()
+    for alpha in (1 / 3, -1 / 3, 0.5, 2.0, -1.0, 1 / 8):
+        first = phi.power_element(alpha)
+        assert phi.power_element(alpha) is first
+        assert np.array_equal(first.vec(), make().power_element(alpha).vec())
+        for b in first.data:
+            assert not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0, 0] = 0.0
+
+
 def test_state_rejects_bad_density():
     from nclp.errors import NonPositiveDensity
 

@@ -13,6 +13,7 @@ from nclp.algebra import (
     matrix_units,
     random_faithful_state,
 )
+from dense_oracles import validate_by_pairs
 from nclp.errors import DataInvalid, ExponentUnsupported, NotInvariant
 from nclp.expectation import (
     Subalgebra,
@@ -719,3 +720,176 @@ def test_from_map_image_matches_unit_calls(seed):
     want = [pi(u) for u in matrix_units(pi.source)]
     assert len(got) == len(want)
     assert all(np.array_equal(g.vec(), w.vec()) for g, w in zip(got, want))
+
+
+# -- the L_p layer pays once per subalgebra, state and exponent -----------------
+
+GAP_EXPONENTS = (2.0, 3.0, 4.0, 8.0)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record the first argument of every call to owner.name."""
+    seen, real = [], getattr(owner, name)
+
+    def recorded(first, *args, **kwargs):
+        seen.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return seen
+
+
+def _with_fresh_image(data):
+    """The data with its expectation on a new copy of pi's image, which keeps
+    no restriction yet."""
+    E = dataclasses.replace(data.expectation, subalgebra=Subalgebra.from_map_image(data.pi))
+    return dataclasses.replace(data, expectation=E)
+
+
+def test_gaps_on_one_subalgebra_restrict_once_and_power_once_per_exponent(monkeypatch):
+    A, phibar = random_invariant_inclusion(4)
+    A = _plain_copy(A)
+    xs = [random_element(A.decomposition.algebra, rng_for(5)) for _ in range(10)]
+    pulls = _count_calls(monkeypatch, expectation_module, "pullback_density")
+    calculus = _count_calls(monkeypatch, State, "_calculus")
+    for x in xs:
+        for p in GAP_EXPONENTS:
+            interpolation_gap(A, phibar, x, p)
+    assert pulls == [phibar]
+    assert sum(s is phibar for s in calculus) == len(GAP_EXPONENTS)
+    restricted = restrict_state(A, phibar)
+    assert sum(s is restricted for s in calculus) == len(GAP_EXPONENTS)
+    assert len(calculus) == 2 * len(GAP_EXPONENTS)
+
+
+@pytest.mark.parametrize("name", ["P3", "M1"])
+def test_the_lp_maps_restrict_once(monkeypatch, name):
+    pulls = _count_calls(monkeypatch, expectation_module, "pullback_density")
+    complement_projection(_with_fresh_image(_plan_data(name)), 3.0)
+    assert len(pulls) == 1
+    E = _with_fresh_image(_plan_data(name)).expectation
+    lp_expectation(E, E.state, 3.0)
+    assert len(pulls) == 2
+
+
+def test_the_restriction_is_kept_for_the_same_state_only(monkeypatch):
+    A, phibar = random_invariant_inclusion(4)
+    pulls = _count_calls(monkeypatch, expectation_module, "pullback_density")
+    first = restrict_state(A, phibar)
+    assert restrict_state(A, phibar) is first
+    assert len(pulls) == 1
+    # an equal density in another State object is another state
+    twin = State(phibar.algebra, list(phibar.density.data))
+    other = restrict_state(A, twin)
+    assert other is not first and len(pulls) == 2
+    assert restrict_state(A, twin) is other and len(pulls) == 2
+    assert np.array_equal(restrict_state(A, phibar).density.vec(), first.density.vec())
+
+
+def test_a_failing_restriction_raises_on_every_call(monkeypatch):
+    e11 = AlgebraElement(M2, [np.diag([1.0, 0.0])])
+    A = Subalgebra(M2, [e11], validate=False)
+    spread = State(M2, [np.diag([0.5, 0.5])])
+    pulls = _count_calls(monkeypatch, expectation_module, "pullback_density")
+    for _ in range(3):
+        with pytest.raises(DataInvalid, match="outside the subalgebra unit"):
+            restrict_state(A, spread)
+    assert len(pulls) == 3
+    corner = State(M2, [np.diag([1.0, 0.0])])
+    assert restrict_state(A, corner).density.data[0][0, 0] == 1.0
+
+
+def test_gaps_on_a_reused_subalgebra_equal_gaps_on_fresh_copies():
+    seed = 4
+    A, phibar = random_invariant_inclusion(seed)
+    xs = [random_element(A.decomposition.algebra, rng_for(7)) for _ in range(3)]
+    for x in xs:
+        for p in GAP_EXPONENTS:
+            fresh_A, fresh_phibar = random_invariant_inclusion(seed)
+            want = interpolation_gap(fresh_A, fresh_phibar, x, p)
+            assert interpolation_gap(A, phibar, x, p) == want
+
+
+# -- subalgebra validation against the pairwise oracle --------------------------
+
+def _failing_bases():
+    """Bases that fail one check each, with the message they must give."""
+    herm = random_element(make_algebra([3]), rng_for(3))
+    herm = herm + herm.adjoint()
+    M3 = herm.algebra
+    yield "products", Subalgebra(M3, [AlgebraElement.identity(M3), herm], validate=False)
+    upper = [np.diag([1.0, 0.0]), np.array([[0, 1], [0, 0]]), np.diag([0.0, 1.0])]
+    yield "adjoints", Subalgebra(M2, [AlgebraElement(M2, [b]) for b in upper], validate=False)
+    # the second element sits below the support threshold of the span, so
+    # the unit the span reports misses it
+    C2 = make_algebra([1, 1])
+    faint = [AlgebraElement(C2, [[[1.0]], [[0.0]]]), AlgebraElement(C2, [[[0.0]], [[5e-6]]])]
+    yield "an identity", Subalgebra(C2, faint, validate=False)
+
+
+def _validation_cases():
+    for seed in range(8):
+        yield pytest.param(lambda s=seed: random_invariant_inclusion(s)[0], None, id=f"inv-{seed}")
+    for seed in range(12):
+        yield pytest.param(
+            lambda s=seed: Subalgebra.from_map_image(random_isometry_data(s).pi), None, id=f"pi-{seed}"
+        )
+    for word, A in _failing_bases():
+        yield pytest.param(lambda A=A: A, word, id=f"fails-{word.split()[-1]}")
+
+
+def _validation_outcome(check, A):
+    try:
+        check(A)
+    except DataInvalid as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("make, failure", list(_validation_cases()))
+def test_validate_agrees_with_the_pairwise_oracle(make, failure):
+    A = make()
+    got = _validation_outcome(lambda B: B.validate(), _plain_copy(A))
+    assert got == _validation_outcome(validate_by_pairs, _plain_copy(A))
+    if failure is None:
+        assert got is None
+    else:
+        assert got is not None and failure in got
+
+
+def test_validate_takes_one_blockwise_product_per_basis_element(monkeypatch):
+    source, plan = LADDER_144
+    A = _plain_copy(Subalgebra.from_map_image(random_isometry_data(0, source, plan=plan).pi))
+    lefts = _count_calls(monkeypatch, expectation_module, "apply_left")
+    A.validate()
+    assert len(lefts) == A.dim + 1  # the rows of products, then the unit
+
+
+def test_concurrent_gaps_never_pair_a_state_with_another_restriction():
+    # the kept restriction is one (state, restriction) tuple, read and
+    # replaced whole, so racing callers with two states see their own
+    import sys
+    import threading
+
+    A, phibar = random_invariant_inclusion(4)
+    other = random_faithful_state(A.parent, 11)
+    x = random_element(A.decomposition.algebra, rng_for(3))
+    want = {s: interpolation_gap(_plain_copy(A), s, x, 3.0) for s in (phibar, other)}
+    wrong, interval = [], sys.getswitchinterval()
+
+    def work(state):
+        for _ in range(50):
+            if interpolation_gap(A, state, x, 3.0) != want[state]:
+                wrong.append(state)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=((phibar, other)[k % 2],)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

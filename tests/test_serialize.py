@@ -5,10 +5,15 @@ import pytest
 
 from nclp import serialize as ser
 from nclp.algebra import make_algebra, random_faithful_state
-from nclp.errors import ShapeMismatch
+from nclp.errors import DataInvalid, ShapeMismatch
+from nclp.expectation import lp_inclusion
 from nclp.isometry import build_isometry, classify
 from nclp.lp import LpMap
-from nclp.samples import random_isometry_data, random_lp_vector, rng_for
+from nclp.samples import random_element, random_isometry_data, random_lp_vector, rng_for
+
+# a source of two factors whose generic decomposition of the image runs in
+# the other order than pi
+TWO_FACTORS = ((2, 1), [([(0, 2), (1, 1)], 1), ([(0, 1)], 1)])
 
 
 def test_algebra_roundtrip():
@@ -71,3 +76,27 @@ def test_subalgebra_roundtrip():
     assert len(back.basis) == len(A.basis)
     for a, b in zip(back.basis, A.basis):
         assert (a - b).frobenius() < 1e-15
+
+
+def _roundtrip(data):
+    return ser.isometry_data_from_json(json.loads(json.dumps(ser.isometry_data_to_json(data))))
+
+
+def test_loaded_image_keeps_the_factor_order_of_pi():
+    data = random_isometry_data(1, TWO_FACTORS[0], plan=TWO_FACTORS[1])
+    back = _roundtrip(data)
+    E = back.expectation
+    assert E.subalgebra.decomposition.algebra == data.source
+    loaded = lp_inclusion(E.subalgebra, E, 3, phi_A=back.reference_state)
+    E0 = data.expectation
+    before = lp_inclusion(E0.subalgebra, E0, 3, phi_A=data.reference_state)
+    assert np.max(np.abs(loaded.matrix - before.matrix)) < 1e-12
+
+
+def test_a_stored_basis_element_off_the_image_is_rejected():
+    data = random_isometry_data(1, TWO_FACTORS[0], plan=TWO_FACTORS[1])
+    obj = json.loads(json.dumps(ser.isometry_data_to_json(data)))
+    stray = random_element(data.target, rng_for(3))
+    obj["expectation"]["subalgebra"]["basis"][1] = ser.element_to_json(stray)
+    with pytest.raises(DataInvalid, match="leaves the image of pi"):
+        ser.isometry_data_from_json(obj)

@@ -21,6 +21,11 @@ the multiplicities and the sha256 of ``embed.matrix`` of
 ``random_noninvariant_inclusion`` seeds 0-7, for the pi images of
 ``random_isometry_data`` seeds 0-11, whose decomposition is pi itself, and
 for plain-basis copies of the same images, which run the generic pass.
+The L_p layer records hold the ``interpolation_gap`` values of
+``random_invariant_inclusion`` seeds 0-7 at three seeded x and p in
+{2, 3, 4, 8}, all on one subalgebra and state, and the sha256 of
+``lp_inclusion`` and ``complement_projection`` of ``random_isometry_data``
+seeds 0-11 at p in {1.5, 3}.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -51,6 +56,9 @@ SPECTRAL_SEEDS = range(3)
 SPECTRAL_EXPONENTS = (1.0, 1.5, 3.0, 4.0)
 INCLUSION_SEEDS = range(8)
 IMAGE_SEEDS = range(12)
+GAP_SAMPLES = 3
+GAP_EXPONENTS = (2.0, 3.0, 4.0, 8.0)
+LP_LAYER_EXPONENTS = (1.5, 3.0)
 
 
 def _digest(array) -> str:
@@ -209,6 +217,35 @@ def _decomposition_records():
         }
 
 
+def _lp_layer_records():
+    from nclp.expectation import complement_projection, interpolation_gap, lp_inclusion
+    from nclp.samples import (
+        random_element,
+        random_invariant_inclusion,
+        random_isometry_data,
+        rng_for,
+    )
+
+    for seed in INCLUSION_SEEDS:
+        A, phibar = random_invariant_inclusion(seed)
+        rng = rng_for(seed)
+        xs = [random_element(A.decomposition.algebra, rng) for _ in range(GAP_SAMPLES)]
+        yield {
+            "inclusion": seed,
+            "gaps": {
+                str(p): [interpolation_gap(A, phibar, x, p) for x in xs] for p in GAP_EXPONENTS
+            },
+        }
+    for seed in IMAGE_SEEDS:
+        data = random_isometry_data(seed)
+        E = data.expectation
+        record = {"pi_image": seed}
+        for p in LP_LAYER_EXPONENTS:
+            record[f"lp_inclusion({p})"] = _digest(lp_inclusion(E.subalgebra, E, p).matrix)
+            record[f"complement_projection({p})"] = _digest(complement_projection(data, p).matrix)
+        yield record
+
+
 def _suite_records():
     from nclp.suites import SUITES, SuiteConfig, run_suite
 
@@ -235,6 +272,7 @@ def main(argv=None) -> int:
         "yeadon": list(_yeadon_records()),
         "spectral": list(_spectral_records()),
         "decomposition": list(_decomposition_records()),
+        "lp_layer": list(_lp_layer_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
