@@ -78,6 +78,11 @@ def _require_finite(arrays: Iterable[np.ndarray], what: str) -> None:
         raise NonFinite(f"{what} has a NaN or infinite entry")
 
 
+def _frobenius(blocks: Iterable[np.ndarray]) -> float:
+    """The Frobenius norm of the element with the given blocks."""
+    return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
+
+
 def _as_block_data(algebra: Algebra, data: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
     mats = []
     data = list(data)
@@ -198,7 +203,7 @@ class AlgebraElement:
         return complex(sum(np.trace(b) for b in self.data))
 
     def frobenius(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in self.data)))
+        return _frobenius(self.data)
 
     def sup_norm(self) -> float:
         return max(float(np.linalg.norm(b, 2)) if b.size else 0.0 for b in self.data)

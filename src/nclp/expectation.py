@@ -44,7 +44,7 @@ from .errors import (
     NotInvariant,
     ShapeMismatch,
 )
-from .lp import LpMap, LpVector, conjugate_exponent, lp_norm, polar_decompose
+from .lp import LpMap, LpVector, _block_lp_norm, conjugate_exponent, polar_decompose
 
 _DECOMP_SEED = 20240711  # fixed draw for the generic elements used below
 
@@ -492,10 +492,21 @@ def complement_projection(data, p: float) -> LpMap:
     return LpMap(A.parent, A.parent, p, np.ascontiguousarray(M))
 
 
+def _power_product_norm(state: State, x: AlgebraElement, p: float) -> float:
+    """||rho^{1/p} x||_p from the blockwise products of the kept power of
+    the state's density with x."""
+    p = float(p)
+    if not (1.0 <= p < np.inf):
+        raise ExponentUnsupported(f"p must lie in [1, inf), got {p}")
+    if x.algebra != state.algebra:
+        raise ShapeMismatch("elements live on different algebras")
+    power = state.power_element(1.0 / p)
+    return _block_lp_norm([a @ b for a, b in zip(power.data, x.data)], p)
+
+
 def subalgebra_lp_norm(A: Subalgebra, phibar: State, x_small: AlgebraElement, p: float) -> float:
     """Norm of phi_A^{1/p} x inside L_p of the subalgebra's factor realization."""
-    rho_A = restrict_state(A, phibar)
-    return lp_norm(LpVector.from_element(rho_A.power_element(1.0 / p), p) @ x_small)
+    return _power_product_norm(restrict_state(A, phibar), x_small, p)
 
 
 def interpolation_gap(A: Subalgebra, phibar: State, x_small: AlgebraElement, p: float) -> float:
@@ -504,5 +515,4 @@ def interpolation_gap(A: Subalgebra, phibar: State, x_small: AlgebraElement, p: 
     exactly when a state-preserving expectation exists."""
     dec = A.decomposition
     small_norm = subalgebra_lp_norm(A, phibar, x_small, p)
-    big = LpVector.from_element(phibar.power_element(1.0 / p), p) @ dec.embed(x_small)
-    return small_norm - lp_norm(big)
+    return small_norm - _power_product_norm(phibar, dec.embed(x_small), p)

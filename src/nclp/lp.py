@@ -18,6 +18,7 @@ from .algebra import (
     AlgebraElement,
     Projection,
     State,
+    _frobenius,
     _require_finite,
     require_projections,
 )
@@ -82,22 +83,45 @@ def lp_norm(h: LpVector, weights: Sequence[float] | None = None) -> float:
     `weights` optionally scales the contribution of each block, which realizes
     a weighted trace on the source of a tracial-source map.
     """
-    return float(lp_norms(h.algebra, h.p, h.vec()[None, :], weights)[0])
+    return _block_lp_norm(h.data, h.p, weights)
+
+
+def _block_lp_norm(blocks: Sequence[np.ndarray], p: float, weights=None) -> float:
+    """`lp_norm` of the vector with the given blocks, each block a stack of
+    one for the kernel of `lp_norms`; p must already be a valid exponent."""
+    svals = _stack_singular_values([b[None] for b in blocks])
+    return float(_norms_from_singular_values(svals, p, weights)[0])
+
+
+def _stack_singular_values(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per block, the singular values of its (N, n, n) stack, in block order:
+    one SVD call per distinct block size, on the stacks of that size joined.
+    LAPACK sees each matrix alone, so the values do not depend on the
+    grouping."""
+    sizes = [stack.shape[-1] for stack in stacks]
+    out: list = [None] * len(stacks)
+    for n in dict.fromkeys(sizes):
+        group = [b for b, m in enumerate(sizes) if m == n]
+        joined = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[b] for b in group])
+        values = np.linalg.svd(joined, compute_uv=False)
+        for b in group:
+            out[b], values = values[: len(stacks[b])], values[len(stacks[b]) :]
+    return out
 
 
 def _singular_values(algebra: Algebra, rows: np.ndarray) -> list[np.ndarray]:
-    """Per block, the singular values of each row's block, one stacked SVD."""
-    return [
-        np.linalg.svd(rows[:, off : off + n * n].reshape(-1, n, n), compute_uv=False)
-        for off, n in zip(algebra.offsets(), algebra.blocks)
-    ]
+    """Per block, the singular values of each row's block."""
+    offsets = algebra.offsets()
+    return _stack_singular_values(
+        [rows[:, off : off + n * n].reshape(-1, n, n) for off, n in zip(offsets, algebra.blocks)]
+    )
 
 
 def lp_norms(
     algebra: Algebra, p: float, rows: np.ndarray, weights: Sequence[float] | None = None
 ) -> np.ndarray:
     """The p-norms of the rows of an N x total_dim array, each row a vector
-    in the normative vectorization; one stacked SVD per block.
+    in the normative vectorization; one stacked SVD per distinct block size.
 
     A row whose sum of p-th powers overflows, or underflows to zero, is
     recomputed with its top singular value factored out,
@@ -116,9 +140,15 @@ def _norms_from_singular_values(svals: list[np.ndarray], p: float, weights=None)
         for w, s in zip(ws, svals):
             total = total + w * np.sum(s**p, axis=-1)
     # the root per row as a Python float: np.power differs from it by an ulp
-    norms = np.array([float(t) ** (1.0 / p) for t in total])
-    top = np.max([s[:, 0] for s in svals], axis=0)
-    for r in np.flatnonzero(np.isinf(total) | ((total == 0.0) & (top > 0.0))):
+    norms = np.array([t ** (1.0 / p) for t in total.tolist()])
+    # only rows that overflow, or underflow to zero, need the top value
+    suspect = np.isinf(total) | (total == 0.0)
+    if not suspect.any():
+        return norms
+    top = svals[0][:, 0]
+    for s in svals[1:]:
+        top = np.maximum(top, s[:, 0])
+    for r in np.flatnonzero(suspect & (np.isinf(total) | (top > 0.0))):
         scaled = sum(w * float(np.sum((s[r] / top[r]) ** p)) for w, s in zip(ws, svals))
         norms[r] = float(top[r]) * scaled ** (1.0 / p)
     return norms
@@ -249,9 +279,8 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
     if h.p != k.p:
         raise ExponentMismatch("vectors carry different exponents")
     p = h.p
-    hv, kv = h.vec(), k.vec()
-    rows = np.stack([hv + kv, hv - kv, hv, kv])
-    n_sum, n_diff, n_h, n_k = lp_norms(h.algebra, p, rows)
+    svals = _stack_singular_values([np.stack([a + b, a - b, a, b]) for a, b in zip(h.data, k.data)])
+    n_sum, n_diff, n_h, n_k = _norms_from_singular_values(svals, p)
     # at large p the powers overflow to inf, and inf - inf is NaN; then each
     # p-th power is taken as a sum of s^p over singular values with the
     # largest one factored out, as lp_norms does, so that an exact
@@ -261,12 +290,15 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
         rhs = 2.0 * (n_h**p + n_k**p)
         defect = float(abs(lhs - rhs))
         if not np.isfinite(defect):
-            svals = _singular_values(h.algebra, rows)
             top = max(s.max() for s in svals)
             powers = sum(np.sum((s / top) ** p, axis=-1) for s in svals)
             excess = abs(powers[0] + powers[1] - 2.0 * (powers[2] + powers[3]))
             defect = 0.0 if excess == 0.0 else float(excess * top**p)
-    witness = max((h @ k.adjoint()).frobenius(), (h.adjoint() @ k).frobenius())
+    pairs = list(zip(h.data, k.data))
+    witness = max(
+        _frobenius([a @ b.conj().T for a, b in pairs]),
+        _frobenius([a.conj().T @ b for a, b in pairs]),
+    )
     return ClarksonResult(defect=defect, orthogonal=bool(witness < h.algebra.atol), witness=witness)
 
 

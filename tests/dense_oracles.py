@@ -7,14 +7,17 @@ vectorization; `tensor_embed` builds a (x) h by Kronecker products, and
 `structured_witnesses` lists the witnesses that `two_isometry_defect` reads
 off as positions in the amplification; `validate_by_pairs` checks a
 subalgebra with one element product per pair of basis elements, where
-`Subalgebra.validate` takes one blockwise product per basis element."""
+`Subalgebra.validate` takes one blockwise product per basis element;
+`lp_norms_per_block` and `clarkson_by_elements` take the L_p norms with one
+SVD call per block and the Clarkson witness from element products, where
+`nclp.lp` makes one SVD call per distinct block size and multiplies blocks."""
 
 import numpy as np
 
 from nclp.algebra import AlgebraElement, AlgebraMap
 from nclp.errors import DataInvalid, ShapeMismatch
 from nclp.isometry import _amplified_indicator, _witness_positions
-from nclp.lp import LpVector, amplified_algebra
+from nclp.lp import ClarksonResult, LpVector, amplified_algebra
 
 
 def block_diag(mats: list[np.ndarray]) -> np.ndarray:
@@ -80,3 +83,51 @@ def validate_by_pairs(A) -> None:
     for a in A.basis:
         if (e @ a - a).frobenius() > tol * scale or (a @ e - a).frobenius() > tol * scale:
             raise DataInvalid("unit of the span does not act as an identity on it")
+
+
+def lp_norms_per_block(algebra, p: float, rows: np.ndarray, weights=None) -> np.ndarray:
+    """`nclp.lp.lp_norms` with one stacked SVD per block, each row's sum of
+    p-th powers rescaled by its top singular value where it overflows or
+    underflows to zero."""
+    svals = [
+        np.linalg.svd(rows[:, off : off + n * n].reshape(-1, n, n), compute_uv=False)
+        for off, n in zip(algebra.offsets(), algebra.blocks)
+    ]
+    ws = [1.0] * len(svals) if weights is None else [float(w) for w in weights]
+    if len(ws) != len(svals):
+        raise ShapeMismatch("one weight per block is required")
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for w, s in zip(ws, svals):
+            total = total + w * np.sum(s**p, axis=-1)
+    norms = np.array([float(t) ** (1.0 / p) for t in total])
+    top = np.max([s[:, 0] for s in svals], axis=0)
+    for r in np.flatnonzero(np.isinf(total) | ((total == 0.0) & (top > 0.0))):
+        scaled = sum(w * float(np.sum((s[r] / top[r]) ** p)) for w, s in zip(ws, svals))
+        norms[r] = float(top[r]) * scaled ** (1.0 / p)
+    return norms
+
+
+def clarkson_by_elements(h: LpVector, k: LpVector) -> ClarksonResult:
+    """`nclp.lp.clarkson_defect` on the rows h + k, h - k, h, k of the
+    vectorization, its overflow fallback taking the SVDs again, and the
+    witness from the elements h k* and h* k."""
+    p = h.p
+    hv, kv = h.vec(), k.vec()
+    rows = np.stack([hv + kv, hv - kv, hv, kv])
+    n_sum, n_diff, n_h, n_k = lp_norms_per_block(h.algebra, p, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = n_sum**p + n_diff**p
+        rhs = 2.0 * (n_h**p + n_k**p)
+        defect = float(abs(lhs - rhs))
+        if not np.isfinite(defect):
+            svals = [
+                np.linalg.svd(rows[:, off : off + n * n].reshape(-1, n, n), compute_uv=False)
+                for off, n in zip(h.algebra.offsets(), h.algebra.blocks)
+            ]
+            top = max(s.max() for s in svals)
+            powers = sum(np.sum((s / top) ** p, axis=-1) for s in svals)
+            excess = abs(powers[0] + powers[1] - 2.0 * (powers[2] + powers[3]))
+            defect = 0.0 if excess == 0.0 else float(excess * top**p)
+    witness = max((h @ k.adjoint()).frobenius(), (h.adjoint() @ k).frobenius())
+    return ClarksonResult(defect=defect, orthogonal=bool(witness < h.algebra.atol), witness=witness)

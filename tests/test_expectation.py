@@ -684,21 +684,38 @@ def test_interpolation_inequality_and_equality_split():
 
 
 def test_interpolation_gap_takes_its_norms_at_p(monkeypatch):
-    # 1 / (1 / 49) is 49.00000000000001; each vector is built at exactly 49
-    import nclp.expectation as expectation_module
+    # 1 / (1 / 49) is 49.00000000000001; both norms are taken at exactly 49
+    import nclp.lp as lp_module
 
     seen = []
+    kernel = lp_module._norms_from_singular_values
 
-    def recorded(h, weights=None):
-        seen.append(h.p)
-        return lp_norm(h, weights)
+    def recorded(svals, p, weights=None):
+        seen.append(p)
+        return kernel(svals, p, weights)
 
-    monkeypatch.setattr(expectation_module, "lp_norm", recorded)
+    monkeypatch.setattr(lp_module, "_norms_from_singular_values", recorded)
     A, phibar = random_invariant_inclusion(1)
     x = random_element(A.decomposition.algebra, rng_for(5))
     gap = interpolation_gap(A, phibar, x, 49.0)
     assert seen == [49.0, 49.0]
     assert abs(gap) < 1e-9 * max(1, x.frobenius())
+
+
+def test_interpolation_gap_makes_one_svd_call_per_norm(monkeypatch):
+    A, phibar = random_invariant_inclusion(2)
+    x = random_element(A.decomposition.algebra, rng_for(6))
+    assert (A.decomposition.algebra.blocks, A.parent.blocks) == ((1, 1, 1, 1), (4,))
+    first = interpolation_gap(A, phibar, x, 3.0)  # the decomposition and the powers are kept
+    calls, real = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert interpolation_gap(A, phibar, x, 3.0) == first
+    assert calls == [(4, 1, 1), (1, 4, 4)]
 
 
 def test_subalgebra_lp_norm_diagonal_oracle():

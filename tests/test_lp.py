@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nclp.algebra import (
     AlgebraElement,
@@ -11,7 +12,7 @@ from nclp.algebra import (
     random_faithful_state,
     require_projections,
 )
-from dense_oracles import tensor_embed
+from dense_oracles import clarkson_by_elements, lp_norms_per_block, tensor_embed
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, ShapeMismatch
 from nclp.isometry import grid_witness
 from nclp.lp import (
@@ -322,6 +323,102 @@ def test_clarkson_defect_at_large_p_factors_out_the_top_singular_value():
     # powers that do not overflow keep the plain arithmetic and its rounding
     small, k = _vec(M3, 2000.0, np.diag([1.0, 0, 0])), _vec(M3, 2000.0, np.diag([0, 1.0, 0]))
     assert clarkson_defect(small, k).defect == _clarkson_by_norms(small, k) > 0.0
+
+
+def _count_svd_calls(monkeypatch) -> list:
+    """Record the shape of every array given to np.linalg.svd."""
+    calls, real = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_one_svd_call_per_distinct_block_size(monkeypatch):
+    rng = rng_for(13)
+    h = random_lp_vector(make_algebra([1, 1, 1, 1]), 3.0, rng)
+    alg = make_algebra([1, 2, 1, 2])
+    rows = np.stack([random_element(alg, rng).vec() for _ in range(3)])
+    calls = _count_svd_calls(monkeypatch)
+    lp_norm(h)
+    assert calls == [(4, 1, 1)]
+    calls.clear()
+    lp_norms(alg, 3.0, rows)
+    assert calls == [(6, 1, 1), (6, 2, 2)]
+
+
+def test_clarkson_defect_takes_its_svds_once(monkeypatch):
+    alg = make_algebra([1, 2])
+    rng = rng_for(14)
+    generic = [random_lp_vector(alg, 2000.0, rng) for _ in range(2)]
+    disjoint = [
+        _vec(alg, 2000.0, [[4.0]], np.zeros((2, 2))),
+        _vec(alg, 2000.0, [[0.0]], 4 * np.eye(2)),
+    ]
+    want = [clarkson_by_elements(*generic), clarkson_by_elements(*disjoint)]
+    calls = _count_svd_calls(monkeypatch)
+    # both pairs overflow at p = 2000 and go through the factored-out fallback
+    got = [clarkson_defect(*generic), clarkson_defect(*disjoint)]
+    assert got == want and [r.defect for r in got] == [np.inf, 0.0]
+    assert calls == [(4, 1, 1), (4, 2, 2)] * 2
+
+
+def _outcome(fn) -> tuple:
+    """The bytes of the float values fn returns, or the error it raised."""
+    try:
+        return ("value", np.asarray(fn(), dtype=float).tobytes())
+    except Exception as exc:  # the outcome compared is the exception itself
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _corner(block: np.ndarray, part: slice) -> np.ndarray:
+    """The block with every entry outside block[part, part] set to zero."""
+    out = np.zeros_like(block)
+    out[part, part] = block[part, part]
+    return out
+
+
+@st.composite
+def _norm_cases(draw):
+    blocks = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    count = draw(st.integers(1, 5))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 49.0, 2000.0]) | st.floats(1.0, 2000.0))
+    scale = st.just(0.0) | st.integers(-200, 200).map(lambda e: 10.0**e)
+    scales = draw(st.lists(scale, min_size=count + 2, max_size=count + 2))
+    weights = st.lists(st.floats(0.25, 4.0), min_size=len(blocks), max_size=len(blocks))
+    orthogonal, seed = draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return blocks, p, scales, draw(st.none() | weights), orthogonal, seed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_norm_cases())
+def test_the_norm_kernel_equals_the_per_block_oracle(case):
+    """Bitwise, on repeated block sizes, zero rows, overflow and underflow:
+    lp_norms and lp_norm against one SVD per block, clarkson_defect against
+    the vectorized rows and the element-product witness."""
+    blocks, p, scales, weights, orthogonal, seed = case
+    alg = make_algebra(blocks)
+    rng = np.random.default_rng(seed)
+    rows = np.stack([c * random_element(alg, rng).vec() for c in scales])
+    want = _outcome(lambda: lp_norms_per_block(alg, p, rows[:-2], weights))
+    assert _outcome(lambda: lp_norms(alg, p, rows[:-2], weights)) == want
+    vecs = [LpVector.from_element(AlgebraElement.from_vec(alg, r), p) for r in rows]
+    assert _outcome(lambda: [lp_norm(h, weights) for h in vecs[:-2]]) == want
+    h, k = vecs[-2:]
+    if orthogonal:  # h in a top-left corner of each block, k in the opposite one
+        cuts = [n // 2 if n > 1 else b % 2 for b, n in enumerate(blocks)]
+        h = LpVector(alg, p, [_corner(a, slice(None, c)) for a, c in zip(h.data, cuts)])
+        k = LpVector(alg, p, [_corner(a, slice(c, None)) for a, c in zip(k.data, cuts)])
+
+    def fields(result):
+        return [result.defect, result.witness, result.orthogonal]
+
+    assert _outcome(lambda: fields(clarkson_defect(h, k))) == _outcome(
+        lambda: fields(clarkson_by_elements(h, k))
+    )
 
 
 def test_lp_norm_homogeneity():

@@ -26,6 +26,11 @@ The L_p layer records hold the ``interpolation_gap`` values of
 {2, 3, 4, 8}, all on one subalgebra and state, and the sha256 of
 ``lp_inclusion`` and ``complement_projection`` of ``random_isometry_data``
 seeds 0-11 at p in {1.5, 3}.
+The norm records hold, on layouts (1, 1, 1, 1), (2, 1, 2) and (1, 2), whose
+repeated block sizes share one SVD call, at p in {1, 1.5, 3, 7, 49, 2000}
+and at scales 1 and 1e-150, for an orthogonal and a generic pair h, k: the
+``clarkson_defect`` fields, ``lp_norm`` of h and k plain and weighted, and
+the weighted ``lp_norms`` of the rows h, k, h + k.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -59,6 +64,9 @@ IMAGE_SEEDS = range(12)
 GAP_SAMPLES = 3
 GAP_EXPONENTS = (2.0, 3.0, 4.0, 8.0)
 LP_LAYER_EXPONENTS = (1.5, 3.0)
+NORM_LAYOUTS = ((1, 1, 1, 1), (2, 1, 2), (1, 2))
+NORM_EXPONENTS = (1.0, 1.5, 3.0, 7.0, 49.0, 2000.0)
+NORM_SCALES = (1.0, 1e-150)
 
 
 def _digest(array) -> str:
@@ -246,6 +254,57 @@ def _lp_layer_records():
         yield record
 
 
+def _orthogonal_blocks(blocks, rng):
+    """Blocks of h and k with disjoint left and right supports: h fills a
+    top-left corner of each block and k the complementary bottom-right one;
+    the 1 x 1 blocks alternate between h and k."""
+    import numpy as np
+
+    h_blocks, k_blocks = [], []
+    for b, n in enumerate(blocks):
+        g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        cut = n // 2 if n > 1 else b % 2
+        h, k = np.zeros((n, n), complex), np.zeros((n, n), complex)
+        h[:cut, :cut] = g[0, :cut, :cut]
+        k[cut:, cut:] = g[1, cut:, cut:]
+        h_blocks.append(h)
+        k_blocks.append(k)
+    return h_blocks, k_blocks
+
+
+def _norm_records():
+    import numpy as np
+
+    from nclp.algebra import Algebra
+    from nclp.lp import LpVector, clarkson_defect, lp_norm, lp_norms
+    from nclp.samples import random_element, rng_for
+
+    for layout, blocks in enumerate(NORM_LAYOUTS):
+        algebra = Algebra(blocks)
+        rng = rng_for(layout)
+        weights = tuple(rng.uniform(0.5, 2.0, len(blocks)).tolist())
+        pairs = {
+            "orthogonal": _orthogonal_blocks(blocks, rng),
+            "generic": tuple(random_element(algebra, rng).data for _ in range(2)),
+        }
+        for p in NORM_EXPONENTS:
+            for name, (h_blocks, k_blocks) in pairs.items():
+                for scale in NORM_SCALES:
+                    h = LpVector(algebra, p, [scale * b for b in h_blocks])
+                    k = LpVector(algebra, p, [scale * b for b in k_blocks])
+                    rows = np.stack([h.vec(), k.vec(), (h + k).vec()])
+                    yield {
+                        "blocks": list(blocks),
+                        "p": p,
+                        "pair": name,
+                        "scale": scale,
+                        "clarkson": vars(clarkson_defect(h, k)),
+                        "lp_norm": [lp_norm(h), lp_norm(k)],
+                        "weighted": [lp_norm(h, weights), lp_norm(k, weights)],
+                        "lp_norms": lp_norms(algebra, p, rows, weights).tolist(),
+                    }
+
+
 def _suite_records():
     from nclp.suites import SUITES, SuiteConfig, run_suite
 
@@ -273,6 +332,7 @@ def main(argv=None) -> int:
         "spectral": list(_spectral_records()),
         "decomposition": list(_decomposition_records()),
         "lp_layer": list(_lp_layer_records()),
+        "norms": list(_norm_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
