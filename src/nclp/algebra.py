@@ -26,6 +26,7 @@ from .errors import (
 
 ATOL_BASE = 1e-9
 EPS_FAITHFUL = 1e-8
+INJECTIVITY_TOL = 1e-6  # a map is injective when its smallest singular value exceeds this
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,6 @@ class AlgebraElement:
 
     def frobenius(self) -> float:
         return _frobenius(self.data)
-
-    def sup_norm(self) -> float:
-        return max(float(np.linalg.norm(b, 2)) if b.size else 0.0 for b in self.data)
 
     def allclose(self, other: "AlgebraElement", tol: float | None = None) -> bool:
         tol = self.algebra.atol if tol is None else tol
@@ -426,9 +424,10 @@ def random_faithful_state(algebra: Algebra, seed: int, min_eig: float = EPS_FAIT
 
 class AlgebraMap:
     """A linear map between algebras, stored as a dense matrix acting on the
-    normative vectorization."""
+    normative vectorization.  Its smallest singular value is computed once
+    and kept: the matrix is read-only."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_min_singular_value")
 
     def __init__(self, source: Algebra, target: Algebra, matrix: np.ndarray):
         matrix = np.array(matrix, dtype=complex)
@@ -442,6 +441,7 @@ class AlgebraMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_min_singular_value", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraMap is immutable")
@@ -471,7 +471,10 @@ class AlgebraMap:
         return AlgebraMap(other.source, self.target, self.matrix @ other.matrix)
 
     def min_singular_value(self) -> float:
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
+        if self._min_singular_value is None:
+            value = float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
+            object.__setattr__(self, "_min_singular_value", value)
+        return self._min_singular_value
 
     def __repr__(self):
         return f"AlgebraMap({self.source.blocks} -> {self.target.blocks})"
@@ -544,7 +547,7 @@ class HomomorphismReport:
 
     @property
     def injective(self) -> bool:
-        return self.injectivity > 1e-6
+        return self.injectivity > INJECTIVITY_TOL
 
     def kind_at(self, tol: float) -> str:
         """The kind these defects give at the tolerance tol."""
@@ -600,6 +603,62 @@ def unit_system_defect(F: AlgebraMap) -> float:
         np.fill_diagonal(cross, 0.0)
         found = np.concatenate([sq.ravel() for sq in units] + [cross.ravel()])
     return float(np.sqrt(np.max(found)))
+
+
+def pair_table_bound(F: AlgebraMap) -> tuple[float, float]:
+    """The constants (C, rho) of the reverse bound from the Glimm defect
+    delta = unit_system_defect(F) to the pair table of homomorphism_kind:
+    as computed in floating point, its mult_defect is at most
+    C (delta + rho) + rho and its star_defect at most delta + 2 rho.
+
+    In exact arithmetic, with K the largest Frobenius norm of a unit image
+    f_ij (a column norm of the matrix) and |x y| <= |x| |y|, let
+    a_ij = f_i0 f_0j - f_ij and c_jk = f_0j f_k0 - delta_jk f_00, each at
+    most delta.  Within a source block
+
+        f_ij f_kl - delta_jk f_il = delta_jk (a_il + a_i0 f_0l)
+                                    + f_i0 c_jk f_0l - f_i0 f_0j a_kl - a_ij f_kl,
+
+    at most C_in delta with C_in = 1 + 2K + 2K^2.  Across source blocks
+    b != c, with P = F(1_b), Q = F(1_c), |P| <= n_b K and |P Q| <= delta, the
+    errors E_1 = f_ij P - f_ij and E_2 = Q f_kl - f_kl are sums of n_b and
+    n_c pair defects within one block, and
+
+        f_ij f_kl = f_ij (P Q) f_kl - f_ij P E_2 - E_1 f_kl
+
+    is at most (K^2 + n_b K C_in (n_c K + 1)) delta: at most C_x delta with
+    C_x = K^2 + N_1 K C_in (N_2 K + 1), N_1 >= N_2 the two largest block
+    sizes.  C is the larger of C_in and C_x (C_x only with two blocks or
+    more), and the star identities f_ij* = f_ji are the same in both.
+
+    rho covers the rounding of either computed defect.  Every factor of a
+    product in either computation has norm at most L = N_1 K, and
+    first-order bounds for blockwise products and sums of squares (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.5 and 4.2) put each
+    computed defect within (D + 4) eps (1 + L)^2 of its exact value, D the
+    larger total dimension and eps the machine epsilon, while the defects
+    are below 1; rho is four times that.  A non-finite K gives a non-finite
+    C, which certifies nothing.
+    """
+    sizes = sorted(F.source.blocks, reverse=True)
+    with np.errstate(over="ignore"):
+        K = float(np.max(np.linalg.norm(F.matrix, axis=0)))
+    # Python float products overflow to inf, where ** would raise
+    c_in = 1 + 2 * K + 2 * K * K
+    C = c_in if len(sizes) == 1 else max(c_in, K * K + sizes[0] * K * c_in * (sizes[1] * K + 1))
+    L = sizes[0] * K
+    D = max(F.source.total_dim, F.target.total_dim)
+    return C, 4 * (D + 4) * float(np.finfo(float).eps) * (1 + L) * (1 + L)
+
+
+def units_certify_star_homomorphism(F: AlgebraMap) -> bool:
+    """True when Glimm's identities prove that homomorphism_kind(F) finds a
+    *-homomorphism at its default tolerance tol: when the reverse bound of
+    `pair_table_bound` keeps both pair-table defects within tol,
+    C (unit_system_defect(F) + rho) + rho <= tol.  O(dim) products; False
+    decides nothing, and a NaN defect gives False."""
+    C, rho = pair_table_bound(F)
+    return C * (unit_system_defect(F) + rho) + rho <= max(F.source.atol, F.target.atol)
 
 
 def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismReport:

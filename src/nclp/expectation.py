@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    INJECTIVITY_TOL,
     Algebra,
     AlgebraElement,
     AlgebraMap,
@@ -57,16 +58,6 @@ class BlockDecomposition:
     algebra: Algebra  # the factor sizes m_1..m_J
     embed: AlgebraMap  # injective *-homomorphism, image = the subalgebra
     multiplicities: tuple[int, ...]
-
-    @cached_property
-    def _embed_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.embed.matrix)
-
-    def coordinates(self, x: AlgebraElement) -> AlgebraElement:
-        """Coefficients of a subalgebra element in the factor realization."""
-        if x.algebra != self.embed.target:
-            raise ShapeMismatch("element does not live on the parent algebra")
-        return AlgebraElement.from_vec(self.algebra, self._embed_pinv @ x.vec())
 
 
 class Subalgebra:
@@ -271,7 +262,7 @@ def _certified(A: Subalgebra, dec: BlockDecomposition) -> BlockDecomposition:
         raise DataInvalid("factor decomposition: factor dimensions do not add up to the span")
     if not unit_system_defect(dec.embed) <= 1e-7:
         raise DataInvalid("factor decomposition: the units are not a system of matrix units")
-    if not dec.embed.min_singular_value() > 1e-6:
+    if not dec.embed.min_singular_value() > INJECTIVITY_TOL:
         raise DataInvalid("factor decomposition: the embedding is not injective")
     if not np.all(np.linalg.norm(U - Q @ (Q.conj().T @ U), axis=0) <= 1e-7):
         raise DataInvalid("factor decomposition: a matrix unit left the span")

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    INJECTIVITY_TOL,
     Algebra,
     AlgebraElement,
     AlgebraMap,
@@ -27,6 +28,7 @@ from .algebra import (
     apply_left,
     homomorphism_kind,
     trace_row,
+    units_certify_star_homomorphism,
 )
 from .errors import (
     DataInvalid,
@@ -58,7 +60,6 @@ from .lp import (
 
 METRIC_TOL = 1e-7  # accept threshold for sampled metric defects
 WARN_TOL = 1e-4  # defects between these two are reported as a warn band
-INJECTIVITY_TOL = 1e-6
 _CACHE_SIZE = 32  # entries kept by each cache of source-only arrays
 _FOREIGN_STATE = "state lives on a different algebra than the map source"
 
@@ -79,19 +80,37 @@ class IsometryData:
         return self.expectation.state
 
     def validate(self, tol: float = 1e-6) -> None:
+        """Raise unless pi is an injective *-homomorphism between the declared
+        algebras, the reference state is faithful, w* w = pi(1) and phibar
+        restricts through pi to the reference state, the last two within tol.
+
+        pi passes at once when Glimm's identities certify it
+        (`units_certify_star_homomorphism`) and it is injective; otherwise
+        the pair table of `homomorphism_kind` decides and names the kind.
+        By the reverse bound the pair table passes whenever the identities
+        do, so the verdict is the pair table's either way.  Every input is
+        immutable, so the tolerance of the last pass is kept on the instance
+        and a call at that tolerance or a looser one returns at once; a
+        failure keeps nothing."""
+        kept = self.__dict__.get("_validated_at")
+        if kept is not None and tol >= kept:
+            return
         if self.pi.source != self.source or self.pi.target != self.target:
             raise DataInvalid("homomorphism does not match the declared algebras")
         if not self.reference_state.faithful:
             raise NonFaithful("reference state must be faithful")
-        report = homomorphism_kind(self.pi)
-        if report.kind != "star_homomorphism" or not report.injective:
-            raise DataInvalid(f"pi is not an injective *-homomorphism ({report.kind})")
-        if not _support_defect(self.w, self.pi) <= tol:
+        pi = self.pi
+        if not (units_certify_star_homomorphism(pi) and pi.min_singular_value() > INJECTIVITY_TOL):
+            report = homomorphism_kind(pi)
+            if report.kind != "star_homomorphism" or not report.injective:
+                raise DataInvalid(f"pi is not an injective *-homomorphism ({report.kind})")
+        if not _support_defect(self.w, pi) <= tol:
             raise DataInvalid("w* w differs from pi(1)")
         # the preserved state must restrict through pi to the reference state
-        defect = verify_state_restriction(self.phibar, self.pi, self.reference_state)
+        defect = verify_state_restriction(self.phibar, pi, self.reference_state)
         if not defect <= tol:
             raise DataInvalid(f"state restriction defect {defect:.3e}")
+        self.__dict__["_validated_at"] = tol
 
 
 def _support_defect(w: AlgebraElement, pi: AlgebraMap) -> float:

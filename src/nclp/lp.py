@@ -48,10 +48,6 @@ class LpVector(AlgebraElement):
     def from_element(cls, x: AlgebraElement, p: float) -> "LpVector":
         return cls(x.algebra, p, list(x.data))
 
-    @classmethod
-    def zero_at(cls, algebra: Algebra, p: float) -> "LpVector":
-        return cls(algebra, p, algebra.zero_blocks())
-
     def _like(self, blocks) -> "LpVector":
         # arithmetic and the bimodule action keep the exponent
         out = LpVector._raw(self.algebra, blocks)

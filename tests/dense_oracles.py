@@ -10,14 +10,55 @@ subalgebra with one element product per pair of basis elements, where
 `Subalgebra.validate` takes one blockwise product per basis element;
 `lp_norms_per_block` and `clarkson_by_elements` take the L_p norms with one
 SVD call per block and the Clarkson witness from element products, where
-`nclp.lp` makes one SVD call per distinct block size and multiplies blocks."""
+`nclp.lp` makes one SVD call per distinct block size and multiplies blocks.
+`validate_by_pair_table` checks isometry data with the all-pairs table of
+`homomorphism_kind`, where `IsometryData.validate` first tries Glimm's
+identities.  `zero_lp_vector` and `decomposition_coordinates` are test-only
+constructions: the zero L_p vector, and the coefficients of a subalgebra
+element in the factor realization of a decomposition through the
+pseudo-inverse of its embedding."""
 
 import numpy as np
 
-from nclp.algebra import AlgebraElement, AlgebraMap
-from nclp.errors import DataInvalid, ShapeMismatch
-from nclp.isometry import _amplified_indicator, _witness_positions
+from nclp.algebra import AlgebraElement, AlgebraMap, homomorphism_kind
+from nclp.errors import DataInvalid, NonFaithful, ShapeMismatch
+from nclp.isometry import (
+    _amplified_indicator,
+    _support_defect,
+    _witness_positions,
+    verify_state_restriction,
+)
 from nclp.lp import ClarksonResult, LpVector, amplified_algebra
+
+
+def validate_by_pair_table(data, tol: float = 1e-6) -> None:
+    """IsometryData.validate with pi decided by the pair table alone: its
+    checks, messages and order of checks, and nothing kept."""
+    if data.pi.source != data.source or data.pi.target != data.target:
+        raise DataInvalid("homomorphism does not match the declared algebras")
+    if not data.reference_state.faithful:
+        raise NonFaithful("reference state must be faithful")
+    report = homomorphism_kind(data.pi)
+    if report.kind != "star_homomorphism" or not report.injective:
+        raise DataInvalid(f"pi is not an injective *-homomorphism ({report.kind})")
+    if not _support_defect(data.w, data.pi) <= tol:
+        raise DataInvalid("w* w differs from pi(1)")
+    defect = verify_state_restriction(data.phibar, data.pi, data.reference_state)
+    if not defect <= tol:
+        raise DataInvalid(f"state restriction defect {defect:.3e}")
+
+
+def zero_lp_vector(algebra, p: float) -> LpVector:
+    """The zero vector of L_p(algebra)."""
+    return LpVector(algebra, p, algebra.zero_blocks())
+
+
+def decomposition_coordinates(dec, x: AlgebraElement) -> AlgebraElement:
+    """Coefficients of a subalgebra element in the factor realization of the
+    decomposition dec, through the pseudo-inverse of its embedding."""
+    if x.algebra != dec.embed.target:
+        raise ShapeMismatch("element does not live on the parent algebra")
+    return AlgebraElement.from_vec(dec.algebra, np.linalg.pinv(dec.embed.matrix) @ x.vec())
 
 
 def block_diag(mats: list[np.ndarray]) -> np.ndarray:

@@ -16,12 +16,14 @@ from nclp.algebra import (
     homomorphism_kind,
     make_algebra,
     matrix_units,
+    pair_table_bound,
     pullback_density,
     random_faithful_state,
     spectral_clusters,
     trace_row,
     transpose_permutation,
     unit_system_defect,
+    units_certify_star_homomorphism,
 )
 from dense_oracles import conjugation_map, left_mult_matrix, right_mult_matrix
 from nclp.errors import EmptyBlocks, NonPositiveDim, ShapeMismatch
@@ -580,6 +582,21 @@ def test_unit_system_defect_keeps_nan():
     assert np.isnan(unit_system_defect(AlgebraMap(F.source, F.target, 1e200 * F.matrix)))
 
 
+def _frame_embedding(blocks, mults, u):
+    """The matrix of x -> u (x_1 (x) 1_mu_1 + ... + x_K (x) 1_mu_K) u* into
+    M_N, N = sum n_b mu_b, the copies of x_b placed one after another."""
+    N, cols, start = u.shape[0], [], 0
+    for n, mu in zip(blocks, mults):
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((N, N), dtype=complex)
+                for r in range(mu):
+                    e[start + r * n + i, start + r * n + j] = 1.0
+                cols.append((u @ e @ u.conj().T).reshape(-1))
+        start += n * mu
+    return np.column_stack(cols)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.integers(1, 4), min_size=1, max_size=3),
@@ -593,16 +610,7 @@ def test_unit_system_defect_bounds_on_random_embeddings(blocks, variant, seed):
     N = sum(blocks)
     target = make_algebra([N])
     rng = rng_for(seed)
-    u = haar_unitary(N, rng)
-    cols, start = [], 0
-    for n in blocks:
-        for i in range(n):
-            for j in range(n):
-                e = np.zeros((N, N), dtype=complex)
-                e[start + i, start + j] = 1.0
-                cols.append((u @ e @ u.conj().T).reshape(-1))
-        start += n
-    matrix = np.column_stack(cols)
+    matrix = _frame_embedding(blocks, [1] * len(blocks), haar_unitary(N, rng))
     if variant == "transposed":
         matrix = matrix @ transpose_permutation(source)
     elif variant == "noisy":
@@ -611,3 +619,67 @@ def test_unit_system_defect_bounds_on_random_embeddings(blocks, variant, seed):
     defect, report = _check_unit_system_defect(AlgebraMap(source, target, matrix))
     if variant == "exact":
         assert defect <= 1e-13 and report.kind == "star_homomorphism"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), min_size=1, max_size=3),
+    st.sampled_from(["exact", "transposed", "noisy"]),
+    st.floats(-12.0, -4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_reverse_bound_holds_against_the_pair_table(layout, variant, log_eps, seed):
+    # x -> u (x_1 (x) 1_mu_1 + ...) u*, transposed on every block, or moved
+    # by seeded noise of size eps; several blocks give cross-block pairs
+    blocks, mults = [n for n, _ in layout], [mu for _, mu in layout]
+    source = make_algebra(blocks)
+    N = sum(n * mu for n, mu in layout)
+    rng = rng_for(seed)
+    matrix = _frame_embedding(blocks, mults, haar_unitary(N, rng))
+    if variant == "transposed":
+        matrix = matrix @ transpose_permutation(source)
+    elif variant == "noisy":
+        noise = rng.standard_normal(matrix.shape) + 1j * rng.standard_normal(matrix.shape)
+        matrix = matrix + 10.0**log_eps * noise
+    F = AlgebraMap(source, make_algebra([N]), matrix)
+    report = homomorphism_kind(F)
+    delta = unit_system_defect(F)
+    C, rho = pair_table_bound(F)
+    assert report.mult_defect <= C * (delta + rho) + rho
+    assert report.star_defect <= delta + 2 * rho
+    if units_certify_star_homomorphism(F):
+        assert report.kind == "star_homomorphism"
+    if variant == "exact":
+        assert units_certify_star_homomorphism(F)
+
+
+def test_the_reverse_bound_names_its_constants():
+    # one block of M_2 with multiplicity 2: K = sqrt(2), C = 1 + 2K + 2K^2;
+    # with a second block of M_1, C_x = K^2 + 2 K C_in (K + 1) is larger
+    u = np.eye(4)
+    F = AlgebraMap(make_algebra([2]), make_algebra([4]), _frame_embedding([2], [2], u))
+    C, rho = pair_table_bound(F)
+    K = np.sqrt(2.0)
+    assert C == pytest.approx(1 + 2 * K + 2 * K * K)
+    assert rho == pytest.approx(4 * (16 + 4) * np.finfo(float).eps * (1 + 2 * K) ** 2)
+    F = AlgebraMap(make_algebra([2, 1]), make_algebra([5]), _frame_embedding([2, 1], [2, 1], np.eye(5)))
+    c_in = 1 + 2 * K + 2 * K * K
+    assert pair_table_bound(F)[0] == pytest.approx(K * K + 2 * K * c_in * (K + 1))
+
+
+def test_the_smallest_singular_value_is_kept(monkeypatch):
+    from nclp.samples import random_isometry_data
+
+    pi = random_isometry_data(3).pi
+    F = AlgebraMap(pi.source, pi.target, pi.matrix)  # a fresh map, nothing kept yet
+    calls = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return real(a, *args, **kwargs)
+
+    expected = float(real(F.matrix, compute_uv=False)[-1])
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert [F.min_singular_value() for _ in range(3)] == [expected] * 3
+    assert len(calls) == 1 and pi.min_singular_value() == expected

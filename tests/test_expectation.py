@@ -13,7 +13,7 @@ from nclp.algebra import (
     matrix_units,
     random_faithful_state,
 )
-from dense_oracles import validate_by_pairs
+from dense_oracles import decomposition_coordinates, validate_by_pairs
 from nclp.errors import DataInvalid, ExponentUnsupported, NotInvariant
 from nclp.expectation import (
     Subalgebra,
@@ -384,7 +384,7 @@ def test_block_decomposition_coordinates_roundtrip():
     dec = A.decomposition
     rng = rng_for(11)
     x_small = random_element(dec.algebra, rng)
-    back = dec.coordinates(dec.embed(x_small))
+    back = decomposition_coordinates(dec, dec.embed(x_small))
     assert (back - x_small).frobenius() < 1e-10
 
 

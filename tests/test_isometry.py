@@ -12,7 +12,12 @@ from nclp.algebra import (
     random_faithful_state,
     transpose_permutation,
 )
-from dense_oracles import left_mult_matrix, structured_witnesses, tensor_embed
+from dense_oracles import (
+    left_mult_matrix,
+    structured_witnesses,
+    tensor_embed,
+    validate_by_pair_table,
+)
 import nclp.expectation as expectation_module
 import nclp.isometry as isometry_module
 from nclp.errors import (
@@ -741,6 +746,109 @@ def test_build_rejects_a_jordan_pi_and_a_bad_restriction():
     other = random_faithful_state(data.source, 11)
     with pytest.raises(DataInvalid, match="state restriction defect"):
         build_isometry(replace(data, reference_state=other), 3.0)
+
+
+def _validate_variants(seed):
+    """random_isometry_data(seed) with pi as built, transposed, moved by
+    seeded noise of relative size 1e-12, 1e-9 (around the certificate's
+    threshold) and 1e-5, and with a unit column zeroed; then with w halved,
+    and with another reference state."""
+    from dataclasses import replace
+
+    data = random_isometry_data(seed)
+    pi, rng = data.pi, np.random.default_rng(seed)
+    noise = rng.standard_normal(pi.matrix.shape) + 1j * rng.standard_normal(pi.matrix.shape)
+    noise *= np.linalg.norm(pi.matrix) / np.linalg.norm(noise)
+    zeroed = pi.matrix.copy()
+    zeroed[:, 0] = 0.0
+    matrices = [pi.matrix, pi.matrix @ transpose_permutation(data.source), zeroed]
+    matrices += [pi.matrix + eps * noise for eps in (1e-12, 1e-9, 1e-5)]
+    out = [replace(data, pi=AlgebraMap(data.source, data.target, m)) for m in matrices]
+    other = random_faithful_state(data.source, seed + 100)
+    return out + [replace(data, w=data.w * 0.5), replace(data, reference_state=other)]
+
+
+def _validation_outcome(check):
+    try:
+        check()
+    except Exception as exc:  # the outcome compared is the exception itself
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_decides_as_the_pair_table(seed):
+    for data in _validate_variants(seed):
+        expected = _validation_outcome(lambda: validate_by_pair_table(data))
+        assert _validation_outcome(data.validate) == expected
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its calls."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_a_valid_build_makes_no_pair_table(monkeypatch):
+    calls = _counting(monkeypatch, isometry_module, "homomorphism_kind")
+    for seed in range(12):
+        build_isometry(random_isometry_data(seed), 3.0)
+    assert calls == []
+
+
+def test_builds_of_one_data_object_certify_pi_once(monkeypatch):
+    calls = _counting(monkeypatch, isometry_module, "units_certify_star_homomorphism")
+    data = random_isometry_data(5)
+    for p in (1.0, 1.5, 3.0, 4.0, 7.0):
+        build_isometry(data, p)
+    assert len(calls) == 1
+
+
+def test_a_failing_validate_raises_on_every_call(monkeypatch):
+    from dataclasses import replace
+
+    calls = _counting(monkeypatch, isometry_module, "homomorphism_kind")
+    data = random_isometry_data(2)
+    flipped = AlgebraMap(data.source, data.target, data.pi.matrix @ transpose_permutation(data.source))
+    bad = replace(data, pi=flipped)
+    for _ in range(3):
+        with pytest.raises(DataInvalid, match="jordan_only"):
+            bad.validate()
+    assert len(calls) == 3
+
+
+def test_validation_is_kept_per_instance_and_tolerance(monkeypatch):
+    from dataclasses import replace
+
+    calls = _counting(monkeypatch, isometry_module, "units_certify_star_homomorphism")
+    data = random_isometry_data(7)
+    data.validate()
+    data.validate(1e-3)  # looser: kept
+    assert len(calls) == 1
+    data.validate(1e-9)  # stricter: checked again, then kept
+    data.validate()
+    assert len(calls) == 2
+    # a replace copy is a new instance, checked afresh
+    replace(data).validate()
+    assert len(calls) == 3
+    with pytest.raises(DataInvalid, match="w\\* w differs"):
+        replace(data, w=data.w * 0.5).validate()
+
+
+def test_classify_takes_one_svd_of_pi(monkeypatch):
+    data = random_isometry_data(4)
+    T = build_isometry(data, 3.0)
+    calls = _counting(monkeypatch, np.linalg, "svd")
+    report = classify(T, data.reference_state, 3.0)
+    assert report.accepted
+    # homomorphism_kind at stage 2 and the image certificate at stage 5
+    assert sum(args[0] is report.data.pi.matrix for args in calls) == 1
 
 
 def test_reconstruction_checks_the_initial_projection_first(monkeypatch):

@@ -12,7 +12,7 @@ from nclp.algebra import (
     random_faithful_state,
     require_projections,
 )
-from dense_oracles import clarkson_by_elements, lp_norms_per_block, tensor_embed
+from dense_oracles import clarkson_by_elements, lp_norms_per_block, tensor_embed, zero_lp_vector
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, ShapeMismatch
 from nclp.isometry import grid_witness
 from nclp.lp import (
@@ -101,7 +101,7 @@ def test_polar_single_matrix_unit():
 
 
 def test_polar_zero():
-    pol = polar_decompose(LpVector.zero_at(M2, 2.0))
+    pol = polar_decompose(zero_lp_vector(M2, 2.0))
     for part in (pol.w, pol.modulus, pol.s_left, pol.s_right):
         assert part.frobenius() == 0
 

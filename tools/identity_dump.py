@@ -31,6 +31,13 @@ repeated block sizes share one SVD call, at p in {1, 1.5, 3, 7, 49, 2000}
 and at scales 1 and 1e-150, for an orthogonal and a generic pair h, k: the
 ``clarkson_defect`` fields, ``lp_norm`` of h and k plain and weighted, and
 the weighted ``lp_norms`` of the rows h, k, h + k.
+The validate records hold, for ``random_isometry_data`` seeds 0-11, the
+outcome of ``build_isometry`` at p = 3 and then p = 1.5 on one data object
+(the sha256 of the map's matrix, or the error's type and message) with pi
+as built, composed with the transpose, moved by seeded noise of relative
+size 1e-12, 1e-9 and 1e-5, and with its first unit column zeroed, which is
+not injective; and with pi as built but w halved, or the reference state
+replaced by another faithful state.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -67,6 +74,9 @@ LP_LAYER_EXPONENTS = (1.5, 3.0)
 NORM_LAYOUTS = ((1, 1, 1, 1), (2, 1, 2), (1, 2))
 NORM_EXPONENTS = (1.0, 1.5, 3.0, 7.0, 49.0, 2000.0)
 NORM_SCALES = (1.0, 1e-150)
+VALIDATE_SEEDS = range(12)
+VALIDATE_EXPONENTS = (3.0, 1.5)
+VALIDATE_NOISE = (1e-12, 1e-9, 1e-5)
 
 
 def _digest(array) -> str:
@@ -305,6 +315,54 @@ def _norm_records():
                     }
 
 
+def _build_outcome(data, p):
+    """The sha256 of the matrix build_isometry returns, or its error's type
+    and message."""
+    from nclp.isometry import build_isometry
+
+    try:
+        T = build_isometry(data, p)
+    except Exception as exc:  # the outcome recorded is the exception itself
+        return f"{type(exc).__name__}: {exc}"
+    return _digest(T.matrix)
+
+
+def _validate_records():
+    from dataclasses import replace
+
+    import numpy as np
+
+    from nclp.algebra import AlgebraMap, random_faithful_state, transpose_permutation
+    from nclp.samples import random_isometry_data
+
+    for seed in VALIDATE_SEEDS:
+        data = random_isometry_data(seed)
+        pi, rng = data.pi, np.random.default_rng(seed)
+        noise = rng.standard_normal(pi.matrix.shape) + 1j * rng.standard_normal(pi.matrix.shape)
+        noise *= np.linalg.norm(pi.matrix) / np.linalg.norm(noise)
+        zeroed = pi.matrix.copy()
+        zeroed[:, 0] = 0.0
+        matrices = {
+            "as_built": pi.matrix,
+            "transposed": pi.matrix @ transpose_permutation(data.source),
+            **{f"noise({eps})": pi.matrix + eps * noise for eps in VALIDATE_NOISE},
+            "zeroed_unit": zeroed,
+        }
+        variants = {
+            name: replace(data, pi=AlgebraMap(data.source, data.target, matrix))
+            for name, matrix in matrices.items()
+        }
+        variants["bad_w"] = replace(data, w=data.w * 0.5)
+        other = random_faithful_state(data.source, seed + 100)
+        variants["bad_restriction"] = replace(data, reference_state=other)
+        for name, variant in variants.items():
+            yield {
+                "seed": seed,
+                "variant": name,
+                "outcomes": [_build_outcome(variant, p) for p in VALIDATE_EXPONENTS],
+            }
+
+
 def _suite_records():
     from nclp.suites import SUITES, SuiteConfig, run_suite
 
@@ -333,6 +391,7 @@ def main(argv=None) -> int:
         "decomposition": list(_decomposition_records()),
         "lp_layer": list(_lp_layer_records()),
         "norms": list(_norm_records()),
+        "validate": list(_validate_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
