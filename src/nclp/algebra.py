@@ -464,12 +464,6 @@ class AlgebraMap:
             raise ShapeMismatch("element does not live on the source algebra")
         return AlgebraElement.from_vec(self.target, self.matrix @ x.vec())
 
-    def compose(self, other: "AlgebraMap") -> "AlgebraMap":
-        """self after other."""
-        if other.target != self.source:
-            raise ShapeMismatch("composition shapes do not match")
-        return AlgebraMap(other.source, self.target, self.matrix @ other.matrix)
-
     def min_singular_value(self) -> float:
         if self._min_singular_value is None:
             value = float(np.linalg.svd(self.matrix, compute_uv=False)[-1])

@@ -20,15 +20,6 @@ from .samples import patterned_inclusion, random_isometry_data
 from .suites import SuiteConfig, run_suite
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=1)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _parse_blocks(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
@@ -50,26 +41,25 @@ def _parse_tol(text: str) -> dict:
 def _cmd_gen(args) -> int:
     if args.kind == "algebra":
         alg = make_algebra(_parse_blocks(args.blocks))
-        _emit(ser.algebra_to_json(alg), args.out)
+        ser.dump(ser.algebra_to_json(alg), args.out)
     elif args.kind == "state":
         if args.algebra:
             alg = ser.algebra_from_json(ser.load(args.algebra))
         else:
             alg = make_algebra(_parse_blocks(args.blocks))
         state = random_faithful_state(alg, args.seed)
-        _emit(ser.state_to_json(state), args.out)
+        ser.dump(ser.state_to_json(state), args.out)
     elif args.kind == "subalgebra":
         A, pattern, m, _ = patterned_inclusion(args.seed, args.pattern, args.dim)
         obj = ser.subalgebra_to_json(A)
         obj["pattern"] = pattern
-        _emit(obj, args.out)
+        ser.dump(obj, args.out)
     elif args.kind == "isometry":
         data = random_isometry_data(args.seed)
-        _emit(ser.isometry_data_to_json(data), args.out)
+        ser.dump(ser.isometry_data_to_json(data), args.out)
         if args.map_out:
             T = build_isometry(data, args.p)
-            with open(args.map_out, "w") as fh:
-                fh.write(json.dumps(ser.lp_map_to_json(T), indent=1) + "\n")
+            ser.dump(ser.lp_map_to_json(T), args.map_out)
     return 0
 
 
@@ -86,7 +76,7 @@ def _cmd_classify(args) -> int:
     state = ser.state_from_json(ser.load(args.state), T.source)
     p = args.p if args.p is not None else T.p
     report = classify(T, state, p)
-    _emit(ser.classification_report_to_json(report), args.out)
+    ser.dump(ser.classification_report_to_json(report), args.out)
     return 0 if report.accepted else 1
 
 
@@ -100,7 +90,7 @@ def _cmd_verify(args) -> int:
         tolerances=_parse_tol(args.tol) if args.tol else None,
     )
     report = run_suite(config)
-    _emit(report.to_json(), args.out)
+    ser.dump(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 

@@ -358,14 +358,6 @@ class LpMap:
             AlgebraElement.from_vec(self.target, self.matrix @ h.vec()), self.p
         )
 
-    def compose(self, other: "LpMap") -> "LpMap":
-        """self after other; exponents must agree."""
-        if other.target != self.source:
-            raise ShapeMismatch("composition shapes do not match")
-        if other.p != self.p:
-            raise ExponentMismatch("composition of maps at different exponents")
-        return LpMap(other.source, self.target, self.p, self.matrix @ other.matrix)
-
     def at_exponent(self, p: float) -> "LpMap":
         """The same matrix acting between L_p spaces at another exponent."""
         return LpMap(self.source, self.target, p, self.matrix)

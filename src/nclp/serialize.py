@@ -8,27 +8,50 @@ same: blocks in order, rows before columns.
 from __future__ import annotations
 
 import json
+import sys
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, AlgebraMap, State
-from .errors import DataInvalid, ShapeMismatch
+from .errors import DataInvalid, NonFinite, ShapeMismatch
 from .expectation import ConditionalExpectation, Subalgebra
 from .isometry import ClassificationReport, IsometryData
 from .lp import LpMap, LpVector
 
 
-def _c(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[_c(v) for v in row] for row in np.asarray(mat, dtype=complex)]
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    """The complex matrix of rows of [re, im] pairs, bitwise as complex(re, im).
+
+    Raises ShapeMismatch unless rows is a list of equal rows of [re, im]
+    pairs of JSON numbers: ragged or wrongly nested rows, strings (numeric
+    ones too), nulls and booleans are refused, not coerced.  The entries are
+    flattened and checked by exact type first, because numpy reads True as
+    1.0 and "1.5" as 1.5, and its discovery of a nested list's shape costs
+    more than the flattening."""
+    try:
+        pairs = list(chain.from_iterable(rows))
+        values = list(chain.from_iterable(pairs))
+    except TypeError:  # a number where a row or a pair belongs
+        pairs = values = []
+    if (
+        not pairs
+        or set(map(len, rows)) != {len(pairs) // len(rows)}
+        or set(map(len, pairs)) != {2}
+        or not set(map(type, values)) <= {int, float}
+    ):
+        raise ShapeMismatch("a matrix must be a list of equal rows of [re, im] number pairs")
+    try:
+        flat = np.array(values, dtype=float)
+    except OverflowError:
+        raise NonFinite("a matrix entry is an integer beyond the range of a double") from None
+    return flat.view(complex).reshape(len(rows), -1)
 
 
 def algebra_to_json(algebra: Algebra, trace_weights=None) -> dict:
@@ -182,10 +205,16 @@ def classification_report_to_json(report: ClassificationReport) -> dict:
     return out
 
 
-def dump(obj: dict, path: str) -> None:
+def dump(obj: dict, path: str | None = None) -> None:
+    """Write obj as one line of JSON and a newline to path, or to standard
+    output.  json.dumps without an indent runs the C encoder; an indent, or
+    json.dump, runs the pure-Python one."""
+    text = json.dumps(obj) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load(path: str) -> dict:

@@ -13,22 +13,26 @@ SVD call per block and the Clarkson witness from element products, where
 `nclp.lp` makes one SVD call per distinct block size and multiplies blocks.
 `validate_by_pair_table` checks isometry data with the all-pairs table of
 `homomorphism_kind`, where `IsometryData.validate` first tries Glimm's
-identities.  `zero_lp_vector` and `decomposition_coordinates` are test-only
-constructions: the zero L_p vector, and the coefficients of a subalgebra
-element in the factor realization of a decomposition through the
-pseudo-inverse of its embedding."""
+identities.  `matrix_to_json_by_entries` and `matrix_from_json_by_entries`
+convert a matrix to and from rows of [re, im] pairs one entry at a time,
+where `nclp.serialize` converts the whole array at once.
+`zero_lp_vector`, `decomposition_coordinates`, `compose_maps` and
+`compose_lp_maps` are test-only constructions: the zero L_p vector, the
+coefficients of a subalgebra element in the factor realization of a
+decomposition through the pseudo-inverse of its embedding, and the
+composition of two algebra maps or two L_p maps."""
 
 import numpy as np
 
 from nclp.algebra import AlgebraElement, AlgebraMap, homomorphism_kind
-from nclp.errors import DataInvalid, NonFaithful, ShapeMismatch
+from nclp.errors import DataInvalid, ExponentMismatch, NonFaithful, ShapeMismatch
 from nclp.isometry import (
     _amplified_indicator,
     _support_defect,
     _witness_positions,
     verify_state_restriction,
 )
-from nclp.lp import ClarksonResult, LpVector, amplified_algebra
+from nclp.lp import ClarksonResult, LpMap, LpVector, amplified_algebra
 
 
 def validate_by_pair_table(data, tol: float = 1e-6) -> None:
@@ -46,6 +50,35 @@ def validate_by_pair_table(data, tol: float = 1e-6) -> None:
     defect = verify_state_restriction(data.phibar, data.pi, data.reference_state)
     if not defect <= tol:
         raise DataInvalid(f"state restriction defect {defect:.3e}")
+
+
+def matrix_to_json_by_entries(mat: np.ndarray) -> list:
+    """Rows of [re, im] pairs of a complex matrix, one entry at a time."""
+    return [
+        [[float(np.real(v)), float(np.imag(v))] for v in row]
+        for row in np.asarray(mat, dtype=complex)
+    ]
+
+
+def matrix_from_json_by_entries(rows: list) -> np.ndarray:
+    """The complex matrix of rows of [re, im] pairs, one entry at a time."""
+    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+
+
+def compose_maps(F: AlgebraMap, G: AlgebraMap) -> AlgebraMap:
+    """F after G."""
+    if G.target != F.source:
+        raise ShapeMismatch("composition shapes do not match")
+    return AlgebraMap(G.source, F.target, F.matrix @ G.matrix)
+
+
+def compose_lp_maps(T: LpMap, S: LpMap) -> LpMap:
+    """T after S; exponents must agree."""
+    if S.target != T.source:
+        raise ShapeMismatch("composition shapes do not match")
+    if S.p != T.p:
+        raise ExponentMismatch("composition of maps at different exponents")
+    return LpMap(S.source, T.target, T.p, T.matrix @ S.matrix)
 
 
 def zero_lp_vector(algebra, p: float) -> LpVector:

@@ -25,7 +25,7 @@ from nclp.algebra import (
     unit_system_defect,
     units_certify_star_homomorphism,
 )
-from dense_oracles import conjugation_map, left_mult_matrix, right_mult_matrix
+from dense_oracles import compose_maps, conjugation_map, left_mult_matrix, right_mult_matrix
 from nclp.errors import EmptyBlocks, NonPositiveDim, ShapeMismatch
 from nclp.samples import haar_unitary, random_element, rng_for
 
@@ -196,7 +196,7 @@ def test_kind_invariant_under_target_conjugation(case):
         )
     rng = rng_for(5)
     u = AlgebraElement(alg, [haar_unitary(2, rng)])
-    conjugated = conjugation_map(u).compose(F)
+    conjugated = compose_maps(conjugation_map(u), F)
     assert homomorphism_kind(conjugated).kind == homomorphism_kind(F).kind
 
 
@@ -565,7 +565,7 @@ def _unit_system_maps():
     rng = rng_for(6)
     u = AlgebraElement(alg, [haar_unitary(2, rng), haar_unitary(1, rng)])
     yield pytest.param(conjugation_map(u), id="conjugated")
-    yield pytest.param(conjugation_map(u).compose(_transpose_map(alg)), id="conjugated-flip")
+    yield pytest.param(compose_maps(conjugation_map(u), _transpose_map(alg)), id="conjugated-flip")
 
 
 @pytest.mark.parametrize("F", list(_unit_system_maps()))

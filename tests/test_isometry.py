@@ -13,6 +13,7 @@ from nclp.algebra import (
     transpose_permutation,
 )
 from dense_oracles import (
+    compose_lp_maps,
     left_mult_matrix,
     structured_witnesses,
     tensor_embed,
@@ -546,7 +547,7 @@ def test_metric_defects_equal_the_sample_loops(seed, p):
     T = build_isometry(data, p)
     S = LpMap(T.source, T.source, p, transpose_permutation(T.source))
     weights = tuple(np.linspace(0.5, 1.5, len(T.source.blocks)))
-    for F in (T, T.compose(S)):
+    for F in (T, compose_lp_maps(T, S)):
         for relative in (True, False):
             assert isometry_defect(F, relative=relative) == _isometry_defect_by_samples(
                 F, p, relative=relative

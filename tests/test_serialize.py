@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dense_oracles import matrix_from_json_by_entries, matrix_to_json_by_entries
 from nclp import serialize as ser
 from nclp.algebra import make_algebra, random_faithful_state
-from nclp.errors import DataInvalid, ShapeMismatch
+from nclp.errors import DataInvalid, NonFinite, ShapeMismatch
 from nclp.expectation import lp_inclusion
 from nclp.isometry import build_isometry, classify
 from nclp.lp import LpMap
@@ -100,3 +103,85 @@ def test_a_stored_basis_element_off_the_image_is_rejected():
     obj["expectation"]["subalgebra"]["basis"][1] = ser.element_to_json(stray)
     with pytest.raises(DataInvalid, match="leaves the image of pi"):
         ser.isometry_data_from_json(obj)
+
+
+# entries at the edges of the doubles: signed zeros, the smallest subnormal
+# and the largest finite magnitudes
+EDGE_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+
+
+@st.composite
+def _complex_matrices(draw):
+    pairs = draw(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(2)),
+            elements=st.one_of(
+                st.sampled_from(EDGE_ENTRIES), st.floats(allow_nan=False, allow_infinity=False)
+            ),
+        )
+    )
+    return pairs.view(complex)[..., 0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_complex_matrices())
+def test_the_matrix_codec_equals_the_per_entry_oracle(mat):
+    obj = ser._matrix_to_json(mat)
+    want = matrix_to_json_by_entries(mat)
+    assert obj == want
+    text = json.dumps(obj)
+    assert text == json.dumps(want)
+    back = ser._matrix_from_json(json.loads(text))
+    assert back.dtype == complex and back.shape == mat.shape
+    # bitwise, so that -0.0 and 0.0 differ
+    assert back.view(float).tobytes() == mat.view(float).tobytes()
+
+
+MALFORMED_MATRICES = {
+    "ragged_rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+    "pair_of_three": [[[1.0, 0.0, 0.0]]],
+    "pair_of_one": [[[1.0]]],
+    "string": [[["x", 0.0]]],
+    "numeric_string": [[["1.5", 0.0]]],
+    "null": [[[None, 0.0]]],
+    "boolean_among_numbers": [[[True, 0.0], [0.0, 0.0]]],
+    "booleans_only": [[[True, False]]],
+    "too_deep": [[[[1.0, 0.0]]]],
+    "too_shallow": [[1.0, 0.0]],
+    "not_a_list": 1.0,
+    "empty": [],
+    "empty_row": [[]],
+    "dict_pair": [[{"re": 1.0, "im": 0.0}]],
+}
+
+
+@pytest.mark.parametrize("rows", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
+def test_a_malformed_matrix_is_refused_at_the_boundary(rows):
+    alg = make_algebra([1])
+    obj = {"p": 3.0, "source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": rows}
+    with pytest.raises(ShapeMismatch, match="rows of \\[re, im\\] number pairs"):
+        ser.lp_map_from_json(obj)
+    with pytest.raises(ShapeMismatch, match="rows of \\[re, im\\] number pairs"):
+        ser.element_from_json({"blocks": [rows]}, alg)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_entry_still_reaches_the_finiteness_check(text):
+    rows = json.loads(f"[[[1, {text}]]]")
+    obj = {"p": 3.0, "source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": rows}
+    with pytest.raises(NonFinite, match="map matrix has a NaN or infinite entry"):
+        ser.lp_map_from_json(obj)
+    with pytest.raises(NonFinite, match="density has a NaN or infinite entry"):
+        ser.state_from_json({"blocks": [rows]})
+
+
+def test_an_integer_beyond_the_doubles_is_non_finite():
+    with pytest.raises(NonFinite, match="beyond the range of a double"):
+        ser._matrix_from_json([[[10**400, 0]]])
+
+
+def test_integer_entries_read_as_complex_re_im():
+    rows = [[[1, 0], [0, -2]], [[3, 4], [-0.0, 5]]]
+    back = ser._matrix_from_json(rows)
+    assert back.view(float).tobytes() == matrix_from_json_by_entries(rows).view(float).tobytes()

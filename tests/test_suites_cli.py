@@ -4,6 +4,7 @@ import pytest
 
 from nclp.cli import main
 from nclp.errors import ConfigInvalid, UnknownSuite
+from nclp.samples import random_isometry_data
 from nclp.suites import SUITES, SuiteConfig, run_suite
 
 
@@ -180,6 +181,55 @@ def test_cli_classify_non_finite_map_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["classify", str(map_file), "--state", str(state_file)]) == 2
     assert "error: map matrix has a NaN or infinite entry" in capsys.readouterr().err
+
+
+def test_cli_classify_malformed_map_exits_two(tmp_path, capsys):
+    from nclp import serialize as ser
+    from nclp.algebra import make_algebra, random_faithful_state
+
+    alg = make_algebra([1])
+    obj = {"p": 3.0, "source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[["1", 0]]]}
+    map_file = tmp_path / "string_map.json"
+    map_file.write_text(json.dumps(obj))
+    state_file = tmp_path / "state.json"
+    ser.dump(ser.state_to_json(random_faithful_state(alg, 1)), str(state_file))
+    capsys.readouterr()
+    assert main(["classify", str(map_file), "--state", str(state_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: a matrix must be a list of equal rows")
+
+
+def test_cli_files_parse_to_the_serialized_values(tmp_path):
+    # the writer changes whitespace only: each file reads back as the dict
+    # the serialize functions return
+    from nclp import serialize as ser
+    from nclp.isometry import build_isometry, classify
+
+    data_file, map_file = tmp_path / "data.json", tmp_path / "map.json"
+    args = ["gen", "isometry", "--seed", "2", "--p", "1.5", "-o", str(data_file)]
+    assert main(args + ["--map-out", str(map_file)]) == 0
+    data = random_isometry_data(2)
+    T = build_isometry(data, 1.5)
+    assert json.loads(data_file.read_text()) == ser.isometry_data_to_json(data)
+    assert json.loads(map_file.read_text()) == ser.lp_map_to_json(T)
+    # compact: one line, as the C encoder writes it
+    assert map_file.read_text() == json.dumps(ser.lp_map_to_json(T)) + "\n"
+
+    state_file, report_file = tmp_path / "state.json", tmp_path / "report.json"
+    ser.dump(ser.state_to_json(data.reference_state), str(state_file))
+    args = ["classify", str(map_file), "--state", str(state_file), "-o", str(report_file)]
+    assert main(args) == 0
+    T = ser.lp_map_from_json(ser.load(str(map_file)))
+    report = classify(T, ser.state_from_json(ser.load(str(state_file)), T.source), T.p)
+    assert json.loads(report_file.read_text()) == ser.classification_report_to_json(report)
+
+    verify_file = tmp_path / "verify.json"
+    args = ["verify", "--suite", "duality", "--seed", "1", "--samples", "2"]
+    assert main(args + ["-o", str(verify_file)]) == 0
+    written = json.loads(verify_file.read_text())
+    want = run_suite(SuiteConfig("duality", seed=1, sample_count=2)).to_json()
+    written.pop("wall_time_s")
+    want.pop("wall_time_s")
+    assert written == want
 
 
 def test_cli_error_paths_exit_two(tmp_path):

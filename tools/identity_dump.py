@@ -38,6 +38,13 @@ as built, composed with the transpose, moved by seeded noise of relative
 size 1e-12, 1e-9 and 1e-5, and with its first unit column zeroed, which is
 not injective; and with pi as built but w halved, or the reference state
 replaced by another faithful state.
+The json records hold, for ``random_isometry_data`` seeds 0-11, the sha256
+of the ``json.dumps`` text of ``isometry_data_to_json`` and of the reference
+state's ``state_to_json``, and at p in {1, 1.5, 3, 7} of the canonical map's
+``lp_map_to_json`` (and the sha256 of the matrix ``lp_map_from_json``
+reads back from that text) and of ``classification_report_to_json`` for the canonical map,
+which accepts and carries the recovered data, and for the map composed with
+the transpose, which rejects.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -128,6 +135,39 @@ def _classify_records():
                 if report.accepted:
                     record["recovered"] = _recovered_digests(report.data)
                 yield record
+
+
+def _text_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _json_records():
+    from nclp import serialize as ser
+    from nclp.algebra import transpose_permutation
+    from nclp.isometry import build_isometry, classify
+    from nclp.lp import LpMap
+    from nclp.samples import random_isometry_data
+
+    for seed in CLASSIFY_SEEDS:
+        data = random_isometry_data(seed)
+        flip = transpose_permutation(data.source)
+        record = {
+            "seed": seed,
+            "isometry_data": _text_digest(ser.isometry_data_to_json(data)),
+            "reference_state": _text_digest(ser.state_to_json(data.reference_state)),
+        }
+        for p in EXPONENTS:
+            T = build_isometry(data, p)
+            transposed = LpMap(T.source, T.target, p, T.matrix @ flip)
+            accept = classify(T, data.reference_state, p)
+            reject = classify(transposed, data.reference_state, p)
+            lp_map = ser.lp_map_to_json(T)
+            back = ser.lp_map_from_json(json.loads(json.dumps(lp_map)))
+            record[f"lp_map({p})"] = _text_digest(lp_map)
+            record[f"lp_map_read({p})"] = _digest(back.matrix)
+            record[f"accept({p})"] = _text_digest(ser.classification_report_to_json(accept))
+            record[f"reject({p})"] = _text_digest(ser.classification_report_to_json(reject))
+        yield record
 
 
 def _outcome(fn):
@@ -392,6 +432,7 @@ def main(argv=None) -> int:
         "lp_layer": list(_lp_layer_records()),
         "norms": list(_norm_records()),
         "validate": list(_validate_records()),
+        "json": list(_json_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
