@@ -12,6 +12,7 @@ everything here is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import (
 ATOL_BASE = 1e-9
 EPS_FAITHFUL = 1e-8
 INJECTIVITY_TOL = 1e-6  # a map is injective when its smallest singular value exceeds this
+_CACHE_SIZE = 32  # entries kept by each cache of per-algebra arrays
 
 
 @dataclass(frozen=True)
@@ -517,13 +519,22 @@ def _apply_blockwise(a: AlgebraElement, X: np.ndarray, product) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def transpose_order(algebra: Algebra) -> np.ndarray:
+    """The read-only index array t with vec(x^T) = vec(x)[t]."""
+    # entry off + i n + j of vec(x^T) is entry off + j n + i of vec(x)
+    layout = zip(algebra.offsets(), algebra.blocks)
+    order = np.concatenate(
+        [off + np.arange(n * n).reshape(n, n).T.reshape(-1) for off, n in layout]
+    )
+    order.setflags(write=False)
+    return order
+
+
 def transpose_permutation(algebra: Algebra) -> np.ndarray:
     """Permutation matrix S with S vec(x) = vec(x^T); also the matrix of the
     bilinear trace pairing tr(xy) = vec(x)^T S vec(y)."""
-    # row off + i n + j has its one at column off + j n + i
-    layout = zip(algebra.offsets(), algebra.blocks)
-    perm = [off + np.arange(n * n).reshape(n, n).T.reshape(-1) for off, n in layout]
-    return np.eye(algebra.total_dim)[np.concatenate(perm)]
+    return np.eye(algebra.total_dim)[transpose_order(algebra)]
 
 
 # -- homomorphism classification ----------------------------------------------

@@ -18,12 +18,13 @@ projections, and polar parts connect them into matrix units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
+    _CACHE_SIZE,
     INJECTIVITY_TOL,
     Algebra,
     AlgebraElement,
@@ -36,6 +37,7 @@ from .algebra import (
     pullback_density,
     spectral_clusters,
     trace_row,
+    transpose_order,
     unit_system_defect,
 )
 from .errors import (
@@ -48,6 +50,18 @@ from .errors import (
 from .lp import LpMap, LpVector, _block_lp_norm, conjugate_exponent, polar_decompose
 
 _DECOMP_SEED = 20240711  # fixed draw for the generic elements used below
+_POSITIVITY_SAMPLES = 5  # seeded g g* on which the expectation must stay positive
+# entries of the (k, D, D) stack of commutators of one chunk of k generators
+# in the module identities.  A chunk saves a kernel call per generator, but
+# on a 2-vCPU AVX-512 Xeon, a complex product of 1 << 12 entries or more
+# per chunk made all of classify slower in wall time: after
+# it, unrelated code ran up to 30% slower for several milliseconds, as a
+# core does after wide vector instructions (accept_ladder, wall time: 196 to
+# 198 ops/s up to 1 << 11, 166 to 192 at 1 << 12 and 1 << 14).  So a chunk
+# holds 1 << 11 entries, 32 kB: up to 8 generators at D = 16, one from
+# D = 46 on.  One stack of all 35 generators at D = 400 also took 448 MB
+# instead of 105 MB
+_MODULE_ENTRIES = 1 << 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +80,12 @@ class Subalgebra:
     The basis need not be orthonormal; it must be linearly independent and
     span a set closed under products and adjoints.  The unit here is the unit
     of the subalgebra itself, a projection of the parent which may be smaller
-    than the parent unit.
+    than the parent unit.  The basis is kept as `columns`, one read-only
+    (D, dim) array of the vectorized elements; for the image of a map it is
+    the map's matrix.
     """
 
-    __slots__ = ("parent", "basis", "__dict__")
+    __slots__ = ("parent", "columns", "__dict__")
 
     def __init__(self, parent: Algebra, basis: Sequence[AlgebraElement], validate: bool = True):
         basis = tuple(basis)
@@ -78,8 +94,11 @@ class Subalgebra:
         for a in basis:
             if a.algebra != parent:
                 raise ShapeMismatch("basis element lives on a different algebra")
+        columns = np.column_stack([a.vec() for a in basis])
+        columns.setflags(write=False)
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "columns", columns)
+        self.__dict__["basis"] = basis
         if validate:
             self.validate()
 
@@ -89,38 +108,55 @@ class Subalgebra:
         columns.  Its decomposition is pi, the multiplicity of a source block
         the trace of the projection pi(e_00), certified here: a pi that is no
         injective *-homomorphism raises DataInvalid."""
-        basis = [AlgebraElement.from_vec(pi.target, col) for col in pi.matrix.T]
-        image = cls(pi.target, basis, validate=validate)
-        mu = tuple(int(round(image.basis[off].trace().real)) for off in pi.source.offsets())
+        image = object.__new__(cls)
+        object.__setattr__(image, "parent", pi.target)
+        object.__setattr__(image, "columns", pi.matrix)
+        if validate:
+            image.validate()
+        mu = tuple(
+            int(round(AlgebraElement.from_vec(pi.target, pi.matrix[:, off]).trace().real))
+            for off in pi.source.offsets()
+        )
         image.__dict__["decomposition"] = _certified(image, BlockDecomposition(pi.source, pi, mu))
         return image
 
     @cached_property
-    def generators(self) -> tuple[AlgebraElement, ...]:
+    def basis(self) -> tuple[AlgebraElement, ...]:
+        """The basis elements, one per column."""
+        return tuple(AlgebraElement.from_vec(self.parent, c) for c in self.columns.T)
+
+    @cached_property
+    def generator_columns(self) -> np.ndarray:
         """Star units that generate the subalgebra as a unital algebra, read
-        from the decomposition: per factor of size n, embed(e_i0) and
-        embed(e_0i) for 1 <= i < n, in that order, then embed(1_k), so
-        2 sum(n_k - 1) + K elements in all.  As the units are certified,
-        f_ij = f_i0 f_0j, and f_00 = f_01 f_10, or 1_k for n = 1."""
+        from the decomposition, as read-only columns: per factor of size n,
+        embed(e_i0) and embed(e_0i) for 1 <= i < n, in that order, then
+        embed(1_k), so 2 sum(n_k - 1) + K columns in all.  As the units are
+        certified, f_ij = f_i0 f_0j, and f_00 = f_01 f_10, or 1_k for n = 1."""
         dec = self.decomposition
         cols, U = [], dec.embed.matrix
         for off, n in zip(dec.algebra.offsets(), dec.algebra.blocks):
             for i in range(1, n):
                 cols += [U[:, off + i * n], U[:, off + i]]
             cols.append(U[:, off : off + n * n : n + 1].sum(axis=1))
-        return tuple(AlgebraElement.from_vec(self.parent, c) for c in cols)
+        G = np.column_stack(cols)
+        G.setflags(write=False)
+        return G
+
+    @cached_property
+    def generators(self) -> tuple[AlgebraElement, ...]:
+        """The generator columns as elements."""
+        return tuple(AlgebraElement.from_vec(self.parent, c) for c in self.generator_columns.T)
 
     @cached_property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.columns.shape[1]
 
     @cached_property
     def _onb(self) -> np.ndarray:
         """Orthonormal (Frobenius) column basis of the span."""
-        B = np.column_stack([a.vec() for a in self.basis])
-        u, s, _ = np.linalg.svd(B, full_matrices=False)
+        u, s, _ = np.linalg.svd(self.columns, full_matrices=False)
         keep = s > 1e-12 * s[0]
-        if int(keep.sum()) != len(self.basis):
+        if int(keep.sum()) != self.dim:
             raise DataInvalid("subalgebra basis is linearly dependent")
         return u[:, keep]
 
@@ -156,14 +192,14 @@ class Subalgebra:
         tol = 1000 * self.parent.atol
         _ = self._onb  # independence
         scale = max(1.0, max(a.frobenius() for a in self.basis))
-        B = np.column_stack([a.vec() for a in self.basis])
+        B = self.columns
         C_H = np.linalg.svd(B)[0][:, self.dim :].conj().T
 
         def residuals(X):
             return np.linalg.norm(C_H @ X, axis=0)
 
-        adjoints = np.column_stack([a.adjoint().vec() for a in self.basis])
-        if np.any(residuals(adjoints) > tol * scale):
+        # vec(a*) is vec(a) conjugated with each block's entries transposed
+        if np.any(residuals(B[transpose_order(self.parent)].conj()) > tol * scale):
             raise DataInvalid("basis span is not closed under adjoints")
         for a in self.basis:
             if np.any(residuals(apply_left(a, B)) > tol * scale * scale):
@@ -285,22 +321,23 @@ def takesaki_invariant(A: Subalgebra, state: State) -> TakesakiResult:
     [log rho, a] from the span of the subalgebra: the largest column norm of
     (I - Q Q*)(L_log - R_log) B, B the basis columns and Q an orthonormal
     basis of their span.  For a state supported on a proper corner, the
-    subalgebra must sit inside that corner and log is taken on the support.
-    A NaN defect is kept, so it is not invariant.
+    subalgebra must sit inside that corner, P B = B = B P for the support P
+    on the basis columns, and log is taken on the support.  A NaN defect is
+    kept, so it is not invariant.
     """
     if state.algebra != A.parent:
         raise ShapeMismatch("state lives on a different algebra")
     tol = A.parent.atol
+    B = A.columns
     if not state.faithful:
         P = state.support()
-        for a in A.basis:
-            if (P @ a - a).frobenius() > 100 * tol or (a @ P - a).frobenius() > 100 * tol:
+        for apply in (apply_left, apply_right):
+            if np.any(np.linalg.norm(apply(P, B) - B, axis=0) > 100 * tol):
                 raise NonFaithful(
                     "state is singular and the subalgebra leaves its support corner"
                 )
     L = state.log_pseudo()
     Q = A._onb
-    B = np.column_stack([a.vec() for a in A.basis])
     comm = apply_left(L, B) - apply_right(L, B)
     defect = float(np.max(np.linalg.norm(comm - Q @ (Q.conj().T @ comm), axis=0)))
     return TakesakiResult(invariant=bool(defect < tol), defect=defect)
@@ -337,13 +374,16 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
     give E(a u b) = a E(u b) = a E(u) b.  They are multiplicative in a, as
     L_{ab} = L_a L_b and R_{ab} = R_b R_a, so holding on the generators of
     the certified decomposition (DataInvalid if it fails) they hold on A.
-    Positivity is checked on seeded samples.  Every comparison is written
-    so that a NaN rejects.
+    With S the transpose permutation, R_a = S L_{a^T} S, so the right
+    identity for a and M is the left one for a^T and S M S, up to a
+    permutation of rows and of columns; both sides run `_module_defects` on
+    chunks of the generators.  Positivity is checked on the seeded samples
+    kept per parent algebra.  Every comparison is written so that a NaN
+    rejects.
     """
     parent = A.parent
     check_tol = 1e-7 * max(1, parent.total_dim)
-    B = np.column_stack([a.vec() for a in A.basis])
-    G = np.column_stack([a.vec() for a in A.generators])
+    B, G = A.columns, A.generator_columns
     if not np.max(np.abs(M @ M - M)) <= check_tol:
         raise NotInvariant(defect, "expectation is not idempotent")
     col_tol = check_tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
@@ -352,21 +392,65 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
     omega = trace_row(state.density)
     if not np.max(np.abs(omega @ M - omega)) <= check_tol:
         raise NotInvariant(defect, "expectation does not preserve the state")
-    # M L_a = (L_{a^T} M^T)^T and M R_a = (R_{a^T} M^T)^T
-    Mt = np.ascontiguousarray(M.T)
     gen_tol = check_tol * np.maximum(1.0, np.linalg.norm(G, axis=0))
-    for a, tol in zip(A.generators, gen_tol):
-        for apply in (apply_left, apply_right):
-            comm = apply(a.transpose(), Mt).T - apply(a, M)
-            if not np.all(np.linalg.norm(comm, axis=0) <= tol):
+    flip = transpose_order(parent)
+    step = max(1, _MODULE_ENTRIES // M.size)
+    for gens, X in ((G, M), (G[flip], M[np.ix_(flip, flip)])):
+        Xt = np.ascontiguousarray(X.T)
+        for lo in range(0, G.shape[1], step):
+            norms = _module_defects(gens[:, lo : lo + step], X, Xt, parent)
+            if not np.all(norms <= gen_tol[lo : lo + step, None]):
                 raise NotInvariant(defect, "expectation is not a module map")
+    samples, scales = _positivity_samples(parent)
+    pos, low = M @ samples, np.inf
+    for off, n in zip(parent.offsets(), parent.blocks):
+        blocks = pos[off : off + n * n].T.reshape(-1, n, n)
+        herm = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
+        low = np.minimum(low, np.linalg.eigvalsh(herm).min(axis=1))
+    if not np.all(low >= -check_tol * scales):
+        raise NotInvariant(defect, "expectation is not positive on samples")
+
+
+def _module_defects(G: np.ndarray, M: np.ndarray, Mt: np.ndarray, algebra: Algebra) -> np.ndarray:
+    """The column norms of M L_a - L_a M, one row per generator column a of
+    the (D, k) array G; Mt is M^T, C-contiguous.  Per block of size m the k
+    generator blocks a_g make one stacked product with the block's rows of
+    M^T, read as (m, m D): the rows of L_{a^T} M^T = (M L_a)^T.  Then one
+    product of the a_g, stacked to (k m, m), with the block's rows of M gives
+    those rows of L_a M, subtracted from the matching columns.  So row c of
+    each (D, D) slice is column c of the commutator, and its norm is a
+    contiguous sum of squares."""
+    k, D = G.shape[1], M.shape[0]
+    layout = [(slice(off, off + m * m), m) for off, m in zip(algebra.offsets(), algebra.blocks)]
+    gens = [(rows, m, G[rows].T.reshape(k, m, m)) for rows, m in layout]
+    comm_t = np.empty((k, D, D), dtype=complex)
+    for rows, m, a in gens:
+        # the rows of one block of every slice, read as (m, m D): a view
+        out = comm_t[:, rows].reshape(k, m, m * D)
+        np.matmul(a.transpose(0, 2, 1), Mt[rows].reshape(m, m * D), out=out)
+    for rows, m, a in gens:
+        left = (a.reshape(k * m, m) @ M[rows].reshape(m, m * D)).reshape(k, m * m, D)
+        comm_t[:, :, rows] -= left.transpose(0, 2, 1)
+    parts = comm_t.view(float)
+    return np.sqrt(np.einsum("gci,gci->gc", parts, parts))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _positivity_samples(parent: Algebra) -> tuple[np.ndarray, np.ndarray]:
+    """The positivity samples of the expectation certificate, read-only:
+    vec(g g*) for the seeded Gaussian g of one default_rng(_DECOMP_SEED)
+    stream, in draw order, as columns, and each sample's scale
+    max(1, largest Frobenius norm of a block of g g*)."""
     rng = np.random.default_rng(_DECOMP_SEED)
-    for _ in range(5):
+    cols, scales = [], []
+    for _ in range(_POSITIVITY_SAMPLES):
         g_blocks = [g @ g.conj().T for g in _gaussian(parent, rng)]
-        pos = AlgebraElement.from_vec(parent, M @ AlgebraElement(parent, g_blocks).vec())
-        low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in pos.data)
-        if not low >= -check_tol * max(1.0, max(np.linalg.norm(b) for b in g_blocks)):
-            raise NotInvariant(defect, "expectation is not positive on samples")
+        cols.append(AlgebraElement(parent, g_blocks).vec())
+        scales.append(max(1.0, max(np.linalg.norm(b) for b in g_blocks)))
+    samples, scales = np.column_stack(cols), np.array(scales)
+    samples.setflags(write=False)
+    scales.setflags(write=False)
+    return samples, scales
 
 
 def construct_expectation(A: Subalgebra, state: State) -> ConditionalExpectation:

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
+    _CACHE_SIZE,
     INJECTIVITY_TOL,
     Algebra,
     AlgebraElement,
@@ -60,7 +61,6 @@ from .lp import (
 
 METRIC_TOL = 1e-7  # accept threshold for sampled metric defects
 WARN_TOL = 1e-4  # defects between these two are reported as a warn band
-_CACHE_SIZE = 32  # entries kept by each cache of source-only arrays
 _FOREIGN_STATE = "state lives on a different algebra than the map source"
 
 
@@ -435,9 +435,10 @@ def classify(
         )
 
     # stage 1: metric defects; only a failed base isometry rejects here, so
-    # the amplified defect is measured after it and a reject never pays for
-    # it.  A bad amplified defect is diagnosed by the multiplicativity
-    # certificate
+    # the amplified defect is measured after it and an isometry-stage reject
+    # never pays for it.  A reject at stages 2-6 has paid for it: the defect
+    # is measured here and read last.  A bad amplified defect is diagnosed
+    # by the multiplicativity certificate
     defects["isometry"] = isometry_defect(T, seed=seed)
     if not defects["isometry"] <= metric_tol:
         if defects["isometry"] < warn_tol:

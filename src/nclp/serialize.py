@@ -15,10 +15,25 @@ from typing import Any
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, AlgebraMap, State
-from .errors import DataInvalid, NonFinite, ShapeMismatch
+from .errors import DataInvalid, ExponentUnsupported, NonFinite, NonPositiveDim, ShapeMismatch
 from .expectation import ConditionalExpectation, Subalgebra
 from .isometry import ClassificationReport, IsometryData
 from .lp import LpMap, LpVector
+
+
+def _key(obj: dict, key: str):
+    """obj[key], or ShapeMismatch naming the key when obj is no JSON object
+    holding it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ShapeMismatch(f"a JSON object with the key {key!r} is required")
+    return obj[key]
+
+
+def _exponent(value) -> float:
+    """The exponent p read from JSON: a number, never a string or a boolean."""
+    if type(value) not in (int, float):
+        raise ExponentUnsupported(f"p must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _matrix_to_json(mat: np.ndarray) -> list:
@@ -62,7 +77,12 @@ def algebra_to_json(algebra: Algebra, trace_weights=None) -> dict:
 
 
 def algebra_from_json(obj: dict) -> Algebra:
-    return Algebra(tuple(int(n) for n in obj["blocks"]))
+    """The algebra of a list of block sizes, each an exact positive JSON
+    integer: floats and booleans are refused, not truncated or counted."""
+    blocks = _key(obj, "blocks")
+    if not isinstance(blocks, list) or any(type(n) is not int or n < 1 for n in blocks):
+        raise NonPositiveDim(f"block dimensions must be positive integers: {blocks!r}")
+    return Algebra(tuple(blocks))
 
 
 def element_to_json(x: AlgebraElement) -> dict:
@@ -70,7 +90,7 @@ def element_to_json(x: AlgebraElement) -> dict:
 
 
 def element_from_json(obj: dict, algebra: Algebra | None = None) -> AlgebraElement:
-    blocks = [_matrix_from_json(b) for b in obj["blocks"]]
+    blocks = [_matrix_from_json(b) for b in _key(obj, "blocks")]
     if algebra is None:
         algebra = Algebra(tuple(b.shape[0] for b in blocks))
     return AlgebraElement(algebra, blocks)
@@ -84,10 +104,11 @@ def lp_vector_to_json(h: LpVector) -> dict:
 
 def lp_vector_from_json(obj: dict, algebra: Algebra | None = None, p: float | None = None) -> LpVector:
     x = element_from_json(obj, algebra)
-    exponent = obj.get("p", p)
-    if exponent is None:
+    if "p" in obj:
+        p = _exponent(obj["p"])
+    elif p is None:
         raise ShapeMismatch("vector file carries no exponent and none was given")
-    return LpVector.from_element(x, float(exponent))
+    return LpVector.from_element(x, float(p))
 
 
 def state_to_json(state: State) -> dict:
@@ -111,9 +132,9 @@ def algebra_map_to_json(F: AlgebraMap) -> dict:
 
 def algebra_map_from_json(obj: dict) -> AlgebraMap:
     return AlgebraMap(
-        algebra_from_json(obj["source"]),
-        algebra_from_json(obj["target"]),
-        _matrix_from_json(obj["matrix"]),
+        algebra_from_json(_key(obj, "source")),
+        algebra_from_json(_key(obj, "target")),
+        _matrix_from_json(_key(obj, "matrix")),
     )
 
 
@@ -128,10 +149,10 @@ def lp_map_to_json(T: LpMap) -> dict:
 
 def lp_map_from_json(obj: dict) -> LpMap:
     return LpMap(
-        algebra_from_json(obj["source"]),
-        algebra_from_json(obj["target"]),
-        float(obj["p"]),
-        _matrix_from_json(obj["matrix"]),
+        algebra_from_json(_key(obj, "source")),
+        algebra_from_json(_key(obj, "target")),
+        _exponent(_key(obj, "p")),
+        _matrix_from_json(_key(obj, "matrix")),
     )
 
 
@@ -143,8 +164,8 @@ def subalgebra_to_json(A: Subalgebra) -> dict:
 
 
 def subalgebra_from_json(obj: dict) -> Subalgebra:
-    parent = algebra_from_json(obj["parent"])
-    basis = [element_from_json(b, parent) for b in obj["basis"]]
+    parent = algebra_from_json(_key(obj, "parent"))
+    basis = [element_from_json(b, parent) for b in _key(obj, "basis")]
     return Subalgebra(parent, basis)
 
 
@@ -167,20 +188,20 @@ def isometry_data_from_json(obj: dict) -> IsometryData:
     """The bundled data; the expectation's subalgebra is rebuilt as the image
     of pi, certified and in pi's factor order, and DataInvalid is raised if
     a stored basis element leaves its span."""
-    source = algebra_from_json(obj["source"])
-    target = algebra_from_json(obj["target"])
-    pi = algebra_map_from_json(obj["pi"])
-    w = element_from_json(obj["w"], target)
-    exp_obj = obj["expectation"]
+    source = algebra_from_json(_key(obj, "source"))
+    target = algebra_from_json(_key(obj, "target"))
+    pi = algebra_map_from_json(_key(obj, "pi"))
+    w = element_from_json(_key(obj, "w"), target)
+    exp_obj = _key(obj, "expectation")
     image = Subalgebra.from_map_image(pi)
     tol = 1000 * target.atol
-    for b in exp_obj["subalgebra"]["basis"]:
+    for b in _key(_key(exp_obj, "subalgebra"), "basis"):
         b = element_from_json(b, target)
         if image.span_residual(b) > tol * max(1.0, b.frobenius()):
             raise DataInvalid("a stored subalgebra basis element leaves the image of pi")
     expectation = ConditionalExpectation(
-        map=algebra_map_from_json(exp_obj["map"]),
-        state=state_from_json(exp_obj["state"], target),
+        map=algebra_map_from_json(_key(exp_obj, "map")),
+        state=state_from_json(_key(exp_obj, "state"), target),
         subalgebra=image,
     )
     return IsometryData(
@@ -189,7 +210,7 @@ def isometry_data_from_json(obj: dict) -> IsometryData:
         pi=pi,
         w=w,
         expectation=expectation,
-        reference_state=state_from_json(obj["reference_state"], source),
+        reference_state=state_from_json(_key(obj, "reference_state"), source),
     )
 
 

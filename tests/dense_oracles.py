@@ -16,6 +16,12 @@ SVD call per block and the Clarkson witness from element products, where
 identities.  `matrix_to_json_by_entries` and `matrix_from_json_by_entries`
 convert a matrix to and from rows of [re, im] pairs one entry at a time,
 where `nclp.serialize` converts the whole array at once.
+`certify_expectation_by_generators` certifies an expectation matrix with
+four blockwise products per generator and fresh positivity draws, where
+`nclp.expectation` stacks the generators and keeps the draws per algebra;
+`bad_idempotents` perturbs an expectation matrix so that each check of the
+certificate fails in turn, and `support_corner_by_elements` is the support
+check of `takesaki_invariant` one basis element at a time.
 `zero_lp_vector`, `decomposition_coordinates`, `compose_maps` and
 `compose_lp_maps` are test-only constructions: the zero L_p vector, the
 coefficients of a subalgebra element in the factor realization of a
@@ -24,8 +30,16 @@ composition of two algebra maps or two L_p maps."""
 
 import numpy as np
 
-from nclp.algebra import AlgebraElement, AlgebraMap, homomorphism_kind
-from nclp.errors import DataInvalid, ExponentMismatch, NonFaithful, ShapeMismatch
+from nclp.algebra import (
+    AlgebraElement,
+    AlgebraMap,
+    apply_left,
+    apply_right,
+    homomorphism_kind,
+    trace_row,
+)
+from nclp.errors import DataInvalid, ExponentMismatch, NonFaithful, NotInvariant, ShapeMismatch
+from nclp.expectation import _DECOMP_SEED, _gaussian
 from nclp.isometry import (
     _amplified_indicator,
     _support_defect,
@@ -205,3 +219,71 @@ def clarkson_by_elements(h: LpVector, k: LpVector) -> ClarksonResult:
             defect = 0.0 if excess == 0.0 else float(excess * top**p)
     witness = max((h @ k.adjoint()).frobenius(), (h.adjoint() @ k).frobenius())
     return ClarksonResult(defect=defect, orthogonal=bool(witness < h.algebra.atol), witness=witness)
+
+
+def certify_expectation_by_generators(M: np.ndarray, A, state, defect: float = 0.0) -> None:
+    """`nclp.expectation._certify_expectation` one generator at a time: the
+    same checks, tolerances, messages and order, each generator's module
+    identities as four blockwise products over M, and the five positivity
+    samples drawn afresh, one eigvalsh per block."""
+    parent = A.parent
+    check_tol = 1e-7 * max(1, parent.total_dim)
+    B = np.column_stack([a.vec() for a in A.basis])
+    G = np.column_stack([a.vec() for a in A.generators])
+    if not np.max(np.abs(M @ M - M)) <= check_tol:
+        raise NotInvariant(defect, "expectation is not idempotent")
+    col_tol = check_tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
+    if not np.all(np.linalg.norm(M @ B - B, axis=0) <= col_tol):
+        raise NotInvariant(defect, "expectation does not fix the subalgebra")
+    omega = trace_row(state.density)
+    if not np.max(np.abs(omega @ M - omega)) <= check_tol:
+        raise NotInvariant(defect, "expectation does not preserve the state")
+    # M L_a = (L_{a^T} M^T)^T and M R_a = (R_{a^T} M^T)^T
+    Mt = np.ascontiguousarray(M.T)
+    gen_tol = check_tol * np.maximum(1.0, np.linalg.norm(G, axis=0))
+    for a, tol in zip(A.generators, gen_tol):
+        for apply in (apply_left, apply_right):
+            comm = apply(a.transpose(), Mt).T - apply(a, M)
+            if not np.all(np.linalg.norm(comm, axis=0) <= tol):
+                raise NotInvariant(defect, "expectation is not a module map")
+    rng = np.random.default_rng(_DECOMP_SEED)
+    for _ in range(5):
+        g_blocks = [g @ g.conj().T for g in _gaussian(parent, rng)]
+        pos = AlgebraElement.from_vec(parent, M @ AlgebraElement(parent, g_blocks).vec())
+        low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in pos.data)
+        if not low >= -check_tol * max(1.0, max(np.linalg.norm(b) for b in g_blocks)):
+            raise NotInvariant(defect, "expectation is not positive on samples")
+
+
+def bad_idempotents(M: np.ndarray, A, state, rng) -> dict:
+    """Perturbations of the expectation matrix M, each breaking exactly one
+    identity of the certificate; keyed by the message it must raise.  The
+    module breaker needs a span of dimension at least 2."""
+    D = M.shape[0]
+    eye = np.eye(D)
+    Q = A._onb  # orthonormal columns spanning the subalgebra
+    omega = np.concatenate([r.T.reshape(-1) for r in state._data])
+    # the part of the span that the state annihilates
+    _, _, vh = np.linalg.svd((omega @ Q)[None, :])
+    K = Q @ vh[1:].conj().T
+    N = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    S = eye + 0.1 * N / np.linalg.norm(N, 2)
+    return {
+        "expectation is not idempotent": M + 1e-3 * N,
+        "expectation does not fix the subalgebra": S @ M @ np.linalg.inv(S),
+        # M + X N (I - M) with range(X) in the span stays an idempotent onto
+        # the span; the state survives only when omega X = 0
+        "expectation does not preserve the state": M + Q @ Q.conj().T @ N @ (eye - M),
+        "expectation is not a module map": M + K @ K.conj().T @ N @ (eye - M),
+    }
+
+
+def support_corner_by_elements(A, state) -> None:
+    """The support check of `takesaki_invariant` for a singular state, one
+    basis element at a time: NonFaithful unless P a = a = a P for every
+    basis element a, P the support of the state."""
+    tol = A.parent.atol
+    P = state.support()
+    for a in A.basis:
+        if (P @ a - a).frobenius() > 100 * tol or (a @ P - a).frobenius() > 100 * tol:
+            raise NonFaithful("state is singular and the subalgebra leaves its support corner")

@@ -12,12 +12,21 @@ from nclp.algebra import (
     make_algebra,
     matrix_units,
     random_faithful_state,
+    transpose_order,
 )
-from dense_oracles import decomposition_coordinates, validate_by_pairs
-from nclp.errors import DataInvalid, ExponentUnsupported, NotInvariant
+from dense_oracles import (
+    bad_idempotents as _bad_idempotents,
+    certify_expectation_by_generators,
+    decomposition_coordinates,
+    support_corner_by_elements,
+    validate_by_pairs,
+)
+from nclp.errors import DataInvalid, ExponentUnsupported, NonFaithful, NotInvariant
 from nclp.expectation import (
     Subalgebra,
     _certify_expectation,
+    _gaussian,
+    _positivity_samples,
     complement_projection,
     construct_expectation,
     interpolation_gap,
@@ -211,28 +220,6 @@ def _certificate_message(M, A, state):
     return None
 
 
-def _bad_idempotents(M, A, state, rng):
-    """Perturbations of the expectation matrix M, each breaking exactly one
-    identity of the certificate; keyed by the message it must raise."""
-    D = M.shape[0]
-    eye = np.eye(D)
-    Q = A._onb  # orthonormal columns spanning the subalgebra
-    omega = np.concatenate([r.T.reshape(-1) for r in state._data])
-    # the part of the span that the state annihilates
-    _, _, vh = np.linalg.svd((omega @ Q)[None, :])
-    K = Q @ vh[1:].conj().T
-    N = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    S = eye + 0.1 * N / np.linalg.norm(N, 2)
-    return {
-        "expectation is not idempotent": M + 1e-3 * N,
-        "expectation does not fix the subalgebra": S @ M @ np.linalg.inv(S),
-        # M + X N (I - M) with range(X) in the span stays an idempotent onto
-        # the span; the state survives only when omega X = 0
-        "expectation does not preserve the state": M + Q @ Q.conj().T @ N @ (eye - M),
-        "expectation is not a module map": M + K @ K.conj().T @ N @ (eye - M),
-    }
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_certificate_agrees_with_loop_oracle(seed):
     # one seed per random_invariant_inclusion menu layout
@@ -288,15 +275,17 @@ def test_classify_rejects_an_image_that_fails_its_certificate(monkeypatch):
 
 
 def test_the_module_identities_run_once_per_generator(monkeypatch):
-    elements = []
-    real = expectation_module.apply_right
+    chunks = []
+    real = expectation_module._module_defects
 
-    def counting(a, X):
-        elements.append(a)
-        return real(a, X)
+    def counting(G, M, Mt, algebra):
+        chunks.append((G, M))
+        return real(G, M, Mt, algebra)
 
-    monkeypatch.setattr(expectation_module, "apply_right", counting)
-    # each element a meets apply_right twice: M R_a = (R_{a^T} M^T)^T and R_a M
+    monkeypatch.setattr(expectation_module, "_module_defects", counting)
+    # the generator columns enter the stacked products once per side: as
+    # they are against M for M L_a = L_a M, and transposed against S M S for
+    # M R_a = R_a M, S the transpose permutation; never the full basis.
     # pi images and general inclusions alike: the star units of the factors
     cases = []
     for name in sorted(BENCH_PLANS):
@@ -307,9 +296,133 @@ def test_the_module_identities_run_once_per_generator(monkeypatch):
         cases.append((A, construct_expectation(A, phibar).map.matrix, phibar))
     for A, M, state in cases:
         blocks = A.decomposition.algebra.blocks
-        elements.clear()
+        count = 2 * sum(n - 1 for n in blocks) + len(blocks)
+        chunks.clear()
         _certify_expectation(M, A, state)
-        assert len(elements) == 2 * (2 * sum(n - 1 for n in blocks) + len(blocks))
+        left = [G for G, X in chunks if X is M]
+        right = [G for G, X in chunks if X is not M]
+        assert sum(G.shape[1] for G in left) == sum(G.shape[1] for G in right) == count
+        assert np.array_equal(np.hstack(left), A.generator_columns)
+        assert np.array_equal(np.hstack(right), A.generator_columns[transpose_order(A.parent)])
+
+
+def _certificate_cases():
+    """The pi images of random_isometry_data seeds 0-11 and the
+    random_invariant_inclusion layouts of seeds 0-7, each with its
+    expectation matrix, state and a perturbation seed."""
+    for seed in range(12):
+        E = random_isometry_data(seed).expectation
+        yield f"pi_image({seed})", E.subalgebra, E.map.matrix, E.state, seed + 700
+    for seed in range(8):
+        A, phibar = random_invariant_inclusion(seed)
+        M = construct_expectation(A, phibar).map.matrix
+        yield f"inclusion({seed})", A, M, phibar, seed + 300
+
+
+def _oracle_message(M, A, state):
+    try:
+        certify_expectation_by_generators(M, A, state)
+    except NotInvariant as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2], ids=["budget", "one", "two"])
+def test_the_batched_certificate_raises_the_generator_loops_message(monkeypatch, chunk):
+    # every perturbation, and NaN or inf entries, fail with the message of
+    # the per-generator loop, under the module budget and with the
+    # generators taken one and two at a time
+    for name, A, M, state, rng_seed in _certificate_cases():
+        if chunk is not None:
+            monkeypatch.setattr(expectation_module, "_MODULE_ENTRIES", chunk * M.size)
+        assert _oracle_message(M, A, state) is None, name
+        assert _certificate_message(M, A, state) is None, name
+        # scalars have no state-free part to perturb along, and for A the
+        # whole algebra M = 1 is the only idempotent onto A
+        perturb = 1 < A.dim < A.parent.total_dim
+        variants = _bad_idempotents(M, A, state, rng_for(rng_seed)) if perturb else {}
+        for key, M_bad in variants.items():
+            assert _oracle_message(M_bad, A, state) == key, (name, key)
+            assert _certificate_message(M_bad, A, state) == key, (name, key)
+        for bad in (np.nan, np.inf):
+            broken = np.array(M)
+            broken[3 % M.shape[0], 5 % M.shape[0]] = bad
+            with np.errstate(invalid="ignore"):
+                want = _oracle_message(broken, A, state)
+                assert want == "expectation is not idempotent", (name, bad)
+                assert _certificate_message(broken, A, state) == want, (name, bad)
+
+
+def test_positivity_samples_are_kept_per_algebra():
+    A, _ = random_invariant_inclusion(5)
+    parent = A.parent
+    samples, scales = _positivity_samples(parent)
+    # bitwise the draws of one fresh stream, in order, and read-only
+    rng = np.random.default_rng(expectation_module._DECOMP_SEED)
+    for col, scale in zip(samples.T, scales):
+        g_blocks = [g @ g.conj().T for g in _gaussian(parent, rng)]
+        assert np.array_equal(col, AlgebraElement(parent, g_blocks).vec())
+        assert scale == max(1.0, max(np.linalg.norm(b) for b in g_blocks))
+    assert samples.shape == (parent.total_dim, 5)
+    for array in (samples, scales):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # an equal algebra, as read from JSON, finds the same samples
+    assert _positivity_samples(make_algebra(list(parent.blocks)))[0] is samples
+
+
+def test_the_positivity_check_reads_every_sample_and_block(monkeypatch):
+    # no identity breaker reaches the positivity check, so feed it samples:
+    # E = 1 onto the full algebra passes every identity, and a sample fails
+    # exactly when it has a negative eigenvalue in some block, at any place
+    # among the samples
+    parent = make_algebra([2, 1])
+    A, state = _full_subalgebra(parent), random_faithful_state(parent, 5)
+    M = np.eye(parent.total_dim, dtype=complex)
+    one = AlgebraElement.identity(parent).vec()
+    last = one * np.where(np.arange(parent.total_dim) == parent.total_dim - 1, -1, 1)
+    cases = [([one, one], False), ([one, -one], True), ([last, one], True), ([one, last], True)]
+    for columns, fails in cases:
+        samples = np.column_stack(columns)
+        monkeypatch.setattr(
+            expectation_module, "_positivity_samples", lambda algebra: (samples, np.ones(2))
+        )
+        message = _certificate_message(M, A, state)
+        assert message == ("expectation is not positive on samples" if fails else None)
+
+
+def test_the_support_check_matches_the_per_element_loop():
+    # pi images with their expectation's state, often singular, pass; a
+    # state of rank one in the first block cuts every image and inclusion
+    images = (random_isometry_data(seed).expectation for seed in range(12))
+    cases = [(E.subalgebra, E.state) for E in images]
+    cases += [random_invariant_inclusion(seed) for seed in range(8)]
+    outcomes = []
+    for A, state in cases:
+        rng = rng_for(A.dim)
+        blocks = [b @ b.conj().T for b in random_element(A.parent, rng).data]
+        blocks[0] = np.outer(blocks[0][:, 0], blocks[0][:, 0].conj())
+        cut = State(A.parent, blocks, normalize=True)
+        for st in (state, cut):
+            if st.faithful:
+                continue
+            try:
+                support_corner_by_elements(A, st)
+            except NonFaithful as err:
+                with pytest.raises(NonFaithful, match=str(err)):
+                    takesaki_invariant(A, st)
+                outcomes.append("cut")
+            else:
+                takesaki_invariant(A, st)
+                outcomes.append("inside")
+    assert outcomes.count("inside") == 7 and outcomes.count("cut") == 20
+    # spans not closed under adjoints leave the corner on one side only
+    corner = State(M2, [np.diag([1.0, 0.0])])
+    for unit in ([[0, 1], [0, 0]], [[0, 0], [1, 0]]):
+        A = Subalgebra(M2, [AlgebraElement(M2, [np.array(unit, dtype=complex)])], validate=False)
+        for check in (support_corner_by_elements, takesaki_invariant):
+            with pytest.raises(NonFaithful, match="leaves its support corner"):
+                check(A, corner)
 
 
 @pytest.mark.parametrize("make", ["pi_image", "split_inclusion"])

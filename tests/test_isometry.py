@@ -845,11 +845,22 @@ def test_validation_is_kept_per_instance_and_tolerance(monkeypatch):
 def test_classify_takes_one_svd_of_pi(monkeypatch):
     data = random_isometry_data(4)
     T = build_isometry(data, 3.0)
-    calls = _counting(monkeypatch, np.linalg, "svd")
+    calls, real = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append((a, kwargs))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
     report = classify(T, data.reference_state, 3.0)
     assert report.accepted
-    # homomorphism_kind at stage 2 and the image certificate at stage 5
-    assert sum(args[0] is report.data.pi.matrix for args in calls) == 1
+    # the image's columns are pi's matrix: one values-only SVD, the
+    # injectivity of homomorphism_kind at stage 2 kept for the image
+    # certificate at stage 5, and one orthonormal basis of the span
+    of_pi = [kwargs for a, kwargs in calls if a is report.data.pi.matrix]
+    assert of_pi.count({"compute_uv": False}) == 1
+    assert of_pi.count({"full_matrices": False}) == 1
+    assert len(of_pi) == 2
 
 
 def test_reconstruction_checks_the_initial_projection_first(monkeypatch):

@@ -8,7 +8,14 @@ from hypothesis.extra.numpy import arrays
 from dense_oracles import matrix_from_json_by_entries, matrix_to_json_by_entries
 from nclp import serialize as ser
 from nclp.algebra import make_algebra, random_faithful_state
-from nclp.errors import DataInvalid, NonFinite, ShapeMismatch
+from nclp.errors import (
+    DataInvalid,
+    EmptyBlocks,
+    ExponentUnsupported,
+    NonFinite,
+    NonPositiveDim,
+    ShapeMismatch,
+)
 from nclp.expectation import lp_inclusion
 from nclp.isometry import build_isometry, classify
 from nclp.lp import LpMap
@@ -185,3 +192,90 @@ def test_integer_entries_read_as_complex_re_im():
     rows = [[[1, 0], [0, -2]], [[3, 4], [-0.0, 5]]]
     back = ser._matrix_from_json(rows)
     assert back.view(float).tobytes() == matrix_from_json_by_entries(rows).view(float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[2.7, True], [2.0], [True], [2, False], ["2"], [0], [-1], [None], 2, {"n": 2}],
+    ids=["float_and_bool", "integral_float", "bool", "false", "string", "zero", "negative",
+         "null", "not_a_list", "object"],
+)
+def test_block_sizes_must_be_exact_positive_integers(blocks):
+    with pytest.raises(NonPositiveDim, match="block dimensions must be positive integers"):
+        ser.algebra_from_json({"blocks": blocks})
+    obj = {"p": 3.0, "source": {"blocks": blocks}, "target": {"blocks": [1]}, "matrix": [[[1, 0]]]}
+    with pytest.raises(NonPositiveDim):
+        ser.lp_map_from_json(obj)
+
+
+def test_an_empty_block_list_is_refused():
+    with pytest.raises(EmptyBlocks):
+        ser.algebra_from_json({"blocks": []})
+
+
+@pytest.mark.parametrize("p", ["3", None, True, [3.0], {"p": 3}], ids=str)
+def test_the_exponent_must_be_a_json_number(p):
+    alg = make_algebra([1])
+    obj = {"p": p, "source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[[1, 0]]]}
+    with pytest.raises(ExponentUnsupported, match="p must be a JSON number"):
+        ser.lp_map_from_json(obj)
+    vector = dict(ser.element_to_json(random_element(alg, rng_for(0))), p=p)
+    with pytest.raises(ExponentUnsupported, match="p must be a JSON number"):
+        ser.lp_vector_from_json(vector, p=3.0)
+
+
+def test_an_integer_exponent_reads_as_a_float():
+    obj = {"p": 3, "source": {"blocks": [1]}, "target": {"blocks": [1]}, "matrix": [[[1, 0]]]}
+    T = ser.lp_map_from_json(obj)
+    assert T.p == 3.0 and type(T.p) is float
+
+
+def _without(obj, path):
+    """A deep copy of obj with the key at the end of path removed."""
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return obj
+
+
+LP_MAP_KEYS = [("p",), ("source",), ("target",), ("matrix",), ("source", "blocks")]
+ISOMETRY_KEYS = [
+    ("source",),
+    ("pi",),
+    ("pi", "matrix"),
+    ("w",),
+    ("expectation",),
+    ("expectation", "map"),
+    ("expectation", "state"),
+    ("expectation", "subalgebra", "basis"),
+    ("reference_state",),
+    ("reference_state", "blocks"),
+]
+
+
+def test_a_missing_key_is_named():
+    T = LpMap(make_algebra([1]), make_algebra([1]), 3.0, np.eye(1))
+    lp_map = ser.lp_map_to_json(T)
+    for path in LP_MAP_KEYS:
+        with pytest.raises(ShapeMismatch, match=f"the key '{path[-1]}' is required"):
+            ser.lp_map_from_json(_without(lp_map, path))
+    data = ser.isometry_data_to_json(random_isometry_data(2))
+    for path in ISOMETRY_KEYS:
+        with pytest.raises(ShapeMismatch, match=f"the key '{path[-1]}' is required"):
+            ser.isometry_data_from_json(_without(data, path))
+    with pytest.raises(ShapeMismatch, match="the key 'blocks' is required"):
+        ser.state_from_json([])
+
+
+def test_the_cli_names_a_missing_exponent(tmp_path, capsys):
+    from nclp.cli import main
+
+    T = LpMap(make_algebra([1]), make_algebra([1]), 3.0, np.eye(1))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(_without(ser.lp_map_to_json(T), ("p",))))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(ser.state_to_json(random_faithful_state(make_algebra([1]), 0))))
+    assert main(["classify", str(path), "--state", str(state), "--p", "3"]) == 2
+    assert "the key 'p' is required" in capsys.readouterr().err

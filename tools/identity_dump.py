@@ -45,6 +45,14 @@ state's ``state_to_json``, and at p in {1, 1.5, 3, 7} of the canonical map's
 reads back from that text) and of ``classification_report_to_json`` for the canonical map,
 which accepts and carries the recovered data, and for the map composed with
 the transpose, which rejects.
+The certificate records hold, for the pi images of ``random_isometry_data``
+seeds 0-11 and the ``random_invariant_inclusion`` layouts of seeds 0-7 with
+their expectation matrices M, the first message ``_certify_expectation``
+raises (or null) on M and on each perturbation of ``bad_idempotents`` from
+``tests/dense_oracles.py`` that breaks one of its checks, and the outcome of
+``takesaki_invariant`` (its fields, or the error) on the expectation's state
+and on a state of rank one in the first block, whose support cuts the
+subalgebra.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -64,6 +72,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = SRC.parent / "tests"
 SUITE_SEEDS = (0, 1, 7)
 CLASSIFY_SEEDS = range(12)
 EXPONENTS = (1.0, 1.5, 3.0, 7.0)
@@ -403,6 +412,49 @@ def _validate_records():
             }
 
 
+def _certificate_records():
+    import numpy as np
+
+    from nclp.errors import NclpError
+    from nclp.expectation import _certify_expectation, construct_expectation, takesaki_invariant
+    from nclp.samples import random_invariant_inclusion, random_isometry_data, rng_for
+
+    sys.path.insert(0, str(TESTS))
+    from dense_oracles import bad_idempotents
+
+    def first_failure(M, A, state):
+        try:
+            _certify_expectation(M, A, state)
+        except NclpError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return None
+
+    def takesaki(A, state):
+        try:
+            return vars(takesaki_invariant(A, state))
+        except NclpError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    cases = []
+    for seed in IMAGE_SEEDS:
+        E = random_isometry_data(seed).expectation
+        cases.append(("pi_image", seed, E.subalgebra, E.map.matrix, E.state))
+    for seed in INCLUSION_SEEDS:
+        A, phibar = random_invariant_inclusion(seed)
+        cases.append(("inclusion", seed, A, construct_expectation(A, phibar).map.matrix, phibar))
+    for kind, seed, A, M, state in cases:
+        variants = {"exact": M}
+        if A.dim > 1:
+            variants.update(bad_idempotents(M, A, state, np.random.default_rng(seed)))
+        yield {
+            "subalgebra": kind,
+            "seed": seed,
+            "certificate": {name: first_failure(X, A, state) for name, X in variants.items()},
+            "takesaki": takesaki(A, state),
+            "takesaki_cut": takesaki(A, _nonfaithful_state(A.parent, rng_for(seed))),
+        }
+
+
 def _suite_records():
     from nclp.suites import SUITES, SuiteConfig, run_suite
 
@@ -433,6 +485,7 @@ def main(argv=None) -> int:
         "norms": list(_norm_records()),
         "validate": list(_validate_records()),
         "json": list(_json_records()),
+        "certificate": list(_certificate_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
