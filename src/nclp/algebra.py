@@ -426,10 +426,11 @@ def random_faithful_state(algebra: Algebra, seed: int, min_eig: float = EPS_FAIT
 
 class AlgebraMap:
     """A linear map between algebras, stored as a dense matrix acting on the
-    normative vectorization.  Its smallest singular value is computed once
-    and kept: the matrix is read-only."""
+    normative vectorization.  Its smallest singular value and its Glimm
+    defect (`unit_system_defect`) are computed once and kept: the matrix is
+    read-only."""
 
-    __slots__ = ("source", "target", "matrix", "_min_singular_value")
+    __slots__ = ("source", "target", "matrix", "_min_singular_value", "_unit_system_defect")
 
     def __init__(self, source: Algebra, target: Algebra, matrix: np.ndarray):
         matrix = np.array(matrix, dtype=complex)
@@ -444,6 +445,7 @@ class AlgebraMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_min_singular_value", None)
+        object.__setattr__(self, "_unit_system_defect", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraMap is immutable")
@@ -554,6 +556,10 @@ class HomomorphismReport:
     def injective(self) -> bool:
         return self.injectivity > INJECTIVITY_TOL
 
+    @property
+    def injective_star_homomorphism(self) -> bool:
+        return self.kind == "star_homomorphism" and self.injective
+
     def kind_at(self, tol: float) -> str:
         """The kind these defects give at the tolerance tol."""
         if self.star_defect <= tol and self.mult_defect <= tol:
@@ -588,7 +594,15 @@ def unit_system_defect(F: AlgebraMap) -> float:
     products against the O(dim^2) pair table of homomorphism_kind.  Per
     target block the unit images of a source block form an (n, n, m, m)
     stack S, and both product identities are one batched product.  A NaN
-    defect is kept."""
+    defect is kept.  The map keeps its defect, so it is computed once per
+    map; a fresh AlgebraMap of the same matrix computes it again."""
+    if F._unit_system_defect is None:
+        object.__setattr__(F, "_unit_system_defect", _glimm_defect(F))
+    return F._unit_system_defect
+
+
+def _glimm_defect(F: AlgebraMap) -> float:
+    """The defect `unit_system_defect` keeps, computed."""
     layout = list(zip(F.source.offsets(), F.source.blocks))
     units = [np.zeros((3, n, n)) for _, n in layout]  # squares summed over target blocks
     cross = np.zeros((len(layout), len(layout)))
@@ -664,6 +678,20 @@ def units_certify_star_homomorphism(F: AlgebraMap) -> bool:
     decides nothing, and a NaN defect gives False."""
     C, rho = pair_table_bound(F)
     return C * (unit_system_defect(F) + rho) + rho <= max(F.source.atol, F.target.atol)
+
+
+def certify_injective_star_homomorphism(F: AlgebraMap) -> HomomorphismReport | None:
+    """None when Glimm's identities certify F
+    (`units_certify_star_homomorphism`) and F is injective; otherwise the
+    pair table's `homomorphism_kind(F)`, which decides and names the kind.
+    By the reverse bound the table passes whenever the identities do, so F
+    is an injective *-homomorphism exactly when the result is None or its
+    `injective_star_homomorphism` holds, and the verdict is the table's on
+    every input.  The table runs only for a map the identities do not
+    certify."""
+    if units_certify_star_homomorphism(F) and F.min_singular_value() > INJECTIVITY_TOL:
+        return None
+    return homomorphism_kind(F)
 
 
 def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismReport:

@@ -290,9 +290,10 @@ def _block_decomposition(A: Subalgebra) -> BlockDecomposition:
 def _certified(A: Subalgebra, dec: BlockDecomposition) -> BlockDecomposition:
     """The decomposition, once certified as an isomorphism onto A, else
     DataInvalid: the factor dimensions add up to dim A, the unit images
-    are a system of matrix units (`unit_system_defect` within 1e-7), embed
-    is injective and every unit lies in the span.  Then embed is an
-    injective *-homomorphism into span A of dimension dim A, so onto it."""
+    are a system of matrix units (`unit_system_defect`, kept on embed,
+    within 1e-7), embed is injective and every unit lies in the span.  Then
+    embed is an injective *-homomorphism into span A of dimension dim A, so
+    onto it."""
     U, Q = dec.embed.matrix, A._onb
     if dec.algebra.total_dim != A.dim:
         raise DataInvalid("factor decomposition: factor dimensions do not add up to the span")

@@ -21,15 +21,14 @@ import numpy as np
 
 from .algebra import (
     _CACHE_SIZE,
-    INJECTIVITY_TOL,
     Algebra,
     AlgebraElement,
     AlgebraMap,
     State,
     apply_left,
-    homomorphism_kind,
+    certify_injective_star_homomorphism,
     trace_row,
-    units_certify_star_homomorphism,
+    unit_system_defect,
 )
 from .errors import (
     DataInvalid,
@@ -84,11 +83,10 @@ class IsometryData:
         algebras, the reference state is faithful, w* w = pi(1) and phibar
         restricts through pi to the reference state, the last two within tol.
 
-        pi passes at once when Glimm's identities certify it
-        (`units_certify_star_homomorphism`) and it is injective; otherwise
-        the pair table of `homomorphism_kind` decides and names the kind.
-        By the reverse bound the pair table passes whenever the identities
-        do, so the verdict is the pair table's either way.  Every input is
+        pi is decided by `certify_injective_star_homomorphism`: Glimm's
+        identities pass it at once when they certify it and it is injective;
+        otherwise the pair table decides and names the kind.  By the reverse
+        bound the verdict is the pair table's either way.  Every input is
         immutable, so the tolerance of the last pass is kept on the instance
         and a call at that tolerance or a looser one returns at once; a
         failure keeps nothing."""
@@ -99,15 +97,13 @@ class IsometryData:
             raise DataInvalid("homomorphism does not match the declared algebras")
         if not self.reference_state.faithful:
             raise NonFaithful("reference state must be faithful")
-        pi = self.pi
-        if not (units_certify_star_homomorphism(pi) and pi.min_singular_value() > INJECTIVITY_TOL):
-            report = homomorphism_kind(pi)
-            if report.kind != "star_homomorphism" or not report.injective:
-                raise DataInvalid(f"pi is not an injective *-homomorphism ({report.kind})")
-        if not _support_defect(self.w, pi) <= tol:
+        report = certify_injective_star_homomorphism(self.pi)
+        if report is not None and not report.injective_star_homomorphism:
+            raise DataInvalid(f"pi is not an injective *-homomorphism ({report.kind})")
+        if not _support_defect(self.w, self.pi) <= tol:
             raise DataInvalid("w* w differs from pi(1)")
         # the preserved state must restrict through pi to the reference state
-        defect = verify_state_restriction(self.phibar, pi, self.reference_state)
+        defect = verify_state_restriction(self.phibar, self.pi, self.reference_state)
         if not defect <= tol:
             raise DataInvalid(f"state restriction defect {defect:.3e}")
         self.__dict__["_validated_at"] = tol
@@ -417,6 +413,14 @@ def classify(
     invariance and the expectation on the image; rebuild and compare.
     The verdict is accept exactly when every defect clears its threshold.
     The matrix of T is read at the exponent p, whatever T.p is.
+
+    The reported multiplicativity is pi's Glimm defect delta
+    (`unit_system_defect`, kept on pi), and its threshold is the
+    certificate's: pi passes at once when C (delta + rho) + rho is within
+    the pair table's tolerance, (C, rho) from `pair_table_bound`, and pi is
+    injective.  Above that threshold the pair table of `homomorphism_kind`
+    decides, and names the kind, as before; by the reverse bound every
+    verdict is the table's.  A pi that `extract_pi` refuses reports inf.
     """
     p = float(p)
     if p == 2.0:
@@ -447,15 +451,16 @@ def classify(
     defects["two_isometry"] = two_isometry_defect(T, n=2, seed=seed, relative=True)
     algebraic_tol = max(T.source.atol, T.target.atol) * 10
 
-    # stage 2: homomorphism extraction and certification
+    # stage 2: homomorphism extraction and certification; the Glimm defect
+    # kept on pi is read again by the image certificate of stage 5
     try:
         pi = extract_pi(T, phi)
     except NotAnIsometry:
         defects["multiplicativity"] = float("inf")
         return reject("multiplicativity")
-    report = homomorphism_kind(pi)
-    defects["multiplicativity"] = report.mult_defect
-    if report.kind != "star_homomorphism" or not report.injective:
+    report = certify_injective_star_homomorphism(pi)
+    defects["multiplicativity"] = unit_system_defect(pi)
+    if report is not None and not report.injective_star_homomorphism:
         return reject("multiplicativity")
 
     # stage 3: polar data

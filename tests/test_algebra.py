@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nclp.algebra import (
+    certify_injective_star_homomorphism,
     EPS_FAITHFUL,
     Algebra,
     AlgebraElement,
@@ -653,6 +654,40 @@ def test_the_reverse_bound_holds_against_the_pair_table(layout, variant, log_eps
         assert units_certify_star_homomorphism(F)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), min_size=1, max_size=3),
+    st.sampled_from(["exact", "transposed", "noisy"]),
+    st.floats(-12.0, -4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_certificate_decides_as_the_pair_table(layout, variant, log_eps, seed):
+    # the layouts of the reverse bound's property: the decision passes
+    # exactly when the table finds an injective *-homomorphism, and the
+    # table runs only for a map the identities do not certify
+    blocks, mults = [n for n, _ in layout], [mu for _, mu in layout]
+    source = make_algebra(blocks)
+    N = sum(n * mu for n, mu in layout)
+    rng = rng_for(seed)
+    matrix = _frame_embedding(blocks, mults, haar_unitary(N, rng))
+    if variant == "transposed":
+        matrix = matrix @ transpose_permutation(source)
+    elif variant == "noisy":
+        noise = rng.standard_normal(matrix.shape) + 1j * rng.standard_normal(matrix.shape)
+        matrix = matrix + 10.0**log_eps * noise
+    target = make_algebra([N])
+    F = AlgebraMap(source, target, matrix)
+    decided = certify_injective_star_homomorphism(F)
+    table = homomorphism_kind(F)
+    passes = decided is None or decided.injective_star_homomorphism
+    assert passes == (table.kind == "star_homomorphism" and table.injective)
+    assert (decided is None) == units_certify_star_homomorphism(F)
+    if decided is not None:
+        assert decided == table
+    fresh = unit_system_defect(AlgebraMap(source, target, matrix))
+    assert np.float64(unit_system_defect(F)).tobytes() == np.float64(fresh).tobytes()
+
+
 def test_the_reverse_bound_names_its_constants():
     # one block of M_2 with multiplicity 2: K = sqrt(2), C = 1 + 2K + 2K^2;
     # with a second block of M_1, C_x = K^2 + 2 K C_in (K + 1) is larger
@@ -665,6 +700,26 @@ def test_the_reverse_bound_names_its_constants():
     F = AlgebraMap(make_algebra([2, 1]), make_algebra([5]), _frame_embedding([2, 1], [2, 1], np.eye(5)))
     c_in = 1 + 2 * K + 2 * K * K
     assert pair_table_bound(F)[0] == pytest.approx(K * K + 2 * K * c_in * (K + 1))
+
+
+def test_the_glimm_defect_is_kept(monkeypatch):
+    import nclp.algebra as algebra_module
+    from nclp.samples import random_isometry_data
+
+    pi = random_isometry_data(3).pi
+    matrices = (pi.matrix, 1e200 * pi.matrix)  # the second overflows to NaN
+    maps = [AlgebraMap(pi.source, pi.target, m) for m in matrices]
+    expected = [algebra_module._glimm_defect(F) for F in maps]
+    calls = []
+    real = algebra_module._glimm_defect
+    monkeypatch.setattr(algebra_module, "_glimm_defect", lambda F: calls.append(F) or real(F))
+    for F, want in zip(maps, expected):
+        got = [unit_system_defect(F) for _ in range(3)]
+        assert np.array_equal(got, [want] * 3, equal_nan=True)
+    assert calls == maps
+    # a fresh map of the same matrix computes it again
+    unit_system_defect(AlgebraMap(pi.source, pi.target, pi.matrix))
+    assert len(calls) == 3
 
 
 def test_the_smallest_singular_value_is_kept(monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from nclp.algebra import (
     matrix_units,
     random_faithful_state,
     transpose_permutation,
+    unit_system_defect,
+    units_certify_star_homomorphism,
 )
 from dense_oracles import (
     compose_lp_maps,
@@ -19,6 +23,7 @@ from dense_oracles import (
     tensor_embed,
     validate_by_pair_table,
 )
+import nclp.algebra as algebra_module
 import nclp.expectation as expectation_module
 import nclp.isometry as isometry_module
 from nclp.errors import (
@@ -57,6 +62,7 @@ from nclp.samples import (
     random_lp_vector,
     rng_for,
 )
+from nclp.serialize import classification_report_to_json
 
 M2 = make_algebra([2])
 
@@ -660,27 +666,86 @@ def test_classify_measures_invariance_once(monkeypatch):
     assert report.data.expectation.invariance_defect == report.defects["invariance"]
 
 
+def _fresh(matrix, pi):
+    """A map of the given matrix between pi's algebras, nothing kept yet."""
+    return AlgebraMap(pi.source, pi.target, matrix)
+
+
 def test_classify_certifies_pi_and_the_restriction_once(monkeypatch):
-    counts = {"homomorphism_kind": 0, "verify_state_restriction": 0}
-
-    def counted(name):
-        real = getattr(isometry_module, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        return wrapper
-
     data = random_isometry_data(2)
     T = build_isometry(data, 3.0)
-    for name in counts:
-        monkeypatch.setattr(isometry_module, name, counted(name))
+    tables = _counting(monkeypatch, algebra_module, "homomorphism_kind")
+    glimm = _counting(monkeypatch, algebra_module, "_glimm_defect")
+    restrictions = _counting(monkeypatch, isometry_module, "verify_state_restriction")
     report = classify(T, data.reference_state, 3.0)
     assert report.accepted
-    assert counts == {"homomorphism_kind": 1, "verify_state_restriction": 1}
-    # the accepted data still passes the full validation
+    pi = report.data.pi
+    # Glimm's identities certify pi at stage 2, and the image certificate
+    # of stage 5 reads the defect pi keeps: no pair table, one defect
+    assert tables == [] and len(restrictions) == 1
+    assert [args[0] for args in glimm] == [pi]
+    # the accepted data still passes the full validation, on the kept defect
     report.data.validate()
+    assert tables == [] and len(glimm) == 1
+    assert report.defects["multiplicativity"] == unit_system_defect(_fresh(pi.matrix, pi))
+
+
+def _noisy_pi(pi, eps, seed):
+    """pi moved by seeded noise of relative size eps, as a fresh map."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(pi.matrix.shape) + 1j * rng.standard_normal(pi.matrix.shape)
+    noise *= np.linalg.norm(pi.matrix) / np.linalg.norm(noise)
+    return _fresh(pi.matrix + eps * noise, pi)
+
+
+@pytest.mark.parametrize("variant", ["transposed", "noisy"])
+def test_classify_takes_the_pair_table_for_a_pi_the_identities_cannot_certify(
+    monkeypatch, variant
+):
+    data = random_isometry_data(3)
+    T = build_isometry(data, 3.0)
+    pi = data.pi
+    if variant == "transposed":
+        bad = _fresh(pi.matrix @ transpose_permutation(data.source), pi)
+    else:
+        bad = _noisy_pi(pi, 1e-9, 3)
+    assert not units_certify_star_homomorphism(_fresh(bad.matrix, pi))
+    monkeypatch.setattr(isometry_module, "extract_pi", lambda T, phi: bad)
+    tables = _counting(monkeypatch, algebra_module, "homomorphism_kind")
+    glimm = _counting(monkeypatch, algebra_module, "_glimm_defect")
+    report = classify(T, data.reference_state, 3.0)
+    assert len(tables) == 1 and [args[0] for args in glimm] == [bad]
+    assert report.defects["multiplicativity"] == unit_system_defect(_fresh(bad.matrix, pi))
+    if variant == "transposed":
+        assert report.verdict == "reject" and report.failing_stage == "multiplicativity"
+    else:
+        # the table finds a *-homomorphism within its tolerance, at a
+        # mult_defect other than the reported Glimm defect
+        table = homomorphism_kind(bad)
+        assert table.kind == "star_homomorphism"
+        assert table.mult_defect != report.defects["multiplicativity"]
+        assert report.failing_stage != "multiplicativity"
+
+
+def test_a_non_finite_glimm_defect_falls_back_to_the_table_and_rejects(monkeypatch):
+    # products of entries near 1e160 overflow, so the Glimm defect is
+    # inf or NaN: it certifies nothing, the table rejects, the report keeps it
+    data = random_isometry_data(2)
+    T = build_isometry(data, 3.0)
+    huge = _fresh(1e160 * data.pi.matrix, data.pi)
+    delta = unit_system_defect(_fresh(huge.matrix, data.pi))
+    assert not np.isfinite(delta)
+    assert not units_certify_star_homomorphism(huge)
+    monkeypatch.setattr(isometry_module, "extract_pi", lambda T, phi: huge)
+    tables = _counting(monkeypatch, algebra_module, "homomorphism_kind")
+    report = classify(T, data.reference_state, 3.0)
+    assert len(tables) == 1
+    assert report.verdict == "reject" and report.failing_stage == "multiplicativity"
+    kept = report.defects["multiplicativity"]
+    assert np.isnan(kept) if np.isnan(delta) else kept == delta
+    written = json.loads(json.dumps(classification_report_to_json(report)))
+    assert np.isnan(written["defects"]["multiplicativity"]) == np.isnan(delta)
+    assert not np.isfinite(written["defects"]["multiplicativity"])
 
 
 def test_reconstruction_holds_the_restriction_to_the_validation_tolerance(monkeypatch):
@@ -797,14 +862,14 @@ def _counting(monkeypatch, module, name):
 
 
 def test_a_valid_build_makes_no_pair_table(monkeypatch):
-    calls = _counting(monkeypatch, isometry_module, "homomorphism_kind")
+    calls = _counting(monkeypatch, algebra_module, "homomorphism_kind")
     for seed in range(12):
         build_isometry(random_isometry_data(seed), 3.0)
     assert calls == []
 
 
 def test_builds_of_one_data_object_certify_pi_once(monkeypatch):
-    calls = _counting(monkeypatch, isometry_module, "units_certify_star_homomorphism")
+    calls = _counting(monkeypatch, algebra_module, "units_certify_star_homomorphism")
     data = random_isometry_data(5)
     for p in (1.0, 1.5, 3.0, 4.0, 7.0):
         build_isometry(data, p)
@@ -814,7 +879,7 @@ def test_builds_of_one_data_object_certify_pi_once(monkeypatch):
 def test_a_failing_validate_raises_on_every_call(monkeypatch):
     from dataclasses import replace
 
-    calls = _counting(monkeypatch, isometry_module, "homomorphism_kind")
+    calls = _counting(monkeypatch, algebra_module, "homomorphism_kind")
     data = random_isometry_data(2)
     flipped = AlgebraMap(data.source, data.target, data.pi.matrix @ transpose_permutation(data.source))
     bad = replace(data, pi=flipped)
@@ -827,7 +892,7 @@ def test_a_failing_validate_raises_on_every_call(monkeypatch):
 def test_validation_is_kept_per_instance_and_tolerance(monkeypatch):
     from dataclasses import replace
 
-    calls = _counting(monkeypatch, isometry_module, "units_certify_star_homomorphism")
+    calls = _counting(monkeypatch, algebra_module, "units_certify_star_homomorphism")
     data = random_isometry_data(7)
     data.validate()
     data.validate(1e-3)  # looser: kept
@@ -855,7 +920,7 @@ def test_classify_takes_one_svd_of_pi(monkeypatch):
     report = classify(T, data.reference_state, 3.0)
     assert report.accepted
     # the image's columns are pi's matrix: one values-only SVD, the
-    # injectivity of homomorphism_kind at stage 2 kept for the image
+    # injectivity of the certificate at stage 2 kept for the image
     # certificate at stage 5, and one orthonormal basis of the span
     of_pi = [kwargs for a, kwargs in calls if a is report.data.pi.matrix]
     assert of_pi.count({"compute_uv": False}) == 1

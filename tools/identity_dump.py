@@ -53,6 +53,12 @@ raises (or null) on M and on each perturbation of ``bad_idempotents`` from
 ``takesaki_invariant`` (its fields, or the error) on the expectation's state
 and on a state of rank one in the first block, whose support cuts the
 subalgebra.
+The stage2 records hold, for the pi that ``extract_pi`` recovers from the
+canonical map of ``random_isometry_data`` seeds 0-11 at p in {1, 3}, as
+recovered, moved by seeded noise of relative size 1e-9 and composed with the
+transpose: the Glimm defect ``unit_system_defect``, the constants (C, rho)
+of ``pair_table_bound``, whether ``units_certify_star_homomorphism``
+certifies it, and the kind ``homomorphism_kind`` finds.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -93,6 +99,9 @@ NORM_SCALES = (1.0, 1e-150)
 VALIDATE_SEEDS = range(12)
 VALIDATE_EXPONENTS = (3.0, 1.5)
 VALIDATE_NOISE = (1e-12, 1e-9, 1e-5)
+STAGE2_SEEDS = range(12)
+STAGE2_EXPONENTS = (1.0, 3.0)
+STAGE2_NOISE = 1e-9
 
 
 def _digest(array) -> str:
@@ -412,6 +421,46 @@ def _validate_records():
             }
 
 
+def _stage2_records():
+    import numpy as np
+
+    from nclp.algebra import (
+        AlgebraMap,
+        homomorphism_kind,
+        pair_table_bound,
+        transpose_permutation,
+        unit_system_defect,
+        units_certify_star_homomorphism,
+    )
+    from nclp.isometry import build_isometry, extract_pi
+    from nclp.samples import random_isometry_data
+
+    for seed in STAGE2_SEEDS:
+        data = random_isometry_data(seed)
+        for p in STAGE2_EXPONENTS:
+            pi = extract_pi(build_isometry(data, p), data.reference_state)
+            rng = np.random.default_rng(seed)
+            noise = rng.standard_normal(pi.matrix.shape) + 1j * rng.standard_normal(pi.matrix.shape)
+            noise *= np.linalg.norm(pi.matrix) / np.linalg.norm(noise)
+            matrices = {
+                "extracted": pi.matrix,
+                f"noise({STAGE2_NOISE})": pi.matrix + STAGE2_NOISE * noise,
+                "transposed": pi.matrix @ transpose_permutation(data.source),
+            }
+            for name, matrix in matrices.items():
+                F = AlgebraMap(pi.source, pi.target, matrix)
+                C, rho = pair_table_bound(F)
+                yield {
+                    "seed": seed,
+                    "p": p,
+                    "pi": name,
+                    "glimm_defect": unit_system_defect(F),
+                    "pair_table_bound": [C, rho],
+                    "certified": units_certify_star_homomorphism(F),
+                    "kind": homomorphism_kind(F).kind,
+                }
+
+
 def _certificate_records():
     import numpy as np
 
@@ -486,6 +535,7 @@ def main(argv=None) -> int:
         "validate": list(_validate_records()),
         "json": list(_json_records()),
         "certificate": list(_certificate_records()),
+        "stage2": list(_stage2_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
