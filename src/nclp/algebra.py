@@ -426,11 +426,19 @@ def random_faithful_state(algebra: Algebra, seed: int, min_eig: float = EPS_FAIT
 
 class AlgebraMap:
     """A linear map between algebras, stored as a dense matrix acting on the
-    normative vectorization.  Its smallest singular value and its Glimm
-    defect (`unit_system_defect`) are computed once and kept: the matrix is
+    normative vectorization.  Its smallest singular value, its Glimm defect
+    (`unit_system_defect`) and the defects of its pair table
+    (`homomorphism_kind`) are computed once and kept: the matrix is
     read-only."""
 
-    __slots__ = ("source", "target", "matrix", "_min_singular_value", "_unit_system_defect")
+    __slots__ = (
+        "source",
+        "target",
+        "matrix",
+        "_min_singular_value",
+        "_unit_system_defect",
+        "_pair_table",
+    )
 
     def __init__(self, source: Algebra, target: Algebra, matrix: np.ndarray):
         matrix = np.array(matrix, dtype=complex)
@@ -446,6 +454,7 @@ class AlgebraMap:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_min_singular_value", None)
         object.__setattr__(self, "_unit_system_defect", None)
+        object.__setattr__(self, "_pair_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraMap is immutable")
@@ -703,13 +712,26 @@ def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismRe
     by polarization.  Unit images are matrix columns, F(e_ij*) = F(e_ji), and
     F(e_ij e_kl) = delta_jk F(e_il) within a block, zero across blocks.
 
-    The pair table is computed one row at a time: per target block the unit
-    images form a (d, m, m) stack S, and row u is fu S and S fu.  A NaN
-    defect is kept, so it classifies as neither.
+    The defects do not depend on tol, so the map keeps them and its table
+    runs once; each call takes the kind at its own tol.  A NaN defect is
+    kept, so it classifies as neither.  A fresh AlgebraMap of the same
+    matrix computes its table again.
     """
     if F.matrix.shape != (F.target.total_dim, F.source.total_dim):
         raise ShapeMismatch("map matrix does not match its algebras")
     tol = max(F.source.atol, F.target.atol) if tol is None else tol
+    if F._pair_table is None:
+        object.__setattr__(F, "_pair_table", _pair_table(F))
+    star_defect, jordan_defect, mult_defect = F._pair_table
+    report = HomomorphismReport("", star_defect, jordan_defect, mult_defect, F.min_singular_value())
+    return replace(report, kind=report.kind_at(tol))
+
+
+def _pair_table(F: AlgebraMap) -> tuple[float, float, float]:
+    """The (star, Jordan, multiplicativity) defects `homomorphism_kind`
+    keeps, computed.  The pair table is computed one row at a time: per
+    target block the unit images form a (d, m, m) stack S, and row u is
+    fu S and S fu."""
     d = F.source.total_dim
     stacks = [
         np.ascontiguousarray(F.matrix[off : off + m * m].T).reshape(d, m, m)
@@ -737,8 +759,6 @@ def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismRe
                         table[1] -= fuv + np.matmul(S, fu)
                         tables.append(table.reshape((2 * d,) + S.shape[1:]))
                     rows.append(np.max(_stacked_frobenius(tables).reshape(2, d), axis=1))
-    star_defect = float(np.max(star))
     mult_defect, jordan_defect = (float(x) for x in np.max(rows, axis=0))
+    return float(np.max(star)), jordan_defect, mult_defect
 
-    report = HomomorphismReport("", star_defect, jordan_defect, mult_defect, F.min_singular_value())
-    return replace(report, kind=report.kind_at(tol))

@@ -9,6 +9,7 @@ near-singular matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -150,14 +151,42 @@ def _norms_from_singular_values(svals: list[np.ndarray], p: float, weights=None)
     return norms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarData:
-    """Polar decomposition h = w * modulus with support projections."""
+    """Polar decomposition h = w * modulus with support projections, kept
+    as the blockwise SVDs (u, s, vh) of h, at exponent p, and the rank mask
+    of each block.  Each part is built on its first read and kept; a support
+    is checked as a projection when it is read.
 
-    w: AlgebraElement
-    modulus: LpVector
-    s_left: Projection
-    s_right: Projection
+    The partial isometry keeps only singular directions above the relative
+    rank threshold, with its singular values snapped to one; the modulus is
+    the full (h* h)^(1/2)."""
+
+    algebra: Algebra
+    p: float
+    svds: tuple
+    keeps: tuple
+
+    def _kept_vectors(self):
+        """Per block, the kept left and right singular vectors as columns."""
+        for (u, _, vh), keep in zip(self.svds, self.keeps):
+            yield u[:, keep], vh[keep, :].conj().T
+
+    @cached_property
+    def w(self) -> AlgebraElement:
+        return AlgebraElement(self.algebra, [ur @ vr.conj().T for ur, vr in self._kept_vectors()])
+
+    @cached_property
+    def modulus(self) -> LpVector:
+        return LpVector(self.algebra, self.p, [(vh.conj().T * s) @ vh for _, s, vh in self.svds])
+
+    @cached_property
+    def s_left(self) -> Projection:
+        return Projection(self.algebra, [ur @ ur.conj().T for ur, _ in self._kept_vectors()])
+
+    @cached_property
+    def s_right(self) -> Projection:
+        return Projection(self.algebra, [vr @ vr.conj().T for _, vr in self._kept_vectors()])
 
 
 def _rank_masks(svals: list[np.ndarray]) -> list[np.ndarray]:
@@ -170,29 +199,10 @@ def _rank_masks(svals: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def polar_decompose(h: LpVector) -> PolarData:
-    """Polar-decompose blockwise via SVD.
-
-    The partial isometry keeps only singular directions above the relative
-    rank threshold, with its singular values snapped to one; the modulus is
-    the full (h* h)^(1/2).
-    """
-    alg = h.algebra
-    svds = [np.linalg.svd(b) for b in h.data]
-    keeps = _rank_masks([s for _, s, _ in svds])
-    w_blocks, m_blocks, sl_blocks, sr_blocks = [], [], [], []
-    for (u, s, vh), keep in zip(svds, keeps):
-        ur = u[:, keep]
-        vr = vh[keep, :].conj().T
-        w_blocks.append(ur @ vr.conj().T)
-        m_blocks.append((vh.conj().T * s) @ vh)
-        sl_blocks.append(ur @ ur.conj().T)
-        sr_blocks.append(vr @ vr.conj().T)
-    return PolarData(
-        w=AlgebraElement(alg, w_blocks),
-        modulus=LpVector(alg, h.p, m_blocks),
-        s_left=Projection(alg, sl_blocks),
-        s_right=Projection(alg, sr_blocks),
-    )
+    """Polar-decompose blockwise via SVD, under the rank rule of
+    `_rank_masks`; the parts are built as they are read."""
+    svds = tuple(np.linalg.svd(b) for b in h.data)
+    return PolarData(h.algebra, h.p, svds, tuple(_rank_masks([s for _, s, _ in svds])))
 
 
 def right_supports(algebra: Algebra, rows: np.ndarray) -> np.ndarray:

@@ -59,7 +59,9 @@ def weighted_lp_norm(h: LpVector, trace_weights: Sequence[float] | None) -> floa
 
 @dataclass(frozen=True, eq=False)
 class YeadonTriple:
-    """Decomposition data of a tracial-source isometry."""
+    """Decomposition data of a tracial-source isometry.  The map that
+    `build_yeadon_map` assembles and verifies is kept per (p, weights); the
+    fields are immutable."""
 
     J: AlgebraMap
     w: AlgebraElement
@@ -157,17 +159,28 @@ def build_yeadon_map(
     """Assemble x -> w B J(x) after verifying the triple's conditions."""
     p = float(p)
     weights = _weights(triple.J.source, trace_weights)
-    return _assemble_yeadon_map(triple, p, weights, homomorphism_kind(triple.J))
+    return _assemble_yeadon_map(triple, p, weights)
 
 
-def _assemble_yeadon_map(triple: YeadonTriple, p: float, weights, report) -> LpMap:
-    """build_yeadon_map given the homomorphism report of J at any tolerance;
-    its kind is taken at the tolerance of the triple's conditions."""
+def _assemble_yeadon_map(triple: YeadonTriple, p: float, weights) -> LpMap:
+    """build_yeadon_map with the weights normalised.  The triple keeps the
+    verified map per (p, weights), so a second call reads it; an assembly
+    that fails keeps nothing and raises on every call."""
+    kept = triple.__dict__.setdefault("_assembled", {})
+    T = kept.get((p, weights))
+    if T is None:
+        T = kept[(p, weights)] = _verified_map(triple, p, weights)
+    return T
+
+
+def _verified_map(triple: YeadonTriple, p: float, weights) -> LpMap:
+    """The map `_assemble_yeadon_map` keeps, assembled and verified; J's
+    kind is taken at the tolerance of the triple's conditions."""
     J, w, B = triple.J, triple.w, triple.B
     tol = 1e-7 * max(1, J.target.total_dim)
-    kind = report.kind_at(tol)
-    if kind == "neither" or not report.injective:
-        raise DataInvalid(f"J is not a Jordan *-monomorphism ({kind})")
+    report = homomorphism_kind(J, tol)
+    if report.kind == "neither" or not report.injective:
+        raise DataInvalid(f"J is not a Jordan *-monomorphism ({report.kind})")
     j_one = triple.j_one()
     sB = polar_decompose(LpVector.from_element(B, p)).s_right
     if (w.adjoint() @ w - j_one).frobenius() > tol or (j_one - sB).frobenius() > tol:
@@ -207,10 +220,10 @@ def jordan_dichotomy_report(
     the report also states whether that biconditional held numerically.
     """
     weights = _weights(triple.J.source, trace_weights)
-    # one certificate of J: the defects do not depend on the tolerance, so
-    # the assembly and this report each take the kind at their own
+    # J keeps its pair table, so the assembly and this report each take the
+    # kind at their own tolerance from one table
     report = homomorphism_kind(triple.J)
-    T = _assemble_yeadon_map(triple, float(p), weights, report)
+    T = _assemble_yeadon_map(triple, float(p), weights)
     samples = _sample_rows(triple.J.source, 20, np.random.default_rng(11))
     iso = _norm_defect(T, 1, samples, lp_norms(T.source, T.p, samples, weights), relative=True)
     # block weights are unchanged by amplification

@@ -22,6 +22,8 @@ four blockwise products per generator and fresh positivity draws, where
 `bad_idempotents` perturbs an expectation matrix so that each check of the
 certificate fails in turn, and `support_corner_by_elements` is the support
 check of `takesaki_invariant` one basis element at a time.
+`polar_parts_eagerly` builds all four parts of a polar decomposition at
+once, where `nclp.lp.PolarData` builds each on its first read.
 `zero_lp_vector`, `decomposition_coordinates`, `compose_maps` and
 `compose_lp_maps` are test-only constructions: the zero L_p vector, the
 coefficients of a subalgebra element in the factor realization of a
@@ -46,7 +48,7 @@ from nclp.isometry import (
     _witness_positions,
     verify_state_restriction,
 )
-from nclp.lp import ClarksonResult, LpMap, LpVector, amplified_algebra
+from nclp.lp import ClarksonResult, LpMap, LpVector, _rank_masks, amplified_algebra
 
 
 def validate_by_pair_table(data, tol: float = 1e-6) -> None:
@@ -93,6 +95,23 @@ def compose_lp_maps(T: LpMap, S: LpMap) -> LpMap:
     if S.p != T.p:
         raise ExponentMismatch("composition of maps at different exponents")
     return LpMap(S.source, T.target, T.p, T.matrix @ S.matrix)
+
+
+def polar_parts_eagerly(h: LpVector) -> dict:
+    """The parts w, modulus, s_left and s_right of the polar decomposition
+    of h, each as its list of blocks, built together from one SVD per block
+    under the rank rule of `nclp.lp._rank_masks`."""
+    svds = [np.linalg.svd(b) for b in h.data]
+    keeps = _rank_masks([s for _, s, _ in svds])
+    parts = {"w": [], "modulus": [], "s_left": [], "s_right": []}
+    for (u, s, vh), keep in zip(svds, keeps):
+        ur = u[:, keep]
+        vr = vh[keep, :].conj().T
+        parts["w"].append(ur @ vr.conj().T)
+        parts["modulus"].append((vh.conj().T * s) @ vh)
+        parts["s_left"].append(ur @ ur.conj().T)
+        parts["s_right"].append(vr @ vr.conj().T)
+    return parts
 
 
 def zero_lp_vector(algebra, p: float) -> LpVector:

@@ -738,3 +738,77 @@ def test_the_smallest_singular_value_is_kept(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     assert [F.min_singular_value() for _ in range(3)] == [expected] * 3
     assert len(calls) == 1 and pi.min_singular_value() == expected
+
+
+def _report_bits(report):
+    values = (report.star_defect, report.jordan_defect, report.mult_defect, report.injectivity)
+    return (report.kind,) + tuple(float(x).hex() for x in values)
+
+
+def test_the_pair_table_is_kept_per_map():
+    import itertools
+
+    from nclp.samples import random_isometry_data
+
+    pi = random_isometry_data(3).pi
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(pi.matrix.shape) + 1j * rng.standard_normal(pi.matrix.shape)
+    matrices = {
+        "exact": pi.matrix,
+        "transposed": pi.matrix @ transpose_permutation(pi.source),
+        "noisy": pi.matrix + 1e-9 * np.linalg.norm(pi.matrix) / np.linalg.norm(noise) * noise,
+    }
+    tolerances = (None, 1e-13, 1e3)
+    seen = set()
+    for name, matrix in matrices.items():
+        fresh = {
+            tol: _report_bits(homomorphism_kind(AlgebraMap(pi.source, pi.target, matrix), tol))
+            for tol in tolerances
+        }
+        seen |= {bits[0] for bits in fresh.values()}
+        for order in itertools.permutations(tolerances):
+            F = AlgebraMap(pi.source, pi.target, matrix)
+            for tol in order + order:
+                assert _report_bits(homomorphism_kind(F, tol)) == fresh[tol], (name, order, tol)
+    assert seen == {"star_homomorphism", "jordan_only", "neither"}
+
+
+def test_the_pair_table_runs_once_per_map(monkeypatch):
+    import nclp.algebra as algebra_module
+    from nclp.errors import DataInvalid
+    from nclp.isometry import IsometryData
+    from nclp.samples import transpose_triple
+    from nclp.yeadon import build_yeadon_map, jordan_dichotomy_report
+
+    calls = []
+    real = algebra_module._pair_table
+    monkeypatch.setattr(algebra_module, "_pair_table", lambda F: calls.append(F) or real(F))
+    triple, weights = transpose_triple(2)
+    J = triple.J
+    build_yeadon_map(triple, 3.0, weights)
+    assert jordan_dichotomy_report(triple, 3.0, weights).kind == "jordan_only"
+    # IsometryData.validate falls back to the pair table for a pi that
+    # Glimm's identities cannot certify, as the transpose
+    data = IsometryData(J.source, J.target, J, triple.w, None, random_faithful_state(J.source, 0))
+    with pytest.raises(DataInvalid, match=r"\(jordan_only\)"):
+        data.validate()
+    assert calls == [J]
+    # a fresh map of the same matrix runs its own table
+    assert homomorphism_kind(AlgebraMap(J.source, J.target, J.matrix)) == homomorphism_kind(J)
+    assert len(calls) == 2
+
+
+def test_a_nan_pair_table_defect_is_kept(monkeypatch):
+    import nclp.algebra as algebra_module
+    from nclp.samples import random_isometry_data
+
+    pi = random_isometry_data(0).pi
+    F = AlgebraMap(pi.source, pi.target, 1e200 * pi.matrix)  # products overflow to NaN
+    calls = []
+    real = algebra_module._pair_table
+    monkeypatch.setattr(algebra_module, "_pair_table", lambda F: calls.append(F) or real(F))
+    for tol in (None, 1e-9, 1.0, np.inf):
+        report = homomorphism_kind(F, tol)
+        assert np.isnan(report.mult_defect) and np.isnan(report.jordan_defect)
+        assert report.kind == report.kind_at(np.inf) == "neither"
+    assert calls == [F]

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -12,7 +13,13 @@ from nclp.algebra import (
     random_faithful_state,
     require_projections,
 )
-from dense_oracles import clarkson_by_elements, lp_norms_per_block, tensor_embed, zero_lp_vector
+from dense_oracles import (
+    clarkson_by_elements,
+    lp_norms_per_block,
+    polar_parts_eagerly,
+    tensor_embed,
+    zero_lp_vector,
+)
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, ShapeMismatch
 from nclp.isometry import grid_witness
 from nclp.lp import (
@@ -547,6 +554,48 @@ def test_right_supports_are_bitwise_the_polar_supports(blocks):
     if len(blocks) > 1:
         # the faded block lies below the threshold taken across blocks
         assert not got[2, : blocks[0] ** 2].any()
+
+
+POLAR_PARTS = ("w", "modulus", "s_left", "s_right")
+
+
+@pytest.mark.parametrize("blocks", [[3], [2, 3], [1, 2, 2]])
+def test_polar_parts_built_on_read_are_bitwise_the_eager_ones(blocks):
+    alg = make_algebra(blocks)
+    for row in _support_rows(alg, rng_for(10 + len(blocks))):
+        h = LpVector.from_element(AlgebraElement.from_vec(alg, row), 3.0)
+        want = polar_parts_eagerly(h)
+        for order in itertools.permutations(POLAR_PARTS):
+            pol = polar_decompose(h)
+            for name in order:
+                part = getattr(pol, name)
+                assert getattr(pol, name) is part  # kept after its first read
+                assert part.algebra == alg
+                for got, expected in zip(part.data, want[name]):
+                    assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+            assert pol.modulus.p == 3.0
+            assert isinstance(pol.s_left, Projection) and isinstance(pol.s_right, Projection)
+
+
+def test_a_support_is_checked_when_it_is_read(monkeypatch):
+    import nclp.algebra as algebra_module
+
+    calls = []
+    real = algebra_module.require_projections
+    monkeypatch.setattr(
+        algebra_module, "require_projections", lambda *a: calls.append(a) or real(*a)
+    )
+    h = random_lp_vector(make_algebra([2, 3]), 3.0, rng_for(5))
+    pol = polar_decompose(h)
+    pol.w  # the one part the factor decomposition reads
+    assert calls == []
+    pol.modulus  # extract_polar_data reads w and the modulus
+    assert calls == []
+    pol.s_right
+    pol.s_right
+    assert len(calls) == 1
+    pol.s_left
+    assert len(calls) == 2
 
 
 def test_require_projections_checks_rows_in_order():

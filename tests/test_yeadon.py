@@ -258,3 +258,60 @@ def test_decompose_refuses_another_exponent_than_the_map():
         T = build_yeadon_map(triple, 3.0, weights)
         with pytest.raises(ExponentMismatch):
             yeadon_decompose(T, 4.0, weights)
+
+
+def _count_assemblies(monkeypatch):
+    import nclp.yeadon as yeadon_module
+
+    calls = []
+    real = yeadon_module._verified_map
+    monkeypatch.setattr(
+        yeadon_module, "_verified_map", lambda *a: calls.append(a[1:3]) or real(*a)
+    )
+    return calls
+
+
+def test_the_assembled_map_is_kept_per_exponent_and_weights(monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    triple, weights = random_yeadon_triple(3, 3.0)
+    T = build_yeadon_map(triple, 3.0, weights)
+    report = jordan_dichotomy_report(triple, 3.0, weights)
+    assert build_yeadon_map(triple, 3, list(weights)) is T
+    assert calls == [(3.0, weights)]
+    # a fresh triple of the same data assembles again, to the same values
+    fresh = YeadonTriple(J=triple.J, w=triple.w, B=triple.B)
+    assert jordan_dichotomy_report(fresh, 3.0, weights) == report
+    assert np.array_equal(build_yeadon_map(fresh, 3.0, weights).matrix, T.matrix)
+    assert len(calls) == 2
+    # the transpose with B = 1 meets the trace condition at every p, and
+    # unit weights are the default ones
+    flip, unit = transpose_triple(2)
+    build_yeadon_map(flip, 3.0)
+    jordan_dichotomy_report(flip, 3.0, unit)
+    assert calls[2:] == [(3.0, unit)]
+    build_yeadon_map(flip, 1.5, unit)
+    jordan_dichotomy_report(flip, 1.5)
+    assert calls[3:] == [(1.5, unit)]
+    # other weights assemble again: these break the trace condition, so
+    # nothing is kept and each call assembles and raises
+    for _ in range(2):
+        with pytest.raises(TraceConditionViolated):
+            build_yeadon_map(flip, 3.0, (2.0,))
+    assert calls[4:] == [(3.0, (2.0,))] * 2
+
+
+def test_a_failing_assembly_raises_on_every_call(monkeypatch):
+    from dataclasses import replace
+
+    from nclp.errors import DataInvalid
+
+    calls = _count_assemblies(monkeypatch)
+    triple, weights = random_yeadon_triple(2, 3.0)
+    halved = replace(triple, w=triple.w * 0.5)
+    for build in (build_yeadon_map, jordan_dichotomy_report) * 2:
+        with pytest.raises(DataInvalid, match=r"w\* w = J\(1\) = s\(B\) fails"):
+            build(halved, 3.0, weights)
+    assert len(calls) == 4
+    assert not halved.__dict__.get("_assembled")
+    build_yeadon_map(triple, 3.0, weights)  # the intact triple still assembles
+    assert len(calls) == 5

@@ -11,7 +11,12 @@ An accepted record also holds the sha256 of the bytes of the recovered
 a last-bit change in the recovered data shows even where the defects hide it.
 The Yeadon records hold, for ``random_yeadon_triple`` seeds 0-7 at p in
 {1, 1.5, 3, 4}, the sha256 of the J, w and B that ``yeadon_decompose``
-recovers and the ``jordan_dichotomy_report`` fields.  The spectral records
+recovers and the ``jordan_dichotomy_report`` fields, once on the triple that
+``build_yeadon_map`` assembled and once on a fresh triple of copies of its
+J, w and B.  The polar records hold the sha256 of the four parts of
+``polar_decompose`` (``w``, ``modulus``, ``s_left``, ``s_right``) on seeded
+full-rank, rank-deficient and zero vectors of layouts (3,), (2, 3) and
+(1, 2, 2), with the parts read in two orders.  The spectral records
 hold the sha256 of ``power_element(+-1/p)``, ``complex_power``,
 ``log_pseudo``, ``modular_automorphism``, ``connes_cocycle`` and
 ``density_transport`` on seeded faithful states and on non-faithful ones, or
@@ -102,6 +107,9 @@ VALIDATE_NOISE = (1e-12, 1e-9, 1e-5)
 STAGE2_SEEDS = range(12)
 STAGE2_EXPONENTS = (1.0, 3.0)
 STAGE2_NOISE = 1e-9
+POLAR_LAYOUTS = ((3,), (2, 3), (1, 2, 2))
+POLAR_SEEDS = range(2)
+POLAR_ORDERS = (("w", "modulus", "s_left", "s_right"), ("s_right", "s_left", "modulus", "w"))
 
 
 def _digest(array) -> str:
@@ -198,8 +206,15 @@ def _outcome(fn):
 
 
 def _yeadon_records():
+    from nclp.algebra import AlgebraElement, AlgebraMap
+    from nclp.lp import LpVector
     from nclp.samples import random_yeadon_triple
-    from nclp.yeadon import build_yeadon_map, jordan_dichotomy_report, yeadon_decompose
+    from nclp.yeadon import (
+        YeadonTriple,
+        build_yeadon_map,
+        jordan_dichotomy_report,
+        yeadon_decompose,
+    )
 
     for seed in YEADON_SEEDS:
         for p in YEADON_EXPONENTS:
@@ -207,6 +222,12 @@ def _yeadon_records():
             T = build_yeadon_map(triple, p, weights)
             back = yeadon_decompose(T, p, weights)
             report = jordan_dichotomy_report(triple, p, weights)
+            J, w, B = triple.J, triple.w, triple.B
+            fresh = YeadonTriple(
+                J=AlgebraMap(J.source, J.target, J.matrix.copy()),
+                w=AlgebraElement(w.algebra, [b.copy() for b in w.data]),
+                B=LpVector(B.algebra, B.p, [b.copy() for b in B.data]),
+            )
             yield {
                 "seed": seed,
                 "p": p,
@@ -214,7 +235,44 @@ def _yeadon_records():
                 "w": _digest(back.w.vec()),
                 "B": _digest(back.B.vec()),
                 "dichotomy": vars(report),
+                "fresh_dichotomy": vars(jordan_dichotomy_report(fresh, p, weights)),
             }
+
+
+def _polar_vectors(algebra, rng):
+    """Blocks of a full-rank vector, of one of rank one in each block, of
+    one with a zero first block, and of the zero vector."""
+    import numpy as np
+
+    shapes = [(n, n) for n in algebra.blocks]
+    full = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    return {
+        "full_rank": full,
+        "rank_one": [np.outer(g[:, 0], g[0].conj()) for g in full],
+        "zero_block": [0 * g if b == 0 else g for b, g in enumerate(full)],
+        "zero": [0 * g for g in full],
+    }
+
+
+def _polar_records():
+    from nclp.algebra import Algebra
+    from nclp.lp import LpVector, polar_decompose
+    from nclp.samples import rng_for
+
+    for blocks in POLAR_LAYOUTS:
+        algebra = Algebra(blocks)
+        for seed in POLAR_SEEDS:
+            vectors = _polar_vectors(algebra, rng_for(seed))
+            for name, data in vectors.items():
+                for order in POLAR_ORDERS:
+                    pol = polar_decompose(LpVector(algebra, 3.0, data))
+                    yield {
+                        "blocks": list(blocks),
+                        "seed": seed,
+                        "vector": name,
+                        "order": list(order),
+                        "parts": {part: _digest(getattr(pol, part).vec()) for part in order},
+                    }
 
 
 def _nonfaithful_state(algebra, rng):
@@ -536,6 +594,7 @@ def main(argv=None) -> int:
         "json": list(_json_records()),
         "certificate": list(_certificate_records()),
         "stage2": list(_stage2_records()),
+        "polar": list(_polar_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
