@@ -11,6 +11,7 @@ everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -81,9 +82,22 @@ def _require_finite(arrays: Iterable[np.ndarray], what: str) -> None:
         raise NonFinite(f"{what} has a NaN or infinite entry")
 
 
+def _squared_norms(flat: np.ndarray) -> list[float]:
+    """np.linalg.norm(b) ** 2 by its arithmetic, for the block b flattened in
+    memory order into the 1-D flat or each row b of a 2-D flat: sqrt(re.re +
+    im.im) (rows as stacked matmuls, the same dots), squared by libm pow, not
+    x * x.  The root of a finite double squares to at most the float max."""
+    re, im = flat.real, flat.imag
+    if flat.ndim == 1:
+        return [math.sqrt(re.dot(re) + im.dot(im)) ** 2]
+    re, im = re[:, None, :], im[:, None, :]
+    sq = np.matmul(re, re.transpose(0, 2, 1)) + np.matmul(im, im.transpose(0, 2, 1))
+    return [n**2 for n in np.sqrt(sq[:, 0, 0]).tolist()]
+
+
 def _frobenius(blocks: Iterable[np.ndarray]) -> float:
-    """The Frobenius norm of the element with the given blocks."""
-    return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
+    """The Frobenius norm of the element with these blocks, squares summed from 0."""
+    return math.sqrt(sum(sq for b in blocks for sq in _squared_norms(b.ravel(order="K"))))
 
 
 def _as_block_data(algebra: Algebra, data: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -128,13 +142,12 @@ class AlgebraElement:
 
     @classmethod
     def from_vec(cls, algebra: Algebra, vec: np.ndarray) -> "AlgebraElement":
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
+        # one copy of the vector, so that no block aliases the caller's array
+        vec = np.array(vec, dtype=complex).reshape(-1)
         if vec.size != algebra.total_dim:
             raise ShapeMismatch(f"vector length {vec.size} != total_dim {algebra.total_dim}")
-        blocks = []
-        for off, n in zip(algebra.offsets(), algebra.blocks):
-            blocks.append(vec[off : off + n * n].reshape(n, n))
-        return cls(algebra, blocks)
+        cuts = zip(algebra.offsets(), algebra.blocks)
+        return AlgebraElement._raw(algebra, [vec[o : o + n * n].reshape(n, n) for o, n in cuts])
 
     def vec(self) -> np.ndarray:
         """Normative vectorization: blocks in order, each row-major."""
@@ -182,12 +195,10 @@ class AlgebraElement:
         # internal fast path; blocks already well-shaped ndarrays
         inst = object.__new__(cls)
         object.__setattr__(inst, "algebra", algebra)
-        mats = []
-        for arr in blocks:
-            arr = np.asarray(arr, dtype=complex)
+        mats = tuple(np.asarray(arr, dtype=complex) for arr in blocks)
+        for arr in mats:
             arr.setflags(write=False)
-            mats.append(arr)
-        object.__setattr__(inst, "data", tuple(mats))
+        object.__setattr__(inst, "data", mats)
         return inst
 
     def _like(self, blocks) -> "AlgebraElement":
@@ -579,18 +590,10 @@ class HomomorphismReport:
 
 
 def _stacked_frobenius(stacks: list[np.ndarray]) -> np.ndarray:
-    """Frobenius norms of the elements whose target blocks are the rows of
-    the (N, m, m) stacks, bitwise AlgebraElement.frobenius of each: per block
-    sqrt(re . re + im . im) with the dots of np.linalg.norm (strided real and
-    imaginary views) as stacked matmuls, squared as Python floats (libm pow,
-    which the array square x * x is not), summed over blocks from 0."""
-    total = 0
-    for stack in stacks:
-        flat = stack.reshape(len(stack), 1, -1)
-        re, im = flat.real, flat.imag
-        sq = np.matmul(re, re.transpose(0, 2, 1)) + np.matmul(im, im.transpose(0, 2, 1))
-        total = total + np.array([n**2 for n in np.sqrt(sq[:, 0, 0]).tolist()])
-    return np.sqrt(total)
+    """Frobenius norms of the elements whose target blocks are the rows of the
+    (N, m, m) stacks, bitwise AlgebraElement.frobenius of each with its rows
+    read in C order: `_squared_norms` per block, summed over blocks from 0."""
+    return np.sqrt(sum(np.array(_squared_norms(S.reshape(len(S), -1))) for S in stacks))
 
 
 def unit_system_defect(F: AlgebraMap) -> float:

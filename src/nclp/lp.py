@@ -8,6 +8,7 @@ near-singular matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -91,27 +92,40 @@ def _block_lp_norm(blocks: Sequence[np.ndarray], p: float, weights=None) -> floa
 
 
 def _stack_singular_values(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per block, the singular values of its (N, n, n) stack, in block order:
-    one SVD call per distinct block size, on the stacks of that size joined.
-    LAPACK sees each matrix alone, so the values do not depend on the
-    grouping."""
+    """Per block, the singular values of its (N, n, n) stack: one SVD call per
+    distinct block size, on the stacks of that size joined.  LAPACK sees each
+    matrix alone, so the values do not depend on the grouping."""
+    if len(stacks) == 1:
+        return [_svdvals(stacks[0])]
     sizes = [stack.shape[-1] for stack in stacks]
     out: list = [None] * len(stacks)
     for n in dict.fromkeys(sizes):
         group = [b for b, m in enumerate(sizes) if m == n]
         joined = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[b] for b in group])
-        values = np.linalg.svd(joined, compute_uv=False)
+        values = _svdvals(joined)
         for b in group:
             out[b], values = values[: len(stacks[b])], values[len(stacks[b]) :]
     return out
 
 
+def _svdvals(stack: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix of an (N, n, n) stack.  If LAPACK rejects
+    the stack (as for a NaN entry), a matrix with a NaN entry reads NaN, one
+    with an infinite entry inf, and the finite ones go to LAPACK again."""
+    try:
+        return np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError:
+        values = np.full(stack.shape[:-1], np.inf)
+        values[np.isnan(stack).any(axis=(-2, -1))] = np.nan
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        values[finite] = np.linalg.svd(stack[finite], compute_uv=False)
+        return values
+
+
 def _singular_values(algebra: Algebra, rows: np.ndarray) -> list[np.ndarray]:
     """Per block, the singular values of each row's block."""
-    offsets = algebra.offsets()
-    return _stack_singular_values(
-        [rows[:, off : off + n * n].reshape(-1, n, n) for off, n in zip(offsets, algebra.blocks)]
-    )
+    cuts = zip(algebra.offsets(), algebra.blocks)
+    return _stack_singular_values([rows[:, off : off + n * n].reshape(-1, n, n) for off, n in cuts])
 
 
 def lp_norms(
@@ -123,7 +137,10 @@ def lp_norms(
     A row whose sum of p-th powers overflows, or underflows to zero, is
     recomputed with its top singular value factored out,
     s_max (sum w (s / s_max)^p)^(1/p) (Higham, Accuracy and Stability, 27).
-    """
+    A row whose top singular value is inf reads inf; for NaN see `_svdvals`."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != algebra.total_dim:
+        raise ShapeMismatch(f"rows of shape {rows.shape} are not N x {algebra.total_dim}")
     return _norms_from_singular_values(_singular_values(algebra, rows), p, weights)
 
 
@@ -132,22 +149,24 @@ def _norms_from_singular_values(svals: list[np.ndarray], p: float, weights=None)
     ws = [1.0] * len(svals) if weights is None else [float(w) for w in weights]
     if len(ws) != len(svals):
         raise ShapeMismatch("one weight per block is required")
-    total = 0.0
     with np.errstate(over="ignore"):
-        for w, s in zip(ws, svals):
-            total = total + w * np.sum(s**p, axis=-1)
+        powers = [(s**p).sum(axis=-1) for s in svals]
+        # unweighted, the sums are added alone: 0.0 + 1.0 * x is x
+        total = powers[0] if weights is None else 0.0 + ws[0] * powers[0]
+        for w, t in zip(ws[1:], powers[1:]):
+            total = total + (t if weights is None else w * t)
+    sums = total.tolist()
     # the root per row as a Python float: np.power differs from it by an ulp
-    norms = np.array([t ** (1.0 / p) for t in total.tolist()])
+    norms = np.array([t ** (1.0 / p) for t in sums])
     # only rows that overflow, or underflow to zero, need the top value
-    suspect = np.isinf(total) | (total == 0.0)
-    if not suspect.any():
+    suspect = [r for r, t in enumerate(sums) if t == 0.0 or t == np.inf]
+    if not suspect:
         return norms
-    top = svals[0][:, 0]
-    for s in svals[1:]:
-        top = np.maximum(top, s[:, 0])
-    for r in np.flatnonzero(suspect & (np.isinf(total) | (top > 0.0))):
-        scaled = sum(w * float(np.sum((s[r] / top[r]) ** p)) for w, s in zip(ws, svals))
-        norms[r] = float(top[r]) * scaled ** (1.0 / p)
+    top = np.max([s[:, 0] for s in svals], axis=0)
+    for r in suspect:
+        if 0.0 < top[r] < np.inf:  # a row whose top value is inf keeps the norm inf
+            scaled = sum(w * float(np.sum((s[r] / top[r]) ** p)) for w, s in zip(ws, svals))
+            norms[r] = float(top[r]) * scaled ** (1.0 / p)
     return norms
 
 
@@ -285,17 +304,17 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
     if h.p != k.p:
         raise ExponentMismatch("vectors carry different exponents")
     p = h.p
-    svals = _stack_singular_values([np.stack([a + b, a - b, a, b]) for a, b in zip(h.data, k.data)])
-    n_sum, n_diff, n_h, n_k = _norms_from_singular_values(svals, p)
-    # at large p the powers overflow to inf, and inf - inf is NaN; then each
-    # p-th power is taken as a sum of s^p over singular values with the
-    # largest one factored out, as lp_norms does, so that an exact
-    # cancellation gives 0 and only a nonzero excess overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = n_sum**p + n_diff**p
-        rhs = 2.0 * (n_h**p + n_k**p)
-        defect = float(abs(lhs - rhs))
-        if not np.isfinite(defect):
+    svals = _stack_singular_values([np.array([a + b, a - b, a, b]) for a, b in zip(h.data, k.data)])
+    n_sum, n_diff, n_h, n_k = _norms_from_singular_values(svals, p).tolist()
+    # at large p the powers overflow and inf - inf is NaN; then each p-th power
+    # is a sum of s^p with the top singular value factored out, as in lp_norms,
+    # so that an exact cancellation gives 0 and only a nonzero excess overflows
+    try:
+        defect = abs(n_sum**p + n_diff**p - 2.0 * (n_h**p + n_k**p))
+    except OverflowError:
+        defect = np.inf
+    if not math.isfinite(defect):
+        with np.errstate(over="ignore", invalid="ignore"):
             top = max(s.max() for s in svals)
             powers = sum(np.sum((s / top) ** p, axis=-1) for s in svals)
             excess = abs(powers[0] + powers[1] - 2.0 * (powers[2] + powers[3]))

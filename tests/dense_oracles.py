@@ -10,7 +10,9 @@ subalgebra with one element product per pair of basis elements, where
 `Subalgebra.validate` takes one blockwise product per basis element;
 `lp_norms_per_block` and `clarkson_by_elements` take the L_p norms with one
 SVD call per block and the Clarkson witness from element products, where
-`nclp.lp` makes one SVD call per distinct block size and multiplies blocks.
+`nclp.lp` makes one SVD call per distinct block size and multiplies blocks;
+`frobenius_by_norm` takes the Frobenius norm through np.linalg.norm of each
+block, whose arithmetic `nclp.algebra` repeats without its wrapper.
 `validate_by_pair_table` checks isometry data with the all-pairs table of
 `homomorphism_kind`, where `IsometryData.validate` first tries Glimm's
 identities.  `matrix_to_json_by_entries` and `matrix_from_json_by_entries`
@@ -213,6 +215,12 @@ def lp_norms_per_block(algebra, p: float, rows: np.ndarray, weights=None) -> np.
         scaled = sum(w * float(np.sum((s[r] / top[r]) ** p)) for w, s in zip(ws, svals))
         norms[r] = float(top[r]) * scaled ** (1.0 / p)
     return norms
+
+
+def frobenius_by_norm(blocks) -> float:
+    """The Frobenius norm of the element with the given blocks, as
+    sqrt(sum of np.linalg.norm(b) ** 2)."""
+    return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
 
 
 def clarkson_by_elements(h: LpVector, k: LpVector) -> ClarksonResult:

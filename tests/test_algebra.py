@@ -26,7 +26,13 @@ from nclp.algebra import (
     unit_system_defect,
     units_certify_star_homomorphism,
 )
-from dense_oracles import compose_maps, conjugation_map, left_mult_matrix, right_mult_matrix
+from dense_oracles import (
+    compose_maps,
+    conjugation_map,
+    frobenius_by_norm,
+    left_mult_matrix,
+    right_mult_matrix,
+)
 from nclp.errors import EmptyBlocks, NonPositiveDim, ShapeMismatch
 from nclp.samples import haar_unitary, random_element, rng_for
 
@@ -74,6 +80,18 @@ def test_vectorization_is_row_major_block_concat():
     assert np.array_equal(x.vec(), np.array([1, 2, 3, 4, 5], dtype=complex))
     back = AlgebraElement.from_vec(alg, x.vec())
     assert (back - x).frobenius() == 0
+
+
+def test_from_vec_never_aliases_the_callers_vector():
+    alg = make_algebra([2, 1])
+    vec = np.arange(5, dtype=complex)
+    x = AlgebraElement.from_vec(alg, vec)
+    vec[:] = -1.0
+    assert np.array_equal(x.vec(), np.arange(5))
+    assert not any(b.flags.writeable or np.shares_memory(b, vec) for b in x.data)
+    for bad in (np.zeros(4), np.zeros(6)):
+        with pytest.raises(ShapeMismatch):
+            AlgebraElement.from_vec(alg, bad)
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -812,3 +830,66 @@ def test_a_nan_pair_table_defect_is_kept(monkeypatch):
         assert np.isnan(report.mult_defect) and np.isnan(report.jordan_defect)
         assert report.kind == report.kind_at(np.inf) == "neither"
     assert calls == [F]
+
+
+_VIEWS = {
+    "c": lambda b: b,
+    "transposed": lambda b: b.T,
+    "adjoint": lambda b: b.conj().T,
+    "strided": lambda b: np.repeat(b, 2, axis=1)[:, ::2],
+}
+
+
+@st.composite
+def _frobenius_blocks(draw):
+    """Blocks of a random layout filled with Gaussian entries, zeros, a NaN
+    or an infinite entry, or entries whose squares sum near the float max,
+    each with the view it is read through."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for n in sizes:
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        fill = draw(st.sampled_from(["gaussian", "zero", "nan", "inf", "near_max"]))
+        if fill == "zero":
+            b[:] = 0.0
+        elif fill in ("nan", "inf"):
+            value = draw(st.sampled_from([1.0, -1.0, 1j, -1j])) * {"nan": np.nan, "inf": np.inf}[fill]
+            b[rng.integers(n), rng.integers(n)] = value
+        elif fill == "near_max":
+            b *= 2.0 ** draw(st.integers(505, 512)) / n
+        blocks.append((b, draw(st.sampled_from(sorted(_VIEWS)))))
+    return blocks
+
+
+def _same_float(got, want) -> bool:
+    """Equal bytes, or both NaN."""
+    return np.isnan(got) and np.isnan(want) or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_frobenius_blocks())
+def test_the_frobenius_norm_is_bitwise_the_norm_oracle(drawn):
+    """_frobenius, AlgebraElement.frobenius and the stacked form repeat
+    np.linalg.norm's arithmetic: its dots in memory order, its root, the
+    square by libm pow (which differs from x * x about once in a thousand
+    squares, hence the scaled copies), the sum over blocks from 0; inf and
+    NaN included."""
+    from nclp.algebra import _frobenius, _stacked_frobenius
+
+    alg = make_algebra([b.shape[0] for b, _ in drawn])
+    scales = 1.0 + np.arange(32) / 8
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in scales:
+            blocks = [_VIEWS[view](c * b) for b, view in drawn]
+            want = frobenius_by_norm(blocks)
+            assert _same_float(_frobenius(blocks), want)
+            # an element keeps an F-ordered block F-ordered, and its adjoint
+            # and transpose are views of the other order
+            x = AlgebraElement(alg, blocks)
+            assert _same_float(x.frobenius(), want)
+            for y in (x.adjoint(), x.transpose(), AlgebraElement._raw(alg, blocks)):
+                assert _same_float(y.frobenius(), frobenius_by_norm(y.data))
+        stacks = [np.array([c * b for c in scales]) for b, _ in drawn]
+        for r, got in enumerate(_stacked_frobenius(stacks)):
+            assert _same_float(got, frobenius_by_norm([S[r] for S in stacks]))

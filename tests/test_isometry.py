@@ -748,6 +748,19 @@ def test_a_non_finite_glimm_defect_falls_back_to_the_table_and_rejects(monkeypat
     assert not np.isfinite(written["defects"]["multiplicativity"])
 
 
+def test_a_finite_map_whose_images_overflow_rejects_at_isometry():
+    # the images of 1e308 T overflow to inf, and inf - inf is NaN: the
+    # stacked SVD of the defect's rows fails, and the norms it gives instead
+    # make the isometry defect non-finite
+    data = random_isometry_data(0)
+    T = build_isometry(data, 3.0)
+    huge = LpMap(T.source, T.target, 3.0, T.matrix * 1e308)
+    with pytest.warns(RuntimeWarning):  # numpy's overflow and inf - inf in the images
+        report = classify(huge, data.reference_state, 3.0)
+    assert report.verdict == "reject" and report.failing_stage == "isometry"
+    assert not np.isfinite(report.defects["isometry"])
+
+
 def test_reconstruction_holds_the_restriction_to_the_validation_tolerance(monkeypatch):
     # at D = 121 stage 4 admits restriction defects up to 1.21e-6, but the
     # rebuild, like IsometryData.validate, requires 1e-6

@@ -301,6 +301,30 @@ def test_lp_norms_rescale_overflow_and_underflow():
         assert not clarkson_defect(h, _vec(M3, 2000.0, np.diag([1.0, 0, 0]))).orthogonal
 
 
+def test_lp_norms_of_non_finite_rows():
+    alg = make_algebra([1, 2])
+    rng = rng_for(15)
+    finite = np.stack([random_element(alg, rng).vec() for _ in range(3)])
+    inf_row, nan_row, huge_row = finite[0].copy(), finite[1].copy(), finite[2].copy()
+    inf_row[2] = complex(np.inf, 1.0)
+    nan_row[4] = complex(0.0, np.nan)
+    huge_row[1:] = 1e308  # finite entries, top singular value 2e308 = inf
+    rows = np.vstack([finite, [inf_row, nan_row, huge_row]])
+    for p in (1.0, 3.0, 2000.0):
+        # the NaN makes LAPACK reject the stack of 2 x 2 blocks; the finite
+        # rows keep their bits, the inf rows read inf and the NaN row NaN
+        got = lp_norms(alg, p, rows)
+        assert np.array_equal(got[:3], lp_norms(alg, p, finite))
+        assert got[3] == np.inf and np.isnan(got[4]) and got[5] == np.inf
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (2, 6), (5,), (1, 2, 5)])
+def test_lp_norms_rejects_rows_that_are_not_n_by_total_dim(shape):
+    alg = make_algebra([1, 2])
+    with pytest.raises(ShapeMismatch):
+        lp_norms(alg, 3.0, np.ones(shape, dtype=complex))
+
+
 def _clarkson_by_norms(h, k):
     """Reference: the parallelogram defect from four separate norms."""
     p = h.p

@@ -36,6 +36,12 @@ repeated block sizes share one SVD call, at p in {1, 1.5, 3, 7, 49, 2000}
 and at scales 1 and 1e-150, for an orthogonal and a generic pair h, k: the
 ``clarkson_defect`` fields, ``lp_norm`` of h and k plain and weighted, and
 the weighted ``lp_norms`` of the rows h, k, h + k.
+The frobenius records hold, on seeded layouts (1,), (3,) and (2, 1, 3) whose
+blocks are Gaussian, zero, with one NaN or infinite entry, or with squares
+that sum near the float max, each block read as a C-ordered array, its
+transpose, its conjugate transpose and a strided view: the Frobenius norm
+of the blocks, of the element they make and of its adjoint, and the stacked
+norms of the rows b and 2 b.
 The validate records hold, for ``random_isometry_data`` seeds 0-11, the
 outcome of ``build_isometry`` at p = 3 and then p = 1.5 on one data object
 (the sha256 of the map's matrix, or the error's type and message) with pi
@@ -101,6 +107,8 @@ LP_LAYER_EXPONENTS = (1.5, 3.0)
 NORM_LAYOUTS = ((1, 1, 1, 1), (2, 1, 2), (1, 2))
 NORM_EXPONENTS = (1.0, 1.5, 3.0, 7.0, 49.0, 2000.0)
 NORM_SCALES = (1.0, 1e-150)
+FROBENIUS_LAYOUTS = ((1,), (3,), (2, 1, 3))
+FROBENIUS_FILLS = ("gaussian", "zero", "nan", "inf", "near_max")
 VALIDATE_SEEDS = range(12)
 VALIDATE_EXPONENTS = (3.0, 1.5)
 VALIDATE_NOISE = (1e-12, 1e-9, 1e-5)
@@ -431,6 +439,53 @@ def _norm_records():
                     }
 
 
+def _frobenius_blocks(blocks, fill, rng):
+    import numpy as np
+
+    out = []
+    for b, n in enumerate(blocks):
+        block = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if fill == "near_max":
+            block *= 2.0**511 / n
+        elif fill == "zero" and b == 0:
+            block[:] = 0.0
+        elif fill in ("nan", "inf") and b == 0:
+            block[0, n - 1] = np.nan if fill == "nan" else -np.inf
+        out.append(block)
+    return out
+
+
+def _frobenius_records():
+    import numpy as np
+
+    from nclp.algebra import Algebra, AlgebraElement, _frobenius, _stacked_frobenius
+    from nclp.samples import rng_for
+
+    views = {
+        "c": lambda b: b,
+        "transposed": lambda b: b.T,
+        "adjoint": lambda b: b.conj().T,
+        "strided": lambda b: np.repeat(b, 2, axis=1)[:, ::2],
+    }
+    for layout, blocks in enumerate(FROBENIUS_LAYOUTS):
+        rng = rng_for(layout)
+        for fill in FROBENIUS_FILLS:
+            data = _frobenius_blocks(blocks, fill, rng)
+            for name, view in views.items():
+                read = [view(b) for b in data]
+                x = AlgebraElement(Algebra(blocks), read)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    yield {
+                        "blocks": list(blocks),
+                        "fill": fill,
+                        "view": name,
+                        "frobenius": _frobenius(read),
+                        "element": x.frobenius(),
+                        "adjoint": x.adjoint().frobenius(),
+                        "stacked": _stacked_frobenius([np.array([b, 2 * b]) for b in read]).tolist(),
+                    }
+
+
 def _build_outcome(data, p):
     """The sha256 of the matrix build_isometry returns, or its error's type
     and message."""
@@ -590,6 +645,7 @@ def main(argv=None) -> int:
         "decomposition": list(_decomposition_records()),
         "lp_layer": list(_lp_layer_records()),
         "norms": list(_norm_records()),
+        "frobenius": list(_frobenius_records()),
         "validate": list(_validate_records()),
         "json": list(_json_records()),
         "certificate": list(_certificate_records()),
