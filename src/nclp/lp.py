@@ -155,18 +155,17 @@ def _norms_from_singular_values(svals: list[np.ndarray], p: float, weights=None)
         total = powers[0] if weights is None else 0.0 + ws[0] * powers[0]
         for w, t in zip(ws[1:], powers[1:]):
             total = total + (t if weights is None else w * t)
-    sums = total.tolist()
+    sums, root = total.tolist(), 1.0 / p
     # the root per row as a Python float: np.power differs from it by an ulp
-    norms = np.array([t ** (1.0 / p) for t in sums])
+    norms = np.array([t**root for t in sums])
     # only rows that overflow, or underflow to zero, need the top value
-    suspect = [r for r, t in enumerate(sums) if t == 0.0 or t == np.inf]
-    if not suspect:
+    if 0.0 not in sums and np.inf not in sums:
         return norms
     top = np.max([s[:, 0] for s in svals], axis=0)
-    for r in suspect:
-        if 0.0 < top[r] < np.inf:  # a row whose top value is inf keeps the norm inf
+    for r, t in enumerate(sums):  # a row whose top value is inf keeps the norm inf
+        if (t == 0.0 or t == np.inf) and 0.0 < top[r] < np.inf:
             scaled = sum(w * float(np.sum((s[r] / top[r]) ** p)) for w, s in zip(ws, svals))
-            norms[r] = float(top[r]) * scaled ** (1.0 / p)
+            norms[r] = float(top[r]) * scaled**root
     return norms
 
 
