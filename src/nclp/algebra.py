@@ -195,7 +195,8 @@ class AlgebraElement:
         # internal fast path; blocks already well-shaped ndarrays
         inst = object.__new__(cls)
         object.__setattr__(inst, "algebra", algebra)
-        mats = tuple(np.asarray(arr, dtype=complex) for arr in blocks)
+        # from a list: a tuple built from a generator keeps its larger first allocation
+        mats = tuple([np.asarray(arr, dtype=complex) for arr in blocks])
         for arr in mats:
             arr.setflags(write=False)
         object.__setattr__(inst, "data", mats)
