@@ -438,16 +438,16 @@ def random_faithful_state(algebra: Algebra, seed: int, min_eig: float = EPS_FAIT
 
 class AlgebraMap:
     """A linear map between algebras, stored as a dense matrix acting on the
-    normative vectorization.  Its smallest singular value, its Glimm defect
-    (`unit_system_defect`) and the defects of its pair table
-    (`homomorphism_kind`) are computed once and kept: the matrix is
-    read-only."""
+    normative vectorization.  Its smallest and largest singular values (one
+    values-only SVD), its Glimm defect (`unit_system_defect`) and the
+    defects of its pair table (`homomorphism_kind`) are computed once and
+    kept: the matrix is read-only."""
 
     __slots__ = (
         "source",
         "target",
         "matrix",
-        "_min_singular_value",
+        "_singular_range",
         "_unit_system_defect",
         "_pair_table",
     )
@@ -464,7 +464,7 @@ class AlgebraMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_min_singular_value", None)
+        object.__setattr__(self, "_singular_range", None)
         object.__setattr__(self, "_unit_system_defect", None)
         object.__setattr__(self, "_pair_table", None)
 
@@ -489,11 +489,18 @@ class AlgebraMap:
             raise ShapeMismatch("element does not live on the source algebra")
         return AlgebraElement.from_vec(self.target, self.matrix @ x.vec())
 
+    def _extreme_singular_values(self) -> tuple[float, float]:
+        if self._singular_range is None:
+            values = np.linalg.svd(self.matrix, compute_uv=False)
+            object.__setattr__(self, "_singular_range", (float(values[-1]), float(values[0])))
+        return self._singular_range
+
     def min_singular_value(self) -> float:
-        if self._min_singular_value is None:
-            value = float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
-            object.__setattr__(self, "_min_singular_value", value)
-        return self._min_singular_value
+        return self._extreme_singular_values()[0]
+
+    def max_singular_value(self) -> float:
+        """The operator 2-norm of the matrix, from the same kept SVD."""
+        return self._extreme_singular_values()[1]
 
     def __repr__(self):
         return f"AlgebraMap({self.source.blocks} -> {self.target.blocks})"

@@ -4,7 +4,9 @@ Invariance of a subalgebra under the modular flow of a state is detected
 through the flow generator: a linear subspace is stable under the group
 rho^{it} . rho^{-it} exactly when commutators with log(rho) stay inside it.
 When invariance holds, the expectation is the orthogonal projection for the
-state's GNS inner product <x, y> = Tr(rho y* x).
+state's GNS inner product <x, y> = Tr(rho y* x); it is read off the matrix
+units of the subalgebra as a weighted partial trace over the multiplicity
+spaces, and certified by bounds derived from the units' Glimm defect.
 
 To realize L_p of a subalgebra, the subalgebra is decomposed into a direct
 sum of full matrix factors, giving an explicit embedding of a small block
@@ -17,6 +19,7 @@ projections, and polar parts connect them into matrix units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -34,6 +37,7 @@ from .algebra import (
     apply_left,
     apply_right,
     cluster_projection,
+    pair_table_bound,
     pullback_density,
     spectral_clusters,
     trace_row,
@@ -51,6 +55,7 @@ from .lp import LpMap, LpVector, _block_lp_norm, conjugate_exponent, polar_decom
 
 _DECOMP_SEED = 20240711  # fixed draw for the generic elements used below
 _POSITIVITY_SAMPLES = 5  # seeded g g* on which the expectation must stay positive
+_EPS = float(np.finfo(float).eps)
 # entries of the (k, D, D) stack of commutators of one chunk of k generators
 # in the module identities.  A chunk saves a kernel call per generator, but
 # on a 2-vCPU AVX-512 Xeon, a complex product of 1 << 12 entries or more
@@ -118,6 +123,12 @@ class Subalgebra:
             for off in pi.source.offsets()
         )
         image.__dict__["decomposition"] = _certified(image, BlockDecomposition(pi.source, pi, mu))
+        # Tr(f_ji f_kl) = delta_ik mu_b delta_jl for the units of block b, so
+        # the columns over sqrt(mu_b) are orthonormal up to the Glimm defect
+        scale = np.repeat(np.array(mu, dtype=float) ** -0.5, [n * n for n in pi.source.blocks])
+        onb = pi.matrix * scale
+        onb.setflags(write=False)
+        image.__dict__["_onb"] = onb
         return image
 
     @cached_property
@@ -153,7 +164,9 @@ class Subalgebra:
 
     @cached_property
     def _onb(self) -> np.ndarray:
-        """Orthonormal (Frobenius) column basis of the span."""
+        """Orthonormal (Frobenius) column basis of the span; for the image of
+        a map, its columns scaled by the multiplicities, orthonormal up to
+        the map's Glimm defect (`from_map_image`)."""
         u, s, _ = np.linalg.svd(self.columns, full_matrices=False)
         keep = s > 1e-12 * s[0]
         if int(keep.sum()) != self.dim:
@@ -211,7 +224,13 @@ class Subalgebra:
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:
-        return _certified(self, _block_decomposition(self))
+        """The generic pass, certified; its units must also lie in the span,
+        which the image of a map has by construction."""
+        dec = _certified(self, _block_decomposition(self))
+        U, Q = dec.embed.matrix, self._onb
+        if not np.all(np.linalg.norm(U - Q @ (Q.conj().T @ U), axis=0) <= 1e-7):
+            raise DataInvalid("factor decomposition: a matrix unit left the span")
+        return dec
 
     def __repr__(self):
         return f"Subalgebra(parent={self.parent.blocks}, dim={self.dim})"
@@ -291,18 +310,16 @@ def _certified(A: Subalgebra, dec: BlockDecomposition) -> BlockDecomposition:
     """The decomposition, once certified as an isomorphism onto A, else
     DataInvalid: the factor dimensions add up to dim A, the unit images
     are a system of matrix units (`unit_system_defect`, kept on embed,
-    within 1e-7), embed is injective and every unit lies in the span.  Then
+    within 1e-7) and embed is injective.  With every unit in the span
+    (checked by `Subalgebra.decomposition`, and true of a map's own image),
     embed is an injective *-homomorphism into span A of dimension dim A, so
     onto it."""
-    U, Q = dec.embed.matrix, A._onb
     if dec.algebra.total_dim != A.dim:
         raise DataInvalid("factor decomposition: factor dimensions do not add up to the span")
     if not unit_system_defect(dec.embed) <= 1e-7:
         raise DataInvalid("factor decomposition: the units are not a system of matrix units")
     if not dec.embed.min_singular_value() > INJECTIVITY_TOL:
         raise DataInvalid("factor decomposition: the embedding is not injective")
-    if not np.all(np.linalg.norm(U - Q @ (Q.conj().T @ U), axis=0) <= 1e-7):
-        raise DataInvalid("factor decomposition: a matrix unit left the span")
     return dec
 
 
@@ -331,7 +348,7 @@ def takesaki_invariant(A: Subalgebra, state: State) -> TakesakiResult:
     tol = A.parent.atol
     B = A.columns
     if not state.faithful:
-        P = state.support()
+        P = state.power_element(0.0)  # the support, without a projection check
         for apply in (apply_left, apply_right):
             if np.any(np.linalg.norm(apply(P, B) - B, axis=0) > 100 * tol):
                 raise NonFaithful(
@@ -383,16 +400,12 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
     rejects.
     """
     parent = A.parent
-    check_tol = 1e-7 * max(1, parent.total_dim)
-    B, G = A.columns, A.generator_columns
+    check_tol = _check_tol(parent)
+    G = A.generator_columns
     if not np.max(np.abs(M @ M - M)) <= check_tol:
         raise NotInvariant(defect, "expectation is not idempotent")
-    col_tol = check_tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
-    if not np.all(np.linalg.norm(M @ B - B, axis=0) <= col_tol):
-        raise NotInvariant(defect, "expectation does not fix the subalgebra")
-    omega = trace_row(state.density)
-    if not np.max(np.abs(omega @ M - omega)) <= check_tol:
-        raise NotInvariant(defect, "expectation does not preserve the state")
+    _check_fixes(M, A, defect)
+    _check_state(M, state, defect)
     gen_tol = check_tol * np.maximum(1.0, np.linalg.norm(G, axis=0))
     flip = transpose_order(parent)
     step = max(1, _MODULE_ENTRIES // M.size)
@@ -410,6 +423,27 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
         low = np.minimum(low, np.linalg.eigvalsh(herm).min(axis=1))
     if not np.all(low >= -check_tol * scales):
         raise NotInvariant(defect, "expectation is not positive on samples")
+
+
+def _check_tol(parent: Algebra) -> float:
+    """The tolerance of the expectation certificate."""
+    return 1e-7 * max(1, parent.total_dim)
+
+
+def _check_fixes(M: np.ndarray, A: Subalgebra, defect: float) -> None:
+    """M B = B on the basis columns B, each within the tolerance times
+    max(1, |b|)."""
+    B = A.columns
+    col_tol = _check_tol(A.parent) * np.maximum(1.0, np.linalg.norm(B, axis=0))
+    if not np.all(np.linalg.norm(M @ B - B, axis=0) <= col_tol):
+        raise NotInvariant(defect, "expectation does not fix the subalgebra")
+
+
+def _check_state(M: np.ndarray, state: State, defect: float) -> None:
+    """The state row identity omega M = omega."""
+    omega = trace_row(state.density)
+    if not np.max(np.abs(omega @ M - omega)) <= _check_tol(state.algebra):
+        raise NotInvariant(defect, "expectation does not preserve the state")
 
 
 def _module_defects(G: np.ndarray, M: np.ndarray, Mt: np.ndarray, algebra: Algebra) -> np.ndarray:
@@ -454,29 +488,131 @@ def _positivity_samples(parent: Algebra) -> tuple[np.ndarray, np.ndarray]:
     return samples, scales
 
 
+def _closed_form(A: Subalgebra, state: State) -> tuple[np.ndarray, float, float]:
+    """(M, epsilon, ratio): the matrix M = fl(Pi W) of the expectation in
+    the units f_ij of the certified decomposition, Pi = its embedding's
+    matrix, epsilon = |W Pi - I|_F and the largest ratio of a bound below
+    to its tolerance.  Row (b, i, j) of W is trace_row(f_j0 rho f_0i) /
+    tau_b, tau_b = Tr(rho f_00), the functional x -> Tr(rho f_0i x f_j0) /
+    tau_b; per source and target block, the products f_j0 rho f_0i of all
+    i, j are one batched product.  At a ratio of at most 1, M passes the
+    idempotence, basis, module and positivity checks of
+    `_certify_expectation`; NaN certifies nothing.
+
+    Quantities, all computed:
+    - p = (1 + eta) s_max(Pi), from the singular values kept on the
+      embedding, which bounds |Pi|_2 and every unit's norm; P = |Pi|_F and
+      w = |W|_F, which bound the 2-norms of W and of the entrywise moduli
+      abs(Pi) and abs(W); a = p w, b = P w;
+    - eta = 4 (D + 4) eps, the first-order rounding allowance of a product
+      or sum over at most D terms, as in `pair_table_bound`; so
+      M = Pi W + R with |R|_2 <= eta b, and |W Pi - I|_2 <= epsilon + eta b;
+    - delta, the Glimm defect kept on the embedding, within
+      theta = 4 (m + 4) eps (1 + L)^2 of its exact value (m the largest
+      target block, L = p for one factor and n p for several, the norm of a
+      factor unit in the cross identities), so the exact defect is at most
+      delta' = delta + theta; C from `pair_table_bound`, so each product
+      f_u f_v of two units is within C delta' of f_{uv}; n the largest
+      factor; a generator is a unit or a factor unit 1_b = sum_i f_ii, of
+      norm at most alpha = n p, and its product with a unit is within
+      g = n (C delta' + eta p^2) of the unit the small algebra gives;
+    - r = |rho|_F for the density and tau the least tau_b.
+
+    The bounds, each of what the certificate computes:
+    - idempotence: M^2 - M = Pi (W Pi - I) W plus rounding, every entry at
+      most a epsilon + 5 eta (1 + b)^2;
+    - basis, when the basis columns are Pi: M Pi - Pi = Pi (W Pi - I) plus
+      rounding, every column at most p (epsilon + 4 eta b);
+    - module: with S_a the matrix of x -> a x on the small algebra,
+      M L_a - L_a M = Pi G_a - D_a W + R L_a - L_a R, where
+      D_a = L_a Pi - Pi S_a has d columns of norm at most g and
+      G_a = W L_a - S_a W has d rows trace_row(f_l0 rho (f_0k a - f_0k a')
+      + rounding) / tau_b, a' the unit S_a gives, of norm at most
+      gamma = (p r g + eta p^2 r (alpha + 1)) / tau; the same holds for R_a
+      with the residual on the other side.  So every column is at most
+      sqrt(d) (p gamma + g w) + 5 eta alpha (1 + b);
+    - positivity: for x >= 0 and v_i = f_i0, G = [Tr(rho v_i* x v_j)] / tau_b
+      is a Gram matrix, so sum_ij G_ij v_i v_j* >= 0; the coefficients of E
+      differ from G by the star residuals f_0i - v_i* and rounding, and
+      f_ij from v_i v_j* by Glimm residuals, each within delta', so the
+      least eigenvalue of the Hermitian part
+      of E(x) is at least -|x|_F times
+      d r p^2 ((2 + p) delta' + eta p) / tau + eta (4 (1 + b) + a sqrt(N)),
+      N the matrix size (the rounding of the samples g g*, of M x and of
+      eigvalsh), and a sample's scale is at least |x|_F over the square
+      root of the number of blocks.
+
+    The tolerance is the certificate's, and half of it for the module bound:
+    a bound of the 2-norm for every unit a, it keeps the two-sided identity
+    E(a x b) = a E(x) b within (|a| + |b|) times it.  The state row identity
+    needs the invariance, not the units, and is checked directly."""
+    dec = A.decomposition
+    U, parent, small = dec.embed.matrix, A.parent, dec.algebra
+    tau = (trace_row(state.density) @ U[:, small.offsets()]).real
+    W = np.empty((small.total_dim, parent.total_dim), dtype=complex)
+    for off, n, t in zip(small.offsets(), small.blocks, tau.tolist()):
+        rows = W[off : off + n * n]
+        for toff, m, r in zip(parent.offsets(), parent.blocks, state.density.data):
+            S = U[toff : toff + m * m, off : off + n * n].T.reshape(n, n, m, m)
+            Y = (S[:, 0] @ r)[:, None] @ S[0][None]  # Y[j, i] = f_j0 rho f_0i
+            # trace_row reads each product transposed
+            rows[:, toff : toff + m * m] = Y.transpose(1, 0, 3, 2).reshape(n * n, m * m)
+        rows /= t
+    M = U @ W
+    X = W @ U
+    X.ravel()[:: small.total_dim + 1] -= 1.0
+    epsilon = float(np.linalg.norm(X))
+    n, eta = max(small.blocks), 4 * (parent.total_dim + 4) * _EPS
+    p, w = (1 + eta) * dec.embed.max_singular_value(), float(np.linalg.norm(W))
+    a, b = p * w, float(np.linalg.norm(U)) * w
+    L = p if len(small.blocks) == 1 else n * p
+    theta = 4 * (max(parent.blocks) + 4) * _EPS * (1 + L) ** 2
+    delta = unit_system_defect(dec.embed) + theta
+    g = n * (pair_table_bound(dec.embed)[0] * delta + eta * p * p)
+    alpha, r, tau = n * p, state.density.frobenius(), float(tau.min())
+    gamma = (p * r * g + eta * p * p * r * (alpha + 1)) / tau
+    positive = small.total_dim * r * p * p * ((2 + p) * delta + eta * p) / tau
+    bounds = [
+        a * epsilon + 5 * eta * (1 + b) ** 2,
+        2 * (math.sqrt(small.total_dim) * (p * gamma + g * w) + 5 * eta * alpha * (1 + b)),
+        math.sqrt(len(parent.blocks))
+        * (positive + eta * (4 * (1 + b) + a * math.sqrt(parent.matrix_dim))),
+    ]
+    if A.columns is U:
+        bounds.append(p * (epsilon + 4 * eta * b))
+    return M, epsilon, float(np.max(bounds)) / _check_tol(parent)  # NaN stays NaN
+
+
 def construct_expectation(A: Subalgebra, state: State) -> ConditionalExpectation:
     """Build the state-preserving expectation onto an invariant subalgebra.
 
-    The expectation is the GNS-orthogonal projection onto the span; modular
-    invariance of the span is required and checked first.  For a state
-    carried by a proper corner the result automatically factors through
+    Modular invariance of the span is required and checked first; then the
+    expectation exists (Takesaki 1972) and on each factor
+    M_n (x) 1_mu of the subalgebra it is the weighted partial trace over the
+    multiplicity space (Umegaki 1954),
+
+        E(x) = sum_{b,i,j} Tr(rho f_0i x f_j0) / Tr(rho f_00) f_ij,
+
+    over the units f_ij of the certified decomposition (`_closed_form`).  It
+    needs no basis of the span and no solve.  When the bounds of
+    `_closed_form` hold, the idempotence, basis, module and positivity
+    checks follow from them, and only the state row identity and, for a
+    subalgebra whose basis is not the embedding's own columns, M B = B are
+    checked directly; otherwise the whole `_certify_expectation` runs.  For
+    a state carried by a proper corner the result factors through
     compression to that corner.
     """
     inv = takesaki_invariant(A, state)
     if not inv.invariant:
         raise NotInvariant(inv.defect)
     parent = A.parent
-    Q = A._onb
-    # Tr(rho y* x) = vec(y)^H W vec(x) with W = R_rho, Hermitian as rho is
-    WQ = apply_right(state.density, Q)
-    gram = Q.conj().T @ WQ
-    gram = (gram + gram.conj().T) / 2
-    rhs = WQ.conj().T  # Q^H W
-    coeff = np.linalg.solve(gram, rhs)
-    M = Q @ coeff
-    # structural post-checks; failures mean the instance is numerically
-    # outside the invariant regime
-    _certify_expectation(M, A, state, inv.defect)
+    M, _, ratio = _closed_form(A, state)
+    if ratio <= 1.0:
+        if A.columns is not A.decomposition.embed.matrix:
+            _check_fixes(M, A, inv.defect)
+        _check_state(M, state, inv.defect)
+    else:
+        _certify_expectation(M, A, state, inv.defect)
     E = AlgebraMap(parent, parent, M)
     return ConditionalExpectation(map=E, state=state, subalgebra=A, invariance_defect=inv.defect)
 

@@ -109,17 +109,23 @@ def _stack_singular_values(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _svdvals(stack: np.ndarray) -> np.ndarray:
-    """Singular values of each matrix of an (N, n, n) stack.  If LAPACK rejects
-    the stack (as for a NaN entry), a matrix with a NaN entry reads NaN, one
-    with an infinite entry inf, and the finite ones go to LAPACK again."""
+    """Singular values of each matrix of an (N, n, n) stack.  A matrix with a
+    NaN entry reads NaN, one with an infinite entry inf, and the finite ones
+    go to LAPACK again.  LAPACK rejects a stack with a NaN entry but returns
+    NaN values for an infinite one, so the entries are read only when it
+    rejects the stack or a value comes back NaN; the values are nonnegative,
+    so their sum is NaN exactly then."""
     try:
-        return np.linalg.svd(stack, compute_uv=False)
+        values = np.linalg.svd(stack, compute_uv=False)
+        if not math.isnan(values.sum()):
+            return values
     except np.linalg.LinAlgError:
-        values = np.full(stack.shape[:-1], np.inf)
-        values[np.isnan(stack).any(axis=(-2, -1))] = np.nan
-        finite = np.isfinite(stack).all(axis=(-2, -1))
-        values[finite] = np.linalg.svd(stack[finite], compute_uv=False)
-        return values
+        pass
+    values = np.full(stack.shape[:-1], np.inf)
+    values[np.isnan(stack).any(axis=(-2, -1))] = np.nan
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    values[finite] = np.linalg.svd(stack[finite], compute_uv=False)
+    return values
 
 
 def _singular_values(algebra: Algebra, rows: np.ndarray) -> list[np.ndarray]:

@@ -24,6 +24,10 @@ four blockwise products per generator and fresh positivity draws, where
 `bad_idempotents` perturbs an expectation matrix so that each check of the
 certificate fails in turn, and `support_corner_by_elements` is the support
 check of `takesaki_invariant` one basis element at a time.
+`expectation_by_gram_solve` and `construct_by_gram_solve` build the
+expectation as the GNS-orthogonal projection onto the span, from a thin SVD
+and a Gram solve, and certify it in full, where `nclp.expectation` reads the
+weighted partial trace off the units and certifies it by derived bounds.
 `polar_parts_eagerly` builds all four parts of a polar decomposition at
 once, where `nclp.lp.PolarData` builds each on its first read.
 `zero_lp_vector`, `decomposition_coordinates`, `compose_maps` and
@@ -43,7 +47,7 @@ from nclp.algebra import (
     trace_row,
 )
 from nclp.errors import DataInvalid, ExponentMismatch, NonFaithful, NotInvariant, ShapeMismatch
-from nclp.expectation import _DECOMP_SEED, _gaussian
+from nclp.expectation import _DECOMP_SEED, _certify_expectation, _gaussian, takesaki_invariant
 from nclp.isometry import (
     _amplified_indicator,
     _support_defect,
@@ -280,6 +284,37 @@ def certify_expectation_by_generators(M: np.ndarray, A, state, defect: float = 0
         low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in pos.data)
         if not low >= -check_tol * max(1.0, max(np.linalg.norm(b) for b in g_blocks)):
             raise NotInvariant(defect, "expectation is not positive on samples")
+
+
+def expectation_by_gram_solve(A, state) -> np.ndarray:
+    """The matrix of the state-preserving expectation onto A as the
+    GNS-orthogonal projection onto the span: with Q an orthonormal basis of
+    the span from a thin SVD of the basis columns and W = R_rho,
+    Tr(rho y* x) = vec(y)^H W vec(x), it is Q (Q^H W Q)^{-1} Q^H W, where
+    `nclp.expectation` reads the weighted partial trace off the units."""
+    u, s, _ = np.linalg.svd(A.columns, full_matrices=False)
+    Q = u[:, s > 1e-12 * s[0]]
+    WQ = apply_right(state.density, Q)
+    gram = Q.conj().T @ WQ
+    gram = (gram + gram.conj().T) / 2
+    return Q @ np.linalg.solve(gram, WQ.conj().T)
+
+
+def construct_by_gram_solve(A, state) -> np.ndarray:
+    """`nclp.expectation.construct_expectation` as the Gram solve: the
+    Takesaki check on a copy of A whose orthonormal basis comes from a thin
+    SVD of its columns, `expectation_by_gram_solve`, then the whole
+    certificate; the matrix, or the exception either raises."""
+    copy = object.__new__(type(A))
+    object.__setattr__(copy, "parent", A.parent)
+    object.__setattr__(copy, "columns", A.columns)
+    copy.__dict__["decomposition"] = A.decomposition
+    inv = takesaki_invariant(copy, state)
+    if not inv.invariant:
+        raise NotInvariant(inv.defect)
+    M = expectation_by_gram_solve(A, state)
+    _certify_expectation(M, A, state, inv.defect)
+    return M
 
 
 def bad_idempotents(M: np.ndarray, A, state, rng) -> dict:

@@ -752,10 +752,14 @@ def test_the_smallest_singular_value_is_kept(monkeypatch):
         calls.append(a)
         return real(a, *args, **kwargs)
 
-    expected = float(real(F.matrix, compute_uv=False)[-1])
+    values = real(F.matrix, compute_uv=False)
+    expected, top = float(values[-1]), float(values[0])
     monkeypatch.setattr(np.linalg, "svd", counting)
     assert [F.min_singular_value() for _ in range(3)] == [expected] * 3
+    # the largest singular value comes from the same kept SVD
+    assert [F.max_singular_value() for _ in range(3)] == [top] * 3
     assert len(calls) == 1 and pi.min_singular_value() == expected
+    assert pi.max_singular_value() == top and len(calls) == 1
 
 
 def _report_bits(report):

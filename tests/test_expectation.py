@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nclp.expectation as expectation_module
 from nclp.algebra import (
@@ -17,14 +18,17 @@ from nclp.algebra import (
 from dense_oracles import (
     bad_idempotents as _bad_idempotents,
     certify_expectation_by_generators,
+    construct_by_gram_solve,
     decomposition_coordinates,
     support_corner_by_elements,
     validate_by_pairs,
 )
 from nclp.errors import DataInvalid, ExponentUnsupported, NonFaithful, NotInvariant
 from nclp.expectation import (
+    BlockDecomposition,
     Subalgebra,
     _certify_expectation,
+    _closed_form,
     _gaussian,
     _positivity_samples,
     complement_projection,
@@ -1023,3 +1027,150 @@ def test_concurrent_gaps_never_pair_a_state_with_another_restriction():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# -- stage 5 from the certified units -------------------------------------------
+
+
+def _closed_form_cases():
+    for seed in range(12):
+        yield pytest.param(lambda s=seed: random_isometry_data(s).expectation, id=f"pi-{seed}")
+    for name in sorted(BENCH_PLANS):
+        yield pytest.param(lambda n=name: _plan_data(n).expectation, id=name)
+    for seed in range(8):
+        yield pytest.param(lambda s=seed: random_invariant_inclusion(s), id=f"inv-{seed}")
+
+
+def _subalgebra_and_state(made):
+    if isinstance(made, tuple):
+        return made
+    return made.subalgebra, made.state
+
+
+@pytest.mark.parametrize("make", list(_closed_form_cases()))
+def test_the_closed_form_agrees_with_the_gram_solve(make):
+    A, state = _subalgebra_and_state(make())
+    got = construct_expectation(A, state).map.matrix
+    want = construct_by_gram_solve(A, state)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+def _count_module_defects(monkeypatch):
+    calls, real = [], expectation_module._module_defects
+
+    def counting(*args):
+        calls.append(args[0].shape[1])
+        return real(*args)
+
+    monkeypatch.setattr(expectation_module, "_module_defects", counting)
+    return calls
+
+
+def test_the_exact_bench_plans_run_no_module_identities(monkeypatch):
+    calls = _count_module_defects(monkeypatch)
+    for name in sorted(BENCH_PLANS):
+        for seed in range(4):
+            data = _plan_data(name, seed)
+            construct_expectation(Subalgebra.from_map_image(data.pi), data.phibar)
+            for p in (1.0, 3.0, 7.0):
+                assert classify(build_isometry(data, p), data.reference_state, p).accepted
+    assert calls == []
+
+
+def test_a_bound_miss_runs_the_whole_certificate(monkeypatch):
+    # a huge pair-table constant makes the module bound miss; the same M is
+    # then certified by the module identities of every generator, per side
+    calls = _count_module_defects(monkeypatch)
+    data = _plan_data("M1")
+    A, state = Subalgebra.from_map_image(data.pi), data.phibar
+    want = construct_expectation(A, state).map.matrix
+    assert calls == []
+    monkeypatch.setattr(expectation_module, "pair_table_bound", lambda F: (1e30, 0.0))
+    assert _closed_form(A, state)[2] > 1.0
+    got = construct_expectation(A, state).map.matrix
+    assert np.array_equal(got, want)
+    assert sum(calls) == 2 * len(A.generators)
+    # and a NaN bound certifies nothing
+    calls.clear()
+    monkeypatch.setattr(expectation_module, "pair_table_bound", lambda F: (np.nan, 0.0))
+    construct_expectation(A, state)
+    assert sum(calls) == 2 * len(A.generators)
+
+
+def _cut_state(algebra, seed):
+    """A state of rank one in the first block, whose support cuts an image."""
+    blocks = [b @ b.conj().T for b in random_element(algebra, rng_for(seed)).data]
+    blocks[0] = np.outer(blocks[0][:, 0], blocks[0][:, 0].conj())
+    return State(algebra, blocks, normalize=True)
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except (DataInvalid, NonFaithful, NotInvariant) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _moved(pi, seed, eps):
+    """pi moved by seeded complex Gaussian noise of relative size eps."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(pi.matrix.shape) + 1j * rng.standard_normal(pi.matrix.shape)
+    noise *= np.linalg.norm(pi.matrix) / np.linalg.norm(noise)
+    return AlgebraMap(pi.source, pi.target, pi.matrix + eps * noise)
+
+
+@pytest.mark.parametrize("name", ["P2", "M1", "M2"])
+def test_stage5_keeps_its_verdicts_and_exceptions(name):
+    # non-unital images (P2) with states singular off the image's support,
+    # states whose support cuts the image, faithful states that are not
+    # invariant, and pi moved by noise of relative size 1e-9 (some miss the
+    # bounds) or 1e-7 (no system of matrix units): the same outcome as the
+    # Gram solve with its whole certificate
+    outcomes = set()
+    for seed in range(12):
+        data = _plan_data(name, seed)
+        pi, target = data.pi, data.pi.target
+        maps = [pi, _moved(pi, seed, 1e-9), _moved(pi, seed, 1e-7)]
+        states = [data.phibar, _cut_state(target, seed), random_faithful_state(target, seed)]
+        for F in maps:
+            for state in states:
+                got = _outcome(lambda: construct_expectation(Subalgebra.from_map_image(F), state))
+                want = _outcome(lambda: construct_by_gram_solve(Subalgebra.from_map_image(F), state))
+                assert got == want
+                outcomes.add(None if got is None else got.split(":")[0])
+    assert outcomes == {None, "DataInvalid", "NonFaithful", "NotInvariant"}
+
+
+def _uncertified_image(F):
+    """The image of F with F as its decomposition, without the certificate
+    of `Subalgebra.from_map_image`, so units far from a system of matrix
+    units can be tried."""
+    image = object.__new__(Subalgebra)
+    object.__setattr__(image, "parent", F.target)
+    object.__setattr__(image, "columns", F.matrix)
+    mu = tuple(
+        int(round(AlgebraElement.from_vec(F.target, F.matrix[:, off]).trace().real))
+        for off in F.source.offsets()
+    )
+    image.__dict__["decomposition"] = BlockDecomposition(F.source, F, mu)
+    return image
+
+
+PERTURBED_PLANS = [None, "P2", "P3", "M1"]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    plan=st.sampled_from(PERTURBED_PLANS),
+    seed=st.integers(0, 30),
+    log_eps=st.floats(-14.0, -3.0),
+)
+def test_whenever_the_bounds_certify_the_whole_certificate_passes(plan, seed, log_eps):
+    data = random_isometry_data(seed) if plan is None else _plan_data(plan, seed)
+    A = _uncertified_image(_moved(data.pi, seed + 1000, 10.0**log_eps))
+    M, epsilon, ratio = _closed_form(A, data.phibar)
+    assert epsilon >= 0.0
+    if ratio <= 1.0:
+        _certify_expectation(M, A, data.phibar)
+        assert _oracle_certificate(M, A, data.phibar) is None

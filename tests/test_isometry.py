@@ -934,11 +934,10 @@ def test_classify_takes_one_svd_of_pi(monkeypatch):
     assert report.accepted
     # the image's columns are pi's matrix: one values-only SVD, the
     # injectivity of the certificate at stage 2 kept for the image
-    # certificate at stage 5, and one orthonormal basis of the span
+    # certificate at stage 5; the image's orthonormal basis is pi's columns
+    # scaled by the multiplicities, so no thin SVD
     of_pi = [kwargs for a, kwargs in calls if a is report.data.pi.matrix]
-    assert of_pi.count({"compute_uv": False}) == 1
-    assert of_pi.count({"full_matrices": False}) == 1
-    assert len(of_pi) == 2
+    assert of_pi == [{"compute_uv": False}]
 
 
 def test_reconstruction_checks_the_initial_projection_first(monkeypatch):

@@ -318,6 +318,32 @@ def test_lp_norms_of_non_finite_rows():
         assert got[3] == np.inf and np.isnan(got[4]) and got[5] == np.inf
 
 
+def test_an_infinite_entry_reads_inf_whether_or_not_lapack_rejects_the_stack(monkeypatch):
+    # LAPACK rejects a stack with a NaN entry, but returns NaN singular
+    # values for an infinite entry without an error: a row with an infinite
+    # entry reads inf on its own and next to a NaN row alike
+    alg = make_algebra([2])
+    inf_row = [np.inf, 0, 0, 1]
+    for p in (1.0, 3.0, 2000.0):
+        alone = lp_norms(alg, p, [inf_row])
+        beside = lp_norms(alg, p, [inf_row, [np.nan, 0, 0, 1], [1, 0, 0, 1]])
+        assert alone.tolist() == [np.inf]
+        assert beside[0] == np.inf and np.isnan(beside[1])
+        assert beside[2] == lp_norms(alg, p, [[1, 0, 0, 1]])[0]
+    # a finite stack takes one SVD call, and its entries are not read
+    import nclp.lp as lp_module
+
+    calls, real = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or real(a, **kw))
+    monkeypatch.setattr(lp_module.np, "isnan", _refuse_entries)
+    lp_norms(alg, 3.0, [[1, 2, 3, 4], [0, 1, 1, 0]])
+    assert len(calls) == 1
+
+
+def _refuse_entries(*args, **kwargs):
+    raise AssertionError("the entries of a finite stack were read")
+
+
 @pytest.mark.parametrize("shape", [(2, 4), (2, 6), (5,), (1, 2, 5)])
 def test_lp_norms_rejects_rows_that_are_not_n_by_total_dim(shape):
     alg = make_algebra([1, 2])

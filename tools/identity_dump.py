@@ -70,6 +70,14 @@ recovered, moved by seeded noise of relative size 1e-9 and composed with the
 transpose: the Glimm defect ``unit_system_defect``, the constants (C, rho)
 of ``pair_table_bound``, whether ``units_certify_star_homomorphism``
 certifies it, and the kind ``homomorphism_kind`` finds.
+The stage5 records hold, for the pi images of ``random_isometry_data`` seeds
+0-11, as built and moved by seeded noise of relative size 1e-9, each with the
+generated state, and for the pi that ``classify`` recovers from the canonical
+maps of the five benchmark plans at seeds 0-3 and p in {1, 1.5, 3, 4, 7}, with
+the recovered state: which decider certified the expectation (``bounds`` when
+the bounds of ``_closed_form`` hold, ``certificate`` when the whole
+certificate ran, or the error ``construct_expectation`` raised), the unit
+defect |W Pi - I|_F and the largest ratio of a bound to its tolerance.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -115,6 +123,17 @@ VALIDATE_NOISE = (1e-12, 1e-9, 1e-5)
 STAGE2_SEEDS = range(12)
 STAGE2_EXPONENTS = (1.0, 3.0)
 STAGE2_NOISE = 1e-9
+STAGE5_NOISE = 1e-9
+STAGE5_SEEDS = range(4)
+STAGE5_EXPONENTS = (1.0, 1.5, 3.0, 4.0, 7.0)
+# the instance plans of the benchmark workloads: (source blocks, target plan)
+STAGE5_PLANS = {
+    "P2": ((2,), [([(0, 1)], 2)]),
+    "P3": ((3,), [([(0, 1)], 2)]),
+    "P4": ((4,), [([(0, 1)], 2)]),
+    "M1": ((2, 1), [([(0, 2), (1, 1)], 1), ([(0, 1)], 1)]),
+    "M2": ((3,), [([(0, 2)], 0)]),
+}
 POLAR_LAYOUTS = ((3,), (2, 3), (1, 2, 2))
 POLAR_SEEDS = range(2)
 POLAR_ORDERS = (("w", "modulus", "s_left", "s_right"), ("s_right", "s_left", "modulus", "w"))
@@ -617,6 +636,46 @@ def _certificate_records():
         }
 
 
+def _stage5_record(pi, state) -> dict:
+    from nclp.errors import NclpError
+    from nclp.expectation import Subalgebra, _closed_form, construct_expectation
+
+    try:
+        image = Subalgebra.from_map_image(pi)
+        _, epsilon, ratio = _closed_form(image, state)
+        construct_expectation(image, state)
+    except NclpError as exc:
+        return {"decider": f"{type(exc).__name__}: {exc}"}
+    decider = "bounds" if ratio <= 1.0 else "certificate"
+    return {"decider": decider, "unit_defect": epsilon, "ratio": ratio}
+
+
+def _stage5_records():
+    import numpy as np
+
+    from nclp.algebra import AlgebraMap
+    from nclp.isometry import build_isometry, classify
+    from nclp.samples import random_isometry_data
+
+    for seed in IMAGE_SEEDS:
+        data = random_isometry_data(seed)
+        pi, rng = data.pi, np.random.default_rng(seed)
+        noise = rng.standard_normal(pi.matrix.shape) + 1j * rng.standard_normal(pi.matrix.shape)
+        noise *= np.linalg.norm(pi.matrix) / np.linalg.norm(noise)
+        moved = AlgebraMap(pi.source, pi.target, pi.matrix + STAGE5_NOISE * noise)
+        for name, F in (("as_built", pi), (f"noise({STAGE5_NOISE})", moved)):
+            yield {"seed": seed, "pi": name, **_stage5_record(F, data.phibar)}
+    for plan, (source, layout) in STAGE5_PLANS.items():
+        for seed in STAGE5_SEEDS:
+            data = random_isometry_data(seed, source, plan=layout)
+            for p in STAGE5_EXPONENTS:
+                report = classify(build_isometry(data, p), data.reference_state, p)
+                record = {"plan": plan, "seed": seed, "p": p, "verdict": report.verdict}
+                if report.accepted:
+                    record.update(_stage5_record(report.data.pi, report.data.phibar))
+                yield record
+
+
 def _suite_records():
     from nclp.suites import SUITES, SuiteConfig, run_suite
 
@@ -651,6 +710,7 @@ def main(argv=None) -> int:
         "certificate": list(_certificate_records()),
         "stage2": list(_stage2_records()),
         "polar": list(_polar_records()),
+        "stage5": list(_stage5_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
