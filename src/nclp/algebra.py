@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,7 +35,11 @@ _CACHE_SIZE = 32  # entries kept by each cache of per-algebra arrays
 
 @dataclass(frozen=True)
 class Algebra:
-    """Direct sum of full matrix blocks, given by the block dimensions."""
+    """Direct sum of full matrix blocks, given by the block dimensions.
+
+    `total_dim`, the dimension as a vector space (sum of n_b^2), and the
+    block offsets are computed once from the blocks; they are not fields, so
+    equality, hashing and the repr read the blocks alone."""
 
     blocks: tuple[int, ...]
 
@@ -43,12 +48,11 @@ class Algebra:
             raise EmptyBlocks("an algebra needs at least one block")
         if any((not isinstance(n, (int, np.integer))) or n < 1 for n in self.blocks):
             raise NonPositiveDim(f"block dimensions must be positive integers: {self.blocks}")
-        object.__setattr__(self, "blocks", tuple(int(n) for n in self.blocks))
-
-    @property
-    def total_dim(self) -> int:
-        """Dimension of the algebra as a vector space, sum of n_b^2."""
-        return int(sum(n * n for n in self.blocks))
+        blocks = tuple(int(n) for n in self.blocks)
+        ends = list(accumulate((n * n for n in blocks), initial=0))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "total_dim", ends[-1])
+        object.__setattr__(self, "_offsets", tuple(ends[:-1]))
 
     @property
     def matrix_dim(self) -> int:
@@ -61,11 +65,7 @@ class Algebra:
         return ATOL_BASE * max(1, self.total_dim)
 
     def offsets(self) -> list[int]:
-        offs, acc = [], 0
-        for n in self.blocks:
-            offs.append(acc)
-            acc += n * n
-        return offs
+        return list(self._offsets)
 
     def zero_blocks(self) -> list[np.ndarray]:
         return [np.zeros((n, n), dtype=complex) for n in self.blocks]

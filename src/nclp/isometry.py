@@ -14,7 +14,7 @@ invariance recovers E, and a rebuild closes the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +49,9 @@ from .lp import (
     LpVector,
     _amplified_positions,
     _norms_from_singular_values,
+    _rank_masks,
     _singular_values,
+    _stack_singular_values,
     amplified_algebra,
     conjugate_exponent,
     lp_norms,
@@ -59,6 +61,9 @@ from .lp import (
 )
 
 METRIC_TOL = 1e-7  # accept threshold for sampled metric defects
+# largest bound on the relative change of a sampled norm that measuring the
+# images on their supports may cause (`_compressed_blocks`)
+SUPPORT_ALLOWANCE = 1e-12
 WARN_TOL = 1e-4  # defects between these two are reported as a warn band
 _FOREIGN_STATE = "state lives on a different algebra than the map source"
 
@@ -250,16 +255,115 @@ def _slice_positions(algebra: Algebra, n: int) -> np.ndarray:
     return _read_only(np.array(pos))[0]
 
 
+class _ImageSupport:
+    """The joint supports of the images T(u)_b of the d matrix units u in a
+    target block b of size m: the left support, the column space of the
+    m x (m d) concatenation L = [T(u_1)_b ... T(u_d)_b], and the right
+    support, the row space of the (m d) x m stack R of the same images.
+
+    Their ranks (k_l, k_r) follow the rank rule of `polar_decompose` on a
+    values-only SVD of each side, and `tail` is s_{k_l+1}(L) + s_{k_r+1}(R),
+    the largest singular values left out.  A block whose SVD fails or reads
+    a non-finite value keeps rank m on both sides.  `compressed` holds the
+    rows of the compressed block, vec(Q_l* T(u)_b Q_r) over u, with Q_l and
+    Q_r the leading singular vectors; they are taken on its first read."""
+
+    def __init__(self, block: np.ndarray, m: int):
+        self.block, self.size = block, m  # block: the m^2 rows of T.matrix
+        self.left = self.right = m
+        self.tail = 0.0
+        try:
+            values = np.linalg.svd(self._sides(), compute_uv=False)
+        except np.linalg.LinAlgError:
+            return
+        if not np.isfinite(values).all():
+            return
+        self.left, self.right = np.maximum(_rank_masks([values])[0].sum(axis=1), 1).tolist()
+        self.tail = sum(float(v[k]) for v, k in zip(values, (self.left, self.right)) if k < m)
+
+    def _sides(self) -> np.ndarray:
+        """L and the transpose of R, stacked: R^T's column space is the right
+        support conjugated."""
+        m = self.size
+        X = self.block.reshape(m, m, -1)  # X[r, s, u] = T(u)_b[r, s]
+        return np.stack([X.reshape(m, -1), X.transpose(1, 0, 2).reshape(m, -1)])
+
+    @property
+    def compresses(self) -> bool:
+        return (self.left, self.right) != (self.size, self.size)
+
+    @cached_property
+    def compressed(self) -> np.ndarray:
+        m, kl, kr = self.size, self.left, self.right
+        u = np.linalg.svd(self._sides(), full_matrices=False)[0]
+        ql, qr = u[0][:, :kl], u[1][:, :kr].conj()
+        # Q_l* T(u)_b as (k_l, m, d), then its columns against Q_r
+        half = (ql.conj().T @ self.block.reshape(m, -1)).reshape(kl, m, -1)
+        return (half.transpose(0, 2, 1) @ qr).transpose(0, 2, 1).reshape(kl * kr, -1)
+
+
+def _image_supports(T: LpMap) -> tuple:
+    """The `_ImageSupport` of each target block of T, found on the first call
+    and kept on the map."""
+    if T._supports is None:
+        cuts = zip(T.target.offsets(), T.target.blocks)
+        supports = tuple(_ImageSupport(T.matrix[o : o + m * m], m) for o, m in cuts)
+        object.__setattr__(T, "_supports", supports)
+    return T._supports
+
+
+def _compressed_blocks(T: LpMap, rows: np.ndarray, norms: np.ndarray) -> set:
+    """The target blocks whose slices the defect over these rows measures on
+    the image supports.  Compressing block b changes a norm ||(id_n (x) T) h||_p
+    by at most ||h||_l1 tail_b m_b^{1/p} (the l1 norm of h's coefficients), so
+    the candidates are taken in increasing order of tail_b m_b^{1/p} while that
+    bound summed over them, divided by ||h||_p, stays within SUPPORT_ALLOWANCE
+    on every row with a norm of at least 1e-14; a NaN norm admits none."""
+    supports = enumerate(_image_supports(T))
+    terms = sorted((s.tail * s.size ** (1.0 / T.p), b) for b, s in supports if s.compresses)
+    if not terms:
+        return set()
+    keep = ~(norms < 1e-14)
+    ratio = np.max(np.abs(rows[keep]).sum(axis=1) / norms[keep], initial=0.0)
+    chosen, bound = set(), 0.0
+    for term, b in terms:
+        bound += term
+        if not ratio * bound <= SUPPORT_ALLOWANCE:
+            break
+        chosen.add(b)
+    return chosen
+
+
 def _norm_defect(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray, relative: bool) -> float:
     """Largest |  ||(id_n (x) T) h||_p - ||h||_p  | over the rows h with norms
     ||h||_p, divided by ||h||_p when relative, skipping norms below 1e-14; a
-    NaN gives NaN.  The n^2 slices h_ij of all rows go through T as one stacked
-    matvec, bitwise T(h_ij) (the GEMM form is not), placed at e_ij (x) T(h_ij)."""
-    src, tgt = _slice_positions(T.source, n), _slice_positions(T.target, n)
-    images = np.empty((len(rows), tgt.size), dtype=complex)
-    images[:, tgt] = np.matmul(T.matrix, rows[:, src][..., None])[..., 0]
+    NaN gives NaN.
+
+    The image of h is measured blockwise on the joint supports of T's images
+    (`_ImageSupport`): block b of (id_n (x) T) h is the (n m) x (n m) matrix
+    sum_ij e_ij (x) T(h_ij)_b, and its range and row space lie in those of
+    the images, so in exact arithmetic the (n k_l) x (n k_r) matrix with
+    slices Q_l* T(h_ij)_b Q_r drops only zero singular values.  A block
+    outside `_compressed_blocks` keeps its m^2 rows (Q = I); when no block
+    compresses, the slices of all rows go through T.matrix as one stacked
+    matvec, bitwise T(h_ij) (the GEMM form is not), and the defect is bitwise
+    that of the full images."""
+    supports, chosen = _image_supports(T), _compressed_blocks(T, rows, norms)
+    matrix = T.matrix
+    if chosen:
+        parts = [s.compressed if b in chosen else s.block for b, s in enumerate(supports)]
+        matrix = np.vstack(parts)
+    images = np.matmul(matrix, rows[:, _slice_positions(T.source, n)][..., None])[..., 0]
+    stacks, start = [], 0
+    for b, s in enumerate(supports):
+        kl, kr = (s.left, s.right) if b in chosen else (s.size, s.size)
+        # slice (i, j) of row h is the (kl, kr) block (i, j) of the image
+        part = images[:, :, start : start + kl * kr].reshape(-1, n, n, kl, kr)
+        stacks.append(part.transpose(0, 1, 3, 2, 4).reshape(-1, n * kl, n * kr))
+        start += kl * kr
     keep = ~(norms < 1e-14)
-    d = np.abs(lp_norms(amplified_algebra(T.target, n), T.p, images)[keep] - norms[keep])
+    image_norms = _norms_from_singular_values(_stack_singular_values(stacks), T.p)
+    d = np.abs(image_norms[keep] - norms[keep])
     if relative:
         d = d / norms[keep]
     return float(np.max(d, initial=0.0))
@@ -442,7 +546,8 @@ def classify(
     # the amplified defect is measured after it and an isometry-stage reject
     # never pays for it.  A reject at stages 2-6 has paid for it: the defect
     # is measured here and read last.  A bad amplified defect is diagnosed
-    # by the multiplicativity certificate
+    # by the multiplicativity certificate.  Both defects measure the images
+    # on their supports, found once for T (`_norm_defect`)
     defects["isometry"] = isometry_defect(T, seed=seed)
     if not defects["isometry"] <= metric_tol:
         if defects["isometry"] < warn_tol:

@@ -92,15 +92,15 @@ def _block_lp_norm(blocks: Sequence[np.ndarray], p: float, weights=None) -> floa
 
 
 def _stack_singular_values(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per block, the singular values of its (N, n, n) stack: one SVD call per
-    distinct block size, on the stacks of that size joined.  LAPACK sees each
-    matrix alone, so the values do not depend on the grouping."""
+    """Per block, the singular values of its (N, r, c) stack: one SVD call per
+    distinct matrix shape, on the stacks of that shape joined.  LAPACK sees
+    each matrix alone, so the values do not depend on the grouping."""
     if len(stacks) == 1:
         return [_svdvals(stacks[0])]
-    sizes = [stack.shape[-1] for stack in stacks]
+    shapes = [stack.shape[1:] for stack in stacks]
     out: list = [None] * len(stacks)
-    for n in dict.fromkeys(sizes):
-        group = [b for b, m in enumerate(sizes) if m == n]
+    for shape in dict.fromkeys(shapes):
+        group = [b for b, s in enumerate(shapes) if s == shape]
         joined = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[b] for b in group])
         values = _svdvals(joined)
         for b in group:
@@ -109,7 +109,7 @@ def _stack_singular_values(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _svdvals(stack: np.ndarray) -> np.ndarray:
-    """Singular values of each matrix of an (N, n, n) stack.  A matrix with a
+    """Singular values of each matrix of an (N, r, c) stack.  A matrix with a
     NaN entry reads NaN, one with an infinite entry inf, and the finite ones
     go to LAPACK again.  LAPACK rejects a stack with a NaN entry but returns
     NaN values for an infinite one, so the entries are read only when it
@@ -358,7 +358,9 @@ def mazur_map(h: LpVector, q: float) -> LpVector:
 class LpMap:
     """A dense linear map between L_p spaces in vectorized coordinates."""
 
-    __slots__ = ("source", "target", "p", "matrix")
+    # _supports keeps the joint supports of the images, found on the first
+    # sampled defect of the map (`nclp.isometry._image_supports`)
+    __slots__ = ("source", "target", "p", "matrix", "_supports")
 
     def __init__(self, source: Algebra, target: Algebra, p: float, matrix: np.ndarray):
         p = float(p)
@@ -375,6 +377,7 @@ class LpMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_supports", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LpMap is immutable")

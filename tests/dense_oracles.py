@@ -30,6 +30,11 @@ and a Gram solve, and certify it in full, where `nclp.expectation` reads the
 weighted partial trace off the units and certifies it by derived bounds.
 `polar_parts_eagerly` builds all four parts of a polar decomposition at
 once, where `nclp.lp.PolarData` builds each on its first read.
+`norm_defect_on_full_images` measures the norm defect of id_n (x) T on the
+full (n m) x (n m) image blocks, where `nclp.isometry._norm_defect` measures
+them on the joint supports of T's images; `image_supports` finds those
+supports from the images of the matrix units, one map call per unit, and
+`support_bound` bounds what measuring on them may change.
 `zero_lp_vector`, `decomposition_coordinates`, `compose_maps` and
 `compose_lp_maps` are test-only constructions: the zero L_p vector, the
 coefficients of a subalgebra element in the factor realization of a
@@ -44,17 +49,27 @@ from nclp.algebra import (
     apply_left,
     apply_right,
     homomorphism_kind,
+    matrix_units,
     trace_row,
 )
 from nclp.errors import DataInvalid, ExponentMismatch, NonFaithful, NotInvariant, ShapeMismatch
 from nclp.expectation import _DECOMP_SEED, _certify_expectation, _gaussian, takesaki_invariant
 from nclp.isometry import (
     _amplified_indicator,
+    _slice_positions,
     _support_defect,
     _witness_positions,
     verify_state_restriction,
 )
-from nclp.lp import ClarksonResult, LpMap, LpVector, _rank_masks, amplified_algebra
+from nclp.lp import (
+    ClarksonResult,
+    LpMap,
+    LpVector,
+    _rank_masks,
+    amplified_algebra,
+    lp_norm,
+    lp_norms,
+)
 
 
 def validate_by_pair_table(data, tol: float = 1e-6) -> None:
@@ -349,3 +364,61 @@ def support_corner_by_elements(A, state) -> None:
     for a in A.basis:
         if (P @ a - a).frobenius() > 100 * tol or (a @ P - a).frobenius() > 100 * tol:
             raise NonFaithful("state is singular and the subalgebra leaves its support corner")
+
+
+NORM_ROUNDING = 32 * np.finfo(float).eps  # relative rounding of a computed L_p norm
+
+
+def norm_defect_on_full_images(T: LpMap, n: int, rows, norms, relative: bool) -> float:
+    """The norm defect of id_n (x) T over the rows with norms `norms`, each
+    slice image T(h_ij) placed at e_ij (x) T(h_ij) in the full amplified
+    target, one stacked matvec for all slices."""
+    src, tgt = _slice_positions(T.source, n), _slice_positions(T.target, n)
+    images = np.empty((len(rows), tgt.size), dtype=complex)
+    images[:, tgt] = np.matmul(T.matrix, rows[:, src][..., None])[..., 0]
+    keep = ~(norms < 1e-14)
+    d = np.abs(lp_norms(amplified_algebra(T.target, n), T.p, images)[keep] - norms[keep])
+    if relative:
+        d = d / norms[keep]
+    return float(np.max(d, initial=0.0))
+
+
+def image_supports(T: LpMap) -> list[tuple]:
+    """Per target block b of size m, (m, k_l, k_r, term): the ranks of the
+    concatenation L = [T(u)_b ...] and the stack R of the block b of the
+    images of the matrix units u, counted by the rank rule of `_rank_masks`,
+    and m^{1/p} (s_{k_l+1}(L) + s_{k_r+1}(R)), where a side of full rank
+    adds nothing."""
+    images = [T(LpVector.from_element(u, T.p)).data for u in matrix_units(T.source)]
+    out = []
+    for b, m in enumerate(T.target.blocks):
+        ranks, term = [], 0.0
+        for side in (np.hstack([x[b] for x in images]), np.vstack([x[b] for x in images])):
+            values = np.linalg.svd(side, compute_uv=False)
+            ranks.append(max(1, int(_rank_masks([values])[0].sum())))
+            term += float(values[ranks[-1]]) if ranks[-1] < m else 0.0
+        out.append((m, *ranks, term * m ** (1.0 / T.p)))
+    return out
+
+
+def support_bound(T: LpMap, samples, want: float, weights=None, relative=True, supports=None):
+    """How far the norm defect of id_n (x) T over the samples may move from
+    `want`, its value on the full images, when the images are measured on
+    their supports (`supports`, default `image_supports(T)`): 0 when every
+    block of T's images has full rank on both sides, so the defect must be
+    the same bit for bit.  Otherwise, per sample h, ||h||_l1 times the sum of
+    the terms bounds the exact change of ||(id_n (x) T) h||_p, and each of
+    the two computed image norms may carry NORM_ROUNDING relative rounding,
+    at most ||h||_p + the defect of h; all divided by ||h||_p when relative,
+    over the samples whose norm is at least 1e-14."""
+    supports = image_supports(T) if supports is None else supports
+    if all(kl == kr == m for m, kl, kr, _ in supports):
+        return 0.0
+    total = sum(term for *_, term in supports)
+    worst = 0.0
+    for h in samples:
+        nh = lp_norm(h, weights=weights)
+        if nh >= 1e-14:
+            change = float(np.abs(h.vec()).sum()) * total + 2 * NORM_ROUNDING * nh
+            worst = max(worst, change / (nh if relative else 1.0))
+    return worst + 2 * NORM_ROUNDING * want

@@ -7,7 +7,7 @@ from nclp.algebra import (
     make_algebra,
     transpose_permutation,
 )
-from dense_oracles import left_mult_matrix
+from dense_oracles import image_supports, left_mult_matrix, support_bound
 from nclp.errors import ExponentMismatch, ExponentUnsupported, TraceConditionViolated
 from nclp.isometry import grid_witness
 from nclp.lp import LpMap, LpVector, amplify_map, lp_norm
@@ -189,10 +189,11 @@ def test_dichotomy_family_biconditional():
 
 def _dichotomy_by_samples(triple, p, weights):
     """Reference: the per-sample loops jordan_dichotomy_report ran before
-    the metric defects were batched."""
+    the metric defects were batched, the isometry and the witness defect on
+    the full images, each with its `support_bound`."""
     T = build_yeadon_map(triple, p, weights)
     rng = np.random.default_rng(11)
-    iso = 0.0
+    iso, samples = 0.0, []
     for _ in range(20):
         blocks = [
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -201,13 +202,18 @@ def _dichotomy_by_samples(triple, p, weights):
         h = LpVector(triple.J.source, p, blocks)
         nh = weighted_lp_norm(h, weights)
         iso = max(iso, abs(lp_norm(T(h)) - nh) / nh)
+        samples.append(h)
     big = amplify_map(T, 2)
     witness = 0.0
-    for b, nb in enumerate(T.source.blocks):
-        if nb >= 2:
-            X = grid_witness(T.source, b, 0, 1, p, 2)
-            witness = max(witness, float(abs(lp_norm(big(X)) - lp_norm(X, weights=weights))))
-    return iso, witness
+    grids = [grid_witness(T.source, b, 0, 1, p, 2) for b, nb in enumerate(T.source.blocks) if nb >= 2]
+    for X in grids:
+        witness = max(witness, float(abs(lp_norm(big(X)) - lp_norm(X, weights=weights))))
+    supports = image_supports(T)
+    bounds = (
+        support_bound(T, samples, iso, weights, True, supports),
+        support_bound(T, grids, witness, weights, False, supports),
+    )
+    return (iso, witness), bounds
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -215,8 +221,10 @@ def test_dichotomy_equals_the_sample_loops(seed):
     for p in (1.0, 1.5, 3.0):
         triple, weights = random_yeadon_triple(seed, p)
         rep = jordan_dichotomy_report(triple, p, weights)
-        expected = _dichotomy_by_samples(triple, p, weights)
-        assert (rep.isometry_defect, rep.witness_defect) == expected
+        expected, bounds = _dichotomy_by_samples(triple, p, weights)
+        got = (rep.isometry_defect, rep.witness_defect)
+        for value, want, bound in zip(got, expected, bounds):
+            assert value == want if bound == 0.0 else abs(value - want) <= bound
 
 
 def test_dichotomy_certifies_J_once(monkeypatch):

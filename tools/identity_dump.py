@@ -78,6 +78,13 @@ the recovered state: which decider certified the expectation (``bounds`` when
 the bounds of ``_closed_form`` hold, ``certificate`` when the whole
 certificate ran, or the error ``construct_expectation`` raised), the unit
 defect |W Pi - I|_F and the largest ratio of a bound to its tolerance.
+The stage1 records hold, for every map of the classify records and for the
+canonical maps of the five benchmark plans at seeds 0-3 and p in
+{1, 1.5, 3, 4, 7}, the size m and the ranks (k_l, k_r) of the joint left and
+right supports of the images in each target block, and the largest ratio
+to ``SUPPORT_ALLOWANCE`` of the bound on what measuring the sampled defects
+on those supports would change if every rank-deficient block compressed,
+over the plans of ``isometry_defect`` and ``two_isometry_defect``.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -154,11 +161,14 @@ def _recovered_digests(data) -> dict:
     }
 
 
-def _classify_records():
+def _classify_variants():
+    """(seed, p, name, map, state) for the canonical map of each
+    ``random_isometry_data`` seed at each exponent, composed with the
+    transpose, and with seeded noise."""
     import numpy as np
 
     from nclp.algebra import transpose_permutation
-    from nclp.isometry import build_isometry, classify
+    from nclp.isometry import build_isometry
     from nclp.lp import LpMap
     from nclp.samples import random_isometry_data
 
@@ -175,19 +185,61 @@ def _classify_records():
                 "noisy": T.matrix + NOISE * noise,
             }
             for name, matrix in variants.items():
-                report = classify(LpMap(T.source, T.target, p, matrix), data.reference_state, p)
-                record = {
-                    "seed": seed,
-                    "p": p,
-                    "map": name,
-                    "verdict": report.verdict,
-                    "failing_stage": report.failing_stage,
-                    "defects": report.defects,
-                    "warnings": report.warnings,
-                }
-                if report.accepted:
-                    record["recovered"] = _recovered_digests(report.data)
-                yield record
+                yield seed, p, name, LpMap(T.source, T.target, p, matrix), data.reference_state
+
+
+def _classify_records():
+    from nclp.isometry import classify
+
+    for seed, p, name, F, state in _classify_variants():
+        report = classify(F, state, p)
+        record = {
+            "seed": seed,
+            "p": p,
+            "map": name,
+            "verdict": report.verdict,
+            "failing_stage": report.failing_stage,
+            "defects": report.defects,
+            "warnings": report.warnings,
+        }
+        if report.accepted:
+            record["recovered"] = _recovered_digests(report.data)
+        yield record
+
+
+def _stage1_record(F) -> dict:
+    """(m, k_l, k_r) of each target block's image supports, and the largest
+    ratio to the allowance of the bound on what compressing every
+    rank-deficient block would change, over the plans of both defects."""
+    import numpy as np
+
+    from nclp.isometry import SUPPORT_ALLOWANCE, _image_supports, _source_plan
+    from nclp.lp import _norms_from_singular_values
+
+    supports = _image_supports(F)
+    total = sum(s.tail * s.size ** (1.0 / F.p) for s in supports if s.compresses)
+    worst = 0.0
+    for n in (1, 2):
+        rows, *svals = _source_plan(F.source, n, 60, 0)
+        norms = _norms_from_singular_values(svals, F.p)
+        keep = ~(norms < 1e-14)
+        ratio = float(np.max(np.abs(rows[keep]).sum(axis=1) / norms[keep], initial=0.0))
+        worst = max(worst, ratio * total / SUPPORT_ALLOWANCE)
+    return {"blocks": [[s.size, s.left, s.right] for s in supports], "bound_ratio": worst}
+
+
+def _stage1_records():
+    from nclp.isometry import build_isometry
+    from nclp.samples import random_isometry_data
+
+    for seed, p, name, F, _ in _classify_variants():
+        yield {"seed": seed, "p": p, "map": name, **_stage1_record(F)}
+    for plan, (source, layout) in STAGE5_PLANS.items():
+        for seed in STAGE5_SEEDS:
+            data = random_isometry_data(seed, source, plan=layout)
+            for p in STAGE5_EXPONENTS:
+                record = _stage1_record(build_isometry(data, p))
+                yield {"plan": plan, "seed": seed, "p": p, **record}
 
 
 def _text_digest(obj) -> str:
@@ -711,6 +763,7 @@ def main(argv=None) -> int:
         "stage2": list(_stage2_records()),
         "polar": list(_polar_records()),
         "stage5": list(_stage5_records()),
+        "stage1": list(_stage1_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
