@@ -439,9 +439,9 @@ def random_faithful_state(algebra: Algebra, seed: int, min_eig: float = EPS_FAIT
 class AlgebraMap:
     """A linear map between algebras, stored as a dense matrix acting on the
     normative vectorization.  Its smallest and largest singular values (one
-    values-only SVD), its Glimm defect (`unit_system_defect`) and the
-    defects of its pair table (`homomorphism_kind`) are computed once and
-    kept: the matrix is read-only."""
+    values-only SVD), its Glimm defect (`unit_system_defect`) and the star
+    and Jordan defects of `homomorphism_kind` are computed once and kept:
+    the matrix is read-only."""
 
     __slots__ = (
         "source",
@@ -449,7 +449,7 @@ class AlgebraMap:
         "matrix",
         "_singular_range",
         "_unit_system_defect",
-        "_pair_table",
+        "_split_defects",
     )
 
     def __init__(self, source: Algebra, target: Algebra, matrix: np.ndarray):
@@ -466,7 +466,7 @@ class AlgebraMap:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_singular_range", None)
         object.__setattr__(self, "_unit_system_defect", None)
-        object.__setattr__(self, "_pair_table", None)
+        object.__setattr__(self, "_split_defects", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraMap is immutable")
@@ -584,10 +584,6 @@ class HomomorphismReport:
     def injective(self) -> bool:
         return self.injectivity > INJECTIVITY_TOL
 
-    @property
-    def injective_star_homomorphism(self) -> bool:
-        return self.kind == "star_homomorphism" and self.injective
-
     def kind_at(self, tol: float) -> str:
         """The kind these defects give at the tolerance tol."""
         if self.star_defect <= tol and self.mult_defect <= tol:
@@ -611,165 +607,116 @@ def unit_system_defect(F: AlgebraMap) -> float:
     for blocks b != c.  They give f_ij f_kl = f_i0 (f_0j f_k0) f_0l =
     delta_jk f_il, and zero across blocks, so they hold exactly when F is a
     *-homomorphism (Davidson, C*-Algebras by Example, III.1), at O(dim)
-    products against the O(dim^2) pair table of homomorphism_kind.  Per
-    target block the unit images of a source block form an (n, n, m, m)
-    stack S, and both product identities are one batched product.  A NaN
-    defect is kept.  The map keeps its defect, so it is computed once per
-    map; a fresh AlgebraMap of the same matrix computes it again."""
+    products.  A NaN defect is kept.  The map keeps its defect, so it is
+    computed once per map; a fresh AlgebraMap of the same matrix computes it
+    again."""
     if F._unit_system_defect is None:
-        object.__setattr__(F, "_unit_system_defect", _glimm_defect(F))
+        object.__setattr__(F, "_unit_system_defect", _glimm_defect(F.source, F.target, F.matrix))
     return F._unit_system_defect
 
 
-def _glimm_defect(F: AlgebraMap) -> float:
-    """The defect `unit_system_defect` keeps, computed."""
-    layout = list(zip(F.source.offsets(), F.source.blocks))
-    units = [np.zeros((3, n, n)) for _, n in layout]  # squares summed over target blocks
+def _frobenius_squares(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=(-2, -1)) ** 2 by its arithmetic, without its
+    wrapper."""
+    return np.sqrt(np.add.reduce((X.conj() * X).real, axis=(-2, -1))) ** 2
+
+
+def _glimm_defect(source: Algebra, target: Algebra, matrix: np.ndarray) -> float:
+    """The defect of `unit_system_defect` for the map from source to target
+    whose unit images are the columns of matrix, computed.  Per target block
+    the unit images of the k source blocks of one size n form a
+    (k, n, n, m, m) stack S, and both product identities are one batched
+    product."""
+    layout = list(zip(source.offsets(), source.blocks))
+    groups = {}  # block size -> (indices of the blocks, their unit columns)
+    for b, (off, n) in enumerate(layout):
+        idx, cols = groups.setdefault(n, ([], []))
+        idx.append(b)
+        cols.extend(range(off, off + n * n))
+    # squares summed over target blocks
+    units = [np.zeros((len(idx), 3, n, n)) for n, (idx, _) in groups.items()]
     cross = np.zeros((len(layout), len(layout)))
     with np.errstate(all="ignore"):
-        for toff, m in zip(F.target.offsets(), F.target.blocks):
-            rows, ones = F.matrix[toff : toff + m * m], []
-            for (off, n), sq in zip(layout, units):
-                S = rows[:, off : off + n * n].T.reshape(n, n, m, m)
-                want = np.stack([S, np.zeros_like(S)])
-                want[1, range(n), range(n)] = S[0, 0]
-                prod = np.stack([S[:, 0], S[0]])[:, :, None] @ np.stack([S[0], S[:, 0]])[:, None]
-                star = S.conj().transpose(1, 0, 3, 2) - S
-                sq += np.linalg.norm(np.concatenate([star[None], prod - want]), axis=(-2, -1)) ** 2
-                ones.append(np.trace(S))
-            U = np.stack(ones)
-            cross += np.linalg.norm(U[:, None] @ U[None], axis=(-2, -1)) ** 2
+        for toff, m in zip(target.offsets(), target.blocks):
+            rows, ones = matrix[toff : toff + m * m], np.empty((len(layout), m, m), dtype=complex)
+            for (n, (idx, cols)), sq in zip(groups.items(), units):
+                k = len(idx)
+                S = rows[:, cols].T.reshape(k, n, n, m, m)
+                # [f_i0, f_0i] times [f_0j, f_j0] gives f_i0 f_0j and f_0i f_j0
+                factors = np.empty((2, 2, k, n, m, m), dtype=complex)
+                factors[0, 0], factors[0, 1] = S[:, :, 0], S[:, 0]
+                factors[1, 0], factors[1, 1] = S[:, 0], S[:, :, 0]
+                X = np.empty((k, 3, n, n, m, m), dtype=complex)
+                np.subtract(S.conj().transpose(0, 2, 1, 4, 3), S, out=X[:, 0])
+                products = X[:, 1:].swapaxes(0, 1)  # a view
+                np.matmul(factors[0, :, :, :, None], factors[1, :, :, None], out=products)
+                X[:, 1] -= S
+                diagonal = X[:, 2].reshape(k, n * n, m, m)[:, :: n + 1]  # a view
+                diagonal -= S[:, 0, 0][:, None]
+                sq += _frobenius_squares(X)
+                # F(1_b), each block's diagonal summed along a contiguous axis
+                ones[idx] = np.ascontiguousarray(S.diagonal(0, 1, 2)).sum(axis=-1)
+            cross += _frobenius_squares(ones[:, None] @ ones[None])
         np.fill_diagonal(cross, 0.0)
         found = np.concatenate([sq.ravel() for sq in units] + [cross.ravel()])
     return float(np.sqrt(np.max(found)))
 
 
-def pair_table_bound(F: AlgebraMap) -> tuple[float, float]:
-    """The constants (C, rho) of the reverse bound from the Glimm defect
-    delta = unit_system_defect(F) to the pair table of homomorphism_kind:
-    as computed in floating point, its mult_defect is at most
-    C (delta + rho) + rho and its star_defect at most delta + 2 rho.
-
-    In exact arithmetic, with K the largest Frobenius norm of a unit image
-    f_ij (a column norm of the matrix) and |x y| <= |x| |y|, let
-    a_ij = f_i0 f_0j - f_ij and c_jk = f_0j f_k0 - delta_jk f_00, each at
-    most delta.  Within a source block
-
-        f_ij f_kl - delta_jk f_il = delta_jk (a_il + a_i0 f_0l)
-                                    + f_i0 c_jk f_0l - f_i0 f_0j a_kl - a_ij f_kl,
-
-    at most C_in delta with C_in = 1 + 2K + 2K^2.  Across source blocks
-    b != c, with P = F(1_b), Q = F(1_c), |P| <= n_b K and |P Q| <= delta, the
-    errors E_1 = f_ij P - f_ij and E_2 = Q f_kl - f_kl are sums of n_b and
-    n_c pair defects within one block, and
-
-        f_ij f_kl = f_ij (P Q) f_kl - f_ij P E_2 - E_1 f_kl
-
-    is at most (K^2 + n_b K C_in (n_c K + 1)) delta: at most C_x delta with
-    C_x = K^2 + N_1 K C_in (N_2 K + 1), N_1 >= N_2 the two largest block
-    sizes.  C is the larger of C_in and C_x (C_x only with two blocks or
-    more), and the star identities f_ij* = f_ji are the same in both.
-
-    rho covers the rounding of either computed defect.  Every factor of a
-    product in either computation has norm at most L = N_1 K, and
-    first-order bounds for blockwise products and sums of squares (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.5 and 4.2) put each
-    computed defect within (D + 4) eps (1 + L)^2 of its exact value, D the
-    larger total dimension and eps the machine epsilon, while the defects
-    are below 1; rho is four times that.  A non-finite K gives a non-finite
-    C, which certifies nothing.
-    """
-    sizes = sorted(F.source.blocks, reverse=True)
-    with np.errstate(over="ignore"):
-        K = float(np.max(np.linalg.norm(F.matrix, axis=0)))
-    # Python float products overflow to inf, where ** would raise
-    c_in = 1 + 2 * K + 2 * K * K
-    C = c_in if len(sizes) == 1 else max(c_in, K * K + sizes[0] * K * c_in * (sizes[1] * K + 1))
-    L = sizes[0] * K
-    D = max(F.source.total_dim, F.target.total_dim)
-    return C, 4 * (D + 4) * float(np.finfo(float).eps) * (1 + L) * (1 + L)
-
-
-def units_certify_star_homomorphism(F: AlgebraMap) -> bool:
-    """True when Glimm's identities prove that homomorphism_kind(F) finds a
-    *-homomorphism at its default tolerance tol: when the reverse bound of
-    `pair_table_bound` keeps both pair-table defects within tol,
-    C (unit_system_defect(F) + rho) + rho <= tol.  O(dim) products; False
-    decides nothing, and a NaN defect gives False."""
-    C, rho = pair_table_bound(F)
-    return C * (unit_system_defect(F) + rho) + rho <= max(F.source.atol, F.target.atol)
-
-
-def certify_injective_star_homomorphism(F: AlgebraMap) -> HomomorphismReport | None:
-    """None when Glimm's identities certify F
-    (`units_certify_star_homomorphism`) and F is injective; otherwise the
-    pair table's `homomorphism_kind(F)`, which decides and names the kind.
-    By the reverse bound the table passes whenever the identities do, so F
-    is an injective *-homomorphism exactly when the result is None or its
-    `injective_star_homomorphism` holds, and the verdict is the table's on
-    every input.  The table runs only for a map the identities do not
-    certify."""
-    if units_certify_star_homomorphism(F) and F.min_singular_value() > INJECTIVITY_TOL:
-        return None
-    return homomorphism_kind(F)
-
-
 def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismReport:
     """Classify a linear map as *-homomorphism, Jordan-only, or neither.
 
-    Multiplicativity and the Jordan identity are bilinear in their arguments,
-    so checking all pairs of matrix units decides them on the whole algebra.
-    The Jordan identity on squares is recovered from the symmetrized product
-    by polarization.  Unit images are matrix columns, F(e_ij*) = F(e_ji), and
-    F(e_ij e_kl) = delta_jk F(e_il) within a block, zero across blocks.
+    A Jordan *-homomorphism out of a sum of matrix blocks is a
+    *-homomorphism plus a *-anti-homomorphism, cut apart by a central
+    projection c (Jacobson-Rickart 1950; Kadison, Isometries of operator
+    algebras, 1951).  Three defects decide, each from the unit images
+    f_ij = F(e_ij), the matrix columns:
+    - star_defect, the largest |f_ij* - f_ji|_F;
+    - mult_defect, the Glimm defect `unit_system_defect(F)`, which vanishes
+      exactly when F is a *-homomorphism;
+    - jordan_defect, the Glimm defect of the split x + y -> c F(x) +
+      (F - c F)(y^T), a map out of source + source (`_split_defects`), which
+      vanishes exactly when F is a Jordan *-homomorphism.
 
-    The defects do not depend on tol, so the map keeps them and its table
-    runs once; each call takes the kind at its own tol.  A NaN defect is
-    kept, so it classifies as neither.  A fresh AlgebraMap of the same
-    matrix computes its table again.
+    If the split passes, c F is a *-homomorphism, F - c F a
+    *-anti-homomorphism, and its cross-block identities hold c F(1) (F -
+    c F)(1) = 0, so F(x)^2 = F(x^2); no separate centrality check is
+    needed.  Conversely, for F = pi + sigma so split, p = f_00 f_01 f_10 is
+    pi(e_00) (sigma(e_00) sigma(e_01) = 0) and c = sum_i f_i0 p f_0i is
+    pi(1); a block with n = 1 takes p = f_00, all of it to pi.
+
+    The defects do not depend on tol, so the map keeps them; each call
+    takes the kind at its own tol.  A NaN defect is kept, so it classifies
+    as neither.  A fresh AlgebraMap of the same matrix computes them again.
     """
     if F.matrix.shape != (F.target.total_dim, F.source.total_dim):
         raise ShapeMismatch("map matrix does not match its algebras")
     tol = max(F.source.atol, F.target.atol) if tol is None else tol
-    if F._pair_table is None:
-        object.__setattr__(F, "_pair_table", _pair_table(F))
-    star_defect, jordan_defect, mult_defect = F._pair_table
-    report = HomomorphismReport("", star_defect, jordan_defect, mult_defect, F.min_singular_value())
+    if F._split_defects is None:
+        object.__setattr__(F, "_split_defects", _split_defects(F))
+    star_defect, jordan_defect = F._split_defects
+    report = HomomorphismReport(
+        "", star_defect, jordan_defect, unit_system_defect(F), F.min_singular_value()
+    )
     return replace(report, kind=report.kind_at(tol))
 
 
-def _pair_table(F: AlgebraMap) -> tuple[float, float, float]:
-    """The (star, Jordan, multiplicativity) defects `homomorphism_kind`
-    keeps, computed.  The pair table is computed one row at a time: per
-    target block the unit images form a (d, m, m) stack S, and row u is
-    fu S and S fu."""
-    d = F.source.total_dim
-    stacks = [
-        np.ascontiguousarray(F.matrix[off : off + m * m].T).reshape(d, m, m)
-        for off, m in zip(F.target.offsets(), F.target.blocks)
-    ]
-    # unit u = (b, i, j) sits at off + i n + j; transpose[u] is (b, j, i)
-    transpose = transpose_permutation(F.source).argmax(axis=1)
-
-    rows = []
+def _split_defects(F: AlgebraMap) -> tuple[float, float]:
+    """The (star, Jordan) defects `homomorphism_kind` keeps, computed.  Per
+    target block the unit images of a source block form an (n, n, m, m)
+    stack S, and its part of c is one batched product."""
+    U, t = F.matrix, transpose_order(F.source)
+    c = []
     with np.errstate(all="ignore"):
-        star = _stacked_frobenius([S[transpose] - S.conj().transpose(0, 2, 1) for S in stacks])
-        for off, n in zip(F.source.offsets(), F.source.blocks):
-            for i in range(n):
-                for j in range(n):
-                    tables = []
-                    for S in stacks:
-                        fu = S[off + i * n + j]
-                        fuv = np.matmul(fu, S)
-                        # the expected products F(u v) and F(u v + v u):
-                        # F(e_ij e_jl) = F(e_il) and F(e_ki e_ij) = F(e_kj)
-                        table = np.zeros((2,) + S.shape, dtype=complex)
-                        table[:, off + j * n : off + j * n + n] = S[off + i * n : off + i * n + n]
-                        table[1, off + i : off + n * n : n] += S[off + j : off + n * n : n]
-                        table[0] -= fuv
-                        table[1] -= fuv + np.matmul(S, fu)
-                        tables.append(table.reshape((2 * d,) + S.shape[1:]))
-                    rows.append(np.max(_stacked_frobenius(tables).reshape(2, d), axis=1))
-    mult_defect, jordan_defect = (float(x) for x in np.max(rows, axis=0))
-    return float(np.max(star)), jordan_defect, mult_defect
-
+        # column u of U[:, t] is f_ji, and vec(x*) is conj(vec(x)) read transposed
+        star = np.linalg.norm(U[:, t] - U.conj()[transpose_order(F.target)], axis=0)
+        for toff, m in zip(F.target.offsets(), F.target.blocks):
+            rows, c_t = U[toff : toff + m * m], np.zeros((m, m), dtype=complex)
+            for off, n in zip(F.source.offsets(), F.source.blocks):
+                S = rows[:, off : off + n * n].T.reshape(n, n, m, m)
+                p = S[0, 0] if n == 1 else S[0, 0] @ S[0, 1] @ S[1, 0]
+                c_t += (S[:, 0] @ p @ S[0]).sum(axis=0)
+            c.append(c_t)
+        cU = apply_left(AlgebraElement._raw(F.target, c), U)
+        split = np.concatenate([cU, (U - cU)[:, t]], axis=1)
+    doubled = Algebra(F.source.blocks + F.source.blocks)
+    return float(np.max(star)), _glimm_defect(doubled, F.target, split)

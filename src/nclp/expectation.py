@@ -37,7 +37,6 @@ from .algebra import (
     apply_left,
     apply_right,
     cluster_projection,
-    pair_table_bound,
     pullback_density,
     spectral_clusters,
     trace_row,
@@ -488,6 +487,40 @@ def _positivity_samples(parent: Algebra) -> tuple[np.ndarray, np.ndarray]:
     return samples, scales
 
 
+def _unit_product_bound(F: AlgebraMap) -> float:
+    """The constant C with which Glimm's identities bound products of
+    units: in exact arithmetic, with delta = unit_system_defect(F), every
+    product f_ij f_kl of two unit images is within C delta of
+    delta_jk f_il in one source block and of 0 across blocks, in Frobenius
+    norm.
+
+    With K the largest Frobenius norm of a unit image f_ij (a column norm of
+    the matrix) and |x y| <= |x| |y|, let a_ij = f_i0 f_0j - f_ij and
+    c_jk = f_0j f_k0 - delta_jk f_00, each at most delta.  Within a source
+    block
+
+        f_ij f_kl - delta_jk f_il = delta_jk (a_il + a_i0 f_0l)
+                                    + f_i0 c_jk f_0l - f_i0 f_0j a_kl - a_ij f_kl,
+
+    at most C_in delta with C_in = 1 + 2K + 2K^2.  Across source blocks
+    b != c, with P = F(1_b), Q = F(1_c), |P| <= n_b K and |P Q| <= delta, the
+    errors E_1 = f_ij P - f_ij and E_2 = Q f_kl - f_kl are sums of n_b and
+    n_c defects within one block, and
+
+        f_ij f_kl = f_ij (P Q) f_kl - f_ij P E_2 - E_1 f_kl
+
+    is at most (K^2 + n_b K C_in (n_c K + 1)) delta: at most C_x delta with
+    C_x = K^2 + N_1 K C_in (N_2 K + 1), N_1 >= N_2 the two largest block
+    sizes.  C is the larger of C_in and C_x (C_x only with two blocks or
+    more).  A non-finite K gives a non-finite C, which certifies nothing."""
+    sizes = sorted(F.source.blocks, reverse=True)
+    with np.errstate(over="ignore"):
+        K = float(np.max(np.linalg.norm(F.matrix, axis=0)))
+    # Python float products overflow to inf, where ** would raise
+    c_in = 1 + 2 * K + 2 * K * K
+    return c_in if len(sizes) == 1 else max(c_in, K * K + sizes[0] * K * c_in * (sizes[1] * K + 1))
+
+
 def _closed_form(A: Subalgebra, state: State) -> tuple[np.ndarray, float, float]:
     """(M, epsilon, ratio): the matrix M = fl(Pi W) of the expectation in
     the units f_ij of the certified decomposition, Pi = its embedding's
@@ -504,14 +537,15 @@ def _closed_form(A: Subalgebra, state: State) -> tuple[np.ndarray, float, float]
       embedding, which bounds |Pi|_2 and every unit's norm; P = |Pi|_F and
       w = |W|_F, which bound the 2-norms of W and of the entrywise moduli
       abs(Pi) and abs(W); a = p w, b = P w;
-    - eta = 4 (D + 4) eps, the first-order rounding allowance of a product
-      or sum over at most D terms, as in `pair_table_bound`; so
+    - eta = 4 (D + 4) eps, four times the first-order rounding bound of a
+      product or sum over at most D terms (Higham, Accuracy and Stability of
+      Numerical Algorithms, 3.5 and 4.2); so
       M = Pi W + R with |R|_2 <= eta b, and |W Pi - I|_2 <= epsilon + eta b;
     - delta, the Glimm defect kept on the embedding, within
       theta = 4 (m + 4) eps (1 + L)^2 of its exact value (m the largest
       target block, L = p for one factor and n p for several, the norm of a
       factor unit in the cross identities), so the exact defect is at most
-      delta' = delta + theta; C from `pair_table_bound`, so each product
+      delta' = delta + theta; C from `_unit_product_bound`, so each product
       f_u f_v of two units is within C delta' of f_{uv}; n the largest
       factor; a generator is a unit or a factor unit 1_b = sum_i f_ii, of
       norm at most alpha = n p, and its product with a unit is within
@@ -568,7 +602,7 @@ def _closed_form(A: Subalgebra, state: State) -> tuple[np.ndarray, float, float]
     L = p if len(small.blocks) == 1 else n * p
     theta = 4 * (max(parent.blocks) + 4) * _EPS * (1 + L) ** 2
     delta = unit_system_defect(dec.embed) + theta
-    g = n * (pair_table_bound(dec.embed)[0] * delta + eta * p * p)
+    g = n * (_unit_product_bound(dec.embed) * delta + eta * p * p)
     alpha, r, tau = n * p, state.density.frobenius(), float(tau.min())
     gamma = (p * r * g + eta * p * p * r * (alpha + 1)) / tau
     positive = small.total_dim * r * p * p * ((2 + p) * delta + eta * p) / tau

@@ -21,12 +21,13 @@ import numpy as np
 
 from .algebra import (
     _CACHE_SIZE,
+    INJECTIVITY_TOL,
     Algebra,
     AlgebraElement,
     AlgebraMap,
     State,
     apply_left,
-    certify_injective_star_homomorphism,
+    homomorphism_kind,
     trace_row,
     unit_system_defect,
 )
@@ -88,13 +89,11 @@ class IsometryData:
         algebras, the reference state is faithful, w* w = pi(1) and phibar
         restricts through pi to the reference state, the last two within tol.
 
-        pi is decided by `certify_injective_star_homomorphism`: Glimm's
-        identities pass it at once when they certify it and it is injective;
-        otherwise the pair table decides and names the kind.  By the reverse
-        bound the verdict is the pair table's either way.  Every input is
-        immutable, so the tolerance of the last pass is kept on the instance
-        and a call at that tolerance or a looser one returns at once; a
-        failure keeps nothing."""
+        pi passes by `_is_injective_star_homomorphism`, the rule of stage 2
+        of `classify`; `homomorphism_kind` only names the kind of a pi that
+        fails.  Every input is immutable, so the tolerance of the last pass
+        is kept on the instance and a call at that tolerance or a looser one
+        returns at once; a failure keeps nothing."""
         kept = self.__dict__.get("_validated_at")
         if kept is not None and tol >= kept:
             return
@@ -102,9 +101,9 @@ class IsometryData:
             raise DataInvalid("homomorphism does not match the declared algebras")
         if not self.reference_state.faithful:
             raise NonFaithful("reference state must be faithful")
-        report = certify_injective_star_homomorphism(self.pi)
-        if report is not None and not report.injective_star_homomorphism:
-            raise DataInvalid(f"pi is not an injective *-homomorphism ({report.kind})")
+        if not _is_injective_star_homomorphism(self.pi):
+            kind = homomorphism_kind(self.pi).kind
+            raise DataInvalid(f"pi is not an injective *-homomorphism ({kind})")
         if not _support_defect(self.w, self.pi) <= tol:
             raise DataInvalid("w* w differs from pi(1)")
         # the preserved state must restrict through pi to the reference state
@@ -112,6 +111,15 @@ class IsometryData:
         if not defect <= tol:
             raise DataInvalid(f"state restriction defect {defect:.3e}")
         self.__dict__["_validated_at"] = tol
+
+
+def _is_injective_star_homomorphism(pi: AlgebraMap) -> bool:
+    """pi passes as an injective *-homomorphism: its Glimm defect
+    (`unit_system_defect`, kept on pi) is within max(source.atol,
+    target.atol) and its smallest singular value exceeds INJECTIVITY_TOL.
+    A NaN defect fails."""
+    tol = max(pi.source.atol, pi.target.atol)
+    return unit_system_defect(pi) <= tol and pi.min_singular_value() > INJECTIVITY_TOL
 
 
 def _support_defect(w: AlgebraElement, pi: AlgebraMap) -> float:
@@ -519,12 +527,10 @@ def classify(
     The matrix of T is read at the exponent p, whatever T.p is.
 
     The reported multiplicativity is pi's Glimm defect delta
-    (`unit_system_defect`, kept on pi), and its threshold is the
-    certificate's: pi passes at once when C (delta + rho) + rho is within
-    the pair table's tolerance, (C, rho) from `pair_table_bound`, and pi is
-    injective.  Above that threshold the pair table of `homomorphism_kind`
-    decides, and names the kind, as before; by the reverse bound every
-    verdict is the table's.  A pi that `extract_pi` refuses reports inf.
+    (`unit_system_defect`, kept on pi), and pi passes when delta is within
+    max(source.atol, target.atol) and pi is injective
+    (`_is_injective_star_homomorphism`), as in `IsometryData.validate`.  A
+    pi that `extract_pi` refuses reports inf.
     """
     p = float(p)
     if p == 2.0:
@@ -563,9 +569,8 @@ def classify(
     except NotAnIsometry:
         defects["multiplicativity"] = float("inf")
         return reject("multiplicativity")
-    report = certify_injective_star_homomorphism(pi)
     defects["multiplicativity"] = unit_system_defect(pi)
-    if report is not None and not report.injective_star_homomorphism:
+    if not _is_injective_star_homomorphism(pi):
         return reject("multiplicativity")
 
     # stage 3: polar data

@@ -396,7 +396,10 @@ class LpMap:
         )
 
     def at_exponent(self, p: float) -> "LpMap":
-        """The same matrix acting between L_p spaces at another exponent."""
+        """The same matrix acting between L_p spaces at another exponent; the
+        map itself at its own exponent, so what it keeps is found once."""
+        if float(p) == self.p:
+            return self
         return LpMap(self.source, self.target, p, self.matrix)
 
     def __repr__(self):

@@ -39,7 +39,7 @@ from .errors import (
     TraceConditionViolated,
 )
 from .isometry import _norm_defect, _sample_rows, grid_witness, two_isometry_defect
-from .lp import LpMap, LpVector, amplified_algebra, lp_norm, lp_norms, mazur_map, polar_decompose
+from .lp import LpMap, LpVector, amplified_algebra, lp_norms, mazur_map, polar_decompose
 
 
 def _weights(algebra, trace_weights: Sequence[float] | None) -> tuple[float, ...]:
@@ -51,10 +51,6 @@ def _weights(algebra, trace_weights: Sequence[float] | None) -> tuple[float, ...
     if any(t <= 0 for t in w):
         raise DataInvalid("trace weights must be positive")
     return w
-
-
-def weighted_lp_norm(h: LpVector, trace_weights: Sequence[float] | None) -> float:
-    return lp_norm(h, weights=_weights(h.algebra, trace_weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +216,8 @@ def jordan_dichotomy_report(
     the report also states whether that biconditional held numerically.
     """
     weights = _weights(triple.J.source, trace_weights)
-    # J keeps its pair table, so the assembly and this report each take the
-    # kind at their own tolerance from one table
+    # J keeps its defects, so the assembly and this report each take the
+    # kind at their own tolerance from one computation
     report = homomorphism_kind(triple.J)
     T = _assemble_yeadon_map(triple, float(p), weights)
     samples = _sample_rows(triple.J.source, 20, np.random.default_rng(11))

@@ -13,9 +13,13 @@ SVD call per block and the Clarkson witness from element products, where
 `nclp.lp` makes one SVD call per distinct block size and multiplies blocks;
 `frobenius_by_norm` takes the Frobenius norm through np.linalg.norm of each
 block, whose arithmetic `nclp.algebra` repeats without its wrapper.
-`validate_by_pair_table` checks isometry data with the all-pairs table of
-`homomorphism_kind`, where `IsometryData.validate` first tries Glimm's
-identities.  `matrix_to_json_by_entries` and `matrix_from_json_by_entries`
+`pair_table_kind` classifies a map by the all-pairs table of its unit
+images, one row of pairs at a time, where `homomorphism_kind` reads Glimm's
+identities of the map and of its Jordan split; `validate_by_pair_table`
+checks isometry data with that table, where `IsometryData.validate` reads
+Glimm's identities.  `glimm_defect_per_block` computes the Glimm defect one source
+block at a time, where `nclp.algebra._glimm_defect` takes the blocks of one
+size together.  `matrix_to_json_by_entries` and `matrix_from_json_by_entries`
 convert a matrix to and from rows of [re, im] pairs one entry at a time,
 where `nclp.serialize` converts the whole array at once.
 `certify_expectation_by_generators` certifies an expectation matrix with
@@ -43,14 +47,18 @@ composition of two algebra maps or two L_p maps."""
 
 import numpy as np
 
+from dataclasses import replace
+
 from nclp.algebra import (
     AlgebraElement,
     AlgebraMap,
+    HomomorphismReport,
+    _stacked_frobenius,
     apply_left,
     apply_right,
-    homomorphism_kind,
     matrix_units,
     trace_row,
+    transpose_order,
 )
 from nclp.errors import DataInvalid, ExponentMismatch, NonFaithful, NotInvariant, ShapeMismatch
 from nclp.expectation import _DECOMP_SEED, _certify_expectation, _gaussian, takesaki_invariant
@@ -72,6 +80,73 @@ from nclp.lp import (
 )
 
 
+def glimm_defect_per_block(source, target, matrix: np.ndarray) -> float:
+    """The Glimm defect of `unit_system_defect`, one source block at a time:
+    per target block the unit images of a source block form an (n, n, m, m)
+    stack S, read in place."""
+    layout = list(zip(source.offsets(), source.blocks))
+    units = [np.zeros((3, n, n)) for _, n in layout]  # squares summed over target blocks
+    cross = np.zeros((len(layout), len(layout)))
+    with np.errstate(all="ignore"):
+        for toff, m in zip(target.offsets(), target.blocks):
+            rows, ones = matrix[toff : toff + m * m], []
+            for (off, n), sq in zip(layout, units):
+                S = rows[:, off : off + n * n].T.reshape(n, n, m, m)
+                want = np.stack([S, np.zeros_like(S)])
+                want[1, range(n), range(n)] = S[0, 0]
+                prod = np.stack([S[:, 0], S[0]])[:, :, None] @ np.stack([S[0], S[:, 0]])[:, None]
+                star = S.conj().transpose(1, 0, 3, 2) - S
+                sq += np.linalg.norm(np.concatenate([star[None], prod - want]), axis=(-2, -1)) ** 2
+                ones.append(np.trace(S))
+            U = np.stack(ones)
+            cross += np.linalg.norm(U[:, None] @ U[None], axis=(-2, -1)) ** 2
+        np.fill_diagonal(cross, 0.0)
+        found = np.concatenate([sq.ravel() for sq in units] + [cross.ravel()])
+    return float(np.sqrt(np.max(found)))
+
+
+def pair_table_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismReport:
+    """homomorphism_kind by the all-pairs table: the star defect, and the
+    largest Frobenius defects of F(u v) = F(u) F(v) and of F(u v + v u) =
+    F(u) F(v) + F(v) F(u) over all pairs of matrix units u, v, which decide
+    multiplicativity and the Jordan identity on the whole algebra, since
+    both are bilinear.  The table is computed one row at a time: per target
+    block the unit images form a (d, m, m) stack S, and row u is fu S and
+    S fu.  A NaN defect is kept, so it classifies as neither."""
+    tol = max(F.source.atol, F.target.atol) if tol is None else tol
+    d = F.source.total_dim
+    stacks = [
+        np.ascontiguousarray(F.matrix[off : off + m * m].T).reshape(d, m, m)
+        for off, m in zip(F.target.offsets(), F.target.blocks)
+    ]
+    # unit u = (b, i, j) sits at off + i n + j; transpose[u] is (b, j, i)
+    transpose = transpose_order(F.source)
+    rows = []
+    with np.errstate(all="ignore"):
+        star = _stacked_frobenius([S[transpose] - S.conj().transpose(0, 2, 1) for S in stacks])
+        for off, n in zip(F.source.offsets(), F.source.blocks):
+            for i in range(n):
+                for j in range(n):
+                    tables = []
+                    for S in stacks:
+                        fu = S[off + i * n + j]
+                        fuv = np.matmul(fu, S)
+                        # the expected products F(u v) and F(u v + v u):
+                        # F(e_ij e_jl) = F(e_il) and F(e_ki e_ij) = F(e_kj)
+                        table = np.zeros((2,) + S.shape, dtype=complex)
+                        table[:, off + j * n : off + j * n + n] = S[off + i * n : off + i * n + n]
+                        table[1, off + i : off + n * n : n] += S[off + j : off + n * n : n]
+                        table[0] -= fuv
+                        table[1] -= fuv + np.matmul(S, fu)
+                        tables.append(table.reshape((2 * d,) + S.shape[1:]))
+                    rows.append(np.max(_stacked_frobenius(tables).reshape(2, d), axis=1))
+    mult_defect, jordan_defect = (float(x) for x in np.max(rows, axis=0))
+    report = HomomorphismReport(
+        "", float(np.max(star)), jordan_defect, mult_defect, F.min_singular_value()
+    )
+    return replace(report, kind=report.kind_at(tol))
+
+
 def validate_by_pair_table(data, tol: float = 1e-6) -> None:
     """IsometryData.validate with pi decided by the pair table alone: its
     checks, messages and order of checks, and nothing kept."""
@@ -79,7 +154,7 @@ def validate_by_pair_table(data, tol: float = 1e-6) -> None:
         raise DataInvalid("homomorphism does not match the declared algebras")
     if not data.reference_state.faithful:
         raise NonFaithful("reference state must be faithful")
-    report = homomorphism_kind(data.pi)
+    report = pair_table_kind(data.pi)
     if report.kind != "star_homomorphism" or not report.injective:
         raise DataInvalid(f"pi is not an injective *-homomorphism ({report.kind})")
     if not _support_defect(data.w, data.pi) <= tol:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nclp.algebra import (
-    certify_injective_star_homomorphism,
     EPS_FAITHFUL,
     Algebra,
     AlgebraElement,
@@ -17,20 +16,20 @@ from nclp.algebra import (
     homomorphism_kind,
     make_algebra,
     matrix_units,
-    pair_table_bound,
     pullback_density,
     random_faithful_state,
     spectral_clusters,
     trace_row,
     transpose_permutation,
     unit_system_defect,
-    units_certify_star_homomorphism,
 )
 from dense_oracles import (
     compose_maps,
     conjugation_map,
     frobenius_by_norm,
+    glimm_defect_per_block,
     left_mult_matrix,
+    pair_table_kind,
     right_mult_matrix,
 )
 from nclp.errors import EmptyBlocks, NonPositiveDim, ShapeMismatch
@@ -339,11 +338,21 @@ def _oracle_maps():
     yield pytest.param(AlgebraMap(src, tgt, dense), "neither", id="dense")
 
 
+def _check_against_the_table(F):
+    """homomorphism_kind against the pair table: the same kind and
+    injectivity, the star defect up to the order of summation, and the
+    Glimm defect as mult_defect.  Returns the table's report."""
+    report, table = homomorphism_kind(F), pair_table_kind(F)
+    assert report.kind == table.kind and report.injectivity == table.injectivity
+    assert abs(report.star_defect - table.star_defect) <= ORACLE_TOL * max(1.0, table.star_defect)
+    assert report.mult_defect == unit_system_defect(F)
+    return table
+
+
 @pytest.mark.parametrize("F, kind", list(_oracle_maps()))
 def test_homomorphism_kind_matches_per_unit_oracle(F, kind):
-    report = homomorphism_kind(F)
-    assert report == _homomorphism_kind_per_unit(F)
-    assert report.kind == kind
+    assert _check_against_the_table(F) == _homomorphism_kind_per_unit(F)
+    assert homomorphism_kind(F).kind == kind
 
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
@@ -379,7 +388,7 @@ def test_trace_row_pairs_with_vectorization():
 
 def _homomorphism_kind_pairs(F, tol=None):
     """Reference: the all-pairs loop over unit images that the row-batched
-    pair table replaces, one element product per pair."""
+    pair table of `pair_table_kind` replaces, one element product per pair."""
     tol = max(F.source.atol, F.target.atol) if tol is None else tol
     units = [(b, i, j) for b, n in enumerate(F.source.blocks) for i in range(n) for j in range(n)]
     images = dict(zip(units, (AlgebraElement.from_vec(F.target, col) for col in F.matrix.T)))
@@ -430,9 +439,8 @@ def test_homomorphism_kind_matches_pair_loop_on_bench_plans(plan):
             AlgebraMap(pi.source, pi.target, pi.matrix @ transpose_permutation(pi.source)),
             AlgebraMap(pi.source, pi.target, pi.matrix + 1e-5 * noise),
         ):
-            report = homomorphism_kind(F)
-            assert report == _homomorphism_kind_pairs(F)
-            kinds.add(report.kind)
+            assert _check_against_the_table(F) == _homomorphism_kind_pairs(F)
+            kinds.add(homomorphism_kind(F).kind)
     assert kinds == {"star_homomorphism", "jordan_only", "neither"}
 
 
@@ -455,9 +463,8 @@ def _pair_loop_extra_maps():
 
 @pytest.mark.parametrize("F, kind", list(_pair_loop_extra_maps()))
 def test_homomorphism_kind_matches_pair_loop(F, kind):
-    report = homomorphism_kind(F)
-    assert report == _homomorphism_kind_pairs(F)
-    assert report.kind == kind
+    assert _check_against_the_table(F) == _homomorphism_kind_pairs(F)
+    assert homomorphism_kind(F).kind == kind
 
 
 def test_homomorphism_kind_keeps_nan_defects():
@@ -548,8 +555,8 @@ def _cross_block_defects(F):
 def _check_unit_system_defect(F):
     """The Glimm identities against the all-pairs table: each is one pair
     of it, or a sum of n_b n_c of its pairs across blocks.  Returns the
-    defect and the report."""
-    report = homomorphism_kind(F)
+    defect and the table's report."""
+    report = pair_table_kind(F)
     defect = unit_system_defect(F)
     units = max(unit_system_defect(_restricted(F, b)) for b in range(len(F.source.blocks)))
     assert units <= max(report.star_defect, report.mult_defect) + 1e-14
@@ -601,6 +608,30 @@ def test_unit_system_defect_keeps_nan():
     assert np.isnan(unit_system_defect(AlgebraMap(F.source, F.target, 1e200 * F.matrix)))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=5),
+    st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    st.sampled_from([1e-3, 1.0, 1e3, 1e200]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_glimm_defect_is_bitwise_the_per_block_kernel(blocks, targets, scale, nan, seed):
+    # blocks of one size taken together give every value of the one-block
+    # kernel bit for bit, overflow and NaN included
+    from nclp.algebra import _glimm_defect
+
+    source, target = make_algebra(blocks), make_algebra(targets)
+    rng = rng_for(seed)
+    shape = (target.total_dim, source.total_dim)
+    matrix = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if nan:
+        matrix[rng.integers(shape[0]), rng.integers(shape[1])] = np.nan
+    got = _glimm_defect(source, target, matrix)
+    want = glimm_defect_per_block(source, target, matrix)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def _frame_embedding(blocks, mults, u):
     """The matrix of x -> u (x_1 (x) 1_mu_1 + ... + x_K (x) 1_mu_K) u* into
     M_N, N = sum n_b mu_b, the copies of x_b placed one after another."""
@@ -640,16 +671,10 @@ def test_unit_system_defect_bounds_on_random_embeddings(blocks, variant, seed):
         assert defect <= 1e-13 and report.kind == "star_homomorphism"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), min_size=1, max_size=3),
-    st.sampled_from(["exact", "transposed", "noisy"]),
-    st.floats(-12.0, -4.0),
-    st.integers(0, 2**32 - 1),
-)
-def test_the_reverse_bound_holds_against_the_pair_table(layout, variant, log_eps, seed):
-    # x -> u (x_1 (x) 1_mu_1 + ...) u*, transposed on every block, or moved
-    # by seeded noise of size eps; several blocks give cross-block pairs
+def _layout_map(layout, variant, log_eps, seed):
+    """x -> u (x_1 (x) 1_mu_1 + ...) u* into M_N for the (n, mu) layout,
+    transposed on every block, or moved by seeded noise of size eps; several
+    blocks give cross-block pairs."""
     blocks, mults = [n for n, _ in layout], [mu for _, mu in layout]
     source = make_algebra(blocks)
     N = sum(n * mu for n, mu in layout)
@@ -660,64 +685,71 @@ def test_the_reverse_bound_holds_against_the_pair_table(layout, variant, log_eps
     elif variant == "noisy":
         noise = rng.standard_normal(matrix.shape) + 1j * rng.standard_normal(matrix.shape)
         matrix = matrix + 10.0**log_eps * noise
-    F = AlgebraMap(source, make_algebra([N]), matrix)
-    report = homomorphism_kind(F)
-    delta = unit_system_defect(F)
-    C, rho = pair_table_bound(F)
-    assert report.mult_defect <= C * (delta + rho) + rho
-    assert report.star_defect <= delta + 2 * rho
-    if units_certify_star_homomorphism(F):
-        assert report.kind == "star_homomorphism"
+    return AlgebraMap(source, make_algebra([N]), matrix)
+
+
+_LAYOUTS = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), min_size=1, max_size=3)
+_VARIANTS = st.sampled_from(["exact", "transposed", "noisy"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_LAYOUTS, _VARIANTS, st.floats(-12.0, -4.0), st.integers(0, 2**32 - 1))
+def test_the_reverse_bound_holds_against_the_pair_table(layout, variant, log_eps, seed):
+    # stage 5's constant C bounds every product of two units by C times the
+    # Glimm defect, in exact arithmetic; the computed table and defect each
+    # carry rounding, within (D + 4) eps (1 + L)^2 of their exact values by
+    # first-order bounds (Higham 3.5 and 4.2), every factor of norm at most
+    # L = N_1 K: the allowance rho is four times that
+    from nclp.expectation import _unit_product_bound
+
+    F = _layout_map(layout, variant, log_eps, seed)
+    table, delta, C = pair_table_kind(F), unit_system_defect(F), _unit_product_bound(F)
+    K = float(np.max(np.linalg.norm(F.matrix, axis=0)))
+    L = max(F.source.blocks) * K
+    D = max(F.source.total_dim, F.target.total_dim)
+    rho = 4 * (D + 4) * np.finfo(float).eps * (1 + L) ** 2
+    assert table.mult_defect <= C * (delta + rho) + rho
+    assert table.star_defect <= delta + 2 * rho
     if variant == "exact":
-        assert units_certify_star_homomorphism(F)
+        assert homomorphism_kind(F).kind == "star_homomorphism"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), min_size=1, max_size=3),
-    st.sampled_from(["exact", "transposed", "noisy"]),
-    st.floats(-12.0, -4.0),
-    st.integers(0, 2**32 - 1),
-)
+@given(_LAYOUTS, _VARIANTS, st.floats(-12.0, -4.0), st.integers(0, 2**32 - 1))
 def test_the_certificate_decides_as_the_pair_table(layout, variant, log_eps, seed):
-    # the layouts of the reverse bound's property: the decision passes
-    # exactly when the table finds an injective *-homomorphism, and the
-    # table runs only for a map the identities do not certify
-    blocks, mults = [n for n, _ in layout], [mu for _, mu in layout]
-    source = make_algebra(blocks)
-    N = sum(n * mu for n, mu in layout)
-    rng = rng_for(seed)
-    matrix = _frame_embedding(blocks, mults, haar_unitary(N, rng))
-    if variant == "transposed":
-        matrix = matrix @ transpose_permutation(source)
-    elif variant == "noisy":
-        noise = rng.standard_normal(matrix.shape) + 1j * rng.standard_normal(matrix.shape)
-        matrix = matrix + 10.0**log_eps * noise
-    target = make_algebra([N])
-    F = AlgebraMap(source, target, matrix)
-    decided = certify_injective_star_homomorphism(F)
-    table = homomorphism_kind(F)
-    passes = decided is None or decided.injective_star_homomorphism
-    assert passes == (table.kind == "star_homomorphism" and table.injective)
-    assert (decided is None) == units_certify_star_homomorphism(F)
-    if decided is not None:
-        assert decided == table
-    fresh = unit_system_defect(AlgebraMap(source, target, matrix))
-    assert np.float64(unit_system_defect(F)).tobytes() == np.float64(fresh).tobytes()
+    # pi passes stage 2 of classify and IsometryData.validate when its
+    # Glimm defect is within the tolerance and it is injective; the table
+    # passes it when its mult_defect is.  By the reverse bound the two can
+    # differ only where both defects lie within a factor C of the tolerance
+    from nclp.expectation import _unit_product_bound
+    from nclp.isometry import _is_injective_star_homomorphism
+
+    F = _layout_map(layout, variant, log_eps, seed)
+    table, delta, C = pair_table_kind(F), unit_system_defect(F), _unit_product_bound(F)
+    tol = max(F.source.atol, F.target.atol)
+
+    def near(x):
+        return tol / C <= x <= C * tol
+
+    if not (near(delta) and near(table.mult_defect)):
+        passes = _is_injective_star_homomorphism(F)
+        assert passes == (table.kind == "star_homomorphism" and table.injective)
+    fresh = unit_system_defect(AlgebraMap(F.source, F.target, F.matrix))
+    assert np.float64(delta).tobytes() == np.float64(fresh).tobytes()
 
 
 def test_the_reverse_bound_names_its_constants():
     # one block of M_2 with multiplicity 2: K = sqrt(2), C = 1 + 2K + 2K^2;
     # with a second block of M_1, C_x = K^2 + 2 K C_in (K + 1) is larger
+    from nclp.expectation import _unit_product_bound
+
     u = np.eye(4)
     F = AlgebraMap(make_algebra([2]), make_algebra([4]), _frame_embedding([2], [2], u))
-    C, rho = pair_table_bound(F)
     K = np.sqrt(2.0)
-    assert C == pytest.approx(1 + 2 * K + 2 * K * K)
-    assert rho == pytest.approx(4 * (16 + 4) * np.finfo(float).eps * (1 + 2 * K) ** 2)
+    assert _unit_product_bound(F) == pytest.approx(1 + 2 * K + 2 * K * K)
     F = AlgebraMap(make_algebra([2, 1]), make_algebra([5]), _frame_embedding([2, 1], [2, 1], np.eye(5)))
     c_in = 1 + 2 * K + 2 * K * K
-    assert pair_table_bound(F)[0] == pytest.approx(K * K + 2 * K * c_in * (K + 1))
+    assert _unit_product_bound(F) == pytest.approx(K * K + 2 * K * c_in * (K + 1))
 
 
 def test_the_glimm_defect_is_kept(monkeypatch):
@@ -727,14 +759,14 @@ def test_the_glimm_defect_is_kept(monkeypatch):
     pi = random_isometry_data(3).pi
     matrices = (pi.matrix, 1e200 * pi.matrix)  # the second overflows to NaN
     maps = [AlgebraMap(pi.source, pi.target, m) for m in matrices]
-    expected = [algebra_module._glimm_defect(F) for F in maps]
+    expected = [algebra_module._glimm_defect(F.source, F.target, F.matrix) for F in maps]
     calls = []
     real = algebra_module._glimm_defect
-    monkeypatch.setattr(algebra_module, "_glimm_defect", lambda F: calls.append(F) or real(F))
+    monkeypatch.setattr(algebra_module, "_glimm_defect", lambda *a: calls.append(a[2]) or real(*a))
     for F, want in zip(maps, expected):
         got = [unit_system_defect(F) for _ in range(3)]
         assert np.array_equal(got, [want] * 3, equal_nan=True)
-    assert calls == maps
+    assert [id(m) for m in calls] == [id(F.matrix) for F in maps]
     # a fresh map of the same matrix computes it again
     unit_system_defect(AlgebraMap(pi.source, pi.target, pi.matrix))
     assert len(calls) == 3
@@ -767,7 +799,7 @@ def _report_bits(report):
     return (report.kind,) + tuple(float(x).hex() for x in values)
 
 
-def test_the_pair_table_is_kept_per_map():
+def test_the_kind_defects_are_kept_per_map():
     import itertools
 
     from nclp.samples import random_isometry_data
@@ -795,7 +827,7 @@ def test_the_pair_table_is_kept_per_map():
     assert seen == {"star_homomorphism", "jordan_only", "neither"}
 
 
-def test_the_pair_table_runs_once_per_map(monkeypatch):
+def test_the_split_runs_once_per_map(monkeypatch):
     import nclp.algebra as algebra_module
     from nclp.errors import DataInvalid
     from nclp.isometry import IsometryData
@@ -803,37 +835,108 @@ def test_the_pair_table_runs_once_per_map(monkeypatch):
     from nclp.yeadon import build_yeadon_map, jordan_dichotomy_report
 
     calls = []
-    real = algebra_module._pair_table
-    monkeypatch.setattr(algebra_module, "_pair_table", lambda F: calls.append(F) or real(F))
+    real = algebra_module._split_defects
+    monkeypatch.setattr(algebra_module, "_split_defects", lambda F: calls.append(F) or real(F))
     triple, weights = transpose_triple(2)
     J = triple.J
     build_yeadon_map(triple, 3.0, weights)
     assert jordan_dichotomy_report(triple, 3.0, weights).kind == "jordan_only"
-    # IsometryData.validate falls back to the pair table for a pi that
-    # Glimm's identities cannot certify, as the transpose
+    # IsometryData.validate rejects the transpose by its Glimm defect and
+    # names the kind from the defects J keeps
     data = IsometryData(J.source, J.target, J, triple.w, None, random_faithful_state(J.source, 0))
     with pytest.raises(DataInvalid, match=r"\(jordan_only\)"):
         data.validate()
     assert calls == [J]
-    # a fresh map of the same matrix runs its own table
+    # a fresh map of the same matrix computes its own
     assert homomorphism_kind(AlgebraMap(J.source, J.target, J.matrix)) == homomorphism_kind(J)
     assert len(calls) == 2
 
 
-def test_a_nan_pair_table_defect_is_kept(monkeypatch):
+def test_a_nan_split_defect_is_kept(monkeypatch):
     import nclp.algebra as algebra_module
     from nclp.samples import random_isometry_data
 
     pi = random_isometry_data(0).pi
     F = AlgebraMap(pi.source, pi.target, 1e200 * pi.matrix)  # products overflow to NaN
     calls = []
-    real = algebra_module._pair_table
-    monkeypatch.setattr(algebra_module, "_pair_table", lambda F: calls.append(F) or real(F))
+    real = algebra_module._split_defects
+    monkeypatch.setattr(algebra_module, "_split_defects", lambda F: calls.append(F) or real(F))
     for tol in (None, 1e-9, 1.0, np.inf):
         report = homomorphism_kind(F, tol)
         assert np.isnan(report.mult_defect) and np.isnan(report.jordan_defect)
         assert report.kind == report.kind_at(np.inf) == "neither"
     assert calls == [F]
+
+
+def _jordan_layout(blocks, copies, corner, seed):
+    """x -> u (sum over the copies of x_b or x_b^T) u* into M_N, one list
+    of flags per source block b (True for a transposed copy), with a zero
+    corner of size `corner`; u is a Haar frame."""
+    N = sum(n * len(flags) for n, flags in zip(blocks, copies)) + corner
+    u = haar_unitary(N, rng_for(seed))
+    cols, start = [], 0
+    starts = []
+    for n, flags in zip(blocks, copies):
+        starts.append([start + r * n for r in range(len(flags))])
+        start += n * len(flags)
+    for n, flags, offsets in zip(blocks, copies, starts):
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((N, N), dtype=complex)
+                for flip, o in zip(flags, offsets):
+                    r, c = (j, i) if flip else (i, j)
+                    e[o + r, o + c] = 1.0
+                cols.append((u @ e @ u.conj().T).reshape(-1))
+    return AlgebraMap(make_algebra(blocks), make_algebra([N]), np.column_stack(cols))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 3), st.lists(st.booleans(), min_size=1, max_size=2)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_jordan_split_decides_as_the_pair_table(layout, corner, seed):
+    # a *-homomorphism plus a *-anti-homomorphism with orthogonal ranges,
+    # copy by copy in a Haar frame: the split passes, and the kind is the
+    # table's (jordan_only when a block of size 2 or more has a transposed
+    # copy, a *-homomorphism otherwise)
+    blocks, copies = [n for n, _ in layout], [flags for _, flags in layout]
+    F = _jordan_layout(blocks, copies, corner, seed)
+    report = homomorphism_kind(F)
+    assert report.jordan_defect <= 1e-12
+    assert report.kind == pair_table_kind(F).kind
+    flipped = any(n >= 2 and any(flags) for n, flags in zip(blocks, copies))
+    assert report.kind == ("jordan_only" if flipped else "star_homomorphism")
+
+
+def test_the_split_defect_is_linear_in_the_noise():
+    F = _jordan_layout([3], [[False, True, False]], 0, 4)
+    noise = rng_for(5).standard_normal(F.matrix.shape) * (1 + 1j)
+    ratios = []
+    for eps in (1e-10, 1e-8, 1e-6):
+        moved = AlgebraMap(F.source, F.target, F.matrix + eps * noise)
+        ratios.append(homomorphism_kind(moved).jordan_defect / eps)
+    assert max(ratios) <= 1.01 * min(ratios) and min(ratios) > 0.1
+
+
+def test_positive_maps_that_are_not_jordan_are_neither():
+    # the diagonal expectation on M_3 and the trace state fail the split
+    alg = make_algebra([3])
+    diag = AlgebraMap.from_callable(
+        alg, alg, lambda x: AlgebraElement(alg, [np.diag(np.diag(x.data[0]))])
+    )
+    trace = AlgebraMap.from_callable(
+        alg, make_algebra([1]), lambda x: AlgebraElement(make_algebra([1]), [[[x.trace() / 3]]])
+    )
+    for F in (diag, trace):
+        report = homomorphism_kind(F)
+        assert report.kind == pair_table_kind(F).kind == "neither"
+        assert report.jordan_defect > 0.1
 
 
 _VIEWS = {

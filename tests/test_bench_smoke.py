@@ -1,7 +1,10 @@
 """Smoke test of the benchmark workloads: one set-up at seed 0, then one
 operation of each kind through its own output check, so a change that turns
-benchmark operations into failures shows up in the test suite."""
+benchmark operations into failures shows up in the test suite.  Every layer
+boundary the tracer wraps must still exist, so that removing a function
+from the package cannot break a traced run."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+TRACING_PY = WORKLOADS_PY.parent / "tracing.py"
 
 
 def _workloads():
@@ -36,3 +40,12 @@ def test_one_operation_of_each_kind_passes_its_check(name):
     for kind, op in firsts.items():
         result = op.check(op.run())
         assert result["ok"], (kind, op.label, result)
+
+
+def test_every_traced_function_resolves():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PY)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, name in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(f"nclp.{module}"), name)), (module, name)

@@ -1078,21 +1078,21 @@ def test_the_exact_bench_plans_run_no_module_identities(monkeypatch):
 
 
 def test_a_bound_miss_runs_the_whole_certificate(monkeypatch):
-    # a huge pair-table constant makes the module bound miss; the same M is
+    # a huge unit-product constant makes the module bound miss; the same M is
     # then certified by the module identities of every generator, per side
     calls = _count_module_defects(monkeypatch)
     data = _plan_data("M1")
     A, state = Subalgebra.from_map_image(data.pi), data.phibar
     want = construct_expectation(A, state).map.matrix
     assert calls == []
-    monkeypatch.setattr(expectation_module, "pair_table_bound", lambda F: (1e30, 0.0))
+    monkeypatch.setattr(expectation_module, "_unit_product_bound", lambda F: 1e30)
     assert _closed_form(A, state)[2] > 1.0
     got = construct_expectation(A, state).map.matrix
     assert np.array_equal(got, want)
     assert sum(calls) == 2 * len(A.generators)
     # and a NaN bound certifies nothing
     calls.clear()
-    monkeypatch.setattr(expectation_module, "pair_table_bound", lambda F: (np.nan, 0.0))
+    monkeypatch.setattr(expectation_module, "_unit_product_bound", lambda F: np.nan)
     construct_expectation(A, state)
     assert sum(calls) == 2 * len(A.generators)
 

@@ -14,7 +14,6 @@ from nclp.algebra import (
     random_faithful_state,
     transpose_permutation,
     unit_system_defect,
-    units_certify_star_homomorphism,
 )
 from dense_oracles import (
     NORM_ROUNDING,
@@ -24,6 +23,7 @@ from dense_oracles import (
     norm_defect_on_full_images,
     structured_witnesses,
     support_bound,
+    pair_table_kind,
     tensor_embed,
     validate_by_pair_table,
 )
@@ -712,20 +712,32 @@ def _fresh(matrix, pi):
 def test_classify_certifies_pi_and_the_restriction_once(monkeypatch):
     data = random_isometry_data(2)
     T = build_isometry(data, 3.0)
-    tables = _counting(monkeypatch, algebra_module, "homomorphism_kind")
+    kinds = _counting(monkeypatch, isometry_module, "homomorphism_kind")
     glimm = _counting(monkeypatch, algebra_module, "_glimm_defect")
     restrictions = _counting(monkeypatch, isometry_module, "verify_state_restriction")
     report = classify(T, data.reference_state, 3.0)
     assert report.accepted
     pi = report.data.pi
-    # Glimm's identities certify pi at stage 2, and the image certificate
-    # of stage 5 reads the defect pi keeps: no pair table, one defect
-    assert tables == [] and len(restrictions) == 1
-    assert [args[0] for args in glimm] == [pi]
+    # Glimm's identities pass pi at stage 2, and the image certificate of
+    # stage 5 reads the defect pi keeps: no kind is named, one defect
+    assert kinds == [] and len(restrictions) == 1
+    assert len(glimm) == 1 and glimm[0][2] is pi.matrix
     # the accepted data still passes the full validation, on the kept defect
     report.data.validate()
-    assert tables == [] and len(glimm) == 1
+    assert kinds == [] and len(glimm) == 1
     assert report.defects["multiplicativity"] == unit_system_defect(_fresh(pi.matrix, pi))
+
+
+def test_classify_finds_the_image_supports_once_per_map(monkeypatch):
+    # at its own exponent classify reads the map itself, so the supports
+    # the first call finds are kept for the second
+    data = random_isometry_data(2)
+    T = build_isometry(data, 3.0)
+    found = _counting(monkeypatch, isometry_module, "_ImageSupport")
+    first = classify(T, data.reference_state, 3.0)
+    second = classify(T, data.reference_state, 3.0)
+    assert first.accepted and second.defects == first.defects
+    assert len(found) == len(T.target.blocks) and T.at_exponent(3) is T
 
 
 def _noisy_pi(pi, eps, seed):
@@ -737,9 +749,11 @@ def _noisy_pi(pi, eps, seed):
 
 
 @pytest.mark.parametrize("variant", ["transposed", "noisy"])
-def test_classify_takes_the_pair_table_for_a_pi_the_identities_cannot_certify(
-    monkeypatch, variant
-):
+def test_classify_decides_pi_by_its_glimm_defect(monkeypatch, variant):
+    # stage 2 passes pi exactly when its Glimm defect is within the
+    # tolerance and pi is injective, and names no kind: the transpose
+    # rejects there, and 1e-9 of relative noise passes, as the pair
+    # table's mult_defect does
     data = random_isometry_data(3)
     T = build_isometry(data, 3.0)
     pi = data.pi
@@ -747,43 +761,40 @@ def test_classify_takes_the_pair_table_for_a_pi_the_identities_cannot_certify(
         bad = _fresh(pi.matrix @ transpose_permutation(data.source), pi)
     else:
         bad = _noisy_pi(pi, 1e-9, 3)
-    assert not units_certify_star_homomorphism(_fresh(bad.matrix, pi))
+    tol = max(pi.source.atol, pi.target.atol)
+    delta = unit_system_defect(_fresh(bad.matrix, pi))
     monkeypatch.setattr(isometry_module, "extract_pi", lambda T, phi: bad)
-    tables = _counting(monkeypatch, algebra_module, "homomorphism_kind")
+    kinds = _counting(monkeypatch, isometry_module, "homomorphism_kind")
     glimm = _counting(monkeypatch, algebra_module, "_glimm_defect")
     report = classify(T, data.reference_state, 3.0)
-    assert len(tables) == 1 and [args[0] for args in glimm] == [bad]
-    assert report.defects["multiplicativity"] == unit_system_defect(_fresh(bad.matrix, pi))
+    assert kinds == [] and len(glimm) == 1 and glimm[0][2] is bad.matrix
+    assert report.defects["multiplicativity"] == delta
+    table = pair_table_kind(bad)
     if variant == "transposed":
+        assert delta > tol and table.kind == "jordan_only"
         assert report.verdict == "reject" and report.failing_stage == "multiplicativity"
     else:
-        # the table finds a *-homomorphism within its tolerance, at a
-        # mult_defect other than the reported Glimm defect
-        table = homomorphism_kind(bad)
-        assert table.kind == "star_homomorphism"
-        assert table.mult_defect != report.defects["multiplicativity"]
+        assert delta <= tol and table.kind == "star_homomorphism"
         assert report.failing_stage != "multiplicativity"
 
 
-def test_a_non_finite_glimm_defect_falls_back_to_the_table_and_rejects(monkeypatch):
+def test_a_non_finite_glimm_defect_rejects(monkeypatch):
     # products of entries near 1e160 overflow, so the Glimm defect is
-    # inf or NaN: it certifies nothing, the table rejects, the report keeps it
+    # inf or NaN: it passes nothing, and the report keeps it
     data = random_isometry_data(2)
     T = build_isometry(data, 3.0)
     huge = _fresh(1e160 * data.pi.matrix, data.pi)
     delta = unit_system_defect(_fresh(huge.matrix, data.pi))
     assert not np.isfinite(delta)
-    assert not units_certify_star_homomorphism(huge)
     monkeypatch.setattr(isometry_module, "extract_pi", lambda T, phi: huge)
-    tables = _counting(monkeypatch, algebra_module, "homomorphism_kind")
     report = classify(T, data.reference_state, 3.0)
-    assert len(tables) == 1
     assert report.verdict == "reject" and report.failing_stage == "multiplicativity"
     kept = report.defects["multiplicativity"]
     assert np.isnan(kept) if np.isnan(delta) else kept == delta
     written = json.loads(json.dumps(classification_report_to_json(report)))
     assert np.isnan(written["defects"]["multiplicativity"]) == np.isnan(delta)
     assert not np.isfinite(written["defects"]["multiplicativity"])
+    assert homomorphism_kind(huge).kind == "neither"
 
 
 def test_a_finite_map_whose_images_overflow_rejects_at_isometry():
@@ -913,14 +924,14 @@ def _counting(monkeypatch, module, name):
 
 
 def test_a_valid_build_makes_no_pair_table(monkeypatch):
-    calls = _counting(monkeypatch, algebra_module, "homomorphism_kind")
+    calls = _counting(monkeypatch, isometry_module, "homomorphism_kind")
     for seed in range(12):
         build_isometry(random_isometry_data(seed), 3.0)
     assert calls == []
 
 
 def test_builds_of_one_data_object_certify_pi_once(monkeypatch):
-    calls = _counting(monkeypatch, algebra_module, "units_certify_star_homomorphism")
+    calls = _counting(monkeypatch, isometry_module, "_is_injective_star_homomorphism")
     data = random_isometry_data(5)
     for p in (1.0, 1.5, 3.0, 4.0, 7.0):
         build_isometry(data, p)
@@ -930,7 +941,7 @@ def test_builds_of_one_data_object_certify_pi_once(monkeypatch):
 def test_a_failing_validate_raises_on_every_call(monkeypatch):
     from dataclasses import replace
 
-    calls = _counting(monkeypatch, algebra_module, "homomorphism_kind")
+    calls = _counting(monkeypatch, isometry_module, "homomorphism_kind")
     data = random_isometry_data(2)
     flipped = AlgebraMap(data.source, data.target, data.pi.matrix @ transpose_permutation(data.source))
     bad = replace(data, pi=flipped)
@@ -943,7 +954,7 @@ def test_a_failing_validate_raises_on_every_call(monkeypatch):
 def test_validation_is_kept_per_instance_and_tolerance(monkeypatch):
     from dataclasses import replace
 
-    calls = _counting(monkeypatch, algebra_module, "units_certify_star_homomorphism")
+    calls = _counting(monkeypatch, isometry_module, "_is_injective_star_homomorphism")
     data = random_isometry_data(7)
     data.validate()
     data.validate(1e-3)  # looser: kept

@@ -17,7 +17,6 @@ from nclp.yeadon import (
     build_yeadon_map,
     jordan_dichotomy_report,
     projection_polar_parts,
-    weighted_lp_norm,
     yeadon_decompose,
 )
 
@@ -100,7 +99,7 @@ def test_build_diagonal_weights_oracle():
         x = LpVector(src, p, [rng.standard_normal((1, 1)), rng.standard_normal((1, 1))])
         direct = (a**p * abs(x.data[0][0, 0]) ** p + b**p * abs(x.data[1][0, 0]) ** p) ** (1 / p)
         assert np.isclose(lp_norm(T(x)), direct)
-        assert np.isclose(weighted_lp_norm(x, weights), direct)
+        assert np.isclose(lp_norm(x, weights=weights), direct)
 
 
 def test_build_rejects_mismatched_weights():
@@ -200,7 +199,7 @@ def _dichotomy_by_samples(triple, p, weights):
             for n in triple.J.source.blocks
         ]
         h = LpVector(triple.J.source, p, blocks)
-        nh = weighted_lp_norm(h, weights)
+        nh = lp_norm(h, weights=weights)
         iso = max(iso, abs(lp_norm(T(h)) - nh) / nh)
         samples.append(h)
     big = amplify_map(T, 2)

@@ -67,9 +67,9 @@ subalgebra.
 The stage2 records hold, for the pi that ``extract_pi`` recovers from the
 canonical map of ``random_isometry_data`` seeds 0-11 at p in {1, 3}, as
 recovered, moved by seeded noise of relative size 1e-9 and composed with the
-transpose: the Glimm defect ``unit_system_defect``, the constants (C, rho)
-of ``pair_table_bound``, whether ``units_certify_star_homomorphism``
-certifies it, and the kind ``homomorphism_kind`` finds.
+transpose: the Glimm defect ``unit_system_defect``, the Glimm defect of the
+Jordan split (``jordan_defect`` of ``homomorphism_kind``) and the kind
+``homomorphism_kind`` finds.
 The stage5 records hold, for the pi images of ``random_isometry_data`` seeds
 0-11, as built and moved by seeded noise of relative size 1e-9, each with the
 generated state, and for the pi that ``classify`` recovers from the canonical
@@ -611,10 +611,8 @@ def _stage2_records():
     from nclp.algebra import (
         AlgebraMap,
         homomorphism_kind,
-        pair_table_bound,
         transpose_permutation,
         unit_system_defect,
-        units_certify_star_homomorphism,
     )
     from nclp.isometry import build_isometry, extract_pi
     from nclp.samples import random_isometry_data
@@ -633,15 +631,14 @@ def _stage2_records():
             }
             for name, matrix in matrices.items():
                 F = AlgebraMap(pi.source, pi.target, matrix)
-                C, rho = pair_table_bound(F)
+                report = homomorphism_kind(F)
                 yield {
                     "seed": seed,
                     "p": p,
                     "pi": name,
                     "glimm_defect": unit_system_defect(F),
-                    "pair_table_bound": [C, rho],
-                    "certified": units_certify_star_homomorphism(F),
-                    "kind": homomorphism_kind(F).kind,
+                    "jordan_defect": report.jordan_defect,
+                    "kind": report.kind,
                 }
 
 
