@@ -7,8 +7,8 @@ a faithful reference state phi on the source, the map sends phi^{1/p} x to
 w phibar^{1/p} pi(x) where phibar extends phi through pi and E.
 
 Classification runs the reverse direction: right supports of the images of
-polarization projections recover pi, polar data recovers w and phibar, modular
-invariance recovers E, and a rebuild closes the loop.
+a basis of projections recover pi, the polar data of one image recovers w
+and phibar, modular invariance recovers E, and a rebuild closes the loop.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .lp import (
     amplified_algebra,
     conjugate_exponent,
     lp_norms,
-    mazur_map,
     polar_decompose,
     right_supports,
 )
@@ -167,10 +166,11 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _polarization(algebra: Algebra) -> tuple[np.ndarray, np.ndarray]:
-    """Projections P_r as rows vec(P_r), and the exact dyadic matrix C with
-    e_u = sum_r C[r, u] P_r, read-only.  The projections are each e_ii and,
-    for i < j, the four (e_ii + e_jj + c e_ij + conj(c) e_ji) / 2 with c in
-    {1, -1, i, -i}; by polarization e_ij = sum_c conj(c) P_c / 2."""
+    """A basis of projections P_r as rows vec(P_r), and the square, exactly
+    dyadic matrix C with e_u = sum_r C[r, u] P_r, read-only.  The projections
+    are each e_ii and, for i < j, P_1 = (D + e_ij + e_ji) / 2 and
+    P_i = (D + i e_ij - i e_ji) / 2 with D = e_ii + e_jj; then
+    e_ij = P_1 - i P_i + (i - 1) D / 2 and e_ji = P_1 + i P_i - (1 + i) D / 2."""
     eye = np.eye(algebra.total_dim, dtype=complex)
     P, C = [], []
     for off, n in zip(algebra.offsets(), algebra.blocks):
@@ -179,25 +179,30 @@ def _polarization(algebra: Algebra) -> tuple[np.ndarray, np.ndarray]:
         C += [e[i, i] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                for c in (1, -1, 1j, -1j):
-                    P.append((e[i, i] + e[j, j] + c * e[i, j] + np.conj(c) * e[j, i]) / 2)
-                    C.append((np.conj(c) * e[i, j] + c * e[j, i]) / 2)
+                D = e[i, i] + e[j, j]
+                P += [(D + e[i, j] + e[j, i]) / 2, (D + 1j * e[i, j] - 1j * e[j, i]) / 2]
+                C += [e[i, j] + e[j, i], 1j * e[j, i] - 1j * e[i, j]]
+                # the D parts of e_ij and e_ji, on the rows of e_ii and e_jj
+                half = ((1j - 1) * e[i, j] - (1 + 1j) * e[j, i]) / 2
+                C[off + i] = C[off + i] + half
+                C[off + j] = C[off + j] + half
     return _read_only(np.array(P), np.array(C))
 
 
 def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
     """Recover the underlying homomorphism from right supports.
 
-    The projections P_r of `_polarization` reach every matrix unit,
-    e_u = sum_r C[r, u] P_r.  Each P_r is sent to the right support of
-    T(phi^{1/p} P_r), p = T.p, and pi extends linearly: pi.matrix is
-    supports^T C.  The module relation T(phi^{1/p} x) = T(phi^{1/p}) pi(x)
+    The d projections P_r of `_polarization` are a basis of the source, and
+    e_u = sum_r C[r, u] P_r with C square.  Each P_r is sent to the right
+    support of T(phi^{1/p} P_r), p = T.p, and pi extends linearly: pi.matrix
+    is supports^T C.  The module relation T(phi^{1/p} x) = T(phi^{1/p}) pi(x)
     is verified on the basis afterwards.
 
     All projections go through T at once: with L the left multiplication
     by phi^{1/p}, row r is (T L) vec(P_r), and `right_supports` takes one
-    stacked SVD per target block.  (T L)^T = L_{rho^T} T^T is applied
-    blockwise, and so is L_{T(rho^{1/p})} in the module relation.
+    stacked SVD and one stacked product per target block.
+    (T L)^T = L_{rho^T} T^T is applied blockwise, and so is L_{T(rho^{1/p})}
+    in the module relation.
     """
     p = T.p
     if p == 2.0:
@@ -222,15 +227,16 @@ def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
 
 
 def extract_polar_data(T: LpMap, phi: State):
-    """Polar data of the image of the reference vector phi^{1/p}, p = T.p:
-    the partial isometry and the state carried by the modulus' p-th power."""
-    h = T(LpVector.from_element(phi.power_element(1.0 / T.p), T.p))
+    """Polar data of the image h of the reference vector phi^{1/p}, p = T.p:
+    the partial isometry and the state carried by the modulus' p-th power.
+    With h = U S V* blockwise, |h|^p = V S^p V*, read off the SVD of h."""
+    p = T.p
+    h = T(LpVector.from_element(phi.power_element(1.0 / p), p))
     if h.frobenius() < 1e-12:
         raise ZeroImage("the image of the reference vector vanished")
     pol = polar_decompose(h)
-    density = mazur_map(pol.modulus, 1.0)
-    phibar = State(T.target, list(density.data), normalize=True)
-    return pol.w, phibar
+    density = [(vh.conj().T * s**p) @ vh for _, s, vh in pol.svds]
+    return pol.w, State(T.target, density, normalize=True)
 
 
 def verify_state_restriction(phibar: State, pi: AlgebraMap, phi: State) -> float:

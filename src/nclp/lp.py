@@ -191,14 +191,10 @@ class PolarData:
     svds: tuple
     keeps: tuple
 
-    def _kept_vectors(self):
-        """Per block, the kept left and right singular vectors as columns."""
-        for (u, _, vh), keep in zip(self.svds, self.keeps):
-            yield u[:, keep], vh[keep, :].conj().T
-
     @cached_property
     def w(self) -> AlgebraElement:
-        return AlgebraElement(self.algebra, [ur @ vr.conj().T for ur, vr in self._kept_vectors()])
+        blocks = [u[:, keep] @ vh[keep, :] for (u, _, vh), keep in zip(self.svds, self.keeps)]
+        return AlgebraElement(self.algebra, blocks)
 
     @cached_property
     def modulus(self) -> LpVector:
@@ -206,11 +202,21 @@ class PolarData:
 
     @cached_property
     def s_left(self) -> Projection:
-        return Projection(self.algebra, [ur @ ur.conj().T for ur, _ in self._kept_vectors()])
+        blocks = [_support_stack(u.conj().T, keep) for (u, _, _), keep in zip(self.svds, self.keeps)]
+        return Projection(self.algebra, blocks)
 
     @cached_property
     def s_right(self) -> Projection:
-        return Projection(self.algebra, [vr @ vr.conj().T for _, vr in self._kept_vectors()])
+        blocks = [_support_stack(vh, keep) for (_, _, vh), keep in zip(self.svds, self.keeps)]
+        return Projection(self.algebra, blocks)
+
+
+def _support_stack(vh: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """vr vr* on the kept rows of vh, as (vh keep)* (vh keep) with the rows
+    that are not kept zeroed: one product for a matrix, or for each matrix of
+    a stack of them with a mask per matrix."""
+    kept = vh * keep[..., None]
+    return kept.conj().swapaxes(-1, -2) @ kept
 
 
 def _rank_masks(svals: list[np.ndarray]) -> list[np.ndarray]:
@@ -233,22 +239,17 @@ def right_supports(algebra: Algebra, rows: np.ndarray) -> np.ndarray:
     """Right support projections of the rows of an N x total_dim array, as
     rows, each bitwise `polar_decompose(h).s_right` of its row h.
 
-    One stacked SVD per block and the rank rule of `polar_decompose`; each
-    support is vr vr* on the kept right singular vectors of its own row.
-    The supports are checked as projections, in row order, within the
-    algebra's tolerance.
+    One stacked SVD per block and the rank rule of `polar_decompose`; the
+    supports of a block are one stacked product on the kept right singular
+    vectors of each row (`_support_stack`).  They are checked as
+    projections, in row order, within the algebra's tolerance.
     """
     svds = [
         np.linalg.svd(rows[:, off : off + n * n].reshape(-1, n, n))
         for off, n in zip(algebra.offsets(), algebra.blocks)
     ]
-    stacks = []
-    for (_, _, vh), keep in zip(svds, _rank_masks([s for _, s, _ in svds])):
-        stack = np.empty_like(vh)
-        for r in range(len(vh)):
-            vr = vh[r][keep[r], :].conj().T
-            stack[r] = vr @ vr.conj().T
-        stacks.append(stack)
+    keeps = _rank_masks([s for _, s, _ in svds])
+    stacks = [_support_stack(vh, keep) for (_, _, vh), keep in zip(svds, keeps)]
     require_projections(stacks, algebra.atol)
     return np.hstack([stack.reshape(len(stack), -1) for stack in stacks])
 

@@ -39,6 +39,12 @@ full (n m) x (n m) image blocks, where `nclp.isometry._norm_defect` measures
 them on the joint supports of T's images; `image_supports` finds those
 supports from the images of the matrix units, one map call per unit, and
 `support_bound` bounds what measuring on them may change.
+`pi_by_four_polarizations` recovers pi from the right supports of the
+images of 2n^2 - n polarization projections per block, e_ii and four per
+pair i < j, where `nclp.isometry.extract_pi` reads a basis of n^2.
+`conditioned_isometry_data` moves the preserved state of isometry data to
+a power of its density, which conditions the reference state, and
+`conditioning_ladder` runs it over plans, seeds and powers.
 `zero_lp_vector`, `decomposition_coordinates`, `compose_maps` and
 `compose_lp_maps` are test-only constructions: the zero L_p vector, the
 coefficients of a subalgebra element in the factor realization of a
@@ -53,16 +59,35 @@ from nclp.algebra import (
     AlgebraElement,
     AlgebraMap,
     HomomorphismReport,
+    State,
     _stacked_frobenius,
     apply_left,
     apply_right,
     matrix_units,
+    pullback_density,
     trace_row,
     transpose_order,
 )
-from nclp.errors import DataInvalid, ExponentMismatch, NonFaithful, NotInvariant, ShapeMismatch
-from nclp.expectation import _DECOMP_SEED, _certify_expectation, _gaussian, takesaki_invariant
+from nclp.errors import (
+    DataInvalid,
+    ExponentMismatch,
+    ExponentUnsupported,
+    NonFaithful,
+    NotAnIsometry,
+    NotInvariant,
+    ShapeMismatch,
+)
+from nclp.expectation import (
+    _DECOMP_SEED,
+    Subalgebra,
+    _certify_expectation,
+    _gaussian,
+    construct_expectation,
+    takesaki_invariant,
+)
 from nclp.isometry import (
+    _FOREIGN_STATE,
+    WARN_TOL,
     _amplified_indicator,
     _slice_positions,
     _support_defect,
@@ -77,7 +102,9 @@ from nclp.lp import (
     amplified_algebra,
     lp_norm,
     lp_norms,
+    right_supports,
 )
+from nclp.samples import random_isometry_data
 
 
 def glimm_defect_per_block(source, target, matrix: np.ndarray) -> float:
@@ -196,7 +223,9 @@ def compose_lp_maps(T: LpMap, S: LpMap) -> LpMap:
 def polar_parts_eagerly(h: LpVector) -> dict:
     """The parts w, modulus, s_left and s_right of the polar decomposition
     of h, each as its list of blocks, built together from one SVD per block
-    under the rank rule of `nclp.lp._rank_masks`."""
+    under the rank rule of `nclp.lp._rank_masks`; each support by the formula
+    of `nclp.lp._support_stack`, (x keep)* (x keep) for the rows x of u* or of vh
+    with the rows that are not kept zeroed."""
     svds = [np.linalg.svd(b) for b in h.data]
     keeps = _rank_masks([s for _, s, _ in svds])
     parts = {"w": [], "modulus": [], "s_left": [], "s_right": []}
@@ -205,9 +234,84 @@ def polar_parts_eagerly(h: LpVector) -> dict:
         vr = vh[keep, :].conj().T
         parts["w"].append(ur @ vr.conj().T)
         parts["modulus"].append((vh.conj().T * s) @ vh)
-        parts["s_left"].append(ur @ ur.conj().T)
-        parts["s_right"].append(vr @ vr.conj().T)
+        for name, rows in (("s_left", u.conj().T), ("s_right", vh)):
+            kept = rows * keep[:, None]
+            parts[name].append(kept.conj().T @ kept)
     return parts
+
+
+def four_polarizations(algebra) -> tuple[np.ndarray, np.ndarray]:
+    """Projections P_r as rows vec(P_r), and the exact dyadic matrix C with
+    e_u = sum_r C[r, u] P_r.  The projections are each e_ii and, for i < j,
+    the four (e_ii + e_jj + c e_ij + conj(c) e_ji) / 2 with c in
+    {1, -1, i, -i}; by polarization e_ij = sum_c conj(c) P_c / 2."""
+    eye = np.eye(algebra.total_dim, dtype=complex)
+    P, C = [], []
+    for off, n in zip(algebra.offsets(), algebra.blocks):
+        e = eye[off : off + n * n].reshape(n, n, -1)  # e[i, j] = vec(e_ij)
+        P += [e[i, i] for i in range(n)]
+        C += [e[i, i] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for c in (1, -1, 1j, -1j):
+                    P.append((e[i, i] + e[j, j] + c * e[i, j] + np.conj(c) * e[j, i]) / 2)
+                    C.append((np.conj(c) * e[i, j] + c * e[j, i]) / 2)
+    return np.array(P), np.array(C)
+
+
+def pi_by_four_polarizations(T: LpMap, phi) -> AlgebraMap:
+    """`extract_pi` on the projections of `four_polarizations`: each P_r goes
+    to the right support of T(phi^{1/p} P_r), pi.matrix is supports^T C, and
+    the module relation T(phi^{1/p} x) = T(phi^{1/p}) pi(x) is checked on the
+    basis, with the errors of `extract_pi`."""
+    p = T.p
+    if p == 2.0:
+        raise ExponentUnsupported("extraction is undefined at p = 2")
+    if not phi.faithful:
+        raise NonFaithful("extraction needs a faithful reference state")
+    if phi.algebra != T.source:
+        raise DataInvalid(_FOREIGN_STATE)
+    rho_pow = phi.power_element(1.0 / p)
+    TLt = apply_left(rho_pow.transpose(), T.matrix.T)
+    P, C = four_polarizations(T.source)
+    pi = AlgebraMap(T.source, T.target, right_supports(T.target, P @ TLt).T @ C)
+    base_image = AlgebraElement.from_vec(T.target, T.matrix @ rho_pow.vec())
+    residual = TLt.T - apply_left(base_image, pi.matrix)
+    defect = float(np.max(np.linalg.norm(residual, axis=0)))
+    if not defect <= WARN_TOL:
+        raise NotAnIsometry(f"module relation fails on the basis (defect {defect:.3e})")
+    return pi
+
+
+def conditioned_isometry_data(data, s: float):
+    """The isometry data with phibar replaced by rhobar^s / Tr rhobar^s, E
+    constructed again on the image of pi and the reference state pulled back
+    through pi; the reference state's smallest eigenvalue falls like the
+    s-th power.  Raises what `construct_expectation` or the faithfulness
+    check of `IsometryData.validate` raise (NotInvariant, NonFaithful)."""
+    blocks = data.phibar.power_element(float(s)).data
+    phibar = State(data.target, blocks, normalize=True)
+    expectation = construct_expectation(Subalgebra.from_map_image(data.pi), phibar)
+    phi = State(data.source, pullback_density(phibar, data.pi), normalize=True)
+    if not phi.faithful:
+        raise NonFaithful("reference state must be faithful")
+    return replace(data, expectation=expectation, reference_state=phi)
+
+
+def conditioning_ladder(plans: dict, seeds=(0, 1), powers=(1.0, 8.0, 12.0, 16.0)):
+    """(plan, seed, s, data) for `random_isometry_data` of each plan
+    {name: (source blocks, target plan)} and seed, moved by
+    `conditioned_isometry_data` to each power s; data is the error the
+    set-up raised where it raised NonFaithful or NotInvariant."""
+    for plan, (source, layout) in plans.items():
+        for seed in seeds:
+            base = random_isometry_data(seed, source, plan=layout)
+            for s in powers:
+                try:
+                    data = conditioned_isometry_data(base, s)
+                except (NonFaithful, NotInvariant) as exc:
+                    data = exc
+                yield plan, seed, s, data
 
 
 def zero_lp_vector(algebra, p: float) -> LpVector:

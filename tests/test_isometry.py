@@ -18,12 +18,14 @@ from nclp.algebra import (
 from dense_oracles import (
     NORM_ROUNDING,
     compose_lp_maps,
+    conditioning_ladder,
     image_supports,
     left_mult_matrix,
     norm_defect_on_full_images,
     structured_witnesses,
     support_bound,
     pair_table_kind,
+    pi_by_four_polarizations,
     tensor_embed,
     validate_by_pair_table,
 )
@@ -1007,34 +1009,25 @@ def test_reconstruction_checks_the_initial_projection_first(monkeypatch):
 
 # -- extraction by polarization against the per-projection loop it replaced ---
 
-# the polarization identity moves pi against the spectral-cluster loop by
-# rounding only (at most about 1e-15 on the corpus)
+# the stacked supports and the dyadic basis change move pi against the
+# per-projection loop by rounding only (at most about 1e-15 on the corpus)
 ORACLE_TOL = 1e-12
 
 
-def _hermitian_basis(algebra):
-    """A real-spanning family of Hermitian elements, blockwise: the diagonal
-    units, then e_ij + e_ji and i e_ij - i e_ji for each i < j."""
-    basis = []
-    for b, n in enumerate(algebra.blocks):
-        for i in range(n):
-            blocks = algebra.zero_blocks()
-            blocks[b][i, i] = 1.0
-            basis.append(AlgebraElement(algebra, blocks))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for c in (1.0, 1.0j):
-                    blocks = algebra.zero_blocks()
-                    blocks[b][i, j], blocks[b][j, i] = c, np.conj(c)
-                    basis.append(AlgebraElement(algebra, blocks))
-    return basis
+def _unit_element(algebra, b, entries):
+    """The element of block b with the given {(i, j): value} entries."""
+    blocks = algebra.zero_blocks()
+    for (i, j), value in entries.items():
+        blocks[b][i, j] = value
+    return AlgebraElement(algebra, blocks)
 
 
 def _extract_pi_by_projection(T, phi):
-    """Reference: extract_pi as one eigendecomposition per Hermitian basis
-    element, and one map call and one polar decomposition per spectral
-    projection, accumulating each Hermitian image in order."""
-    from nclp.algebra import cluster_projection, spectral_clusters
+    """Reference: extract_pi as one map call and one polar decomposition per
+    projection of the basis e_ii, (D + e_ij + e_ji) / 2 and
+    (D + i e_ij - i e_ji) / 2 for i < j, D = e_ii + e_jj, combining the
+    supports s into pi(e_ij) = s_1 - i s_i + (i - 1) (s_ii + s_jj) / 2 and
+    pi(e_ji) = s_1 + i s_i - (1 + i) (s_ii + s_jj) / 2."""
     from nclp.lp import polar_decompose
 
     p = T.p
@@ -1042,26 +1035,23 @@ def _extract_pi_by_projection(T, phi):
         raise ExponentUnsupported("extraction is undefined at p = 2")
     src, tgt = T.source, T.target
     rho_pow = phi.power_element(1.0 / p)
-    herm_images = []
-    for x in _hermitian_basis(src):
-        img = AlgebraElement.zero(tgt)
-        for cluster in spectral_clusters(x.data, lambda top: 1e-8 * max(1.0, top)):
-            val = float(np.mean([t[0] for t in cluster]))
-            if abs(val) < 1e-12:
-                continue
-            h = T(LpVector.from_element(rho_pow @ cluster_projection(src, cluster), p))
-            img = img + val * polar_decompose(h).s_right
-        herm_images.append(img)
-    images = iter(herm_images)
+
+    def support(x):
+        return polar_decompose(T(LpVector.from_element(rho_pow @ x, p))).s_right
+
     matrix = np.zeros((tgt.total_dim, src.total_dim), dtype=complex)
-    for off, n in zip(src.offsets(), src.blocks):
+    for b, (off, n) in enumerate(zip(src.offsets(), src.blocks)):
+        diagonal = [support(_unit_element(src, b, {(i, i): 1.0})) for i in range(n)]
         for i in range(n):
-            matrix[:, off + i * n + i] = next(images).vec()
+            matrix[:, off + i * n + i] = diagonal[i].vec()
         for i in range(n):
             for j in range(i + 1, n):
-                sym, asym = next(images), next(images)
-                matrix[:, off + i * n + j] = ((sym - 1j * asym) * 0.5).vec()
-                matrix[:, off + j * n + i] = ((sym + 1j * asym) * 0.5).vec()
+                D = {(i, i): 0.5, (j, j): 0.5}
+                s_1 = support(_unit_element(src, b, {**D, (i, j): 0.5, (j, i): 0.5}))
+                s_i = support(_unit_element(src, b, {**D, (i, j): 0.5j, (j, i): -0.5j}))
+                s_D = diagonal[i] + diagonal[j]
+                matrix[:, off + i * n + j] = (s_1 - 1j * s_i + (0.5j - 0.5) * s_D).vec()
+                matrix[:, off + j * n + i] = (s_1 + 1j * s_i - (0.5 + 0.5j) * s_D).vec()
     pi = AlgebraMap(src, tgt, matrix)
     base_image = AlgebraElement.from_vec(tgt, T.matrix @ rho_pow.vec())
     residual = T.matrix @ left_mult_matrix(rho_pow) - left_mult_matrix(base_image) @ pi.matrix
@@ -1108,6 +1098,8 @@ def test_extract_pi_matches_the_per_projection_loop(plan):
             T = build_isometry(data, p)
             got = extract_pi(T, phi).matrix
             assert np.max(np.abs(got - _extract_pi_by_projection(T, phi).matrix)) <= ORACLE_TOL
+            # the 2n^2 - n polarizations check the values of the basis change
+            assert np.max(np.abs(got - pi_by_four_polarizations(T, phi).matrix)) <= ORACLE_TOL
             rng = rng_for(seed)
             noise = rng.standard_normal(T.matrix.shape) + 1j * rng.standard_normal(T.matrix.shape)
             for matrix in (T.matrix @ flip, T.matrix + 1e-3 * noise):
@@ -1118,6 +1110,47 @@ def test_extract_pi_matches_the_per_projection_loop(plan):
                     raised.add(outcome[0])
     # the noisy maps reach the module relation and fail it
     assert raised == {NotAnIsometry}
+
+
+def _conditioning_ladder():
+    """(label, map, reference state) for the benchmark plans at seeds 0-1
+    with phibar moved to rhobar^s / Tr rhobar^s, s in {1, 8, 12, 16}, at p
+    in {1, 1.5, 3, 7}; a set-up that raises gives (label, error type, None)."""
+    for plan, seed, s, data in conditioning_ladder(BENCH_PLANS):
+        if isinstance(data, Exception):
+            yield (plan, seed, s), type(data), None
+            continue
+        for p in (1.0, 1.5, 3.0, 7.0):
+            yield (plan, seed, s, p), build_isometry(data, p), data.reference_state
+
+
+def test_extract_pi_keeps_the_verdicts_of_four_polarizations_on_a_conditioning_ladder(
+    monkeypatch,
+):
+    ladder = list(_conditioning_ladder())
+
+    def outcomes():
+        out = []
+        for label, T, phi in ladder:
+            if phi is None:  # the set-up raised
+                out.append((label, T.__name__))
+            else:
+                report = classify(T, phi, label[-1])
+                out.append((label, report.verdict, report.failing_stage))
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(isometry_module, "extract_pi", pi_by_four_polarizations)
+    assert got == outcomes()
+    # the operating range: every map whose reference state keeps its smallest
+    # eigenvalue at 1e-4 or above accepts, and both extractors recover the
+    # same pi there; below about 1e-5 some valid maps reject, with either
+    # extractor
+    for (label, T, phi), outcome in zip(ladder, got):
+        if phi is not None and phi.min_eig() >= 1e-4:
+            assert outcome[1] == "accept", label
+            want = pi_by_four_polarizations(T, phi).matrix
+            assert np.max(np.abs(extract_pi(T, phi).matrix - want)) <= ORACLE_TOL, label
 
 
 def test_extract_pi_keeps_the_exponent_errors_of_a_map_call():
@@ -1258,6 +1291,8 @@ def test_extract_pi_takes_the_rank_threshold_across_blocks():
 def test_polarization_projections_are_exact(blocks):
     alg = make_algebra(blocks)
     P, C = isometry_module._polarization(alg)
+    # a basis: one projection per dimension, so C is square
+    assert P.shape == C.shape == (alg.total_dim, alg.total_dim)
     for row in P:
         x = AlgebraElement.from_vec(alg, row)
         assert np.array_equal((x @ x).vec(), row)

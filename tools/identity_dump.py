@@ -85,6 +85,13 @@ right supports of the images in each target block, and the largest ratio
 to ``SUPPORT_ALLOWANCE`` of the bound on what measuring the sampled defects
 on those supports would change if every rank-deficient block compressed,
 over the plans of ``isometry_defect`` and ``two_isometry_defect``.
+The conditioning records hold, for the canonical data of the five
+benchmark plans at seeds 0-1 with the preserved state moved to
+rhobar^s / Tr rhobar^s, s in {1, 8, 12, 16} (``conditioning_ladder`` from
+``tests/dense_oracles.py``), the smallest eigenvalue of the reference
+state and the ``classify`` verdict and failing stage at p in
+{1, 1.5, 3, 7}, or the error the set-up raised; a change of extractor shows
+there as a moved verdict.
 ``nclp`` is imported from ``DIR`` (default: this checkout's ``src/``), so
 two checkouts are compared by dumping each and running ``cmp``, or
 ``tools/identity_diff.py`` where last bits of floats may move.
@@ -141,6 +148,7 @@ STAGE5_PLANS = {
     "M1": ((2, 1), [([(0, 2), (1, 1)], 1), ([(0, 1)], 1)]),
     "M2": ((3,), [([(0, 2)], 0)]),
 }
+CONDITIONING_EXPONENTS = (1.0, 1.5, 3.0, 7.0)
 POLAR_LAYOUTS = ((3,), (2, 3), (1, 2, 2))
 POLAR_SEEDS = range(2)
 POLAR_ORDERS = (("w", "modulus", "s_left", "s_right"), ("s_right", "s_left", "modulus", "w"))
@@ -725,6 +733,29 @@ def _stage5_records():
                 yield record
 
 
+def _conditioning_records():
+    from nclp.isometry import build_isometry, classify
+
+    sys.path.insert(0, str(TESTS))
+    from dense_oracles import conditioning_ladder
+
+    for plan, seed, s, data in conditioning_ladder(STAGE5_PLANS):
+        record = {"plan": plan, "seed": seed, "s": s}
+        if isinstance(data, Exception):
+            yield {**record, "setup": f"{type(data).__name__}: {data}"}
+            continue
+        phi = data.reference_state
+        for p in CONDITIONING_EXPONENTS:
+            report = classify(build_isometry(data, p), phi, p)
+            yield {
+                **record,
+                "p": p,
+                "min_eig": phi.min_eig(),
+                "verdict": report.verdict,
+                "failing_stage": report.failing_stage,
+            }
+
+
 def _suite_records():
     from nclp.suites import SUITES, SuiteConfig, run_suite
 
@@ -761,6 +792,7 @@ def main(argv=None) -> int:
         "polar": list(_polar_records()),
         "stage5": list(_stage5_records()),
         "stage1": list(_stage1_records()),
+        "conditioning": list(_conditioning_records()),
     }
     args.out.write_text(json.dumps(dump, indent=1) + "\n")
     print(", ".join(f"{len(records)} {name} records" for name, records in dump.items()))
