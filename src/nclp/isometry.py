@@ -49,10 +49,10 @@ from .lp import (
     LpMap,
     LpVector,
     _amplified_positions,
+    _image_singular_values,
     _norms_from_singular_values,
     _rank_masks,
     _singular_values,
-    _stack_singular_values,
     amplified_algebra,
     conjugate_exponent,
     lp_norms,
@@ -351,7 +351,20 @@ def _compressed_blocks(T: LpMap, rows: np.ndarray, norms: np.ndarray) -> set:
 def _norm_defect(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray, relative: bool) -> float:
     """Largest |  ||(id_n (x) T) h||_p - ||h||_p  | over the rows h with norms
     ||h||_p, divided by ||h||_p when relative, skipping norms below 1e-14; a
-    NaN gives NaN.
+    NaN gives NaN.  The image norms come from `_image_singular_values` of
+    `_image_stacks`."""
+    stacks = _image_stacks(T, n, rows, norms)
+    image_norms = _norms_from_singular_values(_image_singular_values(stacks, T.p), T.p)
+    keep = ~(norms < 1e-14)
+    d = np.abs(image_norms[keep] - norms[keep])
+    if relative:
+        d = d / norms[keep]
+    return float(np.max(d, initial=0.0))
+
+
+def _image_stacks(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray) -> list[np.ndarray]:
+    """Per target block, the stack of the blocks of (id_n (x) T) h over the
+    rows h with norms ||h||_p.
 
     The image of h is measured blockwise on the joint supports of T's images
     (`_ImageSupport`): block b of (id_n (x) T) h is the (n m) x (n m) matrix
@@ -360,8 +373,8 @@ def _norm_defect(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray, relative
     slices Q_l* T(h_ij)_b Q_r drops only zero singular values.  A block
     outside `_compressed_blocks` keeps its m^2 rows (Q = I); when no block
     compresses, the slices of all rows go through T.matrix as one stacked
-    matvec, bitwise T(h_ij) (the GEMM form is not), and the defect is bitwise
-    that of the full images."""
+    matvec, bitwise T(h_ij) (the GEMM form is not), and the stacks are
+    bitwise the blocks of the full images."""
     supports, chosen = _image_supports(T), _compressed_blocks(T, rows, norms)
     matrix = T.matrix
     if chosen:
@@ -375,12 +388,7 @@ def _norm_defect(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray, relative
         part = images[:, :, start : start + kl * kr].reshape(-1, n, n, kl, kr)
         stacks.append(part.transpose(0, 1, 3, 2, 4).reshape(-1, n * kl, n * kr))
         start += kl * kr
-    keep = ~(norms < 1e-14)
-    image_norms = _norms_from_singular_values(_stack_singular_values(stacks), T.p)
-    d = np.abs(image_norms[keep] - norms[keep])
-    if relative:
-        d = d / norms[keep]
-    return float(np.max(d, initial=0.0))
+    return stacks
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -2,8 +2,23 @@
 Mazur maps, and amplified maps.
 
 An L_p vector is stored exactly like an algebra element; the exponent rides
-along.  Norms are always computed from singular values, never from logs of
-near-singular matrices.
+along.  Norms are computed from singular values, never from logs of
+near-singular matrices.  `lp_norm`, `lp_norms` and `clarkson_defect` take
+them from an SVD.  The p-norms of a map's images in the sampled defects
+(`_image_singular_values`) take them, for p >= 2, as the square roots of
+the eigenvalues of each matrix's Gram matrix.  For an r x c matrix Y with
+k = min(r, c), q = max(r, c) and unit roundoff u, the computed Gram matrix
+and eigvalsh's backward error move each eigenvalue by at most
+eta ||Y||_2^2, eta = k (sqrt(2) (q + 2) + 1) u (Weyl's inequality; Higham,
+Accuracy and Stability, 3.5).  For p >= 2, ||Y||_p^2 is the l_{p/2} norm
+of the eigenvalues, so ||Y||_p moves by at most k^{2/p} eta / 2 relative;
+a Gram matrix that underflows adds at most 2 sqrt(k^{1+2/p} q tiny)
+absolute, tiny the smallest normal float (1.2e-152 at k = q = 12).  For
+p < 2 no such bound holds: at p = 1 the Gram route errs by up to 3.5e-8
+relative on the benchmark's rank-deficient images, so those keep the SVD.
+A stack whose Gram eigvalsh rejects, or whose eigenvalues do not sum to a
+finite value (a NaN or infinite entry, an overflowing Gram matrix), goes to
+the SVD instead.
 """
 
 from __future__ import annotations
@@ -91,23 +106,6 @@ def _block_lp_norm(blocks: Sequence[np.ndarray], p: float, weights=None) -> floa
     return float(_norms_from_singular_values(svals, p, weights)[0])
 
 
-def _stack_singular_values(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per block, the singular values of its (N, r, c) stack: one SVD call per
-    distinct matrix shape, on the stacks of that shape joined.  LAPACK sees
-    each matrix alone, so the values do not depend on the grouping."""
-    if len(stacks) == 1:
-        return [_svdvals(stacks[0])]
-    shapes = [stack.shape[1:] for stack in stacks]
-    out: list = [None] * len(stacks)
-    for shape in dict.fromkeys(shapes):
-        group = [b for b, s in enumerate(shapes) if s == shape]
-        joined = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[b] for b in group])
-        values = _svdvals(joined)
-        for b in group:
-            out[b], values = values[: len(stacks[b])], values[len(stacks[b]) :]
-    return out
-
-
 def _svdvals(stack: np.ndarray) -> np.ndarray:
     """Singular values of each matrix of an (N, r, c) stack.  A matrix with a
     NaN entry reads NaN, one with an infinite entry inf, and the finite ones
@@ -121,11 +119,62 @@ def _svdvals(stack: np.ndarray) -> np.ndarray:
             return values
     except np.linalg.LinAlgError:
         pass
-    values = np.full(stack.shape[:-1], np.inf)
+    values = np.full((*stack.shape[:-2], min(stack.shape[-2:])), np.inf)
     values[np.isnan(stack).any(axis=(-2, -1))] = np.nan
     finite = np.isfinite(stack).all(axis=(-2, -1))
     values[finite] = np.linalg.svd(stack[finite], compute_uv=False)
     return values
+
+
+def _gram_svdvals(stack: np.ndarray) -> np.ndarray | None:
+    """Singular values of each matrix Y of an (N, r, c) stack as the square
+    roots of the eigenvalues of its Gram matrix, Y* Y or Y Y* whichever is
+    smaller, clipped at 0 and in descending order; None when eigvalsh rejects
+    the Gram stack or its eigenvalues do not sum to a finite value, which a
+    NaN or infinite entry or an overflowing Gram matrix causes."""
+    adjoint = stack.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = adjoint @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ adjoint
+    try:
+        values = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if not math.isfinite(values.sum()):
+        return None
+    np.maximum(values, 0.0, out=values)
+    return np.sqrt(values, out=values)[..., ::-1]
+
+
+def _image_svdvals(stack: np.ndarray) -> np.ndarray:
+    """`_gram_svdvals` of the stack, or `_svdvals` where it gives None."""
+    values = _gram_svdvals(stack)
+    return _svdvals(stack) if values is None else values
+
+
+def _stack_singular_values(stacks: Sequence[np.ndarray], kernel=_svdvals) -> list[np.ndarray]:
+    """Per block, the singular values of its (N, r, c) stack: one call of the
+    kernel per distinct matrix shape, on the stacks of that shape joined.
+    LAPACK sees each matrix alone, so the values do not depend on the
+    grouping, except that `_image_svdvals` sends a joined stack to the SVD
+    as a whole."""
+    if len(stacks) == 1:
+        return [kernel(stacks[0])]
+    shapes = [stack.shape[1:] for stack in stacks]
+    out: list = [None] * len(stacks)
+    for shape in dict.fromkeys(shapes):
+        group = [b for b, s in enumerate(shapes) if s == shape]
+        joined = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[b] for b in group])
+        values = kernel(joined)
+        for b in group:
+            out[b], values = values[: len(stacks[b])], values[len(stacks[b]) :]
+    return out
+
+
+def _image_singular_values(stacks: Sequence[np.ndarray], p: float) -> list[np.ndarray]:
+    """Per block, the singular values that the p-norms of a map's images are
+    read from: for p >= 2 from Hermitian Gram eigenvalues (`_image_svdvals`,
+    see the module docstring for the bound), else `_stack_singular_values`'."""
+    return _stack_singular_values(stacks, _image_svdvals if p >= 2.0 else _svdvals)
 
 
 def _singular_values(algebra: Algebra, rows: np.ndarray) -> list[np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -80,9 +81,17 @@ class SuiteConfig:
             tolerances=dict(defaults.get("tolerances", {})),
         )
         if self.tolerances:
+            unknown = sorted(set(self.tolerances) - set(out.tolerances))
+            if unknown:
+                known = sorted(out.tolerances)
+                raise ConfigInvalid(f"suite {self.suite!r} has no tolerance {unknown}; known: {known}")
             out.tolerances.update(self.tolerances)
+        if not all(math.isfinite(float(v)) for v in out.tolerances.values()):
+            raise ConfigInvalid("tolerances must be finite")
         if out.sample_count is not None and out.sample_count < 1:
             raise ConfigInvalid("sample_count must be positive")
+        if out.exponents and not all(math.isfinite(float(p)) for p in out.exponents):
+            raise ConfigInvalid("exponents must be finite")
         if self.suite in _P_NE_2_SUITES and out.exponents:
             if any(abs(float(p) - 2.0) < 1e-12 for p in out.exponents):
                 raise ConfigInvalid(f"suite {self.suite!r} excludes p = 2")

@@ -36,9 +36,11 @@ weighted partial trace off the units and certifies it by derived bounds.
 once, where `nclp.lp.PolarData` builds each on its first read.
 `norm_defect_on_full_images` measures the norm defect of id_n (x) T on the
 full (n m) x (n m) image blocks, where `nclp.isometry._norm_defect` measures
-them on the joint supports of T's images; `image_supports` finds those
-supports from the images of the matrix units, one map call per unit, and
-`support_bound` bounds what measuring on them may change.
+them on the joint supports of T's images through the SVD; `image_supports`
+finds those supports from the images of the matrix units, one map call per
+unit, `support_bound` and `rounding_room` bound what measuring on them, and
+for p >= 2 reading the image norms off Gram eigenvalues
+(`gram_norm_bounds`), may change.
 `pi_by_four_polarizations` recovers pi from the right supports of the
 images of 2n^2 - n polarization projections per block, e_ii and four per
 pair i < j, where `nclp.isometry.extract_pi` reads a basis of n^2.
@@ -580,24 +582,89 @@ def image_supports(T: LpMap) -> list[tuple]:
     return out
 
 
-def support_bound(T: LpMap, samples, want: float, weights=None, relative=True, supports=None):
+def gram_norm_bounds(shapes, p: float) -> tuple[float, float]:
+    """(relative, absolute) bounds, to first order in the unit roundoff u,
+    on the error of the p-norm, p >= 2, of a row whose blocks have the given
+    (r, c) shapes, when each block's singular values are read off its Gram
+    eigenvalues (`nclp.lp._gram_svdvals`).  Per block, k = min(r, c) and
+    q = max(r, c):
+    - the Gram matrix is complex inner products of length q, each within
+      sqrt(2) (q + 2) u |y_i| |y_j| (Higham, Accuracy and Stability, 3.5),
+      so within sqrt(2) (q + 2) u ||Y||_F^2 <= sqrt(2) (q + 2) k u ||Y||_2^2
+      in the 2-norm, plus at most 4 q tiny per entry where it underflows
+      (tiny the smallest normal float);
+    - eigvalsh is backward stable, taken as k u ||G||_2;
+    - by Weyl's inequality every eigenvalue then moves by at most
+      eta ||Y||_2^2 + 4 k q tiny, eta = k (sqrt(2) (q + 2) + 1) u, and the
+      clip at 0 only brings a negative one closer;
+    - ||Y||_p^2 is the l_{p/2} norm of the eigenvalues, a norm for p >= 2,
+      so it moves by at most k^{2/p} times that, and ||Y||_2 <= ||Y||_p;
+    - the square root halves the relative part, takes the root of the
+      absolute part, and rounds each value by u.
+    The relative part is the largest over the blocks, the absolute parts add
+    (Minkowski), and the sum of the K values' p-th powers and its root in
+    `_norms_from_singular_values` add ((K + 1) / p + 1) u."""
+    u, tiny = np.finfo(float).eps / 2, np.finfo(float).tiny
+    relative, absolute, count = 0.0, 0.0, 0
+    for r, c in shapes:
+        k, q = min(r, c), max(r, c)
+        spread = k ** (2.0 / p)
+        relative = max(relative, spread * k * (np.sqrt(2) * (q + 2) + 1) * u / 2 + u)
+        absolute += 2 * np.sqrt(spread * k * q * tiny)
+        count += k
+    return relative + ((count + 1) / p + 1) * u, absolute
+
+
+def image_rounding(T: LpMap, n: int) -> tuple[float, float]:
+    """(relative, absolute) rounding of an image norm of id_n (x) T as the
+    sampled defects compute it: NORM_ROUNDING for p < 2, where they read an
+    SVD, and for p >= 2 `gram_norm_bounds` of the full (n m) x (n m) blocks,
+    which bound the smaller compressed ones."""
+    if T.p < 2.0:
+        return NORM_ROUNDING, 0.0
+    return gram_norm_bounds([(n * m, n * m) for m in T.target.blocks], T.p)
+
+
+def rounding_room(T: LpMap, n: int, norms, want: float, relative: bool, allowance=0.0) -> float:
+    """How far the norm defect of id_n (x) T over rows with norms `norms`
+    may be from `want`, its value through the SVD of the full images, when
+    measuring on the supports changes each image norm by at most `allowance`
+    times the row's norm: that change, and the rounding of the two computed
+    image norms, each at most ||h||_p + the defect of h; all divided by
+    ||h||_p when relative, over the norms of at least 1e-14."""
+    rounding, absolute = image_rounding(T, n)
+    kept = norms[~(norms < 1e-14)]
+    if not kept.size:
+        return 0.0
+    scale, floor = (1.0, float(kept.min())) if relative else (float(kept.max()), 1.0)
+    both = NORM_ROUNDING + rounding
+    return (allowance + both) * scale + both * want + absolute / floor
+
+
+def support_bound(
+    T: LpMap, samples, want: float, weights=None, relative=True, supports=None, n=1
+):
     """How far the norm defect of id_n (x) T over the samples may move from
-    `want`, its value on the full images, when the images are measured on
-    their supports (`supports`, default `image_supports(T)`): 0 when every
-    block of T's images has full rank on both sides, so the defect must be
-    the same bit for bit.  Otherwise, per sample h, ||h||_l1 times the sum of
-    the terms bounds the exact change of ||(id_n (x) T) h||_p, and each of
-    the two computed image norms may carry NORM_ROUNDING relative rounding,
-    at most ||h||_p + the defect of h; all divided by ||h||_p when relative,
-    over the samples whose norm is at least 1e-14."""
+    `want`, its value through the SVD of the full images, when the images
+    are measured on their supports (`supports`, default `image_supports(T)`)
+    by the kernel of the sampled defects: 0 for p < 2 when every block of
+    T's images has full rank on both sides, so the defect must be the same
+    bit for bit.  Otherwise, per sample h, ||h||_l1 times the sum of the
+    terms bounds the exact change of ||(id_n (x) T) h||_p, and the two
+    computed image norms carry NORM_ROUNDING and `image_rounding` relative
+    rounding, at most ||h||_p + the defect of h, and its absolute part; all
+    divided by ||h||_p when relative, over the samples whose norm is at least
+    1e-14."""
     supports = image_supports(T) if supports is None else supports
-    if all(kl == kr == m for m, kl, kr, _ in supports):
+    if T.p < 2.0 and all(kl == kr == m for m, kl, kr, _ in supports):
         return 0.0
     total = sum(term for *_, term in supports)
+    rounding, absolute = image_rounding(T, n)
+    both = NORM_ROUNDING + rounding
     worst = 0.0
     for h in samples:
         nh = lp_norm(h, weights=weights)
         if nh >= 1e-14:
-            change = float(np.abs(h.vec()).sum()) * total + 2 * NORM_ROUNDING * nh
+            change = float(np.abs(h.vec()).sum()) * total + both * nh + absolute
             worst = max(worst, change / (nh if relative else 1.0))
-    return worst + 2 * NORM_ROUNDING * want
+    return worst + both * want

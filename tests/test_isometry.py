@@ -16,12 +16,12 @@ from nclp.algebra import (
     unit_system_defect,
 )
 from dense_oracles import (
-    NORM_ROUNDING,
     compose_lp_maps,
     conditioning_ladder,
     image_supports,
     left_mult_matrix,
     norm_defect_on_full_images,
+    rounding_room,
     structured_witnesses,
     support_bound,
     pair_table_kind,
@@ -55,6 +55,7 @@ from nclp.isometry import (
 from nclp.lp import (
     LpMap,
     LpVector,
+    _gram_svdvals,
     _norms_from_singular_values,
     amplified_algebra,
     amplify_map,
@@ -562,7 +563,7 @@ def _check_two_isometry_defect(F, p, n=2, weights=None):
     samples, supports = _amplified_samples(F, p, n), image_supports(F)
     for (w, relative), want in slices.items():
         got = two_isometry_defect(F, n=n, source_weights=w, relative=relative)
-        bound = support_bound(F, samples, want, w, relative, supports)
+        bound = support_bound(F, samples, want, w, relative, supports, n)
         assert got == want if bound == 0.0 else abs(got - want) <= bound
         assert abs(got - dense[w, relative]) <= ORACLE_TOL
 
@@ -643,15 +644,15 @@ def test_metric_defects_survive_large_exponents():
 
 def _nan_singular_values(monkeypatch):
     """Make the singular values the sampled defects read of their images NaN
-    on one row."""
-    real = isometry_module._stack_singular_values
+    on one row, after the kernel of either exponent range."""
+    real = isometry_module._image_singular_values
 
-    def patched(stacks):
-        out = real(stacks)
+    def patched(stacks, p):
+        out = real(stacks, p)
         out[0][len(out[0]) // 2] = np.nan
         return out
 
-    monkeypatch.setattr(isometry_module, "_stack_singular_values", patched)
+    monkeypatch.setattr(isometry_module, "_image_singular_values", patched)
 
 
 def _nan_rows(monkeypatch, pick):
@@ -670,11 +671,30 @@ def _nan_rows(monkeypatch, pick):
 
 def test_classify_rejects_a_nan_isometry_defect(monkeypatch):
     data = random_isometry_data(0)
-    T = build_isometry(data, 3.0)
     _nan_singular_values(monkeypatch)
-    report = classify(T, data.reference_state, 3.0)
-    assert report.verdict == "reject" and report.failing_stage == "isometry"
-    assert np.isnan(report.defects["isometry"])
+    for p in (1.5, 3.0):  # the SVD and the Gram kernel
+        report = classify(build_isometry(data, p), data.reference_state, p)
+        assert report.verdict == "reject" and report.failing_stage == "isometry"
+        assert np.isnan(report.defects["isometry"])
+
+
+def test_a_map_whose_gram_matrices_overflow_keeps_the_svd_defects():
+    # at 2^520 every Gram matrix of the images overflows, so each stack goes
+    # to the SVD and both defects are bitwise those of the full images
+    data = random_isometry_data(0)
+    T = build_isometry(data, 3.0)
+    F = LpMap(T.source, T.target, 3.0, 2.0**520 * T.matrix)
+    for n in (1, 2):
+        rows, norms = _plan(F, n)
+        assert isometry_module._compressed_blocks(F, rows, norms) == set()
+        stacks = isometry_module._image_stacks(F, n, rows, norms)
+        assert all(_gram_svdvals(stack) is None for stack in stacks)
+        for relative in (True, False):
+            want = norm_defect_on_full_images(F, n, rows, norms, relative)
+            assert isometry_module._norm_defect(F, n, rows, norms, relative) == want
+    report = classify(F, data.reference_state, 3.0)
+    assert report.failing_stage == "isometry"
+    assert report.defects["isometry"] == isometry_defect(F) > 1e150
 
 
 def test_classify_rejects_a_nan_reconstruction_defect(monkeypatch):
@@ -1426,14 +1446,19 @@ def _admitted(supports, rows, norms):
 
 
 def _assert_full_images(F):
-    """No block compresses, and both sampled defects are bitwise those of
-    the full images."""
+    """No block compresses, and both sampled defects are those of the full
+    images: bitwise for p < 2, where both read the SVD, and within the
+    rounding of the Gram eigenvalues for p >= 2."""
     for n in (1, 2):
         rows, norms = _plan(F, n)
         assert isometry_module._compressed_blocks(F, rows, norms) == set()
         for relative in (True, False):
             want = norm_defect_on_full_images(F, n, rows, norms, relative)
-            assert isometry_module._norm_defect(F, n, rows, norms, relative) == want
+            got = isometry_module._norm_defect(F, n, rows, norms, relative)
+            if F.p < 2.0:
+                assert got == want
+            else:
+                assert abs(got - want) <= rounding_room(F, n, norms, want, relative)
 
 
 @st.composite
@@ -1456,16 +1481,16 @@ def test_the_defects_on_the_image_supports_stay_within_the_allowance(instance):
         rows, norms = _plan(F, n)
         chosen, ratio = _admitted(supports, rows, norms)
         assert isometry_module._compressed_blocks(F, rows, norms) == chosen
-        scales = {True: 1.0, False: float(np.max(norms, initial=0.0))}
-        for relative, scale in scales.items():
+        for relative in (True, False):
             got = isometry_module._norm_defect(F, n, rows, norms, relative)
             want = norm_defect_on_full_images(F, n, rows, norms, relative)
-            if not chosen:
+            if not chosen and p < 2.0:
                 assert got == want
             else:
                 # the admitted terms change each norm by at most the
                 # allowance times ||h||_p, and each computed norm rounds
-                room = (SUPPORT_ALLOWANCE + 2 * NORM_ROUNDING) * scale + 2 * NORM_ROUNDING * want
+                allowance = SUPPORT_ALLOWANCE if chosen else 0.0
+                room = rounding_room(F, n, norms, want, relative, allowance)
                 assert abs(got - want) <= room
 
 

@@ -14,7 +14,9 @@ from nclp.algebra import (
     require_projections,
 )
 from dense_oracles import (
+    NORM_ROUNDING,
     clarkson_by_elements,
+    gram_norm_bounds,
     lp_norms_per_block,
     polar_parts_eagerly,
     tensor_embed,
@@ -25,6 +27,10 @@ from nclp.isometry import grid_witness
 from nclp.lp import (
     LpMap,
     LpVector,
+    _image_singular_values,
+    _norms_from_singular_values,
+    _stack_singular_values,
+    _svdvals,
     amplify_map,
     clarkson_defect,
     lp_norm,
@@ -476,6 +482,50 @@ def test_the_norm_kernel_equals_the_per_block_oracle(case):
     assert _outcome(lambda: fields(clarkson_defect(h, k))) == _outcome(
         lambda: fields(clarkson_by_elements(h, k))
     )
+
+
+@st.composite
+def _image_stacks(draw):
+    """An (N, r, c) stack of seeded complex matrices of one rank, scaled by
+    2^s, optionally with one NaN or infinite entry."""
+    count, r, c = draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rank, seed = draw(st.integers(0, min(r, c))), draw(st.integers(0, 2**32 - 1))
+    scale = 2.0 ** draw(st.integers(-600, 600))
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((count, r, rank)) + 1j * rng.standard_normal((count, r, rank))
+    right = rng.standard_normal((count, rank, c)) + 1j * rng.standard_normal((count, rank, c))
+    stack = scale * (left @ right)
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        stack[tuple(rng.integers(0, n) for n in stack.shape)] = bad
+    return stack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    _image_stacks(),
+    st.sampled_from([2.0, 3.0, 1000.0]) | st.floats(2.0, 1000.0),
+    st.floats(1.0, 2.0, exclude_max=True),
+)
+def test_the_image_kernel_stays_within_the_gram_bound_of_the_svd(stack, p, low):
+    """For p >= 2 the image norms read off Gram eigenvalues agree with the
+    SVD's within `gram_norm_bounds` plus the SVD's own NORM_ROUNDING; a stack
+    with a NaN or infinite entry reads as the SVD reads it.  For p < 2 the
+    kernel is the SVD bit for bit."""
+    want = _svdvals(stack)
+    (got,) = _image_singular_values([stack], p)
+    if not np.isfinite(stack).all():
+        assert np.array_equal(got, want, equal_nan=True)
+    norms = _norms_from_singular_values([got], p)
+    exact = _norms_from_singular_values([want], p)
+    relative, absolute = gram_norm_bounds([stack.shape[1:]], p)
+    room = (relative + NORM_ROUNDING) * exact + absolute
+    assert np.array_equal(np.isnan(norms), np.isnan(exact))
+    finite = np.isfinite(exact)
+    assert np.array_equal(norms[~finite], exact[~finite], equal_nan=True)
+    assert (np.abs(norms[finite] - exact[finite]) <= room[finite]).all()
+    (low_values,) = _image_singular_values([stack], low)
+    assert low_values.tobytes() == _stack_singular_values([stack])[0].tobytes()
 
 
 def test_lp_norm_homogeneity():

@@ -40,7 +40,7 @@ def test_suite_reports_deterministic(name):
     assert a == b
 
 
-def test_unknown_suite_and_bad_config():
+def test_unknown_suite_and_bad_config(tmp_path):
     with pytest.raises(UnknownSuite):
         run_suite(SuiteConfig(suite="nope"))
     with pytest.raises(ConfigInvalid):
@@ -49,6 +49,25 @@ def test_unknown_suite_and_bad_config():
         run_suite(SuiteConfig(suite="clarkson", sample_count=0))
     with pytest.raises(ConfigInvalid):
         run_suite(SuiteConfig(suite="duality", exponents=[0.5]))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigInvalid, match="exponents must be finite"):
+            run_suite(SuiteConfig(suite="duality", exponents=[3.0, bad]))
+        with pytest.raises(ConfigInvalid, match="tolerances must be finite"):
+            run_suite(SuiteConfig(suite="duality", tolerances={"identity": bad}))
+    # a misspelt key must not leave the default in force unseen
+    with pytest.raises(ConfigInvalid, match=r"no tolerance \['identiy'\]"):
+        run_suite(SuiteConfig(suite="duality", tolerances={"identiy": 1e-3}))
+    # the CLI refuses each with exit code 2 and writes no report
+    report = tmp_path / "report.json"
+    for flags in (
+        ["--p-list", "nan"],
+        ["--p-list", "3,inf"],
+        ["--tol", "identiy=1e-3"],
+        ["--tol", "identity=nan"],
+    ):
+        command = ["verify", "--suite", "duality", "--samples", "2", "-o", str(report)]
+        assert main([*command, *flags]) == 2
+        assert not report.exists()
 
 
 def test_cli_gen_and_norm(tmp_path, capsys):

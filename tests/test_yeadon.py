@@ -210,7 +210,7 @@ def _dichotomy_by_samples(triple, p, weights):
     supports = image_supports(T)
     bounds = (
         support_bound(T, samples, iso, weights, True, supports),
-        support_bound(T, grids, witness, weights, False, supports),
+        support_bound(T, grids, witness, weights, False, supports, 2),
     )
     return (iso, witness), bounds
 

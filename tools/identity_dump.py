@@ -84,7 +84,10 @@ canonical maps of the five benchmark plans at seeds 0-3 and p in
 right supports of the images in each target block, and the largest ratio
 to ``SUPPORT_ALLOWANCE`` of the bound on what measuring the sampled defects
 on those supports would change if every rank-deficient block compressed,
-over the plans of ``isometry_defect`` and ``two_isometry_defect``.
+over the plans of ``isometry_defect`` and ``two_isometry_defect``; per
+plan (n = 1, then 2), the kernel its image norms take (``gram`` for Gram
+eigenvalues, ``svd``), and the largest relative gap between those norms
+and the SVD's over the rows of both plans.
 The conditioning records hold, for the canonical data of the five
 benchmark plans at seeds 0-1 with the preserved state moved to
 rhobar^s / Tr rhobar^s, s in {1, 8, 12, 16} (``conditioning_ladder`` from
@@ -216,24 +219,43 @@ def _classify_records():
 
 
 def _stage1_record(F) -> dict:
-    """(m, k_l, k_r) of each target block's image supports, and the largest
+    """(m, k_l, k_r) of each target block's image supports; the largest
     ratio to the allowance of the bound on what compressing every
-    rank-deficient block would change, over the plans of both defects."""
+    rank-deficient block would change, over the plans of both defects; per
+    plan, the kernel its image norms take; and the largest relative gap
+    between those norms and the SVD's over the rows of both plans."""
     import numpy as np
 
-    from nclp.isometry import SUPPORT_ALLOWANCE, _image_supports, _source_plan
-    from nclp.lp import _norms_from_singular_values
+    from nclp.isometry import SUPPORT_ALLOWANCE, _image_stacks, _image_supports, _source_plan
+    from nclp.lp import (
+        _gram_svdvals,
+        _image_singular_values,
+        _norms_from_singular_values,
+        _stack_singular_values,
+    )
 
     supports = _image_supports(F)
     total = sum(s.tail * s.size ** (1.0 / F.p) for s in supports if s.compresses)
-    worst = 0.0
+    worst, kernels, gap = 0.0, [], 0.0
     for n in (1, 2):
         rows, *svals = _source_plan(F.source, n, 60, 0)
         norms = _norms_from_singular_values(svals, F.p)
         keep = ~(norms < 1e-14)
         ratio = float(np.max(np.abs(rows[keep]).sum(axis=1) / norms[keep], initial=0.0))
         worst = max(worst, ratio * total / SUPPORT_ALLOWANCE)
-    return {"blocks": [[s.size, s.left, s.right] for s in supports], "bound_ratio": worst}
+        stacks = _image_stacks(F, n, rows, norms)
+        gram = F.p >= 2.0 and all(_gram_svdvals(stack) is not None for stack in stacks)
+        kernels.append("gram" if gram else "svd")
+        got = _norms_from_singular_values(_image_singular_values(stacks, F.p), F.p)
+        want = _norms_from_singular_values(_stack_singular_values(stacks), F.p)
+        read = want > 0.0
+        gap = max(gap, float(np.max(np.abs(got[read] - want[read]) / want[read], initial=0.0)))
+    return {
+        "blocks": [[s.size, s.left, s.right] for s in supports],
+        "bound_ratio": worst,
+        "kernel": kernels,
+        "kernel_gap": gap,
+    }
 
 
 def _stage1_records():
