@@ -189,20 +189,25 @@ def _polarization(algebra: Algebra) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.array(P), np.array(C))
 
 
+def _support_map(source: Algebra, target: Algebra, matrix_t: np.ndarray) -> AlgebraMap:
+    """The map sending each projection P_r of `_polarization` to the right
+    support of M vec(P_r), extended linearly: supports^T C.  matrix_t is the
+    transpose of M, so row r of P matrix_t is M vec(P_r), and `right_supports`
+    takes one stacked SVD and one stacked product per target block."""
+    P, C = _polarization(source)
+    return AlgebraMap(source, target, right_supports(target, P @ matrix_t).T @ C)
+
+
 def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
     """Recover the underlying homomorphism from right supports.
 
     The d projections P_r of `_polarization` are a basis of the source, and
     e_u = sum_r C[r, u] P_r with C square.  Each P_r is sent to the right
-    support of T(phi^{1/p} P_r), p = T.p, and pi extends linearly: pi.matrix
-    is supports^T C.  The module relation T(phi^{1/p} x) = T(phi^{1/p}) pi(x)
-    is verified on the basis afterwards.
-
-    All projections go through T at once: with L the left multiplication
-    by phi^{1/p}, row r is (T L) vec(P_r), and `right_supports` takes one
-    stacked SVD and one stacked product per target block.
-    (T L)^T = L_{rho^T} T^T is applied blockwise, and so is L_{T(rho^{1/p})}
-    in the module relation.
+    support of T(phi^{1/p} P_r), p = T.p, and pi extends linearly
+    (`_support_map` of T L, L the left multiplication by phi^{1/p}).  The
+    module relation T(phi^{1/p} x) = T(phi^{1/p}) pi(x) is verified on the
+    basis afterwards.  (T L)^T = L_{rho^T} T^T is applied blockwise, and so
+    is L_{T(rho^{1/p})} in the module relation.
     """
     p = T.p
     if p == 2.0:
@@ -214,8 +219,7 @@ def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
         raise DataInvalid(_FOREIGN_STATE)
     rho_pow = phi.power_element(1.0 / p)
     TLt = apply_left(rho_pow.transpose(), T.matrix.T)
-    P, C = _polarization(src)
-    pi = AlgebraMap(src, tgt, right_supports(tgt, P @ TLt).T @ C)
+    pi = _support_map(src, tgt, TLt)
 
     # the module relation T L_{rho^{1/p}} = L_{T(rho^{1/p})} pi, one column per unit
     base_image = AlgebraElement.from_vec(tgt, T.matrix @ rho_pow.vec())
@@ -235,8 +239,12 @@ def extract_polar_data(T: LpMap, phi: State):
     if h.frobenius() < 1e-12:
         raise ZeroImage("the image of the reference vector vanished")
     pol = polar_decompose(h)
-    density = [(vh.conj().T * s**p) @ vh for _, s, vh in pol.svds]
-    return pol.w, State(T.target, density, normalize=True)
+    return pol.w, State(T.target, _modulus_power(pol), normalize=True)
+
+
+def _modulus_power(pol) -> list[np.ndarray]:
+    """The blocks of |h|^p = V S^p V*, p = pol.p, from the SVDs h = U S V*."""
+    return [(vh.conj().T * s**pol.p) @ vh for _, s, vh in pol.svds]
 
 
 def verify_state_restriction(phibar: State, pi: AlgebraMap, phi: State) -> float:
@@ -523,15 +531,7 @@ class ClassificationReport:
         return self.verdict == "accept"
 
 
-def classify(
-    T: LpMap,
-    phi: State,
-    p: float,
-    *,
-    metric_tol: float = METRIC_TOL,
-    warn_tol: float = WARN_TOL,
-    seed: int = 0,
-) -> ClassificationReport:
+def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
     """Decide whether a map is a canonical 2-isometry and recover its data.
 
     Pipeline: sampled isometry and amplified-isometry defects; homomorphism
@@ -568,12 +568,12 @@ def classify(
     # is measured here and read last.  A bad amplified defect is diagnosed
     # by the multiplicativity certificate.  Both defects measure the images
     # on their supports, found once for T (`_norm_defect`)
-    defects["isometry"] = isometry_defect(T, seed=seed)
-    if not defects["isometry"] <= metric_tol:
-        if defects["isometry"] < warn_tol:
+    defects["isometry"] = isometry_defect(T)
+    if not defects["isometry"] <= METRIC_TOL:
+        if defects["isometry"] < WARN_TOL:
             warnings.append(f"isometry defect {defects['isometry']:.3e} in the warn band")
         return reject("isometry")
-    defects["two_isometry"] = two_isometry_defect(T, n=2, seed=seed, relative=True)
+    defects["two_isometry"] = two_isometry_defect(T, n=2, relative=True)
     algebraic_tol = max(T.source.atol, T.target.atol) * 10
 
     # stage 2: homomorphism extraction and certification; the Glimm defect
@@ -630,13 +630,13 @@ def classify(
     scales = np.maximum(lp_norms(T.source, p, rows), 1e-14)
     recon = float(np.max(lp_norms(T.target, p, gaps[:, :, 0]) / scales))
     defects["reconstruction"] = recon
-    if not recon <= metric_tol:
-        if recon < warn_tol:
+    if not recon <= METRIC_TOL:
+        if recon < WARN_TOL:
             warnings.append(f"reconstruction defect {recon:.3e} in the warn band")
         return reject("reconstruction")
 
-    if not defects["two_isometry"] <= metric_tol:
-        if defects["two_isometry"] < warn_tol:
+    if not defects["two_isometry"] <= METRIC_TOL:
+        if defects["two_isometry"] < WARN_TOL:
             warnings.append(
                 f"two_isometry defect {defects['two_isometry']:.3e} in the warn band"
             )

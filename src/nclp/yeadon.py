@@ -9,13 +9,15 @@ spectral projections commute with the image, subject to
     (2) tau(x) = Tr(B^p J(x))
     (3) T(x) = w B J(x)
 
-and the triple is unique.  With a finite trace the whole decomposition comes
-from the polar data of T(1).
+and the triple is unique.  With a finite trace, w and B come from the polar
+data of T(1), and J from the right supports of the images of projections,
+which is how `classify` recovers pi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +29,6 @@ from .algebra import (
     apply_right,
     homomorphism_kind,
     matrix_units,
-    support_calculus,
     trace_row,
 )
 from .errors import (
@@ -38,7 +39,14 @@ from .errors import (
     ShapeMismatch,
     TraceConditionViolated,
 )
-from .isometry import _norm_defect, _sample_rows, grid_witness, two_isometry_defect
+from .isometry import (
+    _modulus_power,
+    _norm_defect,
+    _sample_rows,
+    _support_map,
+    grid_witness,
+    two_isometry_defect,
+)
 from .lp import LpMap, LpVector, amplified_algebra, lp_norms, mazur_map, polar_decompose
 
 
@@ -63,21 +71,10 @@ class YeadonTriple:
     w: AlgebraElement
     B: LpVector
 
-    def j_one(self) -> AlgebraElement:
-        return self.J(AlgebraElement.identity(self.J.source))
-
-
 def projection_polar_parts(T: LpMap, e: AlgebraElement) -> tuple[AlgebraElement, LpVector]:
     """Polar data (w_e, B_e) of the image of a single projection."""
     pol = polar_decompose(T(LpVector.from_element(e, T.p)))
     return pol.w, pol.modulus
-
-
-def _pseudo_inverse_positive(B: LpVector) -> AlgebraElement:
-    eigs = [np.linalg.eigh((b + b.conj().T) / 2) for b in B.data]
-    top = max(float(w.max()) if w.size else 0.0 for w, _ in eigs)
-    inverse = support_calculus(eigs, lambda w: 1.0 / w, 1e-10 * max(top, 1e-300))
-    return AlgebraElement(B.algebra, inverse)
 
 
 def yeadon_decompose(
@@ -85,10 +82,12 @@ def yeadon_decompose(
 ) -> YeadonTriple:
     """Decompose a tracial-source isometry into its triple.
 
-    With a finite trace the polar decomposition of T(1) already carries w and
-    B; J is then solved from T through the pseudo-inverse of B.  Supports of
-    the images of the diagonal matrix units are cross-checked against J, and
-    conditions (1) to (3) are verified before returning.
+    With a finite trace the polar decomposition of T(1) = w B carries w, B,
+    s(B) = s_r(T(1)) and B^p = V S^p V*.  J is read from right supports, as
+    `extract_pi` reads pi: for a projection P, T(P) = w B J(P) with B
+    commuting with J(P) and s(B) = J(1), so s_r(T(P)) = J(P).  B must
+    commute with the image, conditions (1) to (3) are verified, and J must
+    be a Jordan *-monomorphism before the triple is returned.
     """
     p = float(p)
     if p != T.p:
@@ -96,49 +95,46 @@ def yeadon_decompose(
     if p == 2.0:
         raise ExponentUnsupported("the decomposition is undefined at p = 2")
     weights = _weights(T.source, trace_weights)
-    one = AlgebraElement.identity(T.source)
-    w, B = projection_polar_parts(T, one)
-    B_pinv = _pseudo_inverse_positive(B)
-    solve = apply_left(B_pinv, apply_left(w.adjoint(), T.matrix))
-    J = AlgebraMap(T.source, T.target, solve)
+    pol = polar_decompose(T(LpVector.from_element(AlgebraElement.identity(T.source), p)))
+    w, B = pol.w, pol.modulus
+    J = _support_map(T.source, T.target, T.matrix.T)
 
-    tol = 1e-7 * max(1, T.target.total_dim)
-    report = homomorphism_kind(J, tol=tol)
-    if report.kind == "neither" or not report.injective:
-        raise NotAnIsometry(f"solved map is not a Jordan *-monomorphism ({report.kind})")
-
-    j_one = J(one)
-    sB = polar_decompose(B).s_right
-    if (w.adjoint() @ w - j_one).frobenius() > tol or (j_one - sB).frobenius() > tol:
-        raise NotAnIsometry("w* w = J(1) = s(B) fails")
+    tol = _tolerance(J)
     # spectral projections of B commute with the image exactly when B does;
     # column u of (L_B - R_B) J is the commutator [B, J(u)]
     commutators = apply_left(B, J.matrix) - apply_right(B, J.matrix)
     comm = float(np.max(np.linalg.norm(commutators, axis=0)))
     if not comm <= tol:
         raise NotAnIsometry(f"B does not commute with the image (defect {comm:.3e})")
-    # diagonal-unit supports must agree with J on projections; T(e) and J(e)
-    # of the unit e at (b, k, k) are column off + k n + k of each matrix
-    for off, n in zip(T.source.offsets(), T.source.blocks):
-        for c in range(off, off + n * n, n + 1):
-            image = AlgebraElement.from_vec(T.target, T.matrix[:, c])
-            w_e = polar_decompose(LpVector.from_element(image, T.p)).w
-            j_e = AlgebraElement.from_vec(T.target, J.matrix[:, c])
-            if (w_e.adjoint() @ w_e - j_e).frobenius() > tol:
-                raise NotAnIsometry("support of a diagonal image disagrees with J")
-    _verify_trace_condition(J, B, p, weights, tol)
+    power = partial(AlgebraElement, T.target, _modulus_power(pol))
+    _verify_conditions(J, w, pol.s_right, power, weights, NotAnIsometry)
     recon = apply_left(w @ B, J.matrix)
     if np.max(np.abs(recon - T.matrix)) > tol:
         raise NotAnIsometry("T does not factor as w B J(x)")
     return YeadonTriple(J=J, w=w, B=B)
 
 
-def _verify_trace_condition(J, B, p, weights, tol):
-    """tau(u) = Tr(B^p J(u)) on every matrix unit u, as one row identity
-    omega J = tau with Tr(B^p x) = omega . vec(x)."""
-    Bp = mazur_map(LpVector.from_element(B, p), 1.0)
-    omega = trace_row(Bp)
-    tau = np.concatenate([w * np.eye(n).reshape(-1) for w, n in zip(weights, J.source.blocks)])
+def _tolerance(J: AlgebraMap) -> float:
+    """The tolerance of a triple's conditions, 1e-7 per target dimension."""
+    return 1e-7 * max(1, J.target.total_dim)
+
+
+def _verify_conditions(J, w, support, power, weights, error) -> None:
+    """Raise `error` unless J is an injective Jordan *-homomorphism and
+    w* w = J(1) = s(B), with s(B) given as `support`, and raise
+    TraceConditionViolated unless tau(u) = Tr(B^p J(u)) on every matrix unit
+    u, as one row identity omega J = tau with Tr(B^p x) = omega . vec(x).
+    B^p is `power()`, taken only once J and the supports have passed.  J's
+    kind is taken at `_tolerance`, and so are the comparisons."""
+    tol = _tolerance(J)
+    report = homomorphism_kind(J, tol)
+    if report.kind == "neither" or not report.injective:
+        raise error(f"J is not a Jordan *-monomorphism ({report.kind})")
+    j_one = J(AlgebraElement.identity(J.source))
+    if (w.adjoint() @ w - j_one).frobenius() > tol or (j_one - support).frobenius() > tol:
+        raise error("w* w = J(1) = s(B) fails")
+    omega = trace_row(power())
+    tau = np.concatenate([t * np.eye(n).reshape(-1) for t, n in zip(weights, J.source.blocks)])
     got = omega @ J.matrix
     failing = np.flatnonzero(~(np.abs(got - tau) <= tol))
     if failing.size:
@@ -170,18 +166,11 @@ def _assemble_yeadon_map(triple: YeadonTriple, p: float, weights) -> LpMap:
 
 
 def _verified_map(triple: YeadonTriple, p: float, weights) -> LpMap:
-    """The map `_assemble_yeadon_map` keeps, assembled and verified; J's
-    kind is taken at the tolerance of the triple's conditions."""
-    J, w, B = triple.J, triple.w, triple.B
-    tol = 1e-7 * max(1, J.target.total_dim)
-    report = homomorphism_kind(J, tol)
-    if report.kind == "neither" or not report.injective:
-        raise DataInvalid(f"J is not a Jordan *-monomorphism ({report.kind})")
-    j_one = triple.j_one()
-    sB = polar_decompose(LpVector.from_element(B, p)).s_right
-    if (w.adjoint() @ w - j_one).frobenius() > tol or (j_one - sB).frobenius() > tol:
-        raise DataInvalid("w* w = J(1) = s(B) fails")
-    _verify_trace_condition(J, LpVector.from_element(B, p), p, weights, tol)
+    """The map `_assemble_yeadon_map` keeps, assembled and verified; B^p is
+    `mazur_map`'s, which checks B positive."""
+    J, w, B = triple.J, triple.w, LpVector.from_element(triple.B, p)
+    power = partial(mazur_map, B, 1.0)
+    _verify_conditions(J, w, polar_decompose(B).s_right, power, weights, DataInvalid)
     matrix = apply_left(w @ B, J.matrix)
     T = LpMap(J.source, J.target, p, matrix)
     # spot check the isometry granted by the trace condition

@@ -326,3 +326,24 @@ def test_a_raising_case_is_recorded_as_a_failure():
     assert all(case["message"].startswith("tau and Tr(B^p J(.))") for case in failed)
     assert all(case["pass"] for case in report.cases if "error" not in case)
     assert json.loads(report.dumps())["cases"][failed[0]["case"]]["error"] == "TraceConditionViolated"
+
+
+def test_a_suite_refuses_the_options_it_does_not_read(tmp_path):
+    # lemma41 and expectation_detect read no exponents and only clarkson
+    # reads sizes: their SUITE_DEFAULTS entries have no such key
+    refused = (
+        ("lemma41", "exponents", [3.0, 5.0]),
+        ("expectation_detect", "exponents", [3.0]),
+        ("duality", "sizes", [[2], [3]]),
+    )
+    for suite, name, value in refused:
+        with pytest.raises(ConfigInvalid, match=f"suite '{suite}' takes no {name}"):
+            run_suite(SuiteConfig(suite=suite, **{name: value}))
+    # the CLI refuses each with exit code 2 and writes no report
+    report = tmp_path / "report.json"
+    for suite, flags in (("lemma41", ["--p-list", "3,5"]), ("duality", ["--sizes", "2;3"])):
+        command = ["verify", "--suite", suite, "--samples", "2", "-o", str(report)]
+        assert main([*command, *flags]) == 2
+        assert not report.exists()
+    # a suite that reads the option still takes it
+    assert run_suite(SuiteConfig("clarkson", sizes=[[2]], sample_count=4)).config.sizes == [[2]]

@@ -63,8 +63,9 @@ def test_decompose_rejects_p2_and_non_isometries():
 @pytest.mark.parametrize("p", [1.0, 3.0])
 def test_decompose_rejects_a_diagonal_support_that_disagrees_with_J(p):
     # T = J + N with J the corner embedding M_2 -> M_3 and N(e_11) = e_33 =
-    # -N(e_22): T(1), w, B and the solved J are those of the embedding, but
-    # the image of e_11 has the larger support e_11 + e_33
+    # -N(e_22): T(1), w and B are those of the embedding, but the image of
+    # e_11 has the larger support e_11 + e_33, so the map read off the
+    # supports of the images is not Jordan
     from nclp.errors import NotAnIsometry
 
     M3 = make_algebra([3])
@@ -73,7 +74,7 @@ def test_decompose_rejects_a_diagonal_support_that_disagrees_with_J(p):
         for j in range(2):
             matrix[3 * i + j, 2 * i + j] = 1.0
     matrix[8, 0], matrix[8, 3] = 1.0, -1.0
-    with pytest.raises(NotAnIsometry, match="support of a diagonal image"):
+    with pytest.raises(NotAnIsometry, match=r"J is not a Jordan \*-monomorphism \(neither\)"):
         yeadon_decompose(LpMap(M2, M3, p, matrix), p)
 
 
@@ -124,14 +125,40 @@ def test_build_rejects_mismatched_weights():
     assert np.array_equal(err.value.witness.vec(), [0, 1])
 
 
-@pytest.mark.parametrize("seed,p", [(0, 1.0), (1, 1.5), (2, 3.0), (5, 4.0)])
+# seeds 0-7 draw each layout of the generator's menu once
+@pytest.mark.parametrize("seed,p", [(s, p) for p in (1.0, 1.5, 3.0, 4.0, 7.0) for s in range(8)])
 def test_roundtrip(seed, p):
     triple, weights = random_yeadon_triple(seed, p)
     T = build_yeadon_map(triple, p, weights)
     back = yeadon_decompose(T, p, weights)
-    assert np.max(np.abs(back.J.matrix - triple.J.matrix)) < 1e-7
-    assert (back.w - triple.w).frobenius() < 1e-7
-    assert (back.B - LpVector.from_element(triple.B, p)).frobenius() < 1e-7
+    assert np.max(np.abs(back.J.matrix - triple.J.matrix)) < 1e-12
+    assert np.max(np.abs(back.w.vec() - triple.w.vec())) < 1e-12
+    assert np.max(np.abs(back.B.vec() - triple.B.vec())) < 1e-12
+
+
+def _corrupted(T, seed):
+    """The map moved by 1e-5 and 1e-9 of seeded noise, scaled by 1.01, and
+    replaced by the noise itself, with the error each must raise."""
+    from nclp.errors import NotAnIsometry
+
+    rng = rng_for(1000 + seed)
+    noise = rng.standard_normal(T.matrix.shape) + 1j * rng.standard_normal(T.matrix.shape)
+    return [
+        (T.matrix + 1e-5 * noise, NotAnIsometry),
+        (T.matrix + 1e-9 * noise, NotAnIsometry),
+        (1.01 * T.matrix, TraceConditionViolated),
+        (noise, NotAnIsometry),
+    ]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, 7.0])
+def test_decompose_rejects_corrupted_maps(p):
+    for seed in range(16):
+        triple, weights = random_yeadon_triple(seed, p)
+        T = build_yeadon_map(triple, p, weights)
+        for matrix, error in _corrupted(T, seed):
+            with pytest.raises(error):
+                yeadon_decompose(LpMap(T.source, T.target, p, matrix), p, weights)
 
 
 def test_orthogonality_propagation_and_additivity():

@@ -11,7 +11,8 @@ An accepted record also holds the sha256 of the bytes of the recovered
 a last-bit change in the recovered data shows even where the defects hide it.
 The Yeadon records hold, for ``random_yeadon_triple`` seeds 0-7 at p in
 {1, 1.5, 3, 4}, the sha256 of the J, w and B that ``yeadon_decompose``
-recovers and the ``jordan_dichotomy_report`` fields, once on the triple that
+recovers, the largest entry gap from that J to the generating one, and the
+``jordan_dichotomy_report`` fields, once on the triple that
 ``build_yeadon_map`` assembled and once on a fresh triple of copies of its
 J, w and B.  The polar records hold the sha256 of the four parts of
 ``polar_decompose`` (``w``, ``modulus``, ``s_left``, ``s_right``) on seeded
@@ -315,6 +316,8 @@ def _outcome(fn):
 
 
 def _yeadon_records():
+    import numpy as np
+
     from nclp.algebra import AlgebraElement, AlgebraMap
     from nclp.lp import LpVector
     from nclp.samples import random_yeadon_triple
@@ -341,6 +344,7 @@ def _yeadon_records():
                 "seed": seed,
                 "p": p,
                 "J": _digest(back.J.matrix),
+                "j_gap": float(np.max(np.abs(back.J.matrix - J.matrix))),
                 "w": _digest(back.w.vec()),
                 "B": _digest(back.B.vec()),
                 "dichotomy": vars(report),
