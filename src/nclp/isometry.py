@@ -362,7 +362,7 @@ def _norm_defect(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray, relative
     NaN gives NaN.  The image norms come from `_image_singular_values` of
     `_image_stacks`."""
     stacks = _image_stacks(T, n, rows, norms)
-    image_norms = _norms_from_singular_values(_image_singular_values(stacks, T.p), T.p)
+    image_norms = np.array(_norms_from_singular_values(_image_singular_values(stacks, T.p), T.p))
     keep = ~(norms < 1e-14)
     d = np.abs(image_norms[keep] - norms[keep])
     if relative:
@@ -401,8 +401,9 @@ def _image_stacks(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray) -> list
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _source_plan(algebra: Algebra, n: int, sample_count: int, seed: int) -> tuple:
-    """Read-only rows of a sampled defect of id_n (x) T and their per-block singular
-    values: the unit basis for n = 1, else the structured witnesses, then seeded samples."""
+    """Read-only rows of a sampled defect of id_n (x) T, then their singular
+    values per block size (`_singular_values`'s groups, the values read-only):
+    the unit basis for n = 1, else the structured witnesses, then seeded samples."""
     big = amplified_algebra(algebra, n)
     positions = _witness_positions(algebra, n) if n > 1 else [[u] for u in range(big.total_dim)]
     fixed = np.zeros((len(positions), big.total_dim), dtype=complex)
@@ -410,12 +411,15 @@ def _source_plan(algebra: Algebra, n: int, sample_count: int, seed: int) -> tupl
     # a source without structured witnesses, such as M_1, leaves only the samples
     fixed[owners, [q for pos in positions for q in pos]] = 1.0
     rows = np.vstack([fixed, _sample_rows(big, sample_count, np.random.default_rng(seed))])
-    return _read_only(rows, *_singular_values(big, rows))
+    groups = _singular_values(big, rows)
+    _read_only(rows, *(values for values, _ in groups))
+    return (rows, *groups)
 
 
 def _plan_defect(T: LpMap, n: int, sample_count: int, seed: int, weights, relative) -> float:
-    rows, *svals = _source_plan(T.source, n, sample_count, seed)
-    return _norm_defect(T, n, rows, _norms_from_singular_values(svals, T.p, weights), relative)
+    rows, *groups = _source_plan(T.source, n, sample_count, seed)
+    norms = np.array(_norms_from_singular_values(groups, T.p, weights))
+    return _norm_defect(T, n, rows, norms, relative)
 
 
 def isometry_defect(

@@ -19,6 +19,14 @@ relative on the benchmark's rank-deficient images, so those keep the SVD.
 A stack whose Gram eigvalsh rejects, or whose eigenvalues do not sum to a
 finite value (a NaN or infinite entry, an overflowing Gram matrix), goes to
 the SVD instead.
+
+The p-th-power step (`_norms_from_singular_values`) is paid per distinct
+block shape, as the SVDs are: one sum of powers and one `tolist` over the
+rows of all blocks of that shape, then each row's block sums added as
+Python floats in block order, which is the arithmetic of one sum per
+block.  Overflow is ruled out from the largest singular value before the
+powers are taken (`_power_sums`); only a shape where it cannot be takes
+them with overflow ignored.
 """
 
 from __future__ import annotations
@@ -102,8 +110,8 @@ def lp_norm(h: LpVector, weights: Sequence[float] | None = None) -> float:
 def _block_lp_norm(blocks: Sequence[np.ndarray], p: float, weights=None) -> float:
     """`lp_norm` of the vector with the given blocks, each block a stack of
     one for the kernel of `lp_norms`; p must already be a valid exponent."""
-    svals = _stack_singular_values([b[None] for b in blocks])
-    return float(_norms_from_singular_values(svals, p, weights)[0])
+    groups = _stack_singular_values([b[None] for b in blocks])
+    return _norms_from_singular_values(groups, p, weights)[0]
 
 
 def _svdvals(stack: np.ndarray) -> np.ndarray:
@@ -151,34 +159,46 @@ def _image_svdvals(stack: np.ndarray) -> np.ndarray:
     return _svdvals(stack) if values is None else values
 
 
-def _stack_singular_values(stacks: Sequence[np.ndarray], kernel=_svdvals) -> list[np.ndarray]:
-    """Per block, the singular values of its (N, r, c) stack: one call of the
-    kernel per distinct matrix shape, on the stacks of that shape joined.
-    LAPACK sees each matrix alone, so the values do not depend on the
-    grouping, except that `_image_svdvals` sends a joined stack to the SVD
-    as a whole."""
+def _stack_singular_values(stacks: Sequence[np.ndarray], kernel=_svdvals) -> list[tuple]:
+    """The singular values of each block's (N, r, c) stack, per distinct
+    matrix shape: one call of the kernel on the stacks of that shape joined,
+    as a pair (values, blocks) with the blocks in order, the j-th owning rows
+    j N to (j + 1) N of the values.  LAPACK sees each matrix alone, so the
+    values do not depend on the grouping, except that `_image_svdvals` sends
+    a joined stack to the SVD as a whole."""
     if len(stacks) == 1:
-        return [kernel(stacks[0])]
+        return [(kernel(stacks[0]), (0,))]
     shapes = [stack.shape[1:] for stack in stacks]
-    out: list = [None] * len(stacks)
+    groups = []
     for shape in dict.fromkeys(shapes):
-        group = [b for b, s in enumerate(shapes) if s == shape]
+        group = tuple(b for b, s in enumerate(shapes) if s == shape)
         joined = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[b] for b in group])
-        values = kernel(joined)
-        for b in group:
-            out[b], values = values[: len(stacks[b])], values[len(stacks[b]) :]
-    return out
+        groups.append((kernel(joined), group))
+    return groups
 
 
-def _image_singular_values(stacks: Sequence[np.ndarray], p: float) -> list[np.ndarray]:
-    """Per block, the singular values that the p-norms of a map's images are
-    read from: for p >= 2 from Hermitian Gram eigenvalues (`_image_svdvals`,
-    see the module docstring for the bound), else `_stack_singular_values`'."""
+def _block_values(groups: Sequence[tuple]) -> list[np.ndarray]:
+    """The singular values of each block's stack, in block order, as views
+    of the groups of `_stack_singular_values`."""
+    out = {}
+    for values, blocks in groups:
+        n = len(values) // len(blocks)
+        for j, b in enumerate(blocks):
+            out[b] = values[j * n : (j + 1) * n]
+    return [out[b] for b in range(len(out))]
+
+
+def _image_singular_values(stacks: Sequence[np.ndarray], p: float) -> list[tuple]:
+    """The singular values that the p-norms of a map's images are read from,
+    grouped as `_stack_singular_values` groups them: for p >= 2 from
+    Hermitian Gram eigenvalues (`_image_svdvals`, see the module docstring
+    for the bound), else from the SVD."""
     return _stack_singular_values(stacks, _image_svdvals if p >= 2.0 else _svdvals)
 
 
-def _singular_values(algebra: Algebra, rows: np.ndarray) -> list[np.ndarray]:
-    """Per block, the singular values of each row's block."""
+def _singular_values(algebra: Algebra, rows: np.ndarray) -> list[tuple]:
+    """The singular values of each row's blocks, grouped per block size as
+    `_stack_singular_values` groups them."""
     cuts = zip(algebra.offsets(), algebra.blocks)
     return _stack_singular_values([rows[:, off : off + n * n].reshape(-1, n, n) for off, n in cuts])
 
@@ -196,29 +216,80 @@ def lp_norms(
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != algebra.total_dim:
         raise ShapeMismatch(f"rows of shape {rows.shape} are not N x {algebra.total_dim}")
-    return _norms_from_singular_values(_singular_values(algebra, rows), p, weights)
+    return np.array(_norms_from_singular_values(_singular_values(algebra, rows), p, weights))
 
 
-def _norms_from_singular_values(svals: list[np.ndarray], p: float, weights=None) -> np.ndarray:
-    """`lp_norms` of the rows with the given per-block singular values."""
-    ws = [1.0] * len(svals) if weights is None else [float(w) for w in weights]
-    if len(ws) != len(svals):
-        raise ShapeMismatch("one weight per block is required")
+def _power_sums(values: np.ndarray, p: float) -> list[float]:
+    """Each row's sum of the p-th powers of its values, as a list.
+
+    The values descend along a row, so its first is its top.  When the
+    largest top t keeps t^p times twice the number of values in a row
+    finite, neither the powers nor their sums can overflow, and numpy's
+    floating-point checks are left as they are; otherwise (Python's t^p
+    raises OverflowError, or t is inf or NaN) the powers are taken with
+    overflow ignored, in the same arithmetic.  A stack of a few rows reads
+    its tops as a list, whose max is NaN when the first top is and otherwise
+    passes over NaN rows, which cannot overflow; a longer one reads them
+    through numpy's max."""
+    if len(values) > 16:
+        top = float(values.max())
+    else:
+        tops = values[:, 0].tolist()
+        top = max(tops) if tops else 0.0
+    try:
+        fits = top**p * (2 * values.shape[1]) < math.inf
+    except OverflowError:
+        fits = False
+    if fits:
+        return (values**p).sum(axis=-1).tolist()
     with np.errstate(over="ignore"):
-        powers = [(s**p).sum(axis=-1) for s in svals]
-        # unweighted, the sums are added alone: 0.0 + 1.0 * x is x
-        total = powers[0] if weights is None else 0.0 + ws[0] * powers[0]
-        for w, t in zip(ws[1:], powers[1:]):
-            total = total + (t if weights is None else w * t)
-    sums, root = total.tolist(), 1.0 / p
-    # the root per row as a Python float: np.power differs from it by an ulp
-    norms = np.array([t**root for t in sums])
+        return (values**p).sum(axis=-1).tolist()
+
+
+def _norms_from_singular_values(groups: Sequence[tuple], p: float, weights=None) -> list[float]:
+    """`lp_norms` of the rows with the given singular values, grouped per
+    block shape as `_stack_singular_values` groups them, as a list.
+
+    Each shape takes one sum of p-th powers over the rows of all its blocks
+    and one `tolist` (`_power_sums`).  Each row's block sums are then added
+    in block order as Python floats, t_1 + t_2 + ... unweighted and
+    0.0 + w_1 t_1 + w_2 t_2 + ... weighted: the float64 arithmetic of one
+    sum per block, where an overflow gives inf without a warning.  The root
+    is taken per row as a Python float, which np.power differs from by an
+    ulp.  A row whose sum overflows, or underflows to zero, is recomputed
+    with its top singular value factored out."""
+    count = 0
+    for _, blocks in groups:
+        count += len(blocks)
+    per_block: list = [None] * count
+    for values, blocks in groups:
+        sums = _power_sums(values, p)
+        if len(blocks) == 1:
+            per_block[blocks[0]] = sums
+            continue
+        n = len(sums) // len(blocks)
+        for j, b in enumerate(blocks):
+            per_block[b] = sums[j * n : (j + 1) * n]
+    ws = [1.0] * count if weights is None else [float(w) for w in weights]
+    if len(ws) != count:
+        raise ShapeMismatch("one weight per block is required")
+    if weights is None:
+        total = per_block[0]
+        for t in per_block[1:]:
+            total = [a + b for a, b in zip(total, t)]
+    else:
+        total = [0.0 + ws[0] * t for t in per_block[0]]
+        for w, t in zip(ws[1:], per_block[1:]):
+            total = [a + w * b for a, b in zip(total, t)]
+    root = 1.0 / p
+    norms = [t**root for t in total]
     # only rows that overflow, or underflow to zero, need the top value
-    if 0.0 not in sums and np.inf not in sums:
+    if 0.0 not in total and math.inf not in total:
         return norms
+    svals = _block_values(groups)
     top = np.max([s[:, 0] for s in svals], axis=0)
-    for r, t in enumerate(sums):  # a row whose top value is inf keeps the norm inf
-        if (t == 0.0 or t == np.inf) and 0.0 < top[r] < np.inf:
+    for r, t in enumerate(total):  # a row whose top value is inf keeps the norm inf
+        if (t == 0.0 or t == math.inf) and 0.0 < top[r] < math.inf:
             scaled = sum(w * float(np.sum((s[r] / top[r]) ** p)) for w, s in zip(ws, svals))
             norms[r] = float(top[r]) * scaled**root
     return norms
@@ -359,8 +430,9 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
     if h.p != k.p:
         raise ExponentMismatch("vectors carry different exponents")
     p = h.p
-    svals = _stack_singular_values([np.array([a + b, a - b, a, b]) for a, b in zip(h.data, k.data)])
-    n_sum, n_diff, n_h, n_k = _norms_from_singular_values(svals, p).tolist()
+    rows = [np.array([a + b, a - b, a, b]) for a, b in zip(h.data, k.data)]
+    groups = _stack_singular_values(rows)
+    n_sum, n_diff, n_h, n_k = _norms_from_singular_values(groups, p)
     # at large p the powers overflow and inf - inf is NaN; then each p-th power
     # is a sum of s^p with the top singular value factored out, as in lp_norms,
     # so that an exact cancellation gives 0 and only a nonzero excess overflows
@@ -369,6 +441,7 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
     except OverflowError:
         defect = np.inf
     if not math.isfinite(defect):
+        svals = _block_values(groups)
         with np.errstate(over="ignore", invalid="ignore"):
             top = max(s.max() for s in svals)
             powers = sum(np.sum((s / top) ** p, axis=-1) for s in svals)
@@ -387,19 +460,43 @@ def mazur_map(h: LpVector, q: float) -> LpVector:
     q = float(q)
     if not (1.0 <= q < np.inf):
         raise ExponentUnsupported(f"q must lie in [1, inf), got {q}")
-    alg = h.algebra
+    spectra, floor = _hermitian_spectra(h)
+    return _spectral_power(h, spectra, floor, q)
+
+
+def _hermitian_spectra(h: LpVector) -> tuple[list, float]:
+    """The eigendecomposition (w, v) of each block's Hermitian part, and the
+    least eigenvalue a positive h may have, -100 atol max(1, ||h||_2).
+    Raise NotPositive unless h is Hermitian within 100 atol max(1, ||h||_2)."""
     scale = max(1.0, h.frobenius())
-    if (h - h.adjoint()).frobenius() > 100 * alg.atol * scale:
+    if (h - h.adjoint()).frobenius() > 100 * h.algebra.atol * scale:
         raise NotPositive("vector is not Hermitian")
+    return [np.linalg.eigh((b + b.conj().T) / 2) for b in h.data], -100 * h.algebra.atol * scale
+
+
+def _spectral_power(h: LpVector, spectra: list, floor: float, q: float) -> LpVector:
+    """h^(p/q) in L_q from `_hermitian_spectra` of h: NotPositive on the
+    first block with an eigenvalue below the floor, the others clipped at 0."""
     exponent = h.p / q
     blocks = []
-    for b in h.data:
-        w, v = np.linalg.eigh((b + b.conj().T) / 2)
-        if w.size and float(w.min()) < -100 * alg.atol * scale:
+    for w, v in spectra:
+        if w.size and float(w.min()) < floor:
             raise NotPositive(f"negative eigenvalue {w.min():.3e}")
         w = np.clip(w, 0.0, None)
         blocks.append((v * w**exponent) @ v.conj().T)
-    return LpVector(alg, q, blocks)
+    return LpVector(h.algebra, q, blocks)
+
+
+def _spectral_support(algebra: Algebra, spectra: list) -> AlgebraElement:
+    """The support of a Hermitian element from `_hermitian_spectra`: its
+    singular values are the |eigenvalues|, so the eigenvectors are kept
+    whose |eigenvalue| passes the rank rule of `_rank_masks`.  The
+    eigenvectors are orthonormal, so the sum of their projections is one
+    by construction and is not checked again as a `Projection`."""
+    orders = [np.argsort(-np.abs(w), kind="stable") for w, _ in spectra]
+    keeps = _rank_masks([np.abs(w)[order] for (w, _), order in zip(spectra, orders)])
+    vhs = [v[:, order].conj().T for (_, v), order in zip(spectra, orders)]
+    return AlgebraElement(algebra, [_support_stack(vh, keep) for vh, keep in zip(vhs, keeps)])
 
 
 # -- dense maps on L_p ---------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraMap,
+    _require_finite,
     apply_left,
     apply_right,
     homomorphism_kind,
@@ -36,6 +37,7 @@ from .errors import (
     ExponentMismatch,
     ExponentUnsupported,
     NotAnIsometry,
+    NotPositive,
     ShapeMismatch,
     TraceConditionViolated,
 )
@@ -47,7 +49,17 @@ from .isometry import (
     grid_witness,
     two_isometry_defect,
 )
-from .lp import LpMap, LpVector, amplified_algebra, lp_norms, mazur_map, polar_decompose
+from .lp import (
+    LpMap,
+    LpVector,
+    _hermitian_spectra,
+    _spectral_power,
+    _spectral_support,
+    amplified_algebra,
+    lp_norms,
+    mazur_map,
+    polar_decompose,
+)
 
 
 def _weights(algebra, trace_weights: Sequence[float] | None) -> tuple[float, ...]:
@@ -166,11 +178,21 @@ def _assemble_yeadon_map(triple: YeadonTriple, p: float, weights) -> LpMap:
 
 
 def _verified_map(triple: YeadonTriple, p: float, weights) -> LpMap:
-    """The map `_assemble_yeadon_map` keeps, assembled and verified; B^p is
-    `mazur_map`'s, which checks B positive."""
+    """The map `_assemble_yeadon_map` keeps, assembled and verified.  B must
+    be finite.  One eigendecomposition of B gives s(B) (`_spectral_support`)
+    and B^p in `mazur_map`'s arithmetic, which checks B positive.  A B that
+    is not Hermitian takes s(B) from its SVD, and `mazur_map` raises
+    NotPositive once J and the supports have passed."""
     J, w, B = triple.J, triple.w, LpVector.from_element(triple.B, p)
-    power = partial(mazur_map, B, 1.0)
-    _verify_conditions(J, w, polar_decompose(B).s_right, power, weights, DataInvalid)
+    _require_finite(B.data, "B")
+    try:
+        spectra, floor = _hermitian_spectra(B)
+    except NotPositive:
+        support, power = polar_decompose(B).s_right, partial(mazur_map, B, 1.0)
+    else:
+        support = _spectral_support(B.algebra, spectra)
+        power = partial(_spectral_power, B, spectra, floor, 1.0)
+    _verify_conditions(J, w, support, power, weights, DataInvalid)
     matrix = apply_left(w @ B, J.matrix)
     T = LpMap(J.source, J.target, p, matrix)
     # spot check the isometry granted by the trace condition

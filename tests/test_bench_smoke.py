@@ -1,8 +1,11 @@
 """Smoke test of the benchmark workloads: one set-up at seed 0, then one
 operation of each kind through its own output check, so a change that turns
-benchmark operations into failures shows up in the test suite.  Every layer
-boundary the tracer wraps must still exist, so that removing a function
-from the package cannot break a traced run."""
+benchmark operations into failures shows up in the test suite.  On
+``layer_mix`` that is one operation per kind and layout: every layout of
+the Yeadon and inclusion generators, and every Clarkson exponent, so that a
+slip that breaks only some factor shapes fails here.  Every layer boundary
+the tracer wraps must still exist, so that removing a function from the
+package cannot break a traced run."""
 
 import importlib
 import importlib.util
@@ -27,6 +30,17 @@ def _workloads():
 KIND_FIELD = {"accept_ladder": "plan", "reject_mix": "expect", "layer_mix": "kind"}
 
 
+def _variant(workloads, name: str, label: dict):
+    """The kind of an operation, and on ``layer_mix`` its layout (a Yeadon or
+    inclusion seed picks it as seed mod ``LAYOUTS``) or Clarkson exponent."""
+    kind = label[KIND_FIELD[name]]
+    if name != "layer_mix":
+        return kind
+    if kind == "clarkson":
+        return kind, label["p"]
+    return kind, label["instance"] % workloads.LAYOUTS
+
+
 @pytest.mark.parametrize("name", sorted(KIND_FIELD))
 def test_one_operation_of_each_kind_passes_its_check(name):
     workloads = _workloads()
@@ -35,11 +49,16 @@ def test_one_operation_of_each_kind_passes_its_check(name):
     workload.setup(0)
     firsts = {}
     for op in workload.pool:
-        firsts.setdefault(op.label[KIND_FIELD[name]], op)
+        firsts.setdefault(_variant(workloads, name, op.label), op)
     assert len(firsts) > 1
-    for kind, op in firsts.items():
+    if name == "layer_mix":
+        kinds = [key[0] for key in firsts]
+        layouts = workloads.LAYOUTS
+        assert (kinds.count("yeadon"), kinds.count("interpolation")) == (layouts, layouts)
+        assert kinds.count("clarkson") == len(workloads.EXPONENTS)
+    for variant, op in firsts.items():
         result = op.check(op.run())
-        assert result["ok"], (kind, op.label, result)
+        assert result["ok"], (variant, op.label, result)
 
 
 def test_every_traced_function_resolves():

@@ -649,7 +649,8 @@ def _nan_singular_values(monkeypatch):
 
     def patched(stacks, p):
         out = real(stacks, p)
-        out[0][len(out[0]) // 2] = np.nan
+        values = out[0][0]  # the values of the first block shape
+        values[len(values) // 2] = np.nan
         return out
 
     monkeypatch.setattr(isometry_module, "_image_singular_values", patched)
@@ -1246,7 +1247,8 @@ def test_the_source_plan_is_computed_once_per_algebra(monkeypatch):
     assert positions == [] and T.source not in svds and big not in svds
 
     plan = isometry_module._source_plan(T.source, 2, 60, 0)
-    for array in (*plan, *isometry_module._polarization(T.source)):
+    values = [group[0] for group in plan[1:]]
+    for array in (plan[0], *values, *isometry_module._polarization(T.source)):
         with pytest.raises(ValueError):
             array[0] = 0.0
     with pytest.raises(ValueError):
@@ -1425,8 +1427,8 @@ def _moved(T, eps, seed):
 
 def _plan(F, n):
     """The rows of the sampled defect of id_n (x) F and their norms."""
-    rows, *svals = isometry_module._source_plan(F.source, n, 60, 0)
-    return rows, _norms_from_singular_values(svals, F.p)
+    rows, *groups = isometry_module._source_plan(F.source, n, 60, 0)
+    return rows, np.array(_norms_from_singular_values(groups, F.p))
 
 
 def _admitted(supports, rows, norms):

@@ -484,6 +484,38 @@ def test_the_norm_kernel_equals_the_per_block_oracle(case):
     )
 
 
+@pytest.mark.parametrize("blocks", [(2, 1, 2), (1, 2, 1, 2), (3, 1, 3)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 49.0, 2000.0])
+def test_the_norm_kernel_adds_the_block_sums_in_block_order(blocks, p):
+    """Layouts where a block size repeats after another, so the per-shape
+    sums come in another order than the blocks: bitwise against one SVD per
+    block on rows at 1e-200 (whose sums underflow at large p), 1 and 1e200
+    (whose sums overflow), weighted and not, and clarkson_defect on every
+    ordered pair of them whose witness products stay finite (not 1 with
+    1e200).  A row with a NaN entry in its last block reads NaN and one with
+    an infinite entry reads inf, next to the same rows."""
+    alg = make_algebra(blocks)
+    rng = rng_for(len(blocks))
+    rows = np.stack([c * random_element(alg, rng).vec() for c in (1e-200, 1.0, 1e200)])
+    bad = np.stack([random_element(alg, rng).vec() for _ in range(2)])
+    bad[0, -1], bad[1, -1] = np.nan, np.inf
+    vecs = [LpVector.from_element(AlgebraElement.from_vec(alg, r), p) for r in rows]
+    bad_vecs = [LpVector.from_element(AlgebraElement.from_vec(alg, r), p) for r in bad]
+    for weights in (None, rng.uniform(0.5, 2.0, len(blocks)).tolist()):
+        want = _outcome(lambda: lp_norms_per_block(alg, p, rows, weights))
+        both = _outcome(lambda: lp_norms(alg, p, np.vstack([bad[:1], rows, bad[1:]]), weights))
+        assert both[0] == "value" and both[1][8:-8] == want[1]
+        assert np.isnan(np.frombuffer(both[1][:8])[0]) and np.frombuffer(both[1][-8:])[0] == np.inf
+        assert _outcome(lambda: [lp_norm(h, weights) for h in vecs]) == want
+        assert np.isnan(lp_norm(bad_vecs[0], weights)) and lp_norm(bad_vecs[1], weights) == np.inf
+    for i, j in [(0, 1), (1, 0), (0, 2), (2, 0)]:
+        h, k = vecs[i], vecs[j]
+        got, oracle = clarkson_defect(h, k), clarkson_by_elements(h, k)
+        assert _outcome(lambda: [got.defect, got.witness, got.orthogonal]) == _outcome(
+            lambda: [oracle.defect, oracle.witness, oracle.orthogonal]
+        )
+
+
 @st.composite
 def _image_stacks(draw):
     """An (N, r, c) stack of seeded complex matrices of one rank, scaled by
@@ -513,19 +545,19 @@ def test_the_image_kernel_stays_within_the_gram_bound_of_the_svd(stack, p, low):
     with a NaN or infinite entry reads as the SVD reads it.  For p < 2 the
     kernel is the SVD bit for bit."""
     want = _svdvals(stack)
-    (got,) = _image_singular_values([stack], p)
+    ((got, _),) = _image_singular_values([stack], p)
     if not np.isfinite(stack).all():
         assert np.array_equal(got, want, equal_nan=True)
-    norms = _norms_from_singular_values([got], p)
-    exact = _norms_from_singular_values([want], p)
+    norms = np.array(_norms_from_singular_values([(got, (0,))], p))
+    exact = np.array(_norms_from_singular_values([(want, (0,))], p))
     relative, absolute = gram_norm_bounds([stack.shape[1:]], p)
     room = (relative + NORM_ROUNDING) * exact + absolute
     assert np.array_equal(np.isnan(norms), np.isnan(exact))
     finite = np.isfinite(exact)
     assert np.array_equal(norms[~finite], exact[~finite], equal_nan=True)
     assert (np.abs(norms[finite] - exact[finite]) <= room[finite]).all()
-    (low_values,) = _image_singular_values([stack], low)
-    assert low_values.tobytes() == _stack_singular_values([stack])[0].tobytes()
+    ((low_values, _),) = _image_singular_values([stack], low)
+    assert low_values.tobytes() == _stack_singular_values([stack])[0][0].tobytes()
 
 
 def test_lp_norm_homogeneity():

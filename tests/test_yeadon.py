@@ -349,3 +349,84 @@ def test_a_failing_assembly_raises_on_every_call(monkeypatch):
     assert not halved.__dict__.get("_assembled")
     build_yeadon_map(triple, 3.0, weights)  # the intact triple still assembles
     assert len(calls) == 5
+
+
+def _corrupted_triples(seed: int, p: float):
+    """(name, J, w, B, weights) of the seeded triple as built and with one
+    of its conditions broken; B is moved by 1e-3 of seeded noise, negated,
+    has its top eigenvalue of the first block negated or dropped, w is
+    halved, J is composed with the source transpose or with a swap of two
+    units of a block of size >= 2, or the first trace weight grows 10%."""
+    triple, weights = random_yeadon_triple(seed, p)
+    J, w, B = triple.J, triple.w, triple.B
+    source, target = J.source, J.target
+    rng = rng_for(100 + seed)
+    j_one = J(AlgebraElement.identity(source))
+    noise = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in target.blocks]
+    inner = (j_one @ AlgebraElement(target, noise) @ j_one).data
+    vals, vecs = np.linalg.eigh(B.data[0])
+    top = vecs[:, -1:] @ vecs[:, -1:].conj().T
+    start = source.offsets()[next(b for b, n in enumerate(source.blocks) if n >= 2)]
+    swap = np.eye(source.total_dim)
+    swap[:, [start, start + 1]] = swap[:, [start + 1, start]]
+
+    def moved(blocks):
+        return LpVector(target, p, blocks)
+
+    yield "as built", J, w, B, weights
+    on_support = moved([b + 1e-3 * e for b, e in zip(B.data, inner)])
+    yield "non-Hermitian B on J(1)", J, w, on_support, weights
+    yield "non-Hermitian B", J, w, moved([b + 1e-3 * e for b, e in zip(B.data, noise)]), weights
+    yield "negated B", J, w, moved([-b for b in B.data]), weights
+    yield "negative eigenvalue", J, w, moved([B.data[0] - 2 * vals[-1] * top, *B.data[1:]]), weights
+    yield "s(B) != J(1)", J, w, moved([B.data[0] - vals[-1] * top, *B.data[1:]]), weights
+    yield "w*w != J(1)", J, 0.5 * w, B, weights
+    transposed = AlgebraMap(source, target, J.matrix @ transpose_permutation(source))
+    yield "transposed J", transposed, w, B, weights
+    yield "non-Jordan J", AlgebraMap(source, target, J.matrix @ swap), w, B, weights
+    yield "off weights", J, w, B, (1.1 * weights[0], *weights[1:])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_corrupted_triples_raise_as_the_svd_support_did(seed):
+    """One triple per layout of the generator's menu, at p = 1.5 and 3: the
+    outcome of `build_yeadon_map` on each corruption is the exception class
+    it raised when s(B) came from an SVD of B.  A non-Hermitian B has full
+    support, so it fails s(B) = J(1) first where J(1) != 1 (the padded
+    layouts) and is not positive elsewhere."""
+    from nclp.samples import _YEADON_MENU
+
+    padded = any(pad for *_, pad in _YEADON_MENU[seed])
+    want = {
+        "as built": "ok",
+        "non-Hermitian B on J(1)": "NotPositive",
+        "non-Hermitian B": "DataInvalid" if padded else "NotPositive",
+        "negated B": "NotPositive",
+        "negative eigenvalue": "NotPositive",
+        "s(B) != J(1)": "DataInvalid",
+        "w*w != J(1)": "DataInvalid",
+        "transposed J": "ok",
+        "non-Jordan J": "DataInvalid",
+        "off weights": "TraceConditionViolated",
+    }
+    for p in (1.5, 3.0):
+        got = {}
+        for name, J, w, B, weights in _corrupted_triples(seed, p):
+            try:
+                build_yeadon_map(YeadonTriple(J=J, w=w, B=B), p, weights)
+                got[name] = "ok"
+            except Exception as exc:  # the outcome compared is the class
+                got[name] = type(exc).__name__
+        assert got == want, (seed, p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_B_is_refused(bad):
+    from nclp.errors import NonFinite
+
+    triple, weights = random_yeadon_triple(3, 3.0)
+    blocks = [b.copy() for b in triple.B.data]
+    blocks[0][0, 0] = bad
+    B = LpVector(triple.B.algebra, 3.0, blocks)
+    with pytest.raises(NonFinite):
+        build_yeadon_map(YeadonTriple(J=triple.J, w=triple.w, B=B), 3.0, weights)

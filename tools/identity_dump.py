@@ -32,9 +32,11 @@ The L_p layer records hold the ``interpolation_gap`` values of
 {2, 3, 4, 8}, all on one subalgebra and state, and the sha256 of
 ``lp_inclusion`` and ``complement_projection`` of ``random_isometry_data``
 seeds 0-11 at p in {1.5, 3}.
-The norm records hold, on layouts (1, 1, 1, 1), (2, 1, 2) and (1, 2), whose
-repeated block sizes share one SVD call, at p in {1, 1.5, 3, 7, 49, 2000}
-and at scales 1 and 1e-150, for an orthogonal and a generic pair h, k: the
+The norm records hold, on layouts (1, 1, 1, 1), (2, 1, 2), (1, 2),
+(1, 2, 1, 2) and (3, 1, 3), whose repeated block sizes share one SVD call
+and one sum of powers, in an order that differs from the blocks' where a
+size repeats after another, at p in {1, 1.5, 3, 7, 49, 2000} and at scales
+1, 1e-150 and 1e150, for an orthogonal and a generic pair h, k: the
 ``clarkson_defect`` fields, ``lp_norm`` of h and k plain and weighted, and
 the weighted ``lp_norms`` of the rows h, k, h + k.
 The frobenius records hold, on seeded layouts (1,), (3,) and (2, 1, 3) whose
@@ -130,9 +132,9 @@ IMAGE_SEEDS = range(12)
 GAP_SAMPLES = 3
 GAP_EXPONENTS = (2.0, 3.0, 4.0, 8.0)
 LP_LAYER_EXPONENTS = (1.5, 3.0)
-NORM_LAYOUTS = ((1, 1, 1, 1), (2, 1, 2), (1, 2))
+NORM_LAYOUTS = ((1, 1, 1, 1), (2, 1, 2), (1, 2), (1, 2, 1, 2), (3, 1, 3))
 NORM_EXPONENTS = (1.0, 1.5, 3.0, 7.0, 49.0, 2000.0)
-NORM_SCALES = (1.0, 1e-150)
+NORM_SCALES = (1.0, 1e-150, 1e150)
 FROBENIUS_LAYOUTS = ((1,), (3,), (2, 1, 3))
 FROBENIUS_FILLS = ("gaussian", "zero", "nan", "inf", "near_max")
 VALIDATE_SEEDS = range(12)
@@ -240,15 +242,15 @@ def _stage1_record(F) -> dict:
     worst, kernels, gap = 0.0, [], 0.0
     for n in (1, 2):
         rows, *svals = _source_plan(F.source, n, 60, 0)
-        norms = _norms_from_singular_values(svals, F.p)
+        norms = np.asarray(_norms_from_singular_values(svals, F.p))
         keep = ~(norms < 1e-14)
         ratio = float(np.max(np.abs(rows[keep]).sum(axis=1) / norms[keep], initial=0.0))
         worst = max(worst, ratio * total / SUPPORT_ALLOWANCE)
         stacks = _image_stacks(F, n, rows, norms)
         gram = F.p >= 2.0 and all(_gram_svdvals(stack) is not None for stack in stacks)
         kernels.append("gram" if gram else "svd")
-        got = _norms_from_singular_values(_image_singular_values(stacks, F.p), F.p)
-        want = _norms_from_singular_values(_stack_singular_values(stacks), F.p)
+        got = np.asarray(_norms_from_singular_values(_image_singular_values(stacks, F.p), F.p))
+        want = np.asarray(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
         read = want > 0.0
         gap = max(gap, float(np.max(np.abs(got[read] - want[read]) / want[read], initial=0.0)))
     return {
