@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import (
-    _CACHE_SIZE,
     INJECTIVITY_TOL,
     Algebra,
     AlgebraElement,
@@ -45,27 +44,15 @@ from .algebra import (
 )
 from .errors import (
     DataInvalid,
-    ExponentUnsupported,
     NonFaithful,
     NotInvariant,
     ShapeMismatch,
 )
-from .lp import LpMap, LpVector, _block_lp_norm, conjugate_exponent, polar_decompose
+from .lp import LpMap, LpVector, _block_lp_norm, _lp_exponent, conjugate_exponent, polar_decompose
 
 _DECOMP_SEED = 20240711  # fixed draw for the generic elements used below
 _POSITIVITY_SAMPLES = 5  # seeded g g* on which the expectation must stay positive
 _EPS = float(np.finfo(float).eps)
-# entries of the (k, D, D) stack of commutators of one chunk of k generators
-# in the module identities.  A chunk saves a kernel call per generator, but
-# on a 2-vCPU AVX-512 Xeon, a complex product of 1 << 12 entries or more
-# per chunk made all of classify slower in wall time: after
-# it, unrelated code ran up to 30% slower for several milliseconds, as a
-# core does after wide vector instructions (accept_ladder, wall time: 196 to
-# 198 ops/s up to 1 << 11, 166 to 192 at 1 << 12 and 1 << 14).  So a chunk
-# holds 1 << 11 entries, 32 kB: up to 8 generators at D = 16, one from
-# D = 46 on.  One stack of all 35 generators at D = 400 also took 448 MB
-# instead of 105 MB
-_MODULE_ENTRIES = 1 << 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +94,7 @@ class Subalgebra:
             self.validate()
 
     @classmethod
-    def from_map_image(cls, pi: AlgebraMap, validate: bool = False) -> "Subalgebra":
+    def from_map_image(cls, pi: AlgebraMap) -> "Subalgebra":
         """Span of the image of an injective *-homomorphism pi: its matrix
         columns.  Its decomposition is pi, the multiplicity of a source block
         the trace of the projection pi(e_00), certified here: a pi that is no
@@ -115,8 +102,6 @@ class Subalgebra:
         image = object.__new__(cls)
         object.__setattr__(image, "parent", pi.target)
         object.__setattr__(image, "columns", pi.matrix)
-        if validate:
-            image.validate()
         mu = tuple(
             int(round(AlgebraElement.from_vec(pi.target, pi.matrix[:, off]).trace().real))
             for off in pi.source.offsets()
@@ -391,12 +376,10 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
     give E(a u b) = a E(u b) = a E(u) b.  They are multiplicative in a, as
     L_{ab} = L_a L_b and R_{ab} = R_b R_a, so holding on the generators of
     the certified decomposition (DataInvalid if it fails) they hold on A.
-    With S the transpose permutation, R_a = S L_{a^T} S, so the right
-    identity for a and M is the left one for a^T and S M S, up to a
-    permutation of rows and of columns; both sides run `_module_defects` on
-    chunks of the generators.  Positivity is checked on the seeded samples
-    kept per parent algebra.  Every comparison is written so that a NaN
-    rejects.
+    Per generator, each side is one blockwise product over M and one over a
+    contiguous M^T, as M L_a = (L_{a^T} M^T)^T and M R_a = (R_{a^T} M^T)^T,
+    and each column norm of the difference meets the generator's tolerance.  Positivity is checked on
+    seeded samples.  Every comparison is written so that a NaN rejects.
     """
     parent = A.parent
     check_tol = _check_tol(parent)
@@ -406,13 +389,10 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
     _check_fixes(M, A, defect)
     _check_state(M, state, defect)
     gen_tol = check_tol * np.maximum(1.0, np.linalg.norm(G, axis=0))
-    flip = transpose_order(parent)
-    step = max(1, _MODULE_ENTRIES // M.size)
-    for gens, X in ((G, M), (G[flip], M[np.ix_(flip, flip)])):
-        Xt = np.ascontiguousarray(X.T)
-        for lo in range(0, G.shape[1], step):
-            norms = _module_defects(gens[:, lo : lo + step], X, Xt, parent)
-            if not np.all(norms <= gen_tol[lo : lo + step, None]):
+    Mt = np.ascontiguousarray(M.T)
+    for apply in (apply_left, apply_right):
+        for a, tol in zip(A.generators, gen_tol):
+            if not np.all(np.linalg.norm(apply(a.transpose(), Mt).T - apply(a, M), axis=0) <= tol):
                 raise NotInvariant(defect, "expectation is not a module map")
     samples, scales = _positivity_samples(parent)
     pos, low = M @ samples, np.inf
@@ -445,33 +425,8 @@ def _check_state(M: np.ndarray, state: State, defect: float) -> None:
         raise NotInvariant(defect, "expectation does not preserve the state")
 
 
-def _module_defects(G: np.ndarray, M: np.ndarray, Mt: np.ndarray, algebra: Algebra) -> np.ndarray:
-    """The column norms of M L_a - L_a M, one row per generator column a of
-    the (D, k) array G; Mt is M^T, C-contiguous.  Per block of size m the k
-    generator blocks a_g make one stacked product with the block's rows of
-    M^T, read as (m, m D): the rows of L_{a^T} M^T = (M L_a)^T.  Then one
-    product of the a_g, stacked to (k m, m), with the block's rows of M gives
-    those rows of L_a M, subtracted from the matching columns.  So row c of
-    each (D, D) slice is column c of the commutator, and its norm is a
-    contiguous sum of squares."""
-    k, D = G.shape[1], M.shape[0]
-    layout = [(slice(off, off + m * m), m) for off, m in zip(algebra.offsets(), algebra.blocks)]
-    gens = [(rows, m, G[rows].T.reshape(k, m, m)) for rows, m in layout]
-    comm_t = np.empty((k, D, D), dtype=complex)
-    for rows, m, a in gens:
-        # the rows of one block of every slice, read as (m, m D): a view
-        out = comm_t[:, rows].reshape(k, m, m * D)
-        np.matmul(a.transpose(0, 2, 1), Mt[rows].reshape(m, m * D), out=out)
-    for rows, m, a in gens:
-        left = (a.reshape(k * m, m) @ M[rows].reshape(m, m * D)).reshape(k, m * m, D)
-        comm_t[:, :, rows] -= left.transpose(0, 2, 1)
-    parts = comm_t.view(float)
-    return np.sqrt(np.einsum("gci,gci->gc", parts, parts))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def _positivity_samples(parent: Algebra) -> tuple[np.ndarray, np.ndarray]:
-    """The positivity samples of the expectation certificate, read-only:
+    """The positivity samples of the expectation certificate:
     vec(g g*) for the seeded Gaussian g of one default_rng(_DECOMP_SEED)
     stream, in draw order, as columns, and each sample's scale
     max(1, largest Frobenius norm of a block of g g*)."""
@@ -481,10 +436,7 @@ def _positivity_samples(parent: Algebra) -> tuple[np.ndarray, np.ndarray]:
         g_blocks = [g @ g.conj().T for g in _gaussian(parent, rng)]
         cols.append(AlgebraElement(parent, g_blocks).vec())
         scales.append(max(1.0, max(np.linalg.norm(b) for b in g_blocks)))
-    samples, scales = np.column_stack(cols), np.array(scales)
-    samples.setflags(write=False)
-    scales.setflags(write=False)
-    return samples, scales
+    return np.column_stack(cols), np.array(scales)
 
 
 def _unit_product_bound(F: AlgebraMap) -> float:
@@ -685,9 +637,7 @@ def lp_inclusion(
     """The inclusion of L_p of the subalgebra into L_p of the parent that
     sends phi_A^{1/p} x to phibar^{1/p} x, where phibar extends phi_A through
     the expectation."""
-    p = float(p)
-    if not (1.0 <= p < np.inf):
-        raise ExponentUnsupported(f"p must lie in [1, inf), got {p}")
+    p = _lp_exponent(p)
     dec = A.decomposition
     phibar = E.state
     rho_A = restrict_state(A, phibar)
@@ -741,9 +691,7 @@ def complement_projection(data, p: float) -> LpMap:
 def _power_product_norm(state: State, x: AlgebraElement, p: float) -> float:
     """||rho^{1/p} x||_p from the blockwise products of the kept power of
     the state's density with x."""
-    p = float(p)
-    if not (1.0 <= p < np.inf):
-        raise ExponentUnsupported(f"p must lie in [1, inf), got {p}")
+    p = _lp_exponent(p)
     if x.algebra != state.algebra:
         raise ShapeMismatch("elements live on different algebras")
     power = state.power_element(1.0 / p)

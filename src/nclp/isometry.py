@@ -50,6 +50,7 @@ from .lp import (
     LpVector,
     _amplified_positions,
     _image_singular_values,
+    _lp_exponent,
     _norms_from_singular_values,
     _rank_masks,
     _singular_values,
@@ -133,9 +134,7 @@ def build_isometry(data: IsometryData, p: float) -> LpMap:
     the homomorphism, and the inverse of left multiplication by phi^{1/p}.
     The module property T(h x) = T(h) pi(x) holds by construction.
     """
-    p = float(p)
-    if not (1.0 <= p < np.inf):
-        raise ExponentUnsupported(f"p must lie in [1, inf), got {p}")
+    p = _lp_exponent(p)
     data.validate()
     return transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, p)
 
@@ -144,9 +143,7 @@ def transfer_exponent(
     pi: AlgebraMap, phi: State, phibar: State, w: AlgebraElement, q: float
 ) -> LpMap:
     """The companion map at exponent q, phi^{1/q} x -> w phibar^{1/q} pi(x)."""
-    q = float(q)
-    if not (1.0 <= q < np.inf):
-        raise ExponentUnsupported(f"q must lie in [1, inf), got {q}")
+    q = _lp_exponent(q, "q")
     if not phi.faithful:
         raise NonFaithful("reference state must be faithful")
     # L_out pi L_{phi^{-1/q}}, the right factor applied as (L_{a^T} X^T)^T

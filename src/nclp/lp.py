@@ -57,15 +57,21 @@ from .errors import (
 RANK_REL_TOL = 1e-10  # singular values below this fraction of the top one are zeros
 
 
+def _lp_exponent(value: float, name: str = "p") -> float:
+    """value as a float in [1, inf), else ExponentUnsupported."""
+    value = float(value)
+    if not (1.0 <= value < np.inf):
+        raise ExponentUnsupported(f"{name} must lie in [1, inf), got {value}")
+    return value
+
+
 class LpVector(AlgebraElement):
     """A block matrix viewed as an element of L_p, 1 <= p < infinity."""
 
     __slots__ = ("p",)
 
     def __init__(self, algebra: Algebra, p: float, data: Iterable[np.ndarray]):
-        p = float(p)
-        if not (1.0 <= p < np.inf):
-            raise ExponentUnsupported(f"p must lie in [1, inf), got {p}")
+        p = _lp_exponent(p)
         super().__init__(algebra, data)
         object.__setattr__(self, "p", p)
 
@@ -457,9 +463,7 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
 
 def mazur_map(h: LpVector, q: float) -> LpVector:
     """Send a positive vector h in L_p to h^(p/q) in L_q."""
-    q = float(q)
-    if not (1.0 <= q < np.inf):
-        raise ExponentUnsupported(f"q must lie in [1, inf), got {q}")
+    q = _lp_exponent(q, "q")
     spectra, floor = _hermitian_spectra(h)
     return _spectral_power(h, spectra, floor, q)
 
@@ -510,9 +514,7 @@ class LpMap:
     __slots__ = ("source", "target", "p", "matrix", "_supports")
 
     def __init__(self, source: Algebra, target: Algebra, p: float, matrix: np.ndarray):
-        p = float(p)
-        if not (1.0 <= p < np.inf):
-            raise ExponentUnsupported(f"p must lie in [1, inf), got {p}")
+        p = _lp_exponent(p)
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (target.total_dim, source.total_dim):
             raise ShapeMismatch(

@@ -67,8 +67,11 @@ class SuiteConfig:
             raise UnknownSuite(f"no suite named {self.suite!r}; known: {sorted(SUITES)}")
         defaults = SUITE_DEFAULTS[self.suite]
         for name in ("sizes", "exponents"):
-            if getattr(self, name) is not None and name not in defaults:
+            value = getattr(self, name)
+            if value is not None and name not in defaults:
                 raise ConfigInvalid(f"suite {self.suite!r} takes no {name}")
+            if value is not None and len(value) == 0:
+                raise ConfigInvalid(f"{name} must not be empty")
         out = SuiteConfig(
             suite=self.suite,
             seed=int(self.seed),

@@ -328,6 +328,25 @@ def test_a_raising_case_is_recorded_as_a_failure():
     assert json.loads(report.dumps())["cases"][failed[0]["case"]]["error"] == "TraceConditionViolated"
 
 
+def test_an_empty_sizes_or_exponents_list_is_refused(tmp_path):
+    # an empty list leaves the suite nothing to cycle through: a config
+    # error, not a traceback or a failing verdict
+    for suite, name in (
+        ("clarkson", "sizes"),
+        ("clarkson", "exponents"),
+        ("classify_roundtrip", "exponents"),
+        ("interpolation", "exponents"),
+    ):
+        with pytest.raises(ConfigInvalid, match=f"{name} must not be empty"):
+            run_suite(SuiteConfig(suite, **{name: []}))
+    # the CLI refuses with exit code 2 and writes no report
+    report = tmp_path / "report.json"
+    for sizes in (";", " ; ;"):
+        command = ["verify", "--suite", "clarkson", "--sizes", sizes, "--samples", "2"]
+        assert main([*command, "-o", str(report)]) == 2
+        assert not report.exists()
+
+
 def test_a_suite_refuses_the_options_it_does_not_read(tmp_path):
     # lemma41 and expectation_detect read no exponents and only clarkson
     # reads sizes: their SUITE_DEFAULTS entries have no such key
