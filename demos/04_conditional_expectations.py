@@ -45,7 +45,7 @@ except NotInvariant as err:
 dec = A.decomposition
 print("factor realization:", dec.algebra.blocks, "multiplicities", dec.multiplicities)
 iota = lp_inclusion(A, E, p=3.0)
-Ep = lp_expectation(E, good, p=3.0)
+Ep = lp_expectation(E, p=3.0)
 rho_A = restrict_state(A, good)
 h = state_power(rho_A, 1 / 3)
 print("inclusion is isometric on the reference vector:",

@@ -628,23 +628,14 @@ def restrict_state(A: Subalgebra, state: State) -> State:
     return restricted
 
 
-def lp_inclusion(
-    A: Subalgebra,
-    E: ConditionalExpectation,
-    p: float,
-    phi_A: State | None = None,
-) -> LpMap:
+def lp_inclusion(A: Subalgebra, E: ConditionalExpectation, p: float) -> LpMap:
     """The inclusion of L_p of the subalgebra into L_p of the parent that
-    sends phi_A^{1/p} x to phibar^{1/p} x, where phibar extends phi_A through
-    the expectation."""
+    sends phi_A^{1/p} x to phibar^{1/p} x, where phibar is the expectation's
+    state and phi_A its restriction to the subalgebra."""
     p = _lp_exponent(p)
     dec = A.decomposition
     phibar = E.state
     rho_A = restrict_state(A, phibar)
-    if phi_A is not None:
-        if (phi_A.density - rho_A.density).frobenius() > 1e-7:
-            raise DataInvalid("phi_A is not the restriction of the expectation's state")
-        rho_A = phi_A
     if not rho_A.faithful:
         raise NonFaithful("restricted state is not faithful on the subalgebra")
     # L_big embed L_small_inv, the right factor applied as (L_{a^T} X^T)^T
@@ -653,13 +644,11 @@ def lp_inclusion(
     return LpMap(dec.algebra, A.parent, p, np.ascontiguousarray(matrix))
 
 
-def lp_expectation(E: ConditionalExpectation, phibar: State, p: float) -> LpMap:
+def lp_expectation(E: ConditionalExpectation, p: float) -> LpMap:
     """The L_p extension of the expectation, defined through trace duality
     against the inclusion at the conjugate exponent and then the star
     adjoint; in vectorized coordinates this is the Hermitian adjoint."""
     A = E.subalgebra
-    if (phibar.density - E.state.density).frobenius() > 1e-7:
-        raise DataInvalid("phibar does not match the expectation's state")
     p = float(p)
     pp = conjugate_exponent(p)
     if np.isinf(pp):  # p = 1 pairs with the algebra embedding itself
@@ -680,7 +669,7 @@ def complement_projection(data, p: float) -> LpMap:
     the isometry built from the bundled data."""
     E = data.expectation
     A = E.subalgebra
-    Ep = lp_expectation(E, E.state, p)
+    Ep = lp_expectation(E, p)
     iota = lp_inclusion(A, E, p)
     # L_w iota E_p L_{w*}, the right factor applied as (L_{conj w} X^T)^T
     left = apply_left(data.w, iota.matrix @ Ep.matrix)

@@ -8,7 +8,8 @@ w phibar^{1/p} pi(x) where phibar extends phi through pi and E.
 
 Classification runs the reverse direction: right supports of the images of
 a basis of projections recover pi, the polar data of one image recovers w
-and phibar, modular invariance recovers E, and a rebuild closes the loop.
+and phibar, modular invariance recovers E, and the canonical form on a
+basis closes the loop.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ METRIC_TOL = 1e-7  # accept threshold for sampled metric defects
 # images on their supports may cause (`_compressed_blocks`)
 SUPPORT_ALLOWANCE = 1e-12
 WARN_TOL = 1e-4  # defects between these two are reported as a warn band
+DATA_TOL = 1e-6  # w* w = pi(1) and the state restriction, in validate and stage 6
 _FOREIGN_STATE = "state lives on a different algebra than the map source"
 
 
@@ -84,18 +86,17 @@ class IsometryData:
     def phibar(self) -> State:
         return self.expectation.state
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         """Raise unless pi is an injective *-homomorphism between the declared
         algebras, the reference state is faithful, w* w = pi(1) and phibar
-        restricts through pi to the reference state, the last two within tol.
+        restricts through pi to the reference state, the last two within
+        DATA_TOL.
 
         pi passes by `_is_injective_star_homomorphism`, the rule of stage 2
         of `classify`; `homomorphism_kind` only names the kind of a pi that
-        fails.  Every input is immutable, so the tolerance of the last pass
-        is kept on the instance and a call at that tolerance or a looser one
-        returns at once; a failure keeps nothing."""
-        kept = self.__dict__.get("_validated_at")
-        if kept is not None and tol >= kept:
+        fails.  Every input is immutable, so a pass is kept on the instance
+        and a later call returns at once; a failure keeps nothing."""
+        if self.__dict__.get("_validated"):
             return
         if self.pi.source != self.source or self.pi.target != self.target:
             raise DataInvalid("homomorphism does not match the declared algebras")
@@ -104,13 +105,13 @@ class IsometryData:
         if not _is_injective_star_homomorphism(self.pi):
             kind = homomorphism_kind(self.pi).kind
             raise DataInvalid(f"pi is not an injective *-homomorphism ({kind})")
-        if not _support_defect(self.w, self.pi) <= tol:
+        if not _support_defect(self.w, self.pi) <= DATA_TOL:
             raise DataInvalid("w* w differs from pi(1)")
         # the preserved state must restrict through pi to the reference state
         defect = verify_state_restriction(self.phibar, self.pi, self.reference_state)
-        if not defect <= tol:
+        if not defect <= DATA_TOL:
             raise DataInvalid(f"state restriction defect {defect:.3e}")
-        self.__dict__["_validated_at"] = tol
+        self.__dict__["_validated"] = True
 
 
 def _is_injective_star_homomorphism(pi: AlgebraMap) -> bool:
@@ -136,20 +137,11 @@ def build_isometry(data: IsometryData, p: float) -> LpMap:
     """
     p = _lp_exponent(p)
     data.validate()
-    return transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, p)
-
-
-def transfer_exponent(
-    pi: AlgebraMap, phi: State, phibar: State, w: AlgebraElement, q: float
-) -> LpMap:
-    """The companion map at exponent q, phi^{1/q} x -> w phibar^{1/q} pi(x)."""
-    q = _lp_exponent(q, "q")
-    if not phi.faithful:
-        raise NonFaithful("reference state must be faithful")
-    # L_out pi L_{phi^{-1/q}}, the right factor applied as (L_{a^T} X^T)^T
-    left = apply_left(w @ phibar.power_element(1.0 / q), pi.matrix)
-    matrix = apply_left(phi.power_element(-1.0 / q).transpose(), left.T).T
-    return LpMap(pi.source, pi.target, q, np.ascontiguousarray(matrix))
+    # L_out pi L_{phi^{-1/p}}, the right factor applied as (L_{a^T} X^T)^T
+    left = apply_left(data.w @ data.phibar.power_element(1.0 / p), data.pi.matrix)
+    right = data.reference_state.power_element(-1.0 / p).transpose()
+    matrix = apply_left(right, left.T).T
+    return LpMap(data.source, data.target, p, np.ascontiguousarray(matrix))
 
 
 # -- extraction ----------------------------------------------------------------
@@ -537,7 +529,8 @@ def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
 
     Pipeline: sampled isometry and amplified-isometry defects; homomorphism
     extraction and certification; polar data; state restriction; modular
-    invariance and the expectation on the image; rebuild and compare.
+    invariance and the expectation on the image; the canonical form on the
+    reference basis.
     The verdict is accept exactly when every defect clears its threshold.
     The matrix of T is read at the exponent p, whatever T.p is.
 
@@ -609,11 +602,12 @@ def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
         return reject("expectation")
     defects["invariance"] = E.invariance_defect
 
-    # stage 6: rebuild and compare on the reference basis.  Stages 2 and 4
-    # have certified pi and the state restriction, so of the checks of
-    # IsometryData.validate only w* w = pi(1) is new; the restriction is held
-    # to validate's tolerance, which is tighter than algebraic_tol for D > 100
-    if not (_support_defect(w, pi) <= 1e-6 and defects["state_restriction"] <= 1e-6):
+    # stage 6: the canonical form on the reference basis, T(rho^{1/p} u) =
+    # w phibar^{1/p} pi(u).  Stages 2 and 4 have certified pi and the state
+    # restriction, so of the checks of IsometryData.validate only
+    # w* w = pi(1) is new; the restriction is held to validate's tolerance,
+    # which is tighter than algebraic_tol for D > 100
+    if not (_support_defect(w, pi) <= DATA_TOL and defects["state_restriction"] <= DATA_TOL):
         return reject("reconstruction")
     data = IsometryData(
         source=T.source,
@@ -623,13 +617,15 @@ def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
         expectation=E,
         reference_state=phi,
     )
-    rebuilt = transfer_exponent(pi, phi, E.state, w, p)
-    # row u is rho^{1/p} u, so the rows are L_rho^T = L_{rho^T}; each map
-    # is applied as one matvec per row
-    rows = apply_left(phi.power_element(1.0 / p).transpose(), np.eye(T.source.total_dim))
-    gaps = np.matmul(T.matrix, rows[:, :, None]) - np.matmul(rebuilt.matrix, rows[:, :, None])
-    scales = np.maximum(lp_norms(T.source, p, rows), 1e-14)
-    recon = float(np.max(lp_norms(T.target, p, gaps[:, :, 0]) / scales))
+    # row u of both is the image of rho^{1/p} u, as in extract_pi; that
+    # vector has rank one, and its p-norm is the 2-norm of column i of
+    # rho^{1/p} for every unit u = e_ij of a block
+    rho_pow = phi.power_element(1.0 / p)
+    gaps = apply_left(rho_pow.transpose(), T.matrix.T)
+    gaps -= apply_left(w @ E.state.power_element(1.0 / p), pi.matrix).T
+    columns = [np.repeat(np.linalg.norm(b, axis=0), len(b)) for b in rho_pow.data]
+    scales = np.maximum(np.concatenate(columns), 1e-14)
+    recon = float(np.max(lp_norms(T.target, p, gaps) / scales))
     defects["reconstruction"] = recon
     if not recon <= METRIC_TOL:
         if recon < WARN_TOL:

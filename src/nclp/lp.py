@@ -453,11 +453,22 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
             powers = sum(np.sum((s / top) ** p, axis=-1) for s in svals)
             excess = abs(powers[0] + powers[1] - 2.0 * (powers[2] + powers[3]))
             defect = 0.0 if excess == 0.0 else float(excess * top**p)
-    pairs = list(zip(h.data, k.data))
+    # ||h k*||_F <= ||h||_F ||k||_F <= N^{max(0, 1 - 2/p)} n_h n_k, N the
+    # matrix size; above 1e150 a square might overflow, so the witness is
+    # measured on h and k scaled by the powers of two 2^-e near 1 / n_h and
+    # 1 / n_k, exactly, and scaled back
+    pairs, shift = list(zip(h.data, k.data)), 0
+    if not h.algebra.matrix_dim ** max(0.0, 1.0 - 2.0 / p) * n_h * n_k <= 1e150:
+        e_h, e_k = math.frexp(n_h)[1], math.frexp(n_k)[1]
+        pairs, shift = [(a * 2.0**-e_h, b * 2.0**-e_k) for a, b in pairs], e_h + e_k
     witness = max(
         _frobenius([a @ b.conj().T for a, b in pairs]),
         _frobenius([a.conj().T @ b for a, b in pairs]),
     )
+    try:
+        witness = math.ldexp(witness, shift)
+    except OverflowError:
+        witness = math.inf
     return ClarksonResult(defect=defect, orthogonal=bool(witness < h.algebra.atol), witness=witness)
 
 

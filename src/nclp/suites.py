@@ -29,7 +29,6 @@ from .isometry import (
     extract_polar_data,
     isometry_defect,
     star_adjoint_dual,
-    transfer_exponent,
     verify_state_restriction,
 )
 from .lp import LpVector, clarkson_defect, lp_norm, state_power
@@ -471,10 +470,7 @@ def _suite_extrapolation(config: SuiteConfig):
         premise = isometry_defect(build_isometry(data, 3.0), seed=seed)
         defects = {}
         for q in qs:
-            Tq = transfer_exponent(
-                data.pi, data.reference_state, data.phibar, data.w, q
-            )
-            defects[str(q)] = isometry_defect(Tq, seed=seed)
+            defects[str(q)] = isometry_defect(build_isometry(data, q), seed=seed)
         ok = premise < tol["defect"] and all(v < tol["defect"] for v in defects.values())
         return {"premise_defect_p3": premise, "transfer_defects": defects}, ok
 

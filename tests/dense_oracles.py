@@ -47,11 +47,18 @@ pair i < j, where `nclp.isometry.extract_pi` reads a basis of n^2.
 `conditioned_isometry_data` moves the preserved state of isometry data to
 a power of its density, which conditions the reference state, and
 `conditioning_ladder` runs it over plans, seeds and powers.
+`reconstruction_by_rebuild` is stage 6 of `classify` as the rebuilt map
+R = L_{w phibar^{1/p}} pi L_{rho^{-1/p}} against T on the d x d rows
+rho^{1/p} e_u, one matvec per row, with the source norms from `lp_norms`,
+where `classify` compares T(rho^{1/p} u) with w phibar^{1/p} pi(u) and reads
+the norms of the rank-one rows off the columns of rho^{1/p}.
 `zero_lp_vector`, `decomposition_coordinates`, `compose_maps` and
 `compose_lp_maps` are test-only constructions: the zero L_p vector, the
 coefficients of a subalgebra element in the factor realization of a
 decomposition through the pseudo-inverse of its embedding, and the
 composition of two algebra maps or two L_p maps."""
+
+import math
 
 import numpy as np
 
@@ -90,10 +97,14 @@ from nclp.expectation import (
 from nclp.isometry import (
     _FOREIGN_STATE,
     WARN_TOL,
+    IsometryData,
     _amplified_indicator,
     _slice_positions,
     _support_defect,
     _witness_positions,
+    build_isometry,
+    extract_pi,
+    extract_polar_data,
     verify_state_restriction,
 )
 from nclp.lp import (
@@ -316,6 +327,22 @@ def conditioning_ladder(plans: dict, seeds=(0, 1), powers=(1.0, 8.0, 12.0, 16.0)
                 yield plan, seed, s, data
 
 
+def reconstruction_by_rebuild(T: LpMap, phi: State, p: float) -> float:
+    """The reconstruction defect of T read at p, for a T whose
+    classification reaches stage 6: the data recovered by stages 2, 3 and 5,
+    the map `build_isometry` makes of it, and the largest
+    ||T h - R h||_p / ||h||_p over the rows h = rho^{1/p} e_u."""
+    T = T.at_exponent(p)
+    pi = extract_pi(T, phi)
+    w, phibar = extract_polar_data(T, phi)
+    E = construct_expectation(Subalgebra.from_map_image(pi), phibar)
+    rebuilt = build_isometry(IsometryData(T.source, T.target, pi, w, E, phi), p)
+    rows = apply_left(phi.power_element(1.0 / p).transpose(), np.eye(T.source.total_dim))
+    gaps = np.matmul(T.matrix, rows[:, :, None]) - np.matmul(rebuilt.matrix, rows[:, :, None])
+    scales = np.maximum(lp_norms(T.source, p, rows), 1e-14)
+    return float(np.max(lp_norms(T.target, p, gaps[:, :, 0]) / scales))
+
+
 def zero_lp_vector(algebra, p: float) -> LpVector:
     """The zero vector of L_p(algebra)."""
     return LpVector(algebra, p, algebra.zero_blocks())
@@ -426,7 +453,8 @@ def frobenius_by_norm(blocks) -> float:
 def clarkson_by_elements(h: LpVector, k: LpVector) -> ClarksonResult:
     """`nclp.lp.clarkson_defect` on the rows h + k, h - k, h, k of the
     vectorization, its overflow fallback taking the SVDs again, and the
-    witness from the elements h k* and h* k."""
+    witness from the elements h k* and h* k, scaled as that function scales
+    them where their squares might overflow."""
     p = h.p
     hv, kv = h.vec(), k.vec()
     rows = np.stack([hv + kv, hv - kv, hv, kv])
@@ -444,7 +472,15 @@ def clarkson_by_elements(h: LpVector, k: LpVector) -> ClarksonResult:
             powers = sum(np.sum((s / top) ** p, axis=-1) for s in svals)
             excess = abs(powers[0] + powers[1] - 2.0 * (powers[2] + powers[3]))
             defect = 0.0 if excess == 0.0 else float(excess * top**p)
-    witness = max((h @ k.adjoint()).frobenius(), (h.adjoint() @ k).frobenius())
+    # above the overflow bound of `clarkson_defect`, the witness of h and k
+    # scaled by the powers of two near 1 / n_h and 1 / n_k, scaled back
+    e_h = e_k = 0
+    if not h.algebra.matrix_dim ** max(0.0, 1.0 - 2.0 / p) * float(n_h) * float(n_k) <= 1e150:
+        e_h, e_k = math.frexp(n_h)[1], math.frexp(n_k)[1]
+    hs, ks = h * 2.0**-e_h, k * 2.0**-e_k
+    witness = max((hs @ ks.adjoint()).frobenius(), (hs.adjoint() @ ks).frobenius())
+    with np.errstate(over="ignore"):
+        witness = float(np.ldexp(witness, e_h + e_k))
     return ClarksonResult(defect=defect, orthogonal=bool(witness < h.algebra.atol), witness=witness)
 
 

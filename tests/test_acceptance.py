@@ -20,7 +20,6 @@ from nclp.isometry import (
     classify,
     isometry_defect,
     star_adjoint_dual,
-    transfer_exponent,
     two_isometry_defect,
 )
 from nclp.lp import LpVector, lp_norm, state_power
@@ -233,7 +232,7 @@ def test_extrapolation_and_duality(instances):
         T3 = build_isometry(data, 3.0)
         assert isometry_defect(T3, seed=seed) < 1e-8
         for q in (2.5, 4.0, 7.0):
-            Tq = transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, q)
+            Tq = build_isometry(data, q)
             worst_transfer = max(worst_transfer, isometry_defect(Tq, seed=seed))
     assert worst_transfer < 1e-8
 

@@ -40,7 +40,7 @@ from nclp.expectation import (
     subalgebra_lp_norm,
     takesaki_invariant,
 )
-from nclp.isometry import build_isometry, classify, transfer_exponent
+from nclp.isometry import build_isometry, classify
 from nclp.lp import LpVector, amplify_map, lp_norm, state_power, trace_pairing
 from nclp.samples import (
     diagonal_subalgebra,
@@ -454,7 +454,7 @@ def test_returned_map_matrices_are_c_contiguous():
     data = random_isometry_data(1)  # a non-positive w
     E = data.expectation
     maps = [
-        transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, 3.0),
+        build_isometry(data, 3.0),
         lp_inclusion(E.subalgebra, E, 3.0),
         complement_projection(data, 3.0),
     ]
@@ -643,8 +643,10 @@ def test_the_isometry_is_w_times_the_lp_inclusion(name, seed):
     # the source order of pi
     data = _plan_data(name, seed)
     E = data.expectation
+    rho_A = restrict_state(E.subalgebra, E.state)
+    assert (rho_A.density - data.reference_state.density).frobenius() <= 1e-7
     for p in (1.0, 1.5, 3.0):
-        iota = lp_inclusion(E.subalgebra, E, p, phi_A=data.reference_state)
+        iota = lp_inclusion(E.subalgebra, E, p)
         T = build_isometry(data, p).matrix
         assert np.max(np.abs(apply_left(data.w, iota.matrix) - T)) < 1e-10
 
@@ -712,7 +714,7 @@ def test_lp_expectation_pairing_and_retraction():
         E = construct_expectation(A, phibar)
         for p in (1.5, 3.0):
             pp = p / (p - 1)
-            Ep = lp_expectation(E, phibar, p)
+            Ep = lp_expectation(E, p)
             iota_p = lp_inclusion(A, E, p)
             iota_pp = lp_inclusion(A, E, pp)
             rng = rng_for(seed + 50)
@@ -732,7 +734,7 @@ def test_lp_expectation_contraction_and_reference_vector():
     A, phibar = random_invariant_inclusion(2)
     E = construct_expectation(A, phibar)
     p = 3.0
-    Ep = lp_expectation(E, phibar, p)
+    Ep = lp_expectation(E, p)
     rho_A = restrict_state(A, phibar)
     assert (Ep(state_power(phibar, 1 / p)) - state_power(rho_A, 1 / p)).frobenius() < 1e-9
     rng = rng_for(31)
@@ -745,7 +747,7 @@ def test_lp_expectation_identity_case():
     A = _full_subalgebra(M2)
     phibar = random_faithful_state(M2, 8)
     E = construct_expectation(A, phibar)
-    Ep = lp_expectation(E, phibar, 3.0)
+    Ep = lp_expectation(E, 3.0)
     iota = lp_inclusion(A, E, 3.0)
     assert np.max(np.abs((iota.matrix @ Ep.matrix) - np.eye(4))) < 1e-9
 
@@ -774,7 +776,7 @@ def test_complement_projection_positive_case_drops_w():
     E = data.expectation
     P = complement_projection(data, p)
     iota = lp_inclusion(E.subalgebra, E, p)
-    Ep = lp_expectation(E, E.state, p)
+    Ep = lp_expectation(E, p)
     assert np.max(np.abs(P.matrix - iota.matrix @ Ep.matrix)) < 1e-10
 
 
@@ -903,7 +905,7 @@ def test_the_lp_maps_restrict_once(monkeypatch, name):
     complement_projection(_with_fresh_image(_plan_data(name)), 3.0)
     assert len(pulls) == 1
     E = _with_fresh_image(_plan_data(name)).expectation
-    lp_expectation(E, E.state, 3.0)
+    lp_expectation(E, 3.0)
     assert len(pulls) == 2
 
 

@@ -26,6 +26,7 @@ from dense_oracles import (
     support_bound,
     pair_table_kind,
     pi_by_four_polarizations,
+    reconstruction_by_rebuild,
     tensor_embed,
     validate_by_pair_table,
 )
@@ -48,7 +49,6 @@ from nclp.isometry import (
     extract_polar_data,
     isometry_defect,
     star_adjoint_dual,
-    transfer_exponent,
     two_isometry_defect,
     verify_state_restriction,
 )
@@ -350,15 +350,12 @@ def test_dual_composition_is_identity(p):
     assert np.max(np.abs(comp - np.eye(Tp.source.total_dim))) < 1e-9
 
 
-def test_transfer_exponent_rebuild_and_extrapolation():
+def test_build_isometry_extrapolates_to_other_exponents():
+    # one data object builds the canonical map at every exponent
     data = random_isometry_data(9)
-    T3 = build_isometry(data, 3.0)
-    again = transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, 3.0)
-    assert np.max(np.abs(T3.matrix - again.matrix)) < 1e-10
-    assert isometry_defect(T3) < 1e-9
+    assert isometry_defect(build_isometry(data, 3.0)) < 1e-9
     for q in (2.5, 4.0, 7.0):
-        Tq = transfer_exponent(data.pi, data.reference_state, data.phibar, data.w, q)
-        assert isometry_defect(Tq, sample_count=40) < 1e-9
+        assert isometry_defect(build_isometry(data, q), sample_count=40) < 1e-9
 
 
 def test_l2_identity_at_exponent_four():
@@ -568,16 +565,6 @@ def _check_two_isometry_defect(F, p, n=2, weights=None):
         assert abs(got - dense[w, relative]) <= ORACLE_TOL
 
 
-def _reconstruction_by_units(T, rebuilt, phi, p):
-    rho_pow = phi.power_element(1.0 / p)
-    recon = 0.0
-    for u in matrix_units(T.source):
-        h = LpVector.from_element(rho_pow @ u, p)
-        scale = max(lp_norm(h), 1e-14)
-        recon = max(recon, lp_norm(T(h) - rebuilt(h)) / scale)
-    return recon
-
-
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("p", [1.0, 3.0])
 def test_metric_defects_equal_the_sample_loops(seed, p):
@@ -593,10 +580,8 @@ def test_metric_defects_equal_the_sample_loops(seed, p):
     # the three-fold amplification of the map that is not multiplicative
     _check_two_isometry_defect(F, p, n=3, weights=weights)
     report = classify(T, data.reference_state, p)
-    rebuilt = build_isometry(report.data, p)
-    assert report.defects["reconstruction"] == _reconstruction_by_units(
-        T, rebuilt, data.reference_state, p
-    )
+    want = reconstruction_by_rebuild(T, data.reference_state, p)
+    assert abs(report.defects["reconstruction"] - want) <= ORACLE_TOL
 
 
 def test_stacked_matvec_is_bitwise_the_map():
@@ -974,20 +959,17 @@ def test_a_failing_validate_raises_on_every_call(monkeypatch):
     assert len(calls) == 3
 
 
-def test_validation_is_kept_per_instance_and_tolerance(monkeypatch):
+def test_validation_is_kept_per_instance(monkeypatch):
     from dataclasses import replace
 
     calls = _counting(monkeypatch, isometry_module, "_is_injective_star_homomorphism")
     data = random_isometry_data(7)
     data.validate()
-    data.validate(1e-3)  # looser: kept
+    data.validate()  # kept
     assert len(calls) == 1
-    data.validate(1e-9)  # stricter: checked again, then kept
-    data.validate()
-    assert len(calls) == 2
     # a replace copy is a new instance, checked afresh
     replace(data).validate()
-    assert len(calls) == 3
+    assert len(calls) == 2
     with pytest.raises(DataInvalid, match="w\\* w differs"):
         replace(data, w=data.w * 0.5).validate()
 
@@ -1149,6 +1131,7 @@ def test_extract_pi_keeps_the_verdicts_of_four_polarizations_on_a_conditioning_l
     monkeypatch,
 ):
     ladder = list(_conditioning_ladder())
+    defects = {}  # of the first pass, per label
 
     def outcomes():
         out = []
@@ -1158,9 +1141,16 @@ def test_extract_pi_keeps_the_verdicts_of_four_polarizations_on_a_conditioning_l
             else:
                 report = classify(T, phi, label[-1])
                 out.append((label, report.verdict, report.failing_stage))
+                defects.setdefault(label, report.defects)
         return out
 
     got = outcomes()
+    # the rebuilt map of the former stage 6 puts every map that reaches
+    # stage 6 on the same side of METRIC_TOL
+    for label, T, phi in ladder:
+        if "reconstruction" in defects.get(label, {}):
+            want = reconstruction_by_rebuild(T, phi, label[-1])
+            assert (defects[label]["reconstruction"] <= METRIC_TOL) == (want <= METRIC_TOL), label
     monkeypatch.setattr(isometry_module, "extract_pi", pi_by_four_polarizations)
     assert got == outcomes()
     # the operating range: every map whose reference state keeps its smallest

@@ -388,6 +388,18 @@ def test_clarkson_defect_at_large_p_factors_out_the_top_singular_value():
     assert clarkson_defect(small, k).defect == _clarkson_by_norms(small, k) > 0.0
 
 
+def test_clarkson_witness_at_scale_1e200_does_not_overflow():
+    # ||h k*||_F^2 passes the float max while the witness itself does not
+    alg = make_algebra([2, 1, 2])
+    rng = rng_for(0)
+    h, k = random_lp_vector(alg, 3.0, rng), random_lp_vector(alg, 3.0, rng)
+    plain = clarkson_defect(h, k).witness
+    assert abs(clarkson_defect(h * 1e200, k).witness / (1e200 * plain) - 1.0) < 1e-15
+    # the scaling is by powers of two, so the witness scales exactly
+    assert clarkson_defect(h * 2.0**600, k).witness == 2.0**600 * plain
+    assert clarkson_defect(h * 1e200, k * 1e200).witness == np.inf
+
+
 def _count_svd_calls(monkeypatch) -> list:
     """Record the shape of every array given to np.linalg.svd."""
     calls, real = [], np.linalg.svd

@@ -16,7 +16,7 @@ from nclp.errors import (
     NonPositiveDim,
     ShapeMismatch,
 )
-from nclp.expectation import lp_inclusion
+from nclp.expectation import lp_inclusion, restrict_state
 from nclp.isometry import build_isometry, classify
 from nclp.lp import LpMap
 from nclp.samples import random_element, random_isometry_data, random_lp_vector, rng_for
@@ -97,9 +97,12 @@ def test_loaded_image_keeps_the_factor_order_of_pi():
     back = _roundtrip(data)
     E = back.expectation
     assert E.subalgebra.decomposition.algebra == data.source
-    loaded = lp_inclusion(E.subalgebra, E, 3, phi_A=back.reference_state)
+    # the restriction of the loaded state is the reference state, in the source order
+    rho_A = restrict_state(E.subalgebra, E.state)
+    assert (rho_A.density - back.reference_state.density).frobenius() <= 1e-7
+    loaded = lp_inclusion(E.subalgebra, E, 3)
     E0 = data.expectation
-    before = lp_inclusion(E0.subalgebra, E0, 3, phi_A=data.reference_state)
+    before = lp_inclusion(E0.subalgebra, E0, 3)
     assert np.max(np.abs(loaded.matrix - before.matrix)) < 1e-12
 
 
