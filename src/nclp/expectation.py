@@ -687,15 +687,10 @@ def _power_product_norm(state: State, x: AlgebraElement, p: float) -> float:
     return _block_lp_norm([a @ b for a, b in zip(power.data, x.data)], p)
 
 
-def subalgebra_lp_norm(A: Subalgebra, phibar: State, x_small: AlgebraElement, p: float) -> float:
-    """Norm of phi_A^{1/p} x inside L_p of the subalgebra's factor realization."""
-    return _power_product_norm(restrict_state(A, phibar), x_small, p)
-
-
 def interpolation_gap(A: Subalgebra, phibar: State, x_small: AlgebraElement, p: float) -> float:
     """Difference between the subalgebra L_p norm and the parent L_p norm of
     the corresponding vectors; nonnegative for p >= 2, and zero for every x
-    exactly when a state-preserving expectation exists."""
-    dec = A.decomposition
-    small_norm = subalgebra_lp_norm(A, phibar, x_small, p)
-    return small_norm - _power_product_norm(phibar, dec.embed(x_small), p)
+    exactly when a state-preserving expectation exists.  The subalgebra norm
+    is that of phi_A^{1/p} x in L_p of the factor realization."""
+    small_norm = _power_product_norm(restrict_state(A, phibar), x_small, p)
+    return small_norm - _power_product_norm(phibar, A.decomposition.embed(x_small), p)

@@ -405,10 +405,14 @@ def _source_plan(algebra: Algebra, n: int, sample_count: int, seed: int) -> tupl
     return (rows, *groups)
 
 
-def _plan_defect(T: LpMap, n: int, sample_count: int, seed: int, weights, relative) -> float:
+def _plan_rows(T: LpMap, n: int, sample_count: int, seed: int, weights) -> tuple:
+    """The rows of `_source_plan` and their norms at p = T.p."""
     rows, *groups = _source_plan(T.source, n, sample_count, seed)
-    norms = np.array(_norms_from_singular_values(groups, T.p, weights))
-    return _norm_defect(T, n, rows, norms, relative)
+    return rows, np.array(_norms_from_singular_values(groups, T.p, weights))
+
+
+def _plan_defect(T: LpMap, n: int, sample_count: int, seed: int, weights, relative) -> float:
+    return _norm_defect(T, n, *_plan_rows(T, n, sample_count, seed, weights), relative)
 
 
 def isometry_defect(
@@ -422,14 +426,6 @@ def isometry_defect(
     """Largest deviation |  ||T h||_p - ||h||_p  |, p = T.p, over the unit
     basis and a seeded sample of vectors."""
     return _plan_defect(T, 1, sample_count, seed, source_weights, relative)
-
-
-def _amplified_indicator(algebra: Algebra, n: int, p: float, positions) -> LpVector:
-    """The vector of the n-fold amplification with ones at the given positions."""
-    big = amplified_algebra(algebra, n)
-    vec = np.zeros(big.total_dim, dtype=complex)
-    vec[positions] = 1.0
-    return LpVector.from_element(AlgebraElement.from_vec(big, vec), p)
 
 
 def _unit_positions(algebra: Algebra, n: int) -> list:
@@ -470,13 +466,18 @@ def _witness_positions(algebra: Algebra, n: int) -> list:
     return out
 
 
-def grid_witness(algebra: Algebra, b: int, k: int, l: int, p: float, n: int = 2) -> LpVector:
-    """The grid witness Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (k, l), of block
-    b in the n-fold amplification; a transpose on the block changes its L_p
-    norm for p != 2, so it detects maps that are Jordan but not
-    multiplicative."""
-    positions = _grid_positions(algebra, _unit_positions(algebra, n), b, k, l)
-    return _amplified_indicator(algebra, n, p, positions)
+def _grid_witness_defect(T: LpMap, weights) -> float:
+    """The norm defect of id_2 (x) T at the first grid witness
+    Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (0, 1), of each block of size at
+    least 2; a transpose on the block changes its L_p norm for p != 2, so it
+    detects maps that are Jordan but not multiplicative.  The witnesses are
+    rows of the plan of `two_isometry_defect` at its defaults, which lists
+    the grid witnesses of each block first (`_witness_positions`), and their
+    norms are the plan's."""
+    rows, norms = _plan_rows(T, 2, 60, 0, weights)
+    pairs = [nb * (nb - 1) // 2 for nb in T.source.blocks]
+    first = [start for start, k in zip(np.cumsum([0] + pairs), pairs) if k]
+    return _norm_defect(T, 2, rows[first], norms[first], relative=False)
 
 
 def two_isometry_defect(

@@ -126,10 +126,10 @@ def _svdvals(stack: np.ndarray) -> np.ndarray:
     go to LAPACK again.  LAPACK rejects a stack with a NaN entry but returns
     NaN values for an infinite one, so the entries are read only when it
     rejects the stack or a value comes back NaN; the values are nonnegative,
-    so their sum is NaN exactly then."""
+    so their max from 0 is NaN exactly then, and it cannot overflow."""
     try:
         values = np.linalg.svd(stack, compute_uv=False)
-        if not math.isnan(values.sum()):
+        if not math.isnan(values.max(initial=0.0)):
             return values
     except np.linalg.LinAlgError:
         pass

@@ -16,6 +16,7 @@ from .algebra import (
     AlgebraMap,
     State,
     pullback_density,
+    transpose_permutation,
 )
 from .errors import DataInvalid
 from .expectation import Subalgebra, construct_expectation, takesaki_invariant
@@ -53,14 +54,17 @@ def random_unitary_element(algebra: Algebra, rng) -> AlgebraElement:
     return AlgebraElement(algebra, [haar_unitary(n, rng) for n in algebra.blocks])
 
 
+def _positive_factor(n: int, rng) -> np.ndarray:
+    """v diag(e) v* with v a Haar unitary and e uniform on [0.35, 1.8), drawn
+    in that order."""
+    v = haar_unitary(n, rng)
+    eigs = rng.uniform(0.35, 1.8, size=n)
+    return (v * eigs) @ v.conj().T
+
+
 def well_conditioned_state(algebra: Algebra, rng) -> State:
     """Faithful state with moderate condition number, for tight tolerances."""
-    blocks = []
-    for n in algebra.blocks:
-        v = haar_unitary(n, rng)
-        eigs = rng.uniform(0.35, 1.8, size=n)
-        blocks.append((v * eigs) @ v.conj().T)
-    return State(algebra, blocks, normalize=True)
+    return State(algebra, [_positive_factor(n, rng) for n in algebra.blocks], normalize=True)
 
 
 # -- structured embeddings with invariant corner states --------------------------
@@ -80,6 +84,43 @@ _EMBED_MENU: list[tuple[tuple[int, ...], list]] = [
     ((2,), [([(0, 1)], 0), ([(0, 1)], 0)]),
     ((2, 2), [([(0, 1)], 0), ([(1, 1)], 2)]),
 ]
+
+
+def _placed(plan, conjugators, piece) -> list[np.ndarray]:
+    """Per target block c of a plan, u_c X u_c* with u_c = conjugators[c] and
+    X block diagonal: the pieces piece(b, mult) of its assignments at running
+    offsets, then its zero pad.  A piece is one (mult n_b) square or a stack
+    of them, conjugated as one batched product; the pieces are asked for in
+    plan order."""
+    blocks = []
+    for (assignments, _), u in zip(plan, conjugators):
+        pieces = [piece(b, mult) for b, mult in assignments]
+        m = u.shape[0]
+        mats = np.zeros((*pieces[0].shape[:-2], m, m), dtype=complex)
+        off = 0
+        for part in pieces:
+            k = part.shape[-1]
+            mats[..., off : off + k, off : off + k] = part
+            off += k
+        blocks.append(u @ mats @ u.conj().T)
+    return blocks
+
+
+def _unit_stacks(source: Algebra) -> list[np.ndarray]:
+    """Per source block b, the (d, n_b, n_b) stack whose u-th matrix is the
+    matrix unit u of the source when u lies in b, else zero."""
+    eye = np.eye(source.total_dim, dtype=complex)
+    cuts = zip(source.offsets(), source.blocks)
+    return [eye[:, off : off + n * n].reshape(-1, n, n) for off, n in cuts]
+
+
+def _placed_map(source: Algebra, target: Algebra, stacks: list[np.ndarray]) -> AlgebraMap:
+    """The map whose image of the u-th matrix unit has the u-th matrix of
+    each target block's (d, m, m) stack as that block; the matrix is
+    C-ordered, as a column stack of the images is, since its layout moves the
+    last bits of the products that read it (`pullback_density`)."""
+    columns = np.hstack([stack.reshape(source.total_dim, -1) for stack in stacks])
+    return AlgebraMap(source, target, np.ascontiguousarray(columns.T))
 
 
 def _plan_layout(source: Algebra, plan):
@@ -120,44 +161,15 @@ def random_isometry_data(
     conjugators = [haar_unitary(m, rng) for m in target.blocks]
     # positive factors shared across every occurrence of a source block, so
     # that flow commutators land back in the image
-    a_factors = []
-    for n in source.blocks:
-        v = haar_unitary(n, rng)
-        eigs = rng.uniform(0.35, 1.8, size=n)
-        a_factors.append((v * eigs) @ v.conj().T)
-
-    def embed_element(x: AlgebraElement) -> AlgebraElement:
-        blocks = []
-        for cidx, (assignments, pad) in enumerate(plan):
-            m = target.blocks[cidx]
-            mat = np.zeros((m, m), dtype=complex)
-            off = 0
-            for b, mult in assignments:
-                n = source.blocks[b]
-                piece = np.kron(np.eye(mult), x.data[b])
-                mat[off : off + mult * n, off : off + mult * n] = piece
-                off += mult * n
-            u = conjugators[cidx]
-            blocks.append(u @ mat @ u.conj().T)
-        return AlgebraElement(target, blocks)
-
-    pi = AlgebraMap.from_callable(source, target, embed_element)
-
-    density_blocks = []
-    for cidx, (assignments, pad) in enumerate(plan):
-        m = target.blocks[cidx]
-        mat = np.zeros((m, m), dtype=complex)
-        off = 0
-        for b, mult in assignments:
-            n = source.blocks[b]
-            vd = haar_unitary(mult, rng)
-            d_eigs = rng.uniform(0.35, 1.8, size=mult)
-            d_factor = (vd * d_eigs) @ vd.conj().T
-            mat[off : off + mult * n, off : off + mult * n] = np.kron(d_factor, a_factors[b])
-            off += mult * n
-        u = conjugators[cidx]
-        density_blocks.append(u @ mat @ u.conj().T)
-    phibar = State(target, density_blocks, normalize=True)
+    a_factors = [_positive_factor(n, rng) for n in source.blocks]
+    units = _unit_stacks(source)
+    pi = _placed_map(
+        source, target, _placed(plan, conjugators, lambda b, mult: np.kron(np.eye(mult), units[b]))
+    )
+    density = _placed(
+        plan, conjugators, lambda b, mult: np.kron(_positive_factor(mult, rng), a_factors[b])
+    )
+    phibar = State(target, density, normalize=True)
 
     image = Subalgebra.from_map_image(pi)
     expectation = construct_expectation(image, phibar)
@@ -273,9 +285,7 @@ def random_invariant_inclusion(seed: int):
         a = m // 2
         mat = np.zeros((m, m), dtype=complex)
         for lo, hi in ((0, a), (a, m)):
-            k = hi - lo
-            v = haar_unitary(k, rng)
-            mat[lo:hi, lo:hi] = (v * rng.uniform(0.35, 1.8, size=k)) @ v.conj().T
+            mat[lo:hi, lo:hi] = _positive_factor(hi - lo, rng)
     elif pattern == "tensor":
         a, k = 2, m // 2
         va = haar_unitary(a, rng)
@@ -284,8 +294,7 @@ def random_invariant_inclusion(seed: int):
         pk = (vk * rng.uniform(0.35, 1.8, size=k)) @ vk.conj().T
         mat = np.kron(pa, pk)
     else:  # scalars or full: every faithful state works
-        v = haar_unitary(m, rng)
-        mat = (v * rng.uniform(0.35, 1.8, size=m)) @ v.conj().T
+        mat = _positive_factor(m, rng)
     rho = u.data[0] @ mat @ u.data[0].conj().T
     state = State(parent, [rho], normalize=True)
     check = takesaki_invariant(A, state)
@@ -328,11 +337,7 @@ def transpose_triple(n: int = 2, seed: int | None = None) -> tuple[YeadonTriple,
     """
     source = Algebra((n,))
     target = Algebra((n,))
-
-    def transpose(x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(target, [x.data[0].T])
-
-    J = AlgebraMap.from_callable(source, target, transpose)
+    J = AlgebraMap(source, target, transpose_permutation(source))
     one = AlgebraElement.identity(target)
     w = one
     if seed is not None:
@@ -370,25 +375,17 @@ def random_yeadon_triple(seed: int, p: float, spec=None):
     conjugators = [haar_unitary(m, rng) for m in target.blocks]
     d_factors = [rng.uniform(0.5, 1.5, size=mult) for _, _, mult, _ in spec]
 
-    def jmap(x: AlgebraElement) -> AlgebraElement:
-        blocks = []
-        for bidx, (size, branch, mult, pad) in enumerate(spec):
-            m = target.blocks[bidx]
-            mat = np.zeros((m, m), dtype=complex)
-            piece = x.data[bidx].T if branch == "transpose" else x.data[bidx]
-            mat[: size * mult, : size * mult] = np.kron(np.eye(mult), piece)
-            u = conjugators[bidx]
-            blocks.append(u @ mat @ u.conj().T)
-        return AlgebraElement(target, blocks)
+    plan = [([(b, mult)], pad) for b, (_, _, mult, pad) in enumerate(spec)]
+    units = _unit_stacks(source)
 
-    J = AlgebraMap.from_callable(source, target, jmap)
-    b_blocks = []
-    for bidx, (size, branch, mult, pad) in enumerate(spec):
-        m = target.blocks[bidx]
-        mat = np.zeros((m, m), dtype=complex)
-        mat[: size * mult, : size * mult] = np.kron(np.diag(d_factors[bidx]), np.eye(size))
-        u = conjugators[bidx]
-        b_blocks.append(u @ mat @ u.conj().T)
+    def unit_piece(b, mult):
+        stack = units[b].transpose(0, 2, 1) if spec[b][1] == "transpose" else units[b]
+        return np.kron(np.eye(mult), stack)
+
+    J = _placed_map(source, target, _placed(plan, conjugators, unit_piece))
+    b_blocks = _placed(
+        plan, conjugators, lambda b, mult: np.kron(np.diag(d_factors[b]), np.eye(spec[b][0]))
+    )
     B = LpVector.from_element(AlgebraElement(target, b_blocks), float(p))
     j_one = J(AlgebraElement.identity(source))
     u0 = random_unitary_element(target, rng)

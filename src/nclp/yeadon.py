@@ -42,11 +42,10 @@ from .errors import (
     TraceConditionViolated,
 )
 from .isometry import (
+    _grid_witness_defect,
     _modulus_power,
-    _norm_defect,
-    _sample_rows,
     _support_map,
-    grid_witness,
+    isometry_defect,
     two_isometry_defect,
 )
 from .lp import (
@@ -55,8 +54,6 @@ from .lp import (
     _hermitian_spectra,
     _spectral_power,
     _spectral_support,
-    amplified_algebra,
-    lp_norms,
     mazur_map,
     polar_decompose,
 )
@@ -195,9 +192,9 @@ def _verified_map(triple: YeadonTriple, p: float, weights) -> LpMap:
     _verify_conditions(J, w, support, power, weights, DataInvalid)
     matrix = apply_left(w @ B, J.matrix)
     T = LpMap(J.source, J.target, p, matrix)
-    # spot check the isometry granted by the trace condition
-    samples = _sample_rows(J.source, 5, np.random.default_rng(7))
-    if not _norm_defect(T, 1, samples, lp_norms(J.source, p, samples, weights), True) <= 1e-6:
+    # spot check the isometry granted by the trace condition, on the unit
+    # basis and five seeded samples
+    if not isometry_defect(T, sample_count=5, seed=7, source_weights=weights) <= 1e-6:
         raise DataInvalid("assembled map failed an isometry spot check")
     return T
 
@@ -225,22 +222,19 @@ def jordan_dichotomy_report(
 
     The amplification preserves norms exactly when J is multiplicative, so
     the report also states whether that biconditional held numerically.
+    The isometry defect runs over the unit basis and 20 seeded samples, and
+    the witness defect is that of id_2 (x) T at the first grid witness of
+    each block of size at least 2.
     """
     weights = _weights(triple.J.source, trace_weights)
     # J keeps its defects, so the assembly and this report each take the
     # kind at their own tolerance from one computation
     report = homomorphism_kind(triple.J)
     T = _assemble_yeadon_map(triple, float(p), weights)
-    samples = _sample_rows(triple.J.source, 20, np.random.default_rng(11))
-    iso = _norm_defect(T, 1, samples, lp_norms(T.source, T.p, samples, weights), relative=True)
+    iso = isometry_defect(T, sample_count=20, seed=11, source_weights=weights)
     # block weights are unchanged by amplification
     two = two_isometry_defect(T, n=2, source_weights=weights)
-    # norm defect of id_2 (x) T at the grid witness of each block's first two units
-    big = amplified_algebra(T.source, 2)
-    wide = [b for b, nb in enumerate(T.source.blocks) if nb >= 2]
-    grids = [grid_witness(T.source, b, 0, 1, p, 2).vec() for b in wide]
-    grids = np.array(grids, dtype=complex).reshape(len(wide), big.total_dim)
-    witness = _norm_defect(T, 2, grids, lp_norms(big, T.p, grids, weights), relative=False)
+    witness = _grid_witness_defect(T, weights)
     multiplicative = report.kind == "star_homomorphism"
     biconditional = multiplicative == (two < tol)
     return DichotomyReport(

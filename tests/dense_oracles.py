@@ -26,8 +26,9 @@ where `nclp.serialize` converts the whole array at once.
 four blockwise products per generator and fresh positivity draws, where
 `nclp.expectation` stacks the generators and keeps the draws per algebra;
 `bad_idempotents` perturbs an expectation matrix so that each check of the
-certificate fails in turn, and `support_corner_by_elements` is the support
-check of `takesaki_invariant` one basis element at a time.
+certificate fails in turn, the right module identity alone included, and
+`support_corner_by_elements` is the support check of `takesaki_invariant`
+one basis element at a time.
 `expectation_by_gram_solve` and `construct_by_gram_solve` build the
 expectation as the GNS-orthogonal projection onto the span, from a thin SVD
 and a Gram solve, and certify it in full, where `nclp.expectation` reads the
@@ -52,6 +53,13 @@ R = L_{w phibar^{1/p}} pi L_{rho^{-1/p}} against T on the d x d rows
 rho^{1/p} e_u, one matvec per row, with the source norms from `lp_norms`,
 where `classify` compares T(rho^{1/p} u) with w phibar^{1/p} pi(u) and reads
 the norms of the rank-one rows off the columns of rho^{1/p}.
+`isometry_data_by_units` and `yeadon_triple_by_units` are the seeded
+generators of `nclp.samples` with pi and J taken one matrix unit at a time
+through `AlgebraMap.from_callable` and each block placed and conjugated
+alone, where the generators place every unit of a source block as one
+stack and conjugate it in one batched product; `grid_witness` builds one
+grid witness as a vector, where `nclp.isometry` reads the grid witnesses
+as rows of the cached n = 2 plan.
 `zero_lp_vector`, `decomposition_coordinates`, `compose_maps` and
 `compose_lp_maps` are test-only constructions: the zero L_p vector, the
 coefficients of a subalgebra element in the factor realization of a
@@ -65,6 +73,7 @@ import numpy as np
 from dataclasses import replace
 
 from nclp.algebra import (
+    Algebra,
     AlgebraElement,
     AlgebraMap,
     HomomorphismReport,
@@ -98,9 +107,10 @@ from nclp.isometry import (
     _FOREIGN_STATE,
     WARN_TOL,
     IsometryData,
-    _amplified_indicator,
+    _grid_positions,
     _slice_positions,
     _support_defect,
+    _unit_positions,
     _witness_positions,
     build_isometry,
     extract_pi,
@@ -117,7 +127,16 @@ from nclp.lp import (
     lp_norms,
     right_supports,
 )
-from nclp.samples import random_isometry_data
+from nclp.samples import (
+    _EMBED_MENU,
+    _YEADON_MENU,
+    _plan_layout,
+    haar_unitary,
+    random_isometry_data,
+    random_unitary_element,
+    rng_for,
+)
+from nclp.yeadon import YeadonTriple
 
 
 def glimm_defect_per_block(source, target, matrix: np.ndarray) -> float:
@@ -395,11 +414,26 @@ def tensor_embed(a: np.ndarray, h: AlgebraElement, n: int, p: float | None = Non
     return LpVector(big, p, blocks)
 
 
+def amplified_indicator(algebra, n: int, p: float, positions) -> LpVector:
+    """The vector of the n-fold amplification with ones at the given positions."""
+    big = amplified_algebra(algebra, n)
+    vec = np.zeros(big.total_dim, dtype=complex)
+    vec[positions] = 1.0
+    return LpVector.from_element(AlgebraElement.from_vec(big, vec), p)
+
+
+def grid_witness(algebra, b: int, k: int, l: int, p: float, n: int = 2) -> LpVector:
+    """The grid witness Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (k, l), of block
+    b in the n-fold amplification, as one vector."""
+    positions = _grid_positions(algebra, _unit_positions(algebra, n), b, k, l)
+    return amplified_indicator(algebra, n, p, positions)
+
+
 def structured_witnesses(algebra, p: float, n: int = 2) -> list[LpVector]:
     """Matrix-unit grid witnesses Sigma e_ij (x) u_ij in the n-fold
     amplification; these detect maps that preserve norms but not the
     multiplicative structure."""
-    return [_amplified_indicator(algebra, n, p, pos) for pos in _witness_positions(algebra, n)]
+    return [amplified_indicator(algebra, n, p, pos) for pos in _witness_positions(algebra, n)]
 
 
 def validate_by_pairs(A) -> None:
@@ -551,8 +585,10 @@ def construct_by_gram_solve(A, state) -> np.ndarray:
 
 def bad_idempotents(M: np.ndarray, A, state, rng) -> dict:
     """Perturbations of the expectation matrix M, each breaking exactly one
-    identity of the certificate; keyed by the message it must raise.  The
-    module breaker needs a span of dimension at least 2."""
+    identity of the certificate, keyed by name, each with the message it
+    must raise.  The module breaker needs a span of dimension at least 2.
+    The right module breaker, last, draws nothing from rng; it needs a
+    factor of size at least 2 and is left out where it does not move M."""
     D = M.shape[0]
     eye = np.eye(D)
     Q = A._onb  # orthonormal columns spanning the subalgebra
@@ -562,14 +598,32 @@ def bad_idempotents(M: np.ndarray, A, state, rng) -> dict:
     K = Q @ vh[1:].conj().T
     N = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     S = eye + 0.1 * N / np.linalg.norm(N, 2)
-    return {
-        "expectation is not idempotent": M + 1e-3 * N,
-        "expectation does not fix the subalgebra": S @ M @ np.linalg.inv(S),
+    module = "expectation is not a module map"
+    out = {
+        "expectation is not idempotent": (M + 1e-3 * N, "expectation is not idempotent"),
+        "expectation does not fix the subalgebra": (
+            S @ M @ np.linalg.inv(S),
+            "expectation does not fix the subalgebra",
+        ),
         # M + X N (I - M) with range(X) in the span stays an idempotent onto
         # the span; the state survives only when omega X = 0
-        "expectation does not preserve the state": M + Q @ Q.conj().T @ N @ (eye - M),
-        "expectation is not a module map": M + K @ K.conj().T @ N @ (eye - M),
+        "expectation does not preserve the state": (
+            M + Q @ Q.conj().T @ N @ (eye - M),
+            "expectation does not preserve the state",
+        ),
+        module: (M + K @ K.conj().T @ N @ (eye - M), module),
     }
+    # M + R_k (I - M), k = f_00 of a factor: an idempotent that fixes the
+    # span and keeps the state, since phi((x - Ex) k) = phi(E(x - Ex) k) = 0,
+    # and a left module map; a right module map only when k is central
+    dec = A.decomposition
+    wide = [off for off, n in zip(dec.algebra.offsets(), dec.algebra.blocks) if n >= 2]
+    if wide:
+        k = AlgebraElement.from_vec(A.parent, dec.embed.matrix[:, wide[0]])
+        move = right_mult_matrix(k) @ (eye - M)
+        if np.max(np.abs(move)) > 1e-6:
+            out["expectation is not a right module map"] = (M + move, module)
+    return out
 
 
 def support_corner_by_elements(A, state) -> None:
@@ -704,3 +758,107 @@ def support_bound(
             change = float(np.abs(h.vec()).sum()) * total + both * nh + absolute
             worst = max(worst, change / (nh if relative else 1.0))
     return worst + both * want
+
+
+def isometry_data_by_units(seed: int, source_blocks=None, *, plan=None, w_positive=None):
+    """`nclp.samples.random_isometry_data` with pi through `from_callable`,
+    one matrix unit at a time, and each block of pi(u) and of the preserved
+    density placed and conjugated alone, drawing from the seed's stream in
+    the generator's order."""
+    rng = rng_for(seed)
+    if plan is None:
+        menu_src, plan = _EMBED_MENU[seed % len(_EMBED_MENU)]
+        if source_blocks is None:
+            source_blocks = menu_src
+    source = Algebra(tuple(source_blocks))
+    target = Algebra(_plan_layout(source, plan))
+    if w_positive is None:
+        w_positive = bool(seed % 3 == 0)
+    conjugators = [haar_unitary(m, rng) for m in target.blocks]
+    a_factors = []
+    for n in source.blocks:
+        v = haar_unitary(n, rng)
+        eigs = rng.uniform(0.35, 1.8, size=n)
+        a_factors.append((v * eigs) @ v.conj().T)
+
+    def embed_element(x: AlgebraElement) -> AlgebraElement:
+        blocks = []
+        for cidx, (assignments, pad) in enumerate(plan):
+            m = target.blocks[cidx]
+            mat = np.zeros((m, m), dtype=complex)
+            off = 0
+            for b, mult in assignments:
+                n = source.blocks[b]
+                mat[off : off + mult * n, off : off + mult * n] = np.kron(np.eye(mult), x.data[b])
+                off += mult * n
+            u = conjugators[cidx]
+            blocks.append(u @ mat @ u.conj().T)
+        return AlgebraElement(target, blocks)
+
+    pi = AlgebraMap.from_callable(source, target, embed_element)
+    density_blocks = []
+    for cidx, (assignments, pad) in enumerate(plan):
+        m = target.blocks[cidx]
+        mat = np.zeros((m, m), dtype=complex)
+        off = 0
+        for b, mult in assignments:
+            n = source.blocks[b]
+            vd = haar_unitary(mult, rng)
+            d_eigs = rng.uniform(0.35, 1.8, size=mult)
+            d_factor = (vd * d_eigs) @ vd.conj().T
+            mat[off : off + mult * n, off : off + mult * n] = np.kron(d_factor, a_factors[b])
+            off += mult * n
+        u = conjugators[cidx]
+        density_blocks.append(u @ mat @ u.conj().T)
+    phibar = State(target, density_blocks, normalize=True)
+    expectation = construct_expectation(Subalgebra.from_map_image(pi), phibar)
+    phi = State(source, pullback_density(phibar, pi), normalize=True)
+    pi_one = pi(AlgebraElement.identity(source))
+    w = pi_one if w_positive else random_unitary_element(target, rng) @ pi_one
+    return IsometryData(
+        source=source,
+        target=target,
+        pi=pi,
+        w=w,
+        expectation=expectation,
+        reference_state=phi,
+    )
+
+
+def yeadon_triple_by_units(seed: int, p: float, spec=None):
+    """`nclp.samples.random_yeadon_triple` with J through `from_callable`,
+    one matrix unit at a time, and each block of J(u) and of B placed and
+    conjugated alone."""
+    rng = rng_for(seed)
+    if spec is None:
+        spec = _YEADON_MENU[seed % len(_YEADON_MENU)]
+    source = Algebra(tuple(s[0] for s in spec))
+    target = Algebra(tuple(s[0] * s[2] + s[3] for s in spec))
+    conjugators = [haar_unitary(m, rng) for m in target.blocks]
+    d_factors = [rng.uniform(0.5, 1.5, size=mult) for _, _, mult, _ in spec]
+
+    def jmap(x: AlgebraElement) -> AlgebraElement:
+        blocks = []
+        for bidx, (size, branch, mult, pad) in enumerate(spec):
+            m = target.blocks[bidx]
+            mat = np.zeros((m, m), dtype=complex)
+            piece = x.data[bidx].T if branch == "transpose" else x.data[bidx]
+            mat[: size * mult, : size * mult] = np.kron(np.eye(mult), piece)
+            u = conjugators[bidx]
+            blocks.append(u @ mat @ u.conj().T)
+        return AlgebraElement(target, blocks)
+
+    J = AlgebraMap.from_callable(source, target, jmap)
+    b_blocks = []
+    for bidx, (size, branch, mult, pad) in enumerate(spec):
+        m = target.blocks[bidx]
+        mat = np.zeros((m, m), dtype=complex)
+        mat[: size * mult, : size * mult] = np.kron(np.diag(d_factors[bidx]), np.eye(size))
+        u = conjugators[bidx]
+        b_blocks.append(u @ mat @ u.conj().T)
+    B = LpVector.from_element(AlgebraElement(target, b_blocks), float(p))
+    j_one = J(AlgebraElement.identity(source))
+    u0 = random_unitary_element(target, rng)
+    w = u0 @ j_one if seed % 2 else j_one
+    weights = tuple(float(np.sum(d**p)) for d in d_factors)
+    return YeadonTriple(J=J, w=w, B=B), weights

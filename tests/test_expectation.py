@@ -31,13 +31,13 @@ from nclp.expectation import (
     _closed_form,
     _gaussian,
     _positivity_samples,
+    _power_product_norm,
     complement_projection,
     construct_expectation,
     interpolation_gap,
     lp_expectation,
     lp_inclusion,
     restrict_state,
-    subalgebra_lp_norm,
     takesaki_invariant,
 )
 from nclp.isometry import build_isometry, classify
@@ -207,8 +207,11 @@ def _oracle_certificate(M, A, state):
     for u in units:
         if not abs(state(E(u)) - state(u)) <= check_tol:
             return "expectation does not preserve the state"
-    for a in A.basis:
-        for b in A.basis:
+    # a or b the parent's unit gives the one-sided identities, which the
+    # two-sided one does not imply when the subalgebra's unit is not 1
+    sides = (*A.basis, AlgebraElement.identity(parent))
+    for a in sides:
+        for b in sides:
             for u in units:
                 defect = (E(a @ u @ b) - a @ E(u) @ b).frobenius()
                 if not defect <= check_tol * max(1.0, a.frobenius() * b.frobenius()):
@@ -233,7 +236,7 @@ def test_certificate_agrees_with_loop_oracle(seed):
     if A.dim < 2:
         return  # scalars: the span has no state-free part to perturb along
     bad = _bad_idempotents(E.map.matrix, A, phibar, rng_for(seed + 300))
-    for message, M in bad.items():
+    for M, message in bad.values():
         assert _oracle_certificate(M, A, phibar) == message
         assert _certificate_message(M, A, phibar) == message
 
@@ -250,7 +253,7 @@ def test_generator_certificate_agrees_with_the_full_basis_oracle(name):
     assert _oracle_certificate(M, A, E.state) is None
     assert _certificate_message(M, A, E.state) is None
     bad = _bad_idempotents(M, A, E.state, rng_for(sorted(BENCH_PLANS).index(name) + 500))
-    for message, M_bad in bad.items():
+    for M_bad, message in bad.values():
         assert _oracle_certificate(M_bad, A, E.state) == message
         assert _certificate_message(M_bad, A, E.state) == message
 
@@ -348,9 +351,9 @@ def test_the_certificate_raises_the_generator_loops_message():
         # whole algebra M = 1 is the only idempotent onto A
         perturb = 1 < A.dim < A.parent.total_dim
         variants = _bad_idempotents(M, A, state, rng_for(rng_seed)) if perturb else {}
-        for key, M_bad in variants.items():
-            assert _oracle_message(M_bad, A, state) == key, (name, key)
-            assert _certificate_message(M_bad, A, state) == key, (name, key)
+        for key, (M_bad, message) in variants.items():
+            assert _oracle_message(M_bad, A, state) == message, (name, key)
+            assert _certificate_message(M_bad, A, state) == message, (name, key)
         for bad in (np.nan, np.inf):
             broken = np.array(M)
             broken[3 % M.shape[0], 5 % M.shape[0]] = bad
@@ -843,7 +846,7 @@ def test_subalgebra_lp_norm_diagonal_oracle():
     phibar = State(M2, [np.diag([0.6, 0.4])])
     x = AlgebraElement(A.decomposition.algebra, [np.array([[2.0]]), np.array([[-1.0]])])
     # factors are ordered deterministically; the norm is weight-independent
-    got = subalgebra_lp_norm(A, phibar, x, 3.0)
+    got = _power_product_norm(restrict_state(A, phibar), x, 3.0)
     vals = sorted([0.6, 0.4])
     expected = (vals[0] * 2**3 + vals[1] * 1**3) ** (1 / 3)
     expected_alt = (vals[1] * 2**3 + vals[0] * 1**3) ** (1 / 3)

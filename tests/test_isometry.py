@@ -19,6 +19,7 @@ from dense_oracles import (
     compose_lp_maps,
     conditioning_ladder,
     image_supports,
+    isometry_data_by_units,
     left_mult_matrix,
     norm_defect_on_full_images,
     rounding_room,
@@ -1087,6 +1088,28 @@ BENCH_PLANS = {
     "M1": ((2, 1), [([(0, 2), (1, 1)], 1), ([(0, 1)], 1)]),
     "M2": ((3,), [([(0, 2)], 0)]),
 }
+
+
+def test_generator_places_units_as_the_per_unit_reference():
+    # pi, w, phibar, E and the reference state bitwise as the per-unit
+    # loops, over the menu, the benchmark plans and a D = 144 ladder plan;
+    # pi's matrix C-ordered, which the reference state's pullback reads
+    plans = [*BENCH_PLANS.values(), ((10,), [([(0, 1)], 2)])]
+    cases = [(seed, None, None) for seed in range(24)]
+    cases += [(seed, source, plan) for source, plan in plans for seed in range(2)]
+    for seed, source, plan in cases:
+        got = random_isometry_data(seed, source, plan=plan)
+        want = isometry_data_by_units(seed, source, plan=plan)
+        assert got.pi.matrix.flags.c_contiguous
+        pairs = [
+            (got.pi.matrix, want.pi.matrix),
+            (got.w.vec(), want.w.vec()),
+            (got.phibar.density.vec(), want.phibar.density.vec()),
+            (got.expectation.map.matrix, want.expectation.map.matrix),
+            (got.reference_state.density.vec(), want.reference_state.density.vec()),
+        ]
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes(), (seed, plan)
 
 
 @pytest.mark.parametrize("plan", sorted(BENCH_PLANS))

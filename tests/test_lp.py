@@ -17,13 +17,13 @@ from dense_oracles import (
     NORM_ROUNDING,
     clarkson_by_elements,
     gram_norm_bounds,
+    grid_witness,
     lp_norms_per_block,
     polar_parts_eagerly,
     tensor_embed,
     zero_lp_vector,
 )
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, ShapeMismatch
-from nclp.isometry import grid_witness
 from nclp.lp import (
     LpMap,
     LpVector,
@@ -305,6 +305,23 @@ def test_lp_norms_rescale_overflow_and_underflow():
         h = _vec(M3, 2000.0, np.diag([4.0, 0, 0]))
         assert clarkson_defect(h, _vec(M3, 2000.0, np.diag([0, 4.0, 0]))).orthogonal
         assert not clarkson_defect(h, _vec(M3, 2000.0, np.diag([1.0, 0, 0]))).orthogonal
+
+
+def test_finite_values_whose_sum_overflows_neither_warn_nor_read_nan():
+    # the NaN probe of the SVD kernel must not add the singular values:
+    # their sum overflows here although every value is finite
+    h = _vec(M2, 3.0, np.diag([1e308, 1e308]))
+    k = _vec(M2, 3.0, np.diag([1e300, -1e300]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = lp_norm(h)
+        row = lp_norms(M2, 3.0, h.vec()[None])
+        result = clarkson_defect(h, k)
+        empty = lp_norms(M2, 3.0, np.zeros((0, 4)))
+    assert row.tolist() == [norm]
+    assert norm == pytest.approx(2 ** (1 / 3) * 1e308, rel=4 * np.finfo(float).eps)
+    assert not np.isnan([result.defect, result.witness]).any()
+    assert empty.shape == (0,)
 
 
 def test_lp_norms_of_non_finite_rows():

@@ -5,11 +5,17 @@ from nclp.algebra import (
     AlgebraElement,
     AlgebraMap,
     make_algebra,
+    matrix_units,
     transpose_permutation,
 )
-from dense_oracles import image_supports, left_mult_matrix, support_bound
+from dense_oracles import (
+    grid_witness,
+    image_supports,
+    left_mult_matrix,
+    support_bound,
+    yeadon_triple_by_units,
+)
 from nclp.errors import ExponentMismatch, ExponentUnsupported, TraceConditionViolated
-from nclp.isometry import grid_witness
 from nclp.lp import LpMap, LpVector, amplify_map, lp_norm
 from nclp.samples import haar_unitary, random_yeadon_triple, rng_for, transpose_triple
 from nclp.yeadon import (
@@ -214,21 +220,22 @@ def test_dichotomy_family_biconditional():
 
 
 def _dichotomy_by_samples(triple, p, weights):
-    """Reference: the per-sample loops jordan_dichotomy_report ran before
-    the metric defects were batched, the isometry and the witness defect on
-    the full images, each with its `support_bound`."""
+    """Reference: per-vector loops for the defects of jordan_dichotomy_report,
+    the isometry defect over the matrix units and 20 seeded samples and the
+    witness defect, both on the full images, each with its `support_bound`."""
     T = build_yeadon_map(triple, p, weights)
+    source = triple.J.source
+    samples = [LpVector.from_element(u, p) for u in matrix_units(source)]
     rng = np.random.default_rng(11)
-    iso, samples = 0.0, []
     for _ in range(20):
         blocks = [
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for n in triple.J.source.blocks
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in source.blocks
         ]
-        h = LpVector(triple.J.source, p, blocks)
+        samples.append(LpVector(source, p, blocks))
+    iso = 0.0
+    for h in samples:
         nh = lp_norm(h, weights=weights)
         iso = max(iso, abs(lp_norm(T(h)) - nh) / nh)
-        samples.append(h)
     big = amplify_map(T, 2)
     witness = 0.0
     grids = [grid_witness(T.source, b, 0, 1, p, 2) for b, nb in enumerate(T.source.blocks) if nb >= 2]
@@ -251,6 +258,24 @@ def test_dichotomy_equals_the_sample_loops(seed):
         got = (rep.isometry_defect, rep.witness_defect)
         for value, want, bound in zip(got, expected, bounds):
             assert value == want if bound == 0.0 else abs(value - want) <= bound
+
+
+def test_generators_place_units_as_the_per_unit_reference():
+    # J, w, B and the weights bitwise as the per-unit loops, J C-ordered
+    for seed in range(24):
+        for p in (1.0, 1.5, 3.0):
+            got, got_weights = random_yeadon_triple(seed, p)
+            want, want_weights = yeadon_triple_by_units(seed, p)
+            assert got_weights == want_weights
+            assert got.J.matrix.flags.c_contiguous
+            for a, b in ((got.J.matrix, want.J.matrix), (got.w.vec(), want.w.vec())):
+                assert a.tobytes() == b.tobytes(), (seed, p)
+            assert got.B.vec().tobytes() == want.B.vec().tobytes(), (seed, p)
+    for n in (2, 3):
+        J = transpose_triple(n)[0].J
+        M = make_algebra([n])
+        want = AlgebraMap.from_callable(M, M, lambda x: AlgebraElement(M, [x.data[0].T]))
+        assert J.matrix.tobytes() == want.matrix.tobytes()
 
 
 def test_dichotomy_certifies_J_once(monkeypatch):

@@ -711,7 +711,8 @@ def _certificate_records():
     for kind, seed, A, M, state in cases:
         variants = {"exact": M}
         if A.dim > 1:
-            variants.update(bad_idempotents(M, A, state, np.random.default_rng(seed)))
+            bad = bad_idempotents(M, A, state, np.random.default_rng(seed))
+            variants.update({name: X for name, (X, _) in bad.items()})
         yield {
             "subalgebra": kind,
             "seed": seed,
