@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,11 +50,13 @@ from .lp import (
     LpMap,
     LpVector,
     _amplified_positions,
+    _gram_sum_svdvals,
     _image_singular_values,
     _lp_exponent,
     _norms_from_singular_values,
     _rank_masks,
     _singular_values,
+    _svdvals,
     amplified_algebra,
     conjugate_exponent,
     lp_norms,
@@ -198,6 +200,12 @@ def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
     basis afterwards.  (T L)^T = L_{rho^T} T^T is applied blockwise, and so
     is L_{T(rho^{1/p})} in the module relation.
     """
+    return _extract_pi(T, phi)[0]
+
+
+def _extract_pi(T: LpMap, phi: State) -> tuple[AlgebraMap, np.ndarray]:
+    """`extract_pi`, and the (T L)^T it reads, with L the left
+    multiplication by phi^{1/p}: row u is T(phi^{1/p} u)."""
     p = T.p
     if p == 2.0:
         raise ExponentUnsupported("extraction is undefined at p = 2")
@@ -216,7 +224,7 @@ def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
     defect = float(np.max(np.linalg.norm(residual, axis=0)))
     if not defect <= WARN_TOL:
         raise NotAnIsometry(f"module relation fails on the basis (defect {defect:.3e})")
-    return pi
+    return pi, TLt
 
 
 def extract_polar_data(T: LpMap, phi: State):
@@ -345,13 +353,12 @@ def _compressed_blocks(T: LpMap, rows: np.ndarray, norms: np.ndarray) -> set:
     return chosen
 
 
-def _norm_defect(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray, relative: bool) -> float:
+def _norm_defect(T: LpMap, n: int, rows, norms, layout, relative: bool) -> float:
     """Largest |  ||(id_n (x) T) h||_p - ||h||_p  | over the rows h with norms
-    ||h||_p, divided by ||h||_p when relative, skipping norms below 1e-14; a
-    NaN gives NaN.  The image norms come from `_image_singular_values` of
-    `_image_stacks`."""
-    stacks = _image_stacks(T, n, rows, norms)
-    image_norms = np.array(_norms_from_singular_values(_image_singular_values(stacks, T.p), T.p))
+    ||h||_p and `_SliceLayout` layout, divided by ||h||_p when relative,
+    skipping norms below 1e-14; a NaN gives NaN.  The image norms come from
+    `_image_norms`."""
+    image_norms = _image_norms(T, n, rows, norms, layout)
     keep = ~(norms < 1e-14)
     d = np.abs(image_norms[keep] - norms[keep])
     if relative:
@@ -359,33 +366,174 @@ def _norm_defect(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray, relative
     return float(np.max(d, initial=0.0))
 
 
-def _image_stacks(T: LpMap, n: int, rows: np.ndarray, norms: np.ndarray) -> list[np.ndarray]:
-    """Per target block, the stack of the blocks of (id_n (x) T) h over the
-    rows h with norms ||h||_p.
+def _measured_matrix(T: LpMap, rows: np.ndarray, norms: np.ndarray) -> tuple:
+    """The rows that the images of a defect over these rows are read from,
+    and each target block's (k_l, k_r) in them.
 
     The image of h is measured blockwise on the joint supports of T's images
     (`_ImageSupport`): block b of (id_n (x) T) h is the (n m) x (n m) matrix
     sum_ij e_ij (x) T(h_ij)_b, and its range and row space lie in those of
     the images, so in exact arithmetic the (n k_l) x (n k_r) matrix with
     slices Q_l* T(h_ij)_b Q_r drops only zero singular values.  A block
-    outside `_compressed_blocks` keeps its m^2 rows (Q = I); when no block
-    compresses, the slices of all rows go through T.matrix as one stacked
-    matvec, bitwise T(h_ij) (the GEMM form is not), and the stacks are
-    bitwise the blocks of the full images."""
+    outside `_compressed_blocks` keeps its m^2 rows (Q = I, (k_l, k_r) =
+    (m, m)); when no block compresses, the rows are T.matrix itself."""
     supports, chosen = _image_supports(T), _compressed_blocks(T, rows, norms)
-    matrix = T.matrix
-    if chosen:
-        parts = [s.compressed if b in chosen else s.block for b, s in enumerate(supports)]
-        matrix = np.vstack(parts)
-    images = np.matmul(matrix, rows[:, _slice_positions(T.source, n)][..., None])[..., 0]
+    shapes = [(s.left, s.right) if b in chosen else (s.size, s.size) for b, s in enumerate(supports)]
+    if not chosen:
+        return T.matrix, shapes
+    parts = [s.compressed if b in chosen else s.block for b, s in enumerate(supports)]
+    return np.vstack(parts), shapes
+
+
+class _Gather(NamedTuple):
+    """Where the slice images of some rows come from (`_gather`)."""
+
+    shape: tuple  # (rows, slices)
+    hot_slices: slice | np.ndarray  # each slice e_u of a row of units, numbered row by row
+    hot_units: np.ndarray  # its u
+    dense: slice | np.ndarray  # each row that is multiplied
+    dense_rows: slice | np.ndarray  # its row of the input rows
+    positions: np.ndarray  # the positions of each slice in a row
+
+
+def _gather(table: list, row_ids: np.ndarray, positions: np.ndarray) -> _Gather:
+    """The `_Gather` of the rows row_ids of the input, whose `_SliceLayout`
+    units are the lists of `table`: a row of units and zeros reads its
+    units, and every slice of any other row is multiplied."""
+    slices = len(positions)
+    hot_slices, hot_units, dense = [], [], []
+    for r, row in enumerate(table):
+        if -2 in row:
+            dense.append(r)
+            continue
+        for s, u in enumerate(row):
+            if u >= 0:
+                hot_slices.append(r * slices + s)
+                hot_units.append(u)
+    hot = (_index(hot_slices), np.array(hot_units, dtype=int))
+    dense_rows = _index(row_ids[dense].tolist())
+    return _Gather((len(table), slices), *hot, _index(dense), dense_rows, positions)
+
+
+def _index(ids: list):
+    """Increasing indices as a slice when they are a run, which numpy reads
+    and writes without a fancy-index pass, else as an array."""
+    if ids and ids[-1] - ids[0] == len(ids) - 1:
+        return slice(ids[0], ids[-1] + 1)
+    return np.array(ids, dtype=int)
+
+
+def _slice_images(matrix: np.ndarray, rows: np.ndarray, gather: _Gather) -> np.ndarray:
+    """The images under the matrix of the slices of the rows, as (rows,
+    slices, len(matrix)): a slice e_u reads column u of the matrix and a
+    zero slice zeros, which for a finite matrix is its matvec up to the sign
+    of a zero; the slices of the other rows go through one stacked matvec,
+    bitwise the map call (the GEMM form is not)."""
+    count, slices = gather.shape
+    images = np.zeros((count * slices, len(matrix)), dtype=complex)
+    images[gather.hot_slices] = matrix[:, gather.hot_units].T
+    images = images.reshape(count, slices, -1)
+    dense = rows[gather.dense_rows][:, gather.positions]
+    images[gather.dense] = np.matmul(matrix, dense[..., None])[..., 0]
+    return images
+
+
+def _block_stacks(images: np.ndarray, shapes: list, n: int) -> list[np.ndarray]:
+    """Per target block of (k_l, k_r), the stack of the (n k_l) x (n k_r)
+    blocks of the images of the rows, from their `_slice_images`."""
     stacks, start = [], 0
-    for b, s in enumerate(supports):
-        kl, kr = (s.left, s.right) if b in chosen else (s.size, s.size)
+    for kl, kr in shapes:
         # slice (i, j) of row h is the (kl, kr) block (i, j) of the image
         part = images[:, :, start : start + kl * kr].reshape(-1, n, n, kl, kr)
         stacks.append(part.transpose(0, 1, 3, 2, 4).reshape(-1, n * kl, n * kr))
         start += kl * kr
     return stacks
+
+
+class _SliceLayout:
+    """What each slice of each row of a sampled defect is: `units[r, s]` is
+    the unit u when slice s of row r, at the positions `positions[s]` of
+    the n-fold amplification, is e_u with coefficient 1, -1 when the slice
+    is zero and -2 when it is multiplied.  Found once per plan
+    (`_plan_layout`), with the row witnesses e_ac (x) u_i + e_ac' (x) u_j
+    and the column witnesses e_ac (x) u_i + e_a'c (x) u_j among the rows:
+    their indices `witnesses`, row witnesses first, the units `used` that
+    they name, each witness's pair (i, j) as indices into `used`
+    (`row_pairs`, `column_pairs`), the indices of the `others`, and the
+    `_gather` of every row and of the others."""
+
+    def __init__(self, units: np.ndarray, positions: np.ndarray, n: int):
+        self.units, self.positions, self.n = units, positions, n
+        table = units.tolist()
+        on_rows, on_columns = [], []  # (row, i, j) of each witness
+        for r, row in enumerate(table):
+            slots = [(s, u) for s, u in enumerate(row) if u != -1]
+            if len(slots) == 2 and min(slots[0][1], slots[1][1]) >= 0:
+                (s, i), (t, j) = slots
+                if s // n == t // n:
+                    on_rows.append((r, i, j))
+                elif s % n == t % n:
+                    on_columns.append((r, i, j))
+        witnesses = on_rows + on_columns
+        used = sorted({u for _, i, j in witnesses for u in (i, j)})
+        index = {u: k for k, u in enumerate(used)}
+        pairs = np.array([[index[i], index[j]] for _, i, j in witnesses], dtype=int).reshape(-1, 2)
+        self.used = np.array(used, dtype=int)
+        self.row_pairs, self.column_pairs = pairs[: len(on_rows)], pairs[len(on_rows) :]
+        self.witnesses = np.array([r for r, _, _ in witnesses], dtype=int)
+        summed = set(self.witnesses.tolist())
+        self.others = np.array([r for r in range(len(table)) if r not in summed], dtype=int)
+        self.every_gather = _gather(table, np.arange(len(table)), positions)
+        self.others_gather = _gather([table[r] for r in self.others], self.others, positions)
+
+
+def _image_stacks(T: LpMap, n: int, rows, norms, layout) -> list[np.ndarray]:
+    """Per target block, the stack of the blocks of (id_n (x) T) h over the
+    rows h with norms ||h||_p and `_SliceLayout` layout, measured on the
+    rows of `_measured_matrix`.  When no block compresses, the stacks are
+    the blocks of the full images, bitwise up to the sign of a zero."""
+    matrix, shapes = _measured_matrix(T, rows, norms)
+    return _block_stacks(_slice_images(matrix, rows, layout.every_gather), shapes, n)
+
+
+def _image_norms(T: LpMap, n: int, rows, norms, layout) -> np.ndarray:
+    """The p-norms ||(id_n (x) T) h||_p, p = T.p, of the rows h with norms
+    ||h||_p and `_SliceLayout` layout, measured on the rows of
+    `_measured_matrix`.
+
+    For p >= 2 the row and column witnesses take `_gram_sum_norms`.  Every
+    other row takes `_image_singular_values` of its stacks, as
+    `_image_stacks` builds them."""
+    matrix, shapes = _measured_matrix(T, rows, norms)
+    if T.p < 2.0 or not layout.witnesses.size:
+        stacks = _block_stacks(_slice_images(matrix, rows, layout.every_gather), shapes, n)
+        return np.array(_norms_from_singular_values(_image_singular_values(stacks, T.p), T.p))
+    out = np.empty(len(rows))
+    out[layout.witnesses] = _gram_sum_norms(T, matrix, shapes, rows, layout)
+    stacks = _block_stacks(_slice_images(matrix, rows, layout.others_gather), shapes, n)
+    out[layout.others] = _norms_from_singular_values(_image_singular_values(stacks, T.p), T.p)
+    return out
+
+
+def _gram_sum_norms(T: LpMap, matrix, shapes, rows, layout) -> list[float]:
+    """The image norms of the row and column witnesses of the layout, in
+    its order: per target block of (k_l, k_r), `_gram_sum_svdvals` of the
+    images of the units they name (those columns of the block's rows of the
+    matrix), within the Gram bound of the `lp` module docstring.  A block
+    where that kernel gives None reads the SVD of the witnesses' stacks."""
+    groups, stacks, start = [], None, 0
+    for b, (kl, kr) in enumerate(shapes):
+        images = matrix[start : start + kl * kr, layout.used].T.reshape(-1, kl, kr)
+        values = _gram_sum_svdvals(images, layout.row_pairs, layout.column_pairs)
+        if values is None:
+            if stacks is None:
+                witnesses = layout.witnesses
+                gather = _gather(layout.units[witnesses].tolist(), witnesses, layout.positions)
+                stacks = _block_stacks(_slice_images(matrix, rows, gather), shapes, layout.n)
+            values = _svdvals(stacks[b])
+        groups.append((values, (b,)))
+        start += kl * kr
+    return _norms_from_singular_values(groups, T.p)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -405,10 +553,30 @@ def _source_plan(algebra: Algebra, n: int, sample_count: int, seed: int) -> tupl
     return (rows, *groups)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _plan_layout(algebra: Algebra, n: int, sample_count: int) -> _SliceLayout:
+    """The `_SliceLayout` of the rows of `_source_plan` at any seed: the
+    structured rows, read off their positions, then sample_count rows that
+    are multiplied."""
+    positions = _slice_positions(algebra, n)
+    d = positions.shape[1]
+    # position q of the amplification is slice q // d, unit q % d
+    where = np.empty(positions.size, dtype=int)
+    where[positions.ravel()] = np.arange(positions.size)
+    structured = _witness_positions(algebra, n) if n > 1 else [[u] for u in range(d)]
+    units = [[-1] * (n * n) for _ in structured] + [[-2] * (n * n)] * sample_count
+    for row, pos in zip(units, structured):
+        for q in where[pos].tolist():
+            row[q // d] = q % d
+    return _SliceLayout(np.array(units, dtype=int).reshape(-1, n * n), positions, n)
+
+
 def _plan_rows(T: LpMap, n: int, sample_count: int, seed: int, weights) -> tuple:
-    """The rows of `_source_plan` and their norms at p = T.p."""
+    """The rows of `_source_plan`, their norms at p = T.p and their
+    `_plan_layout`."""
     rows, *groups = _source_plan(T.source, n, sample_count, seed)
-    return rows, np.array(_norms_from_singular_values(groups, T.p, weights))
+    norms = np.array(_norms_from_singular_values(groups, T.p, weights))
+    return rows, norms, _plan_layout(T.source, n, sample_count)
 
 
 def _plan_defect(T: LpMap, n: int, sample_count: int, seed: int, weights, relative) -> float:
@@ -466,18 +634,27 @@ def _witness_positions(algebra: Algebra, n: int) -> list:
     return out
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _grid_rows(algebra: Algebra) -> tuple:
+    """The first grid witness of each block of size at least 2, as indices
+    into the plan of `two_isometry_defect` at its defaults, which lists the
+    grid witnesses of each block first (`_witness_positions`), and their
+    `_SliceLayout`."""
+    pairs = [nb * (nb - 1) // 2 for nb in algebra.blocks]
+    first = np.array([start for start, k in zip(np.cumsum([0] + pairs), pairs) if k], dtype=int)
+    plan = _plan_layout(algebra, 2, 60)
+    return first, _SliceLayout(plan.units[first], plan.positions, 2)
+
+
 def _grid_witness_defect(T: LpMap, weights) -> float:
     """The norm defect of id_2 (x) T at the first grid witness
     Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (0, 1), of each block of size at
-    least 2; a transpose on the block changes its L_p norm for p != 2, so it
-    detects maps that are Jordan but not multiplicative.  The witnesses are
-    rows of the plan of `two_isometry_defect` at its defaults, which lists
-    the grid witnesses of each block first (`_witness_positions`), and their
-    norms are the plan's."""
-    rows, norms = _plan_rows(T, 2, 60, 0, weights)
-    pairs = [nb * (nb - 1) // 2 for nb in T.source.blocks]
-    first = [start for start, k in zip(np.cumsum([0] + pairs), pairs) if k]
-    return _norm_defect(T, 2, rows[first], norms[first], relative=False)
+    least 2 (`_grid_rows`), with the plan's norms; a transpose on the block
+    changes its L_p norm for p != 2, so it detects maps that are Jordan but
+    not multiplicative."""
+    rows, norms, _ = _plan_rows(T, 2, 60, 0, weights)
+    first, layout = _grid_rows(T.source)
+    return _norm_defect(T, 2, rows[first], norms[first], layout, relative=False)
 
 
 def two_isometry_defect(
@@ -574,7 +751,7 @@ def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
     # stage 2: homomorphism extraction and certification; the Glimm defect
     # kept on pi is read again by the image certificate of stage 5
     try:
-        pi = extract_pi(T, phi)
+        pi, TLt = _extract_pi(T, phi)
     except NotAnIsometry:
         defects["multiplicativity"] = float("inf")
         return reject("multiplicativity")
@@ -618,11 +795,12 @@ def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
         expectation=E,
         reference_state=phi,
     )
-    # row u of both is the image of rho^{1/p} u, as in extract_pi; that
+    # row u of both is the image of rho^{1/p} u, the first stage 2's
+    # (T L_rho)^T, which is not read again and takes the gaps in place; that
     # vector has rank one, and its p-norm is the 2-norm of column i of
     # rho^{1/p} for every unit u = e_ij of a block
     rho_pow = phi.power_element(1.0 / p)
-    gaps = apply_left(rho_pow.transpose(), T.matrix.T)
+    gaps = TLt
     gaps -= apply_left(w @ E.state.power_element(1.0 / p), pi.matrix).T
     columns = [np.repeat(np.linalg.norm(b, axis=0), len(b)) for b in rho_pow.data]
     scales = np.maximum(np.concatenate(columns), 1e-14)

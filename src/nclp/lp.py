@@ -5,20 +5,29 @@ An L_p vector is stored exactly like an algebra element; the exponent rides
 along.  Norms are computed from singular values, never from logs of
 near-singular matrices.  `lp_norm`, `lp_norms` and `clarkson_defect` take
 them from an SVD.  The p-norms of a map's images in the sampled defects
-(`_image_singular_values`) take them, for p >= 2, as the square roots of
-the eigenvalues of each matrix's Gram matrix.  For an r x c matrix Y with
-k = min(r, c), q = max(r, c) and unit roundoff u, the computed Gram matrix
-and eigvalsh's backward error move each eigenvalue by at most
-eta ||Y||_2^2, eta = k (sqrt(2) (q + 2) + 1) u (Weyl's inequality; Higham,
-Accuracy and Stability, 3.5).  For p >= 2, ||Y||_p^2 is the l_{p/2} norm
-of the eigenvalues, so ||Y||_p moves by at most k^{2/p} eta / 2 relative;
-a Gram matrix that underflows adds at most 2 sqrt(k^{1+2/p} q tiny)
-absolute, tiny the smallest normal float (1.2e-152 at k = q = 12).  For
-p < 2 no such bound holds: at p = 1 the Gram route errs by up to 3.5e-8
-relative on the benchmark's rank-deficient images, so those keep the SVD.
-A stack whose Gram eigvalsh rejects, or whose eigenvalues do not sum to a
-finite value (a NaN or infinite entry, an overflowing Gram matrix), goes to
-the SVD instead.
+take them, for p >= 2, as the square roots of the eigenvalues of a Gram
+matrix: of each image's own, Y* Y or Y Y* whichever is smaller
+(`_image_singular_values`), and for a row [Y_i Y_j] or a column
+[Y_i; Y_j] of two images of matrix units of the sum G_i + G_j of
+G = Y Y*, or H_i + H_j of H = Y* Y (`_gram_sum_svdvals`); the other
+singular values of such a row are exactly 0.  Let the Gram matrix be k x k
+with entries that are inner products of length q: k = min(r, c) and
+q = max(r, c) for an image of r x c, and k = r, q = 2 c for the sums of a
+row of two (k = c, q = 2 r for a column), each entry two inner products of
+length c added, since Higham's bound holds for any order of summation.
+With unit roundoff u, the computed Gram matrix and eigvalsh's backward
+error move each eigenvalue by at most eta ||Y||_2^2,
+eta = k (sqrt(2) (q + 2) + 1) u (Weyl's inequality; Higham, Accuracy and
+Stability, 3.5).  For p >= 2, ||Y||_p^2 is the l_{p/2} norm of the k
+eigenvalues, so ||Y||_p moves by at most k^{2/p} eta / 2 relative; a Gram
+matrix that underflows adds at most 2 sqrt(k^{1+2/p} q tiny) absolute,
+tiny the smallest normal float (1.2e-152 at k = q = 12).  For p < 2 no
+such bound holds: at p = 1 the Gram route errs by up to 3.5e-8 relative on
+the benchmark's rank-deficient images, so those keep the SVD.  A Gram
+stack that eigvalsh rejects, or with an eigenvalue that is not finite (a
+NaN or infinite entry, an overflowing Gram matrix), goes to the SVD
+instead (`_gram_values`); finite eigenvalues whose sum passes the float
+max stay on the Gram route.
 
 The p-th-power step (`_norms_from_singular_values`) is paid per distinct
 block shape, as the SVDs are: one sum of powers and one `tolist` over the
@@ -140,23 +149,55 @@ def _svdvals(stack: np.ndarray) -> np.ndarray:
     return values
 
 
-def _gram_svdvals(stack: np.ndarray) -> np.ndarray | None:
-    """Singular values of each matrix Y of an (N, r, c) stack as the square
-    roots of the eigenvalues of its Gram matrix, Y* Y or Y Y* whichever is
-    smaller, clipped at 0 and in descending order; None when eigvalsh rejects
-    the Gram stack or its eigenvalues do not sum to a finite value, which a
-    NaN or infinite entry or an overflowing Gram matrix causes."""
-    adjoint = stack.conj().swapaxes(-1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = adjoint @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ adjoint
+def _gram_values(gram: np.ndarray) -> np.ndarray | None:
+    """The square roots of the eigenvalues of each Hermitian matrix of a
+    Gram stack, clipped at 0 and in descending order; None when eigvalsh
+    rejects the stack or an eigenvalue is not finite.  The probe reads each
+    eigenvalue alone, so it cannot overflow, sees NaN and inf, and passes an
+    empty stack."""
     try:
         values = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError:
         return None
-    if not math.isfinite(values.sum()):
+    if not np.isfinite(values).all():
         return None
     np.maximum(values, 0.0, out=values)
     return np.sqrt(values, out=values)[..., ::-1]
+
+
+def _gram_svdvals(stack: np.ndarray) -> np.ndarray | None:
+    """Singular values of each matrix Y of an (N, r, c) stack as the
+    `_gram_values` of its Gram matrix, Y* Y or Y Y* whichever is smaller;
+    None where those are, as a NaN or infinite entry or an overflowing Gram
+    matrix makes them."""
+    adjoint = stack.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = adjoint @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ adjoint
+    return _gram_values(gram)
+
+
+def _gram_sum_svdvals(images: np.ndarray, rows: np.ndarray, columns: np.ndarray):
+    """For an (U, r, c) stack of images Y_u and (R, 2) index pairs into it:
+    the nonzero singular values of each row [Y_i Y_j] of `rows`, the
+    `_gram_values` of G_i + G_j with G = Y Y*, then those of each column
+    [Y_i; Y_j] of `columns`, of H_i + H_j with H = Y* Y, as one array of
+    max(r, c) values per pair, padded with zeros; the other singular values
+    are exactly 0.  G and H are one batched product each.  None when
+    `_gram_values` is None for either side."""
+    adjoint = images.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G, H = images @ adjoint, adjoint @ images
+        sums = [G[rows[:, 0]] + G[rows[:, 1]], H[columns[:, 0]] + H[columns[:, 1]]]
+    r, c = images.shape[1:]
+    if r == c:
+        return _gram_values(np.concatenate(sums))
+    row_values, column_values = (_gram_values(s) for s in sums)
+    if row_values is None or column_values is None:
+        return None
+    values = np.zeros((len(rows) + len(columns), max(r, c)))
+    values[: len(rows), :r] = row_values
+    values[len(rows) :, :c] = column_values
+    return values
 
 
 def _image_svdvals(stack: np.ndarray) -> np.ndarray:

@@ -673,22 +673,33 @@ def image_supports(T: LpMap) -> list[tuple]:
 
 
 def gram_norm_bounds(shapes, p: float) -> tuple[float, float]:
+    """`gram_bounds` of a row whose blocks have the given (r, c) shapes, each
+    read off its own smaller Gram matrix (`nclp.lp._gram_svdvals`): a
+    min(r, c) square one of inner products of length max(r, c)."""
+    return gram_bounds([(min(r, c), max(r, c)) for r, c in shapes], p)
+
+
+def gram_bounds(grams, p: float) -> tuple[float, float]:
     """(relative, absolute) bounds, to first order in the unit roundoff u,
-    on the error of the p-norm, p >= 2, of a row whose blocks have the given
-    (r, c) shapes, when each block's singular values are read off its Gram
-    eigenvalues (`nclp.lp._gram_svdvals`).  Per block, k = min(r, c) and
-    q = max(r, c):
-    - the Gram matrix is complex inner products of length q, each within
-      sqrt(2) (q + 2) u |y_i| |y_j| (Higham, Accuracy and Stability, 3.5),
-      so within sqrt(2) (q + 2) u ||Y||_F^2 <= sqrt(2) (q + 2) k u ||Y||_2^2
-      in the 2-norm, plus at most 4 q tiny per entry where it underflows
-      (tiny the smallest normal float);
+    on the error of the p-norm, p >= 2, of a row whose blocks read their
+    singular values off the eigenvalues of a Gram matrix, given per block as
+    (k, q): the matrix is k x k and its entries are complex inner products
+    of length q.  A matrix's own Gram matrix has k = min(r, c) and
+    q = max(r, c); the Gram sum G_i + G_j of a row [Y_i Y_j] of two r x c
+    images (`nclp.lp._gram_sum_svdvals`) has k = r and q = 2 c, and that of
+    a column k = c and q = 2 r.  Per block:
+    - the inner products are each within sqrt(2) (q + 2) u |y_i| |y_j| in
+      any order of summation (Higham, Accuracy and Stability, 3.5), so the
+      Gram matrix is within sqrt(2) (q + 2) u ||Y||_F^2 <= sqrt(2) (q + 2) k
+      u ||Y||_2^2 in the 2-norm, Y of rank at most k, plus at most 4 q tiny
+      per entry where it underflows (tiny the smallest normal float);
     - eigvalsh is backward stable, taken as k u ||G||_2;
     - by Weyl's inequality every eigenvalue then moves by at most
       eta ||Y||_2^2 + 4 k q tiny, eta = k (sqrt(2) (q + 2) + 1) u, and the
       clip at 0 only brings a negative one closer;
-    - ||Y||_p^2 is the l_{p/2} norm of the eigenvalues, a norm for p >= 2,
-      so it moves by at most k^{2/p} times that, and ||Y||_2 <= ||Y||_p;
+    - ||Y||_p^2 is the l_{p/2} norm of the k eigenvalues (the other singular
+      values of a row of images are exactly 0), a norm for p >= 2, so it
+      moves by at most k^{2/p} times that, and ||Y||_2 <= ||Y||_p;
     - the square root halves the relative part, takes the root of the
       absolute part, and rounds each value by u.
     The relative part is the largest over the blocks, the absolute parts add
@@ -696,8 +707,7 @@ def gram_norm_bounds(shapes, p: float) -> tuple[float, float]:
     `_norms_from_singular_values` add ((K + 1) / p + 1) u."""
     u, tiny = np.finfo(float).eps / 2, np.finfo(float).tiny
     relative, absolute, count = 0.0, 0.0, 0
-    for r, c in shapes:
-        k, q = min(r, c), max(r, c)
+    for k, q in grams:
         spread = k ** (2.0 / p)
         relative = max(relative, spread * k * (np.sqrt(2) * (q + 2) + 1) * u / 2 + u)
         absolute += 2 * np.sqrt(spread * k * q * tiny)

@@ -8,6 +8,7 @@ from nclp.algebra import (
     AlgebraElement,
     AlgebraMap,
     State,
+    apply_left,
     homomorphism_kind,
     make_algebra,
     matrix_units,
@@ -16,8 +17,10 @@ from nclp.algebra import (
     unit_system_defect,
 )
 from dense_oracles import (
+    NORM_ROUNDING,
     compose_lp_maps,
     conditioning_ladder,
+    gram_bounds,
     image_supports,
     isometry_data_by_units,
     left_mult_matrix,
@@ -28,6 +31,7 @@ from dense_oracles import (
     pair_table_kind,
     pi_by_four_polarizations,
     reconstruction_by_rebuild,
+    right_mult_matrix,
     tensor_embed,
     validate_by_pair_table,
 )
@@ -57,7 +61,9 @@ from nclp.lp import (
     LpMap,
     LpVector,
     _gram_svdvals,
+    _image_singular_values,
     _norms_from_singular_values,
+    _stack_singular_values,
     amplified_algebra,
     amplify_map,
     conjugate_exponent,
@@ -597,6 +603,25 @@ def test_stacked_matvec_is_bitwise_the_map():
         assert np.array_equal(stacked, np.stack([T(h).vec() for h in hs]))
 
 
+def test_gathered_unit_slices_are_the_matvec_images():
+    # a slice that is one unit with coefficient 1 reads its column of the
+    # matrix, and a zero slice zeros: equal to the stacked matvec up to the
+    # sign of a zero, on T.matrix and on the compressed rows
+    for seed in range(5):
+        T = build_isometry(random_isometry_data(seed), 3.0)
+        for n in (1, 2, 3):
+            rows, norms, layout = isometry_module._plan_rows(T, n, 60, 0, None)
+            positions = isometry_module._slice_positions(T.source, n)
+            assert (layout.units[:-60] >= -1).all() and (layout.units[-60:] == -2).all()
+            compressed, _ = isometry_module._measured_matrix(T, rows, norms)
+            for matrix in (T.matrix, compressed):
+                got = isometry_module._slice_images(matrix, rows, layout.every_gather)
+                want = np.matmul(matrix, rows[:, positions][..., None])[..., 0]
+                assert np.array_equal(got, want)
+                # the seeded samples are multiplied, bit for bit
+                assert got[-60:].tobytes() == want[-60:].tobytes()
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_stages_read_the_exponent_of_the_map(p):
     data = random_isometry_data(1)
@@ -672,16 +697,39 @@ def test_a_map_whose_gram_matrices_overflow_keeps_the_svd_defects():
     T = build_isometry(data, 3.0)
     F = LpMap(T.source, T.target, 3.0, 2.0**520 * T.matrix)
     for n in (1, 2):
-        rows, norms = _plan(F, n)
+        rows, norms, layout = _plan(F, n)
         assert isometry_module._compressed_blocks(F, rows, norms) == set()
-        stacks = isometry_module._image_stacks(F, n, rows, norms)
+        stacks = isometry_module._image_stacks(F, n, rows, norms, layout)
         assert all(_gram_svdvals(stack) is None for stack in stacks)
         for relative in (True, False):
             want = norm_defect_on_full_images(F, n, rows, norms, relative)
-            assert isometry_module._norm_defect(F, n, rows, norms, relative) == want
+            assert isometry_module._norm_defect(F, n, rows, norms, layout, relative) == want
+    # the Gram sums of the row and column witnesses overflow too, so each
+    # block reads the SVD of their full stacks
+    for relative in (True, False):
+        want = norm_defect_on_full_images(F, 2, *_plan(F, 2)[:2], relative)
+        assert two_isometry_defect(F, relative=relative) == want > 1e150
     report = classify(F, data.reference_state, 3.0)
     assert report.failing_stage == "isometry"
     assert report.defects["isometry"] == isometry_defect(F) > 1e150
+
+
+def test_a_nan_gram_sum_value_gives_a_nan_two_isometry_defect(monkeypatch):
+    data = random_isometry_data(0)
+    T = build_isometry(data, 3.0)
+    real = isometry_module._gram_sum_svdvals
+
+    def patched(images, rows, columns):
+        values = real(images, rows, columns)
+        values[len(values) // 2] = np.nan
+        return values
+
+    monkeypatch.setattr(isometry_module, "_gram_sum_svdvals", patched)
+    assert np.isnan(two_isometry_defect(T))
+    report = classify(T, data.reference_state, 3.0)
+    assert report.verdict == "reject" and report.failing_stage == "two_isometry"
+    assert np.isnan(report.defects["two_isometry"])
+    assert report.defects["isometry"] <= METRIC_TOL
 
 
 def test_classify_rejects_a_nan_reconstruction_defect(monkeypatch):
@@ -757,6 +805,17 @@ def _noisy_pi(pi, eps, seed):
     return _fresh(pi.matrix + eps * noise, pi)
 
 
+def _inject_pi(monkeypatch, make_pi):
+    """Make stage 2 of classify read make_pi(T, phi) as pi, beside the
+    (T L_rho)^T that stage 6 reads."""
+
+    def patched(T, phi):
+        rho_pow = phi.power_element(1.0 / T.p)
+        return make_pi(T, phi), apply_left(rho_pow.transpose(), T.matrix.T)
+
+    monkeypatch.setattr(isometry_module, "_extract_pi", patched)
+
+
 @pytest.mark.parametrize("variant", ["transposed", "noisy"])
 def test_classify_decides_pi_by_its_glimm_defect(monkeypatch, variant):
     # stage 2 passes pi exactly when its Glimm defect is within the
@@ -772,7 +831,7 @@ def test_classify_decides_pi_by_its_glimm_defect(monkeypatch, variant):
         bad = _noisy_pi(pi, 1e-9, 3)
     tol = max(pi.source.atol, pi.target.atol)
     delta = unit_system_defect(_fresh(bad.matrix, pi))
-    monkeypatch.setattr(isometry_module, "extract_pi", lambda T, phi: bad)
+    _inject_pi(monkeypatch, lambda T, phi: bad)
     kinds = _counting(monkeypatch, isometry_module, "homomorphism_kind")
     glimm = _counting(monkeypatch, algebra_module, "_glimm_defect")
     report = classify(T, data.reference_state, 3.0)
@@ -795,7 +854,7 @@ def test_a_non_finite_glimm_defect_rejects(monkeypatch):
     huge = _fresh(1e160 * data.pi.matrix, data.pi)
     delta = unit_system_defect(_fresh(huge.matrix, data.pi))
     assert not np.isfinite(delta)
-    monkeypatch.setattr(isometry_module, "extract_pi", lambda T, phi: huge)
+    _inject_pi(monkeypatch, lambda T, phi: huge)
     report = classify(T, data.reference_state, 3.0)
     assert report.verdict == "reject" and report.failing_stage == "multiplicativity"
     kept = report.defects["multiplicativity"]
@@ -1174,7 +1233,7 @@ def test_extract_pi_keeps_the_verdicts_of_four_polarizations_on_a_conditioning_l
         if "reconstruction" in defects.get(label, {}):
             want = reconstruction_by_rebuild(T, phi, label[-1])
             assert (defects[label]["reconstruction"] <= METRIC_TOL) == (want <= METRIC_TOL), label
-    monkeypatch.setattr(isometry_module, "extract_pi", pi_by_four_polarizations)
+    _inject_pi(monkeypatch, pi_by_four_polarizations)
     assert got == outcomes()
     # the operating range: every map whose reference state keeps its smallest
     # eigenvalue at 1e-4 or above accepts, and both extractors recover the
@@ -1219,6 +1278,8 @@ def test_extract_pi_makes_no_map_call_and_no_polar_decomposition(monkeypatch):
 def _clear_source_caches():
     for cached in (
         isometry_module._source_plan,
+        isometry_module._plan_layout,
+        isometry_module._grid_rows,
         isometry_module._slice_positions,
         isometry_module._polarization,
     ):
@@ -1439,9 +1500,9 @@ def _moved(T, eps, seed):
 
 
 def _plan(F, n):
-    """The rows of the sampled defect of id_n (x) F and their norms."""
-    rows, *groups = isometry_module._source_plan(F.source, n, 60, 0)
-    return rows, np.array(_norms_from_singular_values(groups, F.p))
+    """The rows of the sampled defect of id_n (x) F, their norms and their
+    slice layout."""
+    return isometry_module._plan_rows(F, n, 60, 0, None)
 
 
 def _admitted(supports, rows, norms):
@@ -1465,11 +1526,11 @@ def _assert_full_images(F):
     images: bitwise for p < 2, where both read the SVD, and within the
     rounding of the Gram eigenvalues for p >= 2."""
     for n in (1, 2):
-        rows, norms = _plan(F, n)
+        rows, norms, layout = _plan(F, n)
         assert isometry_module._compressed_blocks(F, rows, norms) == set()
         for relative in (True, False):
             want = norm_defect_on_full_images(F, n, rows, norms, relative)
-            got = isometry_module._norm_defect(F, n, rows, norms, relative)
+            got = isometry_module._norm_defect(F, n, rows, norms, layout, relative)
             if F.p < 2.0:
                 assert got == want
             else:
@@ -1493,11 +1554,11 @@ def test_the_defects_on_the_image_supports_stay_within_the_allowance(instance):
     F = _moved(build_isometry(random_isometry_data(seed, source, plan=plan), p), eps, seed)
     supports = image_supports(F)
     for n in (1, 2):
-        rows, norms = _plan(F, n)
+        rows, norms, layout = _plan(F, n)
         chosen, ratio = _admitted(supports, rows, norms)
         assert isometry_module._compressed_blocks(F, rows, norms) == chosen
         for relative in (True, False):
-            got = isometry_module._norm_defect(F, n, rows, norms, relative)
+            got = isometry_module._norm_defect(F, n, rows, norms, layout, relative)
             want = norm_defect_on_full_images(F, n, rows, norms, relative)
             if not chosen and p < 2.0:
                 assert got == want
@@ -1511,7 +1572,7 @@ def test_the_defects_on_the_image_supports_stay_within_the_allowance(instance):
 
 def test_a_map_1e9_off_its_supports_is_measured_on_the_full_images():
     T = build_isometry(random_isometry_data(1), 3.0)
-    rows, norms = _plan(T, 2)
+    rows, norms, _ = _plan(T, 2)
     assert isometry_module._compressed_blocks(T, rows, norms)
     F = _moved(T, 1e-9, 1)
     # the moved images have full rank: nothing to compress, the parent's bits
@@ -1529,7 +1590,7 @@ def test_the_benchmark_plans_compress_exactly_their_canonical_rank_deficient_map
                 _assert_full_images(T)
             else:
                 for n in (1, 2):
-                    assert isometry_module._compressed_blocks(T, *_plan(T, n))
+                    assert isometry_module._compressed_blocks(T, *_plan(T, n)[:2])
             # the perturbed maps of the reject workload keep every bit
             _assert_full_images(_moved(T, 1e-5, seed))
 
@@ -1542,7 +1603,103 @@ def test_transposed_maps_measured_on_their_supports_reject_at_multiplicativity(n
         for p in (1.0, 3.0):
             T = build_isometry(data, p)
             F = LpMap(T.source, T.target, p, T.matrix @ transpose_permutation(T.source))
-            assert isometry_module._compressed_blocks(F, *_plan(F, 2))
+            assert isometry_module._compressed_blocks(F, *_plan(F, 2)[:2])
             report = classify(F, data.reference_state, p)
             assert report.verdict == "reject" and report.failing_stage == "multiplicativity"
             assert report.defects["isometry"] <= METRIC_TOL
+
+
+# -- the row and column witnesses read off Gram sums of the unit images ---------
+
+GRAM_SUM_EXPONENTS = (2.0, 2.5, 3.0, 7.0, 50.0)
+
+
+def _assert_gram_sum_norms(F, weights=None):
+    """On the n = 2 plan of F: the image norms of the row and column
+    witnesses are those of their full stacks within `gram_bounds` of their
+    Gram sums, (k_l, 2 k_r) and (k_r, 2 k_l) per block, plus the SVD's
+    rounding; every other row reads the stacks' kernel bit for bit; and
+    `two_isometry_defect`, whose source norms take the weights and whose
+    image norms take none, is the defect of the full stacks within that room.
+    Returns the layout and the measured (k_l, k_r) of each block."""
+    rows, norms, layout = isometry_module._plan_rows(F, 2, 60, 0, weights)
+    _, shapes = isometry_module._measured_matrix(F, rows, norms)
+    stacks = isometry_module._image_stacks(F, 2, rows, norms, layout)
+    got = isometry_module._image_norms(F, 2, rows, norms, layout)
+    want = np.array(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
+    others = layout.others
+    kernel = _image_singular_values([stack[others] for stack in stacks], F.p)
+    assert got[others].tobytes() == np.array(_norms_from_singular_values(kernel, F.p)).tobytes()
+    # the other rows read their own Gram matrices for p >= 2
+    count = len(layout.row_pairs)
+    sides = (
+        (others, [(min(kl, kr) * 2, max(kl, kr) * 2) for kl, kr in shapes]),
+        (layout.witnesses[:count], [(kl, 2 * kr) for kl, kr in shapes]),
+        (layout.witnesses[count:], [(kr, 2 * kl) for kl, kr in shapes]),
+    )
+    room = np.zeros(len(rows))
+    for part, grams in sides:
+        relative, absolute = gram_bounds(grams, F.p)
+        room[part] = (relative + NORM_ROUNDING) * want[part] + absolute
+    assert (np.abs(got - want) <= room).all()
+    keep = ~(norms < 1e-14)
+    for relative in (True, False):
+        scale = norms[keep] if relative else 1.0
+        oracle = float(np.max(np.abs(want[keep] - norms[keep]) / scale))
+        defect = two_isometry_defect(F, source_weights=weights, relative=relative)
+        assert abs(defect - oracle) <= np.max(room[keep] / scale)
+    return layout, shapes
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK_PLANS))
+def test_gram_sum_witness_norms_are_the_full_images_within_the_gram_bound(name):
+    source, plan = _BENCHMARK_PLANS[name]
+    weights = tuple(np.linspace(0.5, 1.5, len(source)))
+    for seed in range(2):
+        data = random_isometry_data(seed, source, plan=plan)
+        for p in GRAM_SUM_EXPONENTS:
+            T = build_isometry(data, p)
+            # the canonical map, measured on its supports but for M2, and a
+            # perturbed one, measured on the full images
+            for F in (T, _moved(T, 1e-5, seed)):
+                layout, _ = _assert_gram_sum_norms(F)
+                assert layout.witnesses.size
+                _assert_gram_sum_norms(F, weights)
+
+
+def test_gram_sums_on_the_smallest_sources():
+    # M_1 has no row or column witness; (1, 1) has one of each, across its
+    # two blocks
+    for source, plan, count in (((1,), [([(0, 1)], 1)], 0), ((1, 1), [([(0, 1), (1, 1)], 1)], 1)):
+        data = random_isometry_data(0, source, plan=plan)
+        for p in GRAM_SUM_EXPONENTS:
+            for weights in (None, tuple(np.linspace(0.5, 1.5, len(source)))):
+                layout, _ = _assert_gram_sum_norms(build_isometry(data, p), weights)
+                assert len(layout.row_pairs) == len(layout.column_pairs) == count
+
+
+def _rank_one_corner_map(p, seed):
+    """x -> a pi(x) b for the corner embedding pi of M_2 in M_3, with
+    a = v v* for a seeded unit vector v and b a seeded unitary: its images
+    span a left support of rank 1 and a right support of rank 2."""
+    rng = rng_for(seed)
+    M3 = make_algebra([3])
+    corner = np.zeros((9, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            corner[3 * i + j, 2 * i + j] = 1.0
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    a = AlgebraElement(M3, [np.outer(v, v.conj())])
+    b = AlgebraElement(M3, [haar_unitary(3, rng)])
+    return LpMap(M2, M3, p, left_mult_matrix(a) @ right_mult_matrix(b) @ corner)
+
+
+def test_gram_sums_on_a_block_whose_supports_differ_in_rank():
+    for seed in range(3):
+        for p in GRAM_SUM_EXPONENTS:
+            F = _rank_one_corner_map(p, seed)
+            assert [(m, kl, kr) for m, kl, kr, _ in image_supports(F)] == [(3, 1, 2)]
+            _, shapes = _assert_gram_sum_norms(F)
+            # the block is measured on its supports, (k_l, k_r) = (1, 2)
+            assert shapes == [(1, 2)]

@@ -16,6 +16,7 @@ from nclp.algebra import (
 from dense_oracles import (
     NORM_ROUNDING,
     clarkson_by_elements,
+    gram_bounds,
     gram_norm_bounds,
     grid_witness,
     lp_norms_per_block,
@@ -27,6 +28,8 @@ from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, Shap
 from nclp.lp import (
     LpMap,
     LpVector,
+    _gram_sum_svdvals,
+    _gram_svdvals,
     _image_singular_values,
     _norms_from_singular_values,
     _stack_singular_values,
@@ -322,6 +325,75 @@ def test_finite_values_whose_sum_overflows_neither_warn_nor_read_nan():
     assert norm == pytest.approx(2 ** (1 / 3) * 1e308, rel=4 * np.finfo(float).eps)
     assert not np.isnan([result.defect, result.witness]).any()
     assert empty.shape == (0,)
+
+
+def _gram_room(values, svd_values, p, grams):
+    """The norms of the rows of `values` and `svd_values`, and the room
+    between them: `gram_bounds` of the grams plus the SVD's own rounding."""
+    got = np.array(_norms_from_singular_values([(values, (0,))], p))
+    want = np.array(_norms_from_singular_values([(svd_values, (0,))], p))
+    relative, absolute = gram_bounds(grams, p)
+    return got, want, (relative + NORM_ROUNDING) * want + absolute
+
+
+def test_the_gram_probe_keeps_finite_eigenvalues_whose_sum_overflows():
+    # the eigenvalues of the Gram matrix of diag(1.3e154, 1.3e154) are each
+    # 1.69e308, and their sum passes the float max: both Gram kernels keep
+    # them, without a warning, within the Gram bound of the SVD
+    stack = np.diag([1.3e154, 1.3e154]).astype(complex)[None]
+    halves = np.diag([9.2e153, 9.2e153]).astype(complex)[None]  # G_i + G_j = 1.69e308 I
+    pair, no_pairs = np.array([[0, 1]]), np.zeros((0, 2), dtype=int)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = _gram_svdvals(stack)
+        ((image_values, _),) = _image_singular_values([stack], 3.0)
+        summed = _gram_sum_svdvals(np.concatenate([halves, halves]), pair, no_pairs)
+        empty = _gram_svdvals(np.zeros((0, 2, 2), dtype=complex))
+    assert values is not None and image_values.tobytes() == values.tobytes()
+    assert empty.shape == (0, 2)
+    for p in (2.0, 3.0, 7.0):
+        got, want, room = _gram_room(values, _svdvals(stack), p, [(2, 2)])
+        assert np.isfinite(got).all() and (np.abs(got - want) <= room).all()
+        row = np.hstack([halves[0], halves[0]])[None]
+        got, want, room = _gram_room(summed, _svdvals(row), p, [(2, 4)])
+        assert np.isfinite(got).all() and (np.abs(got - want) <= room).all()
+    # NaN and inf are still seen, and so is a Gram matrix that overflows
+    for bad in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[0, 0, 1] = bad
+        assert _gram_svdvals(broken) is None
+        assert _gram_sum_svdvals(np.concatenate([broken, halves]), pair, no_pairs) is None
+    assert _gram_svdvals(4 * stack) is None
+    assert _gram_sum_svdvals(np.concatenate([stack, stack]), pair, no_pairs) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.integers(-500, 500),
+    st.sampled_from([2.0, 2.5, 3.0, 7.0, 50.0]),
+)
+def test_gram_sums_are_the_rows_and_columns_of_two_images_within_the_gram_bound(
+    count, r, c, seed, scale, p
+):
+    """The Gram-sum values of a row [Y_i Y_j] and of a column [Y_i; Y_j] of
+    two r x c images are their nonzero singular values, within `gram_bounds`
+    of (r, 2 c) and (c, 2 r) plus the SVD's rounding; the others are 0."""
+    rng = np.random.default_rng(seed)
+    images = 2.0**scale * (rng.standard_normal((count, r, c)) + 1j * rng.standard_normal((count, r, c)))
+    pairs = rng.integers(0, count, size=(4, 2))
+    rows, columns = pairs[:2], pairs[2:]
+    values = _gram_sum_svdvals(images, rows, columns)
+    assert values.shape == (4, max(r, c))
+    row_stack = np.concatenate([images[rows[:, 0]], images[rows[:, 1]]], axis=2)
+    column_stack = np.concatenate([images[columns[:, 0]], images[columns[:, 1]]], axis=1)
+    for got_values, stack, gram in ((values[:2], row_stack, (r, 2 * c)), (values[2:], column_stack, (c, 2 * r))):
+        got, want, room = _gram_room(got_values, _svdvals(stack), p, [gram])
+        assert (np.abs(got - want) <= room).all()
+        assert not got_values[:, gram[0] :].any()
 
 
 def test_lp_norms_of_non_finite_rows():

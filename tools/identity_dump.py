@@ -88,9 +88,10 @@ right supports of the images in each target block, and the largest ratio
 to ``SUPPORT_ALLOWANCE`` of the bound on what measuring the sampled defects
 on those supports would change if every rank-deficient block compressed,
 over the plans of ``isometry_defect`` and ``two_isometry_defect``; per
-plan (n = 1, then 2), the kernel its image norms take (``gram`` for Gram
-eigenvalues, ``svd``), and the largest relative gap between those norms
-and the SVD's over the rows of both plans.
+plan (n = 1, then 2), the kernel its image stacks take (``gram`` for Gram
+eigenvalues, ``svd``), and the largest relative gap between the image
+norms the defects read, the Gram sums of the row and column witnesses
+included, and the SVD's of the stacks over the rows of both plans.
 The conditioning records hold, for the canonical data of the five
 benchmark plans at seeds 0-1 with the preserved state moved to
 rhobar^s / Tr rhobar^s, s in {1, 8, 12, 16} (``conditioning_ladder`` from
@@ -225,31 +226,33 @@ def _stage1_record(F) -> dict:
     """(m, k_l, k_r) of each target block's image supports; the largest
     ratio to the allowance of the bound on what compressing every
     rank-deficient block would change, over the plans of both defects; per
-    plan, the kernel its image norms take; and the largest relative gap
-    between those norms and the SVD's over the rows of both plans."""
+    plan, the kernel its image stacks take; and the largest relative gap
+    between the image norms the defects read (`_image_norms`, the Gram sums
+    of the row and column witnesses included) and the SVD's of the stacks,
+    over the rows of both plans."""
     import numpy as np
 
-    from nclp.isometry import SUPPORT_ALLOWANCE, _image_stacks, _image_supports, _source_plan
-    from nclp.lp import (
-        _gram_svdvals,
-        _image_singular_values,
-        _norms_from_singular_values,
-        _stack_singular_values,
+    from nclp.isometry import (
+        SUPPORT_ALLOWANCE,
+        _image_norms,
+        _image_stacks,
+        _image_supports,
+        _plan_rows,
     )
+    from nclp.lp import _gram_svdvals, _norms_from_singular_values, _stack_singular_values
 
     supports = _image_supports(F)
     total = sum(s.tail * s.size ** (1.0 / F.p) for s in supports if s.compresses)
     worst, kernels, gap = 0.0, [], 0.0
     for n in (1, 2):
-        rows, *svals = _source_plan(F.source, n, 60, 0)
-        norms = np.asarray(_norms_from_singular_values(svals, F.p))
+        rows, norms, layout = _plan_rows(F, n, 60, 0, None)
         keep = ~(norms < 1e-14)
         ratio = float(np.max(np.abs(rows[keep]).sum(axis=1) / norms[keep], initial=0.0))
         worst = max(worst, ratio * total / SUPPORT_ALLOWANCE)
-        stacks = _image_stacks(F, n, rows, norms)
+        stacks = _image_stacks(F, n, rows, norms, layout)
         gram = F.p >= 2.0 and all(_gram_svdvals(stack) is not None for stack in stacks)
         kernels.append("gram" if gram else "svd")
-        got = np.asarray(_norms_from_singular_values(_image_singular_values(stacks, F.p), F.p))
+        got = _image_norms(F, n, rows, norms, layout)
         want = np.asarray(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
         read = want > 0.0
         gap = max(gap, float(np.max(np.abs(got[read] - want[read]) / want[read], initial=0.0)))
