@@ -331,19 +331,20 @@ def _image_supports(T: LpMap) -> tuple:
     return T._supports
 
 
-def _compressed_blocks(T: LpMap, rows: np.ndarray, norms: np.ndarray) -> set:
-    """The target blocks whose slices the defect over these rows measures on
-    the image supports.  Compressing block b changes a norm ||(id_n (x) T) h||_p
-    by at most ||h||_l1 tail_b m_b^{1/p} (the l1 norm of h's coefficients), so
-    the candidates are taken in increasing order of tail_b m_b^{1/p} while that
-    bound summed over them, divided by ||h||_p, stays within SUPPORT_ALLOWANCE
-    on every row with a norm of at least 1e-14; a NaN norm admits none."""
+def _compressed_blocks(T: LpMap, plan: _Plan, norms: np.ndarray) -> set:
+    """The target blocks whose slices the defect over the rows of the plan,
+    with norms ||h||_p, measures on the image supports.  Compressing block b
+    changes a norm ||(id_n (x) T) h||_p by at most ||h||_l1 tail_b m_b^{1/p}
+    (the plan's l1 norm of h's coefficients), so the candidates are taken in
+    increasing order of tail_b m_b^{1/p} while that bound summed over them,
+    divided by ||h||_p, stays within SUPPORT_ALLOWANCE on every row with a
+    norm of at least 1e-14; a NaN norm admits none."""
     supports = enumerate(_image_supports(T))
     terms = sorted((s.tail * s.size ** (1.0 / T.p), b) for b, s in supports if s.compresses)
     if not terms:
         return set()
     keep = ~(norms < 1e-14)
-    ratio = np.max(np.abs(rows[keep]).sum(axis=1) / norms[keep], initial=0.0)
+    ratio = np.max(plan.l1[keep] / norms[keep], initial=0.0)
     chosen, bound = set(), 0.0
     for term, b in terms:
         bound += term
@@ -353,12 +354,12 @@ def _compressed_blocks(T: LpMap, rows: np.ndarray, norms: np.ndarray) -> set:
     return chosen
 
 
-def _norm_defect(T: LpMap, n: int, rows, norms, layout, relative: bool) -> float:
-    """Largest |  ||(id_n (x) T) h||_p - ||h||_p  | over the rows h with norms
-    ||h||_p and `_SliceLayout` layout, divided by ||h||_p when relative,
-    skipping norms below 1e-14; a NaN gives NaN.  The image norms come from
+def _norm_defect(T: LpMap, plan: _Plan, norms: np.ndarray, relative: bool) -> float:
+    """Largest |  ||(id_n (x) T) h||_p - ||h||_p  | over the rows h of the
+    plan, with norms ||h||_p, divided by ||h||_p when relative, skipping
+    norms below 1e-14; a NaN gives NaN.  The image norms come from
     `_image_norms`."""
-    image_norms = _image_norms(T, n, rows, norms, layout)
+    image_norms = _image_norms(T, plan, norms)
     keep = ~(norms < 1e-14)
     d = np.abs(image_norms[keep] - norms[keep])
     if relative:
@@ -366,9 +367,9 @@ def _norm_defect(T: LpMap, n: int, rows, norms, layout, relative: bool) -> float
     return float(np.max(d, initial=0.0))
 
 
-def _measured_matrix(T: LpMap, rows: np.ndarray, norms: np.ndarray) -> tuple:
-    """The rows that the images of a defect over these rows are read from,
-    and each target block's (k_l, k_r) in them.
+def _measured_matrix(T: LpMap, plan: _Plan, norms: np.ndarray) -> tuple:
+    """The rows that the images of a defect over the rows of the plan, with
+    norms ||h||_p, are read from, and each target block's (k_l, k_r) in them.
 
     The image of h is measured blockwise on the joint supports of T's images
     (`_ImageSupport`): block b of (id_n (x) T) h is the (n m) x (n m) matrix
@@ -377,7 +378,7 @@ def _measured_matrix(T: LpMap, rows: np.ndarray, norms: np.ndarray) -> tuple:
     slices Q_l* T(h_ij)_b Q_r drops only zero singular values.  A block
     outside `_compressed_blocks` keeps its m^2 rows (Q = I, (k_l, k_r) =
     (m, m)); when no block compresses, the rows are T.matrix itself."""
-    supports, chosen = _image_supports(T), _compressed_blocks(T, rows, norms)
+    supports, chosen = _image_supports(T), _compressed_blocks(T, plan, norms)
     shapes = [(s.left, s.right) if b in chosen else (s.size, s.size) for b, s in enumerate(supports)]
     if not chosen:
         return T.matrix, shapes
@@ -385,56 +386,18 @@ def _measured_matrix(T: LpMap, rows: np.ndarray, norms: np.ndarray) -> tuple:
     return np.vstack(parts), shapes
 
 
-class _Gather(NamedTuple):
-    """Where the slice images of some rows come from (`_gather`)."""
-
-    shape: tuple  # (rows, slices)
-    hot_slices: slice | np.ndarray  # each slice e_u of a row of units, numbered row by row
-    hot_units: np.ndarray  # its u
-    dense: slice | np.ndarray  # each row that is multiplied
-    dense_rows: slice | np.ndarray  # its row of the input rows
-    positions: np.ndarray  # the positions of each slice in a row
-
-
-def _gather(table: list, row_ids: np.ndarray, positions: np.ndarray) -> _Gather:
-    """The `_Gather` of the rows row_ids of the input, whose `_SliceLayout`
-    units are the lists of `table`: a row of units and zeros reads its
-    units, and every slice of any other row is multiplied."""
-    slices = len(positions)
-    hot_slices, hot_units, dense = [], [], []
-    for r, row in enumerate(table):
-        if -2 in row:
-            dense.append(r)
-            continue
-        for s, u in enumerate(row):
-            if u >= 0:
-                hot_slices.append(r * slices + s)
-                hot_units.append(u)
-    hot = (_index(hot_slices), np.array(hot_units, dtype=int))
-    dense_rows = _index(row_ids[dense].tolist())
-    return _Gather((len(table), slices), *hot, _index(dense), dense_rows, positions)
-
-
-def _index(ids: list):
-    """Increasing indices as a slice when they are a run, which numpy reads
-    and writes without a fancy-index pass, else as an array."""
-    if ids and ids[-1] - ids[0] == len(ids) - 1:
-        return slice(ids[0], ids[-1] + 1)
-    return np.array(ids, dtype=int)
-
-
-def _slice_images(matrix: np.ndarray, rows: np.ndarray, gather: _Gather) -> np.ndarray:
-    """The images under the matrix of the slices of the rows, as (rows,
-    slices, len(matrix)): a slice e_u reads column u of the matrix and a
-    zero slice zeros, which for a finite matrix is its matvec up to the sign
-    of a zero; the slices of the other rows go through one stacked matvec,
-    bitwise the map call (the GEMM form is not)."""
-    count, slices = gather.shape
-    images = np.zeros((count * slices, len(matrix)), dtype=complex)
-    images[gather.hot_slices] = matrix[:, gather.hot_units].T
-    images = images.reshape(count, slices, -1)
-    dense = rows[gather.dense_rows][:, gather.positions]
-    images[gather.dense] = np.matmul(matrix, dense[..., None])[..., 0]
+def _slice_images(matrix: np.ndarray, units: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """The images under the matrix of the slices of the structured rows with
+    these `_Plan` units, then of these sliced samples, as (rows, slices,
+    len(matrix)): a slice e_u reads column u of the matrix and a zero slice
+    zeros, which for a finite matrix is its matvec up to the sign of a zero;
+    the samples go through one stacked matvec, bitwise the map call (the
+    GEMM form is not)."""
+    count = len(units)
+    images = np.zeros((count + len(samples), units.shape[1], len(matrix)), dtype=complex)
+    hot = units >= 0
+    images[:count][hot] = matrix[:, units[hot]].T
+    images[count:] = np.matmul(matrix, samples[..., None])[..., 0]
     return images
 
 
@@ -450,137 +413,156 @@ def _block_stacks(images: np.ndarray, shapes: list, n: int) -> list[np.ndarray]:
     return stacks
 
 
-class _SliceLayout:
-    """What each slice of each row of a sampled defect is: `units[r, s]` is
-    the unit u when slice s of row r, at the positions `positions[s]` of
-    the n-fold amplification, is e_u with coefficient 1, -1 when the slice
-    is zero and -2 when it is multiplied.  Found once per plan
-    (`_plan_layout`), with the row witnesses e_ac (x) u_i + e_ac' (x) u_j
-    and the column witnesses e_ac (x) u_i + e_a'c (x) u_j among the rows:
-    their indices `witnesses`, row witnesses first, the units `used` that
-    they name, each witness's pair (i, j) as indices into `used`
-    (`row_pairs`, `column_pairs`), the indices of the `others`, and the
-    `_gather` of every row and of the others."""
-
-    def __init__(self, units: np.ndarray, positions: np.ndarray, n: int):
-        self.units, self.positions, self.n = units, positions, n
-        table = units.tolist()
-        on_rows, on_columns = [], []  # (row, i, j) of each witness
-        for r, row in enumerate(table):
-            slots = [(s, u) for s, u in enumerate(row) if u != -1]
-            if len(slots) == 2 and min(slots[0][1], slots[1][1]) >= 0:
-                (s, i), (t, j) = slots
-                if s // n == t // n:
-                    on_rows.append((r, i, j))
-                elif s % n == t % n:
-                    on_columns.append((r, i, j))
-        witnesses = on_rows + on_columns
-        used = sorted({u for _, i, j in witnesses for u in (i, j)})
-        index = {u: k for k, u in enumerate(used)}
-        pairs = np.array([[index[i], index[j]] for _, i, j in witnesses], dtype=int).reshape(-1, 2)
-        self.used = np.array(used, dtype=int)
-        self.row_pairs, self.column_pairs = pairs[: len(on_rows)], pairs[len(on_rows) :]
-        self.witnesses = np.array([r for r, _, _ in witnesses], dtype=int)
-        summed = set(self.witnesses.tolist())
-        self.others = np.array([r for r in range(len(table)) if r not in summed], dtype=int)
-        self.every_gather = _gather(table, np.arange(len(table)), positions)
-        self.others_gather = _gather([table[r] for r in self.others], self.others, positions)
-
-
-def _image_stacks(T: LpMap, n: int, rows, norms, layout) -> list[np.ndarray]:
+def _image_stacks(T: LpMap, plan: _Plan, norms: np.ndarray) -> list[np.ndarray]:
     """Per target block, the stack of the blocks of (id_n (x) T) h over the
-    rows h with norms ||h||_p and `_SliceLayout` layout, measured on the
-    rows of `_measured_matrix`.  When no block compresses, the stacks are
-    the blocks of the full images, bitwise up to the sign of a zero."""
-    matrix, shapes = _measured_matrix(T, rows, norms)
-    return _block_stacks(_slice_images(matrix, rows, layout.every_gather), shapes, n)
+    rows h of the plan, with norms ||h||_p, measured on the rows of
+    `_measured_matrix`.  When no block compresses, the stacks are the blocks
+    of the full images, bitwise up to the sign of a zero."""
+    matrix, shapes = _measured_matrix(T, plan, norms)
+    return _block_stacks(_slice_images(matrix, plan.units, plan.samples), shapes, plan.n)
 
 
-def _image_norms(T: LpMap, n: int, rows, norms, layout) -> np.ndarray:
-    """The p-norms ||(id_n (x) T) h||_p, p = T.p, of the rows h with norms
-    ||h||_p and `_SliceLayout` layout, measured on the rows of
-    `_measured_matrix`.
+def _image_norms(T: LpMap, plan: _Plan, norms: np.ndarray) -> np.ndarray:
+    """The p-norms ||(id_n (x) T) h||_p, p = T.p, of the rows h of the plan,
+    with norms ||h||_p, measured on the rows of `_measured_matrix`.
 
     For p >= 2 the row and column witnesses take `_gram_sum_norms`.  Every
     other row takes `_image_singular_values` of its stacks, as
     `_image_stacks` builds them."""
-    matrix, shapes = _measured_matrix(T, rows, norms)
-    if T.p < 2.0 or not layout.witnesses.size:
-        stacks = _block_stacks(_slice_images(matrix, rows, layout.every_gather), shapes, n)
+    matrix, shapes = _measured_matrix(T, plan, norms)
+    if T.p < 2.0 or not plan.witnesses.size:
+        stacks = _block_stacks(_slice_images(matrix, plan.units, plan.samples), shapes, plan.n)
         return np.array(_norms_from_singular_values(_image_singular_values(stacks, T.p), T.p))
-    out = np.empty(len(rows))
-    out[layout.witnesses] = _gram_sum_norms(T, matrix, shapes, rows, layout)
-    stacks = _block_stacks(_slice_images(matrix, rows, layout.others_gather), shapes, n)
-    out[layout.others] = _norms_from_singular_values(_image_singular_values(stacks, T.p), T.p)
+    out = np.empty(len(plan.l1))
+    out[plan.witnesses] = _gram_sum_norms(T, matrix, shapes, plan)
+    # the witnesses close the structured rows: the others are the rows
+    # before them, then the samples
+    before = plan.units[: len(plan.units) - len(plan.witnesses)]
+    stacks = _block_stacks(_slice_images(matrix, before, plan.samples), shapes, plan.n)
+    out[plan.others] = _norms_from_singular_values(_image_singular_values(stacks, T.p), T.p)
     return out
 
 
-def _gram_sum_norms(T: LpMap, matrix, shapes, rows, layout) -> list[float]:
-    """The image norms of the row and column witnesses of the layout, in
-    its order: per target block of (k_l, k_r), `_gram_sum_svdvals` of the
-    images of the units they name (those columns of the block's rows of the
+def _gram_sum_norms(T: LpMap, matrix, shapes, plan: _Plan) -> list[float]:
+    """The image norms of the row and column witnesses of the plan, in its
+    order: per target block of (k_l, k_r), `_gram_sum_svdvals` of the images
+    of the units they name (those columns of the block's rows of the
     matrix), within the Gram bound of the `lp` module docstring.  A block
     where that kernel gives None reads the SVD of the witnesses' stacks."""
     groups, stacks, start = [], None, 0
     for b, (kl, kr) in enumerate(shapes):
-        images = matrix[start : start + kl * kr, layout.used].T.reshape(-1, kl, kr)
-        values = _gram_sum_svdvals(images, layout.row_pairs, layout.column_pairs)
+        images = matrix[start : start + kl * kr, plan.used].T.reshape(-1, kl, kr)
+        values = _gram_sum_svdvals(images, plan.row_pairs, plan.column_pairs)
         if values is None:
             if stacks is None:
-                witnesses = layout.witnesses
-                gather = _gather(layout.units[witnesses].tolist(), witnesses, layout.positions)
-                stacks = _block_stacks(_slice_images(matrix, rows, gather), shapes, layout.n)
+                witnesses = _slice_images(matrix, plan.units[plan.witnesses], plan.samples[:0])
+                stacks = _block_stacks(witnesses, shapes, plan.n)
             values = _svdvals(stacks[b])
         groups.append((values, (b,)))
         start += kl * kr
     return _norms_from_singular_values(groups, T.p)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _source_plan(algebra: Algebra, n: int, sample_count: int, seed: int) -> tuple:
-    """Read-only rows of a sampled defect of id_n (x) T, then their singular
-    values per block size (`_singular_values`'s groups, the values read-only):
-    the unit basis for n = 1, else the structured witnesses, then seeded samples."""
-    big = amplified_algebra(algebra, n)
-    positions = _witness_positions(algebra, n) if n > 1 else [[u] for u in range(big.total_dim)]
-    fixed = np.zeros((len(positions), big.total_dim), dtype=complex)
-    owners = np.repeat(np.arange(len(positions)), [len(pos) for pos in positions])
-    # a source without structured witnesses, such as M_1, leaves only the samples
-    fixed[owners, [q for pos in positions for q in pos]] = 1.0
-    rows = np.vstack([fixed, _sample_rows(big, sample_count, np.random.default_rng(seed))])
-    groups = _singular_values(big, rows)
-    _read_only(rows, *(values for values, _ in groups))
-    return (rows, *groups)
+_EMPTY = _read_only(np.zeros(0, dtype=int))[0]
+
+
+class _Plan(NamedTuple):
+    """The rows h of a sampled defect of id_n (x) T, read-only: structured
+    rows, each of whose slices h_ij (at the positions of e_ij (x) u) is one
+    unit u with coefficient 1 or zero, then seeded samples.
+
+    `units[r, i n + j]` is the unit of slice h_ij of structured row r, or -1
+    for a zero slice; `samples` holds the samples' slices as (count, n^2, d).
+    `l1` is each row's ||h||_l1, `others` the indices of the rows that are
+    not row or column witnesses, and `groups` the rows' `_singular_values`.
+    The row witnesses e_00 (x) u_i + e_01 (x) u_j and the column witnesses
+    e_00 (x) u_i + e_10 (x) u_j close the structured rows: their indices
+    `witnesses`, row witnesses first, the units `used` that they name, and
+    each one's (i, j) as indices into `used` (`row_pairs`, `column_pairs`).
+    `grids` indexes the first grid witness of each block of size >= 2."""
+
+    n: int
+    units: np.ndarray
+    samples: np.ndarray
+    l1: np.ndarray
+    others: np.ndarray
+    groups: list | None = None
+    witnesses: np.ndarray = _EMPTY
+    used: np.ndarray = _EMPTY
+    row_pairs: np.ndarray = _EMPTY.reshape(0, 2)
+    column_pairs: np.ndarray = _EMPTY.reshape(0, 2)
+    grids: np.ndarray = _EMPTY
+
+    def norms(self, p: float, weights=None) -> np.ndarray:
+        """Each row's ||h||_p, with the blocks weighted by weights."""
+        return np.array(_norms_from_singular_values(self.groups, p, weights))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _plan_layout(algebra: Algebra, n: int, sample_count: int) -> _SliceLayout:
-    """The `_SliceLayout` of the rows of `_source_plan` at any seed: the
-    structured rows, read off their positions, then sample_count rows that
-    are multiplied."""
+def _plan(algebra: Algebra, n: int, sample_count: int, seed: int) -> _Plan:
+    """The `_Plan` of a sampled defect of id_n (x) T on this source: for
+    n = 1 the unit basis; else the grid witnesses Sigma_{a,c} e_ac (x)
+    u_{q_a q_c}, q = (k, l), of every block, then the row and column
+    witnesses of each pair i < j of the first min(d, 12) units, which reach
+    across blocks for abelian parts; then the seeded samples.  The rows are
+    written out densely only here, to take their singular values and l1
+    norms."""
+    big, cap = amplified_algebra(algebra, n), min(algebra.total_dim, 12)
+    table, grids, pairs = [], [], []
+    if n == 1:
+        table = [[u] for u in range(algebra.total_dim)]
+    else:
+        for off, nb in zip(algebra.offsets(), algebra.blocks):
+            grids += [len(table)] if nb > 1 else []
+            for k in range(nb):
+                for l in range(k + 1, nb):
+                    row = [-1] * (n * n)
+                    for a, qa in enumerate((k, l)):
+                        for c, qc in enumerate((k, l)):
+                            row[a * n + c] = off + qa * nb + qc
+                    table.append(row)
+        pairs = [(i, j) for i in range(cap) for j in range(i + 1, cap)]
+        for i, j in pairs:
+            on_row, on_column = [-1] * (n * n), [-1] * (n * n)
+            on_row[0] = on_column[0] = i
+            on_row[1] = on_column[n] = j
+            table += [on_row, on_column]
+    units = np.array(table, dtype=int).reshape(-1, n * n)
     positions = _slice_positions(algebra, n)
-    d = positions.shape[1]
-    # position q of the amplification is slice q // d, unit q % d
-    where = np.empty(positions.size, dtype=int)
-    where[positions.ravel()] = np.arange(positions.size)
-    structured = _witness_positions(algebra, n) if n > 1 else [[u] for u in range(d)]
-    units = [[-1] * (n * n) for _ in structured] + [[-2] * (n * n)] * sample_count
-    for row, pos in zip(units, structured):
-        for q in where[pos].tolist():
-            row[q // d] = q % d
-    return _SliceLayout(np.array(units, dtype=int).reshape(-1, n * n), positions, n)
+    rows = np.zeros((len(units) + sample_count, big.total_dim), dtype=complex)
+    r, s = np.nonzero(units >= 0)
+    rows[r, positions[s, units[r, s]]] = 1.0
+    rows[len(units) :] = _sample_rows(big, sample_count, np.random.default_rng(seed))
+    groups = _singular_values(big, rows)
+    start = len(units) - 2 * len(pairs)
+    witnesses = np.r_[start : len(units) : 2, start + 1 : len(units) : 2]
+    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    plan = _Plan(
+        n=n,
+        units=units,
+        samples=rows[len(units) :][:, positions],
+        l1=np.abs(rows).sum(axis=1),
+        others=np.r_[:start, len(units) : len(rows)],
+        groups=groups,
+        witnesses=witnesses,
+        # the first cap units, so that each pair holds its own units
+        used=np.arange(cap if len(pairs) else 0),
+        row_pairs=pairs,
+        column_pairs=pairs,
+        grids=np.array(grids, dtype=int),
+    )
+    _read_only(*(a for a in plan if isinstance(a, np.ndarray)), *(v for v, _ in groups))
+    return plan
 
 
-def _plan_rows(T: LpMap, n: int, sample_count: int, seed: int, weights) -> tuple:
-    """The rows of `_source_plan`, their norms at p = T.p and their
-    `_plan_layout`."""
-    rows, *groups = _source_plan(T.source, n, sample_count, seed)
-    norms = np.array(_norms_from_singular_values(groups, T.p, weights))
-    return rows, norms, _plan_layout(T.source, n, sample_count)
-
-
-def _plan_defect(T: LpMap, n: int, sample_count: int, seed: int, weights, relative) -> float:
-    return _norm_defect(T, n, *_plan_rows(T, n, sample_count, seed, weights), relative)
+def _plan_key(n: int, sample_count: int, seed: int) -> tuple:
+    """(n, sample_count, seed), refused with ShapeMismatch before any plan
+    is looked up unless n is an integer >= 1 and sample_count and seed are
+    integers >= 0."""
+    for name, value, least in (("n", n, 1), ("sample_count", sample_count, 0), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ShapeMismatch(f"{name} must be an integer >= {least}, got {value!r}")
+    return n, sample_count, seed
 
 
 def isometry_defect(
@@ -593,68 +575,21 @@ def isometry_defect(
 ) -> float:
     """Largest deviation |  ||T h||_p - ||h||_p  |, p = T.p, over the unit
     basis and a seeded sample of vectors."""
-    return _plan_defect(T, 1, sample_count, seed, source_weights, relative)
-
-
-def _unit_positions(algebra: Algebra, n: int) -> list:
-    """The positions of e_ac (x) u for a, c in {0, 1}, as [a][c]."""
-    if n < 2:
-        raise ShapeMismatch(f"the witnesses need a two-fold amplification, got n = {n}")
-    pos = _slice_positions(algebra, n)
-    return [[pos[a * n + c] for c in (0, 1)] for a in (0, 1)]
-
-
-def _grid_positions(algebra: Algebra, units: list, b: int, k: int, l: int) -> list:
-    off, nb = algebra.offsets()[b], algebra.blocks[b]
-    return [
-        units[a][c][off + qa * nb + qc]
-        for a, qa in enumerate((k, l))
-        for c, qc in enumerate((k, l))
-    ]
-
-
-def _witness_positions(algebra: Algebra, n: int) -> list:
-    """Positions of the ones of each structured witness in the n-fold
-    amplification: the grid witnesses of every block, then row and column
-    witnesses."""
-    units = _unit_positions(algebra, n)
-    out = [
-        _grid_positions(algebra, units, b, k, l)
-        for b, nb in enumerate(algebra.blocks)
-        for k in range(nb)
-        for l in range(k + 1, nb)
-    ]
-    # row and column witnesses e_11 (x) u_i + e_12 (x) u_j and
-    # e_11 (x) u_i + e_21 (x) u_j across blocks, for abelian parts
-    first, row, col = units[0][0], units[0][1], units[1][0]
-    cap = min(algebra.total_dim, 12)
-    for i in range(cap):
-        for j in range(i + 1, cap):
-            out += [[first[i], row[j]], [first[i], col[j]]]
-    return out
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _grid_rows(algebra: Algebra) -> tuple:
-    """The first grid witness of each block of size at least 2, as indices
-    into the plan of `two_isometry_defect` at its defaults, which lists the
-    grid witnesses of each block first (`_witness_positions`), and their
-    `_SliceLayout`."""
-    pairs = [nb * (nb - 1) // 2 for nb in algebra.blocks]
-    first = np.array([start for start, k in zip(np.cumsum([0] + pairs), pairs) if k], dtype=int)
-    plan = _plan_layout(algebra, 2, 60)
-    return first, _SliceLayout(plan.units[first], plan.positions, 2)
+    plan = _plan(T.source, *_plan_key(1, sample_count, seed))
+    return _norm_defect(T, plan, plan.norms(T.p, source_weights), relative)
 
 
 def _grid_witness_defect(T: LpMap, weights) -> float:
     """The norm defect of id_2 (x) T at the first grid witness
     Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (0, 1), of each block of size at
-    least 2 (`_grid_rows`), with the plan's norms; a transpose on the block
-    changes its L_p norm for p != 2, so it detects maps that are Jordan but
-    not multiplicative."""
-    rows, norms, _ = _plan_rows(T, 2, 60, 0, weights)
-    first, layout = _grid_rows(T.source)
-    return _norm_defect(T, 2, rows[first], norms[first], layout, relative=False)
+    least 2: the plan of those rows of the plan of `two_isometry_defect` at
+    its defaults, with that plan's norms; a transpose on the block changes
+    its L_p norm for p != 2, so it detects maps that are Jordan but not
+    multiplicative."""
+    plan = _plan(T.source, 2, 60, 0)
+    ids = plan.grids
+    grid = _Plan(2, plan.units[ids], plan.samples[:0], plan.l1[ids], np.arange(len(ids)))
+    return _norm_defect(T, grid, plan.norms(T.p, weights)[ids], relative=False)
 
 
 def two_isometry_defect(
@@ -669,7 +604,8 @@ def two_isometry_defect(
     """Largest norm defect of id_n (x) T over the structured matrix-unit
     witnesses (for n = 1 the unit basis, as in `isometry_defect`) and a
     seeded sample, at p = T.p."""
-    return _plan_defect(T, n, sample_count, seed, source_weights, relative)
+    plan = _plan(T.source, *_plan_key(n, sample_count, seed))
+    return _norm_defect(T, plan, plan.norms(T.p, source_weights), relative)
 
 
 # -- star adjoint duals -----------------------------------------------------------

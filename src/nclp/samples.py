@@ -123,7 +123,7 @@ def _placed_map(source: Algebra, target: Algebra, stacks: list[np.ndarray]) -> A
     return AlgebraMap(source, target, np.ascontiguousarray(columns.T))
 
 
-def _plan_layout(source: Algebra, plan):
+def _target_blocks(source: Algebra, plan):
     """The target block sizes of a plan: per target block, the sum of its
     assigned source block sizes times their multiplicities, plus its pad."""
     sizes = []
@@ -154,7 +154,7 @@ def random_isometry_data(
         if source_blocks is None:
             source_blocks = menu_src
     source = Algebra(tuple(source_blocks))
-    target = Algebra(_plan_layout(source, plan))
+    target = Algebra(_target_blocks(source, plan))
     if w_positive is None:
         w_positive = bool(seed % 3 == 0)
 

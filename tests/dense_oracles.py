@@ -4,8 +4,11 @@ package uses instead.
 The multiplication matrices build the full D x D matrices of the blockwise
 `apply_left` and `apply_right` of `nclp.algebra` on the row-major
 vectorization; `tensor_embed` builds a (x) h by Kronecker products, and
-`structured_witnesses` lists the witnesses that `two_isometry_defect` reads
-off as positions in the amplification; `validate_by_pairs` checks a
+`structured_witnesses` lists the witnesses that `two_isometry_defect`
+reads, built from their positions in the amplification
+(`witness_positions`), where `nclp.isometry._Plan` keeps each as its
+matrix units; `plan_rows` writes a plan's rows out densely through those
+positions; `validate_by_pairs` checks a
 subalgebra with one element product per pair of basis elements, where
 `Subalgebra.validate` takes one blockwise product per basis element;
 `lp_norms_per_block` and `clarkson_by_elements` take the L_p norms with one
@@ -107,11 +110,8 @@ from nclp.isometry import (
     _FOREIGN_STATE,
     WARN_TOL,
     IsometryData,
-    _grid_positions,
     _slice_positions,
     _support_defect,
-    _unit_positions,
-    _witness_positions,
     build_isometry,
     extract_pi,
     extract_polar_data,
@@ -130,7 +130,7 @@ from nclp.lp import (
 from nclp.samples import (
     _EMBED_MENU,
     _YEADON_MENU,
-    _plan_layout,
+    _target_blocks,
     haar_unitary,
     random_isometry_data,
     random_unitary_element,
@@ -422,10 +422,60 @@ def amplified_indicator(algebra, n: int, p: float, positions) -> LpVector:
     return LpVector.from_element(AlgebraElement.from_vec(big, vec), p)
 
 
+def unit_positions(algebra, n: int) -> list:
+    """The positions of e_ac (x) u for a, c in {0, 1}, as [a][c]."""
+    if n < 2:
+        raise ShapeMismatch(f"the witnesses need a two-fold amplification, got n = {n}")
+    pos = _slice_positions(algebra, n)
+    return [[pos[a * n + c] for c in (0, 1)] for a in (0, 1)]
+
+
+def grid_positions(algebra, units: list, b: int, k: int, l: int) -> list:
+    off, nb = algebra.offsets()[b], algebra.blocks[b]
+    return [
+        units[a][c][off + qa * nb + qc]
+        for a, qa in enumerate((k, l))
+        for c, qc in enumerate((k, l))
+    ]
+
+
+def witness_positions(algebra, n: int) -> list:
+    """Positions of the ones of each structured witness in the n-fold
+    amplification: the grid witnesses of every block, then row and column
+    witnesses."""
+    units = unit_positions(algebra, n)
+    out = [
+        grid_positions(algebra, units, b, k, l)
+        for b, nb in enumerate(algebra.blocks)
+        for k in range(nb)
+        for l in range(k + 1, nb)
+    ]
+    # row and column witnesses e_11 (x) u_i + e_12 (x) u_j and
+    # e_11 (x) u_i + e_21 (x) u_j across blocks, for abelian parts
+    first, row, col = units[0][0], units[0][1], units[1][0]
+    cap = min(algebra.total_dim, 12)
+    for i in range(cap):
+        for j in range(i + 1, cap):
+            out += [[first[i], row[j]], [first[i], col[j]]]
+    return out
+
+
+def plan_rows(algebra, plan) -> np.ndarray:
+    """The rows of a `nclp.isometry._Plan` on this source written out in the
+    n-fold amplification: a one at the positions of each unit slice of the
+    structured rows, then the samples, scattered through `_slice_positions`."""
+    positions = _slice_positions(algebra, plan.n)
+    rows = np.zeros((len(plan.l1), positions.size), dtype=complex)
+    r, s = np.nonzero(plan.units >= 0)
+    rows[r, positions[s, plan.units[r, s]]] = 1.0
+    rows[len(plan.units) :, positions] = plan.samples
+    return rows
+
+
 def grid_witness(algebra, b: int, k: int, l: int, p: float, n: int = 2) -> LpVector:
     """The grid witness Sigma_{a,c} e_ac (x) u_{q_a q_c}, q = (k, l), of block
     b in the n-fold amplification, as one vector."""
-    positions = _grid_positions(algebra, _unit_positions(algebra, n), b, k, l)
+    positions = grid_positions(algebra, unit_positions(algebra, n), b, k, l)
     return amplified_indicator(algebra, n, p, positions)
 
 
@@ -433,7 +483,7 @@ def structured_witnesses(algebra, p: float, n: int = 2) -> list[LpVector]:
     """Matrix-unit grid witnesses Sigma e_ij (x) u_ij in the n-fold
     amplification; these detect maps that preserve norms but not the
     multiplicative structure."""
-    return [amplified_indicator(algebra, n, p, pos) for pos in _witness_positions(algebra, n)]
+    return [amplified_indicator(algebra, n, p, pos) for pos in witness_positions(algebra, n)]
 
 
 def validate_by_pairs(A) -> None:
@@ -781,7 +831,7 @@ def isometry_data_by_units(seed: int, source_blocks=None, *, plan=None, w_positi
         if source_blocks is None:
             source_blocks = menu_src
     source = Algebra(tuple(source_blocks))
-    target = Algebra(_plan_layout(source, plan))
+    target = Algebra(_target_blocks(source, plan))
     if w_positive is None:
         w_positive = bool(seed % 3 == 0)
     conjugators = [haar_unitary(m, rng) for m in target.blocks]

@@ -25,9 +25,13 @@ from dense_oracles import (
     isometry_data_by_units,
     left_mult_matrix,
     norm_defect_on_full_images,
+    plan_rows,
     rounding_room,
+    grid_positions,
     structured_witnesses,
     support_bound,
+    unit_positions,
+    witness_positions,
     pair_table_kind,
     pi_by_four_polarizations,
     reconstruction_by_rebuild,
@@ -63,6 +67,7 @@ from nclp.lp import (
     _gram_svdvals,
     _image_singular_values,
     _norms_from_singular_values,
+    _singular_values,
     _stack_singular_values,
     amplified_algebra,
     amplify_map,
@@ -454,6 +459,92 @@ def test_witnesses_need_a_two_fold_amplification():
         structured_witnesses(make_algebra([2]), 3.0, n=1)
 
 
+@pytest.mark.parametrize("blocks", [(1,), (2,), (2, 1), (3, 1, 2), (2, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_plan_writes_out_to_the_indicator_rows_of_the_reference(blocks, n):
+    # (2, 3) has d = 13 units, past the cap of 12 on the row and column
+    # witnesses; n = 1 reads the unit basis
+    source = make_algebra(blocks)
+    big = amplified_algebra(source, n)
+    plan = isometry_module._plan(source, n, 60, 0)
+    structured = [[u] for u in range(source.total_dim)] if n == 1 else witness_positions(source, n)
+    want = np.zeros((len(structured), big.total_dim), dtype=complex)
+    for r, pos in enumerate(structured):
+        want[r, pos] = 1.0
+    count = len(structured)
+    rows = plan_rows(source, plan)
+    assert plan.units.shape == (count, n * n) and len(rows) == count + 60
+    assert rows[:count].tobytes() == want.tobytes()
+    samples = isometry_module._sample_rows(big, 60, np.random.default_rng(0))
+    assert rows[count:].tobytes() == samples.tobytes()
+    assert plan.l1.tobytes() == np.abs(rows).sum(axis=1).tobytes()
+    for (got, got_blocks), (values, blocks_of) in zip(plan.groups, _singular_values(big, rows)):
+        assert got.tobytes() == values.tobytes() and got_blocks == blocks_of
+    # the row and column witnesses, read off the slices of the indicator rows
+    slices = want[:, isometry_module._slice_positions(source, n)]
+    on_rows, on_columns = [], []
+    for r in range(count):
+        hot = np.argwhere(slices[r] != 0).tolist()  # [slice, unit] pairs
+        if len(hot) == 2:
+            (s, i), (t, j) = hot
+            if s // n == t // n:
+                on_rows.append((r, i, j))
+            elif s % n == t % n:
+                on_columns.append((r, i, j))
+    assert plan.witnesses.tolist() == [r for r, _, _ in on_rows + on_columns]
+    assert plan.used[plan.row_pairs].tolist() == [[i, j] for _, i, j in on_rows]
+    assert plan.used[plan.column_pairs].tolist() == [[i, j] for _, i, j in on_columns]
+    others = sorted(set(range(count + 60)) - set(plan.witnesses.tolist()))
+    assert plan.others.tolist() == others
+    # the first grid witness of each block of size at least 2
+    grids = [b for b, nb in enumerate(source.blocks) if nb > 1 and n > 1]
+    assert len(plan.grids) == len(grids)
+    for r, b in zip(plan.grids, grids):
+        grid = grid_positions(source, unit_positions(source, n), b, 0, 1)
+        assert np.flatnonzero(want[r]).tolist() == sorted(grid)
+
+
+def test_the_plans_of_the_d_400_ladder_source_hold_no_dense_structured_row():
+    # the ladder source M_18 of the D = 400 rung: its structured rows written
+    # out would be 324 x 324 (n = 1) and 285 x 1296 (n = 2) complex arrays
+    source = make_algebra([18])
+    for n in (1, 2):
+        width = amplified_algebra(source, n).total_dim
+        plan = isometry_module._plan(source, n, 60, 0)
+        held = [a for a in plan if isinstance(a, np.ndarray)] + [v for v, _ in plan.groups]
+        assert not any(a.ndim == 2 and a.shape[1] == width for a in held)
+        owned = sum((a if a.base is None else a.base).nbytes for a in held if a is not plan.samples)
+        assert owned < len(plan.units) * width * 16 / 10
+
+
+def test_the_sampled_defects_refuse_malformed_plan_keys(monkeypatch):
+    T = build_isometry(random_isometry_data(0), 3.0)
+    keys = [{"sample_count": c} for c in (-1, 2.5, True, "60")]
+    keys += [{"seed": s} for s in (-1, 1.0, None)]
+    keys += [{"n": n} for n in (0, -1, 2.0, 1.5, True)]
+
+    def refused(key):
+        defects = (two_isometry_defect,) if "n" in key else (isometry_defect, two_isometry_defect)
+        for defect in defects:
+            with pytest.raises(ShapeMismatch):
+                defect(T, **key)
+
+    for key in keys:
+        refused(key)
+    # numpy integers are integers
+    want = (isometry_defect(T), two_isometry_defect(T))
+    key = {"sample_count": np.int64(60), "seed": np.int64(0)}
+    assert (isometry_defect(T, **key), two_isometry_defect(T, n=np.int64(2), **key)) == want
+
+    # the keys are refused before any plan is looked up
+    def refuse(*args):
+        raise AssertionError("a plan was looked up")
+
+    monkeypatch.setattr(isometry_module, "_plan", refuse)
+    for key in keys:
+        refused(key)
+
+
 def test_extract_pi_rejects_map_off_the_module_relation():
     data = random_isometry_data(3)
     T = build_isometry(data, 3.0)
@@ -610,12 +701,13 @@ def test_gathered_unit_slices_are_the_matvec_images():
     for seed in range(5):
         T = build_isometry(random_isometry_data(seed), 3.0)
         for n in (1, 2, 3):
-            rows, norms, layout = isometry_module._plan_rows(T, n, 60, 0, None)
+            plan, norms, rows = _plan(T, n)
             positions = isometry_module._slice_positions(T.source, n)
-            assert (layout.units[:-60] >= -1).all() and (layout.units[-60:] == -2).all()
-            compressed, _ = isometry_module._measured_matrix(T, rows, norms)
+            assert plan.units.shape == (len(rows) - 60, n * n) and (plan.units >= -1).all()
+            assert plan.samples.shape == (60, n * n, T.source.total_dim)
+            compressed, _ = isometry_module._measured_matrix(T, plan, norms)
             for matrix in (T.matrix, compressed):
-                got = isometry_module._slice_images(matrix, rows, layout.every_gather)
+                got = isometry_module._slice_images(matrix, plan.units, plan.samples)
                 want = np.matmul(matrix, rows[:, positions][..., None])[..., 0]
                 assert np.array_equal(got, want)
                 # the seeded samples are multiplied, bit for bit
@@ -697,17 +789,18 @@ def test_a_map_whose_gram_matrices_overflow_keeps_the_svd_defects():
     T = build_isometry(data, 3.0)
     F = LpMap(T.source, T.target, 3.0, 2.0**520 * T.matrix)
     for n in (1, 2):
-        rows, norms, layout = _plan(F, n)
-        assert isometry_module._compressed_blocks(F, rows, norms) == set()
-        stacks = isometry_module._image_stacks(F, n, rows, norms, layout)
+        plan, norms, rows = _plan(F, n)
+        assert isometry_module._compressed_blocks(F, plan, norms) == set()
+        stacks = isometry_module._image_stacks(F, plan, norms)
         assert all(_gram_svdvals(stack) is None for stack in stacks)
         for relative in (True, False):
             want = norm_defect_on_full_images(F, n, rows, norms, relative)
-            assert isometry_module._norm_defect(F, n, rows, norms, layout, relative) == want
+            assert isometry_module._norm_defect(F, plan, norms, relative) == want
     # the Gram sums of the row and column witnesses overflow too, so each
     # block reads the SVD of their full stacks
+    plan, norms, rows = _plan(F, 2)
     for relative in (True, False):
-        want = norm_defect_on_full_images(F, 2, *_plan(F, 2)[:2], relative)
+        want = norm_defect_on_full_images(F, 2, rows, norms, relative)
         assert two_isometry_defect(F, relative=relative) == want > 1e150
     report = classify(F, data.reference_state, 3.0)
     assert report.failing_stage == "isometry"
@@ -1277,9 +1370,7 @@ def test_extract_pi_makes_no_map_call_and_no_polar_decomposition(monkeypatch):
 
 def _clear_source_caches():
     for cached in (
-        isometry_module._source_plan,
-        isometry_module._plan_layout,
-        isometry_module._grid_rows,
+        isometry_module._plan,
         isometry_module._slice_positions,
         isometry_module._polarization,
     ):
@@ -1320,16 +1411,16 @@ def test_the_source_plan_is_computed_once_per_algebra(monkeypatch):
     assert (isometry_defect(U), two_isometry_defect(U)) == cold
     assert positions == [] and T.source not in svds and big not in svds
 
-    plan = isometry_module._source_plan(T.source, 2, 60, 0)
-    values = [group[0] for group in plan[1:]]
-    for array in (plan[0], *values, *isometry_module._polarization(T.source)):
+    plan = isometry_module._plan(T.source, 2, 60, 0)
+    held = [a for a in plan if isinstance(a, np.ndarray)] + [group[0] for group in plan.groups]
+    for array in (*held, *isometry_module._polarization(T.source)):
         with pytest.raises(ValueError):
             array[0] = 0.0
     with pytest.raises(ValueError):
         isometry_module._slice_positions(T.source, 2)[0, 0] = 0
     for key in ((3, 60, 0), (2, 30, 0), (2, 60, 1)):
-        other = isometry_module._source_plan(T.source, *key)[0]
-        assert other.shape != plan[0].shape or not np.array_equal(other, plan[0])
+        other = isometry_module._plan(T.source, *key).samples
+        assert other.shape != plan.samples.shape or not np.array_equal(other, plan.samples)
 
 
 def test_no_dense_amplified_matrix_is_built(monkeypatch):
@@ -1499,10 +1590,11 @@ def _moved(T, eps, seed):
     return LpMap(T.source, T.target, T.p, T.matrix + noise)
 
 
-def _plan(F, n):
-    """The rows of the sampled defect of id_n (x) F, their norms and their
-    slice layout."""
-    return isometry_module._plan_rows(F, n, 60, 0, None)
+def _plan(F, n, weights=None):
+    """The plan of the sampled defect of id_n (x) F, its norms and its rows
+    written out (`plan_rows`)."""
+    plan = isometry_module._plan(F.source, n, 60, 0)
+    return plan, plan.norms(F.p, weights), plan_rows(F.source, plan)
 
 
 def _admitted(supports, rows, norms):
@@ -1526,11 +1618,11 @@ def _assert_full_images(F):
     images: bitwise for p < 2, where both read the SVD, and within the
     rounding of the Gram eigenvalues for p >= 2."""
     for n in (1, 2):
-        rows, norms, layout = _plan(F, n)
-        assert isometry_module._compressed_blocks(F, rows, norms) == set()
+        plan, norms, rows = _plan(F, n)
+        assert isometry_module._compressed_blocks(F, plan, norms) == set()
         for relative in (True, False):
             want = norm_defect_on_full_images(F, n, rows, norms, relative)
-            got = isometry_module._norm_defect(F, n, rows, norms, layout, relative)
+            got = isometry_module._norm_defect(F, plan, norms, relative)
             if F.p < 2.0:
                 assert got == want
             else:
@@ -1554,11 +1646,11 @@ def test_the_defects_on_the_image_supports_stay_within_the_allowance(instance):
     F = _moved(build_isometry(random_isometry_data(seed, source, plan=plan), p), eps, seed)
     supports = image_supports(F)
     for n in (1, 2):
-        rows, norms, layout = _plan(F, n)
+        plan, norms, rows = _plan(F, n)
         chosen, ratio = _admitted(supports, rows, norms)
-        assert isometry_module._compressed_blocks(F, rows, norms) == chosen
+        assert isometry_module._compressed_blocks(F, plan, norms) == chosen
         for relative in (True, False):
-            got = isometry_module._norm_defect(F, n, rows, norms, layout, relative)
+            got = isometry_module._norm_defect(F, plan, norms, relative)
             want = norm_defect_on_full_images(F, n, rows, norms, relative)
             if not chosen and p < 2.0:
                 assert got == want
@@ -1572,8 +1664,8 @@ def test_the_defects_on_the_image_supports_stay_within_the_allowance(instance):
 
 def test_a_map_1e9_off_its_supports_is_measured_on_the_full_images():
     T = build_isometry(random_isometry_data(1), 3.0)
-    rows, norms, _ = _plan(T, 2)
-    assert isometry_module._compressed_blocks(T, rows, norms)
+    plan, norms, _ = _plan(T, 2)
+    assert isometry_module._compressed_blocks(T, plan, norms)
     F = _moved(T, 1e-9, 1)
     # the moved images have full rank: nothing to compress, the parent's bits
     assert all(kl == kr == m for m, kl, kr, _ in image_supports(F))
@@ -1621,21 +1713,21 @@ def _assert_gram_sum_norms(F, weights=None):
     rounding; every other row reads the stacks' kernel bit for bit; and
     `two_isometry_defect`, whose source norms take the weights and whose
     image norms take none, is the defect of the full stacks within that room.
-    Returns the layout and the measured (k_l, k_r) of each block."""
-    rows, norms, layout = isometry_module._plan_rows(F, 2, 60, 0, weights)
-    _, shapes = isometry_module._measured_matrix(F, rows, norms)
-    stacks = isometry_module._image_stacks(F, 2, rows, norms, layout)
-    got = isometry_module._image_norms(F, 2, rows, norms, layout)
+    Returns the plan and the measured (k_l, k_r) of each block."""
+    plan, norms, rows = _plan(F, 2, weights)
+    _, shapes = isometry_module._measured_matrix(F, plan, norms)
+    stacks = isometry_module._image_stacks(F, plan, norms)
+    got = isometry_module._image_norms(F, plan, norms)
     want = np.array(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
-    others = layout.others
+    others = plan.others
     kernel = _image_singular_values([stack[others] for stack in stacks], F.p)
     assert got[others].tobytes() == np.array(_norms_from_singular_values(kernel, F.p)).tobytes()
     # the other rows read their own Gram matrices for p >= 2
-    count = len(layout.row_pairs)
+    count = len(plan.row_pairs)
     sides = (
         (others, [(min(kl, kr) * 2, max(kl, kr) * 2) for kl, kr in shapes]),
-        (layout.witnesses[:count], [(kl, 2 * kr) for kl, kr in shapes]),
-        (layout.witnesses[count:], [(kr, 2 * kl) for kl, kr in shapes]),
+        (plan.witnesses[:count], [(kl, 2 * kr) for kl, kr in shapes]),
+        (plan.witnesses[count:], [(kr, 2 * kl) for kl, kr in shapes]),
     )
     room = np.zeros(len(rows))
     for part, grams in sides:
@@ -1648,7 +1740,7 @@ def _assert_gram_sum_norms(F, weights=None):
         oracle = float(np.max(np.abs(want[keep] - norms[keep]) / scale))
         defect = two_isometry_defect(F, source_weights=weights, relative=relative)
         assert abs(defect - oracle) <= np.max(room[keep] / scale)
-    return layout, shapes
+    return plan, shapes
 
 
 @pytest.mark.parametrize("name", sorted(_BENCHMARK_PLANS))
@@ -1662,8 +1754,8 @@ def test_gram_sum_witness_norms_are_the_full_images_within_the_gram_bound(name):
             # the canonical map, measured on its supports but for M2, and a
             # perturbed one, measured on the full images
             for F in (T, _moved(T, 1e-5, seed)):
-                layout, _ = _assert_gram_sum_norms(F)
-                assert layout.witnesses.size
+                measured, _ = _assert_gram_sum_norms(F)
+                assert measured.witnesses.size
                 _assert_gram_sum_norms(F, weights)
 
 
@@ -1674,8 +1766,8 @@ def test_gram_sums_on_the_smallest_sources():
         data = random_isometry_data(0, source, plan=plan)
         for p in GRAM_SUM_EXPONENTS:
             for weights in (None, tuple(np.linspace(0.5, 1.5, len(source)))):
-                layout, _ = _assert_gram_sum_norms(build_isometry(data, p), weights)
-                assert len(layout.row_pairs) == len(layout.column_pairs) == count
+                measured, _ = _assert_gram_sum_norms(build_isometry(data, p), weights)
+                assert len(measured.row_pairs) == len(measured.column_pairs) == count
 
 
 def _rank_one_corner_map(p, seed):

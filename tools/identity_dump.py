@@ -232,27 +232,22 @@ def _stage1_record(F) -> dict:
     over the rows of both plans."""
     import numpy as np
 
-    from nclp.isometry import (
-        SUPPORT_ALLOWANCE,
-        _image_norms,
-        _image_stacks,
-        _image_supports,
-        _plan_rows,
-    )
+    from nclp.isometry import SUPPORT_ALLOWANCE, _image_norms, _image_stacks, _image_supports, _plan
     from nclp.lp import _gram_svdvals, _norms_from_singular_values, _stack_singular_values
 
     supports = _image_supports(F)
     total = sum(s.tail * s.size ** (1.0 / F.p) for s in supports if s.compresses)
     worst, kernels, gap = 0.0, [], 0.0
     for n in (1, 2):
-        rows, norms, layout = _plan_rows(F, n, 60, 0, None)
+        plan = _plan(F.source, n, 60, 0)
+        norms = plan.norms(F.p)
         keep = ~(norms < 1e-14)
-        ratio = float(np.max(np.abs(rows[keep]).sum(axis=1) / norms[keep], initial=0.0))
+        ratio = float(np.max(plan.l1[keep] / norms[keep], initial=0.0))
         worst = max(worst, ratio * total / SUPPORT_ALLOWANCE)
-        stacks = _image_stacks(F, n, rows, norms, layout)
+        stacks = _image_stacks(F, plan, norms)
         gram = F.p >= 2.0 and all(_gram_svdvals(stack) is not None for stack in stacks)
         kernels.append("gram" if gram else "svd")
-        got = _image_norms(F, n, rows, norms, layout)
+        got = _image_norms(F, plan, norms)
         want = np.asarray(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
         read = want > 0.0
         gap = max(gap, float(np.max(np.abs(got[read] - want[read]) / want[read], initial=0.0)))
