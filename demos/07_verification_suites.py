@@ -3,10 +3,11 @@
 Run:  python3 demos/07_verification_suites.py
 """
 
-from nclp.suites import SUITE_PROPERTIES, SuiteConfig, run_suite
+from nclp.suites import SUITES, SuiteConfig, run_suite
 
-# Every suite certifies one property over seeded instances.  Reports are
-# deterministic for a fixed configuration, timing aside.
+# Every suite certifies one property over seeded instances; its row in
+# SUITES holds that property, its defaults and the exponents it accepts.
+# Reports are deterministic for a fixed configuration, timing aside.
 quick = {
     "clarkson": 120,
     "yeadon_roundtrip": 6,
@@ -24,7 +25,10 @@ for name, samples in quick.items():
     report = run_suite(SuiteConfig(suite=name, seed=1, sample_count=samples))
     print(f"{name:22s} pass={report.passed} cases={len(report.cases):3d} "
           f"wall={report.wall_time_s:.2f}s")
-    print(f"    certifies: {SUITE_PROPERTIES[name]}")
+    row = SUITES[name]
+    print(f"    certifies: {row.property}")
+    if row.exponents is not None:
+        print(f"    exponents: {list(row.exponents)} by default, {row.domain} accepted")
 
 # One full report, as the CLI would write it:
 report = run_suite(SuiteConfig(suite="dichotomy", seed=1, sample_count=2))

@@ -469,7 +469,7 @@ class AlgebraMap:
         object.__setattr__(self, "_split_defects", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("AlgebraMap is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def identity(cls, algebra: Algebra) -> "AlgebraMap":
@@ -688,8 +688,6 @@ def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismRe
     takes the kind at its own tol.  A NaN defect is kept, so it classifies
     as neither.  A fresh AlgebraMap of the same matrix computes them again.
     """
-    if F.matrix.shape != (F.target.total_dim, F.source.total_dim):
-        raise ShapeMismatch("map matrix does not match its algebras")
     tol = max(F.source.atol, F.target.atol) if tol is None else tol
     if F._split_defects is None:
         object.__setattr__(F, "_split_defects", _split_defects(F))

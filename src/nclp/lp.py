@@ -50,13 +50,14 @@ import numpy as np
 from .algebra import (
     Algebra,
     AlgebraElement,
+    AlgebraMap,
     Projection,
     State,
     _frobenius,
-    _require_finite,
     require_projections,
 )
 from .errors import (
+    DataInvalid,
     ExponentMismatch,
     ExponentUnsupported,
     NotPositive,
@@ -293,6 +294,17 @@ def _power_sums(values: np.ndarray, p: float) -> list[float]:
         return (values**p).sum(axis=-1).tolist()
 
 
+def _trace_weights(count: int, weights: Sequence[float]) -> list[float]:
+    """The block weights of a weighted trace on count blocks as floats, each
+    positive and finite, else ShapeMismatch or DataInvalid."""
+    weights = [float(w) for w in weights]
+    if len(weights) != count:
+        raise ShapeMismatch("one trace weight per block is required")
+    if not all(0.0 < w < math.inf for w in weights):
+        raise DataInvalid("trace weights must be positive and finite")
+    return weights
+
+
 def _norms_from_singular_values(groups: Sequence[tuple], p: float, weights=None) -> list[float]:
     """`lp_norms` of the rows with the given singular values, grouped per
     block shape as `_stack_singular_values` groups them, as a list.
@@ -317,9 +329,7 @@ def _norms_from_singular_values(groups: Sequence[tuple], p: float, weights=None)
         n = len(sums) // len(blocks)
         for j, b in enumerate(blocks):
             per_block[b] = sums[j * n : (j + 1) * n]
-    ws = [1.0] * count if weights is None else [float(w) for w in weights]
-    if len(ws) != count:
-        raise ShapeMismatch("one weight per block is required")
+    ws = [1.0] * count if weights is None else _trace_weights(count, weights)
     if weights is None:
         total = per_block[0]
         for t in per_block[1:]:
@@ -558,43 +568,29 @@ def _spectral_support(algebra: Algebra, spectra: list) -> AlgebraElement:
 # -- dense maps on L_p ---------------------------------------------------------
 
 
-class LpMap:
-    """A dense linear map between L_p spaces in vectorized coordinates."""
+class LpMap(AlgebraMap):
+    """A dense linear map between L_p spaces in vectorized coordinates: the
+    `AlgebraMap` of the matrix, at an exponent."""
 
     # _supports keeps the joint supports of the images, found on the first
     # sampled defect of the map (`nclp.isometry._image_supports`)
-    __slots__ = ("source", "target", "p", "matrix", "_supports")
+    __slots__ = ("p", "_supports")
 
     def __init__(self, source: Algebra, target: Algebra, p: float, matrix: np.ndarray):
         p = _lp_exponent(p)
-        matrix = np.array(matrix, dtype=complex)
-        if matrix.shape != (target.total_dim, source.total_dim):
-            raise ShapeMismatch(
-                f"matrix shape {matrix.shape} != ({target.total_dim}, {source.total_dim})"
-            )
-        _require_finite([matrix], "map matrix")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        super().__init__(source, target, matrix)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_supports", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LpMap is immutable")
 
     @classmethod
     def identity(cls, algebra: Algebra, p: float) -> "LpMap":
         return cls(algebra, algebra, p, np.eye(algebra.total_dim, dtype=complex))
 
     def __call__(self, h: LpVector) -> LpVector:
-        if h.algebra != self.source:
-            raise ShapeMismatch("vector does not live on the source algebra")
+        image = AlgebraMap.__call__(self, h)
         if isinstance(h, LpVector) and h.p != self.p:
             raise ExponentMismatch(f"a vector at p = {h.p} given to a map at p = {self.p}")
-        return LpVector.from_element(
-            AlgebraElement.from_vec(self.target, self.matrix @ h.vec()), self.p
-        )
+        return LpVector.from_element(image, self.p)
 
     def at_exponent(self, p: float) -> "LpMap":
         """The same matrix acting between L_p spaces at another exponent; the
@@ -636,8 +632,6 @@ def amplify_map(T: LpMap, n: int) -> LpMap:
     e_ij (x) u to e_ij (x) T(u): the matrix holds n^2 copies of T.matrix,
     scattered to the positions of the amplified matrix units.
     """
-    if n < 1:
-        raise ShapeMismatch("amplification order must be >= 1")
     src_big = amplified_algebra(T.source, n)
     tgt_big = amplified_algebra(T.target, n)
     matrix = np.zeros((tgt_big.total_dim, src_big.total_dim), dtype=complex)

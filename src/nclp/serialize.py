@@ -139,12 +139,7 @@ def algebra_map_from_json(obj: dict) -> AlgebraMap:
 
 
 def lp_map_to_json(T: LpMap) -> dict:
-    return {
-        "p": float(T.p),
-        "source": algebra_to_json(T.source),
-        "target": algebra_to_json(T.target),
-        "matrix": _matrix_to_json(T.matrix),
-    }
+    return {"p": float(T.p), **algebra_map_to_json(T)}
 
 
 def lp_map_from_json(obj: dict) -> LpMap:

@@ -12,7 +12,9 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .isometry import (
     star_adjoint_dual,
     verify_state_restriction,
 )
-from .lp import LpVector, clarkson_defect, lp_norm, state_power
+from .lp import LpVector, clarkson_defect, conjugate_exponent, lp_norm, state_power
 from .samples import (
     haar_unitary,
     random_element,
@@ -64,26 +66,25 @@ class SuiteConfig:
     def resolved(self) -> "SuiteConfig":
         if self.suite not in SUITES:
             raise UnknownSuite(f"no suite named {self.suite!r}; known: {sorted(SUITES)}")
-        defaults = SUITE_DEFAULTS[self.suite]
+        row = SUITES[self.suite]
         for name in ("sizes", "exponents"):
             value = getattr(self, name)
-            if value is not None and name not in defaults:
+            if value is not None and getattr(row, name) is None:
                 raise ConfigInvalid(f"suite {self.suite!r} takes no {name}")
             if value is not None and len(value) == 0:
                 raise ConfigInvalid(f"{name} must not be empty")
+        sizes, exponents = self.sizes, self.exponents
+        if sizes is None and row.sizes is not None:
+            sizes = [list(blocks) for blocks in row.sizes]
+        if exponents is None:
+            exponents = row.exponents
         out = SuiteConfig(
             suite=self.suite,
             seed=int(self.seed),
-            sizes=self.sizes if self.sizes is not None else defaults.get("sizes"),
-            exponents=(
-                list(self.exponents) if self.exponents is not None else defaults.get("exponents")
-            ),
-            sample_count=(
-                int(self.sample_count)
-                if self.sample_count is not None
-                else defaults.get("sample_count")
-            ),
-            tolerances=dict(defaults.get("tolerances", {})),
+            sizes=sizes,
+            exponents=None if exponents is None else list(exponents),
+            sample_count=int(self.sample_count if self.sample_count is not None else row.sample_count),
+            tolerances=dict(row.tolerances),
         )
         if self.tolerances:
             unknown = sorted(set(self.tolerances) - set(out.tolerances))
@@ -93,32 +94,26 @@ class SuiteConfig:
             out.tolerances.update(self.tolerances)
         if not all(math.isfinite(float(v)) for v in out.tolerances.values()):
             raise ConfigInvalid("tolerances must be finite")
-        if out.sample_count is not None and out.sample_count < 1:
+        if out.sample_count < 1:
             raise ConfigInvalid("sample_count must be positive")
-        if out.exponents and not all(math.isfinite(float(p)) for p in out.exponents):
-            raise ConfigInvalid("exponents must be finite")
-        if self.suite in _P_NE_2_SUITES and out.exponents:
-            if any(abs(float(p) - 2.0) < 1e-12 for p in out.exponents):
-                raise ConfigInvalid(f"suite {self.suite!r} excludes p = 2")
         if out.exponents:
-            if any(float(p) < 1.0 for p in out.exponents):
+            ps = [float(p) for p in out.exponents]
+            if not all(math.isfinite(p) for p in ps):
+                raise ConfigInvalid("exponents must be finite")
+            if row.domain == "p >= 1, p != 2" and any(abs(p - 2.0) < 1e-12 for p in ps):
+                raise ConfigInvalid(f"suite {self.suite!r} excludes p = 2")
+            if any(p < 1.0 for p in ps):
                 raise ConfigInvalid("exponents must be >= 1")
+            if row.domain == "p > 1" and 1.0 in ps:
+                raise ConfigInvalid(f"suite {self.suite!r} needs exponents p > 1")
         return out
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "sizes": self.sizes,
-            "exponents": self.exponents,
-            "sample_count": self.sample_count,
-            "tolerances": self.tolerances,
-        }
+        return asdict(self)
 
 
 @dataclass
 class SuiteReport:
-    suite: str
     config: SuiteConfig
     property: str
     cases: list = field(default_factory=list)
@@ -128,7 +123,7 @@ class SuiteReport:
     def to_json(self, include_timing: bool = True) -> dict:
         out = {
             "schema": SCHEMA,
-            "suite": self.suite,
+            "suite": self.config.suite,
             "property": self.property,
             "config": self.config.to_json(),
             "cases": self.cases,
@@ -177,16 +172,15 @@ def _per_case(config: SuiteConfig, tag: str, body, count: int, cycle: bool = Tru
 def run_suite(config: SuiteConfig) -> SuiteReport:
     config = config.resolved()
     start = time.perf_counter()
-    cases, passed = SUITES[config.suite](config)
-    report = SuiteReport(
-        suite=config.suite,
+    row = SUITES[config.suite]
+    cases, passed = row.run(config)
+    return SuiteReport(
         config=config,
-        property=SUITE_PROPERTIES[config.suite],
+        property=row.property,
         cases=cases,
         passed=passed,
         wall_time_s=time.perf_counter() - start,
     )
-    return report
 
 
 # -- clarkson ---------------------------------------------------------------------
@@ -452,7 +446,7 @@ def _suite_duality(config: SuiteConfig):
     def case(i, seed, p, key):
         data = random_isometry_data(seed)
         Tp = build_isometry(data, p)
-        dual = star_adjoint_dual(build_isometry(data, p / (p - 1.0)))
+        dual = star_adjoint_dual(build_isometry(data, conjugate_exponent(p)))
         resid = float(
             np.max(np.abs(dual.matrix @ Tp.matrix - np.eye(Tp.source.total_dim)))
         )
@@ -549,93 +543,110 @@ def _suite_expectation_detect(config: SuiteConfig):
     return _per_case(config, "detect", case, config.sample_count, cycle=False)
 
 
-_P_NE_2_SUITES = {"clarkson", "yeadon_roundtrip", "dichotomy", "classify_roundtrip"}
+@dataclass(frozen=True)
+class Suite:
+    """One row of `SUITES`: the suite's runner, the property it certifies,
+    its defaults and the exponents it accepts.  A suite reads sizes or
+    exponents only when its row has defaults for them.  The domain of the
+    exponents is "p >= 1", "p > 1" or "p >= 1, p != 2"."""
 
-SUITE_DEFAULTS: dict[str, dict] = {
-    "clarkson": {
-        "sizes": [[2], [3], [4], [1, 2]],
-        "exponents": [1, 1.5, 3, 4],
-        "sample_count": 500,
-        "tolerances": {"orthogonal_defect": 1e-8, "overlap_defect": 1e-6, "witness_min": 0.1},
-    },
-    "yeadon_roundtrip": {
-        "exponents": [1, 1.5, 3, 4],
-        "sample_count": 16,
-        "tolerances": {"roundtrip": 1e-7, "orthogonality": 1e-9},
-    },
-    "dichotomy": {
-        "exponents": [1, 1.5, 3, 4],
-        "sample_count": 8,
-        "tolerances": {"isometry": 1e-8, "two_isometry": 1e-6, "witness_slack": 1e-6},
-    },
-    "classify_roundtrip": {
-        "exponents": [1, 1.5, 3, 4, 7],
-        "sample_count": 12,
-        "tolerances": {"distance": 1e-7},
-    },
-    "state_restriction": {
-        "exponents": [1.5, 3, 4],
-        "sample_count": 10,
-        "tolerances": {"defect": 1e-9, "perturbed_min": 1e-3},
-    },
-    "interpolation": {
-        "exponents": [2, 3, 4, 8],
-        "sample_count": 500,
-        "tolerances": {"violation": 1e-10},
-    },
-    "duality": {
-        "exponents": [1.5, 3],
-        "sample_count": 8,
-        "tolerances": {"identity": 1e-8},
-    },
-    "extrapolation": {
-        "exponents": [2.5, 4, 7],
-        "sample_count": 8,
-        "tolerances": {"defect": 1e-8},
-    },
-    "lemma41": {
-        "sample_count": 200,
-        "tolerances": {"defect": 1e-8},
-    },
-    "expectation_detect": {
-        "sample_count": 20,
-        "tolerances": {"defect_min": 1e-6, "gap_min": 1e-3, "invariants": 1e-9, "search": 500},
-    },
-}
+    run: Callable[[SuiteConfig], tuple]
+    property: str
+    sample_count: int
+    tolerances: Mapping[str, float]
+    sizes: tuple | None = None
+    exponents: tuple | None = None
+    domain: str = "p >= 1"
 
-SUITE_PROPERTIES: dict[str, str] = {
-    "clarkson": "equality in the p-th power parallelogram law is equivalent to "
-    "two-sided orthogonality h k* = h* k = 0 (p != 2)",
-    "yeadon_roundtrip": "the triple (J, w, B) of a tracial-source isometry is unique, "
-    "inverts assembly, and its polar parts add over orthogonal projections",
-    "dichotomy": "a tracial-source isometry preserves amplified norms exactly when "
-    "its Jordan part is multiplicative",
-    "classify_roundtrip": "classification of an assembled canonical map accepts and "
-    "recovers (pi, E, w) under the normalization w* w = pi(1) = support of E",
-    "state_restriction": "the state carried by the image of the reference vector "
-    "restricts through the embedding to the source state",
-    "interpolation": "for a unital inclusion with matched states and p >= 2, passing "
-    "to the larger algebra does not increase the L_p norm",
-    "duality": "the companion map at the conjugate exponent inverts the map under "
-    "the star adjoint of trace duality",
-    "extrapolation": "a companion family isometric at one exponent above two is "
-    "isometric at every other exponent",
-    "lemma41": "the two-sided exponent-four L_2 quantity agrees between source and "
-    "embedded image",
-    "expectation_detect": "a state-preserving expectation onto a unital subalgebra "
-    "exists exactly when the subalgebra is stable under the modular flow; otherwise "
-    "a strict norm drop is exhibited",
-}
+    def __post_init__(self):
+        object.__setattr__(self, "tolerances", MappingProxyType(dict(self.tolerances)))
 
-SUITES = {
-    "clarkson": _suite_clarkson,
-    "yeadon_roundtrip": _suite_yeadon_roundtrip,
-    "dichotomy": _suite_dichotomy,
-    "classify_roundtrip": _suite_classify_roundtrip,
-    "state_restriction": _suite_state_restriction,
-    "interpolation": _suite_interpolation,
-    "duality": _suite_duality,
-    "extrapolation": _suite_extrapolation,
-    "lemma41": _suite_lemma41,
-    "expectation_detect": _suite_expectation_detect,
+
+SUITES: dict[str, Suite] = {
+    "clarkson": Suite(
+        _suite_clarkson,
+        "equality in the p-th power parallelogram law is equivalent to "
+        "two-sided orthogonality h k* = h* k = 0 (p != 2)",
+        sample_count=500,
+        tolerances={"orthogonal_defect": 1e-8, "overlap_defect": 1e-6, "witness_min": 0.1},
+        sizes=((2,), (3,), (4,), (1, 2)),
+        exponents=(1, 1.5, 3, 4),
+        domain="p >= 1, p != 2",
+    ),
+    "yeadon_roundtrip": Suite(
+        _suite_yeadon_roundtrip,
+        "the triple (J, w, B) of a tracial-source isometry is unique, "
+        "inverts assembly, and its polar parts add over orthogonal projections",
+        sample_count=16,
+        tolerances={"roundtrip": 1e-7, "orthogonality": 1e-9},
+        exponents=(1, 1.5, 3, 4),
+        domain="p >= 1, p != 2",
+    ),
+    "dichotomy": Suite(
+        _suite_dichotomy,
+        "a tracial-source isometry preserves amplified norms exactly when "
+        "its Jordan part is multiplicative",
+        sample_count=8,
+        tolerances={"isometry": 1e-8, "two_isometry": 1e-6, "witness_slack": 1e-6},
+        exponents=(1, 1.5, 3, 4),
+        domain="p >= 1, p != 2",
+    ),
+    "classify_roundtrip": Suite(
+        _suite_classify_roundtrip,
+        "classification of an assembled canonical map accepts and "
+        "recovers (pi, E, w) under the normalization w* w = pi(1) = support of E",
+        sample_count=12,
+        tolerances={"distance": 1e-7},
+        exponents=(1, 1.5, 3, 4, 7),
+        domain="p >= 1, p != 2",
+    ),
+    "state_restriction": Suite(
+        _suite_state_restriction,
+        "the state carried by the image of the reference vector "
+        "restricts through the embedding to the source state",
+        sample_count=10,
+        tolerances={"defect": 1e-9, "perturbed_min": 1e-3},
+        exponents=(1.5, 3, 4),
+    ),
+    "interpolation": Suite(
+        _suite_interpolation,
+        "for a unital inclusion with matched states and p >= 2, passing "
+        "to the larger algebra does not increase the L_p norm",
+        sample_count=500,
+        tolerances={"violation": 1e-10},
+        exponents=(2, 3, 4, 8),
+    ),
+    "duality": Suite(
+        _suite_duality,
+        "the companion map at the conjugate exponent inverts the map under "
+        "the star adjoint of trace duality",
+        sample_count=8,
+        tolerances={"identity": 1e-8},
+        exponents=(1.5, 3),
+        # the companion is taken at p / (p - 1), an L_p exponent only for p > 1
+        domain="p > 1",
+    ),
+    "extrapolation": Suite(
+        _suite_extrapolation,
+        "a companion family isometric at one exponent above two is "
+        "isometric at every other exponent",
+        sample_count=8,
+        tolerances={"defect": 1e-8},
+        exponents=(2.5, 4, 7),
+    ),
+    "lemma41": Suite(
+        _suite_lemma41,
+        "the two-sided exponent-four L_2 quantity agrees between source and "
+        "embedded image",
+        sample_count=200,
+        tolerances={"defect": 1e-8},
+    ),
+    "expectation_detect": Suite(
+        _suite_expectation_detect,
+        "a state-preserving expectation onto a unital subalgebra "
+        "exists exactly when the subalgebra is stable under the modular flow; otherwise "
+        "a strict norm drop is exhibited",
+        sample_count=20,
+        tolerances={"defect_min": 1e-6, "gap_min": 1e-3, "invariants": 1e-9, "search": 500},
+    ),
 }

@@ -38,7 +38,6 @@ from .errors import (
     ExponentUnsupported,
     NotAnIsometry,
     NotPositive,
-    ShapeMismatch,
     TraceConditionViolated,
 )
 from .isometry import (
@@ -54,6 +53,7 @@ from .lp import (
     _hermitian_spectra,
     _spectral_power,
     _spectral_support,
+    _trace_weights,
     mazur_map,
     polar_decompose,
 )
@@ -62,12 +62,7 @@ from .lp import (
 def _weights(algebra, trace_weights: Sequence[float] | None) -> tuple[float, ...]:
     if trace_weights is None:
         return tuple(1.0 for _ in algebra.blocks)
-    if len(trace_weights) != len(algebra.blocks):
-        raise ShapeMismatch("one trace weight per source block is required")
-    w = tuple(float(t) for t in trace_weights)
-    if any(t <= 0 for t in w):
-        raise DataInvalid("trace weights must be positive")
-    return w
+    return tuple(_trace_weights(len(algebra.blocks), trace_weights))
 
 
 @dataclass(frozen=True, eq=False)

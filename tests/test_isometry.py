@@ -682,6 +682,27 @@ def test_metric_defects_equal_the_sample_loops(seed, p):
     assert abs(report.defects["reconstruction"] - want) <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_the_defects_and_yeadon_refuse_a_weight_that_is_not_positive_and_finite(bad):
+    # 1.3 T is no isometry (defect 0.3 unweighted); a zero weight would read
+    # 0.0, NaN nan, and inf or -1 would warn, so each is refused up front
+    from nclp.samples import random_yeadon_triple
+    from nclp.yeadon import build_yeadon_map
+
+    data = random_isometry_data(0)
+    T = build_isometry(data, 3.0)
+    F = LpMap(T.source, T.target, 3.0, 1.3 * T.matrix)
+    assert isometry_defect(F) == pytest.approx(0.3)
+    weights = (bad,) + (1.0,) * (len(F.source.blocks) - 1)
+    for defect in (isometry_defect, two_isometry_defect):
+        with pytest.raises(DataInvalid, match="trace weights must be positive and finite"):
+            defect(F, source_weights=weights)
+    triple, good = random_yeadon_triple(0, 3.0)
+    weights = (bad,) + tuple(good[1:])
+    with pytest.raises(DataInvalid, match="trace weights must be positive and finite"):
+        build_yeadon_map(triple, 3.0, weights)
+
+
 def test_stacked_matvec_is_bitwise_the_map():
     # one matvec per row reproduces T(h) bit for bit; the GEMM form
     # rows @ T.matrix.T does not, so the defects must not switch to it

@@ -349,7 +349,7 @@ def test_an_empty_sizes_or_exponents_list_is_refused(tmp_path):
 
 def test_a_suite_refuses_the_options_it_does_not_read(tmp_path):
     # lemma41 and expectation_detect read no exponents and only clarkson
-    # reads sizes: their SUITE_DEFAULTS entries have no such key
+    # reads sizes: their rows in SUITES have no default for it
     refused = (
         ("lemma41", "exponents", [3.0, 5.0]),
         ("expectation_detect", "exponents", [3.0]),
@@ -366,3 +366,44 @@ def test_a_suite_refuses_the_options_it_does_not_read(tmp_path):
         assert not report.exists()
     # a suite that reads the option still takes it
     assert run_suite(SuiteConfig("clarkson", sizes=[[2]], sample_count=4)).config.sizes == [[2]]
+
+
+def test_duality_refuses_p_one(tmp_path, capsys):
+    # the companion map is taken at p / (p - 1): a config error at p = 1,
+    # not a ZeroDivisionError traceback with the failing-verdict exit code
+    with pytest.raises(ConfigInvalid, match="suite 'duality' needs exponents p > 1"):
+        run_suite(SuiteConfig("duality", exponents=[3.0, 1.0]))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    command = ["verify", "--suite", "duality", "--p-list", "1", "-o", str(report)]
+    assert main(command) == 2
+    assert not report.exists()
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: suite 'duality' needs exponents p > 1"]
+
+
+# one exponent outside each domain, and the refusal it meets
+OUTSIDE = {
+    "p >= 1": (0.5, "exponents must be >= 1"),
+    "p > 1": (1.0, "needs exponents p > 1"),
+    "p >= 1, p != 2": (2.0, "excludes p = 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_the_cli_keeps_each_row_of_the_suite_table(name, tmp_path, capsys):
+    # each row's report carries the row's property; each row that takes
+    # exponents refuses one outside its domain with one error line
+    row, report = SUITES[name], tmp_path / "report.json"
+    assert main(["verify", "--suite", name, "--samples", "1", "-o", str(report)]) in (0, 1)
+    assert json.loads(report.read_text())["property"] == row.property
+    if row.exponents is None:
+        return
+    p, message = OUTSIDE[row.domain]
+    report.unlink()
+    capsys.readouterr()
+    command = ["verify", "--suite", name, "--p-list", str(p), "--samples", "1"]
+    assert main([*command, "-o", str(report)]) == 2
+    assert not report.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
