@@ -37,7 +37,7 @@ report = homomorphism_kind(transpose)
 print(f"transpose map: {report.kind} "
       f"(multiplicativity defect {report.mult_defect:.3f}, star defect {report.star_defect:.1e})")
 
-trace_map = AlgebraMap.from_callable(
-    m2, m2, lambda y: AlgebraElement(m2, [np.trace(y.data[0]) * np.eye(2) / 2])
-)
+# the normalized trace y -> Tr(y) 1/2: the column of e_ij is Tr(e_ij) vec(1) / 2
+one = np.eye(2).reshape(-1)
+trace_map = AlgebraMap(m2, m2, np.outer(one, one) / 2)
 print("normalized-trace map:", homomorphism_kind(trace_map).kind)

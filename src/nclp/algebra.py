@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
@@ -114,7 +114,18 @@ def _as_block_data(algebra: Algebra, data: Iterable[np.ndarray]) -> tuple[np.nda
     return tuple(mats)
 
 
-class AlgebraElement:
+class _Immutable:
+    """Refuses every attribute assignment, naming the type: the fields are
+    set through object.__setattr__ at construction, and a `cached_property`
+    writes the instance __dict__ directly."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class AlgebraElement(_Immutable):
     """A blockwise matrix, the generic element of an algebra.
 
     The same storage carries bounded operators and L_p vectors; only the role
@@ -126,9 +137,6 @@ class AlgebraElement:
     def __init__(self, algebra: Algebra, data: Iterable[np.ndarray]):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "data", _as_block_data(algebra, data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -296,22 +304,7 @@ def cluster_projection(algebra: Algebra, cluster) -> AlgebraElement:
 # -- states ------------------------------------------------------------------
 
 
-def support_calculus(
-    eigenpairs, fn: Callable[[np.ndarray], np.ndarray], threshold: float
-) -> list[np.ndarray]:
-    """The blocks v f(w) v* of the eigenpairs (w, v) of each block, with f
-    applied to the eigenvalues above threshold and 0 to the rest."""
-    out = []
-    for w, v in eigenpairs:
-        mask = w > threshold
-        values = fn(w[mask])
-        spectrum = np.zeros(w.shape, dtype=values.dtype)
-        spectrum[mask] = values
-        out.append((v * spectrum) @ v.conj().T)
-    return out
-
-
-class State:
+class State(_Immutable):
     """A positive blockwise density matrix with unit trace.
 
     The eigendecomposition is computed once at construction; all functional
@@ -355,9 +348,6 @@ class State:
         object.__setattr__(self, "faithful", bool(min(float(w.min()) for w in eigvals) > EPS_FAITHFUL))
         object.__setattr__(self, "_powers", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("State is immutable")
-
     @property
     def density(self) -> AlgebraElement:
         return AlgebraElement._raw(self.algebra, list(self._data))
@@ -369,8 +359,17 @@ class State:
         return complex(sum(np.trace(r @ b) for r, b in zip(self._data, x.data)))
 
     def _calculus(self, fn: Callable[[np.ndarray], np.ndarray], threshold: float) -> AlgebraElement:
-        pairs = zip(self._eigvals, self._eigvecs)
-        return AlgebraElement._raw(self.algebra, support_calculus(pairs, fn, threshold))
+        """The element with blocks v f(w) v* over the eigenpairs (w, v) of
+        each block, f applied to the eigenvalues above threshold and 0 to the
+        rest."""
+        out = []
+        for w, v in zip(self._eigvals, self._eigvecs):
+            mask = w > threshold
+            values = fn(w[mask])
+            spectrum = np.zeros(w.shape, dtype=values.dtype)
+            spectrum[mask] = values
+            out.append((v * spectrum) @ v.conj().T)
+        return AlgebraElement._raw(self.algebra, out)
 
     def _support_threshold(self) -> float:
         top = max(float(w.max()) for w in self._eigvals)
@@ -408,18 +407,15 @@ class State:
         return f"State(blocks={self.algebra.blocks}, faithful={self.faithful})"
 
 
-def random_faithful_state(algebra: Algebra, seed: int, min_eig: float = EPS_FAITHFUL) -> State:
+def random_faithful_state(algebra: Algebra, seed: int) -> State:
     """Deterministic faithful state: square a seeded Hermitian Gaussian,
-    shift by the faithfulness floor, and normalize.
-
-    `min_eig` can be raised to produce better-conditioned densities.
-    """
+    shift by the faithfulness floor, and normalize."""
     rng = np.random.default_rng(seed)
     blocks = []
     for n in algebra.blocks:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (g + g.conj().T) / 2
-        blocks.append(h @ h + min_eig * np.eye(n))
+        blocks.append(h @ h + EPS_FAITHFUL * np.eye(n))
     state = State(algebra, blocks, normalize=True)
     if state.min_eig() <= EPS_FAITHFUL:
         # normalization can in principle push the floor below the faithfulness
@@ -436,21 +432,12 @@ def random_faithful_state(algebra: Algebra, seed: int, min_eig: float = EPS_FAIT
 # -- linear maps --------------------------------------------------------------
 
 
-class AlgebraMap:
+class AlgebraMap(_Immutable):
     """A linear map between algebras, stored as a dense matrix acting on the
     normative vectorization.  Its smallest and largest singular values (one
     values-only SVD), its Glimm defect (`unit_system_defect`) and the star
     and Jordan defects of `homomorphism_kind` are computed once and kept:
     the matrix is read-only."""
-
-    __slots__ = (
-        "source",
-        "target",
-        "matrix",
-        "_singular_range",
-        "_unit_system_defect",
-        "_split_defects",
-    )
 
     def __init__(self, source: Algebra, target: Algebra, matrix: np.ndarray):
         matrix = np.array(matrix, dtype=complex)
@@ -464,43 +451,35 @@ class AlgebraMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_singular_range", None)
-        object.__setattr__(self, "_unit_system_defect", None)
-        object.__setattr__(self, "_split_defects", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def identity(cls, algebra: Algebra) -> "AlgebraMap":
         return cls(algebra, algebra, np.eye(algebra.total_dim, dtype=complex))
-
-    @classmethod
-    def from_callable(
-        cls, source: Algebra, target: Algebra, fn: Callable[[AlgebraElement], AlgebraElement]
-    ) -> "AlgebraMap":
-        cols = []
-        for u in matrix_units(source):
-            cols.append(fn(u).vec())
-        return cls(source, target, np.column_stack(cols))
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.source:
             raise ShapeMismatch("element does not live on the source algebra")
         return AlgebraElement.from_vec(self.target, self.matrix @ x.vec())
 
-    def _extreme_singular_values(self) -> tuple[float, float]:
-        if self._singular_range is None:
-            values = np.linalg.svd(self.matrix, compute_uv=False)
-            object.__setattr__(self, "_singular_range", (float(values[-1]), float(values[0])))
-        return self._singular_range
+    @cached_property
+    def _singular_range(self) -> tuple[float, float]:
+        values = np.linalg.svd(self.matrix, compute_uv=False)
+        return float(values[-1]), float(values[0])
 
     def min_singular_value(self) -> float:
-        return self._extreme_singular_values()[0]
+        return self._singular_range[0]
 
     def max_singular_value(self) -> float:
         """The operator 2-norm of the matrix, from the same kept SVD."""
-        return self._extreme_singular_values()[1]
+        return self._singular_range[1]
+
+    @cached_property
+    def _unit_system_defect(self) -> float:
+        return _glimm_defect(self.source, self.target, self.matrix)
+
+    @cached_property
+    def _star_and_jordan_defects(self) -> tuple[float, float]:
+        return _split_defects(self)
 
     def __repr__(self):
         return f"AlgebraMap({self.source.blocks} -> {self.target.blocks})"
@@ -610,8 +589,6 @@ def unit_system_defect(F: AlgebraMap) -> float:
     products.  A NaN defect is kept.  The map keeps its defect, so it is
     computed once per map; a fresh AlgebraMap of the same matrix computes it
     again."""
-    if F._unit_system_defect is None:
-        object.__setattr__(F, "_unit_system_defect", _glimm_defect(F.source, F.target, F.matrix))
     return F._unit_system_defect
 
 
@@ -689,9 +666,7 @@ def homomorphism_kind(F: AlgebraMap, tol: float | None = None) -> HomomorphismRe
     as neither.  A fresh AlgebraMap of the same matrix computes them again.
     """
     tol = max(F.source.atol, F.target.atol) if tol is None else tol
-    if F._split_defects is None:
-        object.__setattr__(F, "_split_defects", _split_defects(F))
-    star_defect, jordan_defect = F._split_defects
+    star_defect, jordan_defect = F._star_and_jordan_defects
     report = HomomorphismReport(
         "", star_defect, jordan_defect, unit_system_defect(F), F.min_singular_value()
     )

@@ -28,6 +28,7 @@ import numpy as np
 
 from .algebra import (
     INJECTIVITY_TOL,
+    _Immutable,
     Algebra,
     AlgebraElement,
     AlgebraMap,
@@ -65,7 +66,7 @@ class BlockDecomposition:
     multiplicities: tuple[int, ...]
 
 
-class Subalgebra:
+class Subalgebra(_Immutable):
     """A unital *-subalgebra of a parent algebra, given by a spanning basis.
 
     The basis need not be orthonormal; it must be linearly independent and

@@ -324,11 +324,12 @@ class _ImageSupport:
 def _image_supports(T: LpMap) -> tuple:
     """The `_ImageSupport` of each target block of T, found on the first call
     and kept on the map."""
-    if T._supports is None:
+    supports = T.__dict__.get("_image_supports")
+    if supports is None:
         cuts = zip(T.target.offsets(), T.target.blocks)
         supports = tuple(_ImageSupport(T.matrix[o : o + m * m], m) for o, m in cuts)
-        object.__setattr__(T, "_supports", supports)
-    return T._supports
+        T.__dict__["_image_supports"] = supports
+    return supports
 
 
 def _compressed_blocks(T: LpMap, plan: _Plan, norms: np.ndarray) -> set:
@@ -449,10 +450,10 @@ def _gram_sum_norms(T: LpMap, matrix, shapes, plan: _Plan) -> list[float]:
     of the units they name (those columns of the block's rows of the
     matrix), within the Gram bound of the `lp` module docstring.  A block
     where that kernel gives None reads the SVD of the witnesses' stacks."""
-    groups, stacks, start = [], None, 0
+    groups, stacks, start, used = [], None, 0, plan.used
     for b, (kl, kr) in enumerate(shapes):
-        images = matrix[start : start + kl * kr, plan.used].T.reshape(-1, kl, kr)
-        values = _gram_sum_svdvals(images, plan.row_pairs, plan.column_pairs)
+        images = matrix[start : start + kl * kr, used].T.reshape(-1, kl, kr)
+        values = _gram_sum_svdvals(images, plan.pairs)
         if values is None:
             if stacks is None:
                 witnesses = _slice_images(matrix, plan.units[plan.witnesses], plan.samples[:0])
@@ -477,9 +478,9 @@ class _Plan(NamedTuple):
     not row or column witnesses, and `groups` the rows' `_singular_values`.
     The row witnesses e_00 (x) u_i + e_01 (x) u_j and the column witnesses
     e_00 (x) u_i + e_10 (x) u_j close the structured rows: their indices
-    `witnesses`, row witnesses first, the units `used` that they name, and
-    each one's (i, j) as indices into `used` (`row_pairs`, `column_pairs`).
-    `grids` indexes the first grid witness of each block of size >= 2."""
+    `witnesses`, row witnesses first, and the units (i, j) of each pair,
+    `pairs`, one row witness and one column witness each.  `grids` indexes
+    the first grid witness of each block of size >= 2."""
 
     n: int
     units: np.ndarray
@@ -488,10 +489,14 @@ class _Plan(NamedTuple):
     others: np.ndarray
     groups: list | None = None
     witnesses: np.ndarray = _EMPTY
-    used: np.ndarray = _EMPTY
-    row_pairs: np.ndarray = _EMPTY.reshape(0, 2)
-    column_pairs: np.ndarray = _EMPTY.reshape(0, 2)
+    pairs: np.ndarray = _EMPTY.reshape(0, 2)
     grids: np.ndarray = _EMPTY
+
+    @property
+    def used(self) -> np.ndarray:
+        """The units 0 .. max(pairs) that the pairs name, as indices: the
+        pairs run over the first min(d, 12) units, so each holds its own."""
+        return np.arange(self.pairs.max(initial=-1) + 1)
 
     def norms(self, p: float, weights=None) -> np.ndarray:
         """Each row's ||h||_p, with the blocks weighted by weights."""
@@ -545,10 +550,7 @@ def _plan(algebra: Algebra, n: int, sample_count: int, seed: int) -> _Plan:
         others=np.r_[:start, len(units) : len(rows)],
         groups=groups,
         witnesses=witnesses,
-        # the first cap units, so that each pair holds its own units
-        used=np.arange(cap if len(pairs) else 0),
-        row_pairs=pairs,
-        column_pairs=pairs,
+        pairs=pairs,
         grids=np.array(grids, dtype=int),
     )
     _read_only(*(a for a in plan if isinstance(a, np.ndarray)), *(v for v, _ in groups))

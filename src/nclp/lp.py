@@ -86,6 +86,14 @@ class LpVector(AlgebraElement):
         object.__setattr__(self, "p", p)
 
     @classmethod
+    def zero(cls, algebra: Algebra, p: float) -> "LpVector":
+        return cls(algebra, p, algebra.zero_blocks())
+
+    @classmethod
+    def identity(cls, algebra: Algebra, p: float) -> "LpVector":
+        return cls(algebra, p, [np.eye(n, dtype=complex) for n in algebra.blocks])
+
+    @classmethod
     def from_element(cls, x: AlgebraElement, p: float) -> "LpVector":
         return cls(x.algebra, p, list(x.data))
 
@@ -177,27 +185,27 @@ def _gram_svdvals(stack: np.ndarray) -> np.ndarray | None:
     return _gram_values(gram)
 
 
-def _gram_sum_svdvals(images: np.ndarray, rows: np.ndarray, columns: np.ndarray):
-    """For an (U, r, c) stack of images Y_u and (R, 2) index pairs into it:
-    the nonzero singular values of each row [Y_i Y_j] of `rows`, the
+def _gram_sum_svdvals(images: np.ndarray, pairs: np.ndarray):
+    """For an (U, r, c) stack of images Y_u and (R, 2) index pairs (i, j)
+    into it: the nonzero singular values of each row [Y_i Y_j], the
     `_gram_values` of G_i + G_j with G = Y Y*, then those of each column
-    [Y_i; Y_j] of `columns`, of H_i + H_j with H = Y* Y, as one array of
-    max(r, c) values per pair, padded with zeros; the other singular values
-    are exactly 0.  G and H are one batched product each.  None when
-    `_gram_values` is None for either side."""
+    [Y_i; Y_j], of H_i + H_j with H = Y* Y, as one array of max(r, c)
+    values per row or column, rows first, padded with zeros; the other
+    singular values are exactly 0.  G and H are one batched product each.
+    None when `_gram_values` is None for either side."""
     adjoint = images.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         G, H = images @ adjoint, adjoint @ images
-        sums = [G[rows[:, 0]] + G[rows[:, 1]], H[columns[:, 0]] + H[columns[:, 1]]]
+        sums = [G[pairs[:, 0]] + G[pairs[:, 1]], H[pairs[:, 0]] + H[pairs[:, 1]]]
     r, c = images.shape[1:]
     if r == c:
         return _gram_values(np.concatenate(sums))
     row_values, column_values = (_gram_values(s) for s in sums)
     if row_values is None or column_values is None:
         return None
-    values = np.zeros((len(rows) + len(columns), max(r, c)))
-    values[: len(rows), :r] = row_values
-    values[len(rows) :, :c] = column_values
+    values = np.zeros((2 * len(pairs), max(r, c)))
+    values[: len(pairs), :r] = row_values
+    values[len(pairs) :, :c] = column_values
     return values
 
 
@@ -572,15 +580,10 @@ class LpMap(AlgebraMap):
     """A dense linear map between L_p spaces in vectorized coordinates: the
     `AlgebraMap` of the matrix, at an exponent."""
 
-    # _supports keeps the joint supports of the images, found on the first
-    # sampled defect of the map (`nclp.isometry._image_supports`)
-    __slots__ = ("p", "_supports")
-
     def __init__(self, source: Algebra, target: Algebra, p: float, matrix: np.ndarray):
         p = _lp_exponent(p)
         super().__init__(source, target, matrix)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_supports", None)
 
     @classmethod
     def identity(cls, algebra: Algebra, p: float) -> "LpMap":

@@ -306,8 +306,9 @@ def random_invariant_inclusion(seed: int):
 _NONINVARIANT_ATTEMPTS = 32
 
 
-def random_noninvariant_inclusion(seed: int, min_defect: float = 0.3):
-    """A unital inclusion with a generic faithful state that moves it.
+def random_noninvariant_inclusion(seed: int):
+    """A unital inclusion with a generic faithful state that moves it: its
+    invariance defect exceeds 0.3.
 
     Attempt k draws menu entry seed + k; attempts run up to a fixed cap, so
     a seed keeps its inclusion as long as an earlier attempt succeeds.
@@ -321,7 +322,7 @@ def random_noninvariant_inclusion(seed: int, min_defect: float = 0.3):
         rng = rng_for(seed + 20_000 + attempt)
         state = well_conditioned_state(A.parent, rng)
         check = takesaki_invariant(A, state)
-        if check.defect > min_defect:
+        if check.defect > 0.3:
             return A, state
     raise DataInvalid("could not find a noninvariant inclusion for this seed")
 

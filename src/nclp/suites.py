@@ -106,6 +106,8 @@ class SuiteConfig:
                 raise ConfigInvalid("exponents must be >= 1")
             if row.domain == "p > 1" and 1.0 in ps:
                 raise ConfigInvalid(f"suite {self.suite!r} needs exponents p > 1")
+            if row.domain == "p >= 2" and any(p < 2.0 for p in ps):
+                raise ConfigInvalid(f"suite {self.suite!r} needs exponents p >= 2")
         return out
 
     def to_json(self) -> dict:
@@ -548,7 +550,7 @@ class Suite:
     """One row of `SUITES`: the suite's runner, the property it certifies,
     its defaults and the exponents it accepts.  A suite reads sizes or
     exponents only when its row has defaults for them.  The domain of the
-    exponents is "p >= 1", "p > 1" or "p >= 1, p != 2"."""
+    exponents is "p >= 1", "p > 1", "p >= 2" or "p >= 1, p != 2"."""
 
     run: Callable[[SuiteConfig], tuple]
     property: str
@@ -615,6 +617,7 @@ SUITES: dict[str, Suite] = {
         sample_count=500,
         tolerances={"violation": 1e-10},
         exponents=(2, 3, 4, 8),
+        domain="p >= 2",
     ),
     "duality": Suite(
         _suite_duality,

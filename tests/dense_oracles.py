@@ -58,16 +58,17 @@ where `classify` compares T(rho^{1/p} u) with w phibar^{1/p} pi(u) and reads
 the norms of the rank-one rows off the columns of rho^{1/p}.
 `isometry_data_by_units` and `yeadon_triple_by_units` are the seeded
 generators of `nclp.samples` with pi and J taken one matrix unit at a time
-through `AlgebraMap.from_callable` and each block placed and conjugated
+through `map_from_callable` and each block placed and conjugated
 alone, where the generators place every unit of a source block as one
 stack and conjugate it in one batched product; `grid_witness` builds one
 grid witness as a vector, where `nclp.isometry` reads the grid witnesses
 as rows of the cached n = 2 plan.
-`zero_lp_vector`, `decomposition_coordinates`, `compose_maps` and
-`compose_lp_maps` are test-only constructions: the zero L_p vector, the
-coefficients of a subalgebra element in the factor realization of a
-decomposition through the pseudo-inverse of its embedding, and the
-composition of two algebra maps or two L_p maps."""
+`map_from_callable`, `decomposition_coordinates`, `compose_maps` and
+`compose_lp_maps` are test-only constructions: the map whose columns are
+the images of the matrix units under a function, the coefficients of a
+subalgebra element in the factor realization of a decomposition through
+the pseudo-inverse of its embedding, and the composition of two algebra
+maps or two L_p maps."""
 
 import math
 
@@ -236,6 +237,12 @@ def matrix_from_json_by_entries(rows: list) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
 
 
+def map_from_callable(source: Algebra, target: Algebra, fn) -> AlgebraMap:
+    """The map from source to target whose column u is vec(fn(u)), u the
+    matrix units of the source in vectorization order."""
+    return AlgebraMap(source, target, np.column_stack([fn(u).vec() for u in matrix_units(source)]))
+
+
 def compose_maps(F: AlgebraMap, G: AlgebraMap) -> AlgebraMap:
     """F after G."""
     if G.target != F.source:
@@ -360,11 +367,6 @@ def reconstruction_by_rebuild(T: LpMap, phi: State, p: float) -> float:
     gaps = np.matmul(T.matrix, rows[:, :, None]) - np.matmul(rebuilt.matrix, rows[:, :, None])
     scales = np.maximum(lp_norms(T.source, p, rows), 1e-14)
     return float(np.max(lp_norms(T.target, p, gaps[:, :, 0]) / scales))
-
-
-def zero_lp_vector(algebra, p: float) -> LpVector:
-    """The zero vector of L_p(algebra)."""
-    return LpVector(algebra, p, algebra.zero_blocks())
 
 
 def decomposition_coordinates(dec, x: AlgebraElement) -> AlgebraElement:
@@ -821,7 +823,7 @@ def support_bound(
 
 
 def isometry_data_by_units(seed: int, source_blocks=None, *, plan=None, w_positive=None):
-    """`nclp.samples.random_isometry_data` with pi through `from_callable`,
+    """`nclp.samples.random_isometry_data` with pi through `map_from_callable`,
     one matrix unit at a time, and each block of pi(u) and of the preserved
     density placed and conjugated alone, drawing from the seed's stream in
     the generator's order."""
@@ -855,7 +857,7 @@ def isometry_data_by_units(seed: int, source_blocks=None, *, plan=None, w_positi
             blocks.append(u @ mat @ u.conj().T)
         return AlgebraElement(target, blocks)
 
-    pi = AlgebraMap.from_callable(source, target, embed_element)
+    pi = map_from_callable(source, target, embed_element)
     density_blocks = []
     for cidx, (assignments, pad) in enumerate(plan):
         m = target.blocks[cidx]
@@ -886,7 +888,7 @@ def isometry_data_by_units(seed: int, source_blocks=None, *, plan=None, w_positi
 
 
 def yeadon_triple_by_units(seed: int, p: float, spec=None):
-    """`nclp.samples.random_yeadon_triple` with J through `from_callable`,
+    """`nclp.samples.random_yeadon_triple` with J through `map_from_callable`,
     one matrix unit at a time, and each block of J(u) and of B placed and
     conjugated alone."""
     rng = rng_for(seed)
@@ -908,7 +910,7 @@ def yeadon_triple_by_units(seed: int, p: float, spec=None):
             blocks.append(u @ mat @ u.conj().T)
         return AlgebraElement(target, blocks)
 
-    J = AlgebraMap.from_callable(source, target, jmap)
+    J = map_from_callable(source, target, jmap)
     b_blocks = []
     for bidx, (size, branch, mult, pad) in enumerate(spec):
         m = target.blocks[bidx]

@@ -29,6 +29,7 @@ from dense_oracles import (
     frobenius_by_norm,
     glimm_defect_per_block,
     left_mult_matrix,
+    map_from_callable,
     pair_table_kind,
     right_mult_matrix,
 )
@@ -192,7 +193,7 @@ def test_normalized_trace_map_is_neither():
     def fn(x):
         return AlgebraElement(alg, [np.trace(x.data[0]) * np.eye(2) / 2])
 
-    F = AlgebraMap.from_callable(alg, alg, fn)
+    F = map_from_callable(alg, alg, fn)
     e11 = matrix_units(alg)[0]
     jordan_witness = (F(e11 @ e11) - F(e11) @ F(e11)).frobenius()
     assert np.isclose(jordan_witness, np.linalg.norm(np.eye(2) / 4))
@@ -209,7 +210,7 @@ def test_kind_invariant_under_target_conjugation(case):
     elif case == "transpose":
         F = _transpose_map(alg)
     else:
-        F = AlgebraMap.from_callable(
+        F = map_from_callable(
             alg, alg, lambda x: AlgebraElement(alg, [np.trace(x.data[0]) * np.eye(2) / 2])
         )
     rng = rng_for(5)
@@ -227,7 +228,7 @@ def test_block_embedding_certified_injective():
         out[:2, :2] = x.data[0]
         return AlgebraElement(tgt, [out])
 
-    F = AlgebraMap.from_callable(src, tgt, fn)
+    F = map_from_callable(src, tgt, fn)
     rep = homomorphism_kind(F)
     assert rep.kind == "star_homomorphism"
     assert rep.injective
@@ -927,10 +928,10 @@ def test_the_split_defect_is_linear_in_the_noise():
 def test_positive_maps_that_are_not_jordan_are_neither():
     # the diagonal expectation on M_3 and the trace state fail the split
     alg = make_algebra([3])
-    diag = AlgebraMap.from_callable(
+    diag = map_from_callable(
         alg, alg, lambda x: AlgebraElement(alg, [np.diag(np.diag(x.data[0]))])
     )
-    trace = AlgebraMap.from_callable(
+    trace = map_from_callable(
         alg, make_algebra([1]), lambda x: AlgebraElement(make_algebra([1]), [[[x.trace() / 3]]])
     )
     for F in (diag, trace):

@@ -1005,6 +1005,13 @@ def test_validate_takes_one_blockwise_product_per_basis_element(monkeypatch):
     assert len(lefts) == A.dim + 1  # the rows of products, then the unit
 
 
+def test_a_subalgebra_and_its_state_refuse_assignment_under_their_own_names():
+    A, state = random_invariant_inclusion(0)
+    for value in (A, state, A.decomposition.embed):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            value.parent = None
+
+
 def test_concurrent_gaps_never_pair_a_state_with_another_restriction():
     # the kept restriction is one (state, restriction) tuple, read and
     # replaced whole, so racing callers with two states see their own

@@ -492,8 +492,8 @@ def test_the_plan_writes_out_to_the_indicator_rows_of_the_reference(blocks, n):
             elif s % n == t % n:
                 on_columns.append((r, i, j))
     assert plan.witnesses.tolist() == [r for r, _, _ in on_rows + on_columns]
-    assert plan.used[plan.row_pairs].tolist() == [[i, j] for _, i, j in on_rows]
-    assert plan.used[plan.column_pairs].tolist() == [[i, j] for _, i, j in on_columns]
+    assert plan.used[plan.pairs].tolist() == [[i, j] for _, i, j in on_rows]
+    assert plan.used[plan.pairs].tolist() == [[i, j] for _, i, j in on_columns]
     others = sorted(set(range(count + 60)) - set(plan.witnesses.tolist()))
     assert plan.others.tolist() == others
     # the first grid witness of each block of size at least 2
@@ -833,8 +833,8 @@ def test_a_nan_gram_sum_value_gives_a_nan_two_isometry_defect(monkeypatch):
     T = build_isometry(data, 3.0)
     real = isometry_module._gram_sum_svdvals
 
-    def patched(images, rows, columns):
-        values = real(images, rows, columns)
+    def patched(images, pairs):
+        values = real(images, pairs)
         values[len(values) // 2] = np.nan
         return values
 
@@ -1744,7 +1744,7 @@ def _assert_gram_sum_norms(F, weights=None):
     kernel = _image_singular_values([stack[others] for stack in stacks], F.p)
     assert got[others].tobytes() == np.array(_norms_from_singular_values(kernel, F.p)).tobytes()
     # the other rows read their own Gram matrices for p >= 2
-    count = len(plan.row_pairs)
+    count = len(plan.pairs)
     sides = (
         (others, [(min(kl, kr) * 2, max(kl, kr) * 2) for kl, kr in shapes]),
         (plan.witnesses[:count], [(kl, 2 * kr) for kl, kr in shapes]),
@@ -1788,7 +1788,7 @@ def test_gram_sums_on_the_smallest_sources():
         for p in GRAM_SUM_EXPONENTS:
             for weights in (None, tuple(np.linspace(0.5, 1.5, len(source)))):
                 measured, _ = _assert_gram_sum_norms(build_isometry(data, p), weights)
-                assert len(measured.row_pairs) == len(measured.column_pairs) == count
+                assert len(measured.pairs) == count
 
 
 def _rank_one_corner_map(p, seed):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nclp.algebra import (
     AlgebraElement,
+    AlgebraMap,
     Projection,
     make_algebra,
     matrix_units,
@@ -22,7 +23,6 @@ from dense_oracles import (
     lp_norms_per_block,
     polar_parts_eagerly,
     tensor_embed,
-    zero_lp_vector,
 )
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, ShapeMismatch
 from nclp.lp import (
@@ -89,6 +89,26 @@ def test_lp_map_rejects_a_vector_at_another_exponent():
         T(_vec(M2, 4.0, np.eye(2)))
 
 
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, name) for cls in (AlgebraElement, Projection, LpVector) for name in ("zero", "identity")]
+    + [(cls, name) for cls in (AlgebraMap, LpMap) for name in ("identity", "from_callable")],
+)
+def test_each_constructor_builds_its_own_class_or_is_absent(cls, name):
+    # the classes at an exponent take it last; what is built refuses
+    # assignment under its own type's name
+    alg = make_algebra([2, 1])
+    try:
+        make = getattr(cls, name)
+    except AttributeError:
+        return
+    args = (alg, alg, lambda x: x) if name == "from_callable" else (alg,)
+    built = make(*args, *((3.0,) if cls in (LpVector, LpMap) else ()))
+    assert type(built) is cls
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        built.algebra = alg
+
+
 def test_lp_map_rejects_non_finite():
     from nclp.errors import NonFinite
     from nclp.lp import LpMap
@@ -117,7 +137,7 @@ def test_polar_single_matrix_unit():
 
 
 def test_polar_zero():
-    pol = polar_decompose(zero_lp_vector(M2, 2.0))
+    pol = polar_decompose(LpVector.zero(M2, 2.0))
     for part in (pol.w, pol.modulus, pol.s_left, pol.s_right):
         assert part.frobenius() == 0
 
@@ -342,29 +362,30 @@ def test_the_gram_probe_keeps_finite_eigenvalues_whose_sum_overflows():
     # them, without a warning, within the Gram bound of the SVD
     stack = np.diag([1.3e154, 1.3e154]).astype(complex)[None]
     halves = np.diag([9.2e153, 9.2e153]).astype(complex)[None]  # G_i + G_j = 1.69e308 I
-    pair, no_pairs = np.array([[0, 1]]), np.zeros((0, 2), dtype=int)
+    pair = np.array([[0, 1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         values = _gram_svdvals(stack)
         ((image_values, _),) = _image_singular_values([stack], 3.0)
-        summed = _gram_sum_svdvals(np.concatenate([halves, halves]), pair, no_pairs)
+        summed = _gram_sum_svdvals(np.concatenate([halves, halves]), pair)
         empty = _gram_svdvals(np.zeros((0, 2, 2), dtype=complex))
     assert values is not None and image_values.tobytes() == values.tobytes()
     assert empty.shape == (0, 2)
     for p in (2.0, 3.0, 7.0):
         got, want, room = _gram_room(values, _svdvals(stack), p, [(2, 2)])
         assert np.isfinite(got).all() and (np.abs(got - want) <= room).all()
-        row = np.hstack([halves[0], halves[0]])[None]
-        got, want, room = _gram_room(summed, _svdvals(row), p, [(2, 4)])
-        assert np.isfinite(got).all() and (np.abs(got - want) <= room).all()
+        row, column = np.hstack([halves[0], halves[0]])[None], np.vstack([halves[0], halves[0]])[None]
+        for got_values, side in ((summed[:1], row), (summed[1:], column)):
+            got, want, room = _gram_room(got_values, _svdvals(side), p, [(2, 4)])
+            assert np.isfinite(got).all() and (np.abs(got - want) <= room).all()
     # NaN and inf are still seen, and so is a Gram matrix that overflows
     for bad in (np.nan, np.inf):
         broken = stack.copy()
         broken[0, 0, 1] = bad
         assert _gram_svdvals(broken) is None
-        assert _gram_sum_svdvals(np.concatenate([broken, halves]), pair, no_pairs) is None
+        assert _gram_sum_svdvals(np.concatenate([broken, halves]), pair) is None
     assert _gram_svdvals(4 * stack) is None
-    assert _gram_sum_svdvals(np.concatenate([stack, stack]), pair, no_pairs) is None
+    assert _gram_sum_svdvals(np.concatenate([stack, stack]), pair) is None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -384,12 +405,11 @@ def test_gram_sums_are_the_rows_and_columns_of_two_images_within_the_gram_bound(
     of (r, 2 c) and (c, 2 r) plus the SVD's rounding; the others are 0."""
     rng = np.random.default_rng(seed)
     images = 2.0**scale * (rng.standard_normal((count, r, c)) + 1j * rng.standard_normal((count, r, c)))
-    pairs = rng.integers(0, count, size=(4, 2))
-    rows, columns = pairs[:2], pairs[2:]
-    values = _gram_sum_svdvals(images, rows, columns)
+    pairs = rng.integers(0, count, size=(2, 2))
+    values = _gram_sum_svdvals(images, pairs)
     assert values.shape == (4, max(r, c))
-    row_stack = np.concatenate([images[rows[:, 0]], images[rows[:, 1]]], axis=2)
-    column_stack = np.concatenate([images[columns[:, 0]], images[columns[:, 1]]], axis=1)
+    row_stack = np.concatenate([images[pairs[:, 0]], images[pairs[:, 1]]], axis=2)
+    column_stack = np.concatenate([images[pairs[:, 0]], images[pairs[:, 1]]], axis=1)
     for got_values, stack, gram in ((values[:2], row_stack, (r, 2 * c)), (values[2:], column_stack, (c, 2 * r))):
         got, want, room = _gram_room(got_values, _svdvals(stack), p, [gram])
         assert (np.abs(got - want) <= room).all()

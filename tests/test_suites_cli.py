@@ -386,6 +386,7 @@ def test_duality_refuses_p_one(tmp_path, capsys):
 OUTSIDE = {
     "p >= 1": (0.5, "exponents must be >= 1"),
     "p > 1": (1.0, "needs exponents p > 1"),
+    "p >= 2": (1.5, "needs exponents p >= 2"),
     "p >= 1, p != 2": (2.0, "excludes p = 2"),
 }
 

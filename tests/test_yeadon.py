@@ -12,6 +12,7 @@ from dense_oracles import (
     grid_witness,
     image_supports,
     left_mult_matrix,
+    map_from_callable,
     support_bound,
     yeadon_triple_by_units,
 )
@@ -95,7 +96,7 @@ def test_build_diagonal_weights_oracle():
     def embed(x):
         return AlgebraElement(tgt, [np.diag([x.data[0][0, 0], x.data[1][0, 0]])])
 
-    J = AlgebraMap.from_callable(src, tgt, embed)
+    J = map_from_callable(src, tgt, embed)
     B = LpVector(tgt, p, [np.diag([a, b])])
     w = J(AlgebraElement.identity(src))
     triple = YeadonTriple(J=J, w=w, B=B)
@@ -117,7 +118,7 @@ def test_build_rejects_mismatched_weights():
     def embed(x):
         return AlgebraElement(tgt, [np.diag([x.data[0][0, 0], x.data[1][0, 0]])])
 
-    J = AlgebraMap.from_callable(src, tgt, embed)
+    J = map_from_callable(src, tgt, embed)
     B = LpVector(tgt, p, [np.diag([1.3, 0.6])])
     triple = YeadonTriple(J=J, w=J(AlgebraElement.identity(src)), B=B)
     with pytest.raises(TraceConditionViolated) as err:
@@ -274,7 +275,7 @@ def test_generators_place_units_as_the_per_unit_reference():
     for n in (2, 3):
         J = transpose_triple(n)[0].J
         M = make_algebra([n])
-        want = AlgebraMap.from_callable(M, M, lambda x: AlgebraElement(M, [x.data[0].T]))
+        want = map_from_callable(M, M, lambda x: AlgebraElement(M, [x.data[0].T]))
         assert J.matrix.tobytes() == want.matrix.tobytes()
 
 
