@@ -243,6 +243,11 @@ class Projection(AlgebraElement):
         super().__init__(algebra, data)
         require_projections([b[None] for b in self.data], algebra.atol if tol is None else tol)
 
+    @classmethod
+    def from_vec(cls, algebra: Algebra, vec: np.ndarray, tol: float | None = None) -> "Projection":
+        """The projection with this vectorization, checked as the constructor checks it."""
+        return cls(algebra, AlgebraElement.from_vec(algebra, vec).data, tol)
+
 
 def require_projections(stacks: Sequence[np.ndarray], tol: float) -> None:
     """Raise ShapeMismatch unless each element, whose blocks are the rows of

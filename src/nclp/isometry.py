@@ -49,8 +49,10 @@ from .expectation import (
 from .lp import (
     LpMap,
     LpVector,
+    _TRACE_EXPONENTS,
     _amplified_positions,
     _gram_sum_svdvals,
+    _gram_sum_traces,
     _image_singular_values,
     _lp_exponent,
     _norms_from_singular_values,
@@ -429,7 +431,7 @@ def _image_norms(T: LpMap, plan: _Plan, norms: np.ndarray) -> np.ndarray:
 
     For p >= 2 the row and column witnesses take `_gram_sum_norms`.  Every
     other row takes `_image_singular_values` of its stacks, as
-    `_image_stacks` builds them."""
+    `_image_stacks` builds them: Gram traces at p in {2, 4}."""
     matrix, shapes = _measured_matrix(T, plan, norms)
     if T.p < 2.0 or not plan.witnesses.size:
         stacks = _block_stacks(_slice_images(matrix, plan.units, plan.samples), shapes, plan.n)
@@ -446,22 +448,31 @@ def _image_norms(T: LpMap, plan: _Plan, norms: np.ndarray) -> np.ndarray:
 
 def _gram_sum_norms(T: LpMap, matrix, shapes, plan: _Plan) -> list[float]:
     """The image norms of the row and column witnesses of the plan, in its
-    order: per target block of (k_l, k_r), `_gram_sum_svdvals` of the images
-    of the units they name (those columns of the block's rows of the
-    matrix), within the Gram bound of the `lp` module docstring.  A block
-    where that kernel gives None reads the SVD of the witnesses' stacks."""
-    groups, stacks, start, used = [], None, 0, plan.used
+    order: per target block of (k_l, k_r), `_gram_sum_traces` at p in
+    _TRACE_EXPONENTS and `_gram_sum_svdvals` at every other p of the
+    images of the units they name (those columns of the block's rows of the
+    matrix), within the bounds of the `lp` module docstring.  A block where
+    the latter gives None, and a witness whose trace is refused, read the
+    SVD of the witnesses' stacks, built once."""
+    p = T.p
+
+    @lru_cache(maxsize=None)
+    def stacks():
+        witnesses = _slice_images(matrix, plan.units[plan.witnesses], plan.samples[:0])
+        return _block_stacks(witnesses, shapes, plan.n)
+
+    groups, start, used = [], 0, plan.used
     for b, (kl, kr) in enumerate(shapes):
         images = matrix[start : start + kl * kr, used].T.reshape(-1, kl, kr)
-        values = _gram_sum_svdvals(images, plan.pairs)
-        if values is None:
-            if stacks is None:
-                witnesses = _slice_images(matrix, plan.units[plan.witnesses], plan.samples[:0])
-                stacks = _block_stacks(witnesses, shapes, plan.n)
-            values = _svdvals(stacks[b])
+        if p in _TRACE_EXPONENTS:
+            values = _gram_sum_traces(images, plan.pairs, p, lambda rows, b=b: stacks()[b][rows])
+        else:
+            values = _gram_sum_svdvals(images, plan.pairs)
+            if values is None:
+                values = _svdvals(stacks()[b])
         groups.append((values, (b,)))
         start += kl * kr
-    return _norms_from_singular_values(groups, T.p)
+    return _norms_from_singular_values(groups, p)
 
 
 _EMPTY = _read_only(np.zeros(0, dtype=int))[0]

@@ -2,40 +2,69 @@
 Mazur maps, and amplified maps.
 
 An L_p vector is stored exactly like an algebra element; the exponent rides
-along.  Norms are computed from singular values, never from logs of
-near-singular matrices.  `lp_norm`, `lp_norms` and `clarkson_defect` take
-them from an SVD.  The p-norms of a map's images in the sampled defects
-take them, for p >= 2, as the square roots of the eigenvalues of a Gram
-matrix: of each image's own, Y* Y or Y Y* whichever is smaller
-(`_image_singular_values`), and for a row [Y_i Y_j] or a column
-[Y_i; Y_j] of two images of matrix units of the sum G_i + G_j of
-G = Y Y*, or H_i + H_j of H = Y* Y (`_gram_sum_svdvals`); the other
-singular values of such a row are exactly 0.  Let the Gram matrix be k x k
-with entries that are inner products of length q: k = min(r, c) and
-q = max(r, c) for an image of r x c, and k = r, q = 2 c for the sums of a
-row of two (k = c, q = 2 r for a column), each entry two inner products of
-length c added, since Higham's bound holds for any order of summation.
-With unit roundoff u, the computed Gram matrix and eigvalsh's backward
-error move each eigenvalue by at most eta ||Y||_2^2,
-eta = k (sqrt(2) (q + 2) + 1) u (Weyl's inequality; Higham, Accuracy and
-Stability, 3.5).  For p >= 2, ||Y||_p^2 is the l_{p/2} norm of the k
-eigenvalues, so ||Y||_p moves by at most k^{2/p} eta / 2 relative; a Gram
-matrix that underflows adds at most 2 sqrt(k^{1+2/p} q tiny) absolute,
-tiny the smallest normal float (1.2e-152 at k = q = 12).  For p < 2 no
-such bound holds: at p = 1 the Gram route errs by up to 3.5e-8 relative on
-the benchmark's rank-deficient images, so those keep the SVD.  A Gram
-stack that eigvalsh rejects, or with an eigenvalue that is not finite (a
-NaN or infinite entry, an overflowing Gram matrix), goes to the SVD
-instead (`_gram_values`); finite eigenvalues whose sum passes the float
-max stay on the Gram route.
+along.  Norms are computed from p-th power sums S = ||Y||_p^p = tr |Y|^p
+of each block Y, never from logs of near-singular matrices, and the source
+of those sums is chosen by p alone (`_norm_groups`):
+
+- at p in {2, 4}, S is read off Gram traces with no spectrum
+  (`_gram_traces`): ||Y||_F^2 at p = 2 and ||G||_F^2 at p = 4, G the Gram
+  matrix Y* Y or Y Y*, whichever is smaller.  This serves `lp_norm`,
+  `lp_norms`, `clarkson_defect`, the interpolation gaps and the images of
+  the sampled defects; for a row [Y_i Y_j] or a column [Y_i; Y_j] of two
+  images the Gram matrix is G_i + G_j, with G = Y Y*, or H_i + H_j, with
+  H = Y* Y (`_gram_sum_traces`);
+- at every other p from singular values: the SVD for `lp_norm`, `lp_norms`
+  and `clarkson_defect`, and for the images of the sampled defects at
+  p >= 2 the square roots of the eigenvalues of the Gram matrix of each
+  image (`_image_svdvals`) or of the sums above (`_gram_sum_svdvals`); the
+  other singular values of such a row are exactly 0.
+
+Let the Gram matrix be k x k with entries that are inner products of
+length q: k = min(r, c) and q = max(r, c) for an image of r x c, and
+k = r, q = 2 c for the sums of a row of two (k = c, q = 2 r for a column),
+each entry two inner products of length c added, since Higham's bound holds
+for any order of summation.  With unit roundoff u, the computed Gram
+matrix is G + E with |E_ij| <= g |y_i| |y_j|, g = sqrt(2) (q + 2) u
+(Higham, Accuracy and Stability, 3.5), so ||E||_F <= g ||Y||_F^2 = g tr G.
+
+Gram traces.  At p = 4, S^{1/2} = ||G||_F, which E moves by at most
+||E||_F <= g tr G <= g sqrt(r) ||G||_F, r the rank of Y (Cauchy-Schwarz on
+the eigenvalues of G); so ||Y||_4 = ||G||_F^{1/2} moves by at most
+g sqrt(r) / 2 relative, and the sum of the 2 k^2 squares that make S
+adds k^2 u / 2.  At p = 2 the sum of the 2 k q squares moves ||Y||_2 by at
+most k q u.  `trace_bounds` in the tests' dense oracles adds these per
+block.  The route is guarded after the fact, as the singular values guard
+overflow below, on each row's total of block sums (`_norms_from_traces`):
+a total that is not finite (a NaN or infinite entry, a product or sum that
+overflows) or below the floor tiny / u = 2^-969 times the largest block
+weight refuses its row.  Above the floor, a product that underflows moves
+the total by at most u^2 relative, since it errs by at most tiny u
+absolute.  A refused row is read again from the singular values of its
+blocks, so NaN and infinite entries read as there, and the top singular
+value is factored out where the sum overflows or underflows; a row of zero
+blocks reads its 0 there.  No stack is scanned before: the guard reads the
+totals, one sum and one min of a list when no row is refused.
+
+Gram eigenvalues.  eigvalsh's backward error moves each eigenvalue by at
+most eta ||Y||_2^2, eta = k (sqrt(2) (q + 2) + 1) u (Weyl's inequality).
+For p >= 2, ||Y||_p^2 is the l_{p/2} norm of the k eigenvalues, so ||Y||_p
+moves by at most k^{2/p} eta / 2 relative; a Gram matrix that underflows
+adds at most 2 sqrt(k^{1+2/p} q tiny) absolute, tiny the smallest normal
+float (1.2e-152 at k = q = 12).  For p < 2 no such bound holds: at p = 1
+the Gram route errs by up to 3.5e-8 relative on the benchmark's
+rank-deficient images, so those keep the SVD.  A Gram stack that eigvalsh
+rejects, or with an eigenvalue that is not finite (a NaN or infinite
+entry, an overflowing Gram matrix), goes to the SVD instead
+(`_gram_values`); finite eigenvalues whose sum passes the float max stay
+on the Gram route.
 
 The p-th-power step (`_norms_from_singular_values`) is paid per distinct
-block shape, as the SVDs are: one sum of powers and one `tolist` over the
-rows of all blocks of that shape, then each row's block sums added as
-Python floats in block order, which is the arithmetic of one sum per
-block.  Overflow is ruled out from the largest singular value before the
-powers are taken (`_power_sums`); only a shape where it cannot be takes
-them with overflow ignored.
+block shape, as the SVDs and traces are: one sum of powers and one
+`tolist` over the rows of all blocks of that shape, then each row's block
+sums added as Python floats in block order, which is the arithmetic of one
+sum per block.  Overflow is ruled out from the largest singular value
+before the powers are taken (`_power_sums`); only a shape where it cannot
+be takes them with overflow ignored.
 """
 
 from __future__ import annotations
@@ -43,7 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +94,10 @@ from .errors import (
 )
 
 RANK_REL_TOL = 1e-10  # singular values below this fraction of the top one are zeros
+# the exponents whose p-th power sums are read off Gram traces, and the least
+# such sum that underflow cannot have moved: tiny / u = 2^-969
+_TRACE_EXPONENTS = (2.0, 4.0)
+_TRACE_FLOOR = np.finfo(float).tiny / (np.finfo(float).eps / 2)
 
 
 def _lp_exponent(value: float, name: str = "p") -> float:
@@ -96,6 +129,11 @@ class LpVector(AlgebraElement):
     @classmethod
     def from_element(cls, x: AlgebraElement, p: float) -> "LpVector":
         return cls(x.algebra, p, list(x.data))
+
+    @classmethod
+    def from_vec(cls, algebra: Algebra, p: float, vec: np.ndarray) -> "LpVector":
+        """The vector of L_p with this vectorization."""
+        return cls.from_element(AlgebraElement.from_vec(algebra, vec), p)
 
     def _like(self, blocks) -> "LpVector":
         # arithmetic and the bimodule action keep the exponent
@@ -134,7 +172,7 @@ def lp_norm(h: LpVector, weights: Sequence[float] | None = None) -> float:
 def _block_lp_norm(blocks: Sequence[np.ndarray], p: float, weights=None) -> float:
     """`lp_norm` of the vector with the given blocks, each block a stack of
     one for the kernel of `lp_norms`; p must already be a valid exponent."""
-    groups = _stack_singular_values([b[None] for b in blocks])
+    groups = _norm_groups([b[None] for b in blocks], p)
     return _norms_from_singular_values(groups, p, weights)[0]
 
 
@@ -174,29 +212,41 @@ def _gram_values(gram: np.ndarray) -> np.ndarray | None:
     return np.sqrt(values, out=values)[..., ::-1]
 
 
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """The Gram matrix of each matrix Y of an (N, r, c) stack, Y* Y or Y Y*
+    whichever is smaller."""
+    adjoint = stack.conj().swapaxes(-1, -2)
+    return adjoint @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ adjoint
+
+
 def _gram_svdvals(stack: np.ndarray) -> np.ndarray | None:
     """Singular values of each matrix Y of an (N, r, c) stack as the
-    `_gram_values` of its Gram matrix, Y* Y or Y Y* whichever is smaller;
-    None where those are, as a NaN or infinite entry or an overflowing Gram
-    matrix makes them."""
-    adjoint = stack.conj().swapaxes(-1, -2)
+    `_gram_values` of its `_gram` matrix; None where those are, as a NaN or
+    infinite entry or an overflowing Gram matrix makes them."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = adjoint @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ adjoint
+        gram = _gram(stack)
     return _gram_values(gram)
+
+
+def _gram_sums(images: np.ndarray, pairs: np.ndarray) -> list[np.ndarray]:
+    """For an (U, r, c) stack of images Y_u and (R, 2) index pairs (i, j)
+    into it: G_i + G_j with G = Y Y*, the Gram matrix of each row
+    [Y_i Y_j], and H_i + H_j with H = Y* Y, that of each column [Y_i; Y_j].
+    G and H are one batched product each."""
+    adjoint = images.conj().swapaxes(-1, -2)
+    G, H = images @ adjoint, adjoint @ images
+    return [G[pairs[:, 0]] + G[pairs[:, 1]], H[pairs[:, 0]] + H[pairs[:, 1]]]
 
 
 def _gram_sum_svdvals(images: np.ndarray, pairs: np.ndarray):
     """For an (U, r, c) stack of images Y_u and (R, 2) index pairs (i, j)
     into it: the nonzero singular values of each row [Y_i Y_j], the
-    `_gram_values` of G_i + G_j with G = Y Y*, then those of each column
-    [Y_i; Y_j], of H_i + H_j with H = Y* Y, as one array of max(r, c)
-    values per row or column, rows first, padded with zeros; the other
-    singular values are exactly 0.  G and H are one batched product each.
+    `_gram_values` of its `_gram_sums` matrix, then those of each column
+    [Y_i; Y_j], as one array of max(r, c) values per row or column, rows
+    first, padded with zeros; the other singular values are exactly 0.
     None when `_gram_values` is None for either side."""
-    adjoint = images.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        G, H = images @ adjoint, adjoint @ images
-        sums = [G[pairs[:, 0]] + G[pairs[:, 1]], H[pairs[:, 0]] + H[pairs[:, 1]]]
+        sums = _gram_sums(images, pairs)
     r, c = images.shape[1:]
     if r == c:
         return _gram_values(np.concatenate(sums))
@@ -215,13 +265,59 @@ def _image_svdvals(stack: np.ndarray) -> np.ndarray:
     return _svdvals(stack) if values is None else values
 
 
+class _Traces(NamedTuple):
+    """The p-th power sums ||Y||_p^p of the matrices Y of a stack, one per
+    matrix, read off Gram traces (`_gram_traces`, `_gram_sum_traces`), and
+    `matrices`, which gives the matrices at given indices: a row that the
+    guard refuses reads their singular values instead (`_norms_from_traces`)."""
+
+    sums: np.ndarray
+    matrices: Callable[[np.ndarray], np.ndarray]
+
+
+def _squares(stack: np.ndarray) -> np.ndarray:
+    """||A||_F^2 = sum |A_ij|^2 of each matrix of an (N, r, c) stack of
+    complex128 or float64 entries, one real sum of the squares of the
+    r c (float) or 2 r c (complex) parts, read as float64."""
+    shape = (len(stack), stack.shape[1] * stack.shape[2])
+    flat = np.ascontiguousarray(stack).reshape(shape).view(np.float64)
+    return np.add.reduce(flat * flat, axis=1)
+
+
+def _gram_traces(stack: np.ndarray, p: float) -> _Traces:
+    """The `_Traces` of an (N, r, c) stack at p in _TRACE_EXPONENTS: the
+    `_squares` of each matrix at p = 2 and of its `_gram` matrix at p = 4.
+    The stack is read in double precision, complex128 or float64, whatever
+    its dtype (the rows of `lp_norms` may have any).  Overflow and NaN are
+    left unwarned; the guard sees them."""
+    stack = np.asarray(stack, dtype=complex if np.iscomplexobj(stack) else float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _squares(stack if p == 2.0 else _gram(stack))
+    return _Traces(sums, stack.__getitem__)
+
+
+def _gram_sum_traces(images: np.ndarray, pairs: np.ndarray, p: float, matrices) -> _Traces:
+    """`_gram_sum_svdvals` read as the `_Traces` of its rows and columns, in
+    its order, at p in _TRACE_EXPONENTS: at p = 4 the `_squares` of their
+    `_gram_sums` matrices, at p = 2 ||Y_i||_F^2 + ||Y_j||_F^2 for both.
+    `matrices(indices)` builds those rows and columns themselves."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p == 2.0:
+            squares = _squares(images)
+            sums = np.tile(squares[pairs[:, 0]] + squares[pairs[:, 1]], 2)
+        else:
+            sums = np.concatenate([_squares(side) for side in _gram_sums(images, pairs)])
+    return _Traces(sums, matrices)
+
+
 def _stack_singular_values(stacks: Sequence[np.ndarray], kernel=_svdvals) -> list[tuple]:
     """The singular values of each block's (N, r, c) stack, per distinct
     matrix shape: one call of the kernel on the stacks of that shape joined,
     as a pair (values, blocks) with the blocks in order, the j-th owning rows
     j N to (j + 1) N of the values.  LAPACK sees each matrix alone, so the
     values do not depend on the grouping, except that `_image_svdvals` sends
-    a joined stack to the SVD as a whole."""
+    a joined stack to the SVD as a whole.  A kernel may give `_Traces` in
+    place of the values, with the same rows."""
     if len(stacks) == 1:
         return [(kernel(stacks[0]), (0,))]
     shapes = [stack.shape[1:] for stack in stacks]
@@ -231,6 +327,15 @@ def _stack_singular_values(stacks: Sequence[np.ndarray], kernel=_svdvals) -> lis
         joined = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[b] for b in group])
         groups.append((kernel(joined), group))
     return groups
+
+
+def _norm_groups(stacks: Sequence[np.ndarray], p: float, kernel=_svdvals) -> list[tuple]:
+    """What the p-norms of the rows of the stacks are read from, grouped as
+    `_stack_singular_values` groups them: `_gram_traces` at p in
+    _TRACE_EXPONENTS, the kernel's singular values at every other p."""
+    if p in _TRACE_EXPONENTS:
+        return _stack_singular_values(stacks, lambda stack: _gram_traces(stack, p))
+    return _stack_singular_values(stacks, kernel)
 
 
 def _block_values(groups: Sequence[tuple]) -> list[np.ndarray]:
@@ -245,25 +350,32 @@ def _block_values(groups: Sequence[tuple]) -> list[np.ndarray]:
 
 
 def _image_singular_values(stacks: Sequence[np.ndarray], p: float) -> list[tuple]:
-    """The singular values that the p-norms of a map's images are read from,
-    grouped as `_stack_singular_values` groups them: for p >= 2 from
-    Hermitian Gram eigenvalues (`_image_svdvals`, see the module docstring
-    for the bound), else from the SVD."""
-    return _stack_singular_values(stacks, _image_svdvals if p >= 2.0 else _svdvals)
+    """What the p-norms of a map's images are read from, grouped as
+    `_stack_singular_values` groups them: Gram traces at p in
+    _TRACE_EXPONENTS, Hermitian Gram eigenvalues at every other p >= 2
+    (`_image_svdvals`), else the SVD; see the module docstring for the
+    bounds."""
+    return _norm_groups(stacks, p, _image_svdvals if p >= 2.0 else _svdvals)
+
+
+def _row_stacks(algebra: Algebra, rows: np.ndarray) -> list[np.ndarray]:
+    """Each block of the rows of an N x total_dim array, as an (N, n, n) stack."""
+    cuts = zip(algebra.offsets(), algebra.blocks)
+    return [rows[:, off : off + n * n].reshape(-1, n, n) for off, n in cuts]
 
 
 def _singular_values(algebra: Algebra, rows: np.ndarray) -> list[tuple]:
     """The singular values of each row's blocks, grouped per block size as
     `_stack_singular_values` groups them."""
-    cuts = zip(algebra.offsets(), algebra.blocks)
-    return _stack_singular_values([rows[:, off : off + n * n].reshape(-1, n, n) for off, n in cuts])
+    return _stack_singular_values(_row_stacks(algebra, rows))
 
 
 def lp_norms(
     algebra: Algebra, p: float, rows: np.ndarray, weights: Sequence[float] | None = None
 ) -> np.ndarray:
     """The p-norms of the rows of an N x total_dim array, each row a vector
-    in the normative vectorization; one stacked SVD per distinct block size.
+    in the normative vectorization; one stacked SVD per distinct block size,
+    or at p in {2, 4} one Gram trace (see the module docstring).
 
     A row whose sum of p-th powers overflows, or underflows to zero, is
     recomputed with its top singular value factored out,
@@ -272,7 +384,8 @@ def lp_norms(
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != algebra.total_dim:
         raise ShapeMismatch(f"rows of shape {rows.shape} are not N x {algebra.total_dim}")
-    return np.array(_norms_from_singular_values(_singular_values(algebra, rows), p, weights))
+    groups = _norm_groups(_row_stacks(algebra, rows), p)
+    return np.array(_norms_from_singular_values(groups, p, weights))
 
 
 def _power_sums(values: np.ndarray, p: float) -> list[float]:
@@ -315,7 +428,9 @@ def _trace_weights(count: int, weights: Sequence[float]) -> list[float]:
 
 def _norms_from_singular_values(groups: Sequence[tuple], p: float, weights=None) -> list[float]:
     """`lp_norms` of the rows with the given singular values, grouped per
-    block shape as `_stack_singular_values` groups them, as a list.
+    block shape as `_stack_singular_values` groups them, as a list; groups
+    of `_Traces` give their sums in place of the powers, under the guard of
+    `_norms_from_traces`.
 
     Each shape takes one sum of p-th powers over the rows of all its blocks
     and one `tolist` (`_power_sums`).  Each row's block sums are then added
@@ -325,12 +440,13 @@ def _norms_from_singular_values(groups: Sequence[tuple], p: float, weights=None)
     is taken per row as a Python float, which np.power differs from by an
     ulp.  A row whose sum overflows, or underflows to zero, is recomputed
     with its top singular value factored out."""
+    traced = isinstance(groups[0][0], _Traces)
     count = 0
     for _, blocks in groups:
         count += len(blocks)
     per_block: list = [None] * count
     for values, blocks in groups:
-        sums = _power_sums(values, p)
+        sums = values.sums.tolist() if traced else _power_sums(values, p)
         if len(blocks) == 1:
             per_block[blocks[0]] = sums
             continue
@@ -346,6 +462,8 @@ def _norms_from_singular_values(groups: Sequence[tuple], p: float, weights=None)
         total = [0.0 + ws[0] * t for t in per_block[0]]
         for w, t in zip(ws[1:], per_block[1:]):
             total = [a + w * b for a, b in zip(total, t)]
+    if traced:
+        return _norms_from_traces(groups, p, total, None if weights is None else ws)
     root = 1.0 / p
     norms = [t**root for t in total]
     # only rows that overflow, or underflow to zero, need the top value
@@ -357,6 +475,36 @@ def _norms_from_singular_values(groups: Sequence[tuple], p: float, weights=None)
         if (t == 0.0 or t == math.inf) and 0.0 < top[r] < math.inf:
             scaled = sum(w * float(np.sum((s[r] / top[r]) ** p)) for w, s in zip(ws, svals))
             norms[r] = float(top[r]) * scaled**root
+    return norms
+
+
+def _norms_from_traces(groups: Sequence[tuple], p: float, total: list, ws) -> list[float]:
+    """The norms of the rows with these totals of the sums of the groups of
+    `_Traces`, under a guard that reads the totals after the fact.  A total
+    that is not finite (a NaN or infinite entry, a product or sum that
+    overflows) or below _TRACE_FLOOR times the largest weight ws, where a
+    product that underflows could have moved it by more than u^2 relative,
+    refuses its row.  A refused row is read again from the singular values
+    of its blocks, so NaN and infinite entries, zero rows, and the top
+    singular value factored out where the sum overflows or underflows, read
+    there as they read through the SVD.  NaN fails both tests of the common
+    case, which reads no entry."""
+    root = 1.0 / p
+    floor = _TRACE_FLOOR * (1.0 if ws is None else max(ws))
+    norms = [t**root for t in total]
+    if sum(total) < math.inf and min(total, default=math.inf) >= floor:
+        return norms
+    refused = [r for r, t in enumerate(total) if not floor <= t < math.inf]
+    if not refused:
+        return norms
+    rows, again = np.array(refused), []
+    for traces, blocks in groups:
+        # the matrices of the refused rows in every block of the group, block by block
+        n = len(traces.sums) // len(blocks)
+        matrices = traces.matrices(np.concatenate([j * n + rows for j in range(len(blocks))]))
+        again.append((_svdvals(matrices), blocks))
+    for r, norm in zip(refused, _norms_from_singular_values(again, p, ws)):
+        norms[r] = norm
     return norms
 
 
@@ -496,7 +644,7 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
         raise ExponentMismatch("vectors carry different exponents")
     p = h.p
     rows = [np.array([a + b, a - b, a, b]) for a, b in zip(h.data, k.data)]
-    groups = _stack_singular_values(rows)
+    groups = _norm_groups(rows, p)
     n_sum, n_diff, n_h, n_k = _norms_from_singular_values(groups, p)
     # at large p the powers overflow and inf - inf is NaN; then each p-th power
     # is a sum of s^p with the top singular value factored out, as in lp_norms,
@@ -506,7 +654,7 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
     except OverflowError:
         defect = np.inf
     if not math.isfinite(defect):
-        svals = _block_values(groups)
+        svals = _block_values(_stack_singular_values(rows) if p in _TRACE_EXPONENTS else groups)
         with np.errstate(over="ignore", invalid="ignore"):
             top = max(s.max() for s in svals)
             powers = sum(np.sum((s / top) ** p, axis=-1) for s in svals)

@@ -44,7 +44,8 @@ them on the joint supports of T's images through the SVD; `image_supports`
 finds those supports from the images of the matrix units, one map call per
 unit, `support_bound` and `rounding_room` bound what measuring on them, and
 for p >= 2 reading the image norms off Gram eigenvalues
-(`gram_norm_bounds`), may change.
+(`gram_norm_bounds`), and at p in {2, 4} off Gram traces
+(`trace_bounds`), may change.
 `pi_by_four_polarizations` recovers pi from the right supports of the
 images of 2n^2 - n polarization projections per block, e_ii and four per
 pair i < j, where `nclp.isometry.extract_pi` reads a basis of n^2.
@@ -765,6 +766,39 @@ def gram_bounds(grams, p: float) -> tuple[float, float]:
         absolute += 2 * np.sqrt(spread * k * q * tiny)
         count += k
     return relative + ((count + 1) / p + 1) * u, absolute
+
+
+def trace_bounds(grams, p: float) -> float:
+    """A relative bound, to first order in the unit roundoff u, on the error
+    of the p-norm, p in {2, 4}, of a row whose blocks read their p-th power
+    sums off Gram traces (`nclp.lp._gram_traces`,
+    `nclp.lp._gram_sum_traces`), given per block as (k, q) as for
+    `gram_bounds`: the Gram matrix G is k x k, its entries complex inner
+    products of length q, and the block's rank r is at most k.  Per block,
+    with S = ||Y||_p^p:
+    - p = 2: S is one sum of the 2 k q squares of the real and imaginary
+      parts of the entries, within 2 k q u S in any order of summation;
+    - p = 4: S = ||G||_F^2, and the computed G is G + E with
+      ||E||_F <= g ||Y||_F^2 = g tr G, g = sqrt(2) (q + 2) u (Higham,
+      Accuracy and Stability, 3.5), and tr G <= sqrt(r) ||G||_F
+      (Cauchy-Schwarz on the eigenvalues of G), so ||G||_F moves by at most
+      g sqrt(r) relative and ||Y||_4 = ||G||_F^{1/2} by g sqrt(r) / 2; the
+      sum of the 2 k^2 squares that make S is within 2 k^2 u S, which moves
+      ||Y||_4 by k^2 u / 2.
+    A row whose total of block sums lies below tiny / u times the largest
+    weight goes to the SVD, so underflow adds at most u^2 per square.  The
+    relative part is the largest over the blocks, and the weighted sum of
+    the block sums and the root in `nclp.lp._norms_from_traces` add
+    (2 B / p + 1) u for B blocks."""
+    u = np.finfo(float).eps / 2
+    worst = 0.0
+    for k, q in grams:
+        if p == 2.0:
+            relative = k * q * u
+        else:
+            relative = np.sqrt(2) * (q + 2) * u * np.sqrt(k) / 2 + k * k * u / 2
+        worst = max(worst, relative)
+    return worst + (2 * len(grams) / p + 1) * u
 
 
 def image_rounding(T: LpMap, n: int) -> tuple[float, float]:

@@ -34,6 +34,7 @@ from dense_oracles import (
     right_mult_matrix,
 )
 from nclp.errors import EmptyBlocks, NonPositiveDim, ShapeMismatch
+from nclp.lp import LpVector
 from nclp.samples import haar_unitary, random_element, rng_for
 
 # matrix identities against the per-unit loops they replace: equal up to the
@@ -71,6 +72,19 @@ def test_elements_immutable():
         x.data = None
     with pytest.raises(ValueError):
         x.data[0][0, 0] = 5.0
+
+
+def test_from_vec_builds_the_class_it_is_called_on():
+    # a projection is checked as its constructor checks it, and an L_p
+    # vector takes its exponent
+    alg = make_algebra([2, 1])
+    vec = np.array([1, 0, 0, 0, 1], dtype=complex)
+    proj, h = Projection.from_vec(alg, vec), LpVector.from_vec(alg, 3.0, 2 * vec)
+    assert type(proj) is Projection and np.array_equal(proj.vec(), vec)
+    assert type(h) is LpVector and h.p == 3.0 and np.array_equal(h.vec(), 2 * vec)
+    assert type(AlgebraElement.from_vec(alg, vec)) is AlgebraElement
+    with pytest.raises(ShapeMismatch):
+        Projection.from_vec(alg, 2 * vec)
 
 
 def test_vectorization_is_row_major_block_concat():

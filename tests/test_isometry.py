@@ -21,6 +21,7 @@ from dense_oracles import (
     compose_lp_maps,
     conditioning_ladder,
     gram_bounds,
+    trace_bounds,
     image_supports,
     isometry_data_by_units,
     left_mult_matrix,
@@ -62,6 +63,7 @@ from nclp.isometry import (
     verify_state_restriction,
 )
 from nclp.lp import (
+    _TRACE_EXPONENTS,
     LpMap,
     LpVector,
     _gram_svdvals,
@@ -1816,3 +1818,64 @@ def test_gram_sums_on_a_block_whose_supports_differ_in_rank():
             _, shapes = _assert_gram_sum_norms(F)
             # the block is measured on its supports, (k_l, k_r) = (1, 2)
             assert shapes == [(1, 2)]
+
+
+# -- the norms at p in {2, 4}, read off Gram traces ------------------------------
+
+
+def _assert_trace_norms(F, weights=None):
+    """On the n = 2 plan of F, p = F.p in {2, 4}: the image norms of
+    the defects are those of their full stacks within `trace_bounds` plus
+    the SVD's rounding, of (k_l, 2 k_r) and (k_r, 2 k_l) per block for the
+    row and column witnesses and of each block's own Gram matrix for every
+    other row."""
+    plan, norms, _ = _plan(F, 2, weights)
+    _, shapes = isometry_module._measured_matrix(F, plan, norms)
+    stacks = isometry_module._image_stacks(F, plan, norms)
+    got = isometry_module._image_norms(F, plan, norms)
+    want = np.array(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
+    count = len(plan.pairs)
+    sides = (
+        (plan.others, [(min(kl, kr) * 2, max(kl, kr) * 2) for kl, kr in shapes]),
+        (plan.witnesses[:count], [(kl, 2 * kr) for kl, kr in shapes]),
+        (plan.witnesses[count:], [(kr, 2 * kl) for kl, kr in shapes]),
+    )
+    for part, grams in sides:
+        room = (trace_bounds(grams, F.p) + NORM_ROUNDING) * want[part]
+        assert (np.abs(got[part] - want[part]) <= room).all()
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK_PLANS))
+def test_trace_norms_are_the_full_images_within_the_trace_bound(name):
+    # the canonical map, a perturbed one, and both scaled so that the traces
+    # overflow (2^300) or underflow (2^-300 at p = 4), where the refused
+    # ones read the SVD of their stacks
+    source, plan = _BENCHMARK_PLANS[name]
+    data = random_isometry_data(0, source, plan=plan)
+    for p in _TRACE_EXPONENTS:
+        T = build_isometry(data, p)
+        for F in (T, _moved(T, 1e-5, 0)):
+            for scale in (1.0, 2.0**300, 2.0**-300):
+                _assert_trace_norms(LpMap(F.source, F.target, p, scale * F.matrix))
+        _assert_trace_norms(_rank_one_corner_map(p, 0))
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK_PLANS))
+def test_stage_one_at_p_4_calls_no_lapack_routine(monkeypatch, name):
+    """Once the map keeps its image supports and the plans are kept, both
+    sampled defects of `classify` at p = 4 read Gram traces alone: neither
+    np.linalg.svd nor np.linalg.eigvalsh is called, and the defects stay."""
+    source, plan = _BENCHMARK_PLANS[name]
+    T = build_isometry(random_isometry_data(0, source, plan=plan), 4.0)
+    want = (isometry_defect(T), two_isometry_defect(T, n=2, relative=True))
+    calls = []
+    for routine in ("svd", "eigvalsh"):
+        real = getattr(np.linalg, routine)
+
+        def counted(*args, _real=real, _routine=routine, **kwargs):
+            calls.append(_routine)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, routine, counted)
+    got = (isometry_defect(T), two_isometry_defect(T, n=2, relative=True))
+    assert calls == [] and got == want

@@ -23,14 +23,17 @@ from dense_oracles import (
     lp_norms_per_block,
     polar_parts_eagerly,
     tensor_embed,
+    trace_bounds,
 )
 from nclp.errors import ExponentMismatch, ExponentUnsupported, NotPositive, ShapeMismatch
 from nclp.lp import (
+    _TRACE_EXPONENTS,
     LpMap,
     LpVector,
     _gram_sum_svdvals,
     _gram_svdvals,
     _image_singular_values,
+    _image_svdvals,
     _norms_from_singular_values,
     _stack_singular_values,
     _svdvals,
@@ -474,14 +477,47 @@ def _clarkson_by_norms(h, k):
     return abs(lhs - rhs)
 
 
+def _clarkson_room(h, k) -> float:
+    """How far clarkson_defect may be from its SVD reference at p in
+    {2, 4}: each of the four norms within `trace_bounds` of its blocks
+    plus NORM_ROUNDING, so each p-th power within (1 + that)^p - 1, and the
+    powers, sums and difference add 6 u; all times the sum of the p-th
+    powers, n(h + k)^p + n(h - k)^p + 2 (n(h)^p + n(k)^p).  Not finite
+    where a power overflows."""
+    p = h.p
+    relative = trace_bounds([(n, n) for n in h.algebra.blocks], p) + NORM_ROUNDING
+    with np.errstate(over="ignore"):
+        powers = [np.float64(_lp_norm_by_blocks(x)) ** p for x in (h + k, h - k, h, k)]
+    scale = powers[0] + powers[1] + 2.0 * (powers[2] + powers[3])
+    return float(((1.0 + relative) ** p - 1.0 + 3 * np.finfo(float).eps) * scale)
+
+
+def _same_defect(got: float, want: float, h, k) -> bool:
+    """got is want bit for bit, or at p in {2, 4}, where the norms
+    are read off Gram traces, within `_clarkson_room` of it when that is
+    finite."""
+    if np.array([got]).tobytes() == np.array([want]).tobytes():
+        return True
+    if h.p not in _TRACE_EXPONENTS:
+        return False
+    room = _clarkson_room(h, k)
+    return np.isfinite(room) and abs(got - want) <= room
+
+
 @pytest.mark.parametrize("blocks", [(2,), (3,), (1, 2)])
 def test_clarkson_defect_equals_the_norm_loop(blocks):
+    """Bitwise, and at p = 4, where the norms are read off Gram traces,
+    within their bound (`_clarkson_room`)."""
     alg = make_algebra(blocks)
     rng = rng_for(12)
     for p in (1.0, 1.5, 3.0, 4.0, 7.0):
         for _ in range(10):
             h, k = random_lp_vector(alg, p, rng), random_lp_vector(alg, p, rng)
-            assert clarkson_defect(h, k).defect == _clarkson_by_norms(h, k)
+            got, want = clarkson_defect(h, k).defect, _clarkson_by_norms(h, k)
+            if p in _TRACE_EXPONENTS:
+                assert _same_defect(got, want, h, k)
+            else:
+                assert got == want
 
 
 def test_clarkson_defect_at_large_p_factors_out_the_top_singular_value():
@@ -577,32 +613,61 @@ def _norm_cases(draw):
     return blocks, p, scales, draw(st.none() | weights), orthogonal, seed
 
 
+def _same_norms(got: tuple, want: tuple, blocks, p: float) -> bool:
+    """Two `_outcome`s of norms of rows on these blocks are the same: bit
+    for bit, or at p in {2, 4}, where the norms are read off Gram
+    traces, within `trace_bounds` of the blocks plus NORM_ROUNDING where the
+    reference is finite and equal where it is not."""
+    if got == want or p not in _TRACE_EXPONENTS or got[0] != "value" or want[0] != "value":
+        return got == want
+    g, w = np.frombuffer(got[1]), np.frombuffer(want[1])
+    finite = np.isfinite(w)
+    room = (trace_bounds([(n, n) for n in blocks], p) + NORM_ROUNDING) * w[finite]
+    return (
+        g.shape == w.shape
+        and np.array_equal(g[~finite], w[~finite], equal_nan=True)
+        and bool((np.abs(g[finite] - w[finite]) <= room).all())
+    )
+
+
+def _same_clarkson(h, k) -> bool:
+    """clarkson_defect against the vectorized rows and the element-product
+    witness, bit for bit; at p in {2, 4} the witness and
+    orthogonality bit for bit and the defect as `_same_defect` has it."""
+
+    def fields(result):
+        return [result.defect, result.witness, result.orthogonal]
+
+    got = _outcome(lambda: fields(clarkson_defect(h, k)))
+    want = _outcome(lambda: fields(clarkson_by_elements(h, k)))
+    if got == want or h.p not in _TRACE_EXPONENTS or got[0] != "value" or want[0] != "value":
+        return got == want
+    (defect, *rest), (oracle, *oracle_rest) = np.frombuffer(got[1]), np.frombuffer(want[1])
+    return np.array(rest).tobytes() == np.array(oracle_rest).tobytes() and _same_defect(defect, oracle, h, k)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_norm_cases())
 def test_the_norm_kernel_equals_the_per_block_oracle(case):
     """Bitwise, on repeated block sizes, zero rows, overflow and underflow:
     lp_norms and lp_norm against one SVD per block, clarkson_defect against
-    the vectorized rows and the element-product witness."""
+    the vectorized rows and the element-product witness; at p in
+    {2, 4}, where the norms are read off Gram traces, within their
+    bound (`_same_norms`, `_same_clarkson`)."""
     blocks, p, scales, weights, orthogonal, seed = case
     alg = make_algebra(blocks)
     rng = np.random.default_rng(seed)
     rows = np.stack([c * random_element(alg, rng).vec() for c in scales])
     want = _outcome(lambda: lp_norms_per_block(alg, p, rows[:-2], weights))
-    assert _outcome(lambda: lp_norms(alg, p, rows[:-2], weights)) == want
+    assert _same_norms(_outcome(lambda: lp_norms(alg, p, rows[:-2], weights)), want, blocks, p)
     vecs = [LpVector.from_element(AlgebraElement.from_vec(alg, r), p) for r in rows]
-    assert _outcome(lambda: [lp_norm(h, weights) for h in vecs[:-2]]) == want
+    assert _same_norms(_outcome(lambda: [lp_norm(h, weights) for h in vecs[:-2]]), want, blocks, p)
     h, k = vecs[-2:]
     if orthogonal:  # h in a top-left corner of each block, k in the opposite one
         cuts = [n // 2 if n > 1 else b % 2 for b, n in enumerate(blocks)]
         h = LpVector(alg, p, [_corner(a, slice(None, c)) for a, c in zip(h.data, cuts)])
         k = LpVector(alg, p, [_corner(a, slice(c, None)) for a, c in zip(k.data, cuts)])
-
-    def fields(result):
-        return [result.defect, result.witness, result.orthogonal]
-
-    assert _outcome(lambda: fields(clarkson_defect(h, k))) == _outcome(
-        lambda: fields(clarkson_by_elements(h, k))
-    )
+    assert _same_clarkson(h, k)
 
 
 @pytest.mark.parametrize("blocks", [(2, 1, 2), (1, 2, 1, 2), (3, 1, 3)])
@@ -637,6 +702,133 @@ def test_the_norm_kernel_adds_the_block_sums_in_block_order(blocks, p):
         )
 
 
+TRACE_SCALES = (1.0, 2.0**120, 2.0**-120, 2.0**-242, 1e200, 1e-200, 0.0)
+
+
+def _oracle_outcome(alg, p: float, rows: np.ndarray, weights) -> tuple:
+    """The `_outcome` of lp_norms_per_block on the finite rows, with a row
+    that has a NaN entry reading NaN and one with an infinite entry inf, as
+    `_svdvals` reads them."""
+
+    def norms():
+        out = np.where(np.isnan(rows).any(axis=1), np.nan, np.inf)
+        finite = np.isfinite(rows).all(axis=1)
+        out[finite] = lp_norms_per_block(alg, p, rows[finite], weights)
+        return out
+
+    return _outcome(norms)
+
+
+@st.composite
+def _trace_cases(draw):
+    """At most 3 blocks of size at most 4, p in {2, 4}, optional
+    weights, and 4 rows, the last two a Clarkson pair: each at a scale of
+    TRACE_SCALES, and the first two optionally with one NaN or infinite
+    entry."""
+    blocks = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    p = draw(st.sampled_from(_TRACE_EXPONENTS))
+    scales = draw(st.lists(st.sampled_from(TRACE_SCALES), min_size=4, max_size=4))
+    weights = st.lists(st.floats(0.25, 4.0), min_size=len(blocks), max_size=len(blocks))
+    bad = draw(st.lists(st.sampled_from([None, np.nan, np.inf, -np.inf]), min_size=2, max_size=2))
+    return blocks, p, scales, draw(st.none() | weights), bad, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_trace_cases())
+def test_even_exponents_agree_with_one_svd_per_block_within_the_trace_bound(case):
+    """At p in {2, 4} lp_norms, lp_norm and clarkson_defect read Gram
+    traces: they agree with one SVD per block within `trace_bounds` plus
+    NORM_ROUNDING where that is finite, at scales whose traces overflow
+    (1e200), pass near the underflow floor (2^-242 at p = 4) or underflow
+    (1e-200), and a row with a NaN or infinite entry reads exactly as the
+    SVD reads it."""
+    blocks, p, scales, weights, bad, seed = case
+    alg = make_algebra(blocks)
+    rng = np.random.default_rng(seed)
+    rows = np.stack([c * random_element(alg, rng).vec() for c in scales])
+    for row, entry in zip(rows, bad):
+        if entry is not None:
+            row[rng.integers(alg.total_dim)] = entry
+    want = _oracle_outcome(alg, p, rows, weights)
+    assert _same_norms(_outcome(lambda: lp_norms(alg, p, rows, weights)), want, blocks, p)
+    vecs = [LpVector.from_element(AlgebraElement.from_vec(alg, r), p) for r in rows]
+    assert _same_norms(_outcome(lambda: [lp_norm(h, weights) for h in vecs]), want, blocks, p)
+    assert _same_clarkson(*vecs[2:])
+
+
+@pytest.mark.parametrize("p", _TRACE_EXPONENTS)
+def test_even_exponents_take_no_svd(monkeypatch, p):
+    """Rows in range read their Gram traces alone: no SVD for lp_norms,
+    lp_norm or clarkson_defect, or for the image norms of a stack."""
+    alg = make_algebra([1, 2, 3])
+    rng = rng_for(21)
+    rows = np.stack([random_element(alg, rng).vec() for _ in range(4)])
+    h, k = (LpVector.from_element(AlgebraElement.from_vec(alg, r), p) for r in rows[:2])
+    stack = np.stack([random_element(make_algebra([3]), rng).data[0] for _ in range(3)])
+    calls = _count_svd_calls(monkeypatch)
+    lp_norms(alg, p, rows)
+    assert lp_norms(alg, p, rows[:0]).shape == (0,)
+    lp_norm(h)
+    clarkson_defect(h, k)
+    _norms_from_singular_values(_image_singular_values([stack[:, :2], stack], p), p)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", _TRACE_EXPONENTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
+def test_even_exponents_read_rows_of_any_dtype_in_double_precision(p, dtype):
+    # single precision and integer rows, on blocks with an odd number of
+    # entries, are read as the doubles they hold: within `trace_bounds` of
+    # one SVD per block of the rows in complex128
+    blocks = (1, 2, 3)
+    alg = make_algebra(blocks)
+    rng = rng_for(23)
+    rows = np.stack([4 * random_element(alg, rng).vec() for _ in range(3)] + [np.ones(alg.total_dim)])
+    rows = (rows if dtype == np.complex64 else rows.real).astype(dtype)
+    want = lp_norms_per_block(alg, p, rows.astype(complex))
+    room = (trace_bounds([(n, n) for n in blocks], p) + NORM_ROUNDING) * want
+    assert (np.abs(lp_norms(alg, p, rows) - want) <= room).all()
+
+
+@pytest.mark.parametrize("p", _TRACE_EXPONENTS)
+def test_an_even_exponent_row_whose_total_overflows_reads_the_svd(p):
+    # each block's trace is finite, about 1.2e308, and their sum, plain or
+    # weighted, overflows: the row is read again from its singular values,
+    # bit for bit as one SVD per block reads it, and stays finite
+    alg = make_algebra([1, 1])
+    t = 1.2e308 ** (1.0 / p)
+    rows = np.array([[t, t], [t, 0.0], [0.0, t]], dtype=complex)
+    for weights in (None, [1.0, 4.0]):
+        got = lp_norms(alg, p, rows, weights)
+        assert got.tobytes() == lp_norms_per_block(alg, p, rows, weights).tobytes()
+        assert np.isfinite(got).all() and got[0] > got[1]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.5, 6.0, 7.0, 8.0, 10.0, 100.0, 2000.0])
+def test_other_exponents_keep_the_singular_value_kernel_bitwise(p):
+    """Off {2, 4} the norms are read off singular values as before:
+    lp_norms, lp_norm and clarkson_defect bit for bit one SVD per block, on
+    rows at 1e-150, 1 and 1e150 and with a NaN or infinite entry, and the
+    image norms of a stack those of its `_image_svdvals` (p >= 2) or
+    `_svdvals`."""
+    alg = make_algebra([2, 1, 2])
+    rng = rng_for(22)
+    rows = np.stack([c * random_element(alg, rng).vec() for c in (1e-150, 1.0, 1e150, 1.0, 1.0)])
+    rows[3, 0], rows[4, -1] = np.nan, np.inf
+    for weights in (None, [0.5, 2.0, 1.5]):
+        want = _oracle_outcome(alg, p, rows, weights)
+        assert _outcome(lambda: lp_norms(alg, p, rows, weights)) == want
+        vecs = [LpVector.from_element(AlgebraElement.from_vec(alg, r), p) for r in rows]
+        assert _outcome(lambda: [lp_norm(h, weights) for h in vecs]) == want
+    for i, j in [(0, 1), (1, 2), (1, 1)]:
+        assert _same_clarkson(vecs[i], vecs[j])
+    stack = np.stack([random_element(make_algebra([3]), rng).data[0] for _ in range(3)])
+    kernel = _image_svdvals if p >= 2.0 else _svdvals
+    for stacks in ([stack], [stack[:, :2], stack]):
+        got = _norms_from_singular_values(_image_singular_values(stacks, p), p)
+        assert got == _norms_from_singular_values(_stack_singular_values(stacks, kernel), p)
+
+
 @st.composite
 def _image_stacks(draw):
     """An (N, r, c) stack of seeded complex matrices of one rank, scaled by
@@ -662,16 +854,22 @@ def _image_stacks(draw):
 )
 def test_the_image_kernel_stays_within_the_gram_bound_of_the_svd(stack, p, low):
     """For p >= 2 the image norms read off Gram eigenvalues agree with the
-    SVD's within `gram_norm_bounds` plus the SVD's own NORM_ROUNDING; a stack
-    with a NaN or infinite entry reads as the SVD reads it.  For p < 2 the
-    kernel is the SVD bit for bit."""
+    SVD's within `gram_norm_bounds` plus the SVD's own NORM_ROUNDING, and at
+    p in {2, 4}, read off Gram traces, within `trace_bounds` plus
+    NORM_ROUNDING; a stack with a NaN or infinite entry reads as the SVD
+    reads it.  For p < 2 the kernel is the SVD bit for bit."""
     want = _svdvals(stack)
-    ((got, _),) = _image_singular_values([stack], p)
-    if not np.isfinite(stack).all():
-        assert np.array_equal(got, want, equal_nan=True)
-    norms = np.array(_norms_from_singular_values([(got, (0,))], p))
     exact = np.array(_norms_from_singular_values([(want, (0,))], p))
-    relative, absolute = gram_norm_bounds([stack.shape[1:]], p)
+    if p in _TRACE_EXPONENTS:
+        # Gram traces: within `trace_bounds`, with no absolute part
+        norms = np.array(_norms_from_singular_values(_image_singular_values([stack], p), p))
+        relative, absolute = trace_bounds([sorted(stack.shape[1:])], p), 0.0
+    else:
+        ((got, _),) = _image_singular_values([stack], p)
+        if not np.isfinite(stack).all():
+            assert np.array_equal(got, want, equal_nan=True)
+        norms = np.array(_norms_from_singular_values([(got, (0,))], p))
+        relative, absolute = gram_norm_bounds([stack.shape[1:]], p)
     room = (relative + NORM_ROUNDING) * exact + absolute
     assert np.array_equal(np.isnan(norms), np.isnan(exact))
     finite = np.isfinite(exact)

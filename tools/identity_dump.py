@@ -88,8 +88,8 @@ right supports of the images in each target block, and the largest ratio
 to ``SUPPORT_ALLOWANCE`` of the bound on what measuring the sampled defects
 on those supports would change if every rank-deficient block compressed,
 over the plans of ``isometry_defect`` and ``two_isometry_defect``; per
-plan (n = 1, then 2), the kernel its image stacks take (``gram`` for Gram
-eigenvalues, ``svd``), and the largest relative gap between the image
+plan (n = 1, then 2), the kernel its image stacks take (``trace`` for Gram
+traces, ``gram`` for Gram eigenvalues, ``svd``), and the largest relative gap between the image
 norms the defects read, the Gram sums of the row and column witnesses
 included, and the SVD's of the stacks over the rows of both plans.
 The conditioning records hold, for the canonical data of the five
@@ -226,14 +226,20 @@ def _stage1_record(F) -> dict:
     """(m, k_l, k_r) of each target block's image supports; the largest
     ratio to the allowance of the bound on what compressing every
     rank-deficient block would change, over the plans of both defects; per
-    plan, the kernel its image stacks take; and the largest relative gap
+    plan, the kernel its image stacks take (Gram traces, eigenvalues or the
+    SVD); and the largest relative gap
     between the image norms the defects read (`_image_norms`, the Gram sums
     of the row and column witnesses included) and the SVD's of the stacks,
     over the rows of both plans."""
     import numpy as np
 
     from nclp.isometry import SUPPORT_ALLOWANCE, _image_norms, _image_stacks, _image_supports, _plan
-    from nclp.lp import _gram_svdvals, _norms_from_singular_values, _stack_singular_values
+    from nclp.lp import (
+        _TRACE_EXPONENTS,
+        _gram_svdvals,
+        _norms_from_singular_values,
+        _stack_singular_values,
+    )
 
     supports = _image_supports(F)
     total = sum(s.tail * s.size ** (1.0 / F.p) for s in supports if s.compresses)
@@ -246,7 +252,7 @@ def _stage1_record(F) -> dict:
         worst = max(worst, ratio * total / SUPPORT_ALLOWANCE)
         stacks = _image_stacks(F, plan, norms)
         gram = F.p >= 2.0 and all(_gram_svdvals(stack) is not None for stack in stacks)
-        kernels.append("gram" if gram else "svd")
+        kernels.append("trace" if F.p in _TRACE_EXPONENTS else "gram" if gram else "svd")
         got = _image_norms(F, plan, norms)
         want = np.asarray(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
         read = want > 0.0
