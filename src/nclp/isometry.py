@@ -49,16 +49,14 @@ from .expectation import (
 from .lp import (
     LpMap,
     LpVector,
-    _TRACE_EXPONENTS,
     _amplified_positions,
-    _gram_sum_svdvals,
-    _gram_sum_traces,
-    _image_singular_values,
+    _grouped_norms,
     _lp_exponent,
-    _norms_from_singular_values,
+    _pair_route,
     _rank_masks,
+    _reads_pairs,
     _singular_values,
-    _svdvals,
+    _stack_groups,
     amplified_algebra,
     conjugate_exponent,
     lp_norms,
@@ -427,33 +425,29 @@ def _image_stacks(T: LpMap, plan: _Plan, norms: np.ndarray) -> list[np.ndarray]:
 
 def _image_norms(T: LpMap, plan: _Plan, norms: np.ndarray) -> np.ndarray:
     """The p-norms ||(id_n (x) T) h||_p, p = T.p, of the rows h of the plan,
-    with norms ||h||_p, measured on the rows of `_measured_matrix`.
-
-    For p >= 2 the row and column witnesses take `_gram_sum_norms`.  Every
-    other row takes `_image_singular_values` of its stacks, as
-    `_image_stacks` builds them: Gram traces at p in {2, 4}."""
+    with norms ||h||_p, measured on the rows of `_measured_matrix`: the row
+    and column witnesses through `_gram_sum_norms` where `lp._reads_pairs`,
+    every other row through the image route of `lp._stack_groups` on its
+    stacks, as `_image_stacks` builds them."""
     matrix, shapes = _measured_matrix(T, plan, norms)
-    if T.p < 2.0 or not plan.witnesses.size:
+    if not (plan.witnesses.size and _reads_pairs(T.p)):
         stacks = _block_stacks(_slice_images(matrix, plan.units, plan.samples), shapes, plan.n)
-        return np.array(_norms_from_singular_values(_image_singular_values(stacks, T.p), T.p))
+        return np.array(_grouped_norms(_stack_groups(stacks, T.p, images=True), T.p))
     out = np.empty(len(plan.l1))
     out[plan.witnesses] = _gram_sum_norms(T, matrix, shapes, plan)
     # the witnesses close the structured rows: the others are the rows
     # before them, then the samples
     before = plan.units[: len(plan.units) - len(plan.witnesses)]
     stacks = _block_stacks(_slice_images(matrix, before, plan.samples), shapes, plan.n)
-    out[plan.others] = _norms_from_singular_values(_image_singular_values(stacks, T.p), T.p)
+    out[plan.others] = _grouped_norms(_stack_groups(stacks, T.p, images=True), T.p)
     return out
 
 
 def _gram_sum_norms(T: LpMap, matrix, shapes, plan: _Plan) -> list[float]:
     """The image norms of the row and column witnesses of the plan, in its
-    order: per target block of (k_l, k_r), `_gram_sum_traces` at p in
-    _TRACE_EXPONENTS and `_gram_sum_svdvals` at every other p of the
-    images of the units they name (those columns of the block's rows of the
-    matrix), within the bounds of the `lp` module docstring.  A block where
-    the latter gives None, and a witness whose trace is refused, read the
-    SVD of the witnesses' stacks, built once."""
+    order: per target block of (k_l, k_r), `lp._pair_route` of the images
+    of the units they name (those columns of the block's rows of the
+    matrix), whose fallbacks read the witnesses' stacks, built once."""
     p = T.p
 
     @lru_cache(maxsize=None)
@@ -464,15 +458,10 @@ def _gram_sum_norms(T: LpMap, matrix, shapes, plan: _Plan) -> list[float]:
     groups, start, used = [], 0, plan.used
     for b, (kl, kr) in enumerate(shapes):
         images = matrix[start : start + kl * kr, used].T.reshape(-1, kl, kr)
-        if p in _TRACE_EXPONENTS:
-            values = _gram_sum_traces(images, plan.pairs, p, lambda rows, b=b: stacks()[b][rows])
-        else:
-            values = _gram_sum_svdvals(images, plan.pairs)
-            if values is None:
-                values = _svdvals(stacks()[b])
+        values = _pair_route(images, plan.pairs, p, lambda rows, b=b: stacks()[b][rows])
         groups.append((values, (b,)))
         start += kl * kr
-    return _norms_from_singular_values(groups, p)
+    return _grouped_norms(groups, p)
 
 
 _EMPTY = _read_only(np.zeros(0, dtype=int))[0]
@@ -511,7 +500,7 @@ class _Plan(NamedTuple):
 
     def norms(self, p: float, weights=None) -> np.ndarray:
         """Each row's ||h||_p, with the blocks weighted by weights."""
-        return np.array(_norms_from_singular_values(self.groups, p, weights))
+        return np.array(_grouped_norms(self.groups, p, weights))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -3,68 +3,62 @@ Mazur maps, and amplified maps.
 
 An L_p vector is stored exactly like an algebra element; the exponent rides
 along.  Norms are computed from p-th power sums S = ||Y||_p^p = tr |Y|^p
-of each block Y, never from logs of near-singular matrices, and the source
-of those sums is chosen by p alone (`_norm_groups`):
-
-- at p in {2, 4}, S is read off Gram traces with no spectrum
-  (`_gram_traces`): ||Y||_F^2 at p = 2 and ||G||_F^2 at p = 4, G the Gram
-  matrix Y* Y or Y Y*, whichever is smaller.  This serves `lp_norm`,
-  `lp_norms`, `clarkson_defect`, the interpolation gaps and the images of
-  the sampled defects; for a row [Y_i Y_j] or a column [Y_i; Y_j] of two
-  images the Gram matrix is G_i + G_j, with G = Y Y*, or H_i + H_j, with
-  H = Y* Y (`_gram_sum_traces`);
-- at every other p from singular values: the SVD for `lp_norm`, `lp_norms`
-  and `clarkson_defect`, and for the images of the sampled defects at
-  p >= 2 the square roots of the eigenvalues of the Gram matrix of each
-  image (`_image_svdvals`) or of the sums above (`_gram_sum_svdvals`); the
-  other singular values of such a row are exactly 0.
+of each block Y, never from logs of near-singular matrices.  One route
+table picks their source by p, for a stack (`_stack_route`) and for the
+rows [Y_i Y_j] and columns [Y_i; Y_j] of pairs of images (`_pair_route`):
+at p in {2, 4} Gram traces; at every other p >= 2, for the images of the
+sampled defects, the square roots of Gram eigenvalues; else the SVD.
 
 Let the Gram matrix be k x k with entries that are inner products of
 length q: k = min(r, c) and q = max(r, c) for an image of r x c, and
-k = r, q = 2 c for the sums of a row of two (k = c, q = 2 r for a column),
-each entry two inner products of length c added, since Higham's bound holds
-for any order of summation.  With unit roundoff u, the computed Gram
-matrix is G + E with |E_ij| <= g |y_i| |y_j|, g = sqrt(2) (q + 2) u
-(Higham, Accuracy and Stability, 3.5), so ||E||_F <= g ||Y||_F^2 = g tr G.
+k = r, q = 2 c for the sums G_i + G_j (G = Y Y*) of a row of two (k = c,
+q = 2 r for a column, H_i + H_j with H = Y* Y), each entry two inner
+products of length c added, since Higham's bound holds for any order of
+summation.  With unit roundoff u, the computed Gram matrix is G + E with
+|E_ij| <= g |y_i| |y_j|, g = sqrt(2) (q + 2) u (Higham, Accuracy and
+Stability, 3.5), so ||E||_F <= g ||Y||_F^2 = g tr G.
 
-Gram traces.  At p = 4, S^{1/2} = ||G||_F, which E moves by at most
-||E||_F <= g tr G <= g sqrt(r) ||G||_F, r the rank of Y (Cauchy-Schwarz on
-the eigenvalues of G); so ||Y||_4 = ||G||_F^{1/2} moves by at most
+Gram traces (`_gram_traces`, `_gram_sum_traces`).  S is ||Y||_F^2 at
+p = 2 and ||G||_F^2 at p = 4.  At p = 4, S^{1/2} = ||G||_F, which E moves by
+at most ||E||_F <= g tr G <= g sqrt(r) ||G||_F, r the rank of Y
+(Cauchy-Schwarz on the eigenvalues of G); so ||Y||_4 moves by at most
 g sqrt(r) / 2 relative, and the sum of the 2 k^2 squares that make S
 adds k^2 u / 2.  At p = 2 the sum of the 2 k q squares moves ||Y||_2 by at
 most k q u.  `trace_bounds` in the tests' dense oracles adds these per
-block.  The route is guarded after the fact, as the singular values guard
-overflow below, on each row's total of block sums (`_norms_from_traces`):
-a total that is not finite (a NaN or infinite entry, a product or sum that
-overflows) or below the floor tiny / u = 2^-969 times the largest block
-weight refuses its row.  Above the floor, a product that underflows moves
-the total by at most u^2 relative, since it errs by at most tiny u
-absolute.  A refused row is read again from the singular values of its
-blocks, so NaN and infinite entries read as there, and the top singular
-value is factored out where the sum overflows or underflows; a row of zero
-blocks reads its 0 there.  No stack is scanned before: the guard reads the
-totals, one sum and one min of a list when no row is refused.
+block.  Above the guard's floor, a product that underflows moves the total
+by at most u^2 relative, since it errs by at most tiny u absolute.
 
-Gram eigenvalues.  eigvalsh's backward error moves each eigenvalue by at
-most eta ||Y||_2^2, eta = k (sqrt(2) (q + 2) + 1) u (Weyl's inequality).
-For p >= 2, ||Y||_p^2 is the l_{p/2} norm of the k eigenvalues, so ||Y||_p
-moves by at most k^{2/p} eta / 2 relative; a Gram matrix that underflows
-adds at most 2 sqrt(k^{1+2/p} q tiny) absolute, tiny the smallest normal
-float (1.2e-152 at k = q = 12).  For p < 2 no such bound holds: at p = 1
-the Gram route errs by up to 3.5e-8 relative on the benchmark's
-rank-deficient images, so those keep the SVD.  A Gram stack that eigvalsh
-rejects, or with an eigenvalue that is not finite (a NaN or infinite
-entry, an overflowing Gram matrix), goes to the SVD instead
-(`_gram_values`); finite eigenvalues whose sum passes the float max stay
-on the Gram route.
+Gram eigenvalues (`_gram_svdvals`, `_gram_sum_svdvals`; the other singular
+values of a row of two are exactly 0).  eigvalsh's backward error moves
+each eigenvalue by at most eta ||Y||_2^2, eta = k (sqrt(2) (q + 2) + 1) u
+(Weyl's inequality).  For p >= 2, ||Y||_p^2 is the l_{p/2} norm of the k
+eigenvalues, so ||Y||_p moves by at most k^{2/p} eta / 2 relative; a Gram
+matrix that underflows adds at most 2 sqrt(k^{1+2/p} q tiny) absolute,
+tiny the smallest normal float (1.2e-152 at k = q = 12).  For p < 2 no
+such bound holds: at p = 1 the Gram route errs by up to 3.5e-8 relative on
+the benchmark's rank-deficient images, so those keep the SVD.  A Gram stack
+that eigvalsh rejects, or with an eigenvalue that is not finite (a NaN or
+infinite entry, an overflowing Gram matrix), reads the SVD instead
+(`_gram_values`); finite eigenvalues whose sum passes the float max stay.
 
-The p-th-power step (`_norms_from_singular_values`) is paid per distinct
-block shape, as the SVDs and traces are: one sum of powers and one
-`tolist` over the rows of all blocks of that shape, then each row's block
-sums added as Python floats in block order, which is the arithmetic of one
-sum per block.  Overflow is ruled out from the largest singular value
-before the powers are taken (`_power_sums`); only a shape where it cannot
-be takes them with overflow ignored.
+The guard (`_grouped_norms`) reads each row's total of block sums after
+the fact; no stack is scanned before.  A total that is NaN, inf or below
+its route's floor refuses its row: tiny / u = 2^-969 times the largest
+block weight for Gram traces, where underflow could have moved it by more
+than u^2, and the least positive float for singular values.  A refused row
+reads its singular values again, a values route its stored ones and a
+trace route the SVD of its matrices (`_svdvals`, which reads NaN and
+infinite entries), and takes their plain sum; where that overflows or
+underflows to 0, the top one is factored out,
+s_max (sum w (s / s_max)^p)^(1/p) (Higham, Accuracy and Stability, 27).
+
+The p-th-power step is paid per distinct block shape, as the SVDs and
+traces are: one sum of powers and one `tolist` over the rows of all blocks
+of that shape, then each row's block sums added as Python floats in block
+order, which is the arithmetic of one sum per block.  Overflow is ruled
+out from the largest singular value before the powers are taken
+(`_power_sums`); only a shape where it cannot be takes them with overflow
+ignored.
 """
 
 from __future__ import annotations
@@ -94,10 +88,11 @@ from .errors import (
 )
 
 RANK_REL_TOL = 1e-10  # singular values below this fraction of the top one are zeros
-# the exponents whose p-th power sums are read off Gram traces, and the least
-# such sum that underflow cannot have moved: tiny / u = 2^-969
+# the exponents whose p-th power sums are read off Gram traces, and the
+# guard's floors for traces (per unit block weight) and singular values
 _TRACE_EXPONENTS = (2.0, 4.0)
 _TRACE_FLOOR = np.finfo(float).tiny / (np.finfo(float).eps / 2)
+_VALUES_FLOOR = math.ulp(0.0)
 
 
 def _lp_exponent(value: float, name: str = "p") -> float:
@@ -170,10 +165,10 @@ def lp_norm(h: LpVector, weights: Sequence[float] | None = None) -> float:
 
 
 def _block_lp_norm(blocks: Sequence[np.ndarray], p: float, weights=None) -> float:
-    """`lp_norm` of the vector with the given blocks, each block a stack of
-    one for the kernel of `lp_norms`; p must already be a valid exponent."""
-    groups = _norm_groups([b[None] for b in blocks], p)
-    return _norms_from_singular_values(groups, p, weights)[0]
+    """`lp_norm` of the vector with the given complex blocks, each block a
+    stack of one for the kernel of `lp_norms`; p must already be a valid
+    exponent."""
+    return _grouped_norms(_stack_groups([b[None] for b in blocks], p), p, weights)[0]
 
 
 def _svdvals(stack: np.ndarray) -> np.ndarray:
@@ -259,17 +254,11 @@ def _gram_sum_svdvals(images: np.ndarray, pairs: np.ndarray):
     return values
 
 
-def _image_svdvals(stack: np.ndarray) -> np.ndarray:
-    """`_gram_svdvals` of the stack, or `_svdvals` where it gives None."""
-    values = _gram_svdvals(stack)
-    return _svdvals(stack) if values is None else values
-
-
 class _Traces(NamedTuple):
     """The p-th power sums ||Y||_p^p of the matrices Y of a stack, one per
     matrix, read off Gram traces (`_gram_traces`, `_gram_sum_traces`), and
     `matrices`, which gives the matrices at given indices: a row that the
-    guard refuses reads their singular values instead (`_norms_from_traces`)."""
+    guard refuses reads their singular values instead (`_grouped_norms`)."""
 
     sums: np.ndarray
     matrices: Callable[[np.ndarray], np.ndarray]
@@ -285,12 +274,10 @@ def _squares(stack: np.ndarray) -> np.ndarray:
 
 
 def _gram_traces(stack: np.ndarray, p: float) -> _Traces:
-    """The `_Traces` of an (N, r, c) stack at p in _TRACE_EXPONENTS: the
-    `_squares` of each matrix at p = 2 and of its `_gram` matrix at p = 4.
-    The stack is read in double precision, complex128 or float64, whatever
-    its dtype (the rows of `lp_norms` may have any).  Overflow and NaN are
-    left unwarned; the guard sees them."""
-    stack = np.asarray(stack, dtype=complex if np.iscomplexobj(stack) else float)
+    """The `_Traces` of an (N, r, c) stack of complex128 or float64 entries
+    at p in _TRACE_EXPONENTS: the `_squares` of each matrix at p = 2 and of
+    its `_gram` matrix at p = 4.  Overflow and NaN are left unwarned; the
+    guard sees them."""
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _squares(stack if p == 2.0 else _gram(stack))
     return _Traces(sums, stack.__getitem__)
@@ -310,52 +297,80 @@ def _gram_sum_traces(images: np.ndarray, pairs: np.ndarray, p: float, matrices) 
     return _Traces(sums, matrices)
 
 
-def _stack_singular_values(stacks: Sequence[np.ndarray], kernel=_svdvals) -> list[tuple]:
-    """The singular values of each block's (N, r, c) stack, per distinct
-    matrix shape: one call of the kernel on the stacks of that shape joined,
-    as a pair (values, blocks) with the blocks in order, the j-th owning rows
-    j N to (j + 1) N of the values.  LAPACK sees each matrix alone, so the
-    values do not depend on the grouping, except that `_image_svdvals` sends
-    a joined stack to the SVD as a whole.  A kernel may give `_Traces` in
-    place of the values, with the same rows."""
+def _stack_route(stack: np.ndarray, p: float | None, images: bool = False) -> tuple[str, object]:
+    """The route table's entry for an (N, r, c) stack at p, as the route's
+    name and what it reads: "trace", the `_gram_traces`, at p in
+    _TRACE_EXPONENTS; "gram", the `_gram_svdvals` of images at every other
+    p >= 2 unless they are None; else "svd", the `_svdvals`, which at
+    p = None serve every exponent."""
+    if p in _TRACE_EXPONENTS:
+        return "trace", _gram_traces(stack, p)
+    if images and p >= 2.0:
+        values = _gram_svdvals(stack)
+        if values is not None:
+            return "gram", values
+    return "svd", _svdvals(stack)
+
+
+def _reads_pairs(p: float) -> bool:
+    """Whether `_pair_route` reads the rows and columns of pairs of images at
+    p: where their Gram sums are bounded; else they are stacks like any other."""
+    return p >= 2.0
+
+
+def _pair_route(images: np.ndarray, pairs: np.ndarray, p: float, matrices):
+    """The route table's entry for the rows [Y_i Y_j] and columns [Y_i; Y_j]
+    of pairs of images Y_u of an (U, r, c) stack, in `_gram_sum_svdvals`
+    order, where `_reads_pairs`: their `_gram_sum_traces` at p in
+    _TRACE_EXPONENTS, else their `_gram_sum_svdvals`, or where those are
+    None the `_svdvals` of `matrices(indices)`, which builds them."""
+    if p in _TRACE_EXPONENTS:
+        return _gram_sum_traces(images, pairs, p, matrices)
+    values = _gram_sum_svdvals(images, pairs)
+    return _svdvals(matrices(slice(None))) if values is None else values
+
+
+def _stack_groups(
+    stacks: Sequence[np.ndarray], p: float | None = None, images: bool = False
+) -> list[tuple]:
+    """What the p-norms of the rows of each block's (N, r, c) stack are read
+    from, per distinct matrix shape: the `_stack_route` of the stacks of
+    that shape joined, as a pair (sums, blocks) with the blocks in order,
+    the j-th owning rows j N to (j + 1) N of the sums.  LAPACK sees each
+    matrix alone, so the values do not depend on the grouping, except that
+    a joined stack takes the Gram route or the SVD as a whole."""
     if len(stacks) == 1:
-        return [(kernel(stacks[0]), (0,))]
+        return [(_stack_route(stacks[0], p, images)[1], (0,))]
     shapes = [stack.shape[1:] for stack in stacks]
     groups = []
     for shape in dict.fromkeys(shapes):
         group = tuple(b for b, s in enumerate(shapes) if s == shape)
         joined = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[b] for b in group])
-        groups.append((kernel(joined), group))
+        groups.append((_stack_route(joined, p, images)[1], group))
     return groups
 
 
-def _norm_groups(stacks: Sequence[np.ndarray], p: float, kernel=_svdvals) -> list[tuple]:
-    """What the p-norms of the rows of the stacks are read from, grouped as
-    `_stack_singular_values` groups them: `_gram_traces` at p in
-    _TRACE_EXPONENTS, the kernel's singular values at every other p."""
-    if p in _TRACE_EXPONENTS:
-        return _stack_singular_values(stacks, lambda stack: _gram_traces(stack, p))
-    return _stack_singular_values(stacks, kernel)
+def _reread(groups: Sequence[tuple], rows: np.ndarray, count: int) -> list[tuple]:
+    """The singular values of the rows at these indices, of `count` rows
+    grouped as `_stack_groups` groups them: a values group gives its own, a
+    `_Traces` group the SVD of those rows' matrices in each of its blocks."""
+    out = []
+    for sums, blocks in groups:
+        picked = np.concatenate([j * count + rows for j in range(len(blocks))])
+        values = _svdvals(sums.matrices(picked)) if isinstance(sums, _Traces) else sums[picked]
+        out.append((values, blocks))
+    return out
 
 
 def _block_values(groups: Sequence[tuple]) -> list[np.ndarray]:
     """The singular values of each block's stack, in block order, as views
-    of the groups of `_stack_singular_values`."""
+    of the groups of `_stack_groups`."""
     out = {}
     for values, blocks in groups:
         n = len(values) // len(blocks)
         for j, b in enumerate(blocks):
             out[b] = values[j * n : (j + 1) * n]
     return [out[b] for b in range(len(out))]
-
-
-def _image_singular_values(stacks: Sequence[np.ndarray], p: float) -> list[tuple]:
-    """What the p-norms of a map's images are read from, grouped as
-    `_stack_singular_values` groups them: Gram traces at p in
-    _TRACE_EXPONENTS, Hermitian Gram eigenvalues at every other p >= 2
-    (`_image_svdvals`), else the SVD; see the module docstring for the
-    bounds."""
-    return _norm_groups(stacks, p, _image_svdvals if p >= 2.0 else _svdvals)
 
 
 def _row_stacks(algebra: Algebra, rows: np.ndarray) -> list[np.ndarray]:
@@ -366,26 +381,22 @@ def _row_stacks(algebra: Algebra, rows: np.ndarray) -> list[np.ndarray]:
 
 def _singular_values(algebra: Algebra, rows: np.ndarray) -> list[tuple]:
     """The singular values of each row's blocks, grouped per block size as
-    `_stack_singular_values` groups them."""
-    return _stack_singular_values(_row_stacks(algebra, rows))
+    `_stack_groups` groups them."""
+    return _stack_groups(_row_stacks(algebra, rows))
 
 
 def lp_norms(
     algebra: Algebra, p: float, rows: np.ndarray, weights: Sequence[float] | None = None
 ) -> np.ndarray:
     """The p-norms of the rows of an N x total_dim array, each row a vector
-    in the normative vectorization; one stacked SVD per distinct block size,
-    or at p in {2, 4} one Gram trace (see the module docstring).
-
-    A row whose sum of p-th powers overflows, or underflows to zero, is
-    recomputed with its top singular value factored out,
-    s_max (sum w (s / s_max)^p)^(1/p) (Higham, Accuracy and Stability, 27).
-    A row whose top singular value is inf reads inf; for NaN see `_svdvals`."""
+    in the normative vectorization, read in double precision whatever their
+    dtype: one stacked SVD or Gram trace per distinct block size, under the
+    guard of the module docstring."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != algebra.total_dim:
         raise ShapeMismatch(f"rows of shape {rows.shape} are not N x {algebra.total_dim}")
-    groups = _norm_groups(_row_stacks(algebra, rows), p)
-    return np.array(_norms_from_singular_values(groups, p, weights))
+    rows = np.asarray(rows, dtype=complex if np.iscomplexobj(rows) else float)
+    return np.array(_grouped_norms(_stack_groups(_row_stacks(algebra, rows), p), p, weights))
 
 
 def _power_sums(values: np.ndarray, p: float) -> list[float]:
@@ -426,20 +437,18 @@ def _trace_weights(count: int, weights: Sequence[float]) -> list[float]:
     return weights
 
 
-def _norms_from_singular_values(groups: Sequence[tuple], p: float, weights=None) -> list[float]:
-    """`lp_norms` of the rows with the given singular values, grouped per
-    block shape as `_stack_singular_values` groups them, as a list; groups
-    of `_Traces` give their sums in place of the powers, under the guard of
-    `_norms_from_traces`.
+def _grouped_norms(groups: Sequence[tuple], p: float, weights=None) -> list[float]:
+    """`lp_norms` of the rows whose block sums the groups of `_stack_groups`
+    hold, as a list, under the guard of the module docstring.
 
-    Each shape takes one sum of p-th powers over the rows of all its blocks
-    and one `tolist` (`_power_sums`).  Each row's block sums are then added
-    in block order as Python floats, t_1 + t_2 + ... unweighted and
+    A shape's sums are read once: a `_Traces` group's as they are, a values
+    group's as one sum of p-th powers over the rows of all its blocks and
+    one `tolist` (`_power_sums`).  Each row's block sums are then added in
+    block order as Python floats, t_1 + t_2 + ... unweighted and
     0.0 + w_1 t_1 + w_2 t_2 + ... weighted: the float64 arithmetic of one
     sum per block, where an overflow gives inf without a warning.  The root
     is taken per row as a Python float, which np.power differs from by an
-    ulp.  A row whose sum overflows, or underflows to zero, is recomputed
-    with its top singular value factored out."""
+    ulp."""
     traced = isinstance(groups[0][0], _Traces)
     count = 0
     for _, blocks in groups:
@@ -462,48 +471,26 @@ def _norms_from_singular_values(groups: Sequence[tuple], p: float, weights=None)
         total = [0.0 + ws[0] * t for t in per_block[0]]
         for w, t in zip(ws[1:], per_block[1:]):
             total = [a + w * b for a, b in zip(total, t)]
-    if traced:
-        return _norms_from_traces(groups, p, total, None if weights is None else ws)
     root = 1.0 / p
     norms = [t**root for t in total]
-    # only rows that overflow, or underflow to zero, need the top value
-    if 0.0 not in total and math.inf not in total:
-        return norms
-    svals = _block_values(groups)
-    top = np.max([s[:, 0] for s in svals], axis=0)
-    for r, t in enumerate(total):  # a row whose top value is inf keeps the norm inf
-        if (t == 0.0 or t == math.inf) and 0.0 < top[r] < math.inf:
-            scaled = sum(w * float(np.sum((s[r] / top[r]) ** p)) for w, s in zip(ws, svals))
-            norms[r] = float(top[r]) * scaled**root
-    return norms
-
-
-def _norms_from_traces(groups: Sequence[tuple], p: float, total: list, ws) -> list[float]:
-    """The norms of the rows with these totals of the sums of the groups of
-    `_Traces`, under a guard that reads the totals after the fact.  A total
-    that is not finite (a NaN or infinite entry, a product or sum that
-    overflows) or below _TRACE_FLOOR times the largest weight ws, where a
-    product that underflows could have moved it by more than u^2 relative,
-    refuses its row.  A refused row is read again from the singular values
-    of its blocks, so NaN and infinite entries, zero rows, and the top
-    singular value factored out where the sum overflows or underflows, read
-    there as they read through the SVD.  NaN fails both tests of the common
-    case, which reads no entry."""
-    root = 1.0 / p
-    floor = _TRACE_FLOOR * (1.0 if ws is None else max(ws))
-    norms = [t**root for t in total]
-    if sum(total) < math.inf and min(total, default=math.inf) >= floor:
+    floor = _TRACE_FLOOR * max(ws) if traced else _VALUES_FLOOR
+    if sum(total) < math.inf and min(total or [floor]) >= floor:  # NaN fails the sum
         return norms
     refused = [r for r, t in enumerate(total) if not floor <= t < math.inf]
     if not refused:
         return norms
-    rows, again = np.array(refused), []
-    for traces, blocks in groups:
-        # the matrices of the refused rows in every block of the group, block by block
-        n = len(traces.sums) // len(blocks)
-        matrices = traces.matrices(np.concatenate([j * n + rows for j in range(len(blocks))]))
-        again.append((_svdvals(matrices), blocks))
-    for r, norm in zip(refused, _norms_from_singular_values(again, p, ws)):
+    again = _reread(groups, np.array(refused), len(total))
+    if traced:  # the plain sums of the singular values, under their own floor
+        fresh = _grouped_norms(again, p, weights)
+    else:  # the plain sums are the refused totals: factor the top value out
+        svals = _block_values(again)
+        top = np.max([s[:, 0] for s in svals], axis=0)
+        fresh = [norms[r] for r in refused]
+        for i, s_max in enumerate(top):  # a row whose top value is inf keeps the norm inf
+            if 0.0 < s_max < math.inf:
+                scaled = sum(w * float(np.sum((s[i] / s_max) ** p)) for w, s in zip(ws, svals))
+                fresh[i] = float(s_max) * scaled**root
+    for r, norm in zip(refused, fresh):
         norms[r] = norm
     return norms
 
@@ -644,17 +631,19 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
         raise ExponentMismatch("vectors carry different exponents")
     p = h.p
     rows = [np.array([a + b, a - b, a, b]) for a, b in zip(h.data, k.data)]
-    groups = _norm_groups(rows, p)
-    n_sum, n_diff, n_h, n_k = _norms_from_singular_values(groups, p)
+    groups = _stack_groups(rows, p)
+    n_sum, n_diff, n_h, n_k = _grouped_norms(groups, p)
     # at large p the powers overflow and inf - inf is NaN; then each p-th power
     # is a sum of s^p with the top singular value factored out, as in lp_norms,
-    # so that an exact cancellation gives 0 and only a nonzero excess overflows
+    # so that an exact cancellation gives 0 and only a nonzero excess overflows;
+    # the singular values are the groups' own, or the SVD of the rows at p in
+    # {2, 4}
     try:
         defect = abs(n_sum**p + n_diff**p - 2.0 * (n_h**p + n_k**p))
     except OverflowError:
         defect = np.inf
     if not math.isfinite(defect):
-        svals = _block_values(_stack_singular_values(rows) if p in _TRACE_EXPONENTS else groups)
+        svals = _block_values(_reread(groups, np.arange(4), 4))
         with np.errstate(over="ignore", invalid="ignore"):
             top = max(s.max() for s in svals)
             powers = sum(np.sum((s / top) ** p, axis=-1) for s in svals)

@@ -511,11 +511,25 @@ def validate_by_pairs(A) -> None:
 def lp_norms_per_block(algebra, p: float, rows: np.ndarray, weights=None) -> np.ndarray:
     """`nclp.lp.lp_norms` with one stacked SVD per block, each row's sum of
     p-th powers rescaled by its top singular value where it overflows or
-    underflows to zero."""
+    underflows to zero.  A row with a NaN entry reads NaN and one with an
+    infinite entry inf, as `nclp.lp._svdvals` reads them; the finite rows
+    take the SVD."""
+    rows = np.asarray(rows)
+    finite = np.isfinite(rows).all(axis=1)
     svals = [
-        np.linalg.svd(rows[:, off : off + n * n].reshape(-1, n, n), compute_uv=False)
+        np.linalg.svd(rows[finite, off : off + n * n].reshape(-1, n, n), compute_uv=False)
         for off, n in zip(algebra.offsets(), algebra.blocks)
     ]
+    out = np.where(np.isnan(rows).any(axis=1), np.nan, np.inf)
+    out[finite] = norms_of_values(svals, p, weights)
+    return out
+
+
+def norms_of_values(svals, p: float, weights=None) -> np.ndarray:
+    """The p-norms of the rows whose blocks have these singular values, one
+    (N, k) array of descending values per block: each row's weighted sum of
+    p-th powers, rescaled by its top singular value where it overflows or
+    underflows to zero, s_max (sum w (s / s_max)^p)^(1/p)."""
     ws = [1.0] * len(svals) if weights is None else [float(w) for w in weights]
     if len(ws) != len(svals):
         raise ShapeMismatch("one weight per block is required")
@@ -757,7 +771,7 @@ def gram_bounds(grams, p: float) -> tuple[float, float]:
       absolute part, and rounds each value by u.
     The relative part is the largest over the blocks, the absolute parts add
     (Minkowski), and the sum of the K values' p-th powers and its root in
-    `_norms_from_singular_values` add ((K + 1) / p + 1) u."""
+    `nclp.lp._grouped_norms` add ((K + 1) / p + 1) u."""
     u, tiny = np.finfo(float).eps / 2, np.finfo(float).tiny
     relative, absolute, count = 0.0, 0.0, 0
     for k, q in grams:
@@ -788,7 +802,7 @@ def trace_bounds(grams, p: float) -> float:
     A row whose total of block sums lies below tiny / u times the largest
     weight goes to the SVD, so underflow adds at most u^2 per square.  The
     relative part is the largest over the blocks, and the weighted sum of
-    the block sums and the root in `nclp.lp._norms_from_traces` add
+    the block sums and the root in `nclp.lp._grouped_norms` add
     (2 B / p + 1) u for B blocks."""
     u = np.finfo(float).eps / 2
     worst = 0.0

@@ -811,13 +811,13 @@ def test_interpolation_gap_takes_its_norms_at_p(monkeypatch):
     import nclp.lp as lp_module
 
     seen = []
-    kernel = lp_module._norms_from_singular_values
+    kernel = lp_module._grouped_norms
 
     def recorded(svals, p, weights=None):
         seen.append(p)
         return kernel(svals, p, weights)
 
-    monkeypatch.setattr(lp_module, "_norms_from_singular_values", recorded)
+    monkeypatch.setattr(lp_module, "_grouped_norms", recorded)
     A, phibar = random_invariant_inclusion(1)
     x = random_element(A.decomposition.algebra, rng_for(5))
     gap = interpolation_gap(A, phibar, x, 49.0)

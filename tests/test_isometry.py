@@ -26,6 +26,7 @@ from dense_oracles import (
     isometry_data_by_units,
     left_mult_matrix,
     norm_defect_on_full_images,
+    norms_of_values,
     plan_rows,
     rounding_room,
     grid_positions,
@@ -67,10 +68,9 @@ from nclp.lp import (
     LpMap,
     LpVector,
     _gram_svdvals,
-    _image_singular_values,
-    _norms_from_singular_values,
+    _grouped_norms,
     _singular_values,
-    _stack_singular_values,
+    _stack_groups,
     amplified_algebra,
     amplify_map,
     conjugate_exponent,
@@ -768,18 +768,38 @@ def test_metric_defects_survive_large_exponents():
     assert report.defects["reconstruction"] < METRIC_TOL
 
 
+def test_gram_eigenvalue_image_norms_factor_out_their_top_value():
+    """At p = 1000 the image norms of isometry_defect read Gram eigenvalues,
+    whose sums of p-th powers underflow to 0 on the map scaled by 0.1 and
+    overflow on the map scaled by 10: those rows read the norm of the rows'
+    `_gram_svdvals` values with the top one factored out, bit for bit, as
+    the oracle `norms_of_values` takes it, and the others the plain sum."""
+    T = build_isometry(random_isometry_data(0), 1000.0)
+    for scale, refused in ((0.1, 0.0), (10.0, np.inf)):
+        F = LpMap(T.source, T.target, 1000.0, scale * T.matrix)
+        plan, norms, _ = _plan(F, 1)
+        values = [_gram_svdvals(stack) for stack in isometry_module._image_stacks(F, plan, norms)]
+        assert all(v is not None for v in values)
+        with np.errstate(over="ignore"):
+            sums = sum(np.sum(v**F.p, axis=-1) for v in values)
+        assert (sums == refused).sum() >= len(sums) // 2
+        got = isometry_module._image_norms(F, plan, norms)
+        assert got.tobytes() == norms_of_values(values, F.p).tobytes()
+        assert np.isfinite(got).all() and (got > 0.0).all()
+
+
 def _nan_singular_values(monkeypatch):
     """Make the singular values the sampled defects read of their images NaN
     on one row, after the kernel of either exponent range."""
-    real = isometry_module._image_singular_values
+    real = isometry_module._stack_groups
 
-    def patched(stacks, p):
-        out = real(stacks, p)
+    def patched(stacks, p=None, images=False):
+        out = real(stacks, p, images)
         values = out[0][0]  # the values of the first block shape
         values[len(values) // 2] = np.nan
         return out
 
-    monkeypatch.setattr(isometry_module, "_image_singular_values", patched)
+    monkeypatch.setattr(isometry_module, "_stack_groups", patched)
 
 
 def _nan_rows(monkeypatch, pick):
@@ -833,14 +853,16 @@ def test_a_map_whose_gram_matrices_overflow_keeps_the_svd_defects():
 def test_a_nan_gram_sum_value_gives_a_nan_two_isometry_defect(monkeypatch):
     data = random_isometry_data(0)
     T = build_isometry(data, 3.0)
-    real = isometry_module._gram_sum_svdvals
+    import nclp.lp as lp_module
+
+    real = lp_module._gram_sum_svdvals
 
     def patched(images, pairs):
         values = real(images, pairs)
         values[len(values) // 2] = np.nan
         return values
 
-    monkeypatch.setattr(isometry_module, "_gram_sum_svdvals", patched)
+    monkeypatch.setattr(lp_module, "_gram_sum_svdvals", patched)
     assert np.isnan(two_isometry_defect(T))
     report = classify(T, data.reference_state, 3.0)
     assert report.verdict == "reject" and report.failing_stage == "two_isometry"
@@ -1741,10 +1763,10 @@ def _assert_gram_sum_norms(F, weights=None):
     _, shapes = isometry_module._measured_matrix(F, plan, norms)
     stacks = isometry_module._image_stacks(F, plan, norms)
     got = isometry_module._image_norms(F, plan, norms)
-    want = np.array(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
+    want = np.array(_grouped_norms(_stack_groups(stacks), F.p))
     others = plan.others
-    kernel = _image_singular_values([stack[others] for stack in stacks], F.p)
-    assert got[others].tobytes() == np.array(_norms_from_singular_values(kernel, F.p)).tobytes()
+    kernel = _stack_groups([stack[others] for stack in stacks], F.p, images=True)
+    assert got[others].tobytes() == np.array(_grouped_norms(kernel, F.p)).tobytes()
     # the other rows read their own Gram matrices for p >= 2
     count = len(plan.pairs)
     sides = (
@@ -1833,7 +1855,7 @@ def _assert_trace_norms(F, weights=None):
     _, shapes = isometry_module._measured_matrix(F, plan, norms)
     stacks = isometry_module._image_stacks(F, plan, norms)
     got = isometry_module._image_norms(F, plan, norms)
-    want = np.array(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
+    want = np.array(_grouped_norms(_stack_groups(stacks), F.p))
     count = len(plan.pairs)
     sides = (
         (plan.others, [(min(kl, kr) * 2, max(kl, kr) * 2) for kl, kr in shapes]),

@@ -32,10 +32,8 @@ from nclp.lp import (
     LpVector,
     _gram_sum_svdvals,
     _gram_svdvals,
-    _image_singular_values,
-    _image_svdvals,
-    _norms_from_singular_values,
-    _stack_singular_values,
+    _grouped_norms,
+    _stack_groups,
     _svdvals,
     amplify_map,
     clarkson_defect,
@@ -353,8 +351,8 @@ def test_finite_values_whose_sum_overflows_neither_warn_nor_read_nan():
 def _gram_room(values, svd_values, p, grams):
     """The norms of the rows of `values` and `svd_values`, and the room
     between them: `gram_bounds` of the grams plus the SVD's own rounding."""
-    got = np.array(_norms_from_singular_values([(values, (0,))], p))
-    want = np.array(_norms_from_singular_values([(svd_values, (0,))], p))
+    got = np.array(_grouped_norms([(values, (0,))], p))
+    want = np.array(_grouped_norms([(svd_values, (0,))], p))
     relative, absolute = gram_bounds(grams, p)
     return got, want, (relative + NORM_ROUNDING) * want + absolute
 
@@ -369,7 +367,7 @@ def test_the_gram_probe_keeps_finite_eigenvalues_whose_sum_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         values = _gram_svdvals(stack)
-        ((image_values, _),) = _image_singular_values([stack], 3.0)
+        ((image_values, _),) = _stack_groups([stack], 3.0, images=True)
         summed = _gram_sum_svdvals(np.concatenate([halves, halves]), pair)
         empty = _gram_svdvals(np.zeros((0, 2, 2), dtype=complex))
     assert values is not None and image_values.tobytes() == values.tobytes()
@@ -705,20 +703,6 @@ def test_the_norm_kernel_adds_the_block_sums_in_block_order(blocks, p):
 TRACE_SCALES = (1.0, 2.0**120, 2.0**-120, 2.0**-242, 1e200, 1e-200, 0.0)
 
 
-def _oracle_outcome(alg, p: float, rows: np.ndarray, weights) -> tuple:
-    """The `_outcome` of lp_norms_per_block on the finite rows, with a row
-    that has a NaN entry reading NaN and one with an infinite entry inf, as
-    `_svdvals` reads them."""
-
-    def norms():
-        out = np.where(np.isnan(rows).any(axis=1), np.nan, np.inf)
-        finite = np.isfinite(rows).all(axis=1)
-        out[finite] = lp_norms_per_block(alg, p, rows[finite], weights)
-        return out
-
-    return _outcome(norms)
-
-
 @st.composite
 def _trace_cases(draw):
     """At most 3 blocks of size at most 4, p in {2, 4}, optional
@@ -749,7 +733,7 @@ def test_even_exponents_agree_with_one_svd_per_block_within_the_trace_bound(case
     for row, entry in zip(rows, bad):
         if entry is not None:
             row[rng.integers(alg.total_dim)] = entry
-    want = _oracle_outcome(alg, p, rows, weights)
+    want = _outcome(lambda: lp_norms_per_block(alg, p, rows, weights))
     assert _same_norms(_outcome(lambda: lp_norms(alg, p, rows, weights)), want, blocks, p)
     vecs = [LpVector.from_element(AlgebraElement.from_vec(alg, r), p) for r in rows]
     assert _same_norms(_outcome(lambda: [lp_norm(h, weights) for h in vecs]), want, blocks, p)
@@ -770,21 +754,26 @@ def test_even_exponents_take_no_svd(monkeypatch, p):
     assert lp_norms(alg, p, rows[:0]).shape == (0,)
     lp_norm(h)
     clarkson_defect(h, k)
-    _norms_from_singular_values(_image_singular_values([stack[:, :2], stack], p), p)
+    _grouped_norms(_stack_groups([stack[:, :2], stack], p, images=True), p)
     assert calls == []
 
 
-@pytest.mark.parametrize("p", _TRACE_EXPONENTS)
+@pytest.mark.parametrize("p", [*_TRACE_EXPONENTS, 1.0, 1.5, 3.0, 7.0])
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
 def test_even_exponents_read_rows_of_any_dtype_in_double_precision(p, dtype):
     # single precision and integer rows, on blocks with an odd number of
-    # entries, are read as the doubles they hold: within `trace_bounds` of
-    # one SVD per block of the rows in complex128
+    # entries, are read as the doubles they hold: at p in {2, 4} within
+    # `trace_bounds` of one SVD per block of the rows in complex128, at every
+    # other p bit for bit as the same rows in float64 or complex128
     blocks = (1, 2, 3)
     alg = make_algebra(blocks)
     rng = rng_for(23)
     rows = np.stack([4 * random_element(alg, rng).vec() for _ in range(3)] + [np.ones(alg.total_dim)])
     rows = (rows if dtype == np.complex64 else rows.real).astype(dtype)
+    if p not in _TRACE_EXPONENTS:
+        double = rows.astype(np.result_type(rows.dtype, np.float64))
+        assert lp_norms(alg, p, rows).tobytes() == lp_norms(alg, p, double).tobytes()
+        return
     want = lp_norms_per_block(alg, p, rows.astype(complex))
     room = (trace_bounds([(n, n) for n in blocks], p) + NORM_ROUNDING) * want
     assert (np.abs(lp_norms(alg, p, rows) - want) <= room).all()
@@ -809,24 +798,28 @@ def test_other_exponents_keep_the_singular_value_kernel_bitwise(p):
     """Off {2, 4} the norms are read off singular values as before:
     lp_norms, lp_norm and clarkson_defect bit for bit one SVD per block, on
     rows at 1e-150, 1 and 1e150 and with a NaN or infinite entry, and the
-    image norms of a stack those of its `_image_svdvals` (p >= 2) or
-    `_svdvals`."""
+    image norms of a stack those of its `_gram_svdvals` (p >= 2, unless
+    they are None) or `_svdvals`."""
     alg = make_algebra([2, 1, 2])
     rng = rng_for(22)
     rows = np.stack([c * random_element(alg, rng).vec() for c in (1e-150, 1.0, 1e150, 1.0, 1.0)])
     rows[3, 0], rows[4, -1] = np.nan, np.inf
     for weights in (None, [0.5, 2.0, 1.5]):
-        want = _oracle_outcome(alg, p, rows, weights)
+        want = _outcome(lambda: lp_norms_per_block(alg, p, rows, weights))
         assert _outcome(lambda: lp_norms(alg, p, rows, weights)) == want
         vecs = [LpVector.from_element(AlgebraElement.from_vec(alg, r), p) for r in rows]
         assert _outcome(lambda: [lp_norm(h, weights) for h in vecs]) == want
     for i, j in [(0, 1), (1, 2), (1, 1)]:
         assert _same_clarkson(vecs[i], vecs[j])
     stack = np.stack([random_element(make_algebra([3]), rng).data[0] for _ in range(3)])
-    kernel = _image_svdvals if p >= 2.0 else _svdvals
-    for stacks in ([stack], [stack[:, :2], stack]):
-        got = _norms_from_singular_values(_image_singular_values(stacks, p), p)
-        assert got == _norms_from_singular_values(_stack_singular_values(stacks, kernel), p)
+
+    def kernel(stack):  # the Gram eigenvalues for p >= 2 unless they are None, else the SVD
+        values = _gram_svdvals(stack) if p >= 2.0 else None
+        return _svdvals(stack) if values is None else values
+
+    for stacks in ([stack], [stack[:, :2], stack]):  # one shape per block
+        got = _grouped_norms(_stack_groups(stacks, p, images=True), p)
+        assert got == _grouped_norms([(kernel(s), (b,)) for b, s in enumerate(stacks)], p)
 
 
 @st.composite
@@ -859,24 +852,24 @@ def test_the_image_kernel_stays_within_the_gram_bound_of_the_svd(stack, p, low):
     NORM_ROUNDING; a stack with a NaN or infinite entry reads as the SVD
     reads it.  For p < 2 the kernel is the SVD bit for bit."""
     want = _svdvals(stack)
-    exact = np.array(_norms_from_singular_values([(want, (0,))], p))
+    exact = np.array(_grouped_norms([(want, (0,))], p))
     if p in _TRACE_EXPONENTS:
         # Gram traces: within `trace_bounds`, with no absolute part
-        norms = np.array(_norms_from_singular_values(_image_singular_values([stack], p), p))
+        norms = np.array(_grouped_norms(_stack_groups([stack], p, images=True), p))
         relative, absolute = trace_bounds([sorted(stack.shape[1:])], p), 0.0
     else:
-        ((got, _),) = _image_singular_values([stack], p)
+        ((got, _),) = _stack_groups([stack], p, images=True)
         if not np.isfinite(stack).all():
             assert np.array_equal(got, want, equal_nan=True)
-        norms = np.array(_norms_from_singular_values([(got, (0,))], p))
+        norms = np.array(_grouped_norms([(got, (0,))], p))
         relative, absolute = gram_norm_bounds([stack.shape[1:]], p)
     room = (relative + NORM_ROUNDING) * exact + absolute
     assert np.array_equal(np.isnan(norms), np.isnan(exact))
     finite = np.isfinite(exact)
     assert np.array_equal(norms[~finite], exact[~finite], equal_nan=True)
     assert (np.abs(norms[finite] - exact[finite]) <= room[finite]).all()
-    ((low_values, _),) = _image_singular_values([stack], low)
-    assert low_values.tobytes() == _stack_singular_values([stack])[0][0].tobytes()
+    ((low_values, _),) = _stack_groups([stack], low, images=True)
+    assert low_values.tobytes() == _stack_groups([stack])[0][0].tobytes()
 
 
 def test_lp_norm_homogeneity():

@@ -227,19 +227,15 @@ def _stage1_record(F) -> dict:
     ratio to the allowance of the bound on what compressing every
     rank-deficient block would change, over the plans of both defects; per
     plan, the kernel its image stacks take (Gram traces, eigenvalues or the
-    SVD); and the largest relative gap
+    SVD), as the route table `nclp.lp._stack_route` names it; and the
+    largest relative gap
     between the image norms the defects read (`_image_norms`, the Gram sums
     of the row and column witnesses included) and the SVD's of the stacks,
     over the rows of both plans."""
     import numpy as np
 
     from nclp.isometry import SUPPORT_ALLOWANCE, _image_norms, _image_stacks, _image_supports, _plan
-    from nclp.lp import (
-        _TRACE_EXPONENTS,
-        _gram_svdvals,
-        _norms_from_singular_values,
-        _stack_singular_values,
-    )
+    from nclp.lp import _grouped_norms, _stack_groups, _stack_route
 
     supports = _image_supports(F)
     total = sum(s.tail * s.size ** (1.0 / F.p) for s in supports if s.compresses)
@@ -251,10 +247,11 @@ def _stage1_record(F) -> dict:
         ratio = float(np.max(plan.l1[keep] / norms[keep], initial=0.0))
         worst = max(worst, ratio * total / SUPPORT_ALLOWANCE)
         stacks = _image_stacks(F, plan, norms)
-        gram = F.p >= 2.0 and all(_gram_svdvals(stack) is not None for stack in stacks)
-        kernels.append("trace" if F.p in _TRACE_EXPONENTS else "gram" if gram else "svd")
+        # one route for every stack, else some fell back to the SVD
+        routes = {_stack_route(stack, F.p, images=True)[0] for stack in stacks}
+        kernels.append(routes.pop() if len(routes) == 1 else "svd")
         got = _image_norms(F, plan, norms)
-        want = np.asarray(_norms_from_singular_values(_stack_singular_values(stacks), F.p))
+        want = np.asarray(_grouped_norms(_stack_groups(stacks), F.p))
         read = want > 0.0
         gap = max(gap, float(np.max(np.abs(got[read] - want[read]) / want[read], initial=0.0)))
     return {
