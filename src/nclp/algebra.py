@@ -64,6 +64,11 @@ class Algebra:
         """Absolute tolerance used for algebraic identities at this size."""
         return ATOL_BASE * max(1, self.total_dim)
 
+    @property
+    def certificate_tol(self) -> float:
+        """Tolerance of expectation and Yeadon triple certificates at this size."""
+        return 1e-7 * max(1, self.total_dim)
+
     def offsets(self) -> list[int]:
         return list(self._offsets)
 
@@ -519,6 +524,12 @@ def apply_right(a: AlgebraElement, X: np.ndarray) -> np.ndarray:
     hold row i of every column block at [i]; a_b^T @ rows, batched over i,
     does them all.  The row-side form is X R_a = (R_{a^T} X^T)^T."""
     return _apply_blockwise(a, X, lambda b, rows, m, N: np.matmul(b.T, rows.reshape(m, m, N)))
+
+
+def sandwich(a: AlgebraElement, X: np.ndarray, b: AlgebraElement) -> np.ndarray:
+    """L_a X L_b, C-contiguous, for X out of the algebra of b into that of a:
+    `apply_left` of a, then the right factor as (L_{b^T} (L_a X)^T)^T."""
+    return np.ascontiguousarray(apply_left(b.transpose(), apply_left(a, X).T).T)
 
 
 def _apply_blockwise(a: AlgebraElement, X: np.ndarray, product) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 from .algebra import (
     INJECTIVITY_TOL,
     _Immutable,
+    _require_finite,
     Algebra,
     AlgebraElement,
     AlgebraMap,
@@ -38,6 +39,7 @@ from .algebra import (
     apply_right,
     cluster_projection,
     pullback_density,
+    sandwich,
     spectral_clusters,
     trace_row,
     transpose_order,
@@ -49,7 +51,15 @@ from .errors import (
     NotInvariant,
     ShapeMismatch,
 )
-from .lp import LpMap, LpVector, _block_lp_norm, _lp_exponent, conjugate_exponent, polar_decompose
+from .lp import (
+    LpMap,
+    LpVector,
+    _block_lp_norm,
+    _lp_exponent,
+    _spectral_support,
+    conjugate_exponent,
+    polar_decompose,
+)
 
 _DECOMP_SEED = 20240711  # fixed draw for the generic elements used below
 _POSITIVITY_SAMPLES = 5  # seeded g g* on which the expectation must stay positive
@@ -72,9 +82,9 @@ class Subalgebra(_Immutable):
     The basis need not be orthonormal; it must be linearly independent and
     span a set closed under products and adjoints.  The unit here is the unit
     of the subalgebra itself, a projection of the parent which may be smaller
-    than the parent unit.  The basis is kept as `columns`, one read-only
-    (D, dim) array of the vectorized elements; for the image of a map it is
-    the map's matrix.
+    than the parent unit.  The basis is kept once, as `columns`, one
+    read-only (D, dim) array of the vectorized elements (the map's matrix
+    for the image of a map); a NaN or infinite entry raises NonFinite.
     """
 
     __slots__ = ("parent", "columns", "__dict__")
@@ -83,14 +93,13 @@ class Subalgebra(_Immutable):
         basis = tuple(basis)
         if not basis:
             raise DataInvalid("subalgebra needs a nonempty basis")
-        for a in basis:
-            if a.algebra != parent:
-                raise ShapeMismatch("basis element lives on a different algebra")
+        if any(a.algebra != parent for a in basis):
+            raise ShapeMismatch("basis element lives on a different algebra")
         columns = np.column_stack([a.vec() for a in basis])
+        _require_finite([columns], "subalgebra basis")
         columns.setflags(write=False)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "columns", columns)
-        self.__dict__["basis"] = basis
         if validate:
             self.validate()
 
@@ -99,14 +108,12 @@ class Subalgebra(_Immutable):
         """Span of the image of an injective *-homomorphism pi: its matrix
         columns.  Its decomposition is pi, the multiplicity of a source block
         the trace of the projection pi(e_00), certified here: a pi that is no
-        injective *-homomorphism raises DataInvalid."""
+        injective *-homomorphism raises DataInvalid; one trace-row identity."""
         image = object.__new__(cls)
         object.__setattr__(image, "parent", pi.target)
         object.__setattr__(image, "columns", pi.matrix)
-        mu = tuple(
-            int(round(AlgebraElement.from_vec(pi.target, pi.matrix[:, off]).trace().real))
-            for off in pi.source.offsets()
-        )
+        traces = trace_row(AlgebraElement.identity(pi.target)) @ pi.matrix[:, pi.source.offsets()]
+        mu = tuple(int(round(t)) for t in traces.real.tolist())
         image.__dict__["decomposition"] = _certified(image, BlockDecomposition(pi.source, pi, mu))
         # Tr(f_ji f_kl) = delta_ik mu_b delta_jl for the units of block b, so
         # the columns over sqrt(mu_b) are orthonormal up to the Glimm defect
@@ -165,19 +172,18 @@ class Subalgebra(_Immutable):
 
     @cached_property
     def unit(self) -> Projection:
-        """The unit of the subalgebra: the support projection of the span."""
-        S = AlgebraElement.zero(self.parent)
-        for a in self.basis:
-            S = S + a @ a.adjoint() + a.adjoint() @ a
-        blocks = []
-        top = max(float(np.linalg.norm(b, 2)) for b in S.data)
-        for b in S.data:
-            w, v = np.linalg.eigh((b + b.conj().T) / 2)
-            keep = w > 1e-10 * max(top, 1e-300)
-            blocks.append(v[:, keep] @ v[:, keep].conj().T)
-        e = Projection(self.parent, blocks)
-        tol = 1000 * self.parent.atol
-        if self.span_residual(e) > tol:
+        """The unit of the subalgebra: the support of S = sum_a a a* + a* a,
+        under the rank rule of `polar_decompose` (`lp._spectral_support`).
+        Per block, with R and C the basis blocks' rows and columns side by
+        side, S = R R* + conj(C) C^T."""
+        spectra = []
+        for off, n in zip(self.parent.offsets(), self.parent.blocks):
+            X = self.columns[off : off + n * n].reshape(n, n, -1)  # X[r, s, k] = a_k[r, s]
+            R, C = X.reshape(n, -1), X.transpose(1, 0, 2).reshape(n, -1)
+            S = R @ R.conj().T + C.conj() @ C.T
+            spectra.append(np.linalg.eigh((S + S.conj().T) / 2))
+        e = Projection(self.parent, _spectral_support(self.parent, spectra).data)
+        if not self.span_residual(e) <= 1000 * self.parent.atol:
             raise DataInvalid("support projection of the span is not in the span")
         return e
 
@@ -186,11 +192,12 @@ class Subalgebra(_Immutable):
         closed under adjoints and products, with a unit.  The products a b
         for one a and every b are one blockwise product of the basis
         columns B; the distance of a column x to the span is |C^H x|, C an
-        orthonormal basis of the span's complement, so one product each."""
+        orthonormal basis of the span's complement, so one product each.  The
+        scale is the largest column norm of B, or 1."""
         tol = 1000 * self.parent.atol
         _ = self._onb  # independence
-        scale = max(1.0, max(a.frobenius() for a in self.basis))
         B = self.columns
+        scale = max(1.0, float(np.max(np.linalg.norm(B, axis=0))))
         C_H = np.linalg.svd(B)[0][:, self.dim :].conj().T
 
         def residuals(X):
@@ -202,10 +209,8 @@ class Subalgebra(_Immutable):
         for a in self.basis:
             if np.any(residuals(apply_left(a, B)) > tol * scale * scale):
                 raise DataInvalid("basis span is not closed under products")
-        e = self.unit
-        for apply in (apply_left, apply_right):
-            if np.any(np.linalg.norm(apply(e, B) - B, axis=0) > tol * scale):
-                raise DataInvalid("unit of the span does not act as an identity on it")
+        if not _acts_as_identity(self.unit, B, tol * scale):
+            raise DataInvalid("unit of the span does not act as an identity on it")
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:
@@ -311,6 +316,12 @@ def _certified(A: Subalgebra, dec: BlockDecomposition) -> BlockDecomposition:
 # -- invariance and the expectation --------------------------------------------
 
 
+def _acts_as_identity(e: AlgebraElement, B: np.ndarray, tol: float) -> bool:
+    """e x = x = x e on every column x of B, within tol in Frobenius norm; NaN fails."""
+    sides = (apply_left, apply_right)
+    return all(np.all(np.linalg.norm(apply(e, B) - B, axis=0) <= tol) for apply in sides)
+
+
 @dataclass(frozen=True)
 class TakesakiResult:
     invariant: bool
@@ -332,13 +343,9 @@ def takesaki_invariant(A: Subalgebra, state: State) -> TakesakiResult:
         raise ShapeMismatch("state lives on a different algebra")
     tol = A.parent.atol
     B = A.columns
-    if not state.faithful:
-        P = state.power_element(0.0)  # the support, without a projection check
-        for apply in (apply_left, apply_right):
-            if np.any(np.linalg.norm(apply(P, B) - B, axis=0) > 100 * tol):
-                raise NonFaithful(
-                    "state is singular and the subalgebra leaves its support corner"
-                )
+    # the support, without a projection check
+    if not (state.faithful or _acts_as_identity(state.power_element(0.0), B, 100 * tol)):
+        raise NonFaithful("state is singular and the subalgebra leaves its support corner")
     L = state.log_pseudo()
     Q = A._onb
     comm = apply_left(L, B) - apply_right(L, B)
@@ -383,7 +390,7 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
     seeded samples.  Every comparison is written so that a NaN rejects.
     """
     parent = A.parent
-    check_tol = _check_tol(parent)
+    check_tol = parent.certificate_tol
     G = A.generator_columns
     if not np.max(np.abs(M @ M - M)) <= check_tol:
         raise NotInvariant(defect, "expectation is not idempotent")
@@ -405,16 +412,11 @@ def _certify_expectation(M: np.ndarray, A: Subalgebra, state: State, defect: flo
         raise NotInvariant(defect, "expectation is not positive on samples")
 
 
-def _check_tol(parent: Algebra) -> float:
-    """The tolerance of the expectation certificate."""
-    return 1e-7 * max(1, parent.total_dim)
-
-
 def _check_fixes(M: np.ndarray, A: Subalgebra, defect: float) -> None:
     """M B = B on the basis columns B, each within the tolerance times
     max(1, |b|)."""
     B = A.columns
-    col_tol = _check_tol(A.parent) * np.maximum(1.0, np.linalg.norm(B, axis=0))
+    col_tol = A.parent.certificate_tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
     if not np.all(np.linalg.norm(M @ B - B, axis=0) <= col_tol):
         raise NotInvariant(defect, "expectation does not fix the subalgebra")
 
@@ -422,7 +424,7 @@ def _check_fixes(M: np.ndarray, A: Subalgebra, defect: float) -> None:
 def _check_state(M: np.ndarray, state: State, defect: float) -> None:
     """The state row identity omega M = omega."""
     omega = trace_row(state.density)
-    if not np.max(np.abs(omega @ M - omega)) <= _check_tol(state.algebra):
+    if not np.max(np.abs(omega @ M - omega)) <= state.algebra.certificate_tol:
         raise NotInvariant(defect, "expectation does not preserve the state")
 
 
@@ -567,7 +569,7 @@ def _closed_form(A: Subalgebra, state: State) -> tuple[np.ndarray, float, float]
     ]
     if A.columns is U:
         bounds.append(p * (epsilon + 4 * eta * b))
-    return M, epsilon, float(np.max(bounds)) / _check_tol(parent)  # NaN stays NaN
+    return M, epsilon, float(np.max(bounds)) / parent.certificate_tol  # NaN stays NaN
 
 
 def construct_expectation(A: Subalgebra, state: State) -> ConditionalExpectation:
@@ -639,10 +641,8 @@ def lp_inclusion(A: Subalgebra, E: ConditionalExpectation, p: float) -> LpMap:
     rho_A = restrict_state(A, phibar)
     if not rho_A.faithful:
         raise NonFaithful("restricted state is not faithful on the subalgebra")
-    # L_big embed L_small_inv, the right factor applied as (L_{a^T} X^T)^T
-    left = apply_left(phibar.power_element(1.0 / p), dec.embed.matrix)
-    matrix = apply_left(rho_A.power_element(-1.0 / p).transpose(), left.T).T
-    return LpMap(dec.algebra, A.parent, p, np.ascontiguousarray(matrix))
+    out, inverse = phibar.power_element(1.0 / p), rho_A.power_element(-1.0 / p)
+    return LpMap(dec.algebra, A.parent, p, sandwich(out, dec.embed.matrix, inverse))
 
 
 def lp_expectation(E: ConditionalExpectation, p: float) -> LpMap:
@@ -672,10 +672,8 @@ def complement_projection(data, p: float) -> LpMap:
     A = E.subalgebra
     Ep = lp_expectation(E, p)
     iota = lp_inclusion(A, E, p)
-    # L_w iota E_p L_{w*}, the right factor applied as (L_{conj w} X^T)^T
-    left = apply_left(data.w, iota.matrix @ Ep.matrix)
-    M = apply_left(data.w.adjoint().transpose(), left.T).T
-    return LpMap(A.parent, A.parent, p, np.ascontiguousarray(M))
+    M = sandwich(data.w, iota.matrix @ Ep.matrix, data.w.adjoint())
+    return LpMap(A.parent, A.parent, p, M)
 
 
 def _power_product_norm(state: State, x: AlgebraElement, p: float) -> float:

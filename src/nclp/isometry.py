@@ -29,6 +29,7 @@ from .algebra import (
     State,
     apply_left,
     homomorphism_kind,
+    sandwich,
     trace_row,
     unit_system_defect,
 )
@@ -139,11 +140,9 @@ def build_isometry(data: IsometryData, p: float) -> LpMap:
     """
     p = _lp_exponent(p)
     data.validate()
-    # L_out pi L_{phi^{-1/p}}, the right factor applied as (L_{a^T} X^T)^T
-    left = apply_left(data.w @ data.phibar.power_element(1.0 / p), data.pi.matrix)
-    right = data.reference_state.power_element(-1.0 / p).transpose()
-    matrix = apply_left(right, left.T).T
-    return LpMap(data.source, data.target, p, np.ascontiguousarray(matrix))
+    out = data.w @ data.phibar.power_element(1.0 / p)
+    matrix = sandwich(out, data.pi.matrix, data.reference_state.power_element(-1.0 / p))
+    return LpMap(data.source, data.target, p, matrix)
 
 
 # -- extraction ----------------------------------------------------------------
@@ -197,15 +196,10 @@ def extract_pi(T: LpMap, phi: State) -> AlgebraMap:
     support of T(phi^{1/p} P_r), p = T.p, and pi extends linearly
     (`_support_map` of T L, L the left multiplication by phi^{1/p}).  The
     module relation T(phi^{1/p} x) = T(phi^{1/p}) pi(x) is verified on the
-    basis afterwards.  (T L)^T = L_{rho^T} T^T is applied blockwise, and so
-    is L_{T(rho^{1/p})} in the module relation.
+    basis afterwards.  (T L)^T = L_{rho^T} T^T, whose row u is
+    T(phi^{1/p} u), is applied blockwise, and so is L_{T(rho^{1/p})} in the
+    module relation.
     """
-    return _extract_pi(T, phi)[0]
-
-
-def _extract_pi(T: LpMap, phi: State) -> tuple[AlgebraMap, np.ndarray]:
-    """`extract_pi`, and the (T L)^T it reads, with L the left
-    multiplication by phi^{1/p}: row u is T(phi^{1/p} u)."""
     p = T.p
     if p == 2.0:
         raise ExponentUnsupported("extraction is undefined at p = 2")
@@ -224,7 +218,7 @@ def _extract_pi(T: LpMap, phi: State) -> tuple[AlgebraMap, np.ndarray]:
     defect = float(np.max(np.linalg.norm(residual, axis=0)))
     if not defect <= WARN_TOL:
         raise NotAnIsometry(f"module relation fails on the basis (defect {defect:.3e})")
-    return pi, TLt
+    return pi
 
 
 def extract_polar_data(T: LpMap, phi: State):
@@ -672,6 +666,14 @@ def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
             verdict="reject", defects=defects, data=None, failing_stage=stage, warnings=warnings
         )
 
+    def within_metric_tol(name: str) -> bool:
+        """Whether defects[name] is within METRIC_TOL; a failure below WARN_TOL warns."""
+        if defects[name] <= METRIC_TOL:
+            return True
+        if defects[name] < WARN_TOL:
+            warnings.append(f"{name} defect {defects[name]:.3e} in the warn band")
+        return False
+
     # stage 1: metric defects; only a failed base isometry rejects here, so
     # the amplified defect is measured after it and an isometry-stage reject
     # never pays for it.  A reject at stages 2-6 has paid for it: the defect
@@ -679,9 +681,7 @@ def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
     # by the multiplicativity certificate.  Both defects measure the images
     # on their supports, found once for T (`_norm_defect`)
     defects["isometry"] = isometry_defect(T)
-    if not defects["isometry"] <= METRIC_TOL:
-        if defects["isometry"] < WARN_TOL:
-            warnings.append(f"isometry defect {defects['isometry']:.3e} in the warn band")
+    if not within_metric_tol("isometry"):
         return reject("isometry")
     defects["two_isometry"] = two_isometry_defect(T, n=2, relative=True)
     algebraic_tol = max(T.source.atol, T.target.atol) * 10
@@ -689,7 +689,7 @@ def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
     # stage 2: homomorphism extraction and certification; the Glimm defect
     # kept on pi is read again by the image certificate of stage 5
     try:
-        pi, TLt = _extract_pi(T, phi)
+        pi = extract_pi(T, phi)
     except NotAnIsometry:
         defects["multiplicativity"] = float("inf")
         return reject("multiplicativity")
@@ -733,27 +733,20 @@ def classify(T: LpMap, phi: State, p: float) -> ClassificationReport:
         expectation=E,
         reference_state=phi,
     )
-    # row u of both is the image of rho^{1/p} u, the first stage 2's
-    # (T L_rho)^T, which is not read again and takes the gaps in place; that
-    # vector has rank one, and its p-norm is the 2-norm of column i of
-    # rho^{1/p} for every unit u = e_ij of a block
+    # row u of both is the image of rho^{1/p} u, the first (T L_rho)^T as
+    # `extract_pi` forms it, taking the gaps in place; that vector has rank
+    # one, and its p-norm is the 2-norm of column i of rho^{1/p} for every
+    # unit u = e_ij of a block
     rho_pow = phi.power_element(1.0 / p)
-    gaps = TLt
+    gaps = apply_left(rho_pow.transpose(), T.matrix.T)
     gaps -= apply_left(w @ E.state.power_element(1.0 / p), pi.matrix).T
     columns = [np.repeat(np.linalg.norm(b, axis=0), len(b)) for b in rho_pow.data]
     scales = np.maximum(np.concatenate(columns), 1e-14)
-    recon = float(np.max(lp_norms(T.target, p, gaps) / scales))
-    defects["reconstruction"] = recon
-    if not recon <= METRIC_TOL:
-        if recon < WARN_TOL:
-            warnings.append(f"reconstruction defect {recon:.3e} in the warn band")
+    defects["reconstruction"] = float(np.max(lp_norms(T.target, p, gaps) / scales))
+    if not within_metric_tol("reconstruction"):
         return reject("reconstruction")
 
-    if not defects["two_isometry"] <= METRIC_TOL:
-        if defects["two_isometry"] < WARN_TOL:
-            warnings.append(
-                f"two_isometry defect {defects['two_isometry']:.3e} in the warn band"
-            )
+    if not within_metric_tol("two_isometry"):
         return reject("two_isometry")
 
     return ClassificationReport(

@@ -77,6 +77,7 @@ from .algebra import (
     Projection,
     State,
     _frobenius,
+    _require_finite,
     require_projections,
 )
 from .errors import (
@@ -550,7 +551,8 @@ def _rank_masks(svals: list[np.ndarray]) -> list[np.ndarray]:
 
 def polar_decompose(h: LpVector) -> PolarData:
     """Polar-decompose blockwise via SVD, under the rank rule of
-    `_rank_masks`; the parts are built as they are read."""
+    `_rank_masks`, the parts built as read; NaN or inf raises NonFinite."""
+    _require_finite(h.data, "vector")
     svds = tuple(np.linalg.svd(b) for b in h.data)
     return PolarData(h.algebra, h.p, svds, tuple(_rank_masks([s for _, s, _ in svds])))
 
@@ -669,8 +671,9 @@ def clarkson_defect(h: LpVector, k: LpVector) -> ClarksonResult:
 
 
 def mazur_map(h: LpVector, q: float) -> LpVector:
-    """Send a positive vector h in L_p to h^(p/q) in L_q."""
+    """Send a positive vector h in L_p to h^(p/q) in L_q; NaN or inf raises NonFinite."""
     q = _lp_exponent(q, "q")
+    _require_finite(h.data, "vector")
     spectra, floor = _hermitian_spectra(h)
     return _spectral_power(h, spectra, floor, q)
 
@@ -699,11 +702,12 @@ def _spectral_power(h: LpVector, spectra: list, floor: float, q: float) -> LpVec
 
 
 def _spectral_support(algebra: Algebra, spectra: list) -> AlgebraElement:
-    """The support of a Hermitian element from `_hermitian_spectra`: its
-    singular values are the |eigenvalues|, so the eigenvectors are kept
-    whose |eigenvalue| passes the rank rule of `_rank_masks`.  The
-    eigenvectors are orthonormal, so the sum of their projections is one
-    by construction and is not checked again as a `Projection`."""
+    """The support of a Hermitian element from the eigh pairs (w, v) of its
+    blocks, as `_hermitian_spectra` gives them: the singular values are the
+    |eigenvalues|, so the eigenvectors are kept whose |eigenvalue| passes
+    the rank rule of `_rank_masks`.  The eigenvectors are orthonormal, so
+    the sum of their projections is one by construction and is not checked
+    again as a `Projection`."""
     orders = [np.argsort(-np.abs(w), kind="stable") for w, _ in spectra]
     keeps = _rank_masks([np.abs(w)[order] for (w, _), order in zip(spectra, orders)])
     vhs = [v[:, order].conj().T for (_, v), order in zip(spectra, orders)]

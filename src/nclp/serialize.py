@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraElement, AlgebraMap, State
+from .algebra import Algebra, AlgebraElement, AlgebraMap, State, _require_finite
 from .errors import DataInvalid, ExponentUnsupported, NonFinite, NonPositiveDim, ShapeMismatch
 from .expectation import ConditionalExpectation, Subalgebra
 from .isometry import ClassificationReport, IsometryData
@@ -69,11 +69,8 @@ def _matrix_from_json(rows: list) -> np.ndarray:
     return flat.view(complex).reshape(len(rows), -1)
 
 
-def algebra_to_json(algebra: Algebra, trace_weights=None) -> dict:
-    out: dict[str, Any] = {"blocks": list(algebra.blocks)}
-    if trace_weights is not None:
-        out["trace_weights"] = [float(t) for t in trace_weights]
-    return out
+def algebra_to_json(algebra: Algebra) -> dict:
+    return {"blocks": list(algebra.blocks)}
 
 
 def algebra_from_json(obj: dict) -> Algebra:
@@ -181,8 +178,8 @@ def isometry_data_to_json(data: IsometryData) -> dict:
 
 def isometry_data_from_json(obj: dict) -> IsometryData:
     """The bundled data; the expectation's subalgebra is rebuilt as the image
-    of pi, certified and in pi's factor order, and DataInvalid is raised if
-    a stored basis element leaves its span."""
+    of pi, certified and in pi's factor order; a stored basis element raises
+    NonFinite with a NaN or infinite entry, DataInvalid off the span."""
     source = algebra_from_json(_key(obj, "source"))
     target = algebra_from_json(_key(obj, "target"))
     pi = algebra_map_from_json(_key(obj, "pi"))
@@ -192,6 +189,7 @@ def isometry_data_from_json(obj: dict) -> IsometryData:
     tol = 1000 * target.atol
     for b in _key(_key(exp_obj, "subalgebra"), "basis"):
         b = element_from_json(b, target)
+        _require_finite(b.data, "a stored subalgebra basis element")
         if image.span_residual(b) > tol * max(1.0, b.frobenius()):
             raise DataInvalid("a stored subalgebra basis element leaves the image of pi")
     expectation = ConditionalExpectation(

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraElement, State, matrix_units
+from .algebra import Algebra, AlgebraElement, State, trace_row
 from .errors import ConfigInvalid, NclpError, UnknownSuite
 from .expectation import (
     construct_expectation,
@@ -516,25 +516,25 @@ def _suite_expectation_detect(config: SuiteConfig):
         non_ok = (not check.invariant) and check.defect > tol["defect_min"] and best_gap > tol["gap_min"]
 
         # invariant inclusion: the expectation exists and satisfies its
-        # structural identities tightly
+        # structural identities tightly: M M = M, E(a) = a on the basis
+        # columns B, and phi(E(u)) = phi(u) on the units, omega M = omega
+        # for the state's trace row omega
         Ainv, phin = random_invariant_inclusion(seed)
         E = construct_expectation(Ainv, phin)
-        M = E.map.matrix
-        inv_defect = float(np.max(np.abs(M @ M - M)))
-        for a in Ainv.basis:
-            inv_defect = max(inv_defect, (E(a) - a).frobenius())
-        units = matrix_units(Ainv.parent)
-        for u in units:
-            inv_defect = max(inv_defect, abs(phin(E(u)) - phin(u)))
+        M, B, omega = E.map.matrix, Ainv.columns, trace_row(phin.density)
+        inv_defect = max(
+            float(np.max(np.abs(M @ M - M))),
+            float(np.max(np.linalg.norm(M @ B - B, axis=0))),
+            float(np.max(np.abs(omega @ M - omega))),
+        )
         rng2 = rng_for(seed + 123)
         for _ in range(5):
             g = random_element(Ainv.parent, rng2)
             pos = E(g @ g.adjoint())
             low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in pos.data)
             inv_defect = max(inv_defect, max(0.0, -low))
-        unit_a = Ainv.unit
         one = AlgebraElement.identity(Ainv.parent)
-        inv_defect = max(inv_defect, (E(one) - unit_a).frobenius())
+        inv_defect = max(inv_defect, (E(one) - Ainv.unit).frobenius())
         fields = {
             "noninvariant_defect": check.defect,
             "witness_gap": best_gap,

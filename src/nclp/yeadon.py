@@ -29,7 +29,6 @@ from .algebra import (
     apply_left,
     apply_right,
     homomorphism_kind,
-    matrix_units,
     trace_row,
 )
 from .errors import (
@@ -103,7 +102,7 @@ def yeadon_decompose(
     w, B = pol.w, pol.modulus
     J = _support_map(T.source, T.target, T.matrix.T)
 
-    tol = _tolerance(J)
+    tol = J.target.certificate_tol
     # spectral projections of B commute with the image exactly when B does;
     # column u of (L_B - R_B) J is the commutator [B, J(u)]
     commutators = apply_left(B, J.matrix) - apply_right(B, J.matrix)
@@ -118,19 +117,15 @@ def yeadon_decompose(
     return YeadonTriple(J=J, w=w, B=B)
 
 
-def _tolerance(J: AlgebraMap) -> float:
-    """The tolerance of a triple's conditions, 1e-7 per target dimension."""
-    return 1e-7 * max(1, J.target.total_dim)
-
-
 def _verify_conditions(J, w, support, power, weights, error) -> None:
     """Raise `error` unless J is an injective Jordan *-homomorphism and
     w* w = J(1) = s(B), with s(B) given as `support`, and raise
     TraceConditionViolated unless tau(u) = Tr(B^p J(u)) on every matrix unit
     u, as one row identity omega J = tau with Tr(B^p x) = omega . vec(x).
     B^p is `power()`, taken only once J and the supports have passed.  J's
-    kind is taken at `_tolerance`, and so are the comparisons."""
-    tol = _tolerance(J)
+    kind is taken at the target's `certificate_tol`, and so are the
+    comparisons.  The unit that fails is the witness."""
+    tol = J.target.certificate_tol
     report = homomorphism_kind(J, tol)
     if report.kind == "neither" or not report.injective:
         raise error(f"J is not a Jordan *-monomorphism ({report.kind})")
@@ -144,7 +139,7 @@ def _verify_conditions(J, w, support, power, weights, error) -> None:
     if failing.size:
         c = failing[0]
         raise TraceConditionViolated(
-            matrix_units(J.source)[c],
+            AlgebraElement.from_vec(J.source, np.eye(1, J.source.total_dim, c)),
             f"tau and Tr(B^p J(.)) disagree on a unit: {complex(got[c])} vs {tau[c]}",
         )
 

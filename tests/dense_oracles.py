@@ -10,7 +10,9 @@ reads, built from their positions in the amplification
 matrix units; `plan_rows` writes a plan's rows out densely through those
 positions; `validate_by_pairs` checks a
 subalgebra with one element product per pair of basis elements, where
-`Subalgebra.validate` takes one blockwise product per basis element;
+`Subalgebra.validate` takes one blockwise product per basis element, and
+`unit_by_elements` sums the unit's S element by element, where
+`Subalgebra.unit` takes two products per block;
 `lp_norms_per_block` and `clarkson_by_elements` take the L_p norms with one
 SVD call per block and the Clarkson witness from element products, where
 `nclp.lp` makes one SVD call per distinct block size and multiplies blocks;
@@ -506,6 +508,22 @@ def validate_by_pairs(A) -> None:
     for a in A.basis:
         if (e @ a - a).frobenius() > tol * scale or (a @ e - a).frobenius() > tol * scale:
             raise DataInvalid("unit of the span does not act as an identity on it")
+
+
+def unit_by_elements(A) -> list[np.ndarray]:
+    """The blocks of Subalgebra.unit from S = sum_a a a* + a* a summed
+    element by element, keeping the eigenvectors above 1e-10 of the largest
+    2-norm of a block of S."""
+    S = AlgebraElement.zero(A.parent)
+    for a in A.basis:
+        S = S + a @ a.adjoint() + a.adjoint() @ a
+    top = max(float(np.linalg.norm(b, 2)) for b in S.data)
+    blocks = []
+    for b in S.data:
+        w, v = np.linalg.eigh((b + b.conj().T) / 2)
+        keep = w > 1e-10 * max(top, 1e-300)
+        blocks.append(v[:, keep] @ v[:, keep].conj().T)
+    return blocks
 
 
 def lp_norms_per_block(algebra, p: float, rows: np.ndarray, weights=None) -> np.ndarray:

@@ -21,6 +21,7 @@ from dense_oracles import (
     construct_by_gram_solve,
     decomposition_coordinates,
     support_corner_by_elements,
+    unit_by_elements,
     validate_by_pairs,
 )
 from nclp.errors import DataInvalid, ExponentUnsupported, NonFaithful, NotInvariant
@@ -995,6 +996,18 @@ def test_validate_agrees_with_the_pairwise_oracle(make, failure):
         assert got is None
     else:
         assert got is not None and failure in got
+
+
+@pytest.mark.parametrize("make, failure", list(_validation_cases()))
+def test_unit_agrees_with_the_element_sum_oracle(make, failure):
+    # two products per block sum S in another order than the element loop,
+    # so the supports agree to rounding, with the same rank
+    A = make()
+    got, want = A.unit, unit_by_elements(A)
+    for g, w in zip(got.data, want):
+        assert round(np.trace(g).real) == round(np.trace(w).real)
+    tol = 1000 * np.finfo(float).eps * A.parent.total_dim
+    assert (got - AlgebraElement(A.parent, want)).frobenius() <= tol
 
 
 def test_validate_takes_one_blockwise_product_per_basis_element(monkeypatch):

@@ -28,8 +28,8 @@ TWO_FACTORS = ((2, 1), [([(0, 2), (1, 1)], 1), ([(0, 1)], 1)])
 
 def test_algebra_roundtrip():
     alg = make_algebra([2, 3])
-    obj = ser.algebra_to_json(alg, trace_weights=[1.0, 2.0])
-    assert obj == {"blocks": [2, 3], "trace_weights": [1.0, 2.0]}
+    obj = ser.algebra_to_json(alg)
+    assert obj == {"blocks": [2, 3]}
     assert ser.algebra_from_json(obj) == alg
 
 
@@ -112,6 +112,17 @@ def test_a_stored_basis_element_off_the_image_is_rejected():
     stray = random_element(data.target, rng_for(3))
     obj["expectation"]["subalgebra"]["basis"][1] = ser.element_to_json(stray)
     with pytest.raises(DataInvalid, match="leaves the image of pi"):
+        ser.isometry_data_from_json(obj)
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_a_stored_basis_element_with_a_non_finite_entry_is_rejected(entry):
+    # its span residual is NaN, which the span test (residual > tolerance)
+    # let through
+    data = random_isometry_data(1, TWO_FACTORS[0], plan=TWO_FACTORS[1])
+    obj = json.loads(json.dumps(ser.isometry_data_to_json(data)))
+    obj["expectation"]["subalgebra"]["basis"][1]["blocks"][0][0][0][0] = entry
+    with pytest.raises(NonFinite, match="stored subalgebra basis element"):
         ser.isometry_data_from_json(obj)
 
 
