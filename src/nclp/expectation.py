@@ -42,7 +42,6 @@ from .algebra import (
     sandwich,
     spectral_clusters,
     trace_row,
-    transpose_order,
     unit_system_defect,
 )
 from .errors import (
@@ -56,7 +55,6 @@ from .lp import (
     LpVector,
     _block_lp_norm,
     _lp_exponent,
-    _spectral_support,
     conjugate_exponent,
     polar_decompose,
 )
@@ -64,6 +62,7 @@ from .lp import (
 _DECOMP_SEED = 20240711  # fixed draw for the generic elements used below
 _POSITIVITY_SAMPLES = 5  # seeded g g* on which the expectation must stay positive
 _EPS = float(np.finfo(float).eps)
+_UNIT_TOL = 1e-7  # certified units: off a unit system, off the span; their sum off a projection
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +79,13 @@ class Subalgebra(_Immutable):
     """A unital *-subalgebra of a parent algebra, given by a spanning basis.
 
     The basis need not be orthonormal; it must be linearly independent and
-    span a set closed under products and adjoints.  The unit here is the unit
-    of the subalgebra itself, a projection of the parent which may be smaller
-    than the parent unit.  The basis is kept once, as `columns`, one
-    read-only (D, dim) array of the vectorized elements (the map's matrix
-    for the image of a map); a NaN or infinite entry raises NonFinite.
+    span a set closed under products and adjoints, which the factor
+    decomposition of the span certifies (`validate`).  The unit is that of
+    the subalgebra itself, read off the decomposition, a projection which
+    may be smaller than the parent unit.  The basis is kept once, as
+    `columns`, one read-only (D, dim) array of the vectorized elements (the
+    map's matrix for the image of a map); a NaN or infinite entry raises
+    NonFinite.
     """
 
     __slots__ = ("parent", "columns", "__dict__")
@@ -172,45 +173,21 @@ class Subalgebra(_Immutable):
 
     @cached_property
     def unit(self) -> Projection:
-        """The unit of the subalgebra: the support of S = sum_a a a* + a* a,
-        under the rank rule of `polar_decompose` (`lp._spectral_support`).
-        Per block, with R and C the basis blocks' rows and columns side by
-        side, S = R R* + conj(C) C^T."""
-        spectra = []
-        for off, n in zip(self.parent.offsets(), self.parent.blocks):
-            X = self.columns[off : off + n * n].reshape(n, n, -1)  # X[r, s, k] = a_k[r, s]
-            R, C = X.reshape(n, -1), X.transpose(1, 0, 2).reshape(n, -1)
-            S = R @ R.conj().T + C.conj() @ C.T
-            spectra.append(np.linalg.eigh((S + S.conj().T) / 2))
-        e = Projection(self.parent, _spectral_support(self.parent, spectra).data)
-        if not self.span_residual(e) <= 1000 * self.parent.atol:
-            raise DataInvalid("support projection of the span is not in the span")
-        return e
+        """embed(1), the sum of the diagonal units of the certified decomposition
+        (pi(1) for the image of pi), a projection within _UNIT_TOL."""
+        dec = self.decomposition
+        one = dec.embed(AlgebraElement.identity(dec.algebra))
+        return Projection(self.parent, one.data, _UNIT_TOL)
 
     def validate(self) -> None:
-        """Raise DataInvalid unless the basis is independent and its span is
-        closed under adjoints and products, with a unit.  The products a b
-        for one a and every b are one blockwise product of the basis
-        columns B; the distance of a column x to the span is |C^H x|, C an
-        orthonormal basis of the span's complement, so one product each.  The
-        scale is the largest column norm of B, or 1."""
-        tol = 1000 * self.parent.atol
-        _ = self._onb  # independence
-        B = self.columns
-        scale = max(1.0, float(np.max(np.linalg.norm(B, axis=0))))
-        C_H = np.linalg.svd(B)[0][:, self.dim :].conj().T
-
-        def residuals(X):
-            return np.linalg.norm(C_H @ X, axis=0)
-
-        # vec(a*) is vec(a) conjugated with each block's entries transposed
-        if np.any(residuals(B[transpose_order(self.parent)].conj()) > tol * scale):
-            raise DataInvalid("basis span is not closed under adjoints")
-        for a in self.basis:
-            if np.any(residuals(apply_left(a, B)) > tol * scale * scale):
-                raise DataInvalid("basis span is not closed under products")
-        if not _acts_as_identity(self.unit, B, tol * scale):
-            raise DataInvalid("unit of the span does not act as an identity on it")
+        """Raise DataInvalid unless the basis is independent and its span is a
+        unital *-subalgebra, which the certified factor decomposition proves:
+        its dim A independent units lie in the span, so they span it, and the
+        span of a system of matrix units is closed under products and
+        adjoints, with unit the sum of its diagonal units.  Conversely, every
+        finite-dimensional *-algebra is the span of such a system (Davidson,
+        C*-Algebras by Example, III.1), which the generic pass finds."""
+        _ = self.decomposition
 
     @cached_property
     def decomposition(self) -> BlockDecomposition:
@@ -218,7 +195,7 @@ class Subalgebra(_Immutable):
         which the image of a map has by construction."""
         dec = _certified(self, _block_decomposition(self))
         U, Q = dec.embed.matrix, self._onb
-        if not np.all(np.linalg.norm(U - Q @ (Q.conj().T @ U), axis=0) <= 1e-7):
+        if not np.all(np.linalg.norm(U - Q @ (Q.conj().T @ U), axis=0) <= _UNIT_TOL):
             raise DataInvalid("factor decomposition: a matrix unit left the span")
         return dec
 
@@ -298,15 +275,13 @@ def _block_decomposition(A: Subalgebra) -> BlockDecomposition:
 
 def _certified(A: Subalgebra, dec: BlockDecomposition) -> BlockDecomposition:
     """The decomposition, once certified as an isomorphism onto A, else
-    DataInvalid: the factor dimensions add up to dim A, the unit images
-    are a system of matrix units (`unit_system_defect`, kept on embed,
-    within 1e-7) and embed is injective.  With every unit in the span
-    (checked by `Subalgebra.decomposition`, and true of a map's own image),
-    embed is an injective *-homomorphism into span A of dimension dim A, so
-    onto it."""
+    DataInvalid: the factor dimensions add up to dim A, the unit images are
+    a system of matrix units (`unit_system_defect`, kept on embed, within
+    _UNIT_TOL) and embed is injective; with its units in the span, it is
+    onto A (`Subalgebra.validate`)."""
     if dec.algebra.total_dim != A.dim:
         raise DataInvalid("factor decomposition: factor dimensions do not add up to the span")
-    if not unit_system_defect(dec.embed) <= 1e-7:
+    if not unit_system_defect(dec.embed) <= _UNIT_TOL:
         raise DataInvalid("factor decomposition: the units are not a system of matrix units")
     if not dec.embed.min_singular_value() > INJECTIVITY_TOL:
         raise DataInvalid("factor decomposition: the embedding is not injective")

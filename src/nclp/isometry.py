@@ -23,6 +23,7 @@ import numpy as np
 from .algebra import (
     _CACHE_SIZE,
     INJECTIVITY_TOL,
+    _require_finite,
     Algebra,
     AlgebraElement,
     AlgebraMap,
@@ -183,9 +184,13 @@ def _support_map(source: Algebra, target: Algebra, matrix_t: np.ndarray) -> Alge
     """The map sending each projection P_r of `_polarization` to the right
     support of M vec(P_r), extended linearly: supports^T C.  matrix_t is the
     transpose of M, so row r of P matrix_t is M vec(P_r), and `right_supports`
-    takes one stacked SVD and one stacked product per target block."""
+    takes one stacked SVD and one stacked product per target block.  Rows
+    that overflow raise NonFinite before the SVD."""
     P, C = _polarization(source)
-    return AlgebraMap(source, target, right_supports(target, P @ matrix_t).T @ C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = P @ matrix_t
+    _require_finite([rows], "image of the polarization")
+    return AlgebraMap(source, target, right_supports(target, rows).T @ C)
 
 
 def extract_pi(T: LpMap, phi: State) -> AlgebraMap:

@@ -138,7 +138,6 @@ def random_isometry_data(
     source_blocks: tuple[int, ...] | None = None,
     *,
     plan=None,
-    w_positive: bool | None = None,
 ) -> IsometryData:
     """A seeded canonical-isometry instance.
 
@@ -146,7 +145,8 @@ def random_isometry_data(
     multiplicities and optional unused corners, conjugated by Haar unitaries.
     The preserved state is assembled on the image's support so that the image
     is stable under its modular flow; the reference state is its restriction
-    through the embedding.
+    through the embedding.  w is pi(1) when seed % 3 == 0, else a Haar
+    unitary times pi(1).
     """
     rng = rng_for(seed)
     if plan is None:
@@ -155,8 +155,6 @@ def random_isometry_data(
             source_blocks = menu_src
     source = Algebra(tuple(source_blocks))
     target = Algebra(_target_blocks(source, plan))
-    if w_positive is None:
-        w_positive = bool(seed % 3 == 0)
 
     conjugators = [haar_unitary(m, rng) for m in target.blocks]
     # positive factors shared across every occurrence of a source block, so
@@ -177,7 +175,7 @@ def random_isometry_data(
     phi = State(source, pullback_density(phibar, pi), normalize=True)
 
     pi_one = pi(AlgebraElement.identity(source))
-    if w_positive:
+    if seed % 3 == 0:
         w = pi_one
     else:
         u0 = random_unitary_element(target, rng)

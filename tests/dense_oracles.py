@@ -8,11 +8,12 @@ vectorization; `tensor_embed` builds a (x) h by Kronecker products, and
 reads, built from their positions in the amplification
 (`witness_positions`), where `nclp.isometry._Plan` keeps each as its
 matrix units; `plan_rows` writes a plan's rows out densely through those
-positions; `validate_by_pairs` checks a
-subalgebra with one element product per pair of basis elements, where
-`Subalgebra.validate` takes one blockwise product per basis element, and
-`unit_by_elements` sums the unit's S element by element, where
-`Subalgebra.unit` takes two products per block;
+positions; `validate_by_pairs` checks the closure of a subalgebra with one
+element product per pair of basis elements, and `unit_by_elements` takes
+its unit as the support of S = sum_a a a* + a* a, where
+`Subalgebra.validate` and `Subalgebra.unit` read the certified factor
+decomposition; `edge_bases` lists two spans that are not closed and one
+whose faint element falls below that support's rank rule;
 `lp_norms_per_block` and `clarkson_by_elements` take the L_p norms with one
 SVD call per block and the Clarkson witness from element products, where
 `nclp.lp` makes one SVD call per distinct block size and multiplies blocks;
@@ -136,6 +137,7 @@ from nclp.samples import (
     _YEADON_MENU,
     _target_blocks,
     haar_unitary,
+    random_element,
     random_isometry_data,
     random_unitary_element,
     rng_for,
@@ -492,8 +494,9 @@ def structured_witnesses(algebra, p: float, n: int = 2) -> list[LpVector]:
 
 
 def validate_by_pairs(A) -> None:
-    """Subalgebra.validate element by element: its tolerances, messages and
-    order of checks."""
+    """Closure of the span of a subalgebra's basis, element by element:
+    adjoints, then products, within 1000 atol times the largest basis norm
+    (its square for products), then the action of Subalgebra.unit."""
     tol = 1000 * A.parent.atol
     _ = A._onb  # independence
     scale = max(1.0, max(a.frobenius() for a in A.basis))
@@ -511,9 +514,9 @@ def validate_by_pairs(A) -> None:
 
 
 def unit_by_elements(A) -> list[np.ndarray]:
-    """The blocks of Subalgebra.unit from S = sum_a a a* + a* a summed
-    element by element, keeping the eigenvectors above 1e-10 of the largest
-    2-norm of a block of S."""
+    """The blocks of the support of S = sum_a a a* + a* a, summed element by
+    element, keeping the eigenvectors above 1e-10 of the largest 2-norm of a
+    block of S: the unit of a span whose basis elements are of one scale."""
     S = AlgebraElement.zero(A.parent)
     for a in A.basis:
         S = S + a @ a.adjoint() + a.adjoint() @ a
@@ -524,6 +527,25 @@ def unit_by_elements(A) -> list[np.ndarray]:
         keep = w > 1e-10 * max(top, 1e-300)
         blocks.append(v[:, keep] @ v[:, keep].conj().T)
     return blocks
+
+
+def edge_bases() -> dict:
+    """Unvalidated bases at the edge of subalgebra validation, by the
+    element-wise check each fails: span{1, h} on M_3 for a seeded Hermitian
+    h, not closed under products; the upper triangle of M_2, not closed
+    under adjoints; and span{e_1, 5e-6 e_2} on C + C, all of C + C, whose
+    second element falls below the rank rule of `unit_by_elements`, so that
+    support misses e_2 and does not act as an identity."""
+    herm = random_element(Algebra((3,)), rng_for(3))
+    herm = herm + herm.adjoint()
+    M3, M2, C2 = herm.algebra, Algebra((2,)), Algebra((1, 1))
+    upper = [np.diag([1.0, 0.0]), np.array([[0, 1], [0, 0]]), np.diag([0.0, 1.0])]
+    faint = [AlgebraElement(C2, [[[1.0]], [[0.0]]]), AlgebraElement(C2, [[[0.0]], [[5e-6]]])]
+    return {
+        "products": Subalgebra(M3, [AlgebraElement.identity(M3), herm], validate=False),
+        "adjoints": Subalgebra(M2, [AlgebraElement(M2, [b]) for b in upper], validate=False),
+        "an identity": Subalgebra(C2, faint, validate=False),
+    }
 
 
 def lp_norms_per_block(algebra, p: float, rows: np.ndarray, weights=None) -> np.ndarray:
@@ -888,7 +910,7 @@ def support_bound(
     return worst + both * want
 
 
-def isometry_data_by_units(seed: int, source_blocks=None, *, plan=None, w_positive=None):
+def isometry_data_by_units(seed: int, source_blocks=None, *, plan=None):
     """`nclp.samples.random_isometry_data` with pi through `map_from_callable`,
     one matrix unit at a time, and each block of pi(u) and of the preserved
     density placed and conjugated alone, drawing from the seed's stream in
@@ -900,8 +922,6 @@ def isometry_data_by_units(seed: int, source_blocks=None, *, plan=None, w_positi
             source_blocks = menu_src
     source = Algebra(tuple(source_blocks))
     target = Algebra(_target_blocks(source, plan))
-    if w_positive is None:
-        w_positive = bool(seed % 3 == 0)
     conjugators = [haar_unitary(m, rng) for m in target.blocks]
     a_factors = []
     for n in source.blocks:
@@ -942,7 +962,7 @@ def isometry_data_by_units(seed: int, source_blocks=None, *, plan=None, w_positi
     expectation = construct_expectation(Subalgebra.from_map_image(pi), phibar)
     phi = State(source, pullback_density(phibar, pi), normalize=True)
     pi_one = pi(AlgebraElement.identity(source))
-    w = pi_one if w_positive else random_unitary_element(target, rng) @ pi_one
+    w = pi_one if seed % 3 == 0 else random_unitary_element(target, rng) @ pi_one
     return IsometryData(
         source=source,
         target=target,

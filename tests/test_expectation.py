@@ -20,6 +20,7 @@ from dense_oracles import (
     certify_expectation_by_generators,
     construct_by_gram_solve,
     decomposition_coordinates,
+    edge_bases,
     support_corner_by_elements,
     unit_by_elements,
     validate_by_pairs,
@@ -775,7 +776,7 @@ def test_complement_projection():
 
 
 def test_complement_projection_positive_case_drops_w():
-    data = random_isometry_data(0, w_positive=True)
+    data = random_isometry_data(0)
     p = 3.0
     E = data.expectation
     P = complement_projection(data, p)
@@ -953,29 +954,16 @@ def test_gaps_on_a_reused_subalgebra_equal_gaps_on_fresh_copies():
 
 # -- subalgebra validation against the pairwise oracle --------------------------
 
-def _failing_bases():
-    """Bases that fail one check each, with the message they must give."""
-    herm = random_element(make_algebra([3]), rng_for(3))
-    herm = herm + herm.adjoint()
-    M3 = herm.algebra
-    yield "products", Subalgebra(M3, [AlgebraElement.identity(M3), herm], validate=False)
-    upper = [np.diag([1.0, 0.0]), np.array([[0, 1], [0, 0]]), np.diag([0.0, 1.0])]
-    yield "adjoints", Subalgebra(M2, [AlgebraElement(M2, [b]) for b in upper], validate=False)
-    # the second element sits below the support threshold of the span, so
-    # the unit the span reports misses it
-    C2 = make_algebra([1, 1])
-    faint = [AlgebraElement(C2, [[[1.0]], [[0.0]]]), AlgebraElement(C2, [[[0.0]], [[5e-6]]])]
-    yield "an identity", Subalgebra(C2, faint, validate=False)
-
-
 def _validation_cases():
+    # an edge basis's id names the element-wise check it fails: products,
+    # adjoints, or the identity check of the support of S (`unit_by_elements`)
     for seed in range(8):
         yield pytest.param(lambda s=seed: random_invariant_inclusion(s)[0], None, id=f"inv-{seed}")
     for seed in range(12):
         yield pytest.param(
             lambda s=seed: Subalgebra.from_map_image(random_isometry_data(s).pi), None, id=f"pi-{seed}"
         )
-    for word, A in _failing_bases():
+    for word, A in edge_bases().items():
         yield pytest.param(lambda A=A: A, word, id=f"fails-{word.split()[-1]}")
 
 
@@ -987,22 +975,32 @@ def _validation_outcome(check, A):
     return None
 
 
-@pytest.mark.parametrize("make, failure", list(_validation_cases()))
-def test_validate_agrees_with_the_pairwise_oracle(make, failure):
+@pytest.mark.parametrize("make, edge", list(_validation_cases()))
+def test_validate_agrees_with_the_pairwise_oracle(make, edge):
+    # the factor decomposition rejects the spans the oracle finds not closed,
+    # and certifies the faint span, whose unit then acts as one
     A = make()
     got = _validation_outcome(lambda B: B.validate(), _plain_copy(A))
-    assert got == _validation_outcome(validate_by_pairs, _plain_copy(A))
-    if failure is None:
-        assert got is None
+    want = _validation_outcome(validate_by_pairs, _plain_copy(A))
+    if edge in (None, "an identity"):
+        assert got is None and want is None
     else:
-        assert got is not None and failure in got
+        assert got is not None and got.startswith("factor decomposition: ")
+        assert want is not None and edge in want
 
 
-@pytest.mark.parametrize("make, failure", list(_validation_cases()))
-def test_unit_agrees_with_the_element_sum_oracle(make, failure):
-    # two products per block sum S in another order than the element loop,
-    # so the supports agree to rounding, with the same rank
+@pytest.mark.parametrize("make, edge", list(_validation_cases()))
+def test_unit_agrees_with_the_element_sum_oracle(make, edge):
+    # the sum of the certified diagonal units and the support of S agree to
+    # rounding, with the same rank, on every valid span but the faint one
     A = make()
+    if edge == "an identity":
+        assert (A.unit - AlgebraElement.identity(A.parent)).frobenius() < 1e-12
+        return
+    if edge is not None:
+        with pytest.raises(DataInvalid, match="^factor decomposition: "):
+            _ = A.unit
+        return
     got, want = A.unit, unit_by_elements(A)
     for g, w in zip(got.data, want):
         assert round(np.trace(g).real) == round(np.trace(w).real)
@@ -1010,12 +1008,36 @@ def test_unit_agrees_with_the_element_sum_oracle(make, failure):
     assert (got - AlgebraElement(A.parent, want)).frobenius() <= tol
 
 
-def test_validate_takes_one_blockwise_product_per_basis_element(monkeypatch):
+def _scale_cases():
+    for seed in range(40):
+        for kind, make in (("inv", random_invariant_inclusion), ("noninv", random_noninvariant_inclusion)):
+            yield pytest.param(lambda s=seed, m=make: m(s)[0], seed, id=f"{kind}-{seed}")
+    for seed in range(12):
+        yield pytest.param(
+            lambda s=seed: Subalgebra.from_map_image(random_isometry_data(s).pi), seed, id=f"pi-{seed}"
+        )
+    yield pytest.param(lambda: edge_bases()["an identity"], 0, id="faint")
+
+
+@pytest.mark.parametrize("make, seed", list(_scale_cases()))
+def test_validation_and_unit_ignore_the_scale_of_each_basis_element(make, seed):
+    # only the span enters: each basis element scaled by 10^u, u uniform in [-3, 3]
+    A = _plain_copy(make())
+    scales = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, A.dim)
+    scaled = Subalgebra(A.parent, [a * c for a, c in zip(A.basis, scales.tolist())])
+    want, got = A.decomposition, scaled.decomposition
+    assert got.algebra == want.algebra and got.multiplicities == want.multiplicities
+    assert (scaled.unit - A.unit).frobenius() <= 1e-11
+
+
+def test_validate_takes_the_generic_pass_once_and_no_blockwise_product(monkeypatch):
     source, plan = LADDER_144
     A = _plain_copy(Subalgebra.from_map_image(random_isometry_data(0, source, plan=plan).pi))
+    passes = _count_calls(monkeypatch, expectation_module, "_block_decomposition")
     lefts = _count_calls(monkeypatch, expectation_module, "apply_left")
     A.validate()
-    assert len(lefts) == A.dim + 1  # the rows of products, then the unit
+    A.validate()
+    assert len(passes) == 1 and lefts == []
 
 
 def test_a_subalgebra_and_its_state_refuse_assignment_under_their_own_names():

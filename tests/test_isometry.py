@@ -206,6 +206,18 @@ def test_extract_pi_rejects_structureless_map():
         extract_pi(garbage, phi)
 
 
+def test_extract_pi_refuses_polarization_rows_that_overflow():
+    # the map is finite, but its polarization rows overflow; they are refused
+    # before the SVD, and no RuntimeWarning escapes (pytest would raise it)
+    from nclp.errors import NonFinite
+
+    M3 = make_algebra([3])
+    M = np.full((9, 9), 1.7e308, dtype=complex)
+    M[0, 0] = -1.7e308
+    with pytest.raises(NonFinite, match="^image of the polarization has a NaN or infinite entry$"):
+        extract_pi(LpMap(M3, M3, 3.0, M), random_faithful_state(M3, 0))
+
+
 def test_extract_polar_data_zero_image():
     from nclp.errors import ZeroImage
 
@@ -409,7 +421,7 @@ def test_two_isometry_defect_witness_values():
 
 
 def test_positive_factory_maps_preserve_positivity():
-    data = random_isometry_data(0, w_positive=True)
+    data = random_isometry_data(0)
     T = build_isometry(data, 3.0)
     rng = rng_for(33)
     for _ in range(15):

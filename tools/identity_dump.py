@@ -27,6 +27,13 @@ the multiplicities and the sha256 of ``embed.matrix`` of
 ``random_noninvariant_inclusion`` seeds 0-7, for the pi images of
 ``random_isometry_data`` seeds 0-11, whose decomposition is pi itself, and
 for plain-basis copies of the same images, which run the generic pass.
+The subalgebra records hold, for the same inclusions and plain copies and
+for the bases of ``edge_bases`` from ``tests/dense_oracles.py`` (two spans
+not closed under products or adjoints and one whose second element is
+faint), the outcome of ``Subalgebra.validate`` (null, or the error's type
+and message) and the entries of ``Subalgebra.unit`` as [re, im] pairs, or
+the error it raised; entries, not a sha256, so that a unit moved by
+rounding matches within the float tolerance of ``tools/identity_diff.py``.
 The L_p layer records hold the ``interpolation_gap`` values of
 ``random_invariant_inclusion`` seeds 0-7 at three seeded x and p in
 {2, 3, 4, 8}, all on one subalgebra and state, and the sha256 of
@@ -467,6 +474,53 @@ def _decomposition_records():
         }
 
 
+def _subalgebra_records():
+    """The ``validate`` outcome and the unit, or the error each raised, of
+    the inclusions, plain copies of the pi images and the edge bases."""
+    import numpy as np
+
+    from nclp.expectation import Subalgebra
+    from nclp.samples import (
+        random_invariant_inclusion,
+        random_isometry_data,
+        random_noninvariant_inclusion,
+    )
+
+    sys.path.insert(0, str(TESTS))
+    from dense_oracles import edge_bases
+
+    def outcome(fn):
+        try:
+            value = fn()
+        except Exception as exc:  # the outcome recorded is the exception itself
+            return f"{type(exc).__name__}: {exc}"
+        return value
+
+    def unit(A):
+        vec = A.unit.vec()
+        return np.stack([vec.real, vec.imag], axis=1).tolist()
+
+    cases = [
+        (kind, seed, make(seed)[0])
+        for kind, make in (
+            ("invariant", random_invariant_inclusion),
+            ("noninvariant", random_noninvariant_inclusion),
+        )
+        for seed in INCLUSION_SEEDS
+    ]
+    for seed in IMAGE_SEEDS:
+        A = Subalgebra.from_map_image(random_isometry_data(seed).pi)
+        cases.append(("pi_image_generic", seed, Subalgebra(A.parent, A.basis, validate=False)))
+    cases += [(name, None, A) for name, A in edge_bases().items()]
+    for kind, seed, A in cases:
+        yield {
+            "subalgebra": kind,
+            "seed": seed,
+            "validate": outcome(A.validate),
+            "unit": outcome(lambda: unit(A)),
+        }
+
+
 def _lp_layer_records():
     from nclp.expectation import complement_projection, interpolation_gap, lp_inclusion
     from nclp.samples import (
@@ -812,6 +866,7 @@ def main(argv=None) -> int:
         "yeadon": list(_yeadon_records()),
         "spectral": list(_spectral_records()),
         "decomposition": list(_decomposition_records()),
+        "subalgebra": list(_subalgebra_records()),
         "lp_layer": list(_lp_layer_records()),
         "norms": list(_norm_records()),
         "frobenius": list(_frobenius_records()),
